@@ -10,7 +10,7 @@ import (
 )
 
 // Overload-control errors sit beside the IPC failure taxonomy
-// (ipc.ErrTimeout, ipc.ErrPeerDead, ...): they are the serving layer's
+// (ipc.ErrTimeout, ipc.ErrAgentCrashed, ...): they are the serving layer's
 // deliberate refusals, distinguishable from crashes so clients and the
 // control plane can react per class.
 var (
@@ -54,8 +54,6 @@ func ErrClass(err error) string {
 		return "attack-blocked"
 	case errors.Is(err, ipc.ErrTimeout):
 		return "timeout"
-	case errors.Is(err, ipc.ErrPeerDead):
-		return "peer-dead"
 	case errors.Is(err, ipc.ErrAgentCrashed):
 		return "agent-crash"
 	case errors.Is(err, ipc.ErrCorrupt):

@@ -206,7 +206,6 @@ func TestErrClassTaxonomy(t *testing.T) {
 		{core.ErrDeadlineExceeded, "deadline"},
 		{fmt.Errorf("late: %w", core.ErrDeadlineExceeded), "deadline"},
 		{ipc.ErrTimeout, "timeout"},
-		{ipc.ErrPeerDead, "peer-dead"},
 		{ipc.ErrAgentCrashed, "agent-crash"},
 		{ipc.ErrCorrupt, "corrupt"},
 		{errors.New("anything else"), "app-error"},

@@ -175,7 +175,7 @@ func (a *agent) resolveID(id uint64) uint64 {
 	}
 }
 
-// serve is the agent's RPC loop body: decode a Call, run it in the agent
+// serve is the agent's RPC handler: decode a Call, run it in the agent
 // context, encode the Reply. Installed once per agent; survives restarts
 // because it reads the current ctx/proc through the agent's mutex.
 func (rt *Runtime) serve(a *agent) ipc.Handler {
@@ -481,7 +481,7 @@ func (rt *Runtime) callAgent(a *agent, call framework.Call) (framework.Reply, er
 			}
 			return reply, nil
 		}
-		crashed := errors.Is(err, ipc.ErrAgentCrashed) || errors.Is(err, ipc.ErrPeerDead)
+		crashed := errors.Is(err, ipc.ErrAgentCrashed)
 		transient := errors.Is(err, ipc.ErrTimeout) || errors.Is(err, ipc.ErrCorrupt)
 		if !crashed && !transient {
 			// Application-level error: surface unchanged, no retry.

@@ -68,7 +68,7 @@ func (rt *Runtime) boundaryFor(types map[framework.APIType]bool) Boundary {
 // --- process tier ------------------------------------------------------------
 
 // processBoundary is the paper's hardwired path, extracted verbatim: a
-// spawned kernel process, an ipc.Conn served by the agent loop, per-call
+// spawned kernel process, an ipc.Conn served by the agent's handler, per-call
 // marshalling with LDC, and the restart supervisor. When selected (the
 // default, and the "paper" preset) every operation happens in the same
 // order as before the Boundary seam existed, so replays stay byte-equal.
@@ -83,11 +83,7 @@ func (processBoundary) Spawn(rt *Runtime, a *agent) error {
 	ctx.Tracer = rt.Tracer
 	a.proc = proc
 	a.ctx = ctx
-	a.conn = ipc.NewConn(64, rt.K.Clock, rt.K.Cost)
-	if rt.Config.CallDeadline > 0 {
-		a.conn.SetDeadline(rt.Config.CallDeadline)
-	}
-	a.conn.SetPeerCheck(func() bool { return a.process().Alive() })
+	a.conn = ipc.NewConn(rt.K.Clock, rt.K.Cost, rt.serve(a))
 	if rt.policies != nil {
 		// A partition homing several types gets the union policy.
 		merged := &analysis.AgentPolicy{FDLabels: make(map[kernel.Sysno][]string)}
@@ -102,7 +98,6 @@ func (processBoundary) Spawn(rt *Runtime, a *agent) error {
 		}
 		a.policy = merged
 	}
-	go a.conn.Serve(rt.serve(a))
 
 	rt.mu.Lock()
 	rt.agents[a.id] = a

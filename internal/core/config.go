@@ -70,10 +70,6 @@ type Config struct {
 	// BreakerWindow is the virtual-time window the breaker counts restarts
 	// over; 0 means an unbounded window.
 	BreakerWindow vclock.Duration
-	// CallDeadline bounds how long one RPC waits for a response in wall-
-	// clock time, so a peer that dies without answering fails the call
-	// instead of hanging. 0 disables the deadline.
-	CallDeadline time.Duration
 
 	// Isolation picks the boundary tier per API type (see
 	// internal/isolation). Nil — and the equivalent isolation.Paper()
@@ -108,7 +104,6 @@ func Default() Config {
 		EnforcePermissions: true,
 		RestrictSyscalls:   true,
 		FilterAction:       kernel.ActionKill,
-		CallDeadline:       2 * time.Second,
 	}
 }
 

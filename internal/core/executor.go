@@ -890,7 +890,7 @@ func isCrashClass(err error, sh *Shard) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, ipc.ErrAgentCrashed) || errors.Is(err, ipc.ErrPeerDead) || errors.Is(err, ipc.ErrTimeout) {
+	if errors.Is(err, ipc.ErrAgentCrashed) || errors.Is(err, ipc.ErrTimeout) {
 		return true
 	}
 	return sh.Rt != nil && !sh.Rt.Host.Alive()
@@ -1333,11 +1333,13 @@ func (s *Session) Bound(name string) (Handle, bool) {
 }
 
 // migrate moves the session to shard `to`, materializing every bound
-// handle's latest checkpoint into the replacement runtime. Bindings whose
-// state cannot be restored keep their (now dangling) handle and surface an
-// error; the session still moves — it must run somewhere. Unfinished
-// sessions carry their pinned count to the destination slot (after s.mu is
-// released: session mu never orders before executor mu).
+// handle's latest checkpoint into the replacement runtime. A binding whose
+// state cannot be restored is dropped and the error surfaced, so the next
+// use of that name fails loudly instead of reading whatever the destination
+// holds under the old handle's id; the session still moves — it must run
+// somewhere. Unfinished sessions carry their pinned count to the
+// destination slot (after s.mu is released: session mu never orders before
+// executor mu).
 func (s *Session) migrate(to *Shard) error {
 	s.mu.Lock()
 	var firstErr error
@@ -1347,18 +1349,9 @@ func (s *Session) migrate(to *Shard) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		h := s.bound[name]
-		if to.Rt == nil {
-			firstErr = fmt.Errorf("core: cannot restore %q onto a direct shard", name)
-			continue
-		}
-		cp, ok := s.ex.ckpt.LatestSlot(s.ID, object.Slot(h.ref.PID, h.ref.ID))
-		if !ok {
-			firstErr = fmt.Errorf("core: no checkpoint for bound handle %q", name)
-			continue
-		}
-		nh, err := to.Rt.Adopt(s.ID, cp)
+		nh, err := s.restore(to, name, s.bound[name])
 		if err != nil {
+			delete(s.bound, name)
 			firstErr = err
 			continue
 		}
@@ -1372,6 +1365,18 @@ func (s *Session) migrate(to *Shard) error {
 		s.ex.movePin(from, to.ID, s.Tenant)
 	}
 	return firstErr
+}
+
+// restore materializes bound handle h's latest checkpoint onto shard to.
+func (s *Session) restore(to *Shard, name string, h Handle) (Handle, error) {
+	if to.Rt == nil {
+		return Handle{}, fmt.Errorf("core: cannot restore %q onto a direct shard", name)
+	}
+	cp, ok := s.ex.ckpt.LatestSlot(s.ID, object.Slot(h.ref.PID, h.ref.ID))
+	if !ok {
+		return Handle{}, fmt.Errorf("core: no checkpoint for bound handle %q", name)
+	}
+	return to.Rt.Adopt(s.ID, cp)
 }
 
 // currentShard reads the session's pin.

@@ -723,11 +723,31 @@ func (rt *Runtime) adoptTarget(cp object.Checkpoint) (*agent, error) {
 // restarts of this shard restore it too), and re-appended to the log under
 // its new slot so a second failover finds it. Returns a handle valid on this
 // runtime — the migrated session's replacement for its old-shard handle.
+//
+// Materializing writes into the agent's space, so a fault can kill the agent
+// mid-adoption. Like a call, Adopt then revives it through the supervisor
+// and retries within RetryBudget.
 func (rt *Runtime) Adopt(session int, cp object.Checkpoint) (Handle, error) {
 	a, err := rt.adoptTarget(cp)
 	if err != nil {
 		return Handle{}, err
 	}
+	for attempt := 0; ; attempt++ {
+		h, err := rt.adopt(a, session, cp)
+		if err == nil || a.process().Alive() || !rt.Config.Restart || attempt >= rt.Config.RetryBudget {
+			return h, err
+		}
+		if rerr := rt.superviseRestart(a); rerr != nil {
+			return Handle{}, fmt.Errorf("core: restart failed: %w (after %v)", rerr, err)
+		}
+		if a.isDegraded() {
+			return Handle{}, err
+		}
+	}
+}
+
+// adopt is one attempt of Adopt against agent a.
+func (rt *Runtime) adopt(a *agent, session int, cp object.Checkpoint) (Handle, error) {
 	ctx := a.context()
 	o, err := cp.Materialize(ctx.P.Space())
 	if err != nil {

@@ -133,9 +133,8 @@ func TestThreadsShareHostCriticalData(t *testing.T) {
 }
 
 // TestConcurrentCrossTypeCallsOneRuntime hammers a single runtime with
-// overlapping calls across every API type from many goroutines. Before the
-// seq-multiplexed IPC layer, two concurrent calls to one agent could steal
-// each other's responses; now the demux routes each response to its caller,
+// overlapping calls across every API type from many goroutines. Each agent
+// serves one request at a time and answers it on its caller's goroutine,
 // so one runtime safely serves concurrent work (verified under -race).
 func TestConcurrentCrossTypeCallsOneRuntime(t *testing.T) {
 	k, g := threadGroup(t, 1)

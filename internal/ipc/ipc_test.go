@@ -4,169 +4,22 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"freepart.dev/freepart/internal/vclock"
 )
 
-func TestRingFIFO(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 4; i++ {
-		if err := r.Send(Message{Seq: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		m, err := r.Recv()
-		if err != nil || m.Seq != uint64(i) {
-			t.Fatalf("recv %d = %v, %v", i, m.Seq, err)
-		}
-	}
-}
-
-func TestRingBlocksWhenFullThenDrains(t *testing.T) {
-	r := NewRing(1)
-	if err := r.Send(Message{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- r.Send(Message{Seq: 2}) }()
-	// Wait until the producer has actually parked on the full ring.
-	for r.Stats().Blocked == 0 {
-		runtime.Gosched()
-	}
-	m, err := r.Recv()
-	if err != nil || m.Seq != 1 {
-		t.Fatalf("recv = %v, %v", m.Seq, err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	m, _ = r.Recv()
-	if m.Seq != 2 {
-		t.Fatalf("second recv = %d", m.Seq)
-	}
-	if r.Stats().Blocked == 0 {
-		t.Fatal("blocked counter should record the futex wait")
-	}
-}
-
-func TestRingTrySend(t *testing.T) {
-	r := NewRing(1)
-	ok, err := r.TrySend(Message{Seq: 1})
-	if !ok || err != nil {
-		t.Fatalf("TrySend = %v, %v", ok, err)
-	}
-	ok, err = r.TrySend(Message{Seq: 2})
-	if ok || err != nil {
-		t.Fatalf("full TrySend = %v, %v", ok, err)
-	}
-	r.Close()
-	if _, err := r.TrySend(Message{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed TrySend err = %v", err)
-	}
-}
-
-func TestRingCloseDrains(t *testing.T) {
-	r := NewRing(4)
-	_ = r.Send(Message{Seq: 9})
-	r.Close()
-	if err := r.Send(Message{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send after close = %v", err)
-	}
-	m, err := r.Recv()
-	if err != nil || m.Seq != 9 {
-		t.Fatalf("queued message should survive close: %v %v", m.Seq, err)
-	}
-	if _, err := r.Recv(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("drained closed recv = %v", err)
-	}
-}
-
-func TestRingCloseWakesBlockedReceiver(t *testing.T) {
-	r := NewRing(1)
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.Recv()
-		done <- err
-	}()
-	r.Close()
-	if err := <-done; !errors.Is(err, ErrClosed) {
-		t.Fatalf("blocked recv woke with %v", err)
-	}
-}
-
-func TestRingStatsBytes(t *testing.T) {
-	r := NewRing(4)
-	_ = r.Send(Message{Payload: make([]byte, 100)})
-	st := r.Stats()
-	if st.Messages != 1 || st.Bytes != 116 { // 16-byte header
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestRingConcurrentProducersConsumers(t *testing.T) {
-	r := NewRing(8)
-	const producers, per = 4, 250
-	var wg sync.WaitGroup
-	for i := 0; i < producers; i++ {
-		wg.Add(1)
-		go func(base int) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				_ = r.Send(Message{Seq: uint64(base*per + j)})
-			}
-		}(i)
-	}
-	seen := make(map[uint64]bool)
-	var mu sync.Mutex
-	var cg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for {
-				m, err := r.Recv()
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				seen[m.Seq] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	r.Close()
-	cg.Wait()
-	if len(seen) != producers*per {
-		t.Fatalf("received %d distinct messages, want %d", len(seen), producers*per)
-	}
-}
-
-func TestDefaultCapacity(t *testing.T) {
-	if NewRing(0).Cap() != DefaultRingCapacity || NewRing(-3).Cap() != DefaultRingCapacity {
-		t.Fatal("non-positive capacity should use default")
-	}
-}
-
-// echoConn starts a server that echoes payloads with kind prepended.
-func echoConn(t *testing.T) *Conn {
-	t.Helper()
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
+// echoConn connects to an agent that echoes payloads with kind prepended.
+func echoConn() *Conn {
+	return NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		return append([]byte{byte(kind)}, p...), nil
 	})
-	t.Cleanup(c.Close)
-	return c
 }
 
 func TestCallRoundTrip(t *testing.T) {
-	c := echoConn(t)
+	c := echoConn()
 	out, err := c.Call(7, []byte("abc"))
 	if err != nil {
 		t.Fatal(err)
@@ -181,11 +34,9 @@ func TestCallRoundTrip(t *testing.T) {
 }
 
 func TestCallApplicationError(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("bad input %q", p)
 	})
-	defer c.Close()
 	_, err := c.Call(1, []byte("x"))
 	if err == nil || err.Error() != `bad input "x"` {
 		t.Fatalf("err = %v", err)
@@ -193,11 +44,9 @@ func TestCallApplicationError(t *testing.T) {
 }
 
 func TestCallCrashPropagates(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: segfault in imread", ErrAgentCrashed)
 	})
-	defer c.Close()
 	_, err := c.Call(1, nil)
 	if !errors.Is(err, ErrAgentCrashed) {
 		t.Fatalf("err = %v", err)
@@ -209,15 +58,10 @@ func TestRetryDedup(t *testing.T) {
 	// sequence must be answered from the cache without re-executing —
 	// the exactly-once guarantee of §4.3.
 	var executions int
-	var mu sync.Mutex
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
-		mu.Lock()
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		executions++
-		mu.Unlock()
 		return []byte("done"), nil
 	})
-	defer c.Close()
 
 	out, err := c.Call(1, []byte("req"))
 	if err != nil || string(out) != "done" {
@@ -228,8 +72,6 @@ func TestRetryDedup(t *testing.T) {
 	if err != nil || string(out) != "done" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if executions != 1 {
 		t.Fatalf("handler executed %d times, want 1 (exactly-once)", executions)
 	}
@@ -242,19 +84,13 @@ func TestRetryAfterCrashReexecutes(t *testing.T) {
 	// First attempt crashes before completing; the retry must execute —
 	// the at-least-once path of §4.4.2.
 	var attempts int
-	var mu sync.Mutex
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
-		mu.Lock()
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		attempts++
-		n := attempts
-		mu.Unlock()
-		if n == 1 {
+		if attempts == 1 {
 			return nil, fmt.Errorf("%w: first try dies", ErrAgentCrashed)
 		}
 		return []byte("ok"), nil
 	})
-	defer c.Close()
 
 	_, err := c.Call(5, nil)
 	if !errors.Is(err, ErrAgentCrashed) {
@@ -264,8 +100,6 @@ func TestRetryAfterCrashReexecutes(t *testing.T) {
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", attempts)
 	}
@@ -273,11 +107,8 @@ func TestRetryAfterCrashReexecutes(t *testing.T) {
 
 func TestCallChargesVirtualTime(t *testing.T) {
 	clk := vclock.New()
-	c := NewConn(8, clk, vclock.Default())
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) { return p, nil })
-	defer c.Close()
-	small, _ := c.Call(1, make([]byte, 16))
-	_ = small
+	c := NewConn(clk, vclock.Default(), func(kind uint32, p []byte) ([]byte, error) { return p, nil })
+	_, _ = c.Call(1, make([]byte, 16))
 	afterSmall := clk.Now()
 	_, _ = c.Call(1, make([]byte, 1<<20))
 	afterBig := clk.Now() - afterSmall
@@ -287,10 +118,8 @@ func TestCallChargesVirtualTime(t *testing.T) {
 }
 
 func TestDedupCacheEviction(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) { return p, nil })
 	c.doneCap = 4
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) { return p, nil })
-	defer c.Close()
 	for i := 0; i < 10; i++ {
 		if _, err := c.Call(0, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -305,7 +134,7 @@ func TestDedupCacheEviction(t *testing.T) {
 
 func TestCallSeqProperty(t *testing.T) {
 	// Sequence numbers strictly increase and responses match requests.
-	c := echoConn(t)
+	c := echoConn()
 	prev := uint64(0)
 	f := func(b byte) bool {
 		out, err := c.Call(uint32(b), []byte{b})
@@ -322,50 +151,7 @@ func TestCallSeqProperty(t *testing.T) {
 	}
 }
 
-// --- call deadline, peer death, and fault injection ---
-
-func TestCallDeadlineTimesOut(t *testing.T) {
-	// No Serve goroutine: the request is never answered. The deadline must
-	// bound the failure with a typed error.
-	c := NewConn(4, nil, vclock.CostModel{})
-	c.SetDeadline(80 * time.Millisecond)
-	start := time.Now()
-	_, err := c.Call(0, []byte("x"))
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatalf("timed call took %v; deadline not enforced", time.Since(start))
-	}
-}
-
-func TestCallPeerDeadDetected(t *testing.T) {
-	// A generous deadline, but the liveness probe says the peer died: the
-	// call must fail fast with ErrPeerDead, not wait out the deadline.
-	c := NewConn(4, nil, vclock.CostModel{})
-	c.SetDeadline(10 * time.Second)
-	c.SetPeerCheck(func() bool { return false })
-	start := time.Now()
-	_, err := c.Call(0, nil)
-	if !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("err = %v, want ErrPeerDead", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatalf("dead-peer call took %v", time.Since(start))
-	}
-}
-
-func TestCallSucceedsUnderDeadline(t *testing.T) {
-	c := NewConn(4, nil, vclock.CostModel{})
-	c.SetDeadline(5 * time.Second)
-	c.SetPeerCheck(func() bool { return true })
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) { return p, nil })
-	defer c.Close()
-	out, err := c.Call(0, []byte("hi"))
-	if err != nil || string(out) != "hi" {
-		t.Fatalf("call = %q, %v", out, err)
-	}
-}
+// --- fault injection ---
 
 // scriptedInjector fails exactly the first request (or response) it sees.
 type scriptedInjector struct {
@@ -396,24 +182,20 @@ func (s *scriptedInjector) ResponseFault(seq uint64, payload []byte) MessageFaul
 	return s.respFault
 }
 
-func countingServer(t *testing.T, c *Conn) *int {
-	t.Helper()
+// countingConn connects to an agent that answers "ok" and counts how many
+// times it executed a request.
+func countingConn(inject Injector) (*Conn, *int) {
 	executions := new(int)
-	var mu sync.Mutex
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
-		mu.Lock()
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		*executions++
-		mu.Unlock()
 		return []byte("ok"), nil
 	})
-	t.Cleanup(c.Close)
-	return executions
+	c.SetInjector(inject)
+	return c, executions
 }
 
 func TestCorruptRequestDetectedThenRetried(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
-	c.SetInjector(&scriptedInjector{reqFault: MessageFault{Corrupt: true}})
-	executions := countingServer(t, c)
+	c, executions := countingConn(&scriptedInjector{reqFault: MessageFault{Corrupt: true}})
 	_, err := c.Call(1, []byte("abc"))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -431,10 +213,7 @@ func TestDroppedResponseTimeoutThenDedupAnswers(t *testing.T) {
 	// The handler executes, but the response is lost. The retry under the
 	// same sequence must be answered from the dedup cache: exactly-once
 	// across message loss.
-	c := NewConn(8, nil, vclock.CostModel{})
-	c.SetDeadline(5 * time.Second)
-	c.SetInjector(&scriptedInjector{respFault: MessageFault{Drop: true}})
-	executions := countingServer(t, c)
+	c, executions := countingConn(&scriptedInjector{respFault: MessageFault{Drop: true}})
 	_, err := c.Call(1, []byte("abc"))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -452,14 +231,11 @@ func TestDroppedResponseTimeoutThenDedupAnswers(t *testing.T) {
 }
 
 func TestDuplicatedRequestAbsorbedByDedup(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
-	c.SetInjector(&scriptedInjector{reqFault: MessageFault{Duplicate: true}})
-	executions := countingServer(t, c)
+	c, executions := countingConn(&scriptedInjector{reqFault: MessageFault{Duplicate: true}})
 	out, err := c.Call(1, []byte("abc"))
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("call = %q, %v", out, err)
 	}
-	// A fresh call drains any stale duplicate response left in the ring.
 	out, err = c.Call(1, []byte("next"))
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("second call = %q, %v", out, err)
@@ -472,12 +248,56 @@ func TestDuplicatedRequestAbsorbedByDedup(t *testing.T) {
 	}
 }
 
+func TestDuplicateDeliveryAfterCrashServedBeforeReturn(t *testing.T) {
+	// A duplicated request whose first delivery kills the agent. The second
+	// delivery reaches the dead agent before Call returns, so nothing it
+	// does can land after the caller has moved on to restart and retry.
+	runs := 0
+	dead := false
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
+		runs++
+		if dead {
+			return nil, fmt.Errorf("%w: process is not running", ErrAgentCrashed)
+		}
+		if runs == 1 {
+			dead = true
+			return nil, fmt.Errorf("%w: injected write fault", ErrAgentCrashed)
+		}
+		return []byte("ok"), nil
+	})
+	c.SetInjector(&scriptedInjector{reqFault: MessageFault{Duplicate: true}})
+	seq := c.NextSeq()
+	if _, err := c.CallSeq(seq, 1, []byte("step")); !errors.Is(err, ErrAgentCrashed) {
+		t.Fatalf("err = %v, want ErrAgentCrashed", err)
+	}
+	if runs != 2 {
+		t.Fatalf("handler ran %d times by the time Call returned, want 2", runs)
+	}
+	dead = false // the supervisor revives the agent
+	out, err := c.Retry(seq, 1, []byte("step"))
+	if err != nil || string(out) != "ok" {
+		t.Fatalf("retry = %q, %v", out, err)
+	}
+	if runs != 3 {
+		t.Fatalf("retry ran the handler %d times, want 1", runs-2)
+	}
+}
+
+func TestCallAfterCloseFails(t *testing.T) {
+	c, executions := countingConn(nil)
+	c.Close()
+	if _, err := c.Call(1, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if *executions != 0 {
+		t.Fatalf("handler ran %d times on a closed connection", *executions)
+	}
+}
+
 func TestDroppedRequestChargesVirtualTimeout(t *testing.T) {
 	clk := vclock.New()
-	c := NewConn(8, clk, vclock.Default())
+	c := NewConn(clk, vclock.Default(), func(kind uint32, p []byte) ([]byte, error) { return p, nil })
 	c.SetInjector(&scriptedInjector{reqFault: MessageFault{Drop: true}})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) { return p, nil })
-	defer c.Close()
 	_, err := c.Call(1, []byte("abc"))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -487,13 +307,13 @@ func TestDroppedRequestChargesVirtualTimeout(t *testing.T) {
 	}
 }
 
-// --- seq-multiplexed pipelining ---
+// --- concurrent callers on one connection ---
 
 func TestPipelinedOverlappingCalls(t *testing.T) {
-	// Many goroutines issue calls concurrently on ONE connection. Under the
-	// old lock-step protocol they would steal each other's responses; with
-	// seq multiplexing every caller must get exactly its own echo back.
-	c := echoConn(t)
+	// Many goroutines issue calls concurrently on ONE connection. The agent
+	// serves them one at a time, and every caller must get exactly its own
+	// echo back.
+	c := echoConn()
 	const callers = 16
 	const perCaller = 25
 	var wg sync.WaitGroup
@@ -525,62 +345,13 @@ func TestPipelinedOverlappingCalls(t *testing.T) {
 	if got := c.Stats().Calls; got != callers*perCaller {
 		t.Fatalf("calls = %d, want %d", got, callers*perCaller)
 	}
-	if c.InFlight() != 0 {
-		t.Fatalf("in-flight = %d after drain, want 0", c.InFlight())
-	}
-}
-
-func TestPipelinedSlowFirstCallDoesNotBlockSecond(t *testing.T) {
-	// The server answers seq 1 only after seq 2 has been answered; a
-	// lock-step client would deadlock interpreting seq 2's response as
-	// garbage. The demux must deliver each response to its own waiter.
-	c := NewConn(8, nil, vclock.CostModel{})
-	firstSeen := make(chan struct{})
-	secondDone := make(chan struct{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
-		if kind == 1 {
-			close(firstSeen)
-			<-secondDone // park the agent until call 2 is fully answered
-		}
-		return p, nil
-	})
-	t.Cleanup(c.Close)
-
-	firstOut := make(chan error, 1)
-	go func() {
-		out, err := c.Call(1, []byte("slow"))
-		if err == nil && string(out) != "slow" {
-			err = fmt.Errorf("wrong payload %q", out)
-		}
-		firstOut <- err
-	}()
-	<-firstSeen
-	// The agent is parked inside call 1. Call 2 must still complete: its
-	// request pipelines into the ring... but the serve loop is busy, so we
-	// release it from a second goroutine once our request is enqueued.
-	go func() {
-		for c.req.Len() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		close(secondDone)
-	}()
-	out, err := c.Call(2, []byte("fast"))
-	if err != nil || string(out) != "fast" {
-		t.Fatalf("second call = %q, %v", out, err)
-	}
-	if err := <-firstOut; err != nil {
-		t.Fatalf("first call: %v", err)
-	}
 }
 
 func TestPipelinedRetrySemanticsPreserved(t *testing.T) {
 	// Overlapping callers plus a dropped response: the victim retries under
 	// its original sequence and is answered from the dedup cache while other
 	// callers keep flowing.
-	c := NewConn(16, nil, vclock.CostModel{})
-	c.SetDeadline(200 * time.Millisecond)
-	c.SetInjector(&scriptedInjector{respFault: MessageFault{Drop: true}})
-	executions := countingServer(t, c)
+	c, executions := countingConn(&scriptedInjector{respFault: MessageFault{Drop: true}})
 
 	seq := c.NextSeq()
 	_, err := c.CallSeq(seq, 1, []byte("victim"))

@@ -1,3 +1,17 @@
+// Package ipc implements the inter-process communication substrate: a
+// request/response RPC layer between the host and one agent process with
+// exactly-once delivery, checksummed message framing, and byte accounting.
+//
+// The paper's prototype moves API requests between the host and agent
+// processes over shared-memory ring buffers synchronized with futexes
+// (§4.3, footnote 8), and prices each crossing by its round trip and the
+// bytes it copies (Tables 9 and 12). This package keeps exactly that price
+// and the paper's RPC semantics — exactly-once in normal operation (§4.3)
+// and at-least-once across agent restarts (§4.4.2) — but serves each
+// request in-line on the caller's goroutine: the agent drains its ring one
+// request at a time, so a call is the agent side run under the
+// connection's lock, and nothing in a call depends on thread scheduling or
+// the wall clock.
 package ipc
 
 import (
@@ -6,7 +20,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"freepart.dev/freepart/internal/vclock"
 )
@@ -16,26 +29,38 @@ import (
 // whether to retry, giving at-least-once semantics.
 var ErrAgentCrashed = errors.New("ipc: agent crashed during request")
 
-// ErrTimeout is returned by Call when no response arrived within the call
-// deadline, or when fault injection dropped a message. The request may or
-// may not have executed; a Retry with the same sequence number is safe
-// because the server-side dedup cache absorbs duplicates.
+// ErrTimeout is returned by Call when fault injection dropped a message; the
+// caller has been charged the virtual IPCTimeout. The request may or may not
+// have executed; a Retry with the same sequence number is safe because the
+// server-side dedup cache absorbs duplicates.
 var ErrTimeout = errors.New("ipc: call timed out")
-
-// ErrPeerDead is returned by Call when the peer process is no longer alive
-// while the caller is waiting for a response — the bounded-failure guarantee
-// for a peer that crashed mid-serve without managing to answer.
-var ErrPeerDead = errors.New("ipc: peer process dead")
 
 // ErrCorrupt is returned by Call when a message failed its checksum — the
 // payload was damaged in transit. The request was not executed (corrupt
 // requests are rejected before dispatch), so a Retry is safe.
 var ErrCorrupt = errors.New("ipc: message corrupted in transit")
 
+// ErrClosed is returned by calls on a closed connection.
+var ErrClosed = errors.New("ipc: connection closed")
+
 // Handler executes one request and returns the response payload.
 // Returning an error wrapped around ErrAgentCrashed signals that the agent
 // process died mid-request.
 type Handler func(kind uint32, payload []byte) ([]byte, error)
+
+// Message is one framed transfer between host and agent.
+type Message struct {
+	// Seq is the request sequence number.
+	Seq uint64
+	// Kind is an application tag on requests (e.g. API id) and a response
+	// tag (respKind*) on responses.
+	Kind uint32
+	// Sum is an FNV-1a checksum of the payload as the sender intended it,
+	// letting the receiver detect in-transit corruption.
+	Sum uint64
+	// Payload is the marshalled body.
+	Payload []byte
+}
 
 // MessageFault describes what fault injection does to one message in
 // flight. The zero value means "deliver normally".
@@ -62,15 +87,16 @@ type CallStats struct {
 	BytesResponse uint64
 }
 
-// Conn is a bidirectional RPC connection between the host process and one
-// agent process, built on two rings. The server side runs in its own
-// goroutine (Serve); the client side issues synchronous Calls.
+// Conn is the RPC connection between the host process and one agent
+// process. A call delivers its request to the agent's handler and returns
+// the agent's response, charging the IPC round trip plus per-byte copy
+// costs to the virtual clock.
 //
-// Pipelining: calls are seq-multiplexed. A demux goroutine matches each
-// response to the outstanding sequence number that is waiting for it, so
-// any number of goroutines can have overlapping calls in flight on one
-// connection — requests queue in the ring and the agent serves them
-// back-to-back without lock-stepping on the caller's round trip.
+// The agent is single-threaded: the connection's mutex is held for the
+// whole of a call, so concurrent callers on one connection are served one
+// after another, each getting exactly its own response. The handler and
+// the injector run under that mutex and must not call back into the
+// connection.
 //
 // Exactly-once: every request carries a sequence number; the server caches
 // the response to each sequence it has completed, so a retried request
@@ -78,42 +104,30 @@ type CallStats struct {
 // finished) is answered from the cache instead of re-executed. Stateless
 // re-execution after a genuine crash is the documented at-least-once path.
 type Conn struct {
-	req  *Ring
-	resp *Ring
+	clock   *vclock.Clock
+	cost    vclock.CostModel
+	handler Handler
 
-	clock *vclock.Clock
-	cost  vclock.CostModel
+	seq    atomic.Uint64
+	closed atomic.Bool
 
-	seq atomic.Uint64
-
-	mu        sync.Mutex
-	stats     CallStats
-	done      map[uint64][]byte // server-side dedup cache
-	doneCap   int
-	order     []uint64 // insertion order for cache eviction
-	inject    Injector
-	deadline  time.Duration
-	peerAlive func() bool
-	pending   map[uint64]*waiter // outstanding calls awaiting a response
-	epochs    map[uint64]uint32  // per-sequence attempt counters (retried seqs only)
-
-	demuxOnce sync.Once
-	demuxDone chan struct{}
+	mu      sync.Mutex // held for a whole call: the agent serves one request at a time
+	stats   CallStats
+	done    map[uint64][]byte // server-side dedup cache
+	doneCap int
+	order   []uint64 // insertion order for cache eviction
+	inject  Injector
 }
 
-// NewConn creates a connection with the given ring capacity. clock may be
-// nil to skip virtual-time charging (unit tests).
-func NewConn(capacity int, clock *vclock.Clock, cost vclock.CostModel) *Conn {
+// NewConn creates a connection to an agent that serves requests with h.
+// clock may be nil to skip virtual-time charging (unit tests).
+func NewConn(clock *vclock.Clock, cost vclock.CostModel, h Handler) *Conn {
 	return &Conn{
-		req:       NewRing(capacity),
-		resp:      NewRing(capacity),
-		clock:     clock,
-		cost:      cost,
-		done:      make(map[uint64][]byte),
-		doneCap:   1024,
-		pending:   make(map[uint64]*waiter),
-		epochs:    make(map[uint64]uint32),
-		demuxDone: make(chan struct{}),
+		clock:   clock,
+		cost:    cost,
+		handler: h,
+		done:    make(map[uint64][]byte),
+		doneCap: 1024,
 	}
 }
 
@@ -123,23 +137,6 @@ func (c *Conn) SetInjector(i Injector) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.inject = i
-}
-
-// SetDeadline bounds how long a Call waits for its response; 0 (the
-// default) waits forever. An expired deadline surfaces as ErrTimeout.
-func (c *Conn) SetDeadline(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deadline = d
-}
-
-// SetPeerCheck installs a liveness probe for the serving peer. While a Call
-// is waiting, a quiet period with alive() == false surfaces as ErrPeerDead —
-// a crashed peer fails the call promptly instead of hanging to the deadline.
-func (c *Conn) SetPeerCheck(alive func() bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.peerAlive = alive
 }
 
 // respKindOK, respKindCrash and respKindCorrupt tag server responses.
@@ -156,161 +153,41 @@ func sum64(p []byte) uint64 {
 	return h.Sum64()
 }
 
-// pollInterval is how often a waiting Call re-checks peer liveness and its
-// deadline.
-const pollInterval = 20 * time.Millisecond
-
-// startDemux launches the response demultiplexer on first use. Lazy so
-// connections that only ever Serve (pure server side) pay nothing.
-func (c *Conn) startDemux() {
-	c.demuxOnce.Do(func() { go c.demux() })
-}
-
-// waiter is one outstanding call: the channel its response arrives on and
-// the attempt epoch it belongs to, so demux can drop stale answers to
-// abandoned attempts of the same sequence before they occupy the buffer.
-type waiter struct {
-	ch    chan Message
-	epoch uint32
-}
-
-// demux is the client side's response-matching loop: every message on the
-// response ring is routed to the outstanding call registered under its
-// sequence number. Responses for abandoned sequences (a timed-out call
-// whose answer arrived late, or a duplicate the dedup cache answered twice)
-// and for abandoned attempts (a stale epoch under a retried sequence) are
-// dropped. Exits — releasing every waiter — when the ring closes.
-func (c *Conn) demux() {
-	defer close(c.demuxDone)
-	for {
-		m, err := c.resp.Recv()
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		w := c.pending[m.Seq]
-		c.mu.Unlock()
-		if w == nil || w.epoch != m.Epoch {
-			continue // nobody is waiting for this attempt anymore
-		}
-		select {
-		case w.ch <- m:
-		default:
-			// The waiter's buffer already holds an answer for this seq
-			// (duplicated response); it needs only one.
-		}
+// serve is the agent side of one delivery: verify, execute (with dedup),
+// and build the response. Called with c.mu held.
+func (c *Conn) serve(m Message) Message {
+	if sum64(m.Payload) != m.Sum {
+		// Damaged in transit: reject before dispatch so a Retry with the
+		// same sequence can still execute exactly once.
+		return response(m.Seq, respKindCorrupt, []byte("request checksum mismatch"))
 	}
+	if cached, dup := c.done[m.Seq]; dup {
+		c.stats.Dedups++
+		return response(m.Seq, respKindOK, cached)
+	}
+	out, err := c.handler(m.Kind, m.Payload)
+	if err != nil && errors.Is(err, ErrAgentCrashed) {
+		return response(m.Seq, respKindCrash, []byte(err.Error()))
+	}
+	if err != nil {
+		// Application-level errors travel as payloads; the RPC layer
+		// only distinguishes success from crash.
+		out = append([]byte("!"), []byte(err.Error())...)
+	} else {
+		out = append([]byte("="), out...)
+	}
+	c.remember(m.Seq, out)
+	return response(m.Seq, respKindOK, out)
 }
 
-// await registers seq as outstanding at the given attempt epoch and returns
-// the channel its response will arrive on. Must be called before the
-// request is sent, so a fast server cannot answer into the void.
-func (c *Conn) await(seq uint64, epoch uint32) chan Message {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.pending[seq]
-	if !ok || w.epoch != epoch {
-		w = &waiter{ch: make(chan Message, 1), epoch: epoch}
-		c.pending[seq] = w
-	}
-	return w.ch
-}
-
-// abandon deregisters an outstanding sequence; late responses for it are
-// dropped by demux.
-func (c *Conn) abandon(seq uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.pending, seq)
-}
-
-// waitResponse blocks until the response for seq arrives on ch, honoring
-// the call deadline and the peer-liveness probe.
-func (c *Conn) waitResponse(seq uint64, ch chan Message, deadline time.Duration, alive func() bool) (Message, error) {
-	if deadline <= 0 && alive == nil {
-		select {
-		case m := <-ch:
-			return m, nil
-		case <-c.demuxDone:
-			return Message{}, ErrClosed
-		}
-	}
-	start := time.Now()
-	for {
-		poll := pollInterval
-		if deadline > 0 {
-			remain := deadline - time.Since(start)
-			if remain <= 0 {
-				return Message{}, fmt.Errorf("%w: seq %d after %v", ErrTimeout, seq, deadline)
-			}
-			if remain < poll {
-				poll = remain
-			}
-		}
-		t := time.NewTimer(poll)
-		select {
-		case m := <-ch:
-			t.Stop()
-			return m, nil
-		case <-c.demuxDone:
-			t.Stop()
-			return Message{}, ErrClosed
-		case <-t.C:
-			if alive != nil && !alive() {
-				return Message{}, fmt.Errorf("%w: seq %d", ErrPeerDead, seq)
-			}
-		}
-	}
-}
-
-// Serve runs the server loop: receive, verify, execute (with dedup),
-// respond. It returns when the request ring is closed. Run it in a
-// goroutine.
-func (c *Conn) Serve(h Handler) {
-	for {
-		m, err := c.req.Recv()
-		if err != nil {
-			return
-		}
-		if sum64(m.Payload) != m.Sum {
-			// Damaged in transit: reject before dispatch so a Retry with
-			// the same sequence can still execute exactly once.
-			out := []byte("request checksum mismatch")
-			_ = c.resp.Send(Message{Seq: m.Seq, Kind: respKindCorrupt, Sum: sum64(out), Epoch: m.Epoch, Payload: out})
-			continue
-		}
-		c.mu.Lock()
-		cached, dup := c.done[m.Seq]
-		if dup {
-			c.stats.Dedups++
-		}
-		c.mu.Unlock()
-		if dup {
-			_ = c.resp.Send(Message{Seq: m.Seq, Kind: respKindOK, Sum: sum64(cached), Epoch: m.Epoch, Payload: cached})
-			continue
-		}
-		out, err := h(m.Kind, m.Payload)
-		if err != nil && errors.Is(err, ErrAgentCrashed) {
-			p := []byte(err.Error())
-			_ = c.resp.Send(Message{Seq: m.Seq, Kind: respKindCrash, Sum: sum64(p), Epoch: m.Epoch, Payload: p})
-			continue
-		}
-		if err != nil {
-			// Application-level errors travel as payloads; the RPC layer
-			// only distinguishes success from crash.
-			out = append([]byte("!"), []byte(err.Error())...)
-		} else {
-			out = append([]byte("="), out...)
-		}
-		c.remember(m.Seq, out)
-		_ = c.resp.Send(Message{Seq: m.Seq, Kind: respKindOK, Sum: sum64(out), Epoch: m.Epoch, Payload: out})
-	}
+// response frames a server response with its checksum.
+func response(seq uint64, kind uint32, p []byte) Message {
+	return Message{Seq: seq, Kind: kind, Sum: sum64(p), Payload: p}
 }
 
 // remember stores a completed response for dedup, evicting oldest entries.
+// Called with c.mu held.
 func (c *Conn) remember(seq uint64, out []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.done[seq]; ok {
 		return
 	}
@@ -322,7 +199,7 @@ func (c *Conn) remember(seq uint64, out []byte) {
 	}
 }
 
-// Call issues one request and blocks for its response, charging the IPC
+// Call issues one request and returns its response, charging the IPC
 // round-trip plus per-byte copy costs to the virtual clock. Application
 // errors returned by the handler come back as errors; a crash comes back
 // as ErrAgentCrashed.
@@ -349,104 +226,63 @@ func (c *Conn) Retry(seq uint64, kind uint32, payload []byte) ([]byte, error) {
 // LastSeq returns the most recently assigned sequence number.
 func (c *Conn) LastSeq() uint64 { return c.seq.Load() }
 
+// callSeq runs one attempt. Injector draws and virtual charges happen in a
+// fixed order: request fault, agent side (a duplicated request is served a
+// second time right behind the original, its answer discarded), crash
+// short-circuit, response fault, then round trip plus copy cost.
 func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]byte, error) {
-	c.startDemux()
-	c.mu.Lock()
-	inject, deadline, alive := c.inject, c.deadline, c.peerAlive
-	epoch := c.epochs[seq]
-	if retry {
-		// A new attempt under the same sequence: stale answers to the
-		// abandoned attempt (e.g. a crash notification still in flight)
-		// must not be mistaken for this one's response.
-		epoch++
-		c.epochs[seq] = epoch
+	if c.closed.Load() {
+		return nil, ErrClosed
 	}
-	c.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 
-	// Register before sending: a fast server must find the waiter in place.
-	ch := c.await(seq, epoch)
-	defer c.abandon(seq)
-
-	send := payload
-	if inject != nil {
-		f := inject.RequestFault(seq, payload)
-		if f.Stall > 0 && c.clock != nil {
-			c.clock.Advance(f.Stall)
-		}
+	req := Message{Seq: seq, Kind: kind, Sum: sum64(payload), Payload: payload}
+	var f MessageFault
+	if c.inject != nil {
+		f = c.inject.RequestFault(seq, payload)
+		c.advance(f.Stall)
 		if f.Drop {
-			if c.clock != nil {
-				c.clock.Advance(c.cost.IPCTimeout)
-			}
+			c.advance(c.cost.IPCTimeout)
 			return nil, fmt.Errorf("%w: request seq %d lost", ErrTimeout, seq)
 		}
 		if f.Corrupt {
-			send = corrupted(payload)
-		}
-		// Sum covers the payload as intended, so corruption is detectable.
-		m := Message{Seq: seq, Kind: kind, Sum: sum64(payload), Epoch: epoch, Payload: send}
-		if err := c.req.Send(m); err != nil {
-			return nil, err
-		}
-		if f.Duplicate {
-			if err := c.req.Send(m); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if err := c.req.Send(Message{Seq: seq, Kind: kind, Sum: sum64(payload), Epoch: epoch, Payload: payload}); err != nil {
-			return nil, err
+			// Sum still covers the payload as intended, so the agent
+			// detects the damage.
+			req.Payload = corrupted(payload)
 		}
 	}
-
-	m, err := c.waitResponse(seq, ch, deadline, alive)
-	if err != nil {
-		return nil, err
+	m := c.serve(req)
+	if f.Duplicate {
+		c.serve(req)
 	}
 	if m.Kind == respKindCrash {
 		// A crash notification is control-plane bookkeeping, not a data
 		// message: it consumes no injector decision and charges nothing.
-		// That keeps the two ways a caller can observe the same crash —
-		// this notification, or the peer-liveness probe firing first when
-		// the notification is still in flight — byte-identical in both the
-		// injection decision stream and the virtual clock, so a replay
-		// cannot diverge on which one won the (real-time) race.
 		return nil, fmt.Errorf("%w: %s", ErrAgentCrashed, m.Payload)
 	}
-	if inject != nil {
-		f := inject.ResponseFault(seq, m.Payload)
-		if f.Stall > 0 && c.clock != nil {
-			c.clock.Advance(f.Stall)
-		}
+	if c.inject != nil {
+		f = c.inject.ResponseFault(seq, m.Payload)
+		c.advance(f.Stall)
 		if f.Drop {
-			if c.clock != nil {
-				c.clock.Advance(c.cost.IPCTimeout)
-			}
+			c.advance(c.cost.IPCTimeout)
 			return nil, fmt.Errorf("%w: response seq %d lost", ErrTimeout, seq)
 		}
 		if f.Corrupt {
 			m.Payload = corrupted(m.Payload)
 		}
 	}
-	c.mu.Lock()
 	c.stats.Calls++
 	if retry {
 		c.stats.Retries++
 	}
 	c.stats.BytesRequest += uint64(len(payload))
 	c.stats.BytesResponse += uint64(len(m.Payload))
-	c.mu.Unlock()
-	if c.clock != nil {
-		c.clock.Advance(c.cost.IPCRoundTrip)
-		c.clock.Advance(c.cost.CopyCost(len(payload) + len(m.Payload)))
-	}
+	c.advance(c.cost.IPCRoundTrip)
+	c.advance(c.cost.CopyCost(len(payload) + len(m.Payload)))
 	if m.Kind == respKindCorrupt || sum64(m.Payload) != m.Sum {
 		return nil, fmt.Errorf("%w: seq %d", ErrCorrupt, seq)
 	}
-	// The response was accepted: no further attempts will reuse this seq,
-	// so its attempt counter can go.
-	c.mu.Lock()
-	delete(c.epochs, seq)
-	c.mu.Unlock()
 	if len(m.Payload) == 0 {
 		return nil, errors.New("ipc: malformed empty response")
 	}
@@ -460,12 +296,11 @@ func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]b
 	}
 }
 
-// InFlight reports how many calls are currently outstanding (pipelined) on
-// this connection.
-func (c *Conn) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
+// advance charges d to the virtual clock, if there is one.
+func (c *Conn) advance(d vclock.Duration) {
+	if d > 0 && c.clock != nil {
+		c.clock.Advance(d)
+	}
 }
 
 // corrupted returns a copy of p with one byte flipped (or a poison byte for
@@ -488,13 +323,6 @@ func (c *Conn) Stats() CallStats {
 	return c.stats
 }
 
-// RingStats returns traffic counters for the two underlying rings.
-func (c *Conn) RingStats() (req, resp RingStats) {
-	return c.req.Stats(), c.resp.Stats()
-}
-
-// Close shuts down both rings, terminating Serve.
-func (c *Conn) Close() {
-	c.req.Close()
-	c.resp.Close()
-}
+// Close retires the connection: later calls fail with ErrClosed. It does
+// not wait for a call in progress.
+func (c *Conn) Close() { c.closed.Store(true) }
