@@ -197,28 +197,55 @@ func BenchmarkFig13_Overhead(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntime_CallPath measures the hot interposition path: one DP
-// call through the full RPC machinery.
-func BenchmarkRuntime_CallPath(b *testing.B) {
+// callPathRuntime builds the protected runtime of the call-path benchmark
+// and returns it with the image cv.threshold is called on.
+func callPathRuntime(tb testing.TB) (*core.Runtime, framework.Value) {
 	k := kernel.New()
 	reg := all.Registry()
 	cat := analysis.New(reg, nil).Categorize()
 	rt, err := core.New(k, reg, cat, core.Default())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer rt.Close()
+	tb.Cleanup(rt.Close)
 	gen := workload.New(1)
 	k.FS.WriteFile("/in.img", gen.EncodedImage(16, 16, 1))
 	imgs, _, err := rt.Call("cv.imread", framework.Str("/in.img"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return rt, imgs[0].Value()
+}
+
+// BenchmarkRuntime_CallPath measures the hot interposition path: one DP
+// call through the full RPC machinery.
+func BenchmarkRuntime_CallPath(b *testing.B) {
+	rt, img := callPathRuntime(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := rt.Call("cv.threshold", imgs[0].Value()); err != nil {
+		if _, _, err := rt.Call("cv.threshold", img); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRuntime_CallPathAllocs bounds the heap allocations of one protected
+// call, wire codec and IPC crossing included, at 60 (about 30 are made).
+// A codec that rebuilds per-message state shows here first.
+func TestRuntime_CallPathAllocs(t *testing.T) {
+	rt, img := callPathRuntime(t)
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, cerr := rt.Call("cv.threshold", img); cerr != nil {
+			err = cerr
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocs per protected call", allocs)
+	if allocs > 60 {
+		t.Fatalf("one protected cv.threshold call made %.0f allocs, want <= 60", allocs)
 	}
 }
 

@@ -98,15 +98,6 @@ func TestReplyEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeGarbage(t *testing.T) {
-	if _, err := DecodeCall([]byte("junk")); err == nil {
-		t.Fatal("garbage call should fail to decode")
-	}
-	if _, err := DecodeReply([]byte{0xFF}); err == nil {
-		t.Fatal("garbage reply should fail to decode")
-	}
-}
-
 func TestTriggerParse(t *testing.T) {
 	data := Trigger("CVE-2017-12597", []byte("payload"))
 	cve, payload, ok := ParseTrigger(data)

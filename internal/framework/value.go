@@ -1,9 +1,10 @@
 package framework
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"freepart.dev/freepart/internal/object"
 )
@@ -103,19 +104,46 @@ type Reply struct {
 	UpdatedPayloads [][]byte
 }
 
-// EncodeCall serializes a Call for the ring buffer.
+// Wire format. A Call is its API name, an argument list and a payload
+// list; a Reply is a result list, a payload list, an updated-argument list
+// and an updated-payload list, in that order, with no header. Every length
+// and count is a uvarint. A value is its kind byte followed by that kind's
+// field: a zigzag varint (ValInt), 8 big-endian bytes of IEEE 754 bits
+// (ValFloat), a length-prefixed string (ValStr), one byte 0 or 1 (ValBool),
+// a uvarint id (ValObj) or length-prefixed Ref.Encode bytes (ValRef);
+// ValNil has no field. A value carries only its kind's field.
+//
+// Every value has exactly one encoding and the decoder accepts nothing
+// else, so the bytes the IPC layer charges are a function of the value.
+// A zero-length list or byte slice decodes as nil, and decoded values
+// share no memory with the input.
+
+// Decoding failure classes, wrapped into the error a decode returns.
+var (
+	errTruncated = errors.New("truncated input")
+	errVarint    = errors.New("overlong varint")
+	errLength    = errors.New("length exceeds remaining input")
+	errKind      = errors.New("unknown value kind")
+	errBool      = errors.New("bool byte not 0 or 1")
+	errTrailing  = errors.New("trailing bytes")
+)
+
+// EncodeCall serializes a Call for the IPC layer.
 func EncodeCall(c Call) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+	b := make([]byte, 0, binary.MaxVarintLen64+len(c.API)+listCap(c.Args, c.Payloads))
+	b = appendBytes(b, c.API)
+	b, err := appendValues(b, c.Args)
+	if err != nil {
 		return nil, fmt.Errorf("framework: encode call: %w", err)
 	}
-	return buf.Bytes(), nil
+	return appendPayloads(b, c.Payloads), nil
 }
 
 // DecodeCall parses a serialized Call.
 func DecodeCall(b []byte) (Call, error) {
-	var c Call
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
+	d := decoder{b: b}
+	c := Call{API: d.str(), Args: d.values(), Payloads: d.payloads()}
+	if err := d.finish(); err != nil {
 		return Call{}, fmt.Errorf("framework: decode call: %w", err)
 	}
 	return c, nil
@@ -123,18 +151,229 @@ func DecodeCall(b []byte) (Call, error) {
 
 // EncodeReply serializes a Reply.
 func EncodeReply(r Reply) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
+	b := make([]byte, 0, listCap(r.Results, r.Payloads)+listCap(r.UpdatedArgs, r.UpdatedPayloads))
+	b, err := appendValues(b, r.Results)
+	if err == nil {
+		b = appendPayloads(b, r.Payloads)
+		b, err = appendValues(b, r.UpdatedArgs)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("framework: encode reply: %w", err)
 	}
-	return buf.Bytes(), nil
+	return appendPayloads(b, r.UpdatedPayloads), nil
 }
 
 // DecodeReply parses a serialized Reply.
 func DecodeReply(b []byte) (Reply, error) {
-	var r Reply
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
+	d := decoder{b: b}
+	r := Reply{Results: d.values(), Payloads: d.payloads()}
+	r.UpdatedArgs, r.UpdatedPayloads = d.values(), d.payloads()
+	if err := d.finish(); err != nil {
 		return Reply{}, fmt.Errorf("framework: decode reply: %w", err)
 	}
 	return r, nil
+}
+
+// listCap bounds the encoded size of a value list and a payload list, so
+// an encode allocates its buffer once.
+func listCap(vals []Value, payloads [][]byte) int {
+	n := 2 * binary.MaxVarintLen64
+	for _, v := range vals {
+		// Kind byte, a length or number, and the widest field: a string
+		// or a ref (29 fixed bytes and its header).
+		n += 1 + binary.MaxVarintLen64 + len(v.Str) + 29 + len(v.Ref.Header)
+	}
+	for _, p := range payloads {
+		n += binary.MaxVarintLen64 + len(p)
+	}
+	return n
+}
+
+func appendBytes[T string | []byte](b []byte, s T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendValues(b []byte, vals []Value) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(vals)))
+	for _, v := range vals {
+		b = append(b, byte(v.Kind))
+		switch v.Kind {
+		case ValNil:
+		case ValInt:
+			b = binary.AppendVarint(b, v.Int)
+		case ValFloat:
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float))
+		case ValStr:
+			b = appendBytes(b, v.Str)
+		case ValBool:
+			if v.Bool {
+				b = append(b, 1)
+			} else {
+				b = append(b, 0)
+			}
+		case ValObj:
+			b = binary.AppendUvarint(b, v.Obj)
+		case ValRef:
+			b = appendBytes(b, v.Ref.Encode())
+		default:
+			return nil, fmt.Errorf("%w %d", errKind, v.Kind)
+		}
+	}
+	return b, nil
+}
+
+func appendPayloads(b []byte, payloads [][]byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(payloads)))
+	for _, p := range payloads {
+		b = appendBytes(b, p)
+	}
+	return b
+}
+
+// decoder reads the wire format from b. The first failure sticks in err;
+// later reads return zero values, so a message decodes as straight-line
+// code with one check at the end.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.b = nil
+}
+
+func (d *decoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail(errTruncated)
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	switch {
+	case n == 0:
+		d.fail(errTruncated)
+		return 0
+	case n < 0 || (n > 1 && d.b[n-1] == 0):
+		// Overflows 64 bits, or ends in a zero byte a minimal encoding
+		// would not have.
+		d.fail(errVarint)
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// varint reads a zigzag-encoded signed varint.
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// count reads a length or element count and checks it against the bytes
+// left, each element taking at least one byte, before anything is
+// allocated for it.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail(errLength)
+		return 0
+	}
+	return int(n)
+}
+
+// raw returns the next length-prefixed field as a view into the input.
+func (d *decoder) raw() []byte {
+	n := d.count()
+	s := d.b[:n:n]
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) str() string { return string(d.raw()) }
+
+func (d *decoder) bytes() []byte {
+	if s := d.raw(); len(s) > 0 {
+		return append([]byte(nil), s...)
+	}
+	return nil
+}
+
+func (d *decoder) values() []Value {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	vals := make([]Value, n)
+	for i := range vals {
+		vals[i] = d.value()
+	}
+	return vals
+}
+
+func (d *decoder) payloads() [][]byte {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	ps := make([][]byte, n)
+	for i := range ps {
+		ps[i] = d.bytes()
+	}
+	return ps
+}
+
+func (d *decoder) value() Value {
+	switch k := ValueKind(d.byte()); k {
+	case ValNil:
+		return Nil()
+	case ValInt:
+		return Int64(d.varint())
+	case ValFloat:
+		if len(d.b) < 8 {
+			d.fail(errTruncated)
+			return Value{}
+		}
+		f := math.Float64frombits(binary.BigEndian.Uint64(d.b))
+		d.b = d.b[8:]
+		return Float64(f)
+	case ValStr:
+		return Str(d.str())
+	case ValBool:
+		switch d.byte() {
+		case 0:
+			return Bool(false)
+		case 1:
+			return Bool(true)
+		}
+		d.fail(errBool)
+	case ValObj:
+		return Obj(d.uvarint())
+	case ValRef:
+		r, err := object.DecodeRef(d.raw())
+		if err != nil {
+			d.fail(err)
+		}
+		return RefVal(r)
+	default:
+		d.fail(fmt.Errorf("%w %d", errKind, k))
+	}
+	return Value{}
+}
+
+// finish reports the first decoding failure, or trailing bytes after a
+// complete message.
+func (d *decoder) finish() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.err = errTrailing
+	}
+	return d.err
 }

@@ -1,0 +1,225 @@
+package framework
+
+import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"freepart.dev/freepart/internal/object"
+)
+
+// goldenRef is the reference carried by the golden messages.
+var goldenRef = object.Ref{PID: 2, ID: 5, Size: 64, Kind: object.KindMat, Hash: 0x1122334455667788, Header: []byte{0xAA}}
+
+// goldenCall and goldenReply together cover every value kind, a nil
+// payload and a non-nil payload.
+var (
+	goldenCall = Call{
+		API:      "cv.blur",
+		Args:     []Value{Nil(), Int64(-2), Float64(1.5), Str("ok"), Bool(true), Obj(300), RefVal(goldenRef)},
+		Payloads: [][]byte{nil, {1, 2, 3}},
+	}
+	goldenReply = Reply{
+		Results:  []Value{Int64(64), Bool(false)},
+		Payloads: [][]byte{nil, {9, 9}},
+	}
+)
+
+// unhex decodes a hex listing: spaces between fields, # comments to the
+// end of a line.
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	var digits strings.Builder
+	for _, line := range strings.Split(s, "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		digits.WriteString(strings.Join(strings.Fields(line), ""))
+	}
+	b, err := hex.DecodeString(digits.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// The IPC layer charges CopyCost on these bytes, so a change here moves
+// the virtual clock: regenerate the BENCH files alongside it.
+const (
+	goldenCallHex = `
+		07 63762e626c7572                 # API "cv.blur"
+		07                                # 7 args
+		00                                # nil
+		01 03                             # int -2 (zigzag 3)
+		02 3ff8000000000000               # float 1.5
+		03 02 6f6b                        # str "ok"
+		04 01                             # bool true
+		05 ac02                           # obj 300
+		06 1e 00000002 0000000000000005   # ref: 30 bytes, pid 2, id 5,
+		      0000000000000040 01         #   size 64, kind mat,
+		      1122334455667788 aa         #   hash, header
+		02 00 03 010203                   # payloads: nil, [1 2 3]`
+	goldenReplyHex = `
+		02 01 8001 04 00                  # results: int 64, bool false
+		02 00 02 0909                     # payloads: nil, [9 9]
+		00                                # no updated args
+		00                                # no updated payloads`
+)
+
+func TestWireGolden(t *testing.T) {
+	wantCall := unhex(t, goldenCallHex)
+	wantReply := unhex(t, goldenReplyHex)
+	gotCall, err := EncodeCall(goldenCall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotCall, wantCall) {
+		t.Fatalf("call encoding moved:\n got %x\nwant %x", gotCall, wantCall)
+	}
+	gotReply, err := EncodeReply(goldenReply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotReply, wantReply) {
+		t.Fatalf("reply encoding moved:\n got %x\nwant %x", gotReply, wantReply)
+	}
+	c, err := DecodeCall(wantCall)
+	if err != nil || !reflect.DeepEqual(c, goldenCall) {
+		t.Fatalf("decode call = %+v, %v", c, err)
+	}
+	r, err := DecodeReply(wantReply)
+	if err != nil || !reflect.DeepEqual(r, goldenReply) {
+		t.Fatalf("decode reply = %+v, %v", r, err)
+	}
+}
+
+func TestWireRoundTripEveryKind(t *testing.T) {
+	vals := []Value{
+		Nil(),
+		Int64(0), Int64(math.MinInt64), Int64(math.MaxInt64),
+		Float64(0), Float64(math.Copysign(0, -1)), Float64(math.Inf(-1)),
+		Float64(math.Float64frombits(0x7ff8_0000_dead_beef)), // NaN payload
+		Str(""), Str("\xff\x00not utf-8"),
+		Bool(false), Bool(true),
+		Obj(0), Obj(math.MaxUint64),
+		RefVal(object.Ref{}), RefVal(goldenRef),
+	}
+	for _, v := range vals {
+		b, err := EncodeCall(Call{Args: []Value{v}})
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		c, err := DecodeCall(b)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		got := c.Args[0]
+		// Compare floats by their bits, so NaN payloads and -0 count.
+		if math.Float64bits(got.Float) != math.Float64bits(v.Float) {
+			t.Fatalf("round trip of %v = %+v", v, got)
+		}
+		got.Float, v.Float = 0, 0
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("round trip of %v = %+v", v, got)
+		}
+	}
+}
+
+func TestWireZeroLengthDecodesNil(t *testing.T) {
+	b, err := EncodeReply(Reply{Results: []Value{}, Payloads: [][]byte{{}, nil}, UpdatedPayloads: [][]byte{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := DecodeReply(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Results != nil || r.UpdatedPayloads != nil || len(r.Payloads) != 2 || r.Payloads[0] != nil || r.Payloads[1] != nil {
+		t.Fatalf("zero-length fields must decode as nil: %#v", r)
+	}
+}
+
+func TestEncodeUnknownKind(t *testing.T) {
+	if _, err := EncodeCall(Call{Args: []Value{{Kind: ValRef + 1}}}); !errors.Is(err, errKind) {
+		t.Fatalf("call: err = %v, want unknown kind", err)
+	}
+	if _, err := EncodeReply(Reply{UpdatedArgs: []Value{{Kind: 99}}}); !errors.Is(err, errKind) {
+		t.Fatalf("reply: err = %v, want unknown kind", err)
+	}
+}
+
+func TestDecodeGarbage(t *testing.T) {
+	call := unhex(t, goldenCallHex)
+	reply := unhex(t, goldenReplyHex)
+	cases := []struct {
+		name  string
+		reply bool
+		in    []byte
+		want  error
+	}{
+		{"empty", false, nil, errTruncated},
+		{"truncated before payloads", false, call[:len(call)-6], errTruncated},
+		{"truncated float", false, unhex(t, "00 01 02 3ff8"), errTruncated},
+		{"truncated varint", true, []byte{0xFF}, errTruncated},
+		{"unknown kind", false, unhex(t, "00 01 07 00"), errKind},
+		{"bool byte 2", false, unhex(t, "00 01 04 02 00"), errBool},
+		{"overlong varint", false, unhex(t, "8000 00 00"), errVarint},
+		{"varint over 64 bits", true, unhex(t, "ffffffffffffffffff02"), errVarint},
+		{"trailing bytes", true, append(append([]byte(nil), reply...), 0), errTrailing},
+		{"string longer than input", false, []byte("junk"), errLength},
+		{"huge payload count", false, unhex(t, "00 00 ffffffffffffffff7f"), errLength},
+		{"huge value count", true, unhex(t, "ffffffff0f"), errLength},
+		{"short ref", false, unhex(t, "00 01 06 03 010203 00"), nil}, // object.DecodeRef's error
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			if tc.reply {
+				_, err = DecodeReply(tc.in)
+			} else {
+				_, err = DecodeCall(tc.in)
+			}
+			if err == nil {
+				t.Fatalf("decoding %x should fail", tc.in)
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// checkCanonical is the fuzz property shared by both message types: bytes
+// that decode re-encode to exactly themselves, and the decoded message
+// shares no memory with its input.
+func checkCanonical[M any](t *testing.T, in []byte, decode func([]byte) (M, error), encode func(M) ([]byte, error)) {
+	orig := append([]byte(nil), in...)
+	m, err := decode(in)
+	if err != nil {
+		return
+	}
+	for i := range in {
+		in[i] ^= 0xFF
+	}
+	out, err := encode(m)
+	if err != nil {
+		t.Fatalf("re-encoding a decoded message: %v", err)
+	}
+	if !bytes.Equal(out, orig) {
+		t.Fatalf("re-encoding differs:\n in %x\nout %x", orig, out)
+	}
+}
+
+func FuzzDecodeCall(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		checkCanonical(t, in, DecodeCall, EncodeCall)
+	})
+}
+
+func FuzzDecodeReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		checkCanonical(t, in, DecodeReply, EncodeReply)
+	})
+}

@@ -85,7 +85,8 @@ type Ref struct {
 	Header []byte
 }
 
-// Encode serializes the ref for transfer over a ring buffer.
+// Encode serializes the ref: 29 fixed bytes, then the header. It is the
+// field of a reference value in the framework call/reply wire format.
 func (r Ref) Encode() []byte {
 	buf := make([]byte, 0, 29+len(r.Header))
 	buf = binary.BigEndian.AppendUint32(buf, r.PID)
