@@ -104,7 +104,7 @@ func graySoakBaseline(t *testing.T) vclock.Duration {
 // replaying the same seed must reproduce the run byte-for-byte: per-shard
 // injection logs across every incarnation, failover event logs, suspicion
 // scores, hedge counters, and the full latency distribution. Run under
-// -race in CI (make graysoak / make check).
+// -race in CI (make check).
 func TestGraySoak(t *testing.T) {
 	const crashShard, slowShard = 1, 2
 

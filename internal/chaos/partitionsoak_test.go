@@ -88,7 +88,7 @@ func partitionSoakRun(t *testing.T, seed int64, crashShard int) ([]apps.Detectio
 // byte-for-byte — results, per-incarnation injection logs, failover events,
 // metrics (warm/cold counters included), the latency distribution, the
 // placement memory, and the partition metadata. Run under -race in CI
-// (make partitionsoak / make check).
+// (make check).
 func TestPartitionSoak(t *testing.T) {
 	const crashShard = 1
 

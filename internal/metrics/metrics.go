@@ -10,59 +10,11 @@ import (
 	"freepart.dev/freepart/internal/vclock"
 )
 
-// Counters accumulates runtime events. Safe for concurrent use.
+// Counters accumulates runtime events into a Snapshot. Safe for concurrent
+// use.
 type Counters struct {
 	mu sync.Mutex
-
-	ipcCalls    uint64
-	bytesMoved  uint64
-	lazyCopies  uint64
-	eagerCopies uint64
-	permFlips   uint64
-	pagesFlip   uint64
-	restarts    uint64
-	denials     uint64
-	apiCalls    uint64
-	checkpoints uint64
-
-	retries        uint64
-	degraded       uint64
-	degradedCalls  uint64
-	injectedFaults uint64
-
-	shardDrains      uint64
-	migrations       uint64
-	failedMigrations uint64
-
-	scaleUps          uint64
-	scaleDowns        uint64
-	rebalances        uint64
-	batchedAdmissions uint64
-	batchedRequests   uint64
-
-	rejected     uint64
-	deadlineShed uint64
-	tenants      map[int]TenantCounts
-
-	domainSwitches   uint64
-	domainCopies     uint64
-	domainCopyBytes  uint64
-	domainGrants     uint64
-	domainGrantBytes uint64
-
-	watchdogTrips uint64
-	rebinds       uint64
-	quarantined   uint64
-
-	grayDrains   uint64
-	hedges       uint64
-	hedgeWins    uint64
-	hedgeCancels uint64
-	hedgeWork    vclock.Duration
-
-	warmHits        uint64
-	coldMisses      uint64
-	partitionSplits uint64
+	s  Snapshot
 }
 
 // TenantCounts is one tenant's share of the serving outcome: invocations
@@ -192,9 +144,9 @@ func New() *Counters { return &Counters{} }
 func (c *Counters) AddIPC(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ipcCalls++
+	c.s.IPCCalls++
 	if n > 0 {
-		c.bytesMoved += uint64(n)
+		c.s.BytesMoved += uint64(n)
 	}
 }
 
@@ -202,9 +154,9 @@ func (c *Counters) AddIPC(n int) {
 func (c *Counters) AddLazyCopy(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lazyCopies++
+	c.s.LazyCopies++
 	if n > 0 {
-		c.bytesMoved += uint64(n)
+		c.s.BytesMoved += uint64(n)
 	}
 }
 
@@ -212,9 +164,9 @@ func (c *Counters) AddLazyCopy(n int) {
 func (c *Counters) AddEagerCopy(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.eagerCopies++
+	c.s.EagerCopies++
 	if n > 0 {
-		c.bytesMoved += uint64(n)
+		c.s.BytesMoved += uint64(n)
 	}
 }
 
@@ -222,9 +174,9 @@ func (c *Counters) AddEagerCopy(n int) {
 func (c *Counters) AddPermFlip(pages int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.permFlips++
+	c.s.PermFlips++
 	if pages > 0 {
-		c.pagesFlip += uint64(pages)
+		c.s.PagesFlip += uint64(pages)
 	}
 }
 
@@ -232,42 +184,42 @@ func (c *Counters) AddPermFlip(pages int) {
 func (c *Counters) AddRestart() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.restarts++
+	c.s.Restarts++
 }
 
 // AddDenial records a syscall blocked by a filter.
 func (c *Counters) AddDenial() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.denials++
+	c.s.Denials++
 }
 
 // AddAPICall records one framework API dispatch.
 func (c *Counters) AddAPICall() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.apiCalls++
+	c.s.APICalls++
 }
 
 // AddCheckpoint records one stateful-state checkpoint write.
 func (c *Counters) AddCheckpoint() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.checkpoints++
+	c.s.Checkpoints++
 }
 
 // AddRetry records one supervised re-issue of an API call.
 func (c *Counters) AddRetry() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.retries++
+	c.s.Retries++
 }
 
 // AddDegraded records a partition demoted to in-host direct execution.
 func (c *Counters) AddDegraded() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.degraded++
+	c.s.Degraded++
 }
 
 // AddDegradedCall records an API call served in-host for a degraded
@@ -275,102 +227,102 @@ func (c *Counters) AddDegraded() {
 func (c *Counters) AddDegradedCall() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.degradedCalls++
+	c.s.DegradedCalls++
 }
 
 // AddInjectedFault records one fault fired by the chaos engine.
 func (c *Counters) AddInjectedFault() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.injectedFaults++
+	c.s.InjectedFaults++
 }
 
 // AddShardDrain records one serving shard drained and replaced.
 func (c *Counters) AddShardDrain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.shardDrains++
+	c.s.ShardDrains++
 }
 
 // AddMigration records one session migrated off a drained shard.
 func (c *Counters) AddMigration() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.migrations++
+	c.s.Migrations++
 }
 
 // AddFailedMigration records one migration that could not restore state.
 func (c *Counters) AddFailedMigration() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.failedMigrations++
+	c.s.FailedMigrations++
 }
 
 // AddScaleUp records one shard added to the pool by the control plane.
 func (c *Counters) AddScaleUp() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.scaleUps++
+	c.s.ScaleUps++
 }
 
 // AddScaleDown records one shard retired from the pool by the control plane.
 func (c *Counters) AddScaleDown() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.scaleDowns++
+	c.s.ScaleDowns++
 }
 
 // AddRebalance records one session proactively migrated off a hot shard.
 func (c *Counters) AddRebalance() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rebalances++
+	c.s.Rebalances++
 }
 
 // AddBatchedAdmission records one coalesced admission batch of n requests.
 func (c *Counters) AddBatchedAdmission(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.batchedAdmissions++
+	c.s.BatchedAdmissions++
 	if n > 0 {
-		c.batchedRequests += uint64(n)
+		c.s.BatchedRequests += uint64(n)
 	}
 }
 
 // tenantLocked returns tenant t's cell, allocating the map lazily so
 // single-tenant runs never carry it. Caller holds c.mu.
 func (c *Counters) tenantLocked(t int) TenantCounts {
-	if c.tenants == nil {
-		c.tenants = make(map[int]TenantCounts)
+	if c.s.Tenants == nil {
+		c.s.Tenants = make(map[int]TenantCounts)
 	}
-	return c.tenants[t]
+	return c.s.Tenants[t]
 }
 
 // AddRejected records one queue-bound rejection (virtual 503) for tenant t.
 func (c *Counters) AddRejected(t int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rejected++
+	c.s.Rejected++
 	tc := c.tenantLocked(t)
 	tc.Shed++
-	c.tenants[t] = tc
+	c.s.Tenants[t] = tc
 }
 
 // AddDeadlineShed records one deadline drop for tenant t.
 func (c *Counters) AddDeadlineShed(t int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.deadlineShed++
+	c.s.DeadlineShed++
 	tc := c.tenantLocked(t)
 	tc.Shed++
-	c.tenants[t] = tc
+	c.s.Tenants[t] = tc
 }
 
 // AddDomainSwitch records one protection-key domain entry or exit.
 func (c *Counters) AddDomainSwitch() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.domainSwitches++
+	c.s.DomainSwitches++
 }
 
 // AddDomainCopy records n bytes physically copied between protection
@@ -378,10 +330,10 @@ func (c *Counters) AddDomainSwitch() {
 func (c *Counters) AddDomainCopy(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.domainCopies++
+	c.s.DomainCopies++
 	if n > 0 {
-		c.domainCopyBytes += uint64(n)
-		c.bytesMoved += uint64(n)
+		c.s.DomainCopyBytes += uint64(n)
+		c.s.BytesMoved += uint64(n)
 	}
 }
 
@@ -390,9 +342,9 @@ func (c *Counters) AddDomainCopy(n int) {
 func (c *Counters) AddDomainGrant(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.domainGrants++
+	c.s.DomainGrants++
 	if n > 0 {
-		c.domainGrantBytes += uint64(n)
+		c.s.DomainGrantBytes += uint64(n)
 	}
 }
 
@@ -400,7 +352,7 @@ func (c *Counters) AddDomainGrant(n int) {
 func (c *Counters) AddWatchdogTrip() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.watchdogTrips++
+	c.s.WatchdogTrips++
 }
 
 // AddRebind records one shard drained to re-bind it at a changed
@@ -408,45 +360,45 @@ func (c *Counters) AddWatchdogTrip() {
 func (c *Counters) AddRebind() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rebinds++
+	c.s.Rebinds++
 }
 
 // AddQuarantined records one admission refused for a quarantined tenant t.
 func (c *Counters) AddQuarantined(t int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.quarantined++
+	c.s.Quarantined++
 	tc := c.tenantLocked(t)
 	tc.Shed++
-	c.tenants[t] = tc
+	c.s.Tenants[t] = tc
 }
 
 // AddGrayDrain records one shard drained on latency suspicion.
 func (c *Counters) AddGrayDrain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.grayDrains++
+	c.s.GrayDrains++
 }
 
 // AddHedge records one hedged secondary launched.
 func (c *Counters) AddHedge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hedges++
+	c.s.Hedges++
 }
 
 // AddHedgeWin records one hedge that completed before its primary.
 func (c *Counters) AddHedgeWin() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hedgeWins++
+	c.s.HedgeWins++
 }
 
 // AddHedgeCancel records one hedge cancelled because the primary won.
 func (c *Counters) AddHedgeCancel() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hedgeCancels++
+	c.s.HedgeCancels++
 }
 
 // AddWarmHit records one session visit placed on a shard whose simulated
@@ -454,7 +406,7 @@ func (c *Counters) AddHedgeCancel() {
 func (c *Counters) AddWarmHit() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.warmHits++
+	c.s.WarmHits++
 }
 
 // AddColdMiss records one session visit that found a cold cache and paid
@@ -462,7 +414,7 @@ func (c *Counters) AddWarmHit() {
 func (c *Counters) AddColdMiss() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.coldMisses++
+	c.s.ColdMisses++
 }
 
 // AddPartitionSplit records one hot-range split performed by the
@@ -470,7 +422,7 @@ func (c *Counters) AddColdMiss() {
 func (c *Counters) AddPartitionSplit() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.partitionSplits++
+	c.s.PartitionSplits++
 }
 
 // AddHedgeWork records d of virtual service time spent on a hedge
@@ -479,7 +431,7 @@ func (c *Counters) AddHedgeWork(d vclock.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d > 0 {
-		c.hedgeWork += d
+		c.s.HedgeWork += d
 	}
 }
 
@@ -489,46 +441,23 @@ func (c *Counters) AddTenantServed(t int) {
 	defer c.mu.Unlock()
 	tc := c.tenantLocked(t)
 	tc.Served++
-	c.tenants[t] = tc
+	c.s.Tenants[t] = tc
 }
 
-// Snapshot returns a copy of the counters.
+// Snapshot returns a copy of the counters; Tenants is its own map, nil
+// when no tenant was counted.
 func (c *Counters) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var tenants map[int]TenantCounts
-	if len(c.tenants) > 0 {
-		tenants = make(map[int]TenantCounts, len(c.tenants))
-		for t, tc := range c.tenants {
-			tenants[t] = tc
+	s := c.s
+	s.Tenants = nil
+	if len(c.s.Tenants) > 0 {
+		s.Tenants = make(map[int]TenantCounts, len(c.s.Tenants))
+		for t, tc := range c.s.Tenants {
+			s.Tenants[t] = tc
 		}
 	}
-	return Snapshot{
-		IPCCalls: c.ipcCalls, BytesMoved: c.bytesMoved,
-		LazyCopies: c.lazyCopies, EagerCopies: c.eagerCopies,
-		PermFlips: c.permFlips, PagesFlip: c.pagesFlip,
-		Restarts: c.restarts, Denials: c.denials,
-		APICalls: c.apiCalls, Checkpoints: c.checkpoints,
-		Retries: c.retries, Degraded: c.degraded,
-		DegradedCalls: c.degradedCalls, InjectedFaults: c.injectedFaults,
-		ShardDrains: c.shardDrains, Migrations: c.migrations,
-		FailedMigrations: c.failedMigrations,
-		ScaleUps:         c.scaleUps, ScaleDowns: c.scaleDowns,
-		Rebalances: c.rebalances, BatchedAdmissions: c.batchedAdmissions,
-		BatchedRequests: c.batchedRequests,
-		Rejected:        c.rejected, DeadlineShed: c.deadlineShed,
-		Tenants:        tenants,
-		DomainSwitches: c.domainSwitches,
-		DomainCopies:   c.domainCopies, DomainCopyBytes: c.domainCopyBytes,
-		DomainGrants: c.domainGrants, DomainGrantBytes: c.domainGrantBytes,
-		WatchdogTrips: c.watchdogTrips, Rebinds: c.rebinds,
-		Quarantined: c.quarantined,
-		GrayDrains:  c.grayDrains,
-		Hedges:      c.hedges, HedgeWins: c.hedgeWins,
-		HedgeCancels: c.hedgeCancels, HedgeWork: c.hedgeWork,
-		WarmHits: c.warmHits, ColdMisses: c.coldMisses,
-		PartitionSplits: c.partitionSplits,
-	}
+	return s
 }
 
 // LazyFraction returns the share of copy operations that were lazy

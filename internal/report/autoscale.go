@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -181,6 +179,11 @@ func TableAutoscale(jsonPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return finish(jsonPath, results, RenderAutoscale(results))
+}
+
+// RenderAutoscale renders autoscaling rows as the ramp table.
+func RenderAutoscale(results []AutoscaleResult) *Table {
 	t := &Table{
 		Title:  "Autoscaling: stateful tracking under a load ramp (burst joins mid-run, leaves early; virtual time)",
 		Header: []string{"Scenario", "Peak", "Served", "p50", "p95", "p99", "p99/max", "Shard-sec", "Cost/max", "Up/Down/Rebal", "Batches"},
@@ -197,20 +200,5 @@ func TableAutoscale(jsonPath string) (string, error) {
 		"Shard-seconds integrate pool size over the virtual timeline — latency parity at a lower integral is the win.",
 		"The autoscaled rows grow on queue-wait pressure as the burst joins and shrink (drain + migrate, no corpse) after it leaves.",
 		"+locality maps shards onto 2-shard sockets; cross-socket migrations pay the interconnect cost model.")
-	if jsonPath != "" {
-		if err := WriteAutoscaleJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteAutoscaleJSON writes autoscale results as indented JSON.
-func WriteAutoscaleJSON(path string, results []AutoscaleResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return t
 }

@@ -110,7 +110,7 @@ func TestWriteAutoscaleJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_autoscale.json")
-	if err := WriteAutoscaleJSON(path, results); err != nil {
+	if err := writeJSON(path, results); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

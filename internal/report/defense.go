@@ -1,10 +1,8 @@
 package report
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"freepart.dev/freepart/internal/apps"
@@ -513,13 +511,20 @@ func TableDefense(jsonPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	t := &Table{
+	campaign, decisions := RenderDefense(results)
+	return finish(jsonPath, results, campaign, decisions)
+}
+
+// RenderDefense renders campaign rows as the containment/cost table and
+// the adaptive row's decision log (nil when no row is adaptive).
+func RenderDefense(results []DefenseResult) (campaign, decisions *Table) {
+	campaign = &Table{
 		Title: "Adaptive defense campaign: probe wave, 18-CVE main wave, steady-state cost (virtual time)",
 		Header: []string{"Policy", "Probe", "Main blocked", "Screened", "Gated", "Offender rejected",
 			"Steady path", "Steady overhead", "Rebinds", "At floor"},
 	}
 	for _, r := range results {
-		t.Add(r.Policy,
+		campaign.Add(r.Policy,
 			fmt.Sprintf("%d/%d", r.ProbeBlocked, r.ProbeTotal),
 			fmt.Sprintf("%d/%d", r.Blocked, r.Total),
 			d(r.Screened), d(r.GateRejected),
@@ -527,7 +532,7 @@ func TableDefense(jsonPath string) (string, error) {
 			r.SteadyPath.String(), fmt.Sprintf("%+.2f%%", r.SteadyOverheadPct),
 			d(r.Rebinds), fmt.Sprintf("%v", r.AtFloor))
 	}
-	t.Notes = append(t.Notes,
+	campaign.Notes = append(campaign.Notes,
 		"Identical campaign per row: steady wave, probe wave (one CVE per class), pressure wave with a",
 		"  crash-looping shard and the quarantined offender's benign retries, all 18 CVEs, steady wave.",
 		"The adaptive row starts at the erim floor, pays floor verdicts on the probe wave, then blocks the",
@@ -536,42 +541,21 @@ func TableDefense(jsonPath string) (string, error) {
 		"  shard re-binds through the failover machinery.",
 		"Steady overhead prices the final wave after annealing: the adaptive row is back at its floor",
 		"  (near-erim cost) while static paper-level containment keeps paying process-tier IPC.")
-	if jsonPath != "" {
-		if err := WriteDefenseJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
 
-	var adaptiveRow *DefenseResult
-	for i := range results {
-		if results[i].Adaptive {
-			adaptiveRow = &results[i]
+	for _, r := range results {
+		if !r.Adaptive {
+			continue
 		}
-	}
-	s := t.String()
-	if adaptiveRow != nil {
-		st := &Table{
+		decisions = &Table{
 			Title:  "Adaptive controller decision log (replayable; one line per event)",
 			Header: []string{"Event"},
 		}
-		for _, line := range adaptiveRow.DefenseEvents {
-			st.Add(line)
+		for _, line := range r.DefenseEvents {
+			decisions.Add(line)
 		}
-		st.Notes = append(st.Notes,
+		decisions.Notes = append(decisions.Notes,
 			fmt.Sprintf("sightings %d, escalations %d, anneals %d, quarantines %d, releases %d, rebinds %d; final policy %s",
-				adaptiveRow.Sightings, adaptiveRow.Escalations, adaptiveRow.Anneals,
-				adaptiveRow.Quarantines, adaptiveRow.Releases, adaptiveRow.Rebinds, adaptiveRow.FinalPolicy))
-		s += "\n" + st.String()
+				r.Sightings, r.Escalations, r.Anneals, r.Quarantines, r.Releases, r.Rebinds, r.FinalPolicy))
 	}
-	return s, nil
-}
-
-// WriteDefenseJSON writes campaign rows as indented JSON.
-func WriteDefenseJSON(path string, results []DefenseResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return campaign, decisions
 }

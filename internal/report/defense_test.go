@@ -135,7 +135,7 @@ func TestMeasureDefense(t *testing.T) {
 func TestWriteDefenseJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_defense.json")
 	rows := []DefenseResult{{Policy: "adaptive", Adaptive: true, Blocked: 18, Total: 18}}
-	if err := WriteDefenseJSON(path, rows); err != nil {
+	if err := writeJSON(path, rows); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -119,8 +117,17 @@ func TableFailover(requests int, jsonPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return finish(jsonPath, results, RenderFailover(results))
+}
+
+// RenderFailover renders failover rows, the pool width taken from the rows.
+func RenderFailover(results []FailoverResult) *Table {
+	shards := 0
+	for _, r := range results {
+		shards = r.Shards
+	}
 	t := &Table{
-		Title:  "Failover: detection serving with one shard killed mid-stream (4 shards, virtual time)",
+		Title:  fmt.Sprintf("Failover: detection serving with one shard killed mid-stream (%d shards, virtual time)", shards),
 		Header: []string{"Scenario", "Served", "RPS", "p50", "p95", "p99", "Added p99", "Critical path", "Drains", "Migrations"},
 	}
 	for _, r := range results {
@@ -132,20 +139,5 @@ func TableFailover(requests int, jsonPath string) (string, error) {
 		"The kill fires halfway through the victim shard's baseline serving window.",
 		"Sessions on the dead shard migrate to a replacement via the portable checkpoint store; every request is still served.",
 		"Added p99 is the failover's tail-latency cost: re-run invocations keep their original arrival stamp.")
-	if jsonPath != "" {
-		if err := WriteFailoverJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteFailoverJSON writes failover results as indented JSON.
-func WriteFailoverJSON(path string, results []FailoverResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return t
 }

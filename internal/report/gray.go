@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -211,8 +209,18 @@ func TableGray(requests int, jsonPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return finish(jsonPath, results, RenderGray(results))
+}
+
+// RenderGray renders gray-failure rows, the pool width and slowdown taken
+// from the rows.
+func RenderGray(results []GrayResult) *Table {
+	shards, factor := 0, 0.0
+	for _, r := range results {
+		shards, factor = r.Shards, max(factor, r.Factor)
+	}
 	t := &Table{
-		Title:  "Gray failure: detection serving with one shard alive but 10x slow (4 shards, virtual time)",
+		Title:  fmt.Sprintf("Gray failure: detection serving with one shard alive but %gx slow (%d shards, virtual time)", factor, shards),
 		Header: []string{"Scenario", "Served", "RPS", "p50", "p95", "p99", "Added p99", "Gray drains", "Hedges", "W/C", "Extra work"},
 	}
 	for _, r := range results {
@@ -227,20 +235,5 @@ func TableGray(requests int, jsonPath string) (string, error) {
 		"The scorer's baseline and the hedge delay are calibrated from the fault-free run — no oracle knowledge of the slow slot.",
 		"Drain alone pays the detection window in the tail; hedging covers that window, at the reported extra-work fraction.",
 		"Hedge races resolve in virtual time; ties go to the lower shard id, so every run replays byte-equal.")
-	if jsonPath != "" {
-		if err := WriteGrayJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteGrayJSON writes gray-failure results as indented JSON.
-func WriteGrayJSON(path string, results []GrayResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return t
 }

@@ -106,7 +106,7 @@ func TestWriteGrayJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_gray.json")
-	if err := WriteGrayJSON(path, rows); err != nil {
+	if err := writeJSON(path, rows); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

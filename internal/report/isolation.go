@@ -1,9 +1,8 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -379,35 +378,39 @@ func TableIsolation(jsonPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	t := &Table{
+	frontier, matrix := RenderIsolation(results)
+	// The rows do not record the serving probe's shape; quote it after the
+	// watchdog note.
+	frontier.Notes = slices.Insert(frontier.Notes, 4,
+		"Overhead is the serving critical path (4 shards, 64 full-pipeline requests) vs the in-host baseline.")
+	return finish(jsonPath, results, frontier, matrix)
+}
+
+// RenderIsolation renders frontier rows as the blocked-vs-overhead table
+// and the per-CVE matrix, one matrix column per row's policy.
+func RenderIsolation(results []IsolationResult) (frontier, matrix *Table) {
+	frontier = &Table{
 		Title:  "Isolation tiers: blocked CVEs vs serving overhead (18 live exploits, virtual time)",
 		Header: []string{"Policy", "Blocked", "Detected", "Critical path", "Overhead vs none", "Domain switches", "Domain copies"},
 	}
 	for _, r := range results {
-		t.Add(r.Policy, fmt.Sprintf("%d/%d", r.Blocked, r.Total), fmt.Sprintf("%d/%d", r.Detected, r.Total),
+		frontier.Add(r.Policy, fmt.Sprintf("%d/%d", r.Blocked, r.Total), fmt.Sprintf("%d/%d", r.Detected, r.Total),
 			r.CriticalPath.String(),
 			fmt.Sprintf("%+.2f%%", r.OverheadPct), d(int(r.DomainSwitches)), d(int(r.DomainCopies)))
 	}
-	t.Notes = append(t.Notes,
+	frontier.Notes = append(frontier.Notes,
 		"Every CVE is replayed live through its own API site; Blocked counts class verdicts that held.",
 		"Detected adds the resource watchdog: a blocked attack is a detection, and a host-killing DoS that",
 		"  escapes a non-process tier (e.g. the imshow DoS under the tiered preset) now trips the watchdog",
 		"  instead of vanishing silently — raw material for the adaptive defense controller.",
-		"Overhead is the serving critical path (4 shards, 64 full-pipeline requests) vs the in-host baseline.",
 		"The domain tier blocks cross-domain reads/writes but shares the host's fate: DoS and mprotect-based RCE pass.")
-	if jsonPath != "" {
-		if err := WriteIsolationJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
 
-	m := &Table{
+	matrix = &Table{
 		Title:  "Blocked-CVE matrix (rows: CVE; columns: policy)",
 		Header: []string{"CVE", "Class", "API"},
 	}
 	for _, r := range results {
-		m.Header = append(m.Header, r.Policy)
+		matrix.Header = append(matrix.Header, r.Policy)
 	}
 	if len(results) > 0 {
 		for i, c := range results[0].CVEs {
@@ -419,17 +422,8 @@ func TableIsolation(jsonPath string) (string, error) {
 				}
 				row = append(row, cell)
 			}
-			m.Add(row...)
+			matrix.Add(row...)
 		}
 	}
-	return t.String() + "\n" + m.String(), nil
-}
-
-// WriteIsolationJSON writes frontier rows as indented JSON.
-func WriteIsolationJSON(path string, results []IsolationResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return frontier, matrix
 }

@@ -95,7 +95,7 @@ func TestMeasureIsolationDeterministic(t *testing.T) {
 func TestWriteIsolationJSON(t *testing.T) {
 	rows := []IsolationResult{{Policy: "paper", Blocked: 18, Total: 18, OverheadPct: 29.4}}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteIsolationJSON(path, rows); err != nil {
+	if err := writeJSON(path, rows); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -252,8 +250,18 @@ func TableOverload(jsonPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	t := RenderOverload(results)
+	t.Title += " (4 shards, 16 heavy / 4 light streams)"
+	return finish(jsonPath, results, t)
+}
+
+// RenderOverload renders overload rows as the goodput/shed table, with
+// notes on the drill's 4:1 heavy/light demand skew. The rows do not record
+// the pool width or the stream counts, so the title leaves them to the
+// caller.
+func RenderOverload(results []OverloadResult) *Table {
 	t := &Table{
-		Title:  "Overload: bounded admission + deadline shedding, FIFO vs weighted fair queueing (4 shards, 16 heavy / 4 light streams)",
+		Title:  "Overload: bounded admission + deadline shedding, FIFO vs weighted fair queueing",
 		Header: []string{"Scenario", "Offered", "Goodput", "Shed", "Shed%", "Light%", "Jain", "p50", "p99", "p99/1x"},
 	}
 	for _, r := range results {
@@ -268,20 +276,5 @@ func TableOverload(jsonPath string) (string, error) {
 		"Shed column splits queue-bound rejections + deadline drops; both leave zero checkpoint entries (exactly-once preserved).",
 		"Jain's index is over per-tenant weighted goodput: 1.00 = each tenant's goodput proportional to its weight.",
 		"The queue bound caps admitted-request latency at any factor - overload turns into sheds, not p99 melt.")
-	if jsonPath != "" {
-		if err := WriteOverloadJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteOverloadJSON writes overload results as indented JSON.
-func WriteOverloadJSON(path string, results []OverloadResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return t
 }

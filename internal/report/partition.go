@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -337,8 +335,18 @@ func TablePartition(jsonPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return finish(jsonPath, results, RenderPartition(results))
+}
+
+// RenderPartition renders partition rows, the pool width taken from the
+// rows.
+func RenderPartition(results []PartitionResult) *Table {
+	shards := 0
+	for _, r := range results {
+		shards = r.Shards
+	}
 	t := &Table{
-		Title:  "Partition-aware placement: Zipf visit stream, 8 shards / 2 sockets (virtual time)",
+		Title:  fmt.Sprintf("Partition-aware placement: Zipf visit stream, %d shards / 2 sockets (virtual time)", shards),
 		Header: []string{"Scenario", "Served", "Warm", "Cold", "Warm%", "p50", "p95", "p99", "RPS", "Moved", "Split@"},
 	}
 	for _, r := range results {
@@ -354,20 +362,5 @@ func TablePartition(jsonPath string) (string, error) {
 		"Locality sees session ids, not keys: one-shot churn leaves its open-session load signal blind, so it concentrates on one shard per socket.",
 		"The melt rows statically prefer range partition i onto shard i; the Zipf head funnels onto shard 0 until the drill splits the hot range at its observed load median.",
 		"The drill migrates the moved range's live resident sessions through the checkpoint log and revokes stale placement traces; served values are byte-equal with or without it.")
-	if jsonPath != "" {
-		if err := WritePartitionJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WritePartitionJSON writes partition experiment results as indented JSON.
-func WritePartitionJSON(path string, results []PartitionResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return t
 }

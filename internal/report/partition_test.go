@@ -107,7 +107,7 @@ func TestWritePartitionJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_partition.json")
-	if err := WritePartitionJSON(path, rows); err != nil {
+	if err := writeJSON(path, rows); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

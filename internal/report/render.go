@@ -2,10 +2,14 @@
 // evaluation from the simulation, rendering them in the paper's row/column
 // shape. Each Table*/Fig* function runs its experiment and returns the
 // formatted result; cmd/experiments and the benchmark harness drive them.
+// Each serving drill's Table* is a Measure* call whose rows a Render*
+// function formats; examples/server calls those two halves directly.
 package report
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 )
 
@@ -62,6 +66,34 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "  %s\n", n)
 	}
 	return b.String()
+}
+
+// writeJSON writes rows as indented JSON (the BENCH_*.json artifacts).
+func writeJSON(path string, rows any) error {
+	b, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// finish renders a drill's tables blank-line separated, skipping nil ones.
+// With jsonPath set it first writes rows there and notes the artifact
+// under the first table.
+func finish(jsonPath string, rows any, tables ...*Table) (string, error) {
+	if jsonPath != "" {
+		if err := writeJSON(jsonPath, rows); err != nil {
+			return "", err
+		}
+		tables[0].Notes = append(tables[0].Notes, fmt.Sprintf("rows written to %s", jsonPath))
+	}
+	var parts []string
+	for _, t := range tables {
+		if t != nil {
+			parts = append(parts, t.String())
+		}
+	}
+	return strings.Join(parts, "\n"), nil
 }
 
 // Series renders a labelled numeric series (our figures are ASCII charts).

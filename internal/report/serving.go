@@ -1,10 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
 	"freepart.dev/freepart/internal/core"
@@ -106,6 +102,11 @@ func TableServing(requests int, jsonPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return finish(jsonPath, results, RenderServing(results))
+}
+
+// RenderServing renders serving rows as the scaling table.
+func RenderServing(results []ServingResult) *Table {
 	t := &Table{
 		Title:  "Serving: session-sharded executor scaling (detection pipeline, virtual time)",
 		Header: []string{"Shards", "Requests", "Served", "RPS", "Speedup", "p50", "p95", "p99", "Critical path", "Parallelism"},
@@ -121,20 +122,5 @@ func TableServing(requests int, jsonPath string) (string, error) {
 	t.Notes = append(t.Notes,
 		"RPS is requests per virtual second: requests / max-merged shard clock (critical path).",
 		"Parallelism is total shard work / critical path; ideal equals the shard count.")
-	if jsonPath != "" {
-		if err := WriteServingJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteServingJSON writes serving results as indented JSON.
-func WriteServingJSON(path string, results []ServingResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return t
 }

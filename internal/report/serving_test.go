@@ -59,7 +59,7 @@ func TestWriteServingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_serving.json")
-	if err := WriteServingJSON(path, results); err != nil {
+	if err := writeJSON(path, results); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
