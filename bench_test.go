@@ -217,26 +217,37 @@ func callPathRuntime(tb testing.TB) (*core.Runtime, framework.Value) {
 	return rt, imgs[0].Value()
 }
 
+// callThreshold is one iteration of the protected call path: a
+// cv.threshold call whose output is released, as the direct benchmark frees
+// its own, so the loop runs in bounded memory on both sides.
+func callThreshold(rt *core.Runtime, img framework.Value) error {
+	out, _, err := rt.Call("cv.threshold", img)
+	if err != nil {
+		return err
+	}
+	return rt.Release(out[0])
+}
+
 // BenchmarkRuntime_CallPath measures the hot interposition path: one DP
-// call through the full RPC machinery.
+// call through the full RPC machinery, its release list included.
 func BenchmarkRuntime_CallPath(b *testing.B) {
 	rt, img := callPathRuntime(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := rt.Call("cv.threshold", img); err != nil {
+		if err := callThreshold(rt, img); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestRuntime_CallPathAllocs bounds the heap allocations of one protected
-// call, wire codec and IPC crossing included, at 60 (about 30 are made).
-// A codec that rebuilds per-message state shows here first.
+// call and its release, wire codec and IPC crossing included, at 60 (about
+// 30 are made). A codec that rebuilds per-message state shows here first.
 func TestRuntime_CallPathAllocs(t *testing.T) {
 	rt, img := callPathRuntime(t)
 	var err error
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, cerr := rt.Call("cv.threshold", img); cerr != nil {
+		if cerr := callThreshold(rt, img); cerr != nil {
 			err = cerr
 		}
 	})
@@ -266,7 +277,7 @@ func BenchmarkDirect_CallPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := d.Free(out[0]); err != nil {
+		if err := d.Release(out[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -97,6 +97,7 @@ func (srv *DetectionServer) ServeSeqKeyed(reqs []DetectionRequest, keys []uint64
 		} else {
 			results[i] = srv.serveOne(sessions[i], i, reqs[i])
 		}
+		sessions[i].Finish()
 	}
 	return results
 }

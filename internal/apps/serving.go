@@ -82,8 +82,15 @@ type DetectionServer struct {
 }
 
 // loadModel writes the interned classifier into sh's filesystem and loads
-// it, recording the resulting per-shard handle.
+// it, recording the resulting per-shard handle. The model belongs to the
+// shard, not to a session: a load from inside a session's job (the defense
+// drill reprovisions a shard in place) runs outside that session's scope,
+// so finishing the session does not release the model.
 func (srv *DetectionServer) loadModel(sh *core.Shard) error {
+	if sh.Rt != nil {
+		defer sh.Rt.SetSessionScope(sh.Rt.SessionScope())
+		sh.Rt.SetSessionScope(-1)
+	}
 	sh.K.FS.WriteFile("/srv/model.xml", srv.im.Bytes())
 	h, _, err := sh.Ex.Call("cv.CascadeClassifier", framework.Str("/srv/model.xml"))
 	if err != nil {
@@ -138,10 +145,12 @@ func ProvisionDetection(ex *core.Executor) (*DetectionServer, error) {
 
 // Serve answers every request. Sessions are opened in request order (so
 // shard placement is round-robin and deterministic), then each shard
-// drains its requests in arrival order on its own goroutine. Per-shard
-// FIFO matters for determinism, not just fairness: a request's virtual
-// latency includes the temporal-permission sealing of the previous
-// request's objects on that shard, so reordering within a shard would
+// drains its requests in arrival order on its own goroutine, finishing
+// each request's session once it is answered, so the shard releases the
+// request's objects and its checkpoints. Per-shard FIFO matters for
+// determinism, not just fairness: a request's virtual latency includes
+// work the previous request on that shard left behind (its release list
+// rides on this request's calls), so reordering within a shard would
 // shuffle nanoseconds between adjacent samples. Shards still serve
 // concurrently with each other. Results come back in request order.
 func (srv *DetectionServer) Serve(reqs []DetectionRequest) []DetectionResult {
@@ -160,6 +169,7 @@ func (srv *DetectionServer) Serve(reqs []DetectionRequest) []DetectionResult {
 			defer wg.Done()
 			for _, i := range queue {
 				results[i] = srv.serveOne(sessions[i], i, reqs[i])
+				sessions[i].Finish()
 			}
 		}(queue)
 	}
@@ -176,7 +186,8 @@ func (srv *DetectionServer) Serve(reqs []DetectionRequest) []DetectionResult {
 // and only a sequential schedule makes those cross-shard reads (and the
 // chaos draws behind them) a pure function of the request list. The
 // executor spawns no goroutines of its own, so under ServeSeq the entire
-// run is deterministic end to end, cross-shard couplings included.
+// run is deterministic end to end, cross-shard couplings included. Each
+// session finishes once its request is answered, as under Serve.
 func (srv *DetectionServer) ServeSeq(reqs []DetectionRequest) []DetectionResult {
 	sessions := make([]*core.Session, len(reqs))
 	for i := range reqs {
@@ -185,6 +196,7 @@ func (srv *DetectionServer) ServeSeq(reqs []DetectionRequest) []DetectionResult 
 	results := make([]DetectionResult, len(reqs))
 	for i := range reqs {
 		results[i] = srv.serveOne(sessions[i], i, reqs[i])
+		sessions[i].Finish()
 	}
 	return results
 }

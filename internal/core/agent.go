@@ -53,6 +53,10 @@ type agent struct {
 	// checkpoints holds serialized stateful objects keyed by their
 	// pre-crash table id (§A.2.4).
 	checkpoints map[uint64]checkpoint
+	// pending is the release list for the agent's next call: objects the
+	// host released that this process-tier agent owns or holds a lazy copy
+	// of.
+	pending []framework.Released
 
 	// restartMu serializes the whole supervise-and-restart operation so
 	// concurrent observers of one crash cannot double-restart the process
@@ -164,6 +168,14 @@ func (a *agent) canonOf(id uint64) uint64 {
 func (a *agent) resolveID(id uint64) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.resolveLocked(id)
+}
+
+// resolveLocked is resolveID with a.mu held.
+func (a *agent) resolveLocked(id uint64) uint64 {
+	if len(a.remap) == 0 {
+		return id
+	}
 	seen := map[uint64]bool{id: true}
 	for {
 		next, ok := a.remap[id]
@@ -184,6 +196,8 @@ func (rt *Runtime) serve(a *agent) ipc.Handler {
 		if err != nil {
 			return nil, err
 		}
+		// Released objects go first, so this call reuses their pages.
+		rt.applyReleases(a, call.Release)
 		api, ok := rt.Reg.Get(call.API)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown API %s", call.API)
@@ -398,6 +412,19 @@ func (rt *Runtime) restartAgent(a *agent) error {
 	oldRemap := a.remap
 	oldCanon := a.canon
 	cps := a.checkpoints
+	// Objects released but not yet told to the agent do not come back.
+	pid := uint32(proc.PID())
+	for _, k := range a.pending {
+		if k.PID == pid {
+			delete(cps, a.resolveLocked(k.ID))
+			continue
+		}
+		for dk, id := range a.deref {
+			if dk.pid == k.PID && dk.id == k.ID {
+				delete(cps, id)
+			}
+		}
+	}
 	a.ctx = newCtx
 	a.remap = make(map[uint64]uint64)
 	a.canon = make(map[uint64]uint64)
@@ -458,7 +485,12 @@ func (rt *Runtime) restartAgent(a *agent) error {
 // budget the call is re-issued under its original sequence number —
 // idempotent replay, because the server-side dedup cache answers for work
 // the previous incarnation already completed.
+//
+// The agent's pending release list rides on the call. It stays pending
+// until the agent has run the call (an application error included), so a
+// call that never got through carries it again next time.
 func (rt *Runtime) callAgent(a *agent, call framework.Call) (framework.Reply, error) {
+	call.Release = a.pendingReleases()
 	wire, err := framework.EncodeCall(call)
 	if err != nil {
 		return framework.Reply{}, err
@@ -475,6 +507,7 @@ func (rt *Runtime) callAgent(a *agent, call framework.Call) (framework.Reply, er
 		rt.Metrics.AddIPC(payloadBytes(call))
 		if err == nil {
 			a.noteSuccess()
+			a.sent(len(call.Release))
 			reply, derr := framework.DecodeReply(out)
 			if derr != nil {
 				return framework.Reply{}, derr
@@ -485,6 +518,7 @@ func (rt *Runtime) callAgent(a *agent, call framework.Call) (framework.Reply, er
 		transient := errors.Is(err, ipc.ErrTimeout) || errors.Is(err, ipc.ErrCorrupt)
 		if !crashed && !transient {
 			// Application-level error: surface unchanged, no retry.
+			a.sent(len(call.Release))
 			return framework.Reply{}, err
 		}
 		if crashed {

@@ -65,10 +65,10 @@ func (d *Direct) Fetch(h Handle) ([]byte, error) {
 	return object.PayloadBytes(o)
 }
 
-// Free releases a handle's simulated memory and table entry. The
+// Release frees a handle's simulated memory and table entry. The
 // simulation has no garbage collector, so long-running unprotected loops
 // (benchmarks, servers) release buffers explicitly.
-func (d *Direct) Free(h Handle) error {
+func (d *Direct) Release(h Handle) error {
 	o, ok := d.Ctx.Table.Get(h.local)
 	if !ok {
 		return fmt.Errorf("core: dangling handle %d", h.local)

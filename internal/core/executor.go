@@ -1283,17 +1283,41 @@ func (s *Session) pinnedTo(sh *Shard) bool {
 // pinned counts are updated in the same critical section placement
 // snapshots read them under (e.mu before s.mu — the established order), so
 // no placement decision ever sees a half-finished session.
+//
+// Finish also ends the life of the session's state: its bindings are
+// dropped, every live shard that holds objects the session created
+// releases them (between that shard's jobs), and the session's checkpoint
+// log keys are retired. Objects created outside any session scope, such as
+// a model loaded at provisioning, are not the session's. Finish must not be
+// called from inside one of the session's own jobs; on a direct shard, or
+// for a session that created nothing, it allocates nothing.
 func (s *Session) Finish() {
 	e := s.ex
+	var buf [2]*Shard
+	holders := buf[:0]
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.done {
+		s.mu.Unlock()
+		e.mu.Unlock()
 		return
 	}
 	s.done = true
+	clear(s.bound)
 	e.unpinLocked(s.shard.ID, s.Tenant)
+	s.mu.Unlock()
+	for _, sh := range e.shards {
+		if sh.Rt != nil && sh.Rt.holdsSession(s.ID) {
+			holders = append(holders, sh)
+		}
+	}
+	e.mu.Unlock()
+	for _, sh := range holders {
+		sh.mu.Lock()
+		sh.Rt.finishSession(s.ID)
+		sh.mu.Unlock()
+	}
+	e.ckpt.DropSession(s.ID)
 }
 
 // Done reports whether the session has been finished.

@@ -27,6 +27,13 @@ var (
 		Results:  []Value{Int64(64), Bool(false)},
 		Payloads: [][]byte{nil, {9, 9}},
 	}
+	// goldenReleaseCall carries a release list: one of the agent's own
+	// objects and one whose lazy copy it holds.
+	goldenReleaseCall = Call{
+		API:     "cv.blur",
+		Args:    []Value{RefVal(goldenRef)},
+		Release: []Released{{PID: 3, ID: 300}, {PID: 2, ID: 5}},
+	}
 )
 
 // unhex decodes a hex listing: spaces between fields, # comments to the
@@ -66,6 +73,18 @@ const (
 		02 00 02 0909                     # payloads: nil, [9 9]
 		00                                # no updated args
 		00                                # no updated payloads`
+	// A call that releases nothing ends after its payload list, so
+	// goldenCallHex is also the encoding of goldenCall with an empty list.
+	goldenReleaseCallHex = `
+		07 63762e626c7572                 # API "cv.blur"
+		01                                # 1 arg
+		06 1e 00000002 0000000000000005   # ref: 30 bytes, pid 2, id 5,
+		      0000000000000040 01         #   size 64, kind mat,
+		      1122334455667788 aa         #   hash, header
+		00                                # no payloads
+		02                                # release 2 objects:
+		03 ac02                           #   pid 3, id 300
+		02 05                             #   pid 2, id 5`
 )
 
 func TestWireGolden(t *testing.T) {
@@ -92,6 +111,23 @@ func TestWireGolden(t *testing.T) {
 	r, err := DecodeReply(wantReply)
 	if err != nil || !reflect.DeepEqual(r, goldenReply) {
 		t.Fatalf("decode reply = %+v, %v", r, err)
+	}
+	wantRelease := unhex(t, goldenReleaseCallHex)
+	gotRelease, err := EncodeCall(goldenReleaseCall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotRelease, wantRelease) {
+		t.Fatalf("release list encoding moved:\n got %x\nwant %x", gotRelease, wantRelease)
+	}
+	c, err = DecodeCall(wantRelease)
+	if err != nil || !reflect.DeepEqual(c, goldenReleaseCall) {
+		t.Fatalf("decode release call = %+v, %v", c, err)
+	}
+	empty := goldenCall
+	empty.Release = []Released{}
+	if b, err := EncodeCall(empty); err != nil || !bytes.Equal(b, wantCall) {
+		t.Fatalf("an empty release list must add no bytes: %x, %v", b, err)
 	}
 }
 
@@ -172,6 +208,11 @@ func TestDecodeGarbage(t *testing.T) {
 		{"huge payload count", false, unhex(t, "00 00 ffffffffffffffff7f"), errLength},
 		{"huge value count", true, unhex(t, "ffffffff0f"), errLength},
 		{"short ref", false, unhex(t, "00 01 06 03 010203 00"), nil}, // object.DecodeRef's error
+		{"zero release count", false, append(append([]byte(nil), call...), 0), errEmpty},
+		{"huge release count", false, append(append([]byte(nil), call...), unhex(t, "ffffffff0f 0102")...), errLength},
+		{"truncated release entry", false, append(append([]byte(nil), call...), unhex(t, "01 03")...), errTruncated},
+		{"release pid over 32 bits", false, append(append([]byte(nil), call...), unhex(t, "01 8080808010 01")...), errPID},
+		{"trailing bytes after release list", false, append(append([]byte(nil), call...), unhex(t, "01 03 04 00")...), errTrailing},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -231,3 +231,50 @@ func TestCheckpointLogCompactDuringMigrationWave(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointLogDropSession finishes many sessions, each with superseded
+// and latest versions over several keys, while one session stays live: the
+// finished ones leave nothing behind, and the live one reads as before.
+func TestCheckpointLogDropSession(t *testing.T) {
+	l := NewCheckpointLog()
+	const live = -7
+	liveKey := CheckpointKey{Session: live, Type: 1, Slot: Slot(3, 1)}
+	l.Append(liveKey, KindBlob, nil, []byte("live-v1"))
+	l.Append(liveKey, KindBlob, []byte{1}, []byte("live-v2"))
+	before, ok := l.LatestSlot(live, liveKey.Slot)
+	if !ok {
+		t.Fatal("live session has no state")
+	}
+	for s := 0; s < 100; s++ {
+		for slot := uint64(0); slot < 3; slot++ {
+			key := CheckpointKey{Session: s, Type: uint8(slot), Slot: Slot(4, slot)}
+			l.Append(key, KindBlob, nil, []byte("old"))
+			l.Append(key, KindBlob, nil, []byte("new"))
+		}
+		if got := l.Session(s); len(got) != 3 {
+			t.Fatalf("session %d holds %d keys before its drop, want 3", s, len(got))
+		}
+		if allocs := testing.AllocsPerRun(1, func() { l.DropSession(s) }); allocs != 0 {
+			t.Fatalf("DropSession allocated %.0f times", allocs)
+		}
+		if _, ok := l.LatestSlot(s, Slot(4, 0)); ok {
+			t.Fatalf("session %d state survives its drop", s)
+		}
+	}
+	l.DropSession(live + 1) // a session that never wrote: a no-op
+	after, ok := l.LatestSlot(live, liveKey.Slot)
+	if !ok || after.Version != before.Version || !bytes.Equal(after.Payload, before.Payload) || !bytes.Equal(after.Header, before.Header) {
+		t.Fatalf("live session's state moved: %+v, want %+v", after, before)
+	}
+	st := l.Stats()
+	if st.Keys != 1 || st.Bytes != uint64(len("live-v1")+len("live-v2")) || l.Len() != 2 {
+		t.Fatalf("after the drops: %+v, %d versions; want only the live session's 1 key and 2 versions", st, l.Len())
+	}
+	l.DropSession(live)
+	if st := l.Stats(); st.Keys != 0 || st.Bytes != 0 || l.Len() != 0 {
+		t.Fatalf("after every session finished: %+v, %d versions; want 0 keys and 0 bytes", st, l.Len())
+	}
+	if c := l.Compact(); c.Retired != 0 {
+		t.Fatalf("compaction after the drops retired %d versions", c.Retired)
+	}
+}
