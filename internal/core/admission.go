@@ -277,13 +277,14 @@ func (e *Executor) TenantLoads() []TenantLoad {
 	return out
 }
 
-// TenantOf returns the tenant id a session was opened under (0 for
-// sessions opened through the tenantless Session path).
+// TenantOf returns the tenant id unfinished session id was opened under (0
+// for sessions opened through the tenantless Session path, and for a
+// finished or unknown id).
 func (e *Executor) TenantOf(session int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if session < 0 || session >= len(e.sessions) {
-		return 0
+	if s := e.sessions[session]; s != nil {
+		return s.Tenant
 	}
-	return e.sessions[session].Tenant
+	return 0
 }

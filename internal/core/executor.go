@@ -338,9 +338,17 @@ type Executor struct {
 	// scale never races a failover on the same slot.
 	failMu sync.Mutex
 
-	mu        sync.Mutex
-	shards    []*Shard
-	sessions  []*Session
+	mu     sync.Mutex
+	shards []*Shard
+	// sessions holds the unfinished sessions by id; Finish removes its
+	// session. nextID counts opens and is the next session's id, so ids,
+	// round-robin slots and hook arguments follow open order whichever
+	// sessions have finished.
+	sessions map[int]*Session
+	nextID   int
+	// openPool is the placement snapshot open hands to the hooks, refilled
+	// in place for every open.
+	openPool  []PlacementInfo
 	retired   []*Shard
 	killAt    map[int]vclock.Duration
 	events    []FailoverEvent
@@ -433,19 +441,20 @@ func NewExecutor(n int, factory ShardFactory) (*Executor, error) {
 		return nil, fmt.Errorf("core: executor needs n > 0 shards")
 	}
 	e := &Executor{
-		store:   object.NewStore(),
-		ckpt:    object.NewCheckpointLog(),
-		factory: factory,
-		sem:     newWorkerSem(n),
-		lat:     &vclock.Latencies{},
-		queue:   &vclock.Latencies{},
-		met:     metrics.New(),
-		killAt:  make(map[int]vclock.Duration),
-		pinned:  make(map[int]int),
-		tpinned: make(map[int]map[int]int),
-		loads:   make(map[int]*shardLoad),
-		tenants: make(map[int]*tenantLoad),
-		grays:   make(map[int]*grayState),
+		store:    object.NewStore(),
+		ckpt:     object.NewCheckpointLog(),
+		factory:  factory,
+		sem:      newWorkerSem(n),
+		lat:      &vclock.Latencies{},
+		queue:    &vclock.Latencies{},
+		met:      metrics.New(),
+		killAt:   make(map[int]vclock.Duration),
+		sessions: make(map[int]*Session),
+		pinned:   make(map[int]int),
+		tpinned:  make(map[int]map[int]int),
+		loads:    make(map[int]*shardLoad),
+		tenants:  make(map[int]*tenantLoad),
+		grays:    make(map[int]*grayState),
 	}
 	for i := 0; i < n; i++ {
 		sh, err := factory(i)
@@ -707,7 +716,9 @@ func (e *Executor) TotalWork() vclock.Duration {
 // the session id and a snapshot of the live pool, it returns the shard slot
 // to pin to. Nil (the default) keeps round-robin by open order — the
 // n=1-bit-identical policy every experiment before the control plane used.
-// An out-of-range return falls back to round-robin.
+// An out-of-range return falls back to round-robin. The snapshot is valid
+// only during the call: the executor refills it for the next open, so a
+// hook must copy whatever it keeps.
 func (e *Executor) SetPlacement(fn func(session int, pool []PlacementInfo) int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -719,7 +730,8 @@ func (e *Executor) SetPlacement(fn func(session int, pool []PlacementInfo) int) 
 // so a partition-aware placer can score warm-cache affinity. Keyless opens
 // never consult it; keyed opens fall back to the plain hook (then
 // round-robin) when it is nil or declines — so with no keyed hook
-// installed, SessionKeyed is bit-identical to SessionFor.
+// installed, SessionKeyed is bit-identical to SessionFor. As for
+// SetPlacement, the snapshot is valid only during the call.
 func (e *Executor) SetKeyedPlacement(fn func(session int, key uint64, pool []PlacementInfo) int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -727,16 +739,20 @@ func (e *Executor) SetKeyedPlacement(fn func(session int, key uint64, pool []Pla
 }
 
 // placementPoolLocked snapshots the live pool for a placement decision made
-// on behalf of a tenant (-1 for no tenant context: TenantSessions reads 0).
+// on behalf of a tenant (-1 for no tenant context: TenantSessions reads 0)
+// into pool's backing array, allocating a new one when pool is too small.
 // Counts come from the incremental pinned maps, so a snapshot costs
 // O(shards) regardless of how many sessions have ever opened. Caller holds
 // e.mu.
-func (e *Executor) placementPoolLocked(tenant int) []PlacementInfo {
+func (e *Executor) placementPoolLocked(pool []PlacementInfo, tenant int) []PlacementInfo {
 	var tp map[int]int
 	if tenant >= 0 {
 		tp = e.tpinned[tenant]
 	}
-	pool := make([]PlacementInfo, len(e.shards))
+	if cap(pool) < len(e.shards) {
+		pool = make([]PlacementInfo, len(e.shards))
+	}
+	pool = pool[:len(e.shards)]
 	for i, sh := range e.shards {
 		pool[i] = PlacementInfo{ID: sh.ID, Gen: sh.Gen, Sessions: e.pinned[sh.ID], TenantSessions: tp[sh.ID], Clock: sh.K.Clock.Now()}
 	}
@@ -802,55 +818,68 @@ func (e *Executor) open(tenant, weight int, key uint64, keyed bool) *Session {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	id := len(e.sessions) % len(e.shards)
+	id := e.nextID
+	e.nextID++
+	slot := id % len(e.shards)
 	placed := false
 	if keyed && e.placeKey != nil {
-		if p := e.placeKey(len(e.sessions), key, e.placementPoolLocked(tenant)); p >= 0 && p < len(e.shards) {
-			id, placed = p, true
+		e.openPool = e.placementPoolLocked(e.openPool, tenant)
+		if p := e.placeKey(id, key, e.openPool); p >= 0 && p < len(e.shards) {
+			slot, placed = p, true
 		}
 	}
 	if !placed && e.place != nil {
-		if p := e.place(len(e.sessions), e.placementPoolLocked(tenant)); p >= 0 && p < len(e.shards) {
-			id = p
+		e.openPool = e.placementPoolLocked(e.openPool, tenant)
+		if p := e.place(id, e.openPool); p >= 0 && p < len(e.shards) {
+			slot = p
 		}
 	}
 	s := &Session{
-		ID:     len(e.sessions),
+		ID:     id,
 		Tenant: tenant,
 		Weight: weight,
 		Key:    key,
 		Keyed:  keyed,
 		ex:     e,
-		shard:  e.shards[id],
-		bound:  make(map[string]Handle),
+		shard:  e.shards[slot],
 	}
-	e.sessions = append(e.sessions, s)
-	e.pinLocked(id, tenant)
+	e.sessions[id] = s
+	e.pinLocked(slot, tenant)
 	return s
 }
 
-// SessionShard returns the shard the session in slot id is currently
-// pinned to, or nil for an unknown id.
+// liveSessionsLocked returns the unfinished sessions ascending by id, so
+// walks over them log their events in open order. Caller holds e.mu.
+func (e *Executor) liveSessionsLocked() []*Session {
+	out := make([]*Session, 0, len(e.sessions))
+	for _, s := range e.sessions {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// SessionShard returns the shard unfinished session id is currently pinned
+// to, or nil for a finished or unknown id.
 func (e *Executor) SessionShard(id int) *Shard {
 	e.mu.Lock()
-	if id < 0 || id >= len(e.sessions) {
-		e.mu.Unlock()
-		return nil
-	}
 	s := e.sessions[id]
 	e.mu.Unlock()
+	if s == nil {
+		return nil
+	}
 	return s.Shard()
 }
 
-// SessionKey returns the session key of session id and whether that session
-// was opened keyed.
+// SessionKey returns the session key of unfinished session id and whether
+// that session was opened keyed; (0, false) for a finished or unknown id.
 func (e *Executor) SessionKey(id int) (uint64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if id < 0 || id >= len(e.sessions) {
+	s := e.sessions[id]
+	if s == nil {
 		return 0, false
 	}
-	s := e.sessions[id]
 	return s.Key, s.Keyed
 }
 
@@ -859,11 +888,10 @@ func (e *Executor) SessionKey(id int) (uint64, bool) {
 // drill migrates when it moves a key range.
 func (e *Executor) KeyedSessionsIn(lo, hi uint64) []int {
 	e.mu.Lock()
-	sessions := append([]*Session(nil), e.sessions...)
-	e.mu.Unlock()
+	defer e.mu.Unlock()
 	var out []int
-	for _, s := range sessions {
-		if s.Keyed && s.Key >= lo && s.Key < hi && !s.Done() {
+	for _, s := range e.liveSessionsLocked() {
+		if s.Keyed && s.Key >= lo && s.Key < hi {
 			out = append(out, s.ID)
 		}
 	}
@@ -949,18 +977,12 @@ func (e *Executor) failover(old *Shard) error {
 	e.mu.Lock()
 	e.shards[old.ID] = repl
 	e.retired = append(e.retired, old)
-	sessions := append([]*Session(nil), e.sessions...)
+	sessions := e.liveSessionsLocked()
 	e.mu.Unlock()
 	e.recordEvent(repl, "replace", fmt.Sprintf("gen %d", repl.Gen))
 
 	for _, s := range sessions {
 		if !s.pinnedTo(old) {
-			continue
-		}
-		if s.Done() {
-			// Nothing left to serve: repoint without materializing state so
-			// no session ever dangles on a retired shard.
-			s.repoint(repl)
 			continue
 		}
 		if merr := s.migrate(repl); merr != nil {
@@ -1059,7 +1081,7 @@ func (e *Executor) Shrink(plan func(session int, pool []PlacementInfo) Migration
 	victim.retiredAt = victim.K.Clock.Now()
 	e.retired = append(e.retired, victim)
 	delete(e.killAt, victim.ID)
-	sessions := append([]*Session(nil), e.sessions...)
+	sessions := e.liveSessionsLocked()
 	e.mu.Unlock()
 	e.sem.setCap(n)
 	e.recordEvent(victim, "shrink", fmt.Sprintf("pool %d", n))
@@ -1068,8 +1090,9 @@ func (e *Executor) Shrink(plan func(session int, pool []PlacementInfo) Migration
 		if !s.pinnedTo(victim) {
 			continue
 		}
+		// A fresh snapshot: plan runs outside e.mu, while opens refill theirs.
 		e.mu.Lock()
-		pool := e.placementPoolLocked(s.Tenant)
+		pool := e.placementPoolLocked(nil, s.Tenant)
 		e.mu.Unlock()
 		p := leastPinnedPlan(s.ID, pool)
 		if plan != nil {
@@ -1079,10 +1102,6 @@ func (e *Executor) Shrink(plan func(session int, pool []PlacementInfo) Migration
 			p = leastPinnedPlan(s.ID, pool)
 		}
 		dest := e.Shard(p.Dest)
-		if s.Done() {
-			s.repoint(dest)
-			continue
-		}
 		dest.K.Clock.Advance(p.Extra)
 		if merr := s.migrate(dest); merr != nil {
 			e.recordEvent(dest, "migrate-failed", fmt.Sprintf("session %d: %v", s.ID, merr))
@@ -1115,12 +1134,13 @@ func leastPinnedPlan(_ int, pool []PlacementInfo) MigrationPlan {
 // move a failover performs, issued by the control plane against a healthy
 // (merely hot) source shard. extra is added virtual transfer cost on the
 // destination clock (cross-socket penalty). The source shard is quiesced
-// for the duration of the move so no checkpoint write races it.
+// for the duration of the move so no checkpoint write races it. Moving a
+// finished session is a no-op: it has nothing left to run.
 func (e *Executor) MigrateSession(session, dest int, extra vclock.Duration) error {
 	e.failMu.Lock()
 	defer e.failMu.Unlock()
 	e.mu.Lock()
-	if session < 0 || session >= len(e.sessions) {
+	if session < 0 || session >= e.nextID {
 		e.mu.Unlock()
 		return fmt.Errorf("core: no session %d", session)
 	}
@@ -1131,15 +1151,18 @@ func (e *Executor) MigrateSession(session, dest int, extra vclock.Duration) erro
 	s := e.sessions[session]
 	d := e.shards[dest]
 	e.mu.Unlock()
+	if s == nil {
+		return nil
+	}
 
 	from := s.Shard()
-	if from == d || s.Done() {
+	if from == d {
 		return nil
 	}
 	from.mu.Lock()
 	defer from.mu.Unlock()
 	if !s.pinnedTo(from) {
-		return nil // moved while we waited (failover won the race)
+		return nil // moved or finished while we waited
 	}
 	d.K.Clock.Advance(extra)
 	if merr := s.migrate(d); merr != nil {
@@ -1205,8 +1228,8 @@ func (e *Executor) PinnedSessions(id int) []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []int
-	for _, s := range e.sessions {
-		if !s.Done() && s.Shard().ID == id {
+	for _, s := range e.liveSessionsLocked() {
+		if s.Shard().ID == id {
 			out = append(out, s.ID)
 		}
 	}
@@ -1236,6 +1259,10 @@ func (e *Executor) ShardSeconds(end vclock.Duration) vclock.Duration {
 	return sum
 }
 
+// ErrSessionFinished is returned for work submitted on a session after its
+// Finish: the session has left its executor, and the job does not run.
+var ErrSessionFinished = errors.New("core: session finished")
+
 // Session is one client's stream of pipeline invocations. All of a
 // session's work runs on a single shard, so a client's framework state
 // (open captures, loaded models, intermediate objects) stays on one
@@ -1243,7 +1270,9 @@ func (e *Executor) ShardSeconds(end vclock.Duration) vclock.Duration {
 // the session migrates to the replacement shard with its bound stateful
 // state restored from the portable checkpoint log.
 type Session struct {
-	// ID is the session's global open order.
+	// ID is the session's open order in its executor: the first session
+	// opened is 0, and an id is never reused, even after its session
+	// finishes.
 	ID int
 	// Tenant identifies whose traffic this session carries; Weight is the
 	// tenant's weighted-fair-queueing weight. Both are fixed at open
@@ -1263,26 +1292,29 @@ type Session struct {
 	done  bool
 }
 
-// Shard returns the shard this session is currently pinned to.
+// Shard returns the shard this session is currently pinned to; once the
+// session is finished, the shard it was last pinned to.
 func (s *Session) Shard() *Shard {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.shard
 }
 
-// pinnedTo reports whether the session is pinned to sh.
+// pinnedTo reports whether the session is unfinished and pinned to sh.
 func (s *Session) pinnedTo(sh *Shard) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.shard == sh
+	return !s.done && s.shard == sh
 }
 
-// Finish marks the session complete: it will issue no further invocations,
-// so the control plane stops counting it toward shard load and skips it
-// when migrating state off a drained or shrinking shard. The executor's
-// pinned counts are updated in the same critical section placement
-// snapshots read them under (e.mu before s.mu — the established order), so
-// no placement decision ever sees a half-finished session.
+// Finish marks the session complete and removes it from the executor:
+// DoAt and DoBatch refuse its further work with ErrSessionFinished, the
+// control plane stops counting it toward shard load, failover and shrink
+// leave it where it is, and the by-id lookups answer for its id as for an
+// unknown one. The executor's pinned counts are updated in the same
+// critical section placement snapshots read them under (e.mu before s.mu —
+// the established order), so no placement decision ever sees a
+// half-finished session.
 //
 // Finish also ends the life of the session's state: its bindings are
 // dropped, every live shard that holds objects the session created
@@ -1306,6 +1338,7 @@ func (s *Session) Finish() {
 	clear(s.bound)
 	e.unpinLocked(s.shard.ID, s.Tenant)
 	s.mu.Unlock()
+	delete(e.sessions, s.ID)
 	for _, sh := range e.shards {
 		if sh.Rt != nil && sh.Rt.holdsSession(s.ID) {
 			holders = append(holders, sh)
@@ -1327,14 +1360,6 @@ func (s *Session) Done() bool {
 	return s.done
 }
 
-// repoint moves the session's pin without materializing any state — used
-// for finished sessions so nothing dangles on a retired shard.
-func (s *Session) repoint(to *Shard) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.shard = to
-}
-
 // Bind registers a durable stateful handle under a name. Bound handles are
 // what failover migrates: after the session moves to a replacement shard,
 // Bound(name) returns a handle to the same state materialized there (from
@@ -1343,6 +1368,9 @@ func (s *Session) repoint(to *Shard) {
 func (s *Session) Bind(name string, h Handle) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.bound == nil {
+		s.bound = make(map[string]Handle)
+	}
 	s.bound[name] = h
 }
 
@@ -1403,10 +1431,15 @@ func (s *Session) restore(to *Shard, name string, h Handle) (Handle, error) {
 	return to.Rt.Adopt(s.ID, cp)
 }
 
-// currentShard reads the session's pin.
+// currentShard reads the session's pin, or nil once the session is
+// finished: failover moves only unfinished sessions, so a finished
+// session's pin may name a retired shard.
 func (s *Session) currentShard() *Shard {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.done {
+		return nil
+	}
 	return s.shard
 }
 
@@ -1434,7 +1467,8 @@ func (s *Session) Do(job func(sh *Shard) error) error {
 // session fails over — drain, replace, migrate — and the invocation runs on
 // the replacement; a crash-class failure that trips the health threshold
 // mid-invocation re-runs the invocation there too, so callers never observe
-// the loss of a shard.
+// the loss of a shard. A finished session runs nothing: DoAt returns
+// ErrSessionFinished.
 func (s *Session) DoAt(arrival vclock.Duration, job func(sh *Shard) error) error {
 	s.ex.sem.acquire()
 	defer s.ex.sem.release()
@@ -1460,9 +1494,12 @@ func (s *Session) DoAt(arrival vclock.Duration, job func(sh *Shard) error) error
 func (s *Session) runPrimary(arrival *vclock.Duration, job func(sh *Shard) error, stamped, recordLat bool) (*Shard, vclock.Duration, vclock.Duration, error) {
 	for {
 		sh := s.currentShard()
+		if sh == nil {
+			return nil, 0, 0, ErrSessionFinished
+		}
 		sh.mu.Lock()
 		if sh != s.currentShard() {
-			// Migrated while waiting for the shard lock.
+			// Migrated or finished while waiting for the shard lock.
 			sh.mu.Unlock()
 			continue
 		}
@@ -1596,7 +1633,8 @@ type BatchEntry struct {
 // and records its own latency and queue wait, so batching changes admission
 // cost, not measured semantics. Failover semantics match DoAt: a shard lost
 // mid-batch fails over once and the remaining entries re-run on the
-// replacement. Returns one error per entry.
+// replacement. An entry of a finished session runs nothing and gets
+// ErrSessionFinished. Returns one error per entry.
 func (e *Executor) DoBatch(entries []BatchEntry) []error {
 	errs := make([]error, len(entries))
 	if len(entries) == 0 {
@@ -1616,6 +1654,11 @@ func (e *Executor) DoBatch(entries []BatchEntry) []error {
 	for next < len(entries) {
 		s := entries[next].Session
 		sh := s.currentShard()
+		if sh == nil {
+			errs[next] = ErrSessionFinished
+			next++
+			continue
+		}
 		sh.mu.Lock()
 		if sh != s.currentShard() {
 			sh.mu.Unlock()

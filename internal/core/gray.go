@@ -396,7 +396,8 @@ func (s *Session) doHedged(arrival vclock.Duration, hp HedgePolicy, job func(sh 
 	pArr := arrival
 	primary, pEnd, _, pErr := s.runPrimary(&pArr, job, true, false)
 	if primary == nil {
-		// Failover itself failed; there is no completion to time.
+		// Failover failed or the session is finished; there is no
+		// completion to time.
 		return pErr
 	}
 	if shedClass(pErr) {

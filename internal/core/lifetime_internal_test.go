@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"freepart.dev/freepart/internal/analysis"
@@ -202,5 +203,72 @@ func TestDegradedAgentQueuesNoReleases(t *testing.T) {
 		if n := len(proc.pendingReleases()); n != tripped {
 			t.Fatalf("session %d: %d entries pending for the degraded agent, want %d", s, n, tripped)
 		}
+	}
+}
+
+// TestSessionTableHoldsLiveSessions opens 100 sessions on 3 direct shards
+// and finishes all but 5: the table keeps the 5, ids and round-robin slots
+// keep counting opens, a finished id answers as an unknown one, and a
+// failover migrates only the live sessions pinned to the lost shard, in id
+// order.
+func TestSessionTableHoldsLiveSessions(t *testing.T) {
+	e, err := NewExecutor(3, DirectShards(all.Registry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	live := map[int]bool{3: true, 10: true, 40: true, 41: true, 97: true}
+	sessions := make([]*Session, 100)
+	for i := range sessions {
+		sessions[i] = e.SessionKeyed(2, 1, uint64(1000+i))
+	}
+	for i, s := range sessions {
+		if !live[i] {
+			s.Finish()
+		}
+	}
+
+	if n := len(e.sessions); n != 5 {
+		t.Fatalf("table holds %d sessions, want 5", n)
+	}
+	next := e.Session()
+	if next.ID != 100 || next.Shard().ID != 100%3 {
+		t.Fatalf("next open got id %d on slot %d, want id 100 on slot %d", next.ID, next.Shard().ID, 100%3)
+	}
+	next.Finish()
+	if sh := e.SessionShard(0); sh != nil {
+		t.Errorf("SessionShard of a finished id = shard %d, want nil", sh.ID)
+	}
+	if key, keyed := e.SessionKey(0); key != 0 || keyed {
+		t.Errorf("SessionKey of a finished id = (%d, %v), want (0, false)", key, keyed)
+	}
+	if tenant := e.TenantOf(0); tenant != 0 {
+		t.Errorf("TenantOf a finished id = %d, want 0", tenant)
+	}
+	if err := e.MigrateSession(0, 1, 0); err != nil {
+		t.Errorf("MigrateSession of a finished id: %v, want nil", err)
+	}
+	if key, keyed := e.SessionKey(40); key != 1040 || !keyed || e.TenantOf(40) != 2 {
+		t.Errorf("live session 40: key (%d, %v), tenant %d; want (1040, true), tenant 2", key, keyed, e.TenantOf(40))
+	}
+	if got, want := e.KeyedSessionsIn(0, 2000), []int{3, 10, 40, 41, 97}; !reflect.DeepEqual(got, want) {
+		t.Errorf("KeyedSessionsIn = %v, want %v", got, want)
+	}
+	if got, want := e.PinnedSessions(1), []int{10, 40, 97}; !reflect.DeepEqual(got, want) {
+		t.Errorf("PinnedSessions(1) = %v, want %v", got, want)
+	}
+
+	e.KillShard(1, "test kill")
+	if err := sessions[10].Do(func(*Shard) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var migrated []string
+	for _, ev := range e.FailoverEvents() {
+		if ev.Kind == "migrate" {
+			migrated = append(migrated, ev.Detail)
+		}
+	}
+	if want := []string{"session 10", "session 40", "session 97"}; !reflect.DeepEqual(migrated, want) {
+		t.Fatalf("failover migrated %q, want %q", migrated, want)
 	}
 }

@@ -149,3 +149,77 @@ func TestFinishAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenFinishAllocs pins what a short session leaves behind in the
+// executor: opening and finishing one allocates the Session alone, with no
+// placement hook and with both hooks consulted on every open.
+func TestOpenFinishAllocs(t *testing.T) {
+	for _, hooks := range []bool{false, true} {
+		name := "no hooks"
+		if hooks {
+			name = "both hooks"
+		}
+		t.Run(name, func(t *testing.T) {
+			ex, err := core.NewExecutor(8, core.DirectShards(all.Registry()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(ex.Close)
+			if hooks {
+				// The keyed hook declines, so the plain hook sees a snapshot too.
+				ex.SetKeyedPlacement(func(int, uint64, []core.PlacementInfo) int { return -1 })
+				ex.SetPlacement(func(session int, pool []core.PlacementInfo) int { return pool[session%len(pool)].ID })
+			}
+			var k uint64
+			allocs := testing.AllocsPerRun(1000, func() {
+				k++
+				ex.SessionKeyed(0, 1, k).Finish()
+			})
+			if allocs != 1 {
+				t.Fatalf("open and Finish allocated %.2f times per session, want 1", allocs)
+			}
+		})
+	}
+}
+
+// TestFinishedSessionRefusesWork submits work on a finished session whose
+// shard was then killed: Do, Call and a batch entry are each refused with
+// ErrSessionFinished, no job runs, and no failover starts on the session's
+// behalf, while a live session's entry in the same batch still runs.
+func TestFinishedSessionRefusesWork(t *testing.T) {
+	ex, err := core.NewExecutor(2, core.DirectShards(all.Registry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Close)
+	ex.SetOnReplace(func(sh *core.Shard) error {
+		writeImage(sh.K, "/in.img", 8, 8)
+		return nil
+	})
+	s, live := ex.Session(), ex.Session()
+	s.Finish()
+	slot := s.Shard().ID
+	ex.KillShard(slot, "test kill")
+
+	ran, liveRan := 0, 0
+	job := func(*core.Shard) error { ran++; return nil }
+	if err := s.Do(job); !errors.Is(err, core.ErrSessionFinished) {
+		t.Fatalf("Do on a finished session: %v, want ErrSessionFinished", err)
+	}
+	if _, _, err := s.Call("cv.imread", framework.Str("/in.img")); !errors.Is(err, core.ErrSessionFinished) {
+		t.Fatalf("Call on a finished session: %v, want ErrSessionFinished", err)
+	}
+	errs := ex.DoBatch([]core.BatchEntry{
+		{Session: s, Arrival: -1, Job: job},
+		{Session: live, Arrival: -1, Job: func(*core.Shard) error { liveRan++; return nil }},
+	})
+	if !errors.Is(errs[0], core.ErrSessionFinished) || errs[1] != nil {
+		t.Fatalf("DoBatch errors %v, want [ErrSessionFinished <nil>]", errs)
+	}
+	if ran != 0 || liveRan != 1 {
+		t.Fatalf("%d jobs of the finished session ran and %d of the live one, want 0 and 1", ran, liveRan)
+	}
+	if gen := ex.Shard(slot).Gen; gen != 0 {
+		t.Fatalf("work on a finished session failed its shard over to gen %d", gen)
+	}
+}
