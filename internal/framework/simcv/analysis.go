@@ -114,10 +114,11 @@ func registerAnalysis(r *framework.Registry) {
 			if len(sh) != 2 || sh[1] < 5 || i < 0 || i >= sh[0] {
 				return nil, errorString("simcv: boundingRect wants contour tensor and valid index")
 			}
-			minR, _ := t.At(i, 0)
-			minC, _ := t.At(i, 1)
-			maxR, _ := t.At(i, 2)
-			maxC, _ := t.At(i, 3)
+			var box [4]float64
+			if err := readFlat(t, i*sh[1], box[:]); err != nil {
+				return nil, err
+			}
+			minR, minC, maxR, maxC := box[0], box[1], box[2], box[3]
 			ctx.EmitMemOp()
 			return []framework.Value{
 				framework.Int64(int64(minC)), framework.Int64(int64(minR)),
@@ -142,7 +143,10 @@ func registerAnalysis(r *framework.Registry) {
 			if len(sh) != 2 || sh[1] < 5 || i < 0 || i >= sh[0] {
 				return nil, errorString("simcv: contourArea wants contour tensor and valid index")
 			}
-			area, _ := t.At(i, 4)
+			area, err := t.At(i, 4)
+			if err != nil {
+				return nil, err
+			}
 			ctx.EmitMemOp()
 			return []framework.Value{framework.Float64(area)}, nil
 		},
@@ -232,11 +236,18 @@ func registerAnalysis(r *framework.Registry) {
 			if a.Len() != b.Len() {
 				return nil, errorString("simcv: histogram length mismatch")
 			}
+			va, err := a.Values()
+			if err != nil {
+				return nil, err
+			}
+			vb, err := b.Values()
+			if err != nil {
+				return nil, err
+			}
 			// Chi-square distance.
 			d := 0.0
-			for i := 0; i < a.Len(); i++ {
-				x, _ := a.AtFlat(i)
-				y, _ := b.AtFlat(i)
+			for i, x := range va {
+				y := vb[i]
 				if x+y > 0 {
 					d += (x - y) * (x - y) / (x + y)
 				}

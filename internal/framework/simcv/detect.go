@@ -152,6 +152,9 @@ func registerDetect(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
+			// hist mirrors t, so each bin adds to the value it last stored
+			// without reading it back.
+			hist := make([]float64, cellsR*cellsC*8)
 			for r := 1; r < rows-1; r++ {
 				for c := 1; c < cols-1; c++ {
 					gx := int(g[r*cols+c+1]) - int(g[r*cols+c-1])
@@ -160,8 +163,8 @@ func registerDetect(r *framework.Registry) {
 					ang := math.Atan2(float64(gy), float64(gx)) + math.Pi
 					bin := int(ang/(2*math.Pi)*8) % 8
 					cell := (r/8)*cellsC + c/8
-					old, _ := t.At(cell, bin)
-					if err := t.Set(old+mag, cell, bin); err != nil {
+					hist[cell*8+bin] += mag
+					if err := t.Set(hist[cell*8+bin], cell, bin); err != nil {
 						return nil, err
 					}
 				}
@@ -228,6 +231,14 @@ func registerDetect(r *framework.Registry) {
 			if len(sa) != 2 || len(sb) != 2 || sa[1] != sb[1] {
 				return nil, fmt.Errorf("simcv: match wants NxD tensors, got %v vs %v", sa, sb)
 			}
+			va, err := a.Values()
+			if err != nil {
+				return nil, err
+			}
+			vb, err := b.Values()
+			if err != nil {
+				return nil, err
+			}
 			ctx.Charge(a.Size()+b.Size(), 8)
 			ctx.EmitMemOp()
 			// Nearest neighbour per row of a.
@@ -235,13 +246,15 @@ func registerDetect(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
+			dim := sa[1]
 			for i := 0; i < sa[0]; i++ {
+				row := va[i*dim : (i+1)*dim]
 				bestJ, bestD := 0, math.MaxFloat64
 				for j := 0; j < sb[0]; j++ {
+					other := vb[j*dim : (j+1)*dim]
 					d := 0.0
-					for k := 0; k < sa[1]; k++ {
-						x, _ := a.At(i, k)
-						y, _ := b.At(j, k)
+					for k, x := range row {
+						y := other[k]
 						d += (x - y) * (x - y)
 					}
 					if d < bestD {
@@ -273,22 +286,11 @@ func registerDetect(r *framework.Registry) {
 			if st.Len() < 4 {
 				return nil, errorString("simcv: kalman state needs [x y vx vy]")
 			}
-			x, err := st.AtFlat(0)
-			if err != nil {
+			var s [4]float64
+			if err := readFlat(st, 0, s[:]); err != nil {
 				return nil, err
 			}
-			y, err := st.AtFlat(1)
-			if err != nil {
-				return nil, err
-			}
-			vx, err := st.AtFlat(2)
-			if err != nil {
-				return nil, err
-			}
-			vy, err := st.AtFlat(3)
-			if err != nil {
-				return nil, err
-			}
+			x, y, vx, vy := s[0], s[1], s[2], s[3]
 			if err := st.SetFlat(0, x+vx); err != nil {
 				return nil, err
 			}
@@ -315,14 +317,11 @@ func registerDetect(r *framework.Registry) {
 				return nil, errorString("simcv: kalman state needs [x y vx vy]")
 			}
 			mx, my := args[1].Float, args[2].Float
-			x, err := st.AtFlat(0)
-			if err != nil {
+			var s [2]float64
+			if err := readFlat(st, 0, s[:]); err != nil {
 				return nil, err
 			}
-			y, err := st.AtFlat(1)
-			if err != nil {
-				return nil, err
-			}
+			x, y := s[0], s[1]
 			const gain = 0.5
 			nx, ny := x+gain*(mx-x), y+gain*(my-y)
 			// Every access error must surface: a faulted write means the state

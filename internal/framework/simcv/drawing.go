@@ -265,13 +265,15 @@ func registerDrawing(r *framework.Registry) {
 			if len(sh) != 2 || sh[1] < 4 {
 				return nil, errorString("simcv: drawContours wants Nx5 contour tensor")
 			}
+			boxes, err := t.Values()
+			if err != nil {
+				return nil, err
+			}
 			ctx.Charge(len(data), 1)
 			ctx.EmitMemOp()
 			for i := 0; i < sh[0]; i++ {
-				minR, _ := t.At(i, 0)
-				minC, _ := t.At(i, 1)
-				maxR, _ := t.At(i, 2)
-				maxC, _ := t.At(i, 3)
+				box := boxes[i*sh[1]:]
+				minR, minC, maxR, maxC := box[0], box[1], box[2], box[3]
 				for c := int(minC); c <= int(maxC); c++ {
 					setPix(m, data, int(minR), c, 255)
 					setPix(m, data, int(maxR), c, 255)

@@ -230,13 +230,13 @@ func registerFilter(r *framework.Registry) {
 			if kt.Len() != 9 {
 				return nil, needArgs("cv.filter2D kernel must be 3x3", args, 99)
 			}
+			var kv [9]float64
+			if err := readFlat(kt, 0, kv[:]); err != nil {
+				return nil, err
+			}
 			var k [9]int
 			div := 0
-			for i := range k {
-				v, err := kt.AtFlat(i)
-				if err != nil {
-					return nil, err
-				}
+			for i, v := range kv {
 				k[i] = int(v)
 				div += int(v)
 			}

@@ -110,12 +110,8 @@ func registerGeometry(r *framework.Registry) {
 				}
 				hm := make([]float64, 9)
 				hm[8] = 1
-				for i := 0; i < h.Len() && i < 9; i++ {
-					v, err := h.AtFlat(i)
-					if err != nil {
-						return nil, err
-					}
-					hm[i] = v
+				if err := readFlat(h, 0, hm[:min(h.Len(), 9)]); err != nil {
+					return nil, err
 				}
 				rows, cols, ch := m.Rows(), m.Cols(), m.Channels()
 				ctx.Charge(len(data), 4)
@@ -173,12 +169,15 @@ func registerGeometry(r *framework.Registry) {
 				if src.Len() < 4 || dst.Len() < 4 {
 					return nil, fmt.Errorf("simcv: %s needs >=2 points per quad", name)
 				}
-				sx0, _ := src.AtFlat(0)
-				sy0, _ := src.AtFlat(1)
-				dx0, _ := dst.AtFlat(0)
-				dy0, _ := dst.AtFlat(1)
-				sx1, _ := src.AtFlat(2)
-				dx1, _ := dst.AtFlat(2)
+				var s, d [3]float64
+				if err := readFlat(src, 0, s[:]); err != nil {
+					return nil, err
+				}
+				if err := readFlat(dst, 0, d[:]); err != nil {
+					return nil, err
+				}
+				sx0, sy0, sx1 := s[0], s[1], s[2]
+				dx0, dy0, dx1 := d[0], d[1], d[2]
 				scale := 1.0
 				if dx1 != dx0 {
 					scale = (sx1 - sx0) / (dx1 - dx0)
@@ -280,13 +279,16 @@ func registerGeometry(r *framework.Registry) {
 			if len(sh) != 3 || sh[0] != rows || sh[1] != cols || sh[2] != 2 {
 				return nil, fmt.Errorf("simcv: remap flow shape %v for %dx%d image", sh, rows, cols)
 			}
+			fv, err := flow.Values()
+			if err != nil {
+				return nil, err
+			}
 			ctx.Charge(len(data), 4)
 			ctx.EmitMemOp()
 			out := make([]byte, len(data))
 			for rr := 0; rr < rows; rr++ {
 				for cc := 0; cc < cols; cc++ {
-					fx, _ := flow.At(rr, cc, 0)
-					fy, _ := flow.At(rr, cc, 1)
+					fx, fy := fv[(rr*cols+cc)*2], fv[(rr*cols+cc)*2+1]
 					sr, sc := rr+int(fy), cc+int(fx)
 					for z := 0; z < ch; z++ {
 						out[(rr*cols+cc)*ch+z] = pix(data, rows, cols, ch, sr, sc, z)

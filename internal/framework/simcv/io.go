@@ -7,6 +7,7 @@ import (
 
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/kernel"
+	"freepart.dev/freepart/internal/object"
 )
 
 // Simulated CVE site assignment. Each id is placed at the API class the
@@ -53,8 +54,8 @@ func decodeFlow(b []byte) (rows, cols int, vals []float64, err error) {
 	}
 	rows = int(binary.BigEndian.Uint32(b[4:8]))
 	cols = int(binary.BigEndian.Uint32(b[8:12]))
-	n := rows * cols * 2
-	if rows <= 0 || cols <= 0 || len(b) != 12+8*n {
+	n, ok := object.ShapeSize((len(b)-12)/8, rows, cols, 2)
+	if !ok || len(b) != 12+8*n {
 		return 0, 0, nil, fmt.Errorf("simcv: corrupt flow file")
 	}
 	vals = make([]float64, n)
@@ -380,13 +381,9 @@ func registerIO(r *framework.Registry) {
 			if len(sh) != 3 || sh[2] != 2 {
 				return nil, fmt.Errorf("simcv: flow tensor must be rows x cols x 2, got %v", sh)
 			}
-			vals := make([]float64, t.Len())
-			for i := range vals {
-				v, err := t.AtFlat(i)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
+			vals, err := t.Values()
+			if err != nil {
+				return nil, err
 			}
 			enc, err := encodeFlow(sh[0], sh[1], vals)
 			if err != nil {

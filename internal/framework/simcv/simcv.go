@@ -45,7 +45,7 @@ func DecodeImage(b []byte) (rows, cols, channels int, data []byte, err error) {
 	cols = int(binary.BigEndian.Uint32(b[8:12]))
 	channels = int(binary.BigEndian.Uint32(b[12:16]))
 	data = b[16:]
-	if rows <= 0 || cols <= 0 || channels <= 0 || len(data) != rows*cols*channels {
+	if n, ok := object.ShapeSize(len(data), rows, cols, channels); !ok || n != len(data) {
 		return 0, 0, 0, nil, fmt.Errorf("simcv: corrupt image header %dx%dx%d with %d payload bytes", rows, cols, channels, len(data))
 	}
 	return rows, cols, channels, data, nil
@@ -80,6 +80,20 @@ func outMat(ctx *framework.Ctx, rows, cols, ch int, data []byte) (framework.Valu
 		return framework.Nil(), err
 	}
 	return framework.Obj(id), nil
+}
+
+// readFlat reads len(dst) consecutive elements of t, from flat index from
+// on, stopping at the first access error. Kernels that read a fixed handful
+// of elements use it; the rest read a whole operand with Values.
+func readFlat(t *object.Tensor, from int, dst []float64) error {
+	for i := range dst {
+		v, err := t.AtFlat(from + i)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
 }
 
 // needArgs validates the argument count.

@@ -493,8 +493,14 @@ func Registry() *framework.Registry {
 				loss += v * v
 			}
 			loss = math.Sqrt(loss) / float64(len(vals))
-			steps, _ := st.AtFlat(0)
-			prev, _ := st.AtFlat(1)
+			steps, err := st.AtFlat(0)
+			if err != nil {
+				return nil, err
+			}
+			prev, err := st.AtFlat(1)
+			if err != nil {
+				return nil, err
+			}
 			_ = st.SetFlat(0, steps+1)
 			_ = st.SetFlat(1, 0.9*prev+0.1*loss)
 			return []framework.Value{framework.Float64(loss)}, nil

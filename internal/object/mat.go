@@ -3,6 +3,7 @@ package object
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"freepart.dev/freepart/internal/mem"
 )
@@ -16,12 +17,17 @@ type Mat struct {
 	region               mem.Region
 }
 
-// NewMat allocates a zeroed rows×cols×channels image in space.
+// NewMat allocates a zeroed rows×cols×channels image in space. A shape
+// whose byte size does not fit in an int is out of memory.
 func NewMat(space *mem.AddressSpace, rows, cols, channels int) (*Mat, error) {
 	if rows <= 0 || cols <= 0 || channels <= 0 {
 		return nil, fmt.Errorf("object: invalid mat shape %dx%dx%d", rows, cols, channels)
 	}
-	r, err := space.Alloc(rows * cols * channels)
+	n, ok := ShapeSize(math.MaxInt, rows, cols, channels)
+	if !ok {
+		return nil, fmt.Errorf("%w: mat shape %dx%dx%d", mem.ErrOutOfMemory, rows, cols, channels)
+	}
+	r, err := space.Alloc(n)
 	if err != nil {
 		return nil, err
 	}
@@ -31,8 +37,8 @@ func NewMat(space *mem.AddressSpace, rows, cols, channels int) (*Mat, error) {
 // MatFromBytes allocates a mat and fills it with data (len must equal
 // rows*cols*channels).
 func MatFromBytes(space *mem.AddressSpace, rows, cols, channels int, data []byte) (*Mat, error) {
-	if len(data) != rows*cols*channels {
-		return nil, fmt.Errorf("object: mat data %d bytes, shape wants %d", len(data), rows*cols*channels)
+	if n, ok := ShapeSize(len(data), rows, cols, channels); !ok || n != len(data) {
+		return nil, fmt.Errorf("object: mat data %d bytes, shape %dx%dx%d", len(data), rows, cols, channels)
 	}
 	m, err := NewMat(space, rows, cols, channels)
 	if err != nil {

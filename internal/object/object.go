@@ -54,6 +54,22 @@ type Object interface {
 	Header() []byte
 }
 
+// ShapeSize returns the product of dims if every dimension is positive and
+// the product is at most limit. Each dimension is checked against what is
+// left of limit before it is multiplied in, so a shape whose product would
+// overflow an int is refused instead of wrapping to a small count. Decoders
+// bound a shape by the payload bytes they hold, allocators by math.MaxInt.
+func ShapeSize(limit int, dims ...int) (int, bool) {
+	p := 1
+	for _, d := range dims {
+		if d <= 0 || d > limit/p {
+			return 0, false
+		}
+		p *= d
+	}
+	return p, true
+}
+
 // PayloadBytes loads an object's full payload from its space. It fails with
 // a mem.Fault if the region is protected against reads.
 func PayloadBytes(o Object) ([]byte, error) {
@@ -62,14 +78,19 @@ func PayloadBytes(o Object) ([]byte, error) {
 }
 
 // ContentHash hashes the object's payload (used in Refs so stale lazy
-// copies are detectable).
+// copies are detectable). It loads the payload a page at a time into a
+// stack buffer, so hashing copies nothing to the heap.
 func ContentHash(o Object) (uint64, error) {
-	b, err := PayloadBytes(o)
-	if err != nil {
-		return 0, err
-	}
+	r, space := o.Region(), o.Space()
 	h := fnv.New64a()
-	_, _ = h.Write(b)
+	var page [mem.PageSize]byte
+	for off := 0; off < r.Size; off += len(page) {
+		chunk := page[:min(len(page), r.Size-off)]
+		if err := space.LoadAt(r.Base+mem.Addr(off), chunk); err != nil {
+			return 0, err
+		}
+		_, _ = h.Write(chunk)
+	}
 	return h.Sum64(), nil
 }
 

@@ -2,6 +2,8 @@ package object
 
 import (
 	"bytes"
+	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -400,5 +402,62 @@ func TestContentHashBlockedByPermNone(t *testing.T) {
 	_, _ = s.ProtectRegion(m.Region(), mem.PermNone)
 	if _, err := ContentHash(m); err == nil {
 		t.Fatal("hash of unreadable object should fault")
+	}
+}
+
+// TestReadPathAllocs pins the allocations of the mediated read path: an
+// element read and a content hash copy nothing to the heap, and Values
+// allocates only its result.
+func TestReadPathAllocs(t *testing.T) {
+	s := mem.NewSpace()
+	ten, err := NewTensor(s, 3*mem.PageSize/8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+		read func() error
+	}{
+		{"Tensor.AtFlat", 0, func() error { _, err := ten.AtFlat(5); return err }},
+		{"ContentHash of 3 pages", 0, func() error { _, err := ContentHash(ten); return err }},
+		{"Tensor.Values", 1, func() error { _, err := ten.Values(); return err }},
+	} {
+		if err := c.read(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = c.read() }); got != c.want {
+			t.Errorf("%s: %v allocs, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestBulkReadsSpanPages: Values and ContentHash load a payload a page at
+// a time. On a tensor that ends part-way into its fourth page they must see
+// every byte a whole-payload load sees.
+func TestBulkReadsSpanPages(t *testing.T) {
+	s := mem.NewSpace()
+	ten, err := NewTensor(s, 3*mem.PageSize/8+5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, ten.Len())
+	for i := range want {
+		want[i] = float64(i)*0.5 - 7
+	}
+	if err := ten.SetValues(want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ten.Values(); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("Values differs from the stored elements (err %v)", err)
+	}
+	raw, err := PayloadBytes(ten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	_, _ = h.Write(raw)
+	if sum, err := ContentHash(ten); err != nil || sum != h.Sum64() {
+		t.Fatalf("ContentHash = %x, %v; want %x", sum, err, h.Sum64())
 	}
 }

@@ -170,12 +170,16 @@ func Rebuild(space *mem.AddressSpace, ref Ref, payload []byte) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		nt, err := NewTensor(space, shape...)
+		n, err := tensorLen(shape)
 		if err != nil {
 			return nil, err
 		}
-		if len(payload) != nt.Size() {
-			return nil, fmt.Errorf("object: tensor payload %d bytes, want %d", len(payload), nt.Size())
+		if len(payload) != n*8 {
+			return nil, fmt.Errorf("object: tensor payload %d bytes, want %d", len(payload), n*8)
+		}
+		nt, err := NewTensor(space, shape...)
+		if err != nil {
+			return nil, err
 		}
 		if err := space.Store(nt.Region().Base, payload); err != nil {
 			return nil, err

@@ -19,15 +19,9 @@ type Tensor struct {
 
 // NewTensor allocates a zeroed tensor with the given shape.
 func NewTensor(space *mem.AddressSpace, shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			return nil, fmt.Errorf("object: invalid tensor dim %d in %v", d, shape)
-		}
-		n *= d
-	}
-	if len(shape) == 0 {
-		return nil, fmt.Errorf("object: tensor needs at least one dimension")
+	n, err := tensorLen(shape)
+	if err != nil {
+		return nil, err
 	}
 	r, err := space.Alloc(n * 8)
 	if err != nil {
@@ -48,6 +42,25 @@ func TensorFromValues(space *mem.AddressSpace, vals []float64) (*Tensor, error) 
 		}
 	}
 	return t, nil
+}
+
+// tensorLen returns the element count of shape. A shape whose byte size
+// does not fit in an int is out of memory, rather than wrapping to a small
+// count.
+func tensorLen(shape []int) (int, error) {
+	if len(shape) == 0 {
+		return 0, fmt.Errorf("object: tensor needs at least one dimension")
+	}
+	for _, d := range shape {
+		if d <= 0 {
+			return 0, fmt.Errorf("object: invalid tensor dim %d in %v", d, shape)
+		}
+	}
+	n, ok := ShapeSize(math.MaxInt/8, shape...)
+	if !ok {
+		return 0, fmt.Errorf("%w: tensor shape %v", mem.ErrOutOfMemory, shape)
+	}
+	return n, nil
 }
 
 // Kind implements Object.
@@ -124,16 +137,17 @@ func (t *Tensor) At(idx ...int) (float64, error) {
 	return t.AtFlat(flat)
 }
 
-// AtFlat reads the i-th element in row-major order.
+// AtFlat reads the i-th element in row-major order. It allocates nothing;
+// a kernel that reads every element should call Values once instead.
 func (t *Tensor) AtFlat(i int) (float64, error) {
 	if i < 0 || i >= t.Len() {
 		return 0, fmt.Errorf("object: flat index %d out of %d", i, t.Len())
 	}
-	b, err := t.space.Load(t.region.Base+mem.Addr(i*8), 8)
-	if err != nil {
+	var b [8]byte
+	if err := t.space.LoadAt(t.region.Base+mem.Addr(i*8), b[:]); err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
+	return math.Float64frombits(binary.BigEndian.Uint64(b[:])), nil
 }
 
 // Set writes an element through the MMU.
@@ -155,16 +169,21 @@ func (t *Tensor) SetFlat(i int, v float64) error {
 	return t.space.Store(t.region.Base+mem.Addr(i*8), b[:])
 }
 
-// Values bulk-loads every element (one permission-checked read of the
-// whole payload instead of per-element loads).
+// Values bulk-loads every element with one permission-checked load per
+// page instead of one per element. Each page is loaded into a stack buffer
+// and decoded straight into the result, the only allocation.
 func (t *Tensor) Values() ([]float64, error) {
-	raw, err := PayloadBytes(t)
-	if err != nil {
-		return nil, err
-	}
 	vals := make([]float64, t.Len())
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[i*8:]))
+	var page [mem.PageSize]byte
+	for off := 0; off < len(vals)*8; off += len(page) {
+		chunk := page[:min(len(page), len(vals)*8-off)]
+		if err := t.space.LoadAt(t.region.Base+mem.Addr(off), chunk); err != nil {
+			return nil, err
+		}
+		dst := vals[off/8:]
+		for i := range len(chunk) / 8 {
+			dst[i] = math.Float64frombits(binary.BigEndian.Uint64(chunk[i*8:]))
+		}
 	}
 	return vals, nil
 }
