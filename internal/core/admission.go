@@ -71,7 +71,7 @@ func ErrClass(err error) string {
 // state that changes only at reconcile barriers so per-shard admission
 // outcomes replay deterministically. A gated request is as pure as a
 // shed one: no clock advance, no checkpoint, no chaos draw. Nil (the
-// default) keeps the pre-defense admission path untouched.
+// default) refuses nothing.
 type AdmissionGate func(tenant, session int) error
 
 // SetAdmissionGate installs (or, with nil, removes) the admission gate.
@@ -81,17 +81,9 @@ func (e *Executor) SetAdmissionGate(g AdmissionGate) {
 	e.gate = g
 }
 
-// admissionGate reads the installed gate.
-func (e *Executor) admissionGate() AdmissionGate {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.gate
-}
-
 // AdmissionPolicy bounds what a shard will queue. The zero value disables
 // overload control entirely: the admission path is then bit-identical to
-// the unbounded serving layer (the pre-overload behaviour), which the
-// zero-cost guard test pins down.
+// the unbounded serving layer, which the zero-cost guard test pins down.
 type AdmissionPolicy struct {
 	// QueueLimit caps how many earlier requests may still be in the system
 	// (in service or queued on the virtual timeline) when a request
@@ -113,18 +105,11 @@ type AdmissionPolicy struct {
 func (p AdmissionPolicy) active() bool { return p.QueueLimit > 0 || p.Deadline > 0 }
 
 // SetAdmission installs the overload-control policy. Install it before
-// serving; the zero policy keeps the legacy unbounded path.
+// serving; the zero policy keeps the unbounded path.
 func (e *Executor) SetAdmission(p AdmissionPolicy) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.admit = p
-}
-
-// admission reads the installed policy.
-func (e *Executor) admission() AdmissionPolicy {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.admit
 }
 
 // maxEndsRetained bounds the per-shard completion ring backing the queue
@@ -176,38 +161,32 @@ func (e *Executor) shedLocked(sh *Shard, s *Session, arrival, now vclock.Duratio
 	return false, nil
 }
 
-// recordShed logs one overload decision in the failover event log and bumps
-// the overload counters — event, metrics, and per-slot/per-tenant load
-// signals all mutate inside one e.mu critical section, so an
-// EventsAndMetrics snapshot can never show a rejection the log doesn't
-// explain (the PR-5 consistency convention). Stamped at `at`: the arrival
-// for rejects, the dequeue clock for deadline sheds — both pure functions
-// of the shard's admitted work, so per-shard event subsequences replay
-// byte-equal.
+// recordShed logs one admission refusal — a reject, a deadline shed or a
+// quarantine — and folds it into the per-slot and per-tenant load signals
+// inside the same e.mu critical section as the event and its counter.
+// Stamped at `at`: the arrival for rejects and quarantines, the dequeue
+// clock for deadline sheds — both pure functions of the shard's admitted
+// work, so per-shard event subsequences replay byte-equal.
 func (e *Executor) recordShed(sh *Shard, s *Session, kind string, at vclock.Duration, detail string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.events = append(e.events, FailoverEvent{At: at, Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail})
+	e.recordLocked(sh, at, kind, detail)
 	l := e.loads[sh.ID]
 	if l == nil {
 		l = &shardLoad{}
 		e.loads[sh.ID] = l
 	}
 	t := e.tenantLoadLocked(s.Tenant, s.Weight)
+	// A quarantine is deliberately refused traffic: it stays out of the
+	// rejected/shed load signals, so the control plane never grows the
+	// pool to serve a quarantined attacker.
 	switch kind {
 	case "reject":
-		e.met.AddRejected(s.Tenant)
 		l.rejected++
 		t.rejected++
 	case "shed":
-		e.met.AddDeadlineShed(s.Tenant)
 		l.shed++
 		t.shed++
-	case "quarantine":
-		// Deliberately refused traffic: counted, but not into the
-		// rejected/shed load signals — the control plane must not grow
-		// the pool to serve a quarantined attacker.
-		e.met.AddQuarantined(s.Tenant)
 	}
 }
 

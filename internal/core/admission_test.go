@@ -3,11 +3,13 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/ipc"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -186,11 +188,6 @@ func TestTenantLoads(t *testing.T) {
 	if loads[1].Rejected != 1 || loads[1].Served != 0 {
 		t.Fatalf("tenant 2 load = %+v, want rejected 1 served 0", loads[1])
 	}
-	// The metrics tenant cells fold both shed classes into one counter.
-	m := ex.Metrics().Snapshot()
-	if m.Tenants[1].Served != 1 || m.Tenants[2].Shed != 1 {
-		t.Fatalf("tenant counters = %+v", m.Tenants)
-	}
 }
 
 // TestErrClassTaxonomy pins the class names the per-class summaries print —
@@ -214,5 +211,150 @@ func TestErrClassTaxonomy(t *testing.T) {
 		if got := core.ErrClass(c.err); got != c.want {
 			t.Errorf("ErrClass(%v) = %q, want %q", c.err, got, c.want)
 		}
+	}
+}
+
+// admissionOutcome is everything an admission path leaves behind on an
+// executor: what DoBatch must share with a sequence of DoAt calls.
+type admissionOutcome struct {
+	Errs    []string
+	Lat     []vclock.Duration
+	Queue   []vclock.Duration
+	Events  []core.FailoverEvent
+	Clocks  []vclock.Duration
+	Metrics metrics.Snapshot
+}
+
+// sortedSamples reads a distribution's samples in ascending order through
+// its nearest-rank percentiles.
+func sortedSamples(l *vclock.Latencies) []vclock.Duration {
+	n := l.Len()
+	out := make([]vclock.Duration, n)
+	for i := range out {
+		out[i] = l.Percentile(100 * (float64(i) + 0.5) / float64(n))
+	}
+	return out
+}
+
+// noRebuildOfSlot0 returns a direct-shard factory whose slot 0 cannot be
+// built a second time: its replacement always fails.
+func noRebuildOfSlot0() core.ShardFactory {
+	direct := core.DirectShards(all.Registry())
+	built := false
+	return func(id int) (*core.Shard, error) {
+		if id == 0 {
+			if built {
+				return nil, errors.New("no spare machine")
+			}
+			built = true
+		}
+		return direct(id)
+	}
+}
+
+// TestDoBatchMatchesDoAt pins DoBatch to DoAt's admission path: the same
+// entries run as one batch on one executor, and through DoAt one after
+// another on a twin, leave equal per-entry errors, latency and queue-wait
+// samples, event logs, shard clocks and metrics — apart from the batch
+// counters. Each row is a decision the batch path once made on its own.
+func TestDoBatchMatchesDoAt(t *testing.T) {
+	slowOn0 := func(sh *core.Shard) error {
+		if sh.ID == 0 {
+			sh.K.Clock.Advance(10 * ms)
+		} else {
+			sh.K.Clock.Advance(ms / 2)
+		}
+		return nil
+	}
+	type entry struct {
+		session int // sessions open round-robin: session i is on slot i
+		arrival vclock.Duration
+		job     func(*core.Shard) error
+	}
+	rows := []struct {
+		name    string
+		factory func() core.ShardFactory
+		setup   func(*core.Executor)
+		entries []entry
+		check   func(t *testing.T, got admissionOutcome)
+	}{
+		{
+			// A stamped entry whose primary overruns the delay hedges.
+			name:    "hedge",
+			factory: func() core.ShardFactory { return core.DirectShards(all.Registry()) },
+			setup:   func(ex *core.Executor) { ex.SetHedge(core.HedgePolicy{Delay: ms}) },
+			entries: []entry{{0, 0, slowOn0}, {1, 0, advance(ms / 2)}},
+			check: func(t *testing.T, got admissionOutcome) {
+				if m := got.Metrics; m.Hedges != 1 || m.HedgeWins != 1 {
+					t.Fatalf("hedges/wins = %d/%d, want 1/1", m.Hedges, m.HedgeWins)
+				}
+			},
+		},
+		{
+			// Slot 0's replacement cannot be built: its entries fail, and
+			// the entry pinned to healthy slot 1 still runs.
+			name:    "failed replacement",
+			factory: noRebuildOfSlot0,
+			setup:   func(ex *core.Executor) { ex.KillShard(0, "test") },
+			entries: []entry{{0, 0, advance(ms)}, {1, 0, advance(ms)}, {0, ms, advance(ms)}},
+			check: func(t *testing.T, got admissionOutcome) {
+				if got.Errs[0] == "<nil>" || got.Errs[1] != "<nil>" || got.Errs[2] == "<nil>" {
+					t.Fatalf("errors = %q, want slot 0's entries failed and slot 1's served", got.Errs)
+				}
+				if got.Clocks[1] != ms {
+					t.Fatalf("slot 1 clock = %v, want its job's %v", got.Clocks[1], ms)
+				}
+			},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			run := func(batched bool) admissionOutcome {
+				ex, err := core.NewExecutor(2, row.factory())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(ex.Close)
+				sessions := []*core.Session{ex.Session(), ex.Session()}
+				for i := 0; i < ex.Shards(); i++ {
+					ex.Shard(i).K.Clock.Reset()
+				}
+				row.setup(ex)
+				errs := make([]error, len(row.entries))
+				if batched {
+					batch := make([]core.BatchEntry, len(row.entries))
+					for i, en := range row.entries {
+						batch[i] = core.BatchEntry{Session: sessions[en.session], Arrival: en.arrival, Job: en.job}
+					}
+					errs = ex.DoBatch(batch)
+				} else {
+					for i, en := range row.entries {
+						errs[i] = sessions[en.session].DoAt(en.arrival, en.job)
+					}
+				}
+				out := admissionOutcome{
+					Lat:     sortedSamples(ex.Latencies()),
+					Queue:   sortedSamples(ex.QueueWaits()),
+					Events:  ex.FailoverEvents(),
+					Metrics: ex.Metrics().Snapshot(),
+				}
+				for _, err := range errs {
+					out.Errs = append(out.Errs, fmt.Sprint(err))
+				}
+				for i := 0; i < ex.Shards(); i++ {
+					out.Clocks = append(out.Clocks, ex.Shard(i).Clock().Now())
+				}
+				return out
+			}
+			seq, batched := run(false), run(true)
+			row.check(t, seq)
+			if m := batched.Metrics; m.BatchedAdmissions != 1 || m.BatchedRequests != uint64(len(row.entries)) {
+				t.Fatalf("batch counters = %d/%d, want 1/%d", m.BatchedAdmissions, m.BatchedRequests, len(row.entries))
+			}
+			batched.Metrics.BatchedAdmissions, batched.Metrics.BatchedRequests = 0, 0
+			if !reflect.DeepEqual(batched, seq) {
+				t.Fatalf("DoBatch left\n%+v\nDoAt left\n%+v", batched, seq)
+			}
+		})
 	}
 }

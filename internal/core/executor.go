@@ -190,40 +190,19 @@ func ProtectedShards(reg *framework.Registry, cat *analysis.Categorization, cfg 
 		if c.Chaos != nil && !(id == 0 && rootEngineUsed.CompareAndSwap(false, true)) {
 			c.Chaos = chaos.New(c.Chaos.Plan().ForShard(id))
 		}
-		k := kernel.New()
-		rt, err := New(k, reg, cat, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", id, err)
-		}
-		return &Shard{ID: id, K: k, Ex: rt, Rt: rt}, nil
+		return protectedShard(id, reg, cat, c)
 	}
 }
 
 // ChaosShards returns a protected-shard factory with an explicit per-shard,
 // per-generation chaos plan — the hook tests use to force exactly one shard
-// into a crash loop while the others see background-intensity faults. The
-// factory counts how many times each id was built, so planOf sees gen 0 for
+// into a crash loop while the others see background-intensity faults. It is
+// DynamicShards over the fixed configuration cfg, so planOf sees gen 0 for
 // the original shard and gen n for the n-th replacement: a crash-looping
 // machine can be modeled as replaced by a healthy one, which is what breaks
-// the crash→drain→crash cycle. Build order per id is deterministic, so the
-// gen sequence replays exactly.
+// the crash→drain→crash cycle.
 func ChaosShards(reg *framework.Registry, cat *analysis.Categorization, cfg Config, planOf func(id, gen int) chaos.Plan) ShardFactory {
-	var mu sync.Mutex
-	gens := make(map[int]int)
-	return func(id int) (*Shard, error) {
-		mu.Lock()
-		gen := gens[id]
-		gens[id]++
-		mu.Unlock()
-		c := cfg
-		c.Chaos = chaos.New(planOf(id, gen))
-		k := kernel.New()
-		rt, err := New(k, reg, cat, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", id, err)
-		}
-		return &Shard{ID: id, K: k, Ex: rt, Rt: rt}, nil
-	}
+	return DynamicShards(reg, cat, func() Config { return cfg }, planOf)
 }
 
 // DynamicShards returns a protected-shard factory whose configuration is
@@ -232,11 +211,13 @@ func ChaosShards(reg *framework.Registry, cat *analysis.Categorization, cfg Conf
 // the failover machinery comes back under whatever configuration — in
 // particular, whatever isolation policy — is current at respawn time.
 // This is the re-bind hook the adaptive defense controller escalates and
-// anneals through (RebindShard). planOf, when non-nil, supplies per-shard
-// per-generation chaos plans exactly as ChaosShards does. With a cfgOf
-// that always returns the same configuration and a nil planOf, the
-// factory builds byte-identical shards to ProtectedShards over that
-// configuration — the defense zero-cost guard pins this down.
+// anneals through (RebindShard). planOf, when non-nil, supplies the chaos
+// plan of each shard id and generation: the factory counts how many times
+// each id was built, and build order per id is deterministic, so the gen
+// sequence replays exactly. With a cfgOf that always returns the same
+// configuration and a nil planOf, the factory builds byte-identical shards
+// to ProtectedShards over that configuration — the defense zero-cost guard
+// pins this down.
 func DynamicShards(reg *framework.Registry, cat *analysis.Categorization, cfgOf func() Config, planOf func(id, gen int) chaos.Plan) ShardFactory {
 	var mu sync.Mutex
 	gens := make(map[int]int)
@@ -249,13 +230,19 @@ func DynamicShards(reg *framework.Registry, cat *analysis.Categorization, cfgOf 
 		if planOf != nil {
 			c.Chaos = chaos.New(planOf(id, gen))
 		}
-		k := kernel.New()
-		rt, err := New(k, reg, cat, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", id, err)
-		}
-		return &Shard{ID: id, K: k, Ex: rt, Rt: rt}, nil
+		return protectedShard(id, reg, cat, c)
 	}
+}
+
+// protectedShard boots shard id: a fresh kernel running a full runtime
+// configured by cfg.
+func protectedShard(id int, reg *framework.Registry, cat *analysis.Categorization, cfg Config) (*Shard, error) {
+	k := kernel.New()
+	rt, err := New(k, reg, cat, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: shard %d: %w", id, err)
+	}
+	return &Shard{ID: id, K: k, Ex: rt, Rt: rt}, nil
 }
 
 // DirectShards returns a factory producing unprotected shards: each shard
@@ -457,13 +444,13 @@ func NewExecutor(n int, factory ShardFactory) (*Executor, error) {
 		grays:    make(map[int]*grayState),
 	}
 	for i := 0; i < n; i++ {
-		sh, err := factory(i)
+		// No hook is installed yet, and a shard built at time zero joins
+		// the timeline at its own boot cost: provisioning is the factory
+		// call and the shared checkpoint log.
+		sh, err := e.provision(i, 0, 0, 0)
 		if err != nil {
 			e.Close()
 			return nil, err
-		}
-		if sh.Rt != nil {
-			sh.Rt.SetCheckpointLog(e.ckpt)
 		}
 		e.shards = append(e.shards, sh)
 	}
@@ -596,39 +583,21 @@ func (e *Executor) RebindShard(id int, reason string) error {
 	return e.failover(sh)
 }
 
-// applyScheduledKill fires a pending scheduled kill once the shard clock
-// has reached it. Caller holds sh.mu.
-func (e *Executor) applyScheduledKill(sh *Shard) {
-	e.mu.Lock()
-	at, ok := e.killAt[sh.ID]
-	e.mu.Unlock()
-	if !ok || sh.Failed() || sh.K.Clock.Now() < at {
-		return
-	}
-	e.mu.Lock()
-	delete(e.killAt, sh.ID)
-	e.mu.Unlock()
-	e.killShardLocked(sh, fmt.Sprintf("scheduled kill at %v", at))
-}
-
-// healthPolicy reads the installed policy.
-func (e *Executor) healthPolicy() HealthPolicy {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.policy
-}
-
-// recordEvent appends to the failover log, stamped on the subject shard's
-// clock, and bumps the matching metrics counter inside the same critical
-// section. Counter and log mutate atomically with respect to
-// EventsAndMetrics, so a snapshot taken mid-migration can never show a
-// count the paired log doesn't explain (or vice versa).
+// recordEvent logs kind on sh, stamped at the shard clock's current time.
 func (e *Executor) recordEvent(sh *Shard, kind, detail string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.events = append(e.events, FailoverEvent{
-		At: sh.K.Clock.Now(), Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail,
-	})
+	e.recordLocked(sh, sh.K.Clock.Now(), kind, detail)
+}
+
+// recordLocked is the one writer of the control event log: it appends an
+// event stamped at `at` on sh's incarnation and bumps the kind's metrics
+// counter in the same critical section. Counter and log mutate atomically
+// with respect to EventsAndMetrics, so a snapshot taken mid-migration can
+// never show a count the paired log doesn't explain (or vice versa).
+// Caller holds e.mu.
+func (e *Executor) recordLocked(sh *Shard, at vclock.Duration, kind, detail string) {
+	e.events = append(e.events, FailoverEvent{At: at, Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail})
 	switch kind {
 	case "drain":
 		e.met.AddShardDrain()
@@ -650,6 +619,14 @@ func (e *Executor) recordEvent(sh *Shard, kind, detail string) {
 		e.met.AddHedgeWin()
 	case "hedge-cancel":
 		e.met.AddHedgeCancel()
+	case "reject":
+		e.met.AddRejected()
+	case "shed":
+		e.met.AddDeadlineShed()
+	case "quarantine":
+		e.met.AddQuarantined()
+	case "gray-drain":
+		e.met.AddGrayDrain()
 	}
 }
 
@@ -925,11 +902,11 @@ func isCrashClass(err error, sh *Shard) bool {
 }
 
 // failover drains a lost shard: it waits for in-flight work to finish,
-// builds a replacement via the factory, advances the replacement onto the
-// run's virtual timeline, reprovisions it (OnReplace), swaps it in, and
-// migrates every pinned session — materializing each session's checkpointed
-// stateful-API state from the portable log into the replacement's agents.
-// Idempotent: concurrent observers of one dead shard perform one failover.
+// provisions a replacement that boots from the dead shard's virtual time,
+// swaps it in, and migrates every pinned session — materializing each
+// session's checkpointed stateful-API state from the portable log into the
+// replacement's agents. Idempotent: concurrent observers of one dead shard
+// perform one failover.
 func (e *Executor) failover(old *Shard) error {
 	e.failMu.Lock()
 	defer e.failMu.Unlock()
@@ -948,30 +925,14 @@ func (e *Executor) failover(old *Shard) error {
 
 	e.recordEvent(old, "drain", old.FailReason())
 
-	repl, err := e.factory(old.ID)
-	if err != nil {
+	repl, err := e.provision(old.ID, old.Gen+1, old.JoinedAt, old.K.Clock.Now())
+	if repl == nil {
 		e.recordEvent(old, "replace-failed", err.Error())
 		return fmt.Errorf("core: shard %d lost and replacement failed: %w", old.ID, err)
 	}
-	repl.Gen = old.Gen + 1
-	repl.JoinedAt = old.JoinedAt
-	// The replacement joins the run's timeline: available at the dead
-	// shard's virtual time plus its own boot cost (its clock accumulated
-	// boot work starting from zero).
-	boot := repl.K.Clock.Now()
-	repl.K.Clock.Observe(old.K.Clock.Now())
-	repl.K.Clock.Advance(boot)
-	if repl.Rt != nil {
-		repl.Rt.SetCheckpointLog(e.ckpt)
-	}
-	e.mu.Lock()
-	onReplace := e.onReplace
-	e.mu.Unlock()
-	if onReplace != nil {
-		if perr := onReplace(repl); perr != nil {
-			e.recordEvent(repl, "replace-failed", perr.Error())
-			return fmt.Errorf("core: shard %d replacement provisioning: %w", old.ID, perr)
-		}
+	if err != nil {
+		e.recordEvent(repl, "replace-failed", err.Error())
+		return fmt.Errorf("core: shard %d replacement provisioning: %w", old.ID, err)
 	}
 
 	e.mu.Lock()
@@ -982,20 +943,47 @@ func (e *Executor) failover(old *Shard) error {
 	e.recordEvent(repl, "replace", fmt.Sprintf("gen %d", repl.Gen))
 
 	for _, s := range sessions {
-		if !s.pinnedTo(old) {
-			continue
+		if s.pinnedTo(old) {
+			e.move(s, repl, 0, "migrate", fmt.Sprintf("session %d", s.ID))
 		}
-		if merr := s.migrate(repl); merr != nil {
-			e.recordEvent(repl, "migrate-failed", fmt.Sprintf("session %d: %v", s.ID, merr))
-			continue
-		}
-		e.recordEvent(repl, "migrate", fmt.Sprintf("session %d", s.ID))
 	}
 
 	if old.Rt != nil {
 		old.Rt.Close()
 	}
 	return nil
+}
+
+// provision builds incarnation gen of slot id through the retained factory
+// and readies it to serve: the shard joins the run's timeline at `at` plus
+// its own boot cost (the factory left its clock at the boot cost, so a
+// shard started at `at` finishes booting at at + boot), records joined as
+// its slot's JoinedAt, shares the checkpoint log, and passes the OnReplace
+// hook. A nil shard means the factory failed; a shard returned with an
+// error failed its hook and has been closed. Failover replacements, grown
+// shards and the shards built at construction all come from here.
+func (e *Executor) provision(id, gen int, joined, at vclock.Duration) (*Shard, error) {
+	sh, err := e.factory(id)
+	if err != nil {
+		return nil, err
+	}
+	sh.Gen, sh.JoinedAt = gen, joined
+	sh.K.Clock.Observe(at + sh.K.Clock.Now())
+	if sh.Rt != nil {
+		sh.Rt.SetCheckpointLog(e.ckpt)
+	}
+	e.mu.Lock()
+	onReplace := e.onReplace
+	e.mu.Unlock()
+	if onReplace != nil {
+		if err := onReplace(sh); err != nil {
+			if sh.Rt != nil {
+				sh.Rt.Close()
+			}
+			return sh, err
+		}
+	}
+	return sh, nil
 }
 
 // Grow appends one shard to the pool at virtual time `at` (the scale-up
@@ -1008,30 +996,13 @@ func (e *Executor) failover(old *Shard) error {
 func (e *Executor) Grow(at vclock.Duration) (*Shard, error) {
 	e.failMu.Lock()
 	defer e.failMu.Unlock()
-	e.mu.Lock()
-	id := len(e.shards)
-	onReplace := e.onReplace
-	e.mu.Unlock()
-
-	sh, err := e.factory(id)
-	if err != nil {
+	id := e.Shards()
+	sh, err := e.provision(id, 0, at, at)
+	if sh == nil {
 		return nil, fmt.Errorf("core: grow shard %d: %w", id, err)
 	}
-	// The factory left the shard's clock at its boot cost; the shard
-	// starts booting at `at`, so it joins the timeline at at + boot.
-	boot := sh.K.Clock.Now()
-	sh.K.Clock.Observe(at + boot)
-	sh.JoinedAt = at
-	if sh.Rt != nil {
-		sh.Rt.SetCheckpointLog(e.ckpt)
-	}
-	if onReplace != nil {
-		if perr := onReplace(sh); perr != nil {
-			if sh.Rt != nil {
-				sh.Rt.Close()
-			}
-			return nil, fmt.Errorf("core: grow shard %d provisioning: %w", id, perr)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("core: grow shard %d provisioning: %w", id, err)
 	}
 	e.mu.Lock()
 	e.shards = append(e.shards, sh)
@@ -1040,6 +1011,21 @@ func (e *Executor) Grow(at vclock.Duration) (*Shard, error) {
 	e.sem.setCap(n)
 	e.recordEvent(sh, "grow", fmt.Sprintf("pool %d", n))
 	return sh, nil
+}
+
+// move migrates session s to shard to, charging extra virtual transfer
+// time on to's clock first, and logs the move as kind with detail — or as
+// "migrate-failed" with the error when bound state could not be restored
+// (the session moves either way). Failover, shrink and rebalance all move
+// sessions through here. The caller quiesces the source shard.
+func (e *Executor) move(s *Session, to *Shard, extra vclock.Duration, kind, detail string) error {
+	to.K.Clock.Advance(extra)
+	if err := s.migrate(to); err != nil {
+		e.recordEvent(to, "migrate-failed", fmt.Sprintf("session %d: %v", s.ID, err))
+		return err
+	}
+	e.recordEvent(to, kind, detail)
+	return nil
 }
 
 // MigrationPlan is a control-plane decision about where one session moves
@@ -1101,13 +1087,7 @@ func (e *Executor) Shrink(plan func(session int, pool []PlacementInfo) Migration
 		if p.Dest < 0 || p.Dest >= n {
 			p = leastPinnedPlan(s.ID, pool)
 		}
-		dest := e.Shard(p.Dest)
-		dest.K.Clock.Advance(p.Extra)
-		if merr := s.migrate(dest); merr != nil {
-			e.recordEvent(dest, "migrate-failed", fmt.Sprintf("session %d: %v", s.ID, merr))
-			continue
-		}
-		e.recordEvent(dest, "migrate", fmt.Sprintf("session %d off shard %d", s.ID, victim.ID))
+		e.move(s, e.Shard(p.Dest), p.Extra, "migrate", fmt.Sprintf("session %d off shard %d", s.ID, victim.ID))
 	}
 
 	victim.fail("scaled in")
@@ -1164,13 +1144,7 @@ func (e *Executor) MigrateSession(session, dest int, extra vclock.Duration) erro
 	if !s.pinnedTo(from) {
 		return nil // moved or finished while we waited
 	}
-	d.K.Clock.Advance(extra)
-	if merr := s.migrate(d); merr != nil {
-		e.recordEvent(d, "migrate-failed", fmt.Sprintf("session %d: %v", s.ID, merr))
-		return merr
-	}
-	e.recordEvent(d, "rebalance", fmt.Sprintf("session %d from shard %d", s.ID, from.ID))
-	return nil
+	return e.move(s, d, extra, "rebalance", fmt.Sprintf("session %d from shard %d", s.ID, from.ID))
 }
 
 // noteWait folds one admitted invocation's wait into the per-slot and
@@ -1192,7 +1166,6 @@ func (e *Executor) noteWait(id int, s *Session, wait vclock.Duration, failed boo
 	t.waits++
 	if !failed {
 		t.served++
-		e.met.AddTenantServed(s.Tenant)
 	}
 }
 
@@ -1460,8 +1433,7 @@ func (s *Session) Do(job func(sh *Shard) error) error {
 // and the wait alone is recorded in the executor's queue distribution.
 //
 // A negative arrival means "arrived now": the stamp is taken when the shard
-// first admits the invocation, yielding zero queueing delay (the pre-PR-3
-// behaviour).
+// first admits the invocation, yielding zero queueing delay.
 //
 // If the shard was lost (killed, or drained by the health policy), the
 // session fails over — drain, replace, migrate — and the invocation runs on
@@ -1472,13 +1444,22 @@ func (s *Session) Do(job func(sh *Shard) error) error {
 func (s *Session) DoAt(arrival vclock.Duration, job func(sh *Shard) error) error {
 	s.ex.sem.acquire()
 	defer s.ex.sem.release()
+	return s.do(arrival, job)
+}
 
-	// A negative arrival is a closed-loop request: its stamp resolves at
-	// first admission and carries no client-side deadline, even across
-	// failover retries. Only stamped requests hedge — the same idempotence
-	// rule deadline shedding applies.
+// do runs one invocation through the admission path DoAt and DoBatch
+// share: hedged when a hedge policy is installed and the request is
+// stamped, on the session's pinned shard alone otherwise. A negative
+// arrival is a closed-loop request: its stamp resolves at first admission
+// and carries no client-side deadline, even across failover retries. Only
+// stamped requests hedge — the same idempotence rule deadline shedding
+// applies. Caller holds a worker-pool slot.
+func (s *Session) do(arrival vclock.Duration, job func(sh *Shard) error) error {
 	stamped := arrival >= 0
-	if hp := s.ex.hedgePolicy(); stamped && hp.active() {
+	s.ex.mu.Lock()
+	hp := s.ex.hedgep
+	s.ex.mu.Unlock()
+	if stamped && hp.active() {
 		return s.doHedged(arrival, hp, job)
 	}
 	_, _, _, err := s.runPrimary(&arrival, job, stamped, true)
@@ -1534,8 +1515,18 @@ func (s *Session) runPrimary(arrival *vclock.Duration, job func(sh *Shard) error
 // shard-attributable latency the hedge trigger gates on.
 func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Shard) error, stamped, recordLat bool) (done bool, end, svc vclock.Duration, err error) {
 	e := s.ex
-	e.applyScheduledKill(sh)
-	pol := e.healthPolicy()
+	e.mu.Lock()
+	pol, gate, apol := e.policy, e.gate, e.admit
+	killAt, kill := e.killAt[sh.ID]
+	kill = kill && !sh.Failed() && sh.K.Clock.Now() >= killAt
+	if kill {
+		// A schedule fires once; the replacement is not re-killed.
+		delete(e.killAt, sh.ID)
+	}
+	e.mu.Unlock()
+	if kill {
+		e.killShardLocked(sh, fmt.Sprintf("scheduled kill at %v", killAt))
+	}
 	if !sh.Failed() && pol.DrainOnDegrade && sh.Rt != nil && sh.Rt.Metrics.Snapshot().Degraded > 0 {
 		sh.fail("partition degraded to in-host execution")
 	}
@@ -1547,17 +1538,16 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 	if *arrival < 0 {
 		*arrival = now
 	}
-	if g := e.admissionGate(); g != nil {
+	if gate != nil {
 		// Defense gate: a quarantined tenant's request is refused before
 		// any overload accounting, as pure as a shed — no clock advance,
 		// no checkpoint, no chaos draw.
-		if gerr := g(s.Tenant, s.ID); gerr != nil {
+		if gerr := gate(s.Tenant, s.ID); gerr != nil {
 			e.recordShed(sh, s, "quarantine", *arrival,
 				fmt.Sprintf("tenant %d session %d: %v", s.Tenant, s.ID, gerr))
 			return true, now, 0, gerr
 		}
 	}
-	apol := e.admission()
 	if apol.active() {
 		// Overload control: reject at the queue bound, drop past the
 		// deadline. A shed request runs nothing — clock, checkpoints, and
@@ -1616,7 +1606,7 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 
 // BatchEntry is one invocation inside a coalesced admission batch.
 type BatchEntry struct {
-	// Session runs the entry; entries of one batch should share a shard.
+	// Session runs the entry.
 	Session *Session
 	// Arrival is the entry's arrival stamp; negative means "arrived at
 	// admission".
@@ -1626,15 +1616,15 @@ type BatchEntry struct {
 }
 
 // DoBatch admits a coalesced batch of invocations as one unit: one
-// worker-pool slot for the whole batch, and one shard-lock acquisition per
-// run of consecutive entries pinned to the same shard — amortizing the
-// per-invocation semaphore and lock traffic that streams of small requests
-// otherwise pay. Entries execute in order; each keeps its own arrival stamp
-// and records its own latency and queue wait, so batching changes admission
-// cost, not measured semantics. Failover semantics match DoAt: a shard lost
-// mid-batch fails over once and the remaining entries re-run on the
-// replacement. An entry of a finished session runs nothing and gets
-// ErrSessionFinished. Returns one error per entry.
+// worker-pool slot for the whole batch, amortizing the per-invocation
+// semaphore traffic that streams of small requests otherwise pay. Entries
+// execute in order, each through the same admission path as DoAt — its own
+// arrival stamp, hedge, failover, latency and queue-wait samples — so
+// batching changes admission cost, not measured semantics: a batch behaves
+// as the same entries submitted through DoAt one after another. An entry of
+// a finished session runs nothing and gets ErrSessionFinished. Entries are
+// read, not written: a negative Arrival resolves at admission without being
+// rewritten in place. Returns one error per entry.
 func (e *Executor) DoBatch(entries []BatchEntry) []error {
 	errs := make([]error, len(entries))
 	if len(entries) == 0 {
@@ -1643,50 +1633,8 @@ func (e *Executor) DoBatch(entries []BatchEntry) []error {
 	e.sem.acquire()
 	defer e.sem.release()
 	e.met.AddBatchedAdmission(len(entries))
-
-	// Stampedness must be read before admission resolves closed-loop
-	// arrivals in place.
-	stamped := make([]bool, len(entries))
-	for i := range entries {
-		stamped[i] = entries[i].Arrival >= 0
-	}
-	next := 0
-	for next < len(entries) {
-		s := entries[next].Session
-		sh := s.currentShard()
-		if sh == nil {
-			errs[next] = ErrSessionFinished
-			next++
-			continue
-		}
-		sh.mu.Lock()
-		if sh != s.currentShard() {
-			sh.mu.Unlock()
-			continue
-		}
-		// Serve as many consecutive entries pinned to sh as possible under
-		// this one lock hold.
-		for next < len(entries) {
-			en := &entries[next]
-			if en.Session.currentShard() != sh {
-				break
-			}
-			done, _, _, err := en.Session.runLocked(sh, &en.Arrival, en.Job, stamped[next], true)
-			if !done {
-				break
-			}
-			errs[next] = err
-			next++
-		}
-		failed := sh.Failed()
-		sh.mu.Unlock()
-		if failed {
-			if ferr := e.failover(sh); ferr != nil {
-				for ; next < len(entries); next++ {
-					errs[next] = ferr
-				}
-			}
-		}
+	for i, en := range entries {
+		errs[i] = en.Session.do(en.Arrival, en.Job)
 	}
 	return errs
 }

@@ -13,8 +13,8 @@ import (
 // window, so the health policy needs a signal built from service times)
 // and hedged requests (the tail-latency defense for the detection window a
 // scorer necessarily has). Both are zero-cost when disabled: the zero
-// GrayPolicy and HedgePolicy leave every admission byte-identical to the
-// pre-gray executor.
+// GrayPolicy and HedgePolicy leave every admission byte-identical to an
+// executor without them.
 
 // GrayPolicy configures latency-based gray-failure detection. Every
 // completed invocation folds its virtual service time into a per-shard
@@ -133,19 +133,11 @@ func (g GrayScore) String() string {
 }
 
 // SetGray installs the gray-failure scoring policy. Install it before
-// serving; the zero policy disables scoring and keeps the admission path
-// bit-identical to the pre-gray executor.
+// serving; the zero policy disables scoring.
 func (e *Executor) SetGray(p GrayPolicy) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.grayp = p
-}
-
-// grayPolicy reads the installed scoring policy.
-func (e *Executor) grayPolicy() GrayPolicy {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.grayp
 }
 
 // GrayScores snapshots every live slot's suspicion state, ascending by
@@ -238,14 +230,11 @@ func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
 		e.mu.Unlock()
 		return
 	}
-	event := func(kind, detail string) {
-		e.events = append(e.events, FailoverEvent{At: end, Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail})
-	}
 	if g.ewma > pol.Ratio*ref {
 		g.score += pol.rise()
 		if !g.suspect {
 			g.suspect = true
-			event("suspect", fmt.Sprintf("ewma %v over %.1fx ref %v",
+			e.recordLocked(sh, end, "suspect", fmt.Sprintf("ewma %v over %.1fx ref %v",
 				vclock.Duration(g.ewma), pol.Ratio, vclock.Duration(ref)))
 		}
 	} else if g.score > 0 {
@@ -254,7 +243,7 @@ func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
 			g.score = 0
 			if g.suspect {
 				g.suspect = false
-				event("suspect-clear", fmt.Sprintf("ewma %v back under %.1fx ref %v",
+				e.recordLocked(sh, end, "suspect-clear", fmt.Sprintf("ewma %v back under %.1fx ref %v",
 					vclock.Duration(g.ewma), pol.Ratio, vclock.Duration(ref)))
 			}
 		}
@@ -264,8 +253,7 @@ func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
 		g.drains++
 		reason = fmt.Sprintf("gray failure: service ewma %v over %.1fx reference %v (score %.1f)",
 			vclock.Duration(g.ewma), pol.Ratio, vclock.Duration(ref), g.score)
-		event("gray-drain", reason)
-		e.met.AddGrayDrain()
+		e.recordLocked(sh, end, "gray-drain", reason)
 	}
 	e.mu.Unlock()
 	if reason != "" {
@@ -304,19 +292,11 @@ func DeriveHedgeDelay(lat *vclock.Latencies, q float64, min vclock.Duration) vcl
 }
 
 // SetHedge installs the hedged-request policy. Install it before serving;
-// the zero policy disables hedging and keeps DoAt bit-identical to the
-// pre-gray executor.
+// the zero policy disables hedging.
 func (e *Executor) SetHedge(p HedgePolicy) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.hedgep = p
-}
-
-// hedgePolicy reads the installed hedge policy.
-func (e *Executor) hedgePolicy() HedgePolicy {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hedgep
 }
 
 // hedgeTarget picks the shard a hedge launches on: the live, non-suspect

@@ -132,6 +132,49 @@ func TestGrayHysteresis(t *testing.T) {
 	}
 }
 
+// TestGrayPeerMedianReference runs the scorer with no Baseline: each shard
+// is judged against the median service-time EWMA of its live peers. Slot 2
+// serves ten times slower than slots 0 and 1, so only slot 2 turns
+// suspect and is drained — the fast slots' own reference includes the slow
+// peer, and they never look slow against it.
+func TestGrayPeerMedianReference(t *testing.T) {
+	ex := newExecutor(t, 3, core.Default())
+	ex.SetGray(core.GrayPolicy{Ratio: 3})
+	sessions := []*core.Session{ex.Session(), ex.Session(), ex.Session()} // slots 0, 1, 2
+	job := func(sh *core.Shard) error {
+		if sh.ID == 2 && sh.Gen == 0 {
+			sh.K.Clock.Advance(10 * ms) // the gray machine; its replacement is healthy
+		} else {
+			sh.K.Clock.Advance(ms)
+		}
+		return nil
+	}
+	for round := 0; round < 10; round++ {
+		for _, s := range sessions {
+			if err := s.Do(job); err != nil {
+				t.Fatalf("round %d session %d: %v", round, s.ID, err)
+			}
+		}
+	}
+	for id, want := range [][]string{nil, nil, {"suspect", "gray-drain", "drain"}} {
+		var kinds []string
+		for _, ev := range ex.FailoverEventsFor(id) {
+			if ev.Kind == "suspect" || ev.Kind == "gray-drain" || ev.Kind == "drain" {
+				kinds = append(kinds, ev.Kind)
+			}
+		}
+		if !reflect.DeepEqual(kinds, want) {
+			t.Fatalf("slot %d events = %v, want %v", id, kinds, want)
+		}
+	}
+	if m := ex.Metrics().Snapshot(); m.GrayDrains != 1 {
+		t.Fatalf("GrayDrains = %d, want 1", m.GrayDrains)
+	}
+	if got := sessions[2].Shard().Gen; got != 1 {
+		t.Fatalf("slot 2 session runs on gen %d, want 1", got)
+	}
+}
+
 // TestHedgeWin races a slow primary against a fast secondary: the hedge
 // launches at arrival+Delay on the other shard, completes first, supplies
 // the recorded latency and the returned error, and the loser stays charged

@@ -55,6 +55,11 @@ func DecodeModel(b []byte) ([][]float64, error) {
 	}
 	n := int(binary.BigEndian.Uint32(b[4:8]))
 	off := 8
+	// Every layer needs at least its 4-byte header, so a count the rest of
+	// the file cannot hold is refused before it sizes anything.
+	if n > (len(b)-off)/4 {
+		return nil, fmt.Errorf("simtorch: truncated model (%d layers in %d bytes)", n, len(b)-off)
+	}
 	layers := make([][]float64, 0, n)
 	for i := 0; i < n; i++ {
 		if off+4 > len(b) {

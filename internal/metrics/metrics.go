@@ -17,14 +17,6 @@ type Counters struct {
 	s  Snapshot
 }
 
-// TenantCounts is one tenant's share of the serving outcome: invocations
-// completed cleanly versus shed by overload control (queue-bound rejections
-// plus deadline drops).
-type TenantCounts struct {
-	Served uint64
-	Shed   uint64
-}
-
 // Snapshot is an immutable copy of the counters.
 type Snapshot struct {
 	IPCCalls    uint64
@@ -80,10 +72,6 @@ type Snapshot struct {
 	// checkpoint writes, no chaos draws, no clock advance.
 	Rejected     uint64
 	DeadlineShed uint64
-	// Tenants breaks served/shed down per tenant id. Executors bump these
-	// inside the same critical section as the event log appends, so an
-	// EventsAndMetrics pair is always mutually consistent.
-	Tenants map[int]TenantCounts
 
 	// DomainSwitches counts protection-key domain entries/exits (one WRPKRU
 	// per switch; a domain-tier call charges two).
@@ -289,33 +277,18 @@ func (c *Counters) AddBatchedAdmission(n int) {
 	}
 }
 
-// tenantLocked returns tenant t's cell, allocating the map lazily so
-// single-tenant runs never carry it. Caller holds c.mu.
-func (c *Counters) tenantLocked(t int) TenantCounts {
-	if c.s.Tenants == nil {
-		c.s.Tenants = make(map[int]TenantCounts)
-	}
-	return c.s.Tenants[t]
-}
-
-// AddRejected records one queue-bound rejection (virtual 503) for tenant t.
-func (c *Counters) AddRejected(t int) {
+// AddRejected records one queue-bound rejection (virtual 503).
+func (c *Counters) AddRejected() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.s.Rejected++
-	tc := c.tenantLocked(t)
-	tc.Shed++
-	c.s.Tenants[t] = tc
 }
 
-// AddDeadlineShed records one deadline drop for tenant t.
-func (c *Counters) AddDeadlineShed(t int) {
+// AddDeadlineShed records one deadline drop.
+func (c *Counters) AddDeadlineShed() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.s.DeadlineShed++
-	tc := c.tenantLocked(t)
-	tc.Shed++
-	c.s.Tenants[t] = tc
 }
 
 // AddDomainSwitch records one protection-key domain entry or exit.
@@ -363,14 +336,11 @@ func (c *Counters) AddRebind() {
 	c.s.Rebinds++
 }
 
-// AddQuarantined records one admission refused for a quarantined tenant t.
-func (c *Counters) AddQuarantined(t int) {
+// AddQuarantined records one admission refused for a quarantined tenant.
+func (c *Counters) AddQuarantined() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.s.Quarantined++
-	tc := c.tenantLocked(t)
-	tc.Shed++
-	c.s.Tenants[t] = tc
 }
 
 // AddGrayDrain records one shard drained on latency suspicion.
@@ -435,29 +405,11 @@ func (c *Counters) AddHedgeWork(d vclock.Duration) {
 	}
 }
 
-// AddTenantServed records one cleanly completed invocation for tenant t.
-func (c *Counters) AddTenantServed(t int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tc := c.tenantLocked(t)
-	tc.Served++
-	c.s.Tenants[t] = tc
-}
-
-// Snapshot returns a copy of the counters; Tenants is its own map, nil
-// when no tenant was counted.
+// Snapshot returns a copy of the counters.
 func (c *Counters) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.s
-	s.Tenants = nil
-	if len(c.s.Tenants) > 0 {
-		s.Tenants = make(map[int]TenantCounts, len(c.s.Tenants))
-		for t, tc := range c.s.Tenants {
-			s.Tenants[t] = tc
-		}
-	}
-	return s
+	return c.s
 }
 
 // LazyFraction returns the share of copy operations that were lazy

@@ -100,34 +100,13 @@ func TestWarmColdCounters(t *testing.T) {
 	}
 }
 
-func TestSnapshotCopiesTenants(t *testing.T) {
-	c := New()
-	if s := c.Snapshot(); s.Tenants != nil {
-		t.Fatalf("empty counters carry tenants %v, want nil", s.Tenants)
-	}
-	c.AddTenantServed(1)
-	c.AddRejected(2)
-	s := c.Snapshot()
-	s.Tenants[1] = TenantCounts{Served: 99}
-	c.AddDeadlineShed(2)
-	got := c.Snapshot().Tenants
-	if got[1].Served != 1 || got[2].Shed != 2 {
-		t.Fatalf("tenants = %+v, want {1:{Served:1}, 2:{Shed:2}}", got)
-	}
-	if s.Tenants[2].Shed != 1 {
-		t.Fatalf("earlier snapshot moved with the counters: %+v", s.Tenants)
-	}
-}
-
 func TestAddAllocatesNothing(t *testing.T) {
 	c := New()
-	c.AddTenantServed(1) // a tenant's first count allocates the map once
 	allocs := testing.AllocsPerRun(100, func() {
 		c.AddIPC(8)
 		c.AddAPICall()
 		c.AddHedgeWork(1)
-		c.AddRejected(1)
-		c.AddTenantServed(1)
+		c.AddRejected()
 	})
 	if allocs != 0 {
 		t.Fatalf("Add* allocated %v times per run, want 0", allocs)
