@@ -241,8 +241,9 @@ func BenchmarkRuntime_CallPath(b *testing.B) {
 }
 
 // TestRuntime_CallPathAllocs bounds the heap allocations of one protected
-// call and its release, wire codec and IPC crossing included, at 60 (about
-// 30 are made). A codec that rebuilds per-message state shows here first.
+// call and its release, wire codec and IPC crossing included, at 24 (22 are
+// made). A codec that rebuilds per-message state, or a crossing that copies
+// a message it already holds, shows here first.
 func TestRuntime_CallPathAllocs(t *testing.T) {
 	rt, img := callPathRuntime(t)
 	var err error
@@ -255,8 +256,46 @@ func TestRuntime_CallPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%.0f allocs per protected call", allocs)
-	if allocs > 60 {
-		t.Fatalf("one protected cv.threshold call made %.0f allocs, want <= 60", allocs)
+	if allocs > 24 {
+		t.Fatalf("one protected cv.threshold call made %.0f allocs, want <= 24", allocs)
+	}
+}
+
+// TestDetectionRequestAllocs is the stateful row of the call-path bound: one
+// detection request served through DetectionServer.Serve, one request per
+// call, on two protected shards under the paper policy with the executor's
+// checkpoint log attached. About 70 allocations are made; the bound of 76
+// fails on a second copy of a checkpoint, a reply copied again to tag it,
+// or a goroutine started for an idle shard.
+func TestDetectionRequestAllocs(t *testing.T) {
+	reg := all.Registry()
+	cat := analysis.New(reg, nil).Categorize()
+	ex, err := core.NewExecutor(2, core.ProtectedShards(reg, cat, core.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	srv, err := apps.ProvisionDetection(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := apps.GenDetectionRequests(1, 200)
+	next := 0
+	allocs := testing.AllocsPerRun(len(reqs)-1, func() {
+		if res := srv.Serve(reqs[next : next+1]); res[0].Err != nil && err == nil {
+			err = res[0].Err
+		}
+		next++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ex.CheckpointLog().Stats(); st.Appends == 0 {
+		t.Fatal("no checkpoint was written through to the log")
+	}
+	t.Logf("%.0f allocs per detection request", allocs)
+	if allocs > 76 {
+		t.Fatalf("one protected detection request made %.0f allocs, want <= 76", allocs)
 	}
 }
 

@@ -144,15 +144,17 @@ func ProvisionDetection(ex *core.Executor) (*DetectionServer, error) {
 }
 
 // Serve answers every request. Sessions are opened in request order (so
-// shard placement is round-robin and deterministic), then each shard
-// drains its requests in arrival order on its own goroutine, finishing
-// each request's session once it is answered, so the shard releases the
-// request's objects and its checkpoints. Per-shard FIFO matters for
-// determinism, not just fairness: a request's virtual latency includes
-// work the previous request on that shard left behind (its release list
-// rides on this request's calls), so reordering within a shard would
-// shuffle nanoseconds between adjacent samples. Shards still serve
-// concurrently with each other. Results come back in request order.
+// shard placement is round-robin and deterministic), then each shard with
+// requests drains them in arrival order, finishing each request's session
+// once it is answered, so the shard releases the request's objects and
+// its checkpoints. Per-shard FIFO matters for determinism, not just
+// fairness: a request's virtual latency includes work the previous
+// request on that shard left behind (its release list rides on this
+// request's calls), so reordering within a shard would shuffle nanoseconds
+// between adjacent samples. Shards serve concurrently with each other: the
+// first busy shard on the calling goroutine, every other busy shard on a
+// goroutine of its own, and an idle shard starts nothing. Results come
+// back in request order.
 func (srv *DetectionServer) Serve(reqs []DetectionRequest) []DetectionResult {
 	byShard := make([][]int, srv.Ex.Shards())
 	sessions := make([]*core.Session, len(reqs))
@@ -162,19 +164,38 @@ func (srv *DetectionServer) Serve(reqs []DetectionRequest) []DetectionResult {
 		byShard[id] = append(byShard[id], i)
 	}
 	results := make([]DetectionResult, len(reqs))
-	var wg sync.WaitGroup
+	var first []int
+	var wg *sync.WaitGroup // made only when a second shard is busy
 	for _, queue := range byShard {
-		wg.Add(1)
-		go func(queue []int) {
-			defer wg.Done()
-			for _, i := range queue {
-				results[i] = srv.serveOne(sessions[i], i, reqs[i])
-				sessions[i].Finish()
+		switch {
+		case len(queue) == 0:
+		case first == nil:
+			first = queue
+		default:
+			if wg == nil {
+				wg = new(sync.WaitGroup)
 			}
-		}(queue)
+			wg.Add(1)
+			go func(wg *sync.WaitGroup, queue []int) {
+				defer wg.Done()
+				srv.serveQueue(sessions, reqs, results, queue)
+			}(wg, queue)
+		}
 	}
-	wg.Wait()
+	srv.serveQueue(sessions, reqs, results, first)
+	if wg != nil {
+		wg.Wait()
+	}
 	return results
+}
+
+// serveQueue answers one shard's requests in order, finishing each
+// request's session once it is answered.
+func (srv *DetectionServer) serveQueue(sessions []*core.Session, reqs []DetectionRequest, results []DetectionResult, queue []int) {
+	for _, i := range queue {
+		results[i] = srv.serveOne(sessions[i], i, reqs[i])
+		sessions[i].Finish()
+	}
 }
 
 // ServeSeq answers every request strictly sequentially, in request order,

@@ -273,12 +273,13 @@ type RampOptions struct {
 // is deterministic), finished streams release their sessions via Finish,
 // and ctl.Tick — when a controller is attached — runs at each barrier,
 // where no invocation is in flight and pool state is a pure function of
-// the work done. Within a wave each shard slot drains its queue on its own
-// goroutine in stream order; a batcher coalesces that queue through
-// DoBatch. The slot-per-goroutine invariant survives chaos: failover
-// replaces a shard in its own slot, and control-plane migrations happen
-// only at barriers, so no two goroutines ever contend for one shard's
-// clock mid-wave — which is what keeps the controller's barrier reads, and
+// the work done. Within a wave each busy shard slot drains its queue in
+// stream order, the first on the calling goroutine and every other on a
+// goroutine of its own; a batcher coalesces that queue through DoBatch.
+// The slot-per-goroutine invariant survives chaos: failover replaces a
+// shard in its own slot, and control-plane migrations happen only at
+// barriers, so no two goroutines ever contend for one shard's clock
+// mid-wave — which is what keeps the controller's barrier reads, and
 // its event log, byte-reproducible.
 func (srv *TrackingServer) ServeRamp(streams []TrackStream, ctl Ticker, batcher AdmissionBatcher) []TrackResult {
 	return srv.ServeRampOpts(streams, RampOptions{Ticker: ctl, Batcher: batcher})
@@ -296,6 +297,7 @@ func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions)
 			waves = end
 		}
 	}
+	var queues [][]int // this wave's steps per shard slot, reused across waves
 	for w := 0; w < waves; w++ {
 		// Open sessions joining at this wave, in stream order.
 		for i := range streams {
@@ -309,29 +311,46 @@ func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions)
 			}
 		}
 		// Queue this wave's steps per shard slot, in stream order.
-		byShard := make(map[int][]int)
-		var order []int
+		for id := range queues {
+			queues[id] = queues[id][:0]
+		}
 		for i := range streams {
 			step := w - streams[i].Offset
 			if step < 0 || step >= len(streams[i].Points) || results[i].Err != nil {
 				continue
 			}
 			id := sessions[i].Shard().ID
-			if _, ok := byShard[id]; !ok {
-				order = append(order, id)
+			for len(queues) <= id {
+				queues = append(queues, nil)
 			}
-			byShard[id] = append(byShard[id], i)
+			queues[id] = append(queues[id], i)
 		}
-		var wg sync.WaitGroup
-		for _, id := range order {
-			queue := byShard[id]
-			wg.Add(1)
-			go func(id int, queue []int) {
-				defer wg.Done()
-				srv.serveWave(streams, sessions, results, queue, w, id, opt)
-			}(id, queue)
+		// The first busy slot drains on the calling goroutine, every other
+		// busy slot on a goroutine of its own.
+		first := -1
+		var wg *sync.WaitGroup // made only when a second slot is busy
+		for id, queue := range queues {
+			switch {
+			case len(queue) == 0:
+			case first < 0:
+				first = id
+			default:
+				if wg == nil {
+					wg = new(sync.WaitGroup)
+				}
+				wg.Add(1)
+				go func(wg *sync.WaitGroup, w, id int, queue []int) {
+					defer wg.Done()
+					srv.serveWave(streams, sessions, results, queue, w, id, opt)
+				}(wg, w, id, queue)
+			}
 		}
-		wg.Wait()
+		if first >= 0 {
+			srv.serveWave(streams, sessions, results, queues[first], w, first, opt)
+		}
+		if wg != nil {
+			wg.Wait()
+		}
 		// Release sessions whose stream just finished or errored out, so
 		// the control plane sees their shards as shrink/placement capacity.
 		for i := range streams {

@@ -356,8 +356,11 @@ func (rt *Runtime) checkpointObjects(a *agent, ctx *framework.Ctx, api *framewor
 		if err != nil {
 			return
 		}
+		// One snapshot serves the restart map and the portable log; neither
+		// writes to it.
+		cp := checkpoint{kind: o.Kind(), header: o.Header(), payload: payload}
 		a.mu.Lock()
-		a.checkpoints[v.Obj] = checkpoint{kind: o.Kind(), header: o.Header(), payload: payload}
+		a.checkpoints[v.Obj] = cp
 		a.mu.Unlock()
 		rt.Metrics.AddCheckpoint()
 		rt.K.Clock.Advance(rt.K.Cost.CheckpointCost(len(payload)))
@@ -367,7 +370,7 @@ func (rt *Runtime) checkpointObjects(a *agent, ctx *framework.Ctx, api *framewor
 				Type:    uint8(rt.Cat.TypeOf(api.Name)),
 				Slot:    object.Slot(uint32(a.process().PID()), a.canonOf(v.Obj)),
 			}
-			log.Append(key, o.Kind(), o.Header(), payload)
+			log.AppendOwned(key, cp.kind, cp.header, cp.payload)
 		}
 	}
 	for _, v := range args {

@@ -132,24 +132,49 @@ func (processBoundary) Invoke(rt *Runtime, a *agent, api *framework.API, args []
 		return nil, nil, err
 	}
 
-	handles := make([]Handle, 0, len(reply.Results))
-	plain := make([]framework.Value, 0, len(reply.Results))
-	for i, v := range reply.Results {
-		if v.Kind != framework.ValRef {
+	return splitResults(reply.Results, framework.ValRef, func(i int, v framework.Value) (Handle, error) {
+		if rt.Config.LazyDataCopy {
+			return Handle{ref: v.Ref, size: v.Ref.Size, kind: v.Ref.Kind}, nil
+		}
+		// Materialize through the host process (Fig. 11-(b)).
+		payload := reply.Payloads[i]
+		o, err := object.Rebuild(rt.Host.Space(), v.Ref, payload)
+		if err != nil {
+			return Handle{}, err
+		}
+		rt.Metrics.AddEagerCopy(len(payload))
+		rt.K.Clock.Advance(rt.K.Cost.CopyCost(len(payload)))
+		return Handle{local: rt.hostCtx.Table.Put(o), materialized: true, size: len(payload), kind: v.Ref.Kind}, nil
+	})
+}
+
+// splitResults sorts an invocation's results into handles, made by handle
+// from each result of kind obj, and plain values, each in result order. A
+// slice is made only when the results hold a value of its sort, and at its
+// exact length.
+func splitResults(results []framework.Value, obj framework.ValueKind, handle func(i int, v framework.Value) (Handle, error)) ([]Handle, []framework.Value, error) {
+	objs := 0
+	for _, v := range results {
+		if v.Kind == obj {
+			objs++
+		}
+	}
+	var handles []Handle
+	var plain []framework.Value
+	if objs > 0 {
+		handles = make([]Handle, 0, objs)
+	}
+	if objs < len(results) {
+		plain = make([]framework.Value, 0, len(results)-objs)
+	}
+	for i, v := range results {
+		if v.Kind != obj {
 			plain = append(plain, v)
 			continue
 		}
-		h := Handle{ref: v.Ref, size: v.Ref.Size, kind: v.Ref.Kind}
-		if !rt.Config.LazyDataCopy {
-			// Materialize through the host process (Fig. 11-(b)).
-			payload := reply.Payloads[i]
-			o, err := object.Rebuild(rt.Host.Space(), v.Ref, payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			rt.Metrics.AddEagerCopy(len(payload))
-			rt.K.Clock.Advance(rt.K.Cost.CopyCost(len(payload)))
-			h = Handle{local: rt.hostCtx.Table.Put(o), materialized: true, size: len(payload), kind: v.Ref.Kind}
+		h, err := handle(i, v)
+		if err != nil {
+			return nil, nil, err
 		}
 		handles = append(handles, h)
 	}
@@ -376,38 +401,30 @@ func (rt *Runtime) domainArgs(a *agent, ctx *framework.Ctx, args []framework.Val
 // LDC the payload materializes into the host table via the cheap
 // in-address-space copy.
 func (rt *Runtime) domainResults(a *agent, ctx *framework.Ctx, results []framework.Value) ([]Handle, []framework.Value, error) {
-	handles := make([]Handle, 0, len(results))
-	plain := make([]framework.Value, 0, len(results))
-	for _, v := range results {
-		if v.Kind != framework.ValObj {
-			plain = append(plain, v)
-			continue
-		}
+	return splitResults(results, framework.ValObj, func(_ int, v framework.Value) (Handle, error) {
 		ref, err := ctx.Table.RefFor(v.Obj)
 		if err != nil {
-			return nil, nil, err
+			return Handle{}, err
 		}
 		o, ok := ctx.Table.Get(v.Obj)
 		if ok {
 			_ = ctx.P.Space().SetKey(o.Region(), a.key)
 		}
-		h := Handle{ref: ref, size: ref.Size, kind: ref.Kind}
-		if !rt.Config.LazyDataCopy {
-			payload, err := object.PayloadBytes(o)
-			if err != nil {
-				return nil, nil, err
-			}
-			no, err := object.Rebuild(rt.Host.Space(), ref, payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			rt.Metrics.AddDomainCopy(len(payload))
-			rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
-			h = Handle{local: rt.hostCtx.Table.Put(no), materialized: true, size: len(payload), kind: ref.Kind}
+		if rt.Config.LazyDataCopy {
+			return Handle{ref: ref, size: ref.Size, kind: ref.Kind}, nil
 		}
-		handles = append(handles, h)
-	}
-	return handles, plain, nil
+		payload, err := object.PayloadBytes(o)
+		if err != nil {
+			return Handle{}, err
+		}
+		no, err := object.Rebuild(rt.Host.Space(), ref, payload)
+		if err != nil {
+			return Handle{}, err
+		}
+		rt.Metrics.AddDomainCopy(len(payload))
+		rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
+		return Handle{local: rt.hostCtx.Table.Put(no), materialized: true, size: len(payload), kind: ref.Kind}, nil
+	})
 }
 
 // --- host tier ---------------------------------------------------------------

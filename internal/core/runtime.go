@@ -749,6 +749,9 @@ func (rt *Runtime) adoptTarget(cp object.Checkpoint) (*agent, error) {
 // restarts of this shard restore it too), and re-appended to the log under
 // its new slot so a second failover finds it. Returns a handle valid on this
 // runtime — the migrated session's replacement for its old-shard handle.
+// The restart map and the log keep cp's header and payload as they are
+// (the log's readers hand out copies), so the caller must not write to
+// them afterwards.
 //
 // Materializing writes into the agent's space, so a fault can kill the agent
 // mid-adoption. Like a call, Adopt then revives it through the supervisor
@@ -802,7 +805,9 @@ func (rt *Runtime) adopt(a *agent, session int, cp object.Checkpoint) (Handle, e
 			Type:    cp.Key.Type,
 			Slot:    object.Slot(uint32(ctx.P.PID()), id),
 		}
-		log.Append(key, cp.Kind, cp.Header, cp.Payload)
+		// cp is the caller's copy of the adopted version, now shared with
+		// the restart map above; neither writes to it.
+		log.AppendOwned(key, cp.Kind, cp.Header, cp.Payload)
 	}
 	return Handle{ref: ref, size: len(cp.Payload), kind: cp.Kind}, nil
 }

@@ -99,21 +99,14 @@ func (rt *Runtime) callInHost(api *framework.API, args []framework.Value) ([]Han
 	if err != nil {
 		return nil, nil, err
 	}
-	handles := make([]Handle, 0, len(results))
-	plain := make([]framework.Value, 0, len(results))
-	for _, v := range results {
-		if v.Kind != framework.ValObj {
-			plain = append(plain, v)
-			continue
-		}
+	return splitResults(results, framework.ValObj, func(_ int, v framework.Value) (Handle, error) {
 		h := Handle{local: v.Obj, materialized: true}
 		if o, ok := rt.hostCtx.Table.Get(v.Obj); ok {
 			h.size = o.Region().Size
 			h.kind = o.Kind()
 		}
-		handles = append(handles, h)
-	}
-	return handles, plain, nil
+		return h, nil
+	})
 }
 
 // armChaos threads the fault-injection engine into one agent: the RPC

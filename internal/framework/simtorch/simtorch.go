@@ -35,9 +35,14 @@ const (
 // modelMagic prefixes serialized models.
 var modelMagic = []byte("PTM1")
 
-// EncodeModel serializes layers of float64 weights.
+// EncodeModel serializes layers of float64 weights into one buffer of
+// exactly the encoded size.
 func EncodeModel(layers [][]float64) []byte {
-	out := append([]byte(nil), modelMagic...)
+	n := len(modelMagic) + 4
+	for _, l := range layers {
+		n += 4 + 8*len(l)
+	}
+	out := append(make([]byte, 0, n), modelMagic...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(layers)))
 	for _, l := range layers {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(l)))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"freepart.dev/freepart/internal/object"
 )
@@ -123,7 +124,7 @@ type Reply struct {
 // uvarint. A value is its kind byte followed by that kind's field: a
 // zigzag varint (ValInt), 8 big-endian bytes of IEEE 754 bits (ValFloat),
 // a length-prefixed string (ValStr), one byte 0 or 1 (ValBool), a uvarint
-// id (ValObj) or length-prefixed Ref.Encode bytes (ValRef); ValNil has no
+// id (ValObj) or a length-prefixed Ref encoding (ValRef); ValNil has no
 // field. A value carries only its kind's field.
 //
 // Every value has exactly one encoding and the decoder accepts nothing
@@ -143,9 +144,17 @@ var (
 	errPID       = errors.New("pid exceeds 32 bits")
 )
 
-// EncodeCall serializes a Call for the IPC layer.
+// EncodeCall serializes a Call for the IPC layer into a buffer of exactly
+// the encoded length.
 func EncodeCall(c Call) ([]byte, error) {
-	b := make([]byte, 0, binary.MaxVarintLen64+len(c.API)+listCap(c.Args, c.Payloads)+releaseCap(c.Release))
+	n := bytesLen(len(c.API)) + valuesLen(c.Args) + payloadsLen(c.Payloads)
+	if len(c.Release) > 0 {
+		n += uvarintLen(uint64(len(c.Release)))
+		for _, r := range c.Release {
+			n += uvarintLen(uint64(r.PID)) + uvarintLen(r.ID)
+		}
+	}
+	b := make([]byte, 0, n)
 	b = appendBytes(b, c.API)
 	b, err := appendValues(b, c.Args)
 	if err != nil {
@@ -162,14 +171,6 @@ func EncodeCall(c Call) ([]byte, error) {
 	return b, nil
 }
 
-// releaseCap bounds the encoded size of a release list.
-func releaseCap(rs []Released) int {
-	if len(rs) == 0 {
-		return 0
-	}
-	return binary.MaxVarintLen64 + len(rs)*(binary.MaxVarintLen32+binary.MaxVarintLen64)
-}
-
 // DecodeCall parses a serialized Call.
 func DecodeCall(b []byte) (Call, error) {
 	d := decoder{b: b}
@@ -183,9 +184,10 @@ func DecodeCall(b []byte) (Call, error) {
 	return c, nil
 }
 
-// EncodeReply serializes a Reply.
+// EncodeReply serializes a Reply into a buffer of exactly the encoded
+// length, so the IPC layer's dedup cache can keep it as it is.
 func EncodeReply(r Reply) ([]byte, error) {
-	b := make([]byte, 0, listCap(r.Results, r.Payloads)+listCap(r.UpdatedArgs, r.UpdatedPayloads))
+	b := make([]byte, 0, valuesLen(r.Results)+payloadsLen(r.Payloads)+valuesLen(r.UpdatedArgs)+payloadsLen(r.UpdatedPayloads))
 	b, err := appendValues(b, r.Results)
 	if err == nil {
 		b = appendPayloads(b, r.Payloads)
@@ -208,17 +210,41 @@ func DecodeReply(b []byte) (Reply, error) {
 	return r, nil
 }
 
-// listCap bounds the encoded size of a value list and a payload list, so
-// an encode allocates its buffer once.
-func listCap(vals []Value, payloads [][]byte) int {
-	n := 2 * binary.MaxVarintLen64
+// uvarintLen is the encoded length of a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// bytesLen is the encoded length of a length-prefixed field of n bytes.
+func bytesLen(n int) int { return uvarintLen(uint64(n)) + n }
+
+// valuesLen is the encoded length of a value list. A value of unknown kind
+// counts its kind byte only; encoding it fails anyway.
+func valuesLen(vals []Value) int {
+	n := uvarintLen(uint64(len(vals)))
 	for _, v := range vals {
-		// Kind byte, a length or number, and the widest field: a string
-		// or a ref (29 fixed bytes and its header).
-		n += 1 + binary.MaxVarintLen64 + len(v.Str) + 29 + len(v.Ref.Header)
+		n++
+		switch v.Kind {
+		case ValInt:
+			n += uvarintLen(uint64(v.Int<<1) ^ uint64(v.Int>>63))
+		case ValFloat:
+			n += 8
+		case ValStr:
+			n += bytesLen(len(v.Str))
+		case ValBool:
+			n++
+		case ValObj:
+			n += uvarintLen(v.Obj)
+		case ValRef:
+			n += bytesLen(v.Ref.EncodedLen())
+		}
 	}
+	return n
+}
+
+// payloadsLen is the encoded length of a payload list.
+func payloadsLen(payloads [][]byte) int {
+	n := uvarintLen(uint64(len(payloads)))
 	for _, p := range payloads {
-		n += binary.MaxVarintLen64 + len(p)
+		n += bytesLen(len(p))
 	}
 	return n
 }
@@ -249,7 +275,8 @@ func appendValues(b []byte, vals []Value) ([]byte, error) {
 		case ValObj:
 			b = binary.AppendUvarint(b, v.Obj)
 		case ValRef:
-			b = appendBytes(b, v.Ref.Encode())
+			b = binary.AppendUvarint(b, uint64(v.Ref.EncodedLen()))
+			b = v.Ref.Append(b)
 		default:
 			return nil, fmt.Errorf("%w %d", errKind, v.Kind)
 		}

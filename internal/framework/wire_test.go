@@ -233,8 +233,10 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 // checkCanonical is the fuzz property shared by both message types: bytes
-// that decode re-encode to exactly themselves, and the decoded message
-// shares no memory with its input.
+// that decode re-encode to exactly themselves, into a buffer with no spare
+// capacity, and the decoded message shares no memory with its input. The
+// IPC dedup cache keeps encoded replies as they are, so spare capacity
+// would be retained heap.
 func checkCanonical[M any](t *testing.T, in []byte, decode func([]byte) (M, error), encode func(M) ([]byte, error)) {
 	orig := append([]byte(nil), in...)
 	m, err := decode(in)
@@ -250,6 +252,9 @@ func checkCanonical[M any](t *testing.T, in []byte, decode func([]byte) (M, erro
 	}
 	if !bytes.Equal(out, orig) {
 		t.Fatalf("re-encoding differs:\n in %x\nout %x", orig, out)
+	}
+	if len(out) != cap(out) {
+		t.Fatalf("re-encoding has length %d but capacity %d", len(out), cap(out))
 	}
 }
 

@@ -380,3 +380,54 @@ func TestPipelinedRetrySemanticsPreserved(t *testing.T) {
 		t.Fatalf("handler ran %d times, want 5 (victim once + 4 bystanders)", *executions)
 	}
 }
+
+// TestResponseTagChargedAsWireByte: a response's status tag travels beside
+// its body, but is checksummed and charged as one wire byte, also when the
+// response is damaged in transit; the retry is answered from the cache.
+func TestResponseTagChargedAsWireByte(t *testing.T) {
+	c, executions := countingConn(&scriptedInjector{respFault: MessageFault{Corrupt: true}})
+	seq := c.NextSeq()
+	if _, err := c.CallSeq(seq, 1, []byte("abc")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	out, err := c.Retry(seq, 1, []byte("abc"))
+	if err != nil || string(out) != "ok" {
+		t.Fatalf("retry = %q, %v", out, err)
+	}
+	if *executions != 1 {
+		t.Fatalf("handler ran %d times, want 1", *executions)
+	}
+	if got, want := c.Stats().BytesResponse, uint64(2*len("=ok")); got != want {
+		t.Fatalf("BytesResponse = %d, want %d", got, want)
+	}
+}
+
+// TestDedupAnswersApplicationError: a retried sequence whose answer was an
+// application error gets that error again from the dedup cache, not a
+// success, and the handler does not run again.
+func TestDedupAnswersApplicationError(t *testing.T) {
+	executions := 0
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
+		executions++
+		if executions > 1 {
+			return []byte("late"), nil
+		}
+		return nil, errors.New("bad input")
+	})
+	seq := c.NextSeq()
+	for attempt := 0; attempt < 2; attempt++ {
+		call := c.CallSeq
+		if attempt > 0 {
+			call = c.Retry
+		}
+		if _, err := call(seq, 1, []byte("x")); err == nil || err.Error() != "bad input" {
+			t.Fatalf("attempt %d: err = %v, want bad input", attempt, err)
+		}
+	}
+	if executions != 1 || c.Stats().Dedups != 1 {
+		t.Fatalf("executions = %d, dedups = %d, want 1 and 1", executions, c.Stats().Dedups)
+	}
+	if got, want := c.Stats().BytesResponse, uint64(2*len("!bad input")); got != want {
+		t.Fatalf("BytesResponse = %d, want %d", got, want)
+	}
+}

@@ -55,11 +55,43 @@ type Message struct {
 	// Kind is an application tag on requests (e.g. API id) and a response
 	// tag (respKind*) on responses.
 	Kind uint32
-	// Sum is an FNV-1a checksum of the payload as the sender intended it,
-	// letting the receiver detect in-transit corruption.
+	// Sum is an FNV-1a checksum of the message's wire bytes (its Tag, if
+	// any, then its Payload) as the sender intended them, letting the
+	// receiver detect in-transit corruption.
 	Sum uint64
+	// Tag is the status byte a successful response sends ahead of its
+	// Payload: tagResult or tagError. Requests and crash or corruption
+	// notices have none (0). The tag travels, is checksummed and is
+	// charged as one more wire byte, but is kept beside the body so a
+	// reply is never copied to prefix it.
+	Tag byte
 	// Payload is the marshalled body.
 	Payload []byte
+}
+
+// Status tags of a successful response.
+const (
+	tagResult byte = '='
+	tagError  byte = '!'
+)
+
+// size is the message's length on the wire.
+func (m Message) size() int {
+	if m.Tag != 0 {
+		return 1 + len(m.Payload)
+	}
+	return len(m.Payload)
+}
+
+// corrupted returns m with one byte of its wire bytes flipped, the tag
+// folded into the payload so the damage can land on either.
+func (m Message) corrupted() Message {
+	wire := m.Payload
+	if m.Tag != 0 {
+		wire = append([]byte{m.Tag}, m.Payload...)
+	}
+	m.Tag, m.Payload = 0, corrupted(wire)
+	return m
 }
 
 // MessageFault describes what fault injection does to one message in
@@ -72,7 +104,8 @@ type MessageFault struct {
 }
 
 // Injector decides the fate of messages on a Conn. Implemented by the chaos
-// engine; consulted once per request and once per response.
+// engine; consulted once per request and once per response, with the
+// response's body (its status tag travels beside it).
 type Injector interface {
 	RequestFault(seq uint64, payload []byte) MessageFault
 	ResponseFault(seq uint64, payload []byte) MessageFault
@@ -111,9 +144,13 @@ type Conn struct {
 	seq    atomic.Uint64
 	closed atomic.Bool
 
-	mu      sync.Mutex // held for a whole call: the agent serves one request at a time
-	stats   CallStats
-	done    map[uint64][]byte // server-side dedup cache
+	mu    sync.Mutex // held for a whole call: the agent serves one request at a time
+	stats CallStats
+	// done is the server-side dedup cache: each completed sequence's
+	// response body, kept as the handler returned it. failed holds the
+	// cached sequences whose response is an application error.
+	done    map[uint64][]byte
+	failed  map[uint64]struct{}
 	doneCap int
 	order   []uint64 // insertion order for cache eviction
 	inject  Injector
@@ -127,6 +164,7 @@ func NewConn(clock *vclock.Clock, cost vclock.CostModel, h Handler) *Conn {
 		cost:    cost,
 		handler: h,
 		done:    make(map[uint64][]byte),
+		failed:  make(map[uint64]struct{}),
 		doneCap: 1024,
 	}
 }
@@ -146,55 +184,69 @@ const (
 	respKindCorrupt
 )
 
-// sum64 is the payload checksum carried in Message.Sum (FNV-1a).
-func sum64(p []byte) uint64 {
+// sum is the checksum carried in Message.Sum: FNV-1a over the message's
+// wire bytes.
+func (m Message) sum() uint64 {
 	h := fnv.New64a()
-	_, _ = h.Write(p)
+	if m.Tag != 0 {
+		tag := [1]byte{m.Tag}
+		_, _ = h.Write(tag[:])
+	}
+	_, _ = h.Write(m.Payload)
 	return h.Sum64()
 }
 
 // serve is the agent side of one delivery: verify, execute (with dedup),
 // and build the response. Called with c.mu held.
 func (c *Conn) serve(m Message) Message {
-	if sum64(m.Payload) != m.Sum {
+	if m.sum() != m.Sum {
 		// Damaged in transit: reject before dispatch so a Retry with the
 		// same sequence can still execute exactly once.
-		return response(m.Seq, respKindCorrupt, []byte("request checksum mismatch"))
+		return response(m.Seq, respKindCorrupt, 0, []byte("request checksum mismatch"))
 	}
 	if cached, dup := c.done[m.Seq]; dup {
 		c.stats.Dedups++
-		return response(m.Seq, respKindOK, cached)
+		tag := tagResult
+		if _, ok := c.failed[m.Seq]; ok {
+			tag = tagError
+		}
+		return response(m.Seq, respKindOK, tag, cached)
 	}
 	out, err := c.handler(m.Kind, m.Payload)
 	if err != nil && errors.Is(err, ErrAgentCrashed) {
-		return response(m.Seq, respKindCrash, []byte(err.Error()))
+		return response(m.Seq, respKindCrash, 0, []byte(err.Error()))
 	}
+	tag := tagResult
 	if err != nil {
 		// Application-level errors travel as payloads; the RPC layer
 		// only distinguishes success from crash.
-		out = append([]byte("!"), []byte(err.Error())...)
-	} else {
-		out = append([]byte("="), out...)
+		tag, out = tagError, []byte(err.Error())
 	}
-	c.remember(m.Seq, out)
-	return response(m.Seq, respKindOK, out)
+	c.remember(m.Seq, tag, out)
+	return response(m.Seq, respKindOK, tag, out)
 }
 
 // response frames a server response with its checksum.
-func response(seq uint64, kind uint32, p []byte) Message {
-	return Message{Seq: seq, Kind: kind, Sum: sum64(p), Payload: p}
+func response(seq uint64, kind uint32, tag byte, p []byte) Message {
+	m := Message{Seq: seq, Kind: kind, Tag: tag, Payload: p}
+	m.Sum = m.sum()
+	return m
 }
 
 // remember stores a completed response for dedup, evicting oldest entries.
 // Called with c.mu held.
-func (c *Conn) remember(seq uint64, out []byte) {
+func (c *Conn) remember(seq uint64, tag byte, out []byte) {
 	if _, ok := c.done[seq]; ok {
 		return
 	}
 	c.done[seq] = out
+	if tag == tagError {
+		c.failed[seq] = struct{}{}
+	}
 	c.order = append(c.order, seq)
 	for len(c.order) > c.doneCap {
 		delete(c.done, c.order[0])
+		delete(c.failed, c.order[0])
 		c.order = c.order[1:]
 	}
 }
@@ -237,7 +289,8 @@ func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]b
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	req := Message{Seq: seq, Kind: kind, Sum: sum64(payload), Payload: payload}
+	req := Message{Seq: seq, Kind: kind, Payload: payload}
+	req.Sum = req.sum()
 	var f MessageFault
 	if c.inject != nil {
 		f = c.inject.RequestFault(seq, payload)
@@ -269,7 +322,7 @@ func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]b
 			return nil, fmt.Errorf("%w: response seq %d lost", ErrTimeout, seq)
 		}
 		if f.Corrupt {
-			m.Payload = corrupted(m.Payload)
+			m = m.corrupted()
 		}
 	}
 	c.stats.Calls++
@@ -277,22 +330,19 @@ func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]b
 		c.stats.Retries++
 	}
 	c.stats.BytesRequest += uint64(len(payload))
-	c.stats.BytesResponse += uint64(len(m.Payload))
+	c.stats.BytesResponse += uint64(m.size())
 	c.advance(c.cost.IPCRoundTrip)
-	c.advance(c.cost.CopyCost(len(payload) + len(m.Payload)))
-	if m.Kind == respKindCorrupt || sum64(m.Payload) != m.Sum {
+	c.advance(c.cost.CopyCost(len(payload) + m.size()))
+	if m.Kind == respKindCorrupt || m.sum() != m.Sum {
 		return nil, fmt.Errorf("%w: seq %d", ErrCorrupt, seq)
 	}
-	if len(m.Payload) == 0 {
-		return nil, errors.New("ipc: malformed empty response")
-	}
-	switch m.Payload[0] {
-	case '=':
-		return m.Payload[1:], nil
-	case '!':
-		return nil, errors.New(string(m.Payload[1:]))
+	switch m.Tag {
+	case tagResult:
+		return m.Payload, nil
+	case tagError:
+		return nil, errors.New(string(m.Payload))
 	default:
-		return nil, fmt.Errorf("ipc: malformed response tag %q", m.Payload[0])
+		return nil, fmt.Errorf("ipc: malformed response tag %q", m.Tag)
 	}
 }
 

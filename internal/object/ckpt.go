@@ -28,9 +28,9 @@ type CheckpointKey struct {
 func Slot(pid uint32, id uint64) uint64 { return uint64(pid)<<32 | id }
 
 // Checkpoint is one immutable version of a key's state: enough to rebuild
-// the object in any address space. Payloads are copy-on-write: the log owns
-// its copy, readers must not mutate it, and a shard that materializes the
-// checkpoint writes into its own space (Rebuild copies).
+// the object in any address space. Payloads are copy-on-write: nobody
+// writes to the log's bytes, readers get copies, and a shard that
+// materializes the checkpoint writes into its own space (Rebuild copies).
 type Checkpoint struct {
 	Key     CheckpointKey
 	Version uint64
@@ -77,8 +77,9 @@ type CompactStats struct {
 // (session, API type, slot); because the log lives outside any shard's
 // kernel, any shard can materialize a session's latest state into its own
 // address space — the substrate of shard failover. Appends never mutate
-// prior versions (each is a fresh copy), so readers racing an append always
-// observe a complete, consistent snapshot. Safe for concurrent use.
+// prior versions (each holds bytes nobody writes), so readers racing an
+// append always observe a complete, consistent snapshot. Safe for
+// concurrent use.
 type CheckpointLog struct {
 	mu       sync.Mutex
 	latest   map[CheckpointKey]*version
@@ -107,12 +108,15 @@ func NewCheckpointLog() *CheckpointLog {
 // (1 for the first write). The payload and header are copied, so callers may
 // reuse their buffers.
 func (l *CheckpointLog) Append(key CheckpointKey, kind Kind, header, payload []byte) uint64 {
-	v := &version{Checkpoint: Checkpoint{
-		Key:     key,
-		Kind:    kind,
-		Header:  append([]byte(nil), header...),
-		Payload: append([]byte(nil), payload...),
-	}}
+	return l.AppendOwned(key, kind, append([]byte(nil), header...), append([]byte(nil), payload...))
+}
+
+// AppendOwned is Append without the copies: the log keeps header and
+// payload themselves, so the caller hands them over and must never write
+// to them again. The agent runtime passes the snapshot its restart map
+// holds, which is written by neither side.
+func (l *CheckpointLog) AppendOwned(key CheckpointKey, kind Kind, header, payload []byte) uint64 {
+	v := &version{Checkpoint: Checkpoint{Key: key, Kind: kind, Header: header, Payload: payload}}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if prev, ok := l.latest[key]; ok {

@@ -106,17 +106,23 @@ type Ref struct {
 	Header []byte
 }
 
-// Encode serializes the ref: 29 fixed bytes, then the header. It is the
-// field of a reference value in the framework call/reply wire format.
-func (r Ref) Encode() []byte {
-	buf := make([]byte, 0, 29+len(r.Header))
-	buf = binary.BigEndian.AppendUint32(buf, r.PID)
-	buf = binary.BigEndian.AppendUint64(buf, r.ID)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.Size))
-	buf = append(buf, byte(r.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, r.Hash)
-	buf = append(buf, r.Header...)
-	return buf
+// EncodedLen is the length of the ref's encoding: 29 fixed bytes, then
+// the header.
+func (r Ref) EncodedLen() int { return 29 + len(r.Header) }
+
+// Encode serializes the ref into a buffer of exactly EncodedLen bytes.
+func (r Ref) Encode() []byte { return r.Append(make([]byte, 0, r.EncodedLen())) }
+
+// Append appends the ref's encoding to b. It is the field of a reference
+// value in the framework call/reply wire format, written straight into
+// the message buffer.
+func (r Ref) Append(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, r.PID)
+	b = binary.BigEndian.AppendUint64(b, r.ID)
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Size))
+	b = append(b, byte(r.Kind))
+	b = binary.BigEndian.AppendUint64(b, r.Hash)
+	return append(b, r.Header...)
 }
 
 // DecodeRef parses an encoded ref.
