@@ -299,6 +299,50 @@ func TestDetectionRequestAllocs(t *testing.T) {
 	}
 }
 
+// TestAppRunAllocs bounds the heap allocations of one Fig. 13 app run: each
+// of the 23 apps at 8x input scale on its own core.New runtime with the
+// paper defaults and the hybrid categorization, averaged over the apps
+// after the first (the warm-up run). About 1,290 allocations are made; the
+// bound of 1,600 fails when the simulated MMU allocates a record and a
+// byte array per page again (2,009 did so).
+func TestAppRunAllocs(t *testing.T) {
+	reg := all.Registry()
+	runner := trace.NewRunner(reg)
+	trace.RunSuite(kernel.New(), runner)
+	cat := analysis.New(reg, runner.Recorder).Categorize()
+	type appRun struct {
+		app apps.App
+		rt  *core.Runtime
+		env *apps.Env
+	}
+	var runs []appRun
+	for _, a := range apps.All() {
+		k := kernel.New()
+		rt, err := core.New(k, all.Registry(), cat, core.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		runs = append(runs, appRun{app: a, rt: rt, env: apps.NewEnvScaled(k, rt, a, 8)})
+	}
+	var err error
+	next := 0
+	allocs := testing.AllocsPerRun(len(runs)-1, func() {
+		r := runs[next]
+		if rerr := r.app.Run(r.env); rerr != nil && err == nil {
+			err = rerr
+		}
+		next++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocs per app run", allocs)
+	if allocs > 1600 {
+		t.Fatalf("one Fig. 13 app run made %.0f allocs, want <= 1600", allocs)
+	}
+}
+
 // BenchmarkDirect_CallPath is the unprotected counterpart of the call-path
 // benchmark (the wall-time cost of the interposition machinery itself).
 func BenchmarkDirect_CallPath(b *testing.B) {

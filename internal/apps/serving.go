@@ -164,38 +164,66 @@ func (srv *DetectionServer) Serve(reqs []DetectionRequest) []DetectionResult {
 		byShard[id] = append(byShard[id], i)
 	}
 	results := make([]DetectionResult, len(reqs))
-	var first []int
-	var wg *sync.WaitGroup // made only when a second shard is busy
-	for _, queue := range byShard {
+	fanOut(byShard, detectBatch{srv, sessions, reqs, results})
+	return results
+}
+
+// detectBatch is one Serve call, which fanOut serves shard by shard.
+type detectBatch struct {
+	srv      *DetectionServer
+	sessions []*core.Session
+	reqs     []DetectionRequest
+	results  []DetectionResult
+}
+
+// serveSlot answers one shard's requests in order, finishing each
+// request's session once it is answered.
+func (b detectBatch) serveSlot(_ int, queue []int) {
+	for _, i := range queue {
+		b.results[i] = b.srv.serveOne(b.sessions[i], i, b.reqs[i])
+		b.sessions[i].Finish()
+	}
+}
+
+// slotServer serves one shard slot's queue of work.
+type slotServer interface {
+	serveSlot(slot int, queue []int)
+}
+
+// fanOut serves every busy slot of queues concurrently with the others:
+// the first busy slot on the calling goroutine, each other busy slot on a
+// goroutine of its own, and an idle slot gets nothing. It returns once every
+// busy slot is served. The server is passed by value, so a call with one
+// busy slot allocates nothing.
+func fanOut[S slotServer](queues [][]int, srv S) {
+	first := -1
+	var wg *sync.WaitGroup // made only when a second slot is busy
+	for id, queue := range queues {
 		switch {
 		case len(queue) == 0:
-		case first == nil:
-			first = queue
+		case first < 0:
+			first = id
 		default:
 			if wg == nil {
 				wg = new(sync.WaitGroup)
 			}
 			wg.Add(1)
-			go func(wg *sync.WaitGroup, queue []int) {
-				defer wg.Done()
-				srv.serveQueue(sessions, reqs, results, queue)
-			}(wg, queue)
+			go serveSlotDone(srv, wg, id, queue)
 		}
 	}
-	srv.serveQueue(sessions, reqs, results, first)
+	if first >= 0 {
+		srv.serveSlot(first, queues[first])
+	}
 	if wg != nil {
 		wg.Wait()
 	}
-	return results
 }
 
-// serveQueue answers one shard's requests in order, finishing each
-// request's session once it is answered.
-func (srv *DetectionServer) serveQueue(sessions []*core.Session, reqs []DetectionRequest, results []DetectionResult, queue []int) {
-	for _, i := range queue {
-		results[i] = srv.serveOne(sessions[i], i, reqs[i])
-		sessions[i].Finish()
-	}
+// serveSlotDone serves one slot and marks it done in wg. Started as a named
+// function, a slot's goroutine makes one allocation, its argument block.
+func serveSlotDone[S slotServer](srv S, wg *sync.WaitGroup, slot int, queue []int) {
+	defer wg.Done()
+	srv.serveSlot(slot, queue)
 }
 
 // ServeSeq answers every request strictly sequentially, in request order,

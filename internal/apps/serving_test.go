@@ -62,3 +62,38 @@ func TestDetectionServesInBoundedMemory(t *testing.T) {
 		t.Fatalf("after %d requests: %d pages mapped, %d checkpoint keys; after %d: %d and %d", requests, p, k, warm, pages, keys)
 	}
 }
+
+// TestServeStreamsIdleShardsCostNothing serves one tracking stream per call
+// on a one-shard and on an eight-shard direct pool. The seven idle shards
+// may start nothing: no goroutine, closure or WaitGroup, so both pools make
+// the same allocations per call (a goroutine per idle slot made seven more).
+func TestServeStreamsIdleShardsCostNothing(t *testing.T) {
+	streams := apps.GenTrackStreams(3, 1, 4)
+	perCall := func(shards int) float64 {
+		ex, err := core.NewExecutor(shards, core.DirectShards(all.Registry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ex.Close()
+		srv := apps.ProvisionTracking(ex)
+		var failed error
+		serve := func() {
+			if r := srv.ServeStreams(streams); r[0].Err != nil && failed == nil {
+				failed = r[0].Err
+			}
+		}
+		for i := 0; i < 2*shards; i++ { // every shard has served a stream
+			serve()
+		}
+		allocs := testing.AllocsPerRun(64, serve)
+		if failed != nil {
+			t.Fatal(failed)
+		}
+		return allocs
+	}
+	one, eight := perCall(1), perCall(8)
+	t.Logf("%.0f allocs per call on one shard, %.0f on eight", one, eight)
+	if eight > one {
+		t.Fatalf("eight shards made %.0f allocs per call against %.0f on one: idle shards cost work", eight, one)
+	}
+}

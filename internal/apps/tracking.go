@@ -3,7 +3,6 @@ package apps
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"freepart.dev/freepart/internal/core"
@@ -180,9 +179,11 @@ func ProvisionTracking(ex *core.Executor) *TrackingServer {
 
 // ServeStreams runs every stream to completion and returns final filtered
 // positions in stream order. Sessions open in stream order (deterministic
-// round-robin placement); each shard serves its sessions on one goroutine,
-// interleaving them step by step in session order, so per-shard admission
-// order — and therefore every virtual timestamp — is deterministic.
+// round-robin placement); each busy shard serves its sessions on one
+// goroutine (the first on the calling goroutine, and an idle shard starts
+// nothing), interleaving them step by step in session order, so per-shard
+// admission order — and therefore every virtual timestamp — is
+// deterministic.
 func (srv *TrackingServer) ServeStreams(streams []TrackStream) []TrackResult {
 	byShard := make([][]int, srv.Ex.Shards())
 	sessions := make([]*core.Session, len(streams))
@@ -192,33 +193,39 @@ func (srv *TrackingServer) ServeStreams(streams []TrackStream) []TrackResult {
 		byShard[id] = append(byShard[id], i)
 	}
 	results := make([]TrackResult, len(streams))
-	var wg sync.WaitGroup
-	for _, queue := range byShard {
-		wg.Add(1)
-		go func(queue []int) {
-			defer wg.Done()
-			for _, i := range queue {
-				results[i] = TrackResult{User: streams[i].User}
-				results[i].Err = srv.initSession(sessions[i], streams[i])
-			}
-			steps := 0
-			for _, i := range queue {
-				if len(streams[i].Points) > steps {
-					steps = len(streams[i].Points)
-				}
-			}
-			for step := 0; step < steps; step++ {
-				for _, i := range queue {
-					if results[i].Err != nil || step >= len(streams[i].Points) {
-						continue
-					}
-					results[i].Err = srv.serveStep(sessions[i], streams[i], step, &results[i])
-				}
-			}
-		}(queue)
-	}
-	wg.Wait()
+	fanOut(byShard, streamBatch{srv, streams, sessions, results})
 	return results
+}
+
+// streamBatch is one ServeStreams call, which fanOut serves shard by shard.
+type streamBatch struct {
+	srv      *TrackingServer
+	streams  []TrackStream
+	sessions []*core.Session
+	results  []TrackResult
+}
+
+// serveSlot runs one shard's streams, interleaved step by step in session
+// order.
+func (b streamBatch) serveSlot(_ int, queue []int) {
+	for _, i := range queue {
+		b.results[i] = TrackResult{User: b.streams[i].User}
+		b.results[i].Err = b.srv.initSession(b.sessions[i], b.streams[i])
+	}
+	steps := 0
+	for _, i := range queue {
+		if len(b.streams[i].Points) > steps {
+			steps = len(b.streams[i].Points)
+		}
+	}
+	for step := 0; step < steps; step++ {
+		for _, i := range queue {
+			if b.results[i].Err != nil || step >= len(b.streams[i].Points) {
+				continue
+			}
+			b.results[i].Err = b.srv.serveStep(b.sessions[i], b.streams[i], step, &b.results[i])
+		}
+	}
 }
 
 // Ticker is the control-plane hook ServeRamp invokes at every wave
@@ -243,7 +250,7 @@ type AdmissionOrderer interface {
 }
 
 // AdmissionObserver is the optional feedback half of an orderer: after a
-// wave's queue is admitted, serveWave reports each entry's outcome (in
+// wave's queue is admitted, the wave reports each entry's outcome (in
 // served order) so service-charged policies — sched.WFQ advances a
 // tenant's virtual finish clock only for requests actually served — can
 // account capacity correctly. Shed entries consumed none.
@@ -325,32 +332,7 @@ func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions)
 			}
 			queues[id] = append(queues[id], i)
 		}
-		// The first busy slot drains on the calling goroutine, every other
-		// busy slot on a goroutine of its own.
-		first := -1
-		var wg *sync.WaitGroup // made only when a second slot is busy
-		for id, queue := range queues {
-			switch {
-			case len(queue) == 0:
-			case first < 0:
-				first = id
-			default:
-				if wg == nil {
-					wg = new(sync.WaitGroup)
-				}
-				wg.Add(1)
-				go func(wg *sync.WaitGroup, w, id int, queue []int) {
-					defer wg.Done()
-					srv.serveWave(streams, sessions, results, queue, w, id, opt)
-				}(wg, w, id, queue)
-			}
-		}
-		if first >= 0 {
-			srv.serveWave(streams, sessions, results, queues[first], w, first, opt)
-		}
-		if wg != nil {
-			wg.Wait()
-		}
+		fanOut(queues, rampWave{srv, streams, sessions, results, w, &opt})
 		// Release sessions whose stream just finished or errored out, so
 		// the control plane sees their shards as shrink/placement capacity.
 		for i := range streams {
@@ -368,29 +350,39 @@ func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions)
 	return results
 }
 
-// serveWave drains one shard slot's queue for one wave: order (WFQ), then
+// rampWave is one wave of ServeRampOpts, which fanOut serves slot by slot.
+type rampWave struct {
+	srv      *TrackingServer
+	streams  []TrackStream
+	sessions []*core.Session
+	results  []TrackResult
+	w        int
+	opt      *RampOptions // a pointer keeps the value small enough to copy into a goroutine
+}
+
+// serveSlot drains one shard slot's queue for one wave: order (WFQ), then
 // coalesce (batcher), then admit. Split returns consecutive subslices, so
 // batch errors map back to queue positions with a running cursor — the
 // orderer permutes queue and entries together before the cursor starts, so
 // the contract holds under reordering too.
-func (srv *TrackingServer) serveWave(streams []TrackStream, sessions []*core.Session, results []TrackResult, queue []int, w, slot int, opt RampOptions) {
-	if opt.Batcher == nil && opt.Orderer == nil {
+func (r rampWave) serveSlot(slot int, queue []int) {
+	if r.opt.Batcher == nil && r.opt.Orderer == nil {
 		for _, i := range queue {
-			noteStep(&results[i], srv.serveStep(sessions[i], streams[i], w-streams[i].Offset, &results[i]), opt)
+			noteStep(&r.results[i], r.srv.serveStep(r.sessions[i], r.streams[i], r.w-r.streams[i].Offset, &r.results[i]), *r.opt)
 		}
 		return
 	}
 	entries := make([]core.BatchEntry, len(queue))
 	for k, i := range queue {
-		step := w - streams[i].Offset
+		step := r.w - r.streams[i].Offset
 		entries[k] = core.BatchEntry{
-			Session: sessions[i],
-			Arrival: streams[i].Arrivals[step],
-			Job:     srv.stepJob(sessions[i], streams[i], step, &results[i]),
+			Session: r.sessions[i],
+			Arrival: r.streams[i].Arrivals[step],
+			Job:     r.srv.stepJob(r.sessions[i], r.streams[i], step, &r.results[i]),
 		}
 	}
-	if opt.Orderer != nil {
-		perm := opt.Orderer.Order(slot, entries)
+	if r.opt.Orderer != nil {
+		perm := r.opt.Orderer.Order(slot, entries)
 		reEntries := make([]core.BatchEntry, len(entries))
 		reQueue := make([]int, len(queue))
 		for k, p := range perm {
@@ -399,22 +391,22 @@ func (srv *TrackingServer) serveWave(streams []TrackStream, sessions []*core.Ses
 		entries, queue = reEntries, reQueue
 	}
 	errs := make([]error, len(entries))
-	if opt.Batcher == nil {
+	if r.opt.Batcher == nil {
 		for k, i := range queue {
-			errs[k] = sessions[i].DoAt(entries[k].Arrival, entries[k].Job)
-			noteStep(&results[i], errs[k], opt)
+			errs[k] = r.sessions[i].DoAt(entries[k].Arrival, entries[k].Job)
+			noteStep(&r.results[i], errs[k], *r.opt)
 		}
 	} else {
 		pos := 0
-		for _, batch := range opt.Batcher.Split(entries) {
-			for k, err := range srv.Ex.DoBatch(batch) {
+		for _, batch := range r.opt.Batcher.Split(entries) {
+			for k, err := range r.srv.Ex.DoBatch(batch) {
 				errs[pos+k] = err
-				noteStep(&results[queue[pos+k]], err, opt)
+				noteStep(&r.results[queue[pos+k]], err, *r.opt)
 			}
 			pos += len(batch)
 		}
 	}
-	if obs, ok := opt.Orderer.(AdmissionObserver); ok {
+	if obs, ok := r.opt.Orderer.(AdmissionObserver); ok {
 		obs.Observe(slot, entries, errs)
 	}
 }

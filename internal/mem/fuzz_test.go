@@ -1,0 +1,590 @@
+package mem
+
+import (
+	"bytes"
+	"cmp"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+)
+
+// refSpace is the per-page reference model FuzzAddressSpace holds
+// AddressSpace to: a map of page records with their own bytes, an
+// allocation-order region list scanned linearly, and a first-fit free list
+// of spans that are never merged. A range that runs past the top of the
+// address space walks up to the top page, which is never mapped.
+type refSpace struct {
+	id      SpaceID
+	pages   map[uint64]*refPage
+	brk     Addr
+	limit   Addr
+	regions []Region
+	freed   []Region
+	stats   Stats
+	pkru    [MaxKey + 1]keyAccess
+	hook    AccessHook
+}
+
+type refPage struct {
+	data []byte // nil until first accessed
+	perm Perm
+	key  Key
+}
+
+func (pg *refPage) bytes() []byte {
+	if pg.data == nil {
+		pg.data = make([]byte, PageSize)
+	}
+	return pg.data
+}
+
+func newRefSpace(id SpaceID, limit Addr) *refSpace {
+	return &refSpace{id: id, pages: map[uint64]*refPage{}, brk: baseAddr, limit: limit}
+}
+
+// pageRange returns the first and last page [addr, addr+n) overlaps, the
+// last being the top page when the range wraps.
+func pageRange(addr Addr, n int) (first, last uint64) {
+	end := addr + Addr(n) - 1
+	if end < addr {
+		end = ^Addr(0)
+	}
+	return addr.PageIndex(), end.PageIndex()
+}
+
+func (r *refSpace) Alloc(size int) (Region, error) {
+	if size <= 0 {
+		return Region{}, fmt.Errorf("%w: alloc size %d", ErrBadRange, size)
+	}
+	span := Addr(roundUp(size))
+	base, found := Addr(0), false
+	for i, f := range r.freed {
+		if Addr(f.Size) < span {
+			continue
+		}
+		base, found = f.Base, true
+		if Addr(f.Size) == span {
+			r.freed = append(r.freed[:i], r.freed[i+1:]...)
+		} else {
+			r.freed[i] = Region{Base: f.Base + span, Size: f.Size - int(span)}
+		}
+		break
+	}
+	if !found {
+		if r.brk+span > r.limit || r.brk+span < r.brk {
+			return Region{}, ErrOutOfMemory
+		}
+		base = r.brk
+		r.brk += span
+	}
+	for pi := base.PageIndex(); pi < (base + span).PageIndex(); pi++ {
+		r.pages[pi] = &refPage{perm: PermRW}
+	}
+	reg := Region{Base: base, Size: size}
+	r.regions = append(r.regions, reg)
+	return reg, nil
+}
+
+func (r *refSpace) Free(reg Region) error {
+	i := slices.Index(r.regions, reg)
+	if i < 0 {
+		return fmt.Errorf("%w: free of unallocated region %#x+%d", ErrBadRange, reg.Base, reg.Size)
+	}
+	r.regions = append(r.regions[:i], r.regions[i+1:]...)
+	span := Addr(roundUp(reg.Size))
+	for pi := reg.Base.PageIndex(); pi < (reg.Base + span).PageIndex(); pi++ {
+		delete(r.pages, pi)
+	}
+	r.freed = append(r.freed, Region{Base: reg.Base, Size: int(span)})
+	return nil
+}
+
+// setPages applies set to every page of the range up to the first
+// unmapped one, whose address it returns with ok false.
+func (r *refSpace) setPages(addr Addr, n int, set func(*refPage)) (count int, gap uint64, ok bool) {
+	first, last := pageRange(addr, n)
+	for pi := first; ; pi++ {
+		pg, mapped := r.pages[pi]
+		if !mapped {
+			return count, pi * PageSize, false
+		}
+		set(pg)
+		count++
+		if pi == last {
+			return count, 0, true
+		}
+	}
+}
+
+func (r *refSpace) Protect(addr Addr, size int, perm Perm) (int, error) {
+	if size <= 0 {
+		return 0, fmt.Errorf("%w: protect size %d", ErrBadRange, size)
+	}
+	n, gap, ok := r.setPages(addr, size, func(pg *refPage) { pg.perm = perm })
+	if !ok {
+		return n, fmt.Errorf("%w: protect of unmapped page %#x", ErrBadRange, gap)
+	}
+	r.stats.Protects++
+	return n, nil
+}
+
+func (r *refSpace) SetKey(reg Region, k Key) error {
+	if k > MaxKey {
+		return fmt.Errorf("%w: protection key %d", ErrBadRange, k)
+	}
+	if reg.Size <= 0 {
+		return fmt.Errorf("%w: key region size %d", ErrBadRange, reg.Size)
+	}
+	if _, gap, ok := r.setPages(reg.Base, reg.Size, func(pg *refPage) { pg.key = k }); !ok {
+		return fmt.Errorf("%w: key on unmapped page %#x", ErrBadRange, gap)
+	}
+	return nil
+}
+
+func (r *refSpace) SetKeyAccess(k Key, allowRead, allowWrite bool) error {
+	if k == 0 {
+		return fmt.Errorf("%w: key 0 access is fixed", ErrBadRange)
+	}
+	if k > MaxKey {
+		return fmt.Errorf("%w: protection key %d", ErrBadRange, k)
+	}
+	r.pkru[k] = keyAccess{denyRead: !allowRead, denyWrite: !allowWrite}
+	return nil
+}
+
+func (r *refSpace) check(addr Addr, n int, kind AccessKind) error {
+	if n <= 0 {
+		return fmt.Errorf("%w: access size %d", ErrBadRange, n)
+	}
+	if r.hook != nil {
+		if err := r.hook(addr, n, kind); err != nil {
+			r.stats.Faults++
+			return err
+		}
+	}
+	first, last := pageRange(addr, n)
+	for pi := first; ; pi++ {
+		pg, ok := r.pages[pi]
+		if !ok {
+			r.stats.Faults++
+			return &Fault{Space: r.id, Addr: Addr(pi * PageSize), Kind: kind}
+		}
+		allowed := false
+		switch kind {
+		case AccessRead:
+			allowed = pg.perm.CanRead() && !(pg.key != 0 && r.pkru[pg.key].denyRead)
+		case AccessWrite:
+			allowed = pg.perm.CanWrite() && !(pg.key != 0 && r.pkru[pg.key].denyWrite)
+		}
+		if !allowed {
+			r.stats.Faults++
+			return &Fault{Space: r.id, Addr: Addr(pi * PageSize), Kind: kind, Perm: pg.perm, Mapped: true}
+		}
+		if pi == last {
+			return nil
+		}
+	}
+}
+
+func (r *refSpace) Load(addr Addr, n int) ([]byte, error) {
+	if err := r.check(addr, n, AccessRead); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	r.copyOut(addr, buf)
+	return buf, nil
+}
+
+func (r *refSpace) LoadAt(addr Addr, buf []byte) error {
+	if err := r.check(addr, len(buf), AccessRead); err != nil {
+		return err
+	}
+	r.copyOut(addr, buf)
+	return nil
+}
+
+func (r *refSpace) copyOut(addr Addr, buf []byte) {
+	r.stats.Loads++
+	r.stats.BytesLoaded += uint64(len(buf))
+	for off := 0; off < len(buf); {
+		a := addr + Addr(off)
+		off += copy(buf[off:], r.pages[a.PageIndex()].bytes()[a%PageSize:])
+	}
+}
+
+func (r *refSpace) Store(addr Addr, buf []byte) error {
+	if err := r.check(addr, len(buf), AccessWrite); err != nil {
+		return err
+	}
+	r.stats.Stores++
+	r.stats.BytesStored += uint64(len(buf))
+	for off := 0; off < len(buf); {
+		a := addr + Addr(off)
+		off += copy(r.pages[a.PageIndex()].bytes()[a%PageSize:], buf[off:])
+	}
+	return nil
+}
+
+func (r *refSpace) Stats() Stats {
+	st := r.stats
+	st.PagesMapped = uint64(len(r.pages))
+	return st
+}
+
+// sameErr fails unless got and want are the same outcome: both nil, equal
+// faults, or errors with the same text.
+func sameErr(t *testing.T, op fmt.Stringer, got, want error) {
+	gf, gok := IsFault(got)
+	wf, wok := IsFault(want)
+	switch {
+	case (got == nil) != (want == nil), gok != wok:
+		t.Fatalf("%s: error %v, reference %v", op, got, want)
+	case gok && *gf != *wf:
+		t.Fatalf("%s: fault %+v, reference %+v", op, *gf, *wf)
+	case got != nil && got.Error() != want.Error():
+		t.Fatalf("%s: error %q, reference %q", op, got, want)
+	}
+}
+
+// scriptStep names a script step in a failure message.
+type scriptStep struct {
+	n  int
+	op byte
+}
+
+func (s scriptStep) String() string { return fmt.Sprintf("step %d op %d", s.n, s.op) }
+
+// script decodes a fuzz input; reads past its end yield zeros.
+type script struct{ b []byte }
+
+func (s *script) byte() byte {
+	if len(s.b) == 0 {
+		return 0
+	}
+	v := s.b[0]
+	s.b = s.b[1:]
+	return v
+}
+
+func (s *script) u16() uint16 { return uint16(s.byte())<<8 | uint16(s.byte()) }
+
+// addr decodes an address operand: mode, a 16-bit value and a region index.
+func (s *script) addr(live []Region) Addr {
+	mode, v, idx := s.byte()%4, s.u16(), int(s.byte())
+	switch {
+	case mode == 3:
+		return ^Addr(0) - Addr(v) // near the top, so a range can wrap
+	case mode == 0 || len(live) == 0:
+		return Addr(v) * 16
+	case mode == 1:
+		return live[idx%len(live)].Base + Addr(int16(v))
+	default:
+		return live[idx%len(live)].End() + Addr(int16(v))
+	}
+}
+
+// size decodes a size operand: mode and a 16-bit value.
+func (s *script) size() int {
+	mode, v := s.byte()%4, s.u16()
+	switch mode {
+	case 0:
+		return int(v)
+	case 1:
+		return int(int16(v))
+	case 2:
+		if v%2 == 1 {
+			return math.MaxInt
+		}
+		return 1 << 62
+	default:
+		return int(v%16+1) * PageSize
+	}
+}
+
+// Script ops, one byte each, followed by their operands.
+const (
+	fzAlloc        = iota // u16 size as int16
+	fzFree                // region index, mode (0 as returned, 1 wrong size, 2 inner base)
+	fzProtect             // addr, size, perm
+	fzSetKey              // addr, size, key
+	fzSetKeyAccess        // key, access bits
+	fzLoad                // addr, size
+	fzLoadAt              // addr, u16 length
+	fzStore               // addr, u16 length, fill byte
+	fzHook                // toggle a hook that vetoes some accesses
+	fzOps
+)
+
+// fuzzLimit keeps a scripted space small enough to compare page by page.
+const fuzzLimit = Addr(64 * PageSize)
+
+// fuzzSteps caps a script's ops. The bytes past the cap change nothing, so
+// the fuzzer's minimizer, quadratic in the input's length, cuts them first
+// and stays fast.
+const fuzzSteps = 32
+
+var errVeto = errors.New("mem: access vetoed by hook")
+
+// vetoes is the fuzzed access hook: deterministic in its arguments, so both
+// spaces see the same verdict for the same access.
+func vetoes(addr Addr, n int, kind AccessKind) error {
+	if (uint64(addr)+uint64(n)+uint64(kind))%7 == 0 {
+		return errVeto
+	}
+	return nil
+}
+
+// FuzzAddressSpace runs byte-scripted sequences of allocations, frees,
+// protection changes and accesses on an AddressSpace and on the per-page
+// reference model, and requires the two to agree on every returned region,
+// loaded byte, error, fault, hook call and counter, and at the end on every
+// page's permission, key, region and contents.
+func FuzzAddressSpace(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(runScript)
+}
+
+// runScript runs one fuzz script on a fresh space and its reference.
+func runScript(t *testing.T, in []byte) {
+	s := NewSpace()
+	s.SetLimit(fuzzLimit)
+	ref := newRefSpace(s.ID(), fuzzLimit)
+	var hookCalls, refHookCalls int
+	var live []Region
+	sc := &script{b: in}
+	for step := 0; step < fuzzSteps && len(sc.b) > 0; step++ {
+		op := sc.byte() % fzOps
+		name := scriptStep{step, op}
+		switch op {
+		case fzAlloc:
+			size := int(int16(sc.u16()))
+			got, err := s.Alloc(size)
+			want, rerr := ref.Alloc(size)
+			sameErr(t, name, err, rerr)
+			if got != want {
+				t.Fatalf("%s: Alloc(%d) = %+v, reference %+v", name, size, got, want)
+			}
+			if err == nil {
+				live = append(live, got)
+			}
+		case fzFree:
+			idx, mode := int(sc.byte()), sc.byte()%3
+			if len(live) == 0 {
+				continue
+			}
+			idx %= len(live)
+			r := live[idx]
+			switch mode {
+			case 1:
+				r.Size++
+			case 2:
+				r.Base += PageSize
+			}
+			err := s.Free(r)
+			sameErr(t, name, err, ref.Free(r))
+			if err == nil {
+				live = append(live[:idx], live[idx+1:]...)
+			}
+		case fzProtect:
+			addr, size, perm := sc.addr(live), sc.size(), Perm(sc.byte())&(PermRead|PermWrite|PermExec)
+			n, err := s.Protect(addr, size, perm)
+			rn, rerr := ref.Protect(addr, size, perm)
+			sameErr(t, name, err, rerr)
+			if n != rn {
+				t.Fatalf("%s: Protect(%#x, %d) touched %d pages, reference %d", name, addr, size, n, rn)
+			}
+		case fzSetKey:
+			r := Region{Base: sc.addr(live), Size: sc.size()}
+			k := Key(sc.byte()) % (MaxKey + 2)
+			sameErr(t, name, s.SetKey(r, k), ref.SetKey(r, k))
+		case fzSetKeyAccess:
+			k, bits := Key(sc.byte())%(MaxKey+2), sc.byte()
+			sameErr(t, name, s.SetKeyAccess(k, bits&1 != 0, bits&2 != 0), ref.SetKeyAccess(k, bits&1 != 0, bits&2 != 0))
+		case fzLoad:
+			addr, n := sc.addr(live), sc.size()
+			got, err := s.Load(addr, n)
+			want, rerr := ref.Load(addr, n)
+			sameErr(t, name, err, rerr)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: Load(%#x, %d) bytes differ from the reference", name, addr, n)
+			}
+		case fzLoadAt:
+			addr, n := sc.addr(live), int(sc.u16())%(3*PageSize)
+			got, want := make([]byte, n), make([]byte, n)
+			sameErr(t, name, s.LoadAt(addr, got), ref.LoadAt(addr, want))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: LoadAt(%#x, %d) bytes differ from the reference", name, addr, n)
+			}
+		case fzStore:
+			addr, n, fill := sc.addr(live), int(sc.u16())%(3*PageSize), sc.byte()
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = fill + byte(i)
+			}
+			sameErr(t, name, s.Store(addr, buf), ref.Store(addr, buf))
+		case fzHook:
+			if ref.hook != nil {
+				s.SetAccessHook(nil)
+				ref.hook = nil
+				break
+			}
+			s.SetAccessHook(func(addr Addr, n int, kind AccessKind) error {
+				hookCalls++
+				return vetoes(addr, n, kind)
+			})
+			ref.hook = func(addr Addr, n int, kind AccessKind) error {
+				refHookCalls++
+				return vetoes(addr, n, kind)
+			}
+		}
+		if got, want := s.Stats(), ref.Stats(); got != want {
+			t.Fatalf("%s: stats %+v, reference %+v", name, got, want)
+		}
+		if hookCalls != refHookCalls {
+			t.Fatalf("%s: %d hook calls, reference %d", name, hookCalls, refHookCalls)
+		}
+	}
+	comparePages(t, s, ref)
+}
+
+var zeroPage [PageSize]byte
+
+// comparePages requires every page up to the limit, and the top page, to
+// have the reference's permission, key, region and bytes.
+func comparePages(t *testing.T, s *AddressSpace, ref *refSpace) {
+	t.Helper()
+	regs := slices.Clone(ref.regions)
+	slices.SortFunc(regs, func(a, b Region) int { return cmp.Compare(a.Base, b.Base) })
+	if got := s.Regions(); !slices.Equal(got, regs) {
+		t.Fatalf("regions %v, reference %v", got, regs)
+	}
+	pages := []uint64{(^Addr(0)).PageIndex()}
+	for pi := uint64(0); pi <= fuzzLimit.PageIndex()+1; pi++ {
+		pages = append(pages, pi)
+	}
+	for _, pi := range pages {
+		addr := Addr(pi * PageSize)
+		pg, mapped := ref.pages[pi]
+		perm, pok := s.PermAt(addr)
+		key, kok := s.KeyAt(addr)
+		if pok != mapped || kok != mapped || mapped && (perm != pg.perm || key != pg.key) {
+			t.Fatalf("page %#x: perm %v/%v key %d/%v, reference mapped %v", addr, perm, pok, key, kok, mapped)
+		}
+		for _, a := range []Addr{addr, addr + PageSize - 1} {
+			got, gok := s.RegionOf(a)
+			var want Region
+			wok := false
+			for _, r := range ref.regions {
+				if r.Contains(a) {
+					want, wok = r, true
+				}
+			}
+			if got != want || gok != wok {
+				t.Fatalf("RegionOf(%#x) = %v, %v; reference %v, %v", a, got, gok, want, wok)
+			}
+		}
+		if !mapped {
+			continue
+		}
+		got, want := zeroPage[:], zeroPage[:]
+		if m := s.lookup(addr); m.data != nil {
+			got = m.data[addr-m.base:][:PageSize]
+		}
+		if pg.data != nil {
+			want = pg.data
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page %#x: bytes differ from the reference", addr)
+		}
+	}
+}
+
+// Seed script assembly: operands in the layout the fuzz body decodes.
+func fzAbs(v uint16) []byte             { return []byte{0, byte(v >> 8), byte(v), 0} }
+func fzBase(idx byte, off int16) []byte { return []byte{1, byte(uint16(off) >> 8), byte(off), idx} }
+func fzEnd(idx byte, off int16) []byte  { return []byte{2, byte(uint16(off) >> 8), byte(off), idx} }
+func fzTop(back uint16) []byte          { return []byte{3, byte(back >> 8), byte(back), 0} }
+func fzSize(n uint16) []byte            { return []byte{0, byte(n >> 8), byte(n)} }
+func fzNeg(n int16) []byte              { return []byte{1, byte(uint16(n) >> 8), byte(n)} }
+func fzHuge() []byte                    { return []byte{2, 0, 0} }
+func fzPages(n uint16) []byte           { return []byte{3, 0, byte(n - 1)} }
+
+func fzOp(op byte, operands ...[]byte) []byte {
+	return slices.Concat(append([][]byte{{op}}, operands...)...)
+}
+
+func fzAllocOp(size int16) []byte { return fzOp(fzAlloc, []byte{byte(uint16(size) >> 8), byte(size)}) }
+func fzLen(n uint16) []byte       { return []byte{byte(n >> 8), byte(n)} }
+
+// fuzzSeeds are the scripted corner cases: an access across two adjacent
+// regions, partial reuse of a larger freed span, Protect and SetKey across
+// a region boundary and across an unmapped gap, and ranges that wrap the
+// address space or have a bad length.
+func fuzzSeeds() [][]byte {
+	return [][]byte{
+		// Two adjacent regions; a store and loads across their boundary.
+		slices.Concat(
+			fzAllocOp(5000), fzAllocOp(100),
+			fzOp(fzStore, fzBase(1, -10), fzLen(20), []byte{0x41}),
+			fzOp(fzLoad, fzBase(1, -10), fzSize(20)),
+			fzOp(fzLoadAt, fzBase(0, 0), fzLen(3*PageSize-1)),
+		),
+		// A four-page span, written, freed and reused in part: the prefix
+		// comes back zeroed and the rest stays free for the next fit.
+		slices.Concat(
+			fzAllocOp(4*PageSize),
+			fzOp(fzStore, fzBase(0, 0), fzLen(2*PageSize+7), []byte{0x7f}),
+			fzOp(fzProtect, fzBase(0, PageSize), fzPages(1), []byte{byte(PermRead)}),
+			fzOp(fzFree, []byte{0, 0}),
+			fzAllocOp(PageSize),
+			fzOp(fzLoad, fzBase(0, 0), fzSize(PageSize)),
+			fzAllocOp(2*PageSize-1),
+			fzOp(fzLoad, fzBase(1, 0), fzSize(2*PageSize)),
+			fzOp(fzStore, fzBase(1, 5), fzLen(10), []byte{1}),
+			fzAllocOp(3*PageSize),
+		),
+		// Protect and SetKey across a region boundary, then accesses that
+		// hit the read-only page and the denied key.
+		slices.Concat(
+			fzAllocOp(PageSize), fzAllocOp(2*PageSize),
+			fzOp(fzProtect, fzBase(0, 100), fzSize(PageSize), []byte{byte(PermRead)}),
+			fzOp(fzSetKey, fzBase(1, -1), fzSize(2), []byte{5}),
+			fzOp(fzSetKeyAccess, []byte{5, 1}),
+			fzOp(fzStore, fzBase(1, -8), fzLen(16), []byte{9}),
+			fzOp(fzLoad, fzBase(1, -8), fzSize(16)),
+			fzOp(fzSetKeyAccess, []byte{5, 0}),
+			fzOp(fzLoad, fzBase(1, 8), fzSize(16)),
+		),
+		// Protect and SetKey across an unmapped gap: the pages before the
+		// gap change, the call fails at the gap.
+		slices.Concat(
+			fzAllocOp(PageSize), fzAllocOp(PageSize), fzAllocOp(PageSize),
+			fzOp(fzFree, []byte{1, 0}),
+			fzOp(fzProtect, fzBase(0, 0), fzPages(3), []byte{0}),
+			fzOp(fzSetKey, fzBase(0, 0), fzPages(3), []byte{7}),
+			fzOp(fzLoad, fzBase(0, 0), fzSize(1)),
+			fzOp(fzLoad, fzBase(1, 0), fzSize(PageSize+1)),
+		),
+		// Ranges that wrap the address space or have a bad length.
+		slices.Concat(
+			fzAllocOp(PageSize),
+			fzOp(fzLoad, fzTop(10), fzSize(100)),
+			fzOp(fzLoadAt, fzTop(10), fzLen(100)),
+			fzOp(fzStore, fzTop(10), fzLen(100), []byte{2}),
+			fzOp(fzProtect, fzTop(10), fzSize(100), []byte{byte(PermRW)}),
+			fzOp(fzSetKey, fzTop(10), fzSize(100), []byte{3}),
+			fzOp(fzLoad, fzBase(0, 0), fzHuge()),
+			fzOp(fzLoad, fzBase(0, 0), fzNeg(-1)),
+			fzOp(fzProtect, fzBase(0, 0), fzHuge(), []byte{0}),
+			fzOp(fzSetKey, fzBase(0, 0), fzNeg(-5), []byte{1}),
+			fzAllocOp(-3),
+			fzOp(fzHook),
+			fzOp(fzLoad, fzAbs(256), fzSize(64)),
+			fzOp(fzStore, fzBase(0, 3), fzLen(64), []byte{4}),
+		),
+	}
+}

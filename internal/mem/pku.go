@@ -34,14 +34,12 @@ func (s *AddressSpace) SetKey(r Region, k Key) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	first := r.Base.PageIndex()
-	last := (r.Base + Addr(r.Size) - 1).PageIndex()
-	for pi := first; pi <= last; pi++ {
-		pg, ok := s.pages[pi]
-		if !ok {
-			return fmt.Errorf("%w: key on unmapped page %#x", ErrBadRange, pi*PageSize)
-		}
-		pg.key = k
+	gap, ok := s.eachPage(r.Base, r.Size, func(_ Addr, st *pageState) bool {
+		st.key = k
+		return true
+	})
+	if !ok {
+		return fmt.Errorf("%w: key on unmapped page %#x", ErrBadRange, gap)
 	}
 	return nil
 }
@@ -50,11 +48,11 @@ func (s *AddressSpace) SetKey(r Region, k Key) error {
 func (s *AddressSpace) KeyAt(addr Addr) (Key, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	pg, ok := s.pages[addr.PageIndex()]
-	if !ok {
+	m := s.lookup(addr)
+	if m == nil {
 		return 0, false
 	}
-	return pg.key, true
+	return m.pages[(addr-m.base)/PageSize].key, true
 }
 
 // SetKeyAccess writes the space's PKRU entry for the key: whether loads

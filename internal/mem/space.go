@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -32,11 +33,53 @@ type Stats struct {
 	PagesMapped uint64 // pages currently mapped
 }
 
-type page struct {
-	data []byte // lazily allocated, PageSize long
+// pageState is one page's protection: its permission bits and its key.
+type pageState struct {
 	perm Perm
 	key  Key // protection key (0 = default domain)
 }
+
+// span is a page-aligned run of the address space: one protection record
+// per page and one byte slab for the whole run, made on its first access.
+// Once made, a slab stays with its addresses: Free hands an allocation's
+// span to the free list and Alloc takes it, or a prefix of it, back, so
+// the slabs never cover more than the break.
+type span struct {
+	base  Addr
+	pages []pageState
+	data  []byte // nil until first accessed, then len(pages)*PageSize
+}
+
+// end returns the first address past the span.
+func (sp *span) end() Addr { return sp.base + Addr(len(sp.pages))*PageSize }
+
+// bytes returns the span's slab, making it on first use.
+func (sp *span) bytes() []byte {
+	if sp.data == nil {
+		sp.data = make([]byte, len(sp.pages)*PageSize)
+	}
+	return sp.data
+}
+
+// cut splits the span after its first n bytes, a multiple of PageSize.
+func (sp span) cut(n Addr) (head, tail span) {
+	np := int(n / PageSize)
+	head = span{base: sp.base, pages: sp.pages[:np:np]}
+	tail = span{base: sp.base + n, pages: sp.pages[np:]}
+	if sp.data != nil {
+		head.data, tail.data = sp.data[:n:n], sp.data[n:]
+	}
+	return head, tail
+}
+
+// mapping is one allocated region and the span behind it: the simulated
+// VMA, with permissions and keys still per page inside it.
+type mapping struct {
+	span
+	size int // the size Alloc was asked for
+}
+
+func (m *mapping) region() Region { return Region{Base: m.base, Size: m.size} }
 
 // AccessHook observes every checked access before the permission tables are
 // consulted and may veto it by returning a non-nil error — the seam used by
@@ -65,19 +108,15 @@ func (r Region) Overlaps(o Region) bool { return r.Base < o.End() && o.Base < r.
 type AddressSpace struct {
 	id SpaceID
 
-	mu      sync.RWMutex
-	pages   map[uint64]*page
-	brk     Addr // bump-allocation cursor
-	limit   Addr // allocation ceiling
-	regions []Region
-	freed   []Region // page-aligned spans returned by Free, reused first
-	// spare holds the page records Free unmapped. Alloc maps them again,
-	// zeroed, before it allocates new ones, so a space that frees as much
-	// as it allocates stops allocating Go memory.
-	spare []*page
-	stats Stats
-	pkru  [MaxKey + 1]keyAccess
-	hook  AccessHook
+	mu     sync.RWMutex
+	maps   []mapping // allocated regions, sorted by address
+	mapped uint64    // pages the mappings hold
+	brk    Addr      // bump-allocation cursor
+	limit  Addr      // allocation ceiling
+	freed  []span    // spans returned by Free, reused first fit
+	stats  Stats
+	pkru   [MaxKey + 1]keyAccess
+	hook   AccessHook
 }
 
 // DefaultLimit is the default per-space allocation ceiling (1 GiB of
@@ -92,7 +131,6 @@ const baseAddr = Addr(PageSize)
 func NewSpace() *AddressSpace {
 	return &AddressSpace{
 		id:    SpaceID(nextSpaceID.Add(1)),
-		pages: make(map[uint64]*page),
 		brk:   baseAddr,
 		limit: DefaultLimit,
 	}
@@ -114,7 +152,7 @@ func (s *AddressSpace) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.stats
-	st.PagesMapped = uint64(len(s.pages))
+	st.PagesMapped = s.mapped
 	return st
 }
 
@@ -133,81 +171,85 @@ func (s *AddressSpace) Alloc(size int) (Region, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	span := Addr(roundUp(size))
-	base, ok := s.takeFreed(span)
+	n := Addr(roundUp(size))
+	sp, ok := s.takeFreed(n)
 	if !ok {
-		if s.brk+span > s.limit || s.brk+span < s.brk {
+		if s.brk+n > s.limit || s.brk+n < s.brk {
 			return Region{}, ErrOutOfMemory
 		}
-		base = s.brk
-		s.brk += span
+		sp = span{base: s.brk, pages: make([]pageState, n/PageSize)}
+		s.brk += n
 	}
-	for pi := base.PageIndex(); pi < (base + span).PageIndex(); pi++ {
-		s.pages[pi] = s.newPage()
+	for i := range sp.pages {
+		sp.pages[i] = pageState{perm: PermRW}
 	}
-	r := Region{Base: base, Size: size}
-	s.regions = append(s.regions, r)
-	return r, nil
+	clear(sp.data)
+	s.maps = slices.Insert(s.maps, s.seek(sp.base), mapping{span: sp, size: size})
+	s.mapped += uint64(len(sp.pages))
+	return Region{Base: sp.base, Size: size}, nil
 }
 
-// newPage returns a zeroed read-write page record in the default key
-// domain, reusing a spare one when there is any. Called with mu held.
-func (s *AddressSpace) newPage() *page {
-	n := len(s.spare)
-	if n == 0 {
-		return &page{perm: PermRW}
-	}
-	pg := s.spare[n-1]
-	s.spare = s.spare[:n-1]
-	clear(pg.data)
-	pg.perm, pg.key = PermRW, 0
-	return pg
-}
-
-// takeFreed carves a span from the free list (first fit), under mu.
-func (s *AddressSpace) takeFreed(span Addr) (Addr, bool) {
-	for i, f := range s.freed {
-		fspan := Addr(roundUp(f.Size))
-		if fspan < span {
+// takeFreed carves n bytes from the front of the first freed span that
+// holds them, under mu.
+func (s *AddressSpace) takeFreed(n Addr) (span, bool) {
+	for i := range s.freed {
+		f := &s.freed[i]
+		fn := f.end() - f.base
+		if fn < n {
 			continue
 		}
-		base := f.Base
-		if fspan == span {
-			s.freed = append(s.freed[:i], s.freed[i+1:]...)
-		} else {
-			s.freed[i] = Region{Base: f.Base + span, Size: int(fspan - span)}
+		if fn == n {
+			sp := *f
+			s.freed = slices.Delete(s.freed, i, i+1)
+			return sp, true
 		}
-		return base, true
+		sp, rest := f.cut(n)
+		*f = rest
+		return sp, true
 	}
-	return 0, false
+	return span{}, false
 }
 
-// Free unmaps an allocated region's pages and keeps its span for reuse.
-// Accessing a freed region faults. r must be a region Alloc returned and
-// not yet freed.
-func (s *AddressSpace) Free(r Region) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := slices.Index(s.regions, r)
-	if i < 0 {
-		return fmt.Errorf("%w: free of unallocated region %#x+%d", ErrBadRange, r.Base, r.Size)
+// seek returns the index of the first mapping that ends past addr: the one
+// holding addr, if any does, and otherwise where a mapping at addr belongs.
+// Under mu.
+func (s *AddressSpace) seek(addr Addr) int {
+	return sort.Search(len(s.maps), func(i int) bool { return s.maps[i].end() > addr })
+}
+
+// lookup returns the mapping holding addr, or nil, under mu.
+func (s *AddressSpace) lookup(addr Addr) *mapping {
+	if i := s.seek(addr); i < len(s.maps) && s.maps[i].base <= addr {
+		return &s.maps[i]
 	}
-	s.regions = append(s.regions[:i], s.regions[i+1:]...)
-	span := Addr(roundUp(r.Size))
-	for pi := r.Base.PageIndex(); pi < (r.Base + span).PageIndex(); pi++ {
-		s.spare = append(s.spare, s.pages[pi])
-		delete(s.pages, pi)
-	}
-	s.freed = append(s.freed, Region{Base: r.Base, Size: int(span)})
 	return nil
 }
 
-// Regions returns the currently allocated regions in allocation order.
+// Free unmaps an allocated region and keeps its span, slab included, for
+// reuse. Accessing a freed region faults. r must be a region Alloc
+// returned and not yet freed.
+func (s *AddressSpace) Free(r Region) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := s.seek(r.Base)
+	if i == len(s.maps) || s.maps[i].region() != r {
+		return fmt.Errorf("%w: free of unallocated region %#x+%d", ErrBadRange, r.Base, r.Size)
+	}
+	sp := s.maps[i].span
+	s.maps = slices.Delete(s.maps, i, i+1)
+	s.mapped -= uint64(len(sp.pages))
+	s.freed = append(s.freed, sp)
+	return nil
+}
+
+// Regions returns the currently allocated regions in address order.
 func (s *AddressSpace) Regions() []Region {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Region, len(s.regions))
-	copy(out, s.regions)
+	out := make([]Region, len(s.maps))
+	for i := range s.maps {
+		out[i] = s.maps[i].region()
+	}
 	return out
 }
 
@@ -215,12 +257,32 @@ func (s *AddressSpace) Regions() []Region {
 func (s *AddressSpace) RegionOf(addr Addr) (Region, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, r := range s.regions {
-		if r.Contains(addr) {
-			return r, true
-		}
+	if m := s.lookup(addr); m != nil && m.region().Contains(addr) {
+		return m.region(), true
 	}
 	return Region{}, false
+}
+
+// eachPage calls f on the record of every page that [addr, addr+n) overlaps,
+// in address order, until f returns false. It stops at the first such page
+// that no mapping holds and returns that page's address with ok false. A
+// range that runs past the top of the address space ends at the top page,
+// which Alloc never maps. n must be positive. Under mu.
+func (s *AddressSpace) eachPage(addr Addr, n int, f func(page Addr, st *pageState) bool) (gap Addr, ok bool) {
+	last := ^Addr(0)
+	if end := addr + Addr(n) - 1; end >= addr {
+		last = end
+	}
+	at := addr &^ (PageSize - 1)
+	for i := s.seek(at); i < len(s.maps) && s.maps[i].base <= at; i++ {
+		m := &s.maps[i]
+		for ; at < m.end(); at += PageSize {
+			if !f(at, &m.pages[(at-m.base)/PageSize]) || at >= last&^(PageSize-1) {
+				return 0, true
+			}
+		}
+	}
+	return at, false
 }
 
 // Protect changes the permission of every page overlapping [addr, addr+size)
@@ -231,16 +293,14 @@ func (s *AddressSpace) Protect(addr Addr, size int, perm Perm) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	first := addr.PageIndex()
-	last := (addr + Addr(size) - 1).PageIndex()
 	n := 0
-	for pi := first; pi <= last; pi++ {
-		pg, ok := s.pages[pi]
-		if !ok {
-			return n, fmt.Errorf("%w: protect of unmapped page %#x", ErrBadRange, pi*PageSize)
-		}
-		pg.perm = perm
+	gap, ok := s.eachPage(addr, size, func(_ Addr, st *pageState) bool {
+		st.perm = perm
 		n++
+		return true
+	})
+	if !ok {
+		return n, fmt.Errorf("%w: protect of unmapped page %#x", ErrBadRange, gap)
 	}
 	s.stats.Protects++
 	return n, nil
@@ -255,11 +315,11 @@ func (s *AddressSpace) ProtectRegion(r Region, perm Perm) (int, error) {
 func (s *AddressSpace) PermAt(addr Addr) (Perm, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	pg, ok := s.pages[addr.PageIndex()]
-	if !ok {
+	m := s.lookup(addr)
+	if m == nil {
 		return PermNone, false
 	}
-	return pg.perm, true
+	return m.pages[(addr-m.base)/PageSize].perm, true
 }
 
 // SetAccessHook installs (or clears, with nil) the access hook.
@@ -280,49 +340,51 @@ func (s *AddressSpace) check(addr Addr, n int, kind AccessKind) error {
 			return err
 		}
 	}
-	first := addr.PageIndex()
-	last := (addr + Addr(n) - 1).PageIndex()
-	for pi := first; pi <= last; pi++ {
-		pg, ok := s.pages[pi]
-		if !ok {
-			s.stats.Faults++
-			return &Fault{Space: s.id, Addr: Addr(pi * PageSize), Kind: kind, Mapped: false}
+	var denied *Fault
+	gap, ok := s.eachPage(addr, n, func(page Addr, st *pageState) bool {
+		if s.allows(*st, kind) {
+			return true
 		}
-		allowed := false
-		switch kind {
-		case AccessRead:
-			allowed = pg.perm.CanRead()
-		case AccessWrite:
-			allowed = pg.perm.CanWrite()
-		case AccessExec:
-			allowed = pg.perm.CanExec()
-		}
-		if allowed && !s.keyAllows(pg.key, kind) {
-			allowed = false
-		}
-		if !allowed {
-			s.stats.Faults++
-			return &Fault{Space: s.id, Addr: Addr(pi * PageSize), Kind: kind, Perm: pg.perm, Mapped: true}
-		}
+		denied = &Fault{Space: s.id, Addr: page, Kind: kind, Perm: st.perm, Mapped: true}
+		return false
+	})
+	switch {
+	case denied != nil:
+		s.stats.Faults++
+		return denied
+	case !ok:
+		s.stats.Faults++
+		return &Fault{Space: s.id, Addr: gap, Kind: kind, Mapped: false}
 	}
 	return nil
 }
 
-// pageData returns the backing bytes for a page, allocating lazily.
-func (pg *page) bytes() []byte {
-	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
+// allows reports whether a page's permission and key admit the access,
+// under mu.
+func (s *AddressSpace) allows(st pageState, kind AccessKind) bool {
+	allowed := false
+	switch kind {
+	case AccessRead:
+		allowed = st.perm.CanRead()
+	case AccessWrite:
+		allowed = st.perm.CanWrite()
+	case AccessExec:
+		allowed = st.perm.CanExec()
 	}
-	return pg.data
+	return allowed && s.keyAllows(st.key, kind)
 }
 
 // Load copies n bytes starting at addr into a new slice, checking read
-// permission on every page traversed.
+// permission on every page traversed. The range is checked before the
+// slice is made.
 func (s *AddressSpace) Load(addr Addr, n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if err := s.LoadAt(addr, buf); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.check(addr, n, AccessRead); err != nil {
 		return nil, err
 	}
+	buf := make([]byte, n)
+	s.load(addr, buf)
 	return buf, nil
 }
 
@@ -333,17 +395,18 @@ func (s *AddressSpace) LoadAt(addr Addr, buf []byte) error {
 	if err := s.check(addr, len(buf), AccessRead); err != nil {
 		return err
 	}
+	s.load(addr, buf)
+	return nil
+}
+
+// load copies the checked range at addr into buf, under mu.
+func (s *AddressSpace) load(addr Addr, buf []byte) {
 	s.stats.Loads++
 	s.stats.BytesLoaded += uint64(len(buf))
-	off := 0
-	for off < len(buf) {
-		a := addr + Addr(off)
-		pg := s.pages[a.PageIndex()]
-		po := int(uint64(a) % PageSize)
-		n := copy(buf[off:], pg.bytes()[po:])
-		off += n
+	for i, off := s.seek(addr), 0; off < len(buf); i++ {
+		m := &s.maps[i]
+		off += copy(buf[off:], m.bytes()[addr+Addr(off)-m.base:])
 	}
-	return nil
 }
 
 // Store writes buf to memory starting at addr, checking write permission.
@@ -355,13 +418,9 @@ func (s *AddressSpace) Store(addr Addr, buf []byte) error {
 	}
 	s.stats.Stores++
 	s.stats.BytesStored += uint64(len(buf))
-	off := 0
-	for off < len(buf) {
-		a := addr + Addr(off)
-		pg := s.pages[a.PageIndex()]
-		po := int(uint64(a) % PageSize)
-		n := copy(pg.bytes()[po:], buf[off:])
-		off += n
+	for i, off := s.seek(addr), 0; off < len(buf); i++ {
+		m := &s.maps[i]
+		off += copy(m.bytes()[addr+Addr(off)-m.base:], buf[off:])
 	}
 	return nil
 }

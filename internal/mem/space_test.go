@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -360,11 +361,135 @@ func TestAllocReusesFreedSpans(t *testing.T) {
 func TestFreedSpanSplit(t *testing.T) {
 	s := NewSpace()
 	big, _ := s.Alloc(PageSize * 4)
+	if err := s.Store(big.Base, bytes.Repeat([]byte{0xEE}, big.Size)); err != nil {
+		t.Fatal(err)
+	}
 	_ = s.Free(big)
 	a, _ := s.Alloc(PageSize)     // carves from the freed span
 	b, _ := s.Alloc(PageSize * 3) // takes the remainder
 	if a.Base != big.Base || b.Base != big.Base+PageSize {
 		t.Fatalf("split placement: a=%#x b=%#x big=%#x", a.Base, b.Base, big.Base)
+	}
+	// Both parts come back zeroed, and writing one leaves the other alone
+	// although they share the freed span's slab.
+	if err := s.Store(a.Base, bytes.Repeat([]byte{0x11}, a.Size)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Load(b.Base, b.Size)
+	if err != nil || !bytes.Equal(got, make([]byte, b.Size)) {
+		t.Fatalf("remainder after reuse: %v, zeroed %v", err, bytes.Equal(got, make([]byte, b.Size)))
+	}
+}
+
+// TestAccessAcrossAdjacentRegions checks that one access may span
+// neighbouring regions, and faults at the first page past them once one is
+// freed.
+func TestAccessAcrossAdjacentRegions(t *testing.T) {
+	s := NewSpace()
+	a, _ := s.Alloc(PageSize + 10)
+	b, _ := s.Alloc(PageSize)
+	c, _ := s.Alloc(PageSize)
+	if b.Base != a.Base+2*PageSize || c.Base != b.Base+PageSize {
+		t.Fatalf("regions not adjacent: %v %v %v", a, b, c)
+	}
+	want := make([]byte, 3*PageSize)
+	for i := range want {
+		want[i] = byte(i % 251)
+	}
+	at := a.Base + PageSize
+	if err := s.Store(at, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Load(at, len(want)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("load across regions: %v", err)
+	}
+	if err := s.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Load(at, len(want))
+	if f, ok := IsFault(err); !ok || f.Mapped || f.Addr != b.Base {
+		t.Fatalf("load across a freed region = %v, want unmapped fault at %#x", err, b.Base)
+	}
+}
+
+// TestBadRangesFailBeforeAllocating checks that a range that wraps the
+// address space, and a length no region could hold or that is not
+// positive, fail with ErrBadRange or an unmapped fault instead of
+// panicking or sizing a buffer from the length.
+func TestBadRangesFailBeforeAllocating(t *testing.T) {
+	s := NewSpace()
+	r, _ := s.Alloc(PageSize)
+	wrap := ^Addr(0) - 10
+	top := ^Addr(0) &^ (PageSize - 1)
+	unmappedAt := func(want Addr) func(error) bool {
+		return func(err error) bool {
+			f, ok := IsFault(err)
+			return ok && !f.Mapped && f.Addr == want
+		}
+	}
+	badRange := func(err error) bool { return errors.Is(err, ErrBadRange) }
+	for _, c := range []struct {
+		name string
+		op   func() error
+		ok   func(error) bool
+	}{
+		{"Load wraps", func() error { _, err := s.Load(wrap, 100); return err }, unmappedAt(top)},
+		{"LoadAt wraps", func() error { return s.LoadAt(wrap, make([]byte, 100)) }, unmappedAt(top)},
+		{"Store wraps", func() error { return s.Store(wrap, make([]byte, 100)) }, unmappedAt(top)},
+		{"Protect wraps", func() error { _, err := s.Protect(wrap, 100, PermRW); return err }, badRange},
+		{"SetKey wraps", func() error { return s.SetKey(Region{Base: wrap, Size: 100}, 1) }, badRange},
+		{"Load huge", func() error { _, err := s.Load(r.Base, 1<<62); return err }, unmappedAt(r.Base + PageSize)},
+		{"Load max int", func() error { _, err := s.Load(r.Base, math.MaxInt); return err }, unmappedAt(r.Base + PageSize)},
+		{"Load negative", func() error { _, err := s.Load(r.Base, -1); return err }, badRange},
+		{"Load zero", func() error { _, err := s.Load(r.Base, 0); return err }, badRange},
+		{"Protect huge", func() error { _, err := s.Protect(r.Base, 1<<62, PermRW); return err }, badRange},
+		{"SetKey negative", func() error { return s.SetKey(Region{Base: r.Base, Size: -1}, 1) }, badRange},
+	} {
+		if err := c.op(); !c.ok(err) {
+			t.Errorf("%s: err = %v", c.name, err)
+		}
+	}
+}
+
+// TestRegionAllocs pins what a region costs in Go allocations: its page
+// records and, on its first access, one slab, whatever its length, plus the
+// slice a Load returns. Free then Alloc of the same span hands both back and
+// allocates nothing.
+func TestRegionAllocs(t *testing.T) {
+	var counts []float64
+	for _, pages := range []int{1, 8, 64} {
+		s := NewSpace()
+		data := bytes.Repeat([]byte{7}, pages*PageSize)
+		var err error
+		fresh := testing.AllocsPerRun(50, func() {
+			r, aerr := s.Alloc(len(data))
+			if aerr == nil {
+				aerr = s.Store(r.Base, data)
+			}
+			if aerr == nil {
+				_, aerr = s.Load(r.Base, len(data))
+			}
+			if aerr != nil {
+				err = aerr
+			}
+		})
+		r, _ := s.Alloc(len(data))
+		reuse := testing.AllocsPerRun(50, func() {
+			if ferr := s.Free(r); ferr != nil {
+				err = ferr
+			}
+			r, _ = s.Alloc(len(data))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh > 3 || reuse != 0 {
+			t.Errorf("%d-page region: %.0f allocs for Alloc+Store+Load (want <= 3), %.0f for Free+Alloc (want 0)", pages, fresh, reuse)
+		}
+		counts = append(counts, fresh)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("allocs per region grow with its length: %v for 1, 8 and 64 pages", counts)
 	}
 }
 
@@ -391,8 +516,8 @@ func TestFreeRejectsUnallocated(t *testing.T) {
 	}
 }
 
-// TestReusedPageIsFresh checks that a page record Free kept comes back from
-// Alloc as a fresh page would: zeroed, read-write, in the default key.
+// TestReusedPageIsFresh checks that a span Free kept comes back from Alloc
+// as a fresh one would: zeroed, read-write, in the default key.
 func TestReusedPageIsFresh(t *testing.T) {
 	s := NewSpace()
 	r, _ := s.Alloc(PageSize)
