@@ -21,6 +21,7 @@ import (
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/kernel"
+	"freepart.dev/freepart/internal/mem"
 	"freepart.dev/freepart/internal/trace"
 )
 
@@ -189,44 +190,91 @@ func cmdAttack(args []string) error {
 	}
 	fmt.Printf("%s: %s in %s (%s)\n", cve.ID, cve.Class, cve.API, cve.APIType.Long())
 
-	// Unprotected: the exploit corrupts the app's critical data.
-	k1 := kernel.New()
-	d := core.NewDirect(k1, all.Registry())
-	log1 := &attack.Log{}
-	d.Ctx.OnExploit = log1.Handler()
-	crit, err := d.Proc.Space().Alloc(32)
+	// Unprotected: the exploit corrupts the app's critical data, or kills
+	// the app for a DoS.
+	un, err := attackUnprotected(cve)
 	if err != nil {
 		return err
 	}
-	_ = d.Proc.Space().Store(crit.Base, []byte("critical-data"))
-	k1.FS.WriteFile("/evil.img", attack.Corrupt(cve.ID, crit.Base, []byte("OWNED")))
-	_, _, _ = d.Call("cv.imread", framework.Str("/evil.img"))
-	got, _ := d.Proc.Space().Load(crit.Base, 5)
-	fmt.Printf("unprotected: exploit fired=%v, critical data now %q, process %s\n",
-		log1.Last() != nil, got, d.Proc.State())
+	fmt.Printf("unprotected: exploit fired in %s, critical data now %q, process %s\n",
+		un.firedIn, un.data, un.state)
 
 	// Protected: same exploit under FreePart.
-	k2 := kernel.New()
 	_, cat, _ := hybrid()
-	rt, err := core.New(k2, all.Registry(), cat, core.Default())
+	pr, err := attackProtected(cat, cve)
 	if err != nil {
 		return err
+	}
+	fmt.Printf("FreePart:    exploit fired in %s, critical data now %q, host %s\n",
+		pr.firedIn, pr.data, pr.state)
+	fmt.Printf("             restarts=%d\n", pr.restarts)
+	return nil
+}
+
+// criticalData is what the attack demonstration plants in the victim and
+// the exploit tries to overwrite.
+const criticalData = "critical-data"
+
+// attackRun is what one exploit left behind in its victim: the monolith
+// unprotected, the host under FreePart.
+type attackRun struct {
+	// firedIn names the process the payload ran in ("-" if it never fired).
+	firedIn string
+	// data is the victim's critical data after the attack.
+	data []byte
+	// state is the victim process's state.
+	state kernel.ProcState
+	// restarts counts agent restarts (FreePart only).
+	restarts uint64
+}
+
+// attackUnprotected fires cve's exploit at an unprotected monolith.
+func attackUnprotected(cve attack.CVE) (attackRun, error) {
+	d := core.NewDirect(kernel.New(), all.Registry())
+	return fireAt(d, d.Ctx, &d.Ctx.OnExploit, nil, cve)
+}
+
+// attackProtected fires cve's exploit at an app running under FreePart.
+func attackProtected(cat *analysis.Categorization, cve attack.CVE) (attackRun, error) {
+	rt, err := core.New(kernel.New(), all.Registry(), cat, core.Default())
+	if err != nil {
+		return attackRun{}, err
 	}
 	defer rt.Close()
-	log2 := &attack.Log{}
-	rt.OnExploit = log2.Handler()
-	crit2, err := rt.Host.Space().Alloc(32)
-	if err != nil {
-		return err
+	run, err := fireAt(rt, rt.HostCtx(), &rt.OnExploit, rt.RegisterCritical, cve)
+	run.restarts = rt.Metrics.Snapshot().Restarts
+	return run, err
+}
+
+// fireAt plants the critical data in host's process, drives cve's exploit
+// through its own API site on c with a payload that overwrites it (or, for
+// a DoS, crashes the process it runs in), and reads what is left. hook is
+// where the caller's exploit handler lives; register, when set, is told
+// the planted region.
+func fireAt(c core.Caller, host *framework.Ctx, hook *framework.ExploitFunc, register func(mem.Region), cve attack.CVE) (attackRun, error) {
+	run := attackRun{firedIn: "-"}
+	exec := (&attack.Log{}).Handler()
+	*hook = func(ctx *framework.Ctx, id string, payload []byte) error {
+		run.firedIn = ctx.P.Name()
+		return exec(ctx, id, payload)
 	}
-	_ = rt.Host.Space().Store(crit2.Base, []byte("critical-data"))
-	rt.RegisterCritical(crit2)
-	k2.FS.WriteFile("/evil.img", attack.Corrupt(cve.ID, crit2.Base, []byte("OWNED")))
-	_, _, _ = rt.Call("cv.imread", framework.Str("/evil.img"))
-	got2, _ := rt.Host.Space().Load(crit2.Base, 13)
-	fmt.Printf("FreePart:    exploit fired=%v, critical data now %q, host %s\n",
-		log2.Last() != nil, got2, rt.Host.State())
-	s := rt.Metrics.Snapshot()
-	fmt.Printf("             restarts=%d\n", s.Restarts)
-	return nil
+	space := host.P.Space()
+	crit, err := space.Alloc(32)
+	if err != nil {
+		return run, err
+	}
+	if err := space.Store(crit.Base, []byte(criticalData)); err != nil {
+		return run, err
+	}
+	if register != nil {
+		register(crit)
+	}
+	payload := attack.Corrupt(cve.ID, crit.Base, []byte("OWNED"))
+	if cve.Class == attack.ClassDoS {
+		payload = attack.DoS(cve.ID)
+	}
+	attack.Drive(c, host, cve, payload)
+	run.data, _ = space.Load(crit.Base, len(criticalData))
+	run.state = host.P.State()
+	return run, nil
 }

@@ -76,9 +76,8 @@ func defenseSoakRun(t *testing.T, seed int64) (defenseOutcome, *core.Executor, *
 	}
 	t.Cleanup(ex.Close)
 	ctl = defense.New(ex, defense.Params{
-		Floor:            floor,
-		CleanWindow:      vclock.Duration(10 * time.Microsecond),
-		QuarantineWindow: vclock.Duration(10 * time.Microsecond),
+		Floor:       floor,
+		CleanWindow: vclock.Duration(10 * time.Microsecond),
 	})
 	ex.SetAdmissionGate(ctl.Gate())
 	srv, err := apps.ProvisionDetection(ex)

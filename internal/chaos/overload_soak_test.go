@@ -39,12 +39,6 @@ func overloadRun(t *testing.T, seed int64, streams []apps.TrackStream, pol core.
 	}
 	t.Cleanup(ex.Close)
 	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
-	// Spread each tenant across the pool: the default round-robin aliases
-	// with the even tenant interleave and would pin every light stream to
-	// one shard — one shard failure would then read as tenant starvation.
-	ex.SetPlacement(func(session int, pool []core.PlacementInfo) int {
-		return sched.TenantSpread{}.Place(session, pool)
-	})
 	srv := apps.ProvisionTracking(ex)
 	// Overload arithmetic is relative to the streams' arrival stamps, which
 	// start at zero: serve from reset clocks, as the drill does.
@@ -60,7 +54,10 @@ func overloadRun(t *testing.T, seed int64, streams []apps.TrackStream, pol core.
 }
 
 // TestOverloadSoak is the overload-under-faults soak: 4x offered load with
-// a 4:1 tenant skew while shard 1 crash-loops. For every seed (a) no stream
+// the drill's 4:1 tenant skew (16 heavy and 4 light streams on 4 shards)
+// while shard 1 crash-loops. The even tenant interleave puts one light
+// stream on each round-robin slot, so one shard's failure cannot read as
+// the light tenant's starvation. For every seed (a) no stream
 // may fail — crashes fail over, overload sheds, and the two must compose;
 // (b) the run must actually shed and actually serve, with the shed rate
 // bounded away from total collapse, and the light tenant must keep getting
@@ -73,7 +70,7 @@ func TestOverloadSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards, heavy, light, steps, factor = 4, 12, 4, 48, 4
+	const shards, heavy, light, steps, factor = 4, 16, 4, 48, 4
 	perShard := vclock.Duration((heavy + light) / shards)
 	streams := apps.GenTenantStreams(17, heavy, light, steps,
 		stepCost*perShard/factor, initCost*(perShard+1))

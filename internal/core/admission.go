@@ -147,14 +147,14 @@ func (s *Shard) noteEnd(end vclock.Duration) {
 func (e *Executor) shedLocked(sh *Shard, s *Session, arrival, now vclock.Duration, pol AdmissionPolicy, stamped bool) (bool, error) {
 	if pol.QueueLimit > 0 {
 		if depth := sh.queuedAt(arrival); depth >= pol.QueueLimit {
-			e.recordShed(sh, s, "reject", arrival,
+			e.recordShed(sh, "reject", arrival,
 				fmt.Sprintf("tenant %d session %d depth %d limit %d", s.Tenant, s.ID, depth, pol.QueueLimit))
 			return true, fmt.Errorf("core: shard %d queue depth %d at limit %d: %w", sh.ID, depth, pol.QueueLimit, ErrOverloaded)
 		}
 	}
 	if stamped && pol.Deadline > 0 && now > arrival+pol.Deadline {
 		late := now - (arrival + pol.Deadline)
-		e.recordShed(sh, s, "shed", now,
+		e.recordShed(sh, "shed", now,
 			fmt.Sprintf("tenant %d session %d late %v", s.Tenant, s.ID, late))
 		return true, fmt.Errorf("core: shard %d dequeued request %v past its deadline: %w", sh.ID, late, ErrDeadlineExceeded)
 	}
@@ -162,98 +162,14 @@ func (e *Executor) shedLocked(sh *Shard, s *Session, arrival, now vclock.Duratio
 }
 
 // recordShed logs one admission refusal — a reject, a deadline shed or a
-// quarantine — and folds it into the per-slot and per-tenant load signals
-// inside the same e.mu critical section as the event and its counter.
-// Stamped at `at`: the arrival for rejects and quarantines, the dequeue
-// clock for deadline sheds — both pure functions of the shard's admitted
-// work, so per-shard event subsequences replay byte-equal.
-func (e *Executor) recordShed(sh *Shard, s *Session, kind string, at vclock.Duration, detail string) {
+// quarantine — with its counter, in one e.mu critical section. Stamped at
+// `at`: the arrival for rejects and quarantines, the dequeue clock for
+// deadline sheds — both pure functions of the shard's admitted work, so
+// per-shard event subsequences replay byte-equal.
+func (e *Executor) recordShed(sh *Shard, kind string, at vclock.Duration, detail string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.recordLocked(sh, at, kind, detail)
-	l := e.loads[sh.ID]
-	if l == nil {
-		l = &shardLoad{}
-		e.loads[sh.ID] = l
-	}
-	t := e.tenantLoadLocked(s.Tenant, s.Weight)
-	// A quarantine is deliberately refused traffic: it stays out of the
-	// rejected/shed load signals, so the control plane never grows the
-	// pool to serve a quarantined attacker.
-	switch kind {
-	case "reject":
-		l.rejected++
-		t.rejected++
-	case "shed":
-		l.shed++
-		t.shed++
-	}
-}
-
-// tenantLoad accumulates per-tenant admission signals, guarded by the
-// executor's mu.
-type tenantLoad struct {
-	weight   int
-	waitSum  vclock.Duration
-	waits    uint64
-	served   uint64
-	rejected uint64
-	shed     uint64
-}
-
-// tenantLoadLocked returns (creating if needed) the load cell for a tenant.
-// Caller holds e.mu.
-func (e *Executor) tenantLoadLocked(tenant, weight int) *tenantLoad {
-	t := e.tenants[tenant]
-	if t == nil {
-		t = &tenantLoad{weight: 1}
-		e.tenants[tenant] = t
-	}
-	if weight > t.weight {
-		t.weight = weight
-	}
-	return t
-}
-
-// TenantLoad is the per-tenant slice of the control-plane signal: admission
-// waits, served work, and shed work, accumulated across the whole pool.
-// The controller diffs successive readings for per-window means, exactly as
-// it does with ShardLoad.
-type TenantLoad struct {
-	// Tenant identifies the tenant; Weight is its fair-queueing weight (the
-	// largest weight any of its sessions declared).
-	Tenant int
-	Weight int
-	// WaitSum and Waits accumulate admission-queue delay over admitted
-	// requests.
-	WaitSum vclock.Duration
-	Waits   uint64
-	// Served counts invocations completed without error; Rejected and Shed
-	// count queue-bound rejections and deadline drops.
-	Served   uint64
-	Rejected uint64
-	Shed     uint64
-}
-
-// TenantLoads snapshots per-tenant signals, ascending by tenant id.
-func (e *Executor) TenantLoads() []TenantLoad {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ids := make([]int, 0, len(e.tenants))
-	for id := range e.tenants {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]TenantLoad, len(ids))
-	for i, id := range ids {
-		t := e.tenants[id]
-		out[i] = TenantLoad{
-			Tenant: id, Weight: t.weight,
-			WaitSum: t.waitSum, Waits: t.waits,
-			Served: t.served, Rejected: t.rejected, Shed: t.shed,
-		}
-	}
-	return out
 }
 
 // TenantOf returns the tenant id unfinished session id was opened under (0

@@ -159,37 +159,6 @@ func TestAdmissionZeroPolicyIsInert(t *testing.T) {
 	}
 }
 
-// TestTenantLoads pins the per-tenant signal snapshot: served, rejected,
-// and shed work accumulate under the session's tenant identity, ascending
-// by tenant id.
-func TestTenantLoads(t *testing.T) {
-	ex := newDirectExecutor(t, 1)
-	ex.SetAdmission(core.AdmissionPolicy{QueueLimit: 1})
-	s1 := ex.SessionFor(1, 2)
-	s2 := ex.SessionFor(2, 1)
-	if got := ex.TenantOf(s1.ID); got != 1 {
-		t.Fatalf("TenantOf(%d) = %d, want 1", s1.ID, got)
-	}
-
-	if err := s1.DoAt(0, advance(100)); err != nil {
-		t.Fatal(err)
-	}
-	// Tenant 2 arrives while tenant 1's request is still in the system.
-	if err := s2.DoAt(0, advance(100)); !errors.Is(err, core.ErrOverloaded) {
-		t.Fatalf("got %v, want ErrOverloaded", err)
-	}
-	loads := ex.TenantLoads()
-	if len(loads) != 2 || loads[0].Tenant != 1 || loads[1].Tenant != 2 {
-		t.Fatalf("TenantLoads = %+v, want tenants 1,2", loads)
-	}
-	if loads[0].Served != 1 || loads[0].Weight != 2 {
-		t.Fatalf("tenant 1 load = %+v, want served 1 weight 2", loads[0])
-	}
-	if loads[1].Rejected != 1 || loads[1].Served != 0 {
-		t.Fatalf("tenant 2 load = %+v, want rejected 1 served 0", loads[1])
-	}
-}
-
 // TestErrClassTaxonomy pins the class names the per-class summaries print —
 // operators alert on these strings.
 func TestErrClassTaxonomy(t *testing.T) {

@@ -473,7 +473,7 @@ func (rt *Runtime) restartAgent(a *agent) error {
 		return err
 	}
 	if a.policy != nil {
-		if err := a.policy.Apply(proc.Filter(), rt.Config.FilterAction); err != nil {
+		if err := a.policy.Apply(proc.Filter(), kernel.ActionKill); err != nil {
 			return err
 		}
 	}

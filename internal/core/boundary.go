@@ -112,7 +112,7 @@ func (processBoundary) Spawn(rt *Runtime, a *agent) error {
 		return err
 	}
 	if a.policy != nil {
-		if err := a.policy.Apply(proc.Filter(), rt.Config.FilterAction); err != nil {
+		if err := a.policy.Apply(proc.Filter(), kernel.ActionKill); err != nil {
 			return err
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"freepart.dev/freepart/internal/chaos"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/isolation"
-	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/object"
 	"freepart.dev/freepart/internal/vclock"
 )
@@ -32,8 +31,6 @@ type Config struct {
 	EnforcePermissions bool
 	// RestrictSyscalls installs per-agent seccomp policies (§4.4.1).
 	RestrictSyscalls bool
-	// FilterAction is the seccomp violation action (default kill).
-	FilterAction kernel.FilterAction
 	// AppAPIs limits syscall-policy derivation to the APIs the target app
 	// actually uses (per-application lockdown, §4.1 study 2). Nil = all.
 	AppAPIs []string
@@ -79,18 +76,12 @@ type Config struct {
 
 	// OnAnomaly, when set, receives DoS resource-watchdog reports for
 	// partitions that share the host's fate (domain and host tiers): an
-	// invocation that killed the host process (kind "host-crash") or
-	// overran WatchdogBudget on the virtual clock (kind "budget"). The
+	// invocation that killed the host process (kind "host-crash"). The
 	// hook observes only — it advances no clock and mutates no runtime
 	// state — so a nil hook is bit-identical to not having a watchdog.
 	// Process-tier partitions are never reported: their crashes are
 	// already contained by the restart supervisor.
 	OnAnomaly func(t framework.APIType, api, kind, detail string)
-	// WatchdogBudget bounds the virtual time one non-process-tier
-	// invocation may consume before the watchdog flags it as a resource-
-	// exhaustion anomaly. 0 disables the budget check (host-crash
-	// detection still fires whenever OnAnomaly is set).
-	WatchdogBudget vclock.Duration
 }
 
 // Default returns the paper's standard configuration: four type-based
@@ -103,7 +94,6 @@ func Default() Config {
 		CheckpointStateful: true,
 		EnforcePermissions: true,
 		RestrictSyscalls:   true,
-		FilterAction:       kernel.ActionKill,
 	}
 }
 

@@ -59,7 +59,7 @@ type Shard struct {
 	hm       sync.Mutex
 	failed   bool
 	reason   string
-	failures []vclock.Duration
+	failures int
 }
 
 // Clock returns the shard's virtual clock.
@@ -108,23 +108,13 @@ func (s *Shard) fail(reason string) bool {
 	return true
 }
 
-// recordFailure logs a crash-class failure at virtual time now and returns
-// how many failures fall inside the trailing window (0 = unbounded),
-// mirroring the PR-1 circuit breaker's restart window one level up.
-func (s *Shard) recordFailure(now, window vclock.Duration) int {
+// recordFailure counts a crash-class failure and returns the incarnation's
+// total so far.
+func (s *Shard) recordFailure() int {
 	s.hm.Lock()
 	defer s.hm.Unlock()
-	s.failures = append(s.failures, now)
-	if window > 0 {
-		keep := s.failures[:0]
-		for _, t := range s.failures {
-			if now-t <= window {
-				keep = append(keep, t)
-			}
-		}
-		s.failures = keep
-	}
-	return len(s.failures)
+	s.failures++
+	return s.failures
 }
 
 // workerSem is a resizable counting semaphore bounding concurrent
@@ -261,12 +251,9 @@ func DirectShards(reg *framework.Registry) ShardFactory {
 // way.
 type HealthPolicy struct {
 	// FailThreshold drains a shard after this many crash-class invocation
-	// failures (agent crash, dead peer, timeout, dead host) inside
-	// FailWindow. 0 disables the failure counter.
+	// failures (agent crash, dead peer, timeout, dead host) over its
+	// incarnation's lifetime. 0 disables the failure counter.
 	FailThreshold int
-	// FailWindow is the trailing virtual-time window failures are counted
-	// over on the shard clock; 0 means unbounded.
-	FailWindow vclock.Duration
 	// DrainOnDegrade drains a shard as soon as its runtime's circuit
 	// breaker has demoted any partition to in-host execution: replacement
 	// restores full isolation instead of serving without it indefinitely.
@@ -345,28 +332,24 @@ type Executor struct {
 	onReplace func(*Shard) error
 	place     func(session int, pool []PlacementInfo) int
 	placeKey  func(session int, key uint64, pool []PlacementInfo) int
-	// pinned and tpinned are incremental unfinished-session counts per pool
-	// slot (total, and per tenant per slot). They replace the per-open scan
-	// over every session — at tens of thousands of sessions the scan made
-	// each open O(sessions) — and are maintained at open, finish, and
-	// migrate under mu, always matching what the scan would count.
-	pinned  map[int]int
-	tpinned map[int]map[int]int
-	loads   map[int]*shardLoad
-	tenants map[int]*tenantLoad
-	grayp   GrayPolicy
-	hedgep  HedgePolicy
-	grays   map[int]*grayState
+	// pinned is the incremental unfinished-session count per pool slot. It
+	// replaces the per-open scan over every session — at tens of thousands
+	// of sessions the scan made each open O(sessions) — and is maintained
+	// at open, finish, and migrate under mu, always matching what the scan
+	// would count.
+	pinned map[int]int
+	loads  map[int]*shardLoad
+	grayp  GrayPolicy
+	hedgep HedgePolicy
+	grays  map[int]*grayState
 }
 
 // shardLoad accumulates per-pool-slot (shard id, across incarnations)
 // admission signals, guarded by the executor's mu.
 type shardLoad struct {
-	waitSum  vclock.Duration
-	waits    uint64
-	jobs     uint64
-	rejected uint64
-	shed     uint64
+	waitSum vclock.Duration
+	waits   uint64
+	jobs    uint64
 }
 
 // PlacementInfo describes one live shard to a placement hook: enough for a
@@ -380,10 +363,6 @@ type PlacementInfo struct {
 	Gen int
 	// Sessions is how many unfinished sessions are pinned to the shard.
 	Sessions int
-	// TenantSessions is how many of those belong to the tenant the
-	// placement decision is being made for (the opening or migrating
-	// session's tenant); 0 when the decision has no tenant context.
-	TenantSessions int
 	// Clock is the shard's current virtual time.
 	Clock vclock.Duration
 }
@@ -408,12 +387,6 @@ type ShardLoad struct {
 	Waits   uint64
 	// Jobs counts completed invocations on the slot.
 	Jobs uint64
-	// Rejected and Shed count the slot's overload decisions: queue-bound
-	// rejections (virtual 503s) and deadline drops. The control plane
-	// treats a nonzero window delta as a first-class grow signal — shed
-	// work is demand the pool had no capacity for.
-	Rejected uint64
-	Shed     uint64
 	// Suspicion and Suspect expose the gray-failure scorer's view of the
 	// current incarnation (zero when scoring is disabled), so the control
 	// plane's barrier log records which shards were under suspicion.
@@ -438,9 +411,7 @@ func NewExecutor(n int, factory ShardFactory) (*Executor, error) {
 		killAt:   make(map[int]vclock.Duration),
 		sessions: make(map[int]*Session),
 		pinned:   make(map[int]int),
-		tpinned:  make(map[int]map[int]int),
 		loads:    make(map[int]*shardLoad),
-		tenants:  make(map[int]*tenantLoad),
 		grays:    make(map[int]*grayState),
 	}
 	for i := 0; i < n; i++ {
@@ -715,53 +686,28 @@ func (e *Executor) SetKeyedPlacement(fn func(session int, key uint64, pool []Pla
 	e.placeKey = fn
 }
 
-// placementPoolLocked snapshots the live pool for a placement decision made
-// on behalf of a tenant (-1 for no tenant context: TenantSessions reads 0)
-// into pool's backing array, allocating a new one when pool is too small.
-// Counts come from the incremental pinned maps, so a snapshot costs
-// O(shards) regardless of how many sessions have ever opened. Caller holds
-// e.mu.
-func (e *Executor) placementPoolLocked(pool []PlacementInfo, tenant int) []PlacementInfo {
-	var tp map[int]int
-	if tenant >= 0 {
-		tp = e.tpinned[tenant]
-	}
+// placementPoolLocked snapshots the live pool for a placement decision into
+// pool's backing array, allocating a new one when pool is too small. Counts
+// come from the incremental pinned map, so a snapshot costs O(shards)
+// regardless of how many sessions have ever opened. Caller holds e.mu.
+func (e *Executor) placementPoolLocked(pool []PlacementInfo) []PlacementInfo {
 	if cap(pool) < len(e.shards) {
 		pool = make([]PlacementInfo, len(e.shards))
 	}
 	pool = pool[:len(e.shards)]
 	for i, sh := range e.shards {
-		pool[i] = PlacementInfo{ID: sh.ID, Gen: sh.Gen, Sessions: e.pinned[sh.ID], TenantSessions: tp[sh.ID], Clock: sh.K.Clock.Now()}
+		pool[i] = PlacementInfo{ID: sh.ID, Gen: sh.Gen, Sessions: e.pinned[sh.ID], Clock: sh.K.Clock.Now()}
 	}
 	return pool
 }
 
-// pinLocked counts a newly opened session; caller holds e.mu.
-func (e *Executor) pinLocked(slot, tenant int) {
-	e.pinned[slot]++
-	tp := e.tpinned[tenant]
-	if tp == nil {
-		tp = make(map[int]int)
-		e.tpinned[tenant] = tp
-	}
-	tp[slot]++
-}
-
-// unpinLocked removes a finished session's pin; caller holds e.mu.
-func (e *Executor) unpinLocked(slot, tenant int) {
-	e.pinned[slot]--
-	if tp := e.tpinned[tenant]; tp != nil {
-		tp[slot]--
-	}
-}
-
 // movePin transfers an unfinished session's pin count between slots (a
 // migration). Callers must not hold e.mu or any session mu.
-func (e *Executor) movePin(from, to, tenant int) {
+func (e *Executor) movePin(from, to int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.unpinLocked(from, tenant)
-	e.pinLocked(to, tenant)
+	e.pinned[from]--
+	e.pinned[to]++
 }
 
 // Session opens a session pinned to a shard chosen by the placement hook —
@@ -772,10 +718,9 @@ func (e *Executor) movePin(from, to, tenant int) {
 func (e *Executor) Session() *Session { return e.SessionFor(0, 1) }
 
 // SessionFor opens a session on behalf of a tenant with a fair-queueing
-// weight. The tenant id tags every admission signal (waits, served, shed)
-// and the weight drives WFQ admission ordering; placement sees the tenant's
-// current spread across shards through PlacementInfo.TenantSessions.
-// Weights below 1 are lifted to 1.
+// weight. The tenant id tags the session's admission events and defense
+// attribution, and the weight drives WFQ admission ordering. Weights below
+// 1 are lifted to 1.
 func (e *Executor) SessionFor(tenant, weight int) *Session {
 	return e.open(tenant, weight, 0, false)
 }
@@ -800,13 +745,13 @@ func (e *Executor) open(tenant, weight int, key uint64, keyed bool) *Session {
 	slot := id % len(e.shards)
 	placed := false
 	if keyed && e.placeKey != nil {
-		e.openPool = e.placementPoolLocked(e.openPool, tenant)
+		e.openPool = e.placementPoolLocked(e.openPool)
 		if p := e.placeKey(id, key, e.openPool); p >= 0 && p < len(e.shards) {
 			slot, placed = p, true
 		}
 	}
 	if !placed && e.place != nil {
-		e.openPool = e.placementPoolLocked(e.openPool, tenant)
+		e.openPool = e.placementPoolLocked(e.openPool)
 		if p := e.place(id, e.openPool); p >= 0 && p < len(e.shards) {
 			slot = p
 		}
@@ -821,7 +766,7 @@ func (e *Executor) open(tenant, weight int, key uint64, keyed bool) *Session {
 		shard:  e.shards[slot],
 	}
 	e.sessions[id] = s
-	e.pinLocked(slot, tenant)
+	e.pinned[slot]++
 	return s
 }
 
@@ -1078,7 +1023,7 @@ func (e *Executor) Shrink(plan func(session int, pool []PlacementInfo) Migration
 		}
 		// A fresh snapshot: plan runs outside e.mu, while opens refill theirs.
 		e.mu.Lock()
-		pool := e.placementPoolLocked(nil, s.Tenant)
+		pool := e.placementPoolLocked(nil)
 		e.mu.Unlock()
 		p := leastPinnedPlan(s.ID, pool)
 		if plan != nil {
@@ -1147,10 +1092,10 @@ func (e *Executor) MigrateSession(session, dest int, extra vclock.Duration) erro
 	return e.move(s, d, extra, "rebalance", fmt.Sprintf("session %d from shard %d", s.ID, from.ID))
 }
 
-// noteWait folds one admitted invocation's wait into the per-slot and
-// per-tenant load signals (served counts only clean completions). Called
-// with the subject shard's mu held (shard mu orders before executor mu).
-func (e *Executor) noteWait(id int, s *Session, wait vclock.Duration, failed bool) {
+// noteWait folds one admitted invocation's wait into the per-slot load
+// signal. Called with the subject shard's mu held (shard mu orders before
+// executor mu).
+func (e *Executor) noteWait(id int, wait vclock.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	l := e.loads[id]
@@ -1161,12 +1106,6 @@ func (e *Executor) noteWait(id int, s *Session, wait vclock.Duration, failed boo
 	l.waitSum += wait
 	l.waits++
 	l.jobs++
-	t := e.tenantLoadLocked(s.Tenant, s.Weight)
-	t.waitSum += wait
-	t.waits++
-	if !failed {
-		t.served++
-	}
 }
 
 // ShardLoads snapshots the control-plane signal: one entry per live pool
@@ -1185,7 +1124,6 @@ func (e *Executor) ShardLoads() []ShardLoad {
 		}
 		if l := e.loads[sh.ID]; l != nil {
 			out[i].WaitSum, out[i].Waits, out[i].Jobs = l.waitSum, l.waits, l.jobs
-			out[i].Rejected, out[i].Shed = l.rejected, l.shed
 		}
 		if g := e.grays[sh.ID]; g != nil && g.gen == sh.Gen {
 			out[i].Suspicion, out[i].Suspect = g.score, g.suspect
@@ -1309,7 +1247,7 @@ func (s *Session) Finish() {
 	}
 	s.done = true
 	clear(s.bound)
-	e.unpinLocked(s.shard.ID, s.Tenant)
+	e.pinned[s.shard.ID]--
 	s.mu.Unlock()
 	delete(e.sessions, s.ID)
 	for _, sh := range e.shards {
@@ -1387,7 +1325,7 @@ func (s *Session) migrate(to *Shard) error {
 	s.shard = to
 	s.mu.Unlock()
 	if !wasDone && from != to.ID {
-		s.ex.movePin(from, to.ID, s.Tenant)
+		s.ex.movePin(from, to.ID)
 	}
 	return firstErr
 }
@@ -1543,7 +1481,7 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 		// any overload accounting, as pure as a shed — no clock advance,
 		// no checkpoint, no chaos draw.
 		if gerr := gate(s.Tenant, s.ID); gerr != nil {
-			e.recordShed(sh, s, "quarantine", *arrival,
+			e.recordShed(sh, "quarantine", *arrival,
 				fmt.Sprintf("tenant %d session %d: %v", s.Tenant, s.ID, gerr))
 			return true, now, 0, gerr
 		}
@@ -1585,7 +1523,7 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 
 	crashed := isCrashClass(jerr, sh)
 	if crashed && pol.FailThreshold > 0 {
-		if n := sh.recordFailure(end, pol.FailWindow); n >= pol.FailThreshold {
+		if n := sh.recordFailure(); n >= pol.FailThreshold {
 			sh.fail(fmt.Sprintf("%d crash-class failures in window", n))
 		}
 	}
@@ -1599,7 +1537,7 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 		e.lat.Add(end - *arrival)
 	}
 	e.queue.Add(wait)
-	e.noteWait(sh.ID, s, wait, jerr != nil)
+	e.noteWait(sh.ID, wait)
 	e.observeService(sh, end-svcStart, end)
 	return true, end, end - svcStart, jerr
 }

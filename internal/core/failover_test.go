@@ -335,7 +335,7 @@ func TestHealthPolicyFailThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
-	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 2, FailWindow: time.Second})
+	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 2})
 	s := ex.Session()
 
 	// First crash-class failure: under threshold, error surfaces.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"freepart.dev/freepart/internal/vclock"
 )
@@ -18,79 +17,40 @@ import (
 
 // GrayPolicy configures latency-based gray-failure detection. Every
 // completed invocation folds its virtual service time into a per-shard
-// EWMA; a shard whose EWMA exceeds Ratio times the reference service time
-// accrues suspicion (phi-accrual style: evidence accumulates instead of a
-// single threshold firing), and at DrainScore the shard is drained through
-// the same drain→replace→migrate failover path a crash window uses.
-// Suspicion decays while the shard behaves, so a recovering shard is not
-// flapped — the hysteresis half of the policy.
+// EWMA (weight grayAlpha on the newest sample); once a shard has
+// grayMinSamples samples, an EWMA over Ratio × Baseline accrues grayRise
+// suspicion per completion (phi-accrual style: evidence accumulates
+// instead of a single threshold firing), and at grayDrainScore the shard
+// is drained through the same drain→replace→migrate failover path a crash
+// window uses. Suspicion decays by grayDecay per healthy completion, so a
+// recovering shard is not flapped — the hysteresis half of the policy.
 //
 // The zero value disables scoring entirely.
 type GrayPolicy struct {
 	// Ratio is the suspicion threshold: a shard is suspect while its
-	// service-time EWMA exceeds Ratio × the reference. <= 0 disables the
-	// scorer (the zero-cost default).
+	// service-time EWMA exceeds Ratio × Baseline. <= 0 disables the scorer
+	// (the zero-cost default).
 	Ratio float64
-	// Alpha is the EWMA weight of the newest sample in (0, 1]; 0 means the
-	// default 0.4 — heavy enough that a 10x shard is obvious within a few
-	// samples, light enough that one stall is not a verdict.
-	Alpha float64
-	// MinSamples is how many samples a shard must have before it is scored
-	// (and before its EWMA may serve as a peer reference); 0 means 4.
-	MinSamples int
-	// Baseline, when set, is the fixed reference service time — typically
-	// calibrated from a fault-free run — making every scoring decision a
-	// pure function of the shard's own completions (the mode the
-	// byte-equal soaks use). 0 derives the reference live as the median
-	// EWMA of the other shards in the pool.
+	// Baseline is the reference service time, typically calibrated from a
+	// fault-free run, so every scoring decision is a pure function of the
+	// shard's own completions. <= 0 disables the scorer.
 	Baseline vclock.Duration
-	// Rise is the suspicion added per over-threshold completion; 0 means 1.
-	Rise float64
-	// Decay is the suspicion removed per healthy completion; 0 means 0.5.
-	// Keeping Decay below Rise means a flapping shard still converges to a
-	// drain, while a shard with one bad window walks back to clean.
-	Decay float64
-	// DrainScore is the suspicion at which the shard is drained; 0 means 4.
-	DrainScore float64
 }
+
+// The scorer's fixed tuning. grayAlpha is heavy enough that a 10x shard is
+// obvious within a few samples, light enough that one stall is not a
+// verdict; grayDecay below grayRise means a flapping shard still converges
+// to a drain, while a shard with one bad window walks back to clean.
+const (
+	grayAlpha      = 0.4
+	grayMinSamples = 4
+	grayRise       = 1.0
+	grayDecay      = 0.5
+	grayDrainScore = 4.0
+)
 
 // active reports whether scoring is enabled.
-func (p GrayPolicy) active() bool { return p.Ratio > 0 }
-
-func (p GrayPolicy) alpha() float64 {
-	if p.Alpha <= 0 || p.Alpha > 1 {
-		return 0.4
-	}
-	return p.Alpha
-}
-
-func (p GrayPolicy) minSamples() uint64 {
-	if p.MinSamples <= 0 {
-		return 4
-	}
-	return uint64(p.MinSamples)
-}
-
-func (p GrayPolicy) rise() float64 {
-	if p.Rise <= 0 {
-		return 1
-	}
-	return p.Rise
-}
-
-func (p GrayPolicy) decay() float64 {
-	if p.Decay <= 0 {
-		return 0.5
-	}
-	return p.Decay
-}
-
-func (p GrayPolicy) drainScore() float64 {
-	if p.DrainScore <= 0 {
-		return 4
-	}
-	return p.DrainScore
-}
+func (p GrayPolicy) active() bool { return p.Ratio > 0 && p.Baseline > 0 }
 
 // grayState is one pool slot's suspicion accumulator, guarded by the
 // executor's mu. It belongs to a single incarnation: a replacement shard
@@ -161,31 +121,6 @@ func (e *Executor) GrayScores() []GrayScore {
 	return out
 }
 
-// peerMedianLocked returns the median service-time EWMA across live shards
-// other than slot id, counting only shards with at least min samples in
-// their current incarnation. 0 means no reference is available yet.
-// Caller holds e.mu.
-func (e *Executor) peerMedianLocked(id int, min uint64) float64 {
-	var peers []float64
-	for _, sh := range e.shards {
-		if sh.ID == id {
-			continue
-		}
-		if g := e.grays[sh.ID]; g != nil && g.gen == sh.Gen && g.samples >= min {
-			peers = append(peers, g.ewma)
-		}
-	}
-	if len(peers) == 0 {
-		return 0
-	}
-	sort.Float64s(peers)
-	mid := len(peers) / 2
-	if len(peers)%2 == 1 {
-		return peers[mid]
-	}
-	return (peers[mid-1] + peers[mid]) / 2
-}
-
 // observeService folds one completed invocation's virtual service time
 // into the shard's suspicion score and, when the score crosses the drain
 // threshold, marks the shard lost so its next admission fails over —
@@ -211,34 +146,26 @@ func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
 		// history survives.
 		*g = grayState{gen: sh.Gen, drains: g.drains}
 	}
-	a := pol.alpha()
 	if g.samples == 0 {
 		g.ewma = float64(svc)
 	} else {
-		g.ewma = a*float64(svc) + (1-a)*g.ewma
+		g.ewma = grayAlpha*float64(svc) + (1-grayAlpha)*g.ewma
 	}
 	g.samples++
-	if g.samples < pol.minSamples() {
+	if g.samples < grayMinSamples {
 		e.mu.Unlock()
 		return
 	}
 	ref := float64(pol.Baseline)
-	if ref <= 0 {
-		ref = e.peerMedianLocked(sh.ID, pol.minSamples())
-	}
-	if ref <= 0 {
-		e.mu.Unlock()
-		return
-	}
 	if g.ewma > pol.Ratio*ref {
-		g.score += pol.rise()
+		g.score += grayRise
 		if !g.suspect {
 			g.suspect = true
 			e.recordLocked(sh, end, "suspect", fmt.Sprintf("ewma %v over %.1fx ref %v",
 				vclock.Duration(g.ewma), pol.Ratio, vclock.Duration(ref)))
 		}
 	} else if g.score > 0 {
-		g.score -= pol.decay()
+		g.score -= grayDecay
 		if g.score <= 0 {
 			g.score = 0
 			if g.suspect {
@@ -249,7 +176,7 @@ func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
 		}
 	}
 	reason := ""
-	if g.suspect && g.score >= pol.drainScore() && !sh.Failed() {
+	if g.suspect && g.score >= grayDrainScore && !sh.Failed() {
 		g.drains++
 		reason = fmt.Sprintf("gray failure: service ewma %v over %.1fx reference %v (score %.1f)",
 			vclock.Duration(g.ewma), pol.Ratio, vclock.Duration(ref), g.score)

@@ -42,27 +42,44 @@ func grayEventKinds(ex *core.Executor, kinds ...string) []string {
 }
 
 // TestGraySuspicionDrain walks a slow shard through the scorer's whole arc:
-// below MinSamples nothing is judged, then the shard turns suspect, accrues
-// suspicion per slow completion, and at DrainScore is drained through the
-// ordinary failover path — replacement shard, migrated session, and a
-// "gray-drain" event paired with the GrayDrains counter.
+// below four samples nothing is judged, then the shard turns suspect,
+// accrues one point of suspicion per slow completion, and at score 4 is
+// drained through the ordinary failover path — replacement shard, migrated
+// session, and a "gray-drain" event paired with the GrayDrains counter.
 func TestGraySuspicionDrain(t *testing.T) {
 	ex := newExecutor(t, 2, core.Default())
-	ex.SetGray(core.GrayPolicy{
-		Ratio: 2, Baseline: ms, MinSamples: 2, Rise: 1, DrainScore: 2,
-	})
+	ex.SetGray(core.GrayPolicy{Ratio: 2, Baseline: ms})
 	s := ex.Session() // pinned to shard 0
 	defer s.Finish()
 
-	// Two samples reach MinSamples; both over 2x baseline, so the second is
-	// judged: suspect, score 1. The third brings the score to DrainScore.
-	for i := 0; i < 3; i++ {
-		if err := s.Do(advanceJob(10*ms, nil)); err != nil {
-			t.Fatalf("slow job %d: %v", i, err)
+	slow := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.Do(advanceJob(10*ms, nil)); err != nil {
+				t.Fatalf("slow job: %v", err)
+			}
 		}
 	}
-	kinds := grayEventKinds(ex, "suspect", "gray-drain", "drain", "replace", "migrate")
-	if !reflect.DeepEqual(kinds, []string{"suspect", "gray-drain"}) {
+	pre := func() []string {
+		return grayEventKinds(ex, "suspect", "gray-drain", "drain", "replace", "migrate")
+	}
+	// Three samples are below the scoring floor: no verdict yet.
+	slow(3)
+	if kinds := pre(); len(kinds) != 0 {
+		t.Fatalf("events after 3 samples = %v, want none", kinds)
+	}
+	// The fourth is judged: over 2x baseline, suspect at score 1.
+	slow(1)
+	if kinds := pre(); !reflect.DeepEqual(kinds, []string{"suspect"}) {
+		t.Fatalf("events after 4 samples = %v, want [suspect]", kinds)
+	}
+	// Scores 2 and 3 do not drain; score 4 does.
+	slow(2)
+	if kinds := pre(); !reflect.DeepEqual(kinds, []string{"suspect"}) {
+		t.Fatalf("events at score 3 = %v, want [suspect]", kinds)
+	}
+	slow(1)
+	if kinds := pre(); !reflect.DeepEqual(kinds, []string{"suspect", "gray-drain"}) {
 		t.Fatalf("pre-failover events = %v, want [suspect gray-drain]", kinds)
 	}
 
@@ -74,7 +91,7 @@ func TestGraySuspicionDrain(t *testing.T) {
 	if got := s.Shard().Gen; got != 1 {
 		t.Fatalf("session shard gen after gray drain = %d, want 1", got)
 	}
-	kinds = grayEventKinds(ex, "gray-drain", "drain", "replace", "migrate")
+	kinds := grayEventKinds(ex, "gray-drain", "drain", "replace", "migrate")
 	if !reflect.DeepEqual(kinds, []string{"gray-drain", "drain", "replace", "migrate"}) {
 		t.Fatalf("failover events = %v, want [gray-drain drain replace migrate]", kinds)
 	}
@@ -97,19 +114,18 @@ func TestGraySuspicionDrain(t *testing.T) {
 }
 
 // TestGrayHysteresis pins the no-flap property: a shard that turns suspect
-// and then recovers walks its suspicion back through Decay and emits one
+// and then recovers walks its suspicion back down and emits one
 // "suspect-clear" — it is never drained, and a second healthy stretch adds
 // no further transitions.
 func TestGrayHysteresis(t *testing.T) {
 	ex := newExecutor(t, 2, core.Default())
-	ex.SetGray(core.GrayPolicy{
-		Ratio: 2, Baseline: ms, MinSamples: 1, Rise: 1, Decay: 1, DrainScore: 10,
-	})
+	ex.SetGray(core.GrayPolicy{Ratio: 2, Baseline: ms})
 	s := ex.Session()
 	defer s.Finish()
 
-	for i := 0; i < 2; i++ {
-		if err := s.Do(advanceJob(10*ms, nil)); err != nil {
+	// Four samples at 3x baseline: the fourth is judged, suspect at score 1.
+	for i := 0; i < 4; i++ {
+		if err := s.Do(advanceJob(3*ms, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,49 +145,6 @@ func TestGrayHysteresis(t *testing.T) {
 	}
 	if m := ex.Metrics().Snapshot(); m.GrayDrains != 0 {
 		t.Fatalf("GrayDrains = %d, want 0", m.GrayDrains)
-	}
-}
-
-// TestGrayPeerMedianReference runs the scorer with no Baseline: each shard
-// is judged against the median service-time EWMA of its live peers. Slot 2
-// serves ten times slower than slots 0 and 1, so only slot 2 turns
-// suspect and is drained — the fast slots' own reference includes the slow
-// peer, and they never look slow against it.
-func TestGrayPeerMedianReference(t *testing.T) {
-	ex := newExecutor(t, 3, core.Default())
-	ex.SetGray(core.GrayPolicy{Ratio: 3})
-	sessions := []*core.Session{ex.Session(), ex.Session(), ex.Session()} // slots 0, 1, 2
-	job := func(sh *core.Shard) error {
-		if sh.ID == 2 && sh.Gen == 0 {
-			sh.K.Clock.Advance(10 * ms) // the gray machine; its replacement is healthy
-		} else {
-			sh.K.Clock.Advance(ms)
-		}
-		return nil
-	}
-	for round := 0; round < 10; round++ {
-		for _, s := range sessions {
-			if err := s.Do(job); err != nil {
-				t.Fatalf("round %d session %d: %v", round, s.ID, err)
-			}
-		}
-	}
-	for id, want := range [][]string{nil, nil, {"suspect", "gray-drain", "drain"}} {
-		var kinds []string
-		for _, ev := range ex.FailoverEventsFor(id) {
-			if ev.Kind == "suspect" || ev.Kind == "gray-drain" || ev.Kind == "drain" {
-				kinds = append(kinds, ev.Kind)
-			}
-		}
-		if !reflect.DeepEqual(kinds, want) {
-			t.Fatalf("slot %d events = %v, want %v", id, kinds, want)
-		}
-	}
-	if m := ex.Metrics().Snapshot(); m.GrayDrains != 1 {
-		t.Fatalf("GrayDrains = %d, want 1", m.GrayDrains)
-	}
-	if got := sessions[2].Shard().Gen; got != 1 {
-		t.Fatalf("slot 2 session runs on gen %d, want 1", got)
 	}
 }
 

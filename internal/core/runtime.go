@@ -14,7 +14,6 @@ import (
 	"freepart.dev/freepart/internal/mem"
 	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/object"
-	"freepart.dev/freepart/internal/vclock"
 )
 
 // endpoint locates the space and table behind a process id, for lazy
@@ -478,29 +477,17 @@ func (rt *Runtime) Call(apiName string, args ...framework.Value) ([]Handle, []fr
 	// process tier, a PKRU-bracketed direct call for the domain tier,
 	// plain in-host execution for the host tier.
 	//
-	// The DoS resource watchdog brackets the crossing for partitions that
+	// The DoS resource watchdog watches the crossing for partitions that
 	// share the host's fate: a domain- or host-tier invocation that kills
-	// the host, or overruns its virtual-time budget, is the one attack
-	// shape those tiers cannot contain — so it is at least *detected*
-	// here and reported to the anomaly hook. Observation only: no clock
-	// advance, no state change, nothing when the hook is nil.
-	watch := rt.Config.OnAnomaly != nil && a.boundary.Tier() != isolation.TierProcess
-	var watchStart vclock.Duration
-	if watch {
-		watchStart = rt.K.Clock.Now()
-	}
+	// the host is the one attack shape those tiers cannot contain — so it
+	// is at least *detected* here and reported to the anomaly hook.
+	// Observation only: no clock advance, no state change, nothing when
+	// the hook is nil.
 	handles, plain, err := a.boundary.Invoke(rt, a, api, args)
-	if watch {
-		if !rt.Host.Alive() {
-			rt.Metrics.AddWatchdogTrip()
-			rt.Config.OnAnomaly(t, apiName, "host-crash",
-				fmt.Sprintf("%s-tier invocation killed the host", a.boundary.Tier()))
-		} else if b := rt.Config.WatchdogBudget; b > 0 && rt.K.Clock.Now()-watchStart > b {
-			rt.Metrics.AddWatchdogTrip()
-			rt.Config.OnAnomaly(t, apiName, "budget",
-				fmt.Sprintf("%s-tier invocation ran %v past its %v budget",
-					a.boundary.Tier(), rt.K.Clock.Now()-watchStart-b, b))
-		}
+	if rt.Config.OnAnomaly != nil && a.boundary.Tier() != isolation.TierProcess && !rt.Host.Alive() {
+		rt.Metrics.AddWatchdogTrip()
+		rt.Config.OnAnomaly(t, apiName, "host-crash",
+			fmt.Sprintf("%s-tier invocation killed the host", a.boundary.Tier()))
 	}
 	if errors.Is(err, errAgentDegraded) {
 		// The breaker tripped while this very call was being supervised.

@@ -73,17 +73,16 @@ type Params struct {
 	// when nobody is attacking. Nil defaults to isolation.ERIM().
 	Floor *isolation.Policy
 	// CleanWindow is how much sighting-free virtual time an escalated API
-	// type must accumulate before one anneal step down. Defaults to 2ms.
+	// type must accumulate before one anneal step down, and how long a
+	// quarantined tenant stays gated before release. Defaults to 2ms.
 	CleanWindow vclock.Duration
-	// HysteresisFactor multiplies a type's clean window on each
-	// re-escalation after its first, so an attacker alternating attack
-	// and silence pays an exponentially growing stay at the strong tier
-	// instead of oscillating the policy. Minimum (and default) 2.
-	HysteresisFactor int
-	// QuarantineWindow is how much virtual time a quarantined tenant
-	// stays gated before release. Defaults to CleanWindow.
-	QuarantineWindow vclock.Duration
 }
+
+// hysteresisFactor multiplies a type's clean window on each re-escalation
+// after its first, so an attacker alternating attack and silence pays an
+// exponentially growing stay at the strong tier instead of oscillating the
+// policy.
+const hysteresisFactor = 2
 
 // sighting is one buffered attack signal, recorded by a sensor between
 // barriers and processed at the next Tick.
@@ -164,12 +163,6 @@ func New(ex *core.Executor, p Params) *Controller {
 	if p.CleanWindow <= 0 {
 		p.CleanWindow = vclock.Duration(2 * time.Millisecond)
 	}
-	if p.HysteresisFactor < 2 {
-		p.HysteresisFactor = 2
-	}
-	if p.QuarantineWindow <= 0 {
-		p.QuarantineWindow = p.CleanWindow
-	}
 	cur := p.Floor.Clone()
 	cur.Name = "adaptive"
 	return &Controller{
@@ -248,10 +241,9 @@ func (c *Controller) sensor(shard int, rt *core.Runtime, inner framework.Exploit
 }
 
 // anomaly adapts the core DoS resource watchdog into a sighting: a
-// domain- or host-tier invocation that killed the host (or blew its
-// virtual-time budget) is a DoS-class signal even when no exploit
-// handler ever fired — the channel that catches the imshow DoS the
-// domain tier cannot contain.
+// domain- or host-tier invocation that killed the host is a DoS-class
+// signal even when no exploit handler ever fired — the channel that
+// catches the imshow DoS the domain tier cannot contain.
 func (c *Controller) anomaly(shard int, rt *core.Runtime) func(t framework.APIType, api, kind, detail string) {
 	return func(t framework.APIType, api, kind, detail string) {
 		session := rt.SessionScope()
@@ -401,7 +393,7 @@ func (c *Controller) Tick(now vclock.Duration) {
 			if ts.escalations > 1 {
 				// Hysteresis: a type that needed escalating again pays a
 				// doubled clean window before it anneals back down.
-				ts.window *= vclock.Duration(c.p.HysteresisFactor)
+				ts.window *= hysteresisFactor
 			}
 			c.stats.Escalations++
 			c.record(tick, now, "escalate", fmt.Sprintf("%s: %s -> %s (%s, class %q, signal %s)",
@@ -440,7 +432,7 @@ func (c *Controller) Tick(now vclock.Duration) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		q := c.quar[id]
-		if now-q.since >= c.p.QuarantineWindow {
+		if now-q.since >= c.p.CleanWindow {
 			delete(c.quar, id)
 			c.stats.Releases++
 			c.record(tick, now, "release", fmt.Sprintf("tenant %d after %v quarantined", id, now-q.since))

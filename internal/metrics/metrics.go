@@ -1,10 +1,10 @@
 // Package metrics collects the counters the evaluation tables are built
 // from: IPC round trips, bytes moved between processes, lazy vs eager data
-// copies (Table 12), permission flips, restarts, and syscall denials.
+// copies (Table 12), permission flips and restarts. Syscall denials are
+// recorded per process by the kernel (kernel.Process.Denials).
 package metrics
 
 import (
-	"fmt"
 	"sync"
 
 	"freepart.dev/freepart/internal/vclock"
@@ -26,7 +26,6 @@ type Snapshot struct {
 	PermFlips   uint64
 	PagesFlip   uint64
 	Restarts    uint64
-	Denials     uint64
 	APICalls    uint64
 	Checkpoints uint64
 
@@ -173,13 +172,6 @@ func (c *Counters) AddRestart() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.s.Restarts++
-}
-
-// AddDenial records a syscall blocked by a filter.
-func (c *Counters) AddDenial() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Denials++
 }
 
 // AddAPICall records one framework API dispatch.
@@ -420,14 +412,6 @@ func (s Snapshot) LazyFraction() float64 {
 		return 0
 	}
 	return float64(s.LazyCopies) / float64(total)
-}
-
-// String renders a one-line summary.
-func (s Snapshot) String() string {
-	return fmt.Sprintf("ipc=%d bytes=%d lazy=%d eager=%d flips=%d restarts=%d denials=%d retries=%d degraded=%d degradedCalls=%d injected=%d drains=%d migrations=%d failedMigrations=%d",
-		s.IPCCalls, s.BytesMoved, s.LazyCopies, s.EagerCopies, s.PermFlips, s.Restarts, s.Denials,
-		s.Retries, s.Degraded, s.DegradedCalls, s.InjectedFaults,
-		s.ShardDrains, s.Migrations, s.FailedMigrations)
 }
 
 // Overhead computes the relative slowdown of a protected run against an

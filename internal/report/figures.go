@@ -186,6 +186,8 @@ func Fig13(scale int) (string, error) {
 // SecurityMatrix runs every evaluation CVE against every affected app
 // under FreePart and reports whether the attack was contained (§5,
 // "Correctness of FreePart": all attacks mitigated, no false positives).
+// Each exploit is driven through its CVE's own API site (fireCVE); a row
+// whose payload never ran reads "-" under "Exploit fired in".
 func SecurityMatrix() (string, error) {
 	_, cat := hybridCat()
 	t := &Table{
@@ -198,111 +200,26 @@ func SecurityMatrix() (string, error) {
 			if !ok {
 				continue
 			}
-			k := kernel.New()
-			rt, err := core.New(k, all.Registry(), cat, core.Default())
+			rt, err := core.New(kernel.New(), all.Registry(), cat, core.Default())
 			if err != nil {
 				return "", err
 			}
-			e := apps.NewEnvScaled(k, rt, a, 1)
 			log := &attack.Log{}
 			rt.OnExploit = log.Handler()
-
-			// Critical host data the attacks aim at.
-			crit, err := rt.Host.Space().Alloc(32)
+			v, err := fireCVE(rt, cve)
+			rt.Close()
 			if err != nil {
-				rt.Close()
 				return "", err
 			}
-			_ = rt.Host.Space().Store(crit.Base, []byte("sensitive"))
-			rt.RegisterCritical(crit)
-
-			// Fire the exploit through the CVE's own API site where
-			// possible; otherwise through a crafted input file.
-			crafted := attack.Corrupt(cve.ID, crit.Base, []byte("OWNED"))
-			if cve.Class == attack.ClassDoS {
-				crafted = attack.DoS(cve.ID)
-			}
-			k.FS.WriteFile(e.Dir+"/evil.img", crafted)
-			_, _, _ = rt.Call("cv.imread", framework.Str(e.Dir+"/evil.img"))
-			// TensorFlow CVEs live in tensor APIs; drive those directly.
-			if cve.Framework == "TensorFlow" {
-				driveTensorCVE(rt, cve.ID)
-			}
-
 			firedIn := "-"
 			if log.Last() != nil {
 				firedIn = "agent"
 			}
-			data, _ := rt.Host.Space().Load(crit.Base, 9)
-			dataSafe := string(data) == "sensitive"
-			leakBlocked := len(k.Net.Sent()) == 0
-			t.Add(cve.ID, a.Name, firedIn, fmt.Sprintf("%v", rt.Host.Alive()),
-				fmt.Sprintf("%v", dataSafe), fmt.Sprintf("%v", leakBlocked))
-			rt.Close()
+			t.Add(cve.ID, a.Name, firedIn, fmt.Sprintf("%v", v.hostAlive),
+				fmt.Sprintf("%v", v.dataSafe), fmt.Sprintf("%v", v.leakBlocked))
 		}
 	}
 	return t.String(), nil
-}
-
-// driveTensorCVE feeds a crafted tensor into the CVE's vulnerable API.
-func driveTensorCVE(rt *core.Runtime, cveID string) {
-	trig := attack.DoS(cveID)
-	vals := make([]framework.Value, 0)
-	_ = vals
-	// Build a tensor carrying the trigger via torch.tensor then reshape to
-	// a valid 2-D shape and call the vulnerable op.
-	n := len(trig)
-	handles, _, err := rt.Call("torch.tensor", framework.Int64(int64(n)), framework.Float64(0))
-	if err != nil || len(handles) == 0 {
-		return
-	}
-	// The trigger values must land in the tensor; easiest is a host-side
-	// tensor shipped as a deep copy.
-	ctx := rt.HostCtx()
-	id, tt, err := ctx.NewTensor(n)
-	if err != nil {
-		return
-	}
-	tvals := make([]float64, n)
-	for i, b := range trig {
-		tvals[i] = float64(b)
-	}
-	_ = tt.SetValues(tvals)
-	switch cveID {
-	case "CVE-2021-29513":
-		// conv3d needs a cube; pad to 3x3x3 minimum.
-		cid, ct, err := ctx.NewTensor(3, 3, 3)
-		if err != nil {
-			return
-		}
-		cube := make([]float64, 27)
-		copy(cube, tvals)
-		_ = ct.SetValues(cube)
-		_, _, _ = rt.Call("tf.nn.conv3d", framework.Obj(cid))
-	case "CVE-2021-29618", "CVE-2021-37661":
-		rid, rtens, err := ctx.NewTensor(8, 8)
-		if err != nil {
-			return
-		}
-		grid := make([]float64, 64)
-		copy(grid, tvals)
-		_ = rtens.SetValues(grid)
-		api := "tf.nn.avg_pool"
-		if cveID == "CVE-2021-37661" {
-			api = "tf.nn.max_pool"
-		}
-		_, _, _ = rt.Call(api, framework.Obj(rid))
-	case "CVE-2021-41198":
-		rid, rtens, err := ctx.NewTensor(8, 8)
-		if err != nil {
-			return
-		}
-		grid := make([]float64, 64)
-		copy(grid, tvals)
-		_ = rtens.SetValues(grid)
-		_, _, _ = rt.Call("tf.matmul", framework.Obj(rid), framework.Obj(rid))
-	}
-	_ = id
 }
 
 // A14 reproduces §A.1.4: sub-partitioning the data-processing agent beyond

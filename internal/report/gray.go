@@ -150,9 +150,8 @@ func MeasureGray(shards, requests, slowShard int, factor float64) ([]GrayResult,
 	}
 
 	// Fault-free run doubles as calibration: an inert scorer (ratio far
-	// beyond any healthy deviation, fixed reference so no decision depends
-	// on peers) harvests per-shard service-time EWMAs without perturbing
-	// anything the row reports.
+	// beyond any healthy deviation) harvests per-shard service-time EWMAs
+	// without perturbing anything the row reports.
 	calPolicy := core.GrayPolicy{Ratio: 1e9, Baseline: 1}
 	base, ex, err := run("fault-free", false, calPolicy, core.HedgePolicy{})
 	if err != nil {

@@ -123,11 +123,8 @@ func MeasureIsolation(shards, requests int) ([]IsolationResult, error) {
 	return out, nil
 }
 
-// replayIsolationCVE runs one CVE's exploit live under one policy and
-// returns the class verdict. The attack targets are planted in the host
-// process: a critical secret (registered, so MPK policies tag it with the
-// host-critical key) and an r-x code region (deliberately untagged — MPK
-// does not stop an in-process mprotect, and the verdict must show that).
+// replayIsolationCVE runs one CVE's exploit live under one policy on a
+// fresh runtime and returns the class verdict.
 func replayIsolationCVE(cat *analysis.Categorization, pol *isolation.Policy, cve attack.CVE) (blocked, detected bool, err error) {
 	k := kernel.New()
 	// The DoS resource watchdog observes domain- and host-tier invocations
@@ -144,26 +141,76 @@ func replayIsolationCVE(cat *analysis.Categorization, pol *isolation.Policy, cve
 	log := &attack.Log{}
 	rt.OnExploit = log.Handler()
 
-	crit, err := rt.Host.Space().Alloc(32)
+	v, err := fireCVE(rt, cve)
 	if err != nil {
 		return false, false, err
 	}
-	if err := rt.Host.Space().Store(crit.Base, []byte("sensitive")); err != nil {
-		return false, false, err
+	blocked = v.blocked(cve.Class)
+	// Every blocked attack is a detection (its containment mechanism is
+	// the signal); the watchdog adds detection of host-killing DoS that
+	// the tier itself could not contain.
+	return blocked, blocked || watchdog, nil
+}
+
+// cveVerdict is what one live exploit left of the targets fireCVE planted.
+type cveVerdict struct {
+	// dataSafe: the registered critical secret is unchanged.
+	dataSafe bool
+	// leakBlocked: nothing left over the network during the attack.
+	leakBlocked bool
+	// codeIntact: the r-x code region is unchanged.
+	codeIntact bool
+	// hostAlive: the host process survived.
+	hostAlive bool
+}
+
+// blocked reads the verdict for one vulnerability class: whether the
+// target that class goes after survived.
+func (v cveVerdict) blocked(c attack.VulnClass) bool {
+	switch c {
+	case attack.ClassMemWrite:
+		return v.dataSafe
+	case attack.ClassMemRead:
+		return v.leakBlocked
+	case attack.ClassRCE:
+		return v.codeIntact
+	default:
+		return v.hostAlive
+	}
+}
+
+// fireCVE is the one live-exploit path of the security reports. It plants
+// fresh attack targets in rt's host — a critical secret (registered, so
+// MPK policies tag it with the host-critical key) and an r-x code region
+// (deliberately untagged: MPK does not stop an in-process mprotect, and
+// the verdict must show that) — builds the CVE's class payload against
+// them, drives it through the CVE's own API site and reads what is left.
+// The network is measured from its length before the attack, so one
+// runtime can absorb several attacks without polluting later verdicts.
+// Callers install rt.OnExploit beforehand.
+func fireCVE(rt *core.Runtime, cve attack.CVE) (cveVerdict, error) {
+	host := rt.Host.Space()
+	crit, err := host.Alloc(32)
+	if err != nil {
+		return cveVerdict{}, err
+	}
+	if err := host.Store(crit.Base, []byte("sensitive")); err != nil {
+		return cveVerdict{}, err
 	}
 	rt.RegisterCritical(crit)
 
-	code, err := rt.Host.Space().Alloc(64)
+	code, err := host.Alloc(64)
 	if err != nil {
-		return false, false, err
+		return cveVerdict{}, err
 	}
 	codeBytes := []byte("TRUSTED-CODE-SEG")
-	if err := rt.Host.Space().Store(code.Base, codeBytes); err != nil {
-		return false, false, err
+	if err := host.Store(code.Base, codeBytes); err != nil {
+		return cveVerdict{}, err
 	}
-	if _, err := rt.Host.Space().ProtectRegion(code, mem.PermRead|mem.PermExec); err != nil {
-		return false, false, err
+	if _, err := host.ProtectRegion(code, mem.PermRead|mem.PermExec); err != nil {
+		return cveVerdict{}, err
 	}
+	netBefore := len(rt.K.Net.Sent())
 
 	var payload []byte
 	switch cve.Class {
@@ -176,126 +223,16 @@ func replayIsolationCVE(cat *analysis.Categorization, pol *isolation.Policy, cve
 	default:
 		payload = attack.DoS(cve.ID)
 	}
+	attack.Drive(rt, rt.HostCtx(), cve, payload)
 
-	// Drive the exploit through the CVE's own API site. Call errors are the
-	// expected outcome of a fired exploit; the verdict below is what counts.
-	driveIsolationCVE(k, rt, cve, payload)
-
-	switch cve.Class {
-	case attack.ClassMemWrite:
-		data, _ := rt.Host.Space().Load(crit.Base, 9)
-		blocked = string(data) == "sensitive"
-	case attack.ClassMemRead:
-		blocked = len(k.Net.Sent()) == 0
-	case attack.ClassRCE:
-		data, _ := rt.Host.Space().Load(code.Base, len(codeBytes))
-		blocked = string(data) == string(codeBytes)
-	default:
-		blocked = rt.Host.Alive()
-	}
-	// Every blocked attack is a detection (its containment mechanism is
-	// the signal); the watchdog adds detection of host-killing DoS that
-	// the tier itself could not contain.
-	return blocked, blocked || watchdog, nil
-}
-
-// driveIsolationCVE feeds the crafted payload into the CVE's vulnerable
-// API: via a crafted file, a pushed camera frame, an exact-length mat (the
-// trigger parser reads the payload to the end of the object's bytes), or a
-// trigger-carrying tensor padded with 0.5 (an invalid byte value, so the
-// trigger scan stops exactly at the payload's end).
-func driveIsolationCVE(k *kernel.Kernel, rt *core.Runtime, cve attack.CVE, payload []byte) {
-	ctx := rt.HostCtx()
-	switch cve.API {
-	case "cv.imread", "cv.cvLoad":
-		k.FS.WriteFile("/data/evil.img", payload)
-		_, _, _ = rt.Call(cve.API, framework.Str("/data/evil.img"))
-	case "cv.VideoCapture.read":
-		cam := kernel.NewCamera("/dev/camera0")
-		cam.Push(payload)
-		k.AddCamera(cam)
-		h, _, err := rt.Call("cv.VideoCapture", framework.Int64(0))
-		if err != nil || len(h) == 0 {
-			return
-		}
-		_, _, _ = rt.Call("cv.VideoCapture.read", h[0].Value())
-	case "cv.CascadeClassifier.detectMultiScale":
-		k.FS.WriteFile("/data/model.xml", simcv.EncodeClassifier(150, 4))
-		mh, _, err := rt.Call("cv.CascadeClassifier", framework.Str("/data/model.xml"))
-		if err != nil || len(mh) == 0 {
-			return
-		}
-		id, _, err := ctx.NewMatFromBytes(1, len(payload), 1, payload)
-		if err != nil {
-			return
-		}
-		_, _, _ = rt.Call(cve.API, mh[0].Value(), framework.Obj(id))
-	case "cv.warpPerspective":
-		id, _, err := ctx.NewMatFromBytes(1, len(payload), 1, payload)
-		if err != nil {
-			return
-		}
-		hid, ht, err := ctx.NewTensor(9)
-		if err != nil {
-			return
-		}
-		_ = ht.SetValues([]float64{1, 0, 0, 0, 1, 0, 0, 0, 1})
-		_, _, _ = rt.Call(cve.API, framework.Obj(id), framework.Obj(hid))
-	case "cv.equalizeHist", "cv.findContours":
-		id, _, err := ctx.NewMatFromBytes(1, len(payload), 1, payload)
-		if err != nil {
-			return
-		}
-		_, _, _ = rt.Call(cve.API, framework.Obj(id))
-	case "cv.imshow":
-		id, _, err := ctx.NewMatFromBytes(1, len(payload), 1, payload)
-		if err != nil {
-			return
-		}
-		_, _, _ = rt.Call(cve.API, framework.Str("w"), framework.Obj(id))
-	case "tf.nn.conv3d":
-		id, ok := triggerTensor(ctx, payload, 3, 3, 3)
-		if ok {
-			_, _, _ = rt.Call(cve.API, framework.Obj(id))
-		}
-	case "tf.nn.avg_pool", "tf.nn.max_pool":
-		id, ok := triggerTensor(ctx, payload, 8, 8)
-		if ok {
-			_, _, _ = rt.Call(cve.API, framework.Obj(id))
-		}
-	case "tf.matmul":
-		id, ok := triggerTensor(ctx, payload, 8, 8)
-		if ok {
-			_, _, _ = rt.Call(cve.API, framework.Obj(id), framework.Obj(id))
-		}
-	}
-}
-
-// triggerTensor builds a tensor whose leading values spell the trigger
-// bytes, padded with 0.5 so the byte scan stops at the payload boundary.
-func triggerTensor(ctx *framework.Ctx, payload []byte, shape ...int) (uint64, bool) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if len(payload) > n {
-		return 0, false
-	}
-	id, t, err := ctx.NewTensor(shape...)
-	if err != nil {
-		return 0, false
-	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = 0.5
-	}
-	for i, b := range payload {
-		vals[i] = float64(b)
-	}
-	if err := t.SetValues(vals); err != nil {
-		return 0, false
-	}
-	return id, true
+	data, _ := host.Load(crit.Base, 9)
+	codeNow, _ := host.Load(code.Base, len(codeBytes))
+	return cveVerdict{
+		dataSafe:    string(data) == "sensitive",
+		leakBlocked: len(rt.K.Net.Sent()) == netBefore,
+		codeIntact:  string(codeNow) == string(codeBytes),
+		hostAlive:   rt.Host.Alive(),
+	}, nil
 }
 
 // isolationServing prices one policy: a session-sharded executor serves a

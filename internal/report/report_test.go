@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"freepart.dev/freepart/internal/attack"
 	"freepart.dev/freepart/internal/report"
 )
 
@@ -182,6 +183,30 @@ func TestSecurityMatrixAllContained(t *testing.T) {
 	}
 	if got := strings.Count(out, "CVE-"); got < 18 {
 		t.Fatalf("security matrix covers %d attack instances, want >= 18", got)
+	}
+}
+
+// TestSecurityMatrixEveryRowFires pins that each row's exploit reaches its
+// CVE's own API site: a row whose payload never fired would read
+// "contained" while testing nothing.
+func TestSecurityMatrixEveryRowFires(t *testing.T) {
+	out, err := report.SecurityMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cves := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || !strings.HasPrefix(f[0], "CVE-") {
+			continue
+		}
+		cves[f[0]] = true
+		if f[2] != "agent" {
+			t.Errorf("exploit did not fire in an agent:\n%s", line)
+		}
+	}
+	if len(cves) != len(attack.EvalCVEs()) {
+		t.Fatalf("security matrix covers %d CVEs, want %d", len(cves), len(attack.EvalCVEs()))
 	}
 }
 

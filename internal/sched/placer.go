@@ -71,43 +71,6 @@ func pickLeast(pool []core.PlacementInfo, exclude int) int {
 	return best
 }
 
-// TenantSpread is the multi-tenant placer: it spreads each tenant's
-// sessions across shards — fewest sessions of the opening session's tenant
-// first, fewest total sessions second, lowest slot id last — so one
-// tenant's burst never concentrates on a single shard where it would
-// monopolize that shard's bounded admission queue. For single-tenant pools
-// the first criterion ties everywhere and the placement degenerates to
-// LeastLoaded.
-type TenantSpread struct{}
-
-// Place implements Placer.
-func (TenantSpread) Place(session int, pool []core.PlacementInfo) int {
-	return pickSpread(pool, -1)
-}
-
-// MigrateTarget implements Placer.
-func (TenantSpread) MigrateTarget(session, from int, pool []core.PlacementInfo) int {
-	return pickSpread(pool, from)
-}
-
-// pickSpread scores the pool by (tenant sessions, total sessions, id).
-func pickSpread(pool []core.PlacementInfo, exclude int) int {
-	best := -1
-	var bestInfo core.PlacementInfo
-	for _, p := range pool {
-		if p.ID == exclude {
-			continue
-		}
-		if best < 0 ||
-			p.TenantSessions < bestInfo.TenantSessions ||
-			(p.TenantSessions == bestInfo.TenantSessions && p.Sessions < bestInfo.Sessions) ||
-			(p.TenantSessions == bestInfo.TenantSessions && p.Sessions == bestInfo.Sessions && p.ID < bestInfo.ID) {
-			best, bestInfo = p.ID, p
-		}
-	}
-	return best
-}
-
 // Topology maps shard slots onto simulated sockets: shard id / ShardsPerSocket
 // is the socket. Shards are numbered densely, so growth fills one socket
 // before spilling to the next — the same layout a NUMA-aware deployment

@@ -62,20 +62,6 @@ type Policy struct {
 	// MaxMovesPerTick caps rebalance migrations per reconcile (default 1
 	// when RebalanceRatio is set) so the controller converges gently.
 	MaxMovesPerTick int
-	// GrowOnReject makes window rejections a first-class grow signal: when
-	// the pool shed or rejected any arrivals since the last tick and slots
-	// remain below MaxShards, the pool grows even if the wait signals are
-	// calm — capacity beats shedding whenever capacity exists. At
-	// MaxShards the signal inverts: the controller records the saturation
-	// and lets the admission bound keep shedding, which is the designed
-	// behaviour past the provisioning ceiling. Off by default; legacy runs
-	// never reject, so the flag is inert without an admission policy.
-	GrowOnReject bool
-	// TenantSkewRatio watches per-tenant admission-wait fairness: when the
-	// slowest tenant's window mean wait exceeds this ratio times the
-	// fastest's (two or more tenants sampled), the skew counts as a grow
-	// signal and is recorded in the event log. 0 disables the signal.
-	TenantSkewRatio float64
 	// ReadyWindow is the readiness probe: a shard whose clock runs more
 	// than this ahead of the pool's serving frontier (the last reconcile's
 	// "now") is still booting and is excluded from placement and migration
@@ -149,7 +135,6 @@ type Controller struct {
 	lastScale  vclock.Duration
 	scaledOnce bool
 	prev       map[int]core.ShardLoad
-	prevTen    map[int]core.TenantLoad
 	events     []Event
 	peak       int
 	// boot is the measured boot cost of the last grown shard (its clock
@@ -292,11 +277,9 @@ func (c *Controller) Tick() {
 	// to it would snowball each successive grow further ahead and freeze
 	// the cooldown gate once the pool goes idle.
 	var now vclock.Duration
-	var rejects uint64
 	for i, l := range loads {
 		p := prev[l.ID]
 		wins[i] = window{id: l.ID, sessions: l.Sessions, waitSum: l.WaitSum - p.WaitSum, waits: l.Waits - p.Waits, jobs: l.Jobs - p.Jobs}
-		rejects += (l.Rejected - p.Rejected) + (l.Shed - p.Shed)
 		totSum += wins[i].waitSum
 		totN += wins[i].waits
 		if wins[i].jobs > 0 && l.Clock > now {
@@ -340,13 +323,6 @@ func (c *Controller) Tick() {
 	// replacement capacity boots.
 	growWant := poolMean > c.pol.GrowWait || (t > 0 && proj >= t*pool)
 	shrinkWant := poolMean < c.pol.ShrinkWait
-	// Overload signals: rejections mean the admission bound is already
-	// shedding — grow before shedding whenever a slot remains. Tenant wait
-	// skew means one tenant is absorbing the queueing; more capacity is the
-	// remedy that doesn't rob anyone.
-	rejWant := c.pol.GrowOnReject && rejects > 0
-	skew, skewWant := c.tenantSkew()
-	growWant = growWant || rejWant || skewWant
 	if t > 0 {
 		// A full target's worth of slack — plus one session — beyond the
 		// one-smaller pool is the hysteresis band: plateau load wobbles by
@@ -357,16 +333,6 @@ func (c *Controller) Tick() {
 		// A fully idle pool always shrinks — the band would otherwise pin
 		// small pools (t·(pool−1) − t − 1 goes negative) above the floor.
 		shrinkWant = (proj <= t*(pool-1)-t-1 || proj == 0) && poolMean <= c.pol.GrowWait
-	}
-	if rejWant || skewWant {
-		// Never retire capacity while the pool is actively shedding.
-		shrinkWant = false
-	}
-	if rejWant && pool >= c.pol.MaxShards {
-		// Past the provisioning ceiling the inversion is deliberate: shed
-		// instead of growing. Record the saturation so the log explains the
-		// rejections the drill will count.
-		c.record(now, "saturated", fmt.Sprintf("pool %d at max, window rejected %d, shedding", pool, rejects))
 	}
 
 	migrated := false
@@ -383,14 +349,7 @@ func (c *Controller) Tick() {
 			c.boot = b
 		}
 		c.lastScale, c.scaledOnce = now, true
-		detail := fmt.Sprintf("pool %d->%d sessions %d mean-wait %v", pool, pool+1, sessions, poolMean)
-		if rejWant {
-			detail += fmt.Sprintf(" rejected %d", rejects)
-		}
-		if skewWant {
-			detail += fmt.Sprintf(" tenant-skew %.2f", skew)
-		}
-		c.record(now, "grow", detail)
+		c.record(now, "grow", fmt.Sprintf("pool %d->%d sessions %d mean-wait %v", pool, pool+1, sessions, poolMean))
 	case shrinkWant && pool > c.pol.MinShards && canScale:
 		victim, err := c.ex.Shrink(c.shrinkPlan())
 		if err != nil {
@@ -412,43 +371,6 @@ func (c *Controller) Tick() {
 	if n := c.ex.Shards(); n > c.peak {
 		c.peak = n
 	}
-}
-
-// tenantSkew reads the per-tenant wait signal: the ratio of the slowest
-// tenant's window mean admission wait to the fastest's. Reports (skew,
-// fired). Inert — not even sampled — unless the policy sets
-// TenantSkewRatio, so single-tenant and legacy runs never touch the
-// tenant signal path.
-func (c *Controller) tenantSkew() (float64, bool) {
-	if c.pol.TenantSkewRatio <= 0 {
-		return 0, false
-	}
-	tens := c.ex.TenantLoads()
-	prev := c.prevTen
-	c.prevTen = make(map[int]core.TenantLoad, len(tens))
-	var minMean, maxMean vclock.Duration
-	sampled := 0
-	for _, t := range tens {
-		p := prev[t.Tenant]
-		c.prevTen[t.Tenant] = t
-		dSum, dN := t.WaitSum-p.WaitSum, t.Waits-p.Waits
-		if dN == 0 {
-			continue
-		}
-		mean := dSum / vclock.Duration(dN)
-		if sampled == 0 || mean < minMean {
-			minMean = mean
-		}
-		if sampled == 0 || mean > maxMean {
-			maxMean = mean
-		}
-		sampled++
-	}
-	if sampled < 2 || minMean <= 0 {
-		return 0, false
-	}
-	skew := float64(maxMean) / float64(minMean)
-	return skew, skew >= c.pol.TenantSkewRatio
 }
 
 // projected estimates the live session count one shard-boot from now, from

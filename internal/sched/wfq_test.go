@@ -2,11 +2,9 @@ package sched_test
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"freepart.dev/freepart/internal/core"
-	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/sched"
 	"freepart.dev/freepart/internal/vclock"
 )
@@ -119,132 +117,5 @@ func TestWFQLeadCapBoundsHandicap(t *testing.T) {
 	got := q.Order(0, mixed)
 	if !reflect.DeepEqual(got, []int{1, 2, 0, 3}) {
 		t.Fatalf("order = %v, want [1 2 0 3] (lead clamped to 2 quanta)", got)
-	}
-}
-
-// TestTenantSpreadPlace pins the multi-tenant placer: fewest sessions of
-// the opening tenant first, total sessions second, slot id last — and the
-// source shard excluded from migration targets.
-func TestTenantSpreadPlace(t *testing.T) {
-	pool := []core.PlacementInfo{
-		{ID: 0, Sessions: 3, TenantSessions: 1},
-		{ID: 1, Sessions: 1, TenantSessions: 2},
-		{ID: 2, Sessions: 2, TenantSessions: 1},
-	}
-	if got := (sched.TenantSpread{}).Place(9, pool); got != 2 {
-		t.Fatalf("placed on %d, want 2 (fewest tenant sessions, then fewest total)", got)
-	}
-	if got := (sched.TenantSpread{}).MigrateTarget(9, 2, pool); got != 0 {
-		t.Fatalf("migrate target = %d, want 0 (source excluded, tenant count wins over total)", got)
-	}
-	// Single-tenant pools tie on the first criterion and degenerate to
-	// least-loaded.
-	for i := range pool {
-		pool[i].TenantSessions = 0
-	}
-	if got := (sched.TenantSpread{}).Place(9, pool); got != 1 {
-		t.Fatalf("single-tenant placement = %d, want 1 (least loaded)", got)
-	}
-}
-
-// overloadExecutor builds a direct pool with a reset clock and a tight
-// admission bound, so a single same-arrival collision produces a rejection
-// the controller will see in its next window.
-func overloadExecutor(t *testing.T, shards int) *core.Executor {
-	t.Helper()
-	ex, err := core.NewExecutor(shards, core.DirectShards(all.Registry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ex.Close)
-	for i := 0; i < shards; i++ {
-		ex.Shard(i).K.Clock.Reset()
-	}
-	ex.SetAdmission(core.AdmissionPolicy{QueueLimit: 1})
-	return ex
-}
-
-// TestControllerGrowsOnRejection pins the first-class overload signal:
-// rejections in the window grow the pool even with wait signals calm.
-func TestControllerGrowsOnRejection(t *testing.T) {
-	ex := overloadExecutor(t, 2)
-	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 3, GrowOnReject: true}, nil)
-	s := ex.Session()
-	if err := s.DoAt(0, func(sh *core.Shard) error { sh.K.Clock.Advance(100); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DoAt(0, func(sh *core.Shard) error { return nil }); err == nil {
-		t.Fatal("second same-arrival request was not rejected")
-	}
-	ctl.Tick()
-	if got := ex.Shards(); got != 3 {
-		t.Fatalf("pool = %d shards after rejection tick, want 3", got)
-	}
-	log := ctl.EventLog()
-	if !strings.Contains(log, "grow") || !strings.Contains(log, "rejected 1") {
-		t.Fatalf("decision log does not explain the grow:\n%s", log)
-	}
-}
-
-// TestControllerShedsAtMaxShards pins the inversion past the ceiling: at
-// MaxShards the controller records saturation and keeps shedding instead
-// of growing.
-func TestControllerShedsAtMaxShards(t *testing.T) {
-	ex := overloadExecutor(t, 2)
-	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 2, GrowOnReject: true}, nil)
-	s := ex.Session()
-	if err := s.DoAt(0, func(sh *core.Shard) error { sh.K.Clock.Advance(100); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DoAt(0, func(sh *core.Shard) error { return nil }); err == nil {
-		t.Fatal("second same-arrival request was not rejected")
-	}
-	ctl.Tick()
-	if got := ex.Shards(); got != 2 {
-		t.Fatalf("pool grew past MaxShards: %d", got)
-	}
-	log := ctl.EventLog()
-	if !strings.Contains(log, "saturated") || !strings.Contains(log, "pool 2 at max") {
-		t.Fatalf("saturation not recorded:\n%s", log)
-	}
-}
-
-// TestControllerGrowsOnTenantSkew pins the fairness signal: when one
-// tenant's window mean wait dominates another's past the ratio, the pool
-// grows and the log names the skew.
-func TestControllerGrowsOnTenantSkew(t *testing.T) {
-	ex, err := core.NewExecutor(2, core.DirectShards(all.Registry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ex.Close)
-	for i := 0; i < 2; i++ {
-		ex.Shard(i).K.Clock.Reset()
-	}
-	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 3, TenantSkewRatio: 2}, nil)
-	s1 := ex.SessionFor(1, 1)
-	s2 := ex.SessionFor(2, 1)
-
-	// Tenant 1 on its shard: waits 0 then 10 (mean 5). Tenant 2 on its own
-	// shard: waits 0 then 50 (mean 25). Skew 5.0 >= 2.
-	if err := s1.DoAt(0, func(sh *core.Shard) error { sh.K.Clock.Advance(100); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.DoAt(90, func(sh *core.Shard) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.DoAt(0, func(sh *core.Shard) error { sh.K.Clock.Advance(100); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.DoAt(50, func(sh *core.Shard) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	ctl.Tick()
-	if got := ex.Shards(); got != 3 {
-		t.Fatalf("pool = %d shards after skew tick, want 3", got)
-	}
-	log := ctl.EventLog()
-	if !strings.Contains(log, "tenant-skew 5.00") {
-		t.Fatalf("decision log does not name the skew:\n%s", log)
 	}
 }
