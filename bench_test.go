@@ -8,6 +8,7 @@
 package freepart
 
 import (
+	"runtime"
 	"testing"
 
 	"freepart.dev/freepart/internal/analysis"
@@ -264,7 +265,7 @@ func TestRuntime_CallPathAllocs(t *testing.T) {
 // TestDetectionRequestAllocs is the stateful row of the call-path bound: one
 // detection request served through DetectionServer.Serve, one request per
 // call, on two protected shards under the paper policy with the executor's
-// checkpoint log attached. About 70 allocations are made; the bound of 76
+// checkpoint log attached. About 68 allocations are made; the bound of 76
 // fails on a second copy of a checkpoint, a reply copied again to tag it,
 // or a goroutine started for an idle shard.
 func TestDetectionRequestAllocs(t *testing.T) {
@@ -299,22 +300,21 @@ func TestDetectionRequestAllocs(t *testing.T) {
 	}
 }
 
-// TestAppRunAllocs bounds the heap allocations of one Fig. 13 app run: each
-// of the 23 apps at 8x input scale on its own core.New runtime with the
-// paper defaults and the hybrid categorization, averaged over the apps
-// after the first (the warm-up run). About 1,290 allocations are made; the
-// bound of 1,600 fails when the simulated MMU allocates a record and a
-// byte array per page again (2,009 did so).
-func TestAppRunAllocs(t *testing.T) {
+// appRun is one Fig. 13 app set up to run: the app at 8x input scale on
+// its own core.New runtime with the paper defaults and the hybrid
+// categorization.
+type appRun struct {
+	app apps.App
+	env *apps.Env
+}
+
+// fig13AppRuns sets up every app of apps.All() as Fig. 13 runs it.
+func fig13AppRuns(t *testing.T) []appRun {
+	t.Helper()
 	reg := all.Registry()
 	runner := trace.NewRunner(reg)
 	trace.RunSuite(kernel.New(), runner)
 	cat := analysis.New(reg, runner.Recorder).Categorize()
-	type appRun struct {
-		app apps.App
-		rt  *core.Runtime
-		env *apps.Env
-	}
 	var runs []appRun
 	for _, a := range apps.All() {
 		k := kernel.New()
@@ -323,8 +323,17 @@ func TestAppRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(rt.Close)
-		runs = append(runs, appRun{app: a, rt: rt, env: apps.NewEnvScaled(k, rt, a, 8)})
+		runs = append(runs, appRun{app: a, env: apps.NewEnvScaled(k, rt, a, 8)})
 	}
+	return runs
+}
+
+// TestAppRunAllocs bounds the heap allocations of one Fig. 13 app run,
+// averaged over the apps after the first (the warm-up run). About 1,290
+// allocations are made; the bound of 1,600 fails when the simulated MMU
+// allocates a record and a byte array per page again (2,009 did so).
+func TestAppRunAllocs(t *testing.T) {
+	runs := fig13AppRuns(t)
 	var err error
 	next := 0
 	allocs := testing.AllocsPerRun(len(runs)-1, func() {
@@ -340,6 +349,29 @@ func TestAppRunAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per app run", allocs)
 	if allocs > 1600 {
 		t.Fatalf("one Fig. 13 app run made %.0f allocs, want <= 1600", allocs)
+	}
+}
+
+// TestAppRunBytes bounds the Go bytes one Fig. 13 app run allocates,
+// counted as runtime.MemStats.TotalAlloc across all 23 runs with their
+// set-up excluded. About 6.0 MB per run are allocated; the bound of 7.0 MB
+// fails when a checkpoint copies state that did not change again, or the
+// model forward copies its model and decodes every weight on each call
+// (8.6 MB per run did both).
+func TestAppRunBytes(t *testing.T) {
+	runs := fig13AppRuns(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range runs {
+		if err := r.app.Run(r.env); err != nil {
+			t.Fatalf("%s: %v", r.app.Name, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(runs))
+	t.Logf("%.0f bytes per app run", perRun)
+	if perRun > 7.0e6 {
+		t.Fatalf("one Fig. 13 app run allocated %.0f bytes, want <= 7.0 MB", perRun)
 	}
 }
 

@@ -273,7 +273,9 @@ func fireAt(c core.Caller, host *framework.Ctx, hook *framework.ExploitFunc, reg
 	if cve.Class == attack.ClassDoS {
 		payload = attack.DoS(cve.ID)
 	}
-	attack.Drive(c, host, cve, payload)
+	if err := attack.Drive(c, host, cve, payload); err != nil {
+		return run, err
+	}
 	run.data, _ = space.Load(crit.Base, len(criticalData))
 	run.state = host.P.State()
 	return run, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"freepart.dev/freepart/internal/attack"
+	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/kernel"
@@ -355,5 +356,39 @@ func TestOutOfRangePayloadsCrashOnlyTheVictim(t *testing.T) {
 				t.Fatalf("bystander memory = %q, %v", got, err)
 			}
 		})
+	}
+}
+
+// TestDriveRefusesAPayloadItCannotPlace: a memory-corruption payload at
+// tf.nn.conv3d has more bytes than the site's 3x3x3 tensor has values, so
+// Drive returns an error instead of skipping the call and reporting
+// nothing. The DoS payload of the same CVE fits, and fires.
+func TestDriveRefusesAPayloadItCannotPlace(t *testing.T) {
+	cve, ok := attack.EvalCVEByID("CVE-2021-29513")
+	if !ok || cve.API != "tf.nn.conv3d" {
+		t.Fatalf("CVE-2021-29513 = %+v, %v; want the tf.nn.conv3d site", cve, ok)
+	}
+	log := &attack.Log{}
+	d := core.NewDirect(kernel.New(), all.Registry())
+	d.Ctx.OnExploit = log.Handler()
+	crit, err := d.Ctx.P.Space().Alloc(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := attack.Corrupt(cve.ID, crit.Base, []byte("OWNED"))
+	if len(payload) <= 27 {
+		t.Fatalf("corrupt payload is %d bytes; the test needs more than the 27 values of the tensor", len(payload))
+	}
+	if err := attack.Drive(d, d.Ctx, cve, payload); err == nil {
+		t.Fatalf("Drive placed a %d-byte payload in a 27-value tensor", len(payload))
+	}
+	if log.Last() != nil {
+		t.Fatalf("the exploit fired although Drive could not place it: %+v", log.Last())
+	}
+	if err := attack.Drive(d, d.Ctx, cve, attack.DoS(cve.ID)); err != nil {
+		t.Fatalf("DoS payload: %v", err)
+	}
+	if out := log.Last(); out == nil || !out.Fired || !out.Crashed {
+		t.Fatalf("DoS outcome = %+v, want fired and crashed", out)
 	}
 }

@@ -352,12 +352,13 @@ func (rt *Runtime) checkpointObjects(a *agent, ctx *framework.Ctx, api *framewor
 		if !ok {
 			return
 		}
-		payload, err := object.PayloadBytes(o)
+		payload, err := object.Snapshot(o)
 		if err != nil {
 			return
 		}
-		// One snapshot serves the restart map and the portable log; neither
-		// writes to it.
+		// One snapshot serves the restart map, the portable log and the
+		// object's mapping, which hands it out again until the object is
+		// written; none of them writes to it.
 		cp := checkpoint{kind: o.Kind(), header: o.Header(), payload: payload}
 		a.mu.Lock()
 		a.checkpoints[v.Obj] = cp

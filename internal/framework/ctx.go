@@ -20,7 +20,9 @@ type Tracer interface {
 // ExploitFunc is invoked when a vulnerability triggers inside an API. The
 // attack layer installs payload behaviours; the default (nil) handler
 // crashes the hosting process, modelling an unhandled memory-corruption
-// fault.
+// fault. The payload bytes are read-only: they may lie in a snapshot that
+// the address space shares with other readers (object.Snapshot), so a
+// handler that needs to change them copies them first.
 type ExploitFunc func(ctx *Ctx, cve string, payload []byte) error
 
 // ErrExploited marks errors produced by a triggered vulnerability.

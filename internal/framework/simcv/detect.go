@@ -82,7 +82,9 @@ func registerDetect(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			modelBytes, err := model.Bytes()
+			// The classifier is only read, and its snapshot is reused until
+			// it is written.
+			modelBytes, err := object.Snapshot(model)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/kernel"
+	"freepart.dev/freepart/internal/object"
 )
 
 // registerNN installs tensor math and neural-network APIs.
@@ -421,14 +422,16 @@ func registerNN(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			raw, err := model.Bytes()
+			// The model is only read, and its snapshot is reused until the
+			// model is written.
+			raw, err := object.Snapshot(model)
 			if err != nil {
 				return nil, err
 			}
 			if fired, err := ctx.MaybeExploit(fwdAPI, raw); fired {
 				return nil, err
 			}
-			layers, err := DecodeModel(stripTrojan(raw))
+			walk, err := checkModel(stripTrojan(raw))
 			if err != nil {
 				return nil, err
 			}
@@ -443,19 +446,23 @@ func registerNN(r *framework.Registry) {
 			ctx.Charge(in.Size(), 16)
 			ctx.EmitMemOp()
 			// Each layer is a dense weight row-set: out_i = relu(sum w_ij x_j),
-			// with layer sizes inferred from len(w) / len(x).
-			for li, w := range layers {
-				if len(x) == 0 || len(w)%len(x) != 0 {
-					return nil, fmt.Errorf("simtorch: layer %d (%d weights) incompatible with input %d", li, len(w), len(x))
+			// with layer sizes inferred from len(w) / len(x). The weights are
+			// read in place from the model bytes.
+			for walk.more() {
+				li := walk.i
+				w, _ := walk.next() // checkModel walked the framing already
+				nw := len(w) / 8
+				if len(x) == 0 || nw%len(x) != 0 {
+					return nil, fmt.Errorf("simtorch: layer %d (%d weights) incompatible with input %d", li, nw, len(x))
 				}
-				outN := len(w) / len(x)
+				outN := nw / len(x)
 				next := make([]float64, outN)
 				for i := 0; i < outN; i++ {
 					s := 0.0
 					for j := range x {
-						s += w[i*len(x)+j] * x[j]
+						s += weight(w, i*len(x)+j) * x[j]
 					}
-					if li < len(layers)-1 && s < 0 {
+					if li < walk.n-1 && s < 0 {
 						s = 0 // ReLU on hidden layers
 					}
 					next[i] = s

@@ -53,32 +53,72 @@ func EncodeModel(layers [][]float64) []byte {
 	return out
 }
 
-// DecodeModel parses a serialized model.
-func DecodeModel(b []byte) ([][]float64, error) {
+// modelWalk reads a serialized model's layers where they lie: next returns
+// each layer's weights as the file holds them, 8 bytes apiece for weight
+// to decode, so a walk copies no weight and allocates nothing.
+type modelWalk struct {
+	b    []byte
+	n, i int // layer count, layers read
+	off  int // offset of layer i's header
+}
+
+// more reports whether layers remain.
+func (w *modelWalk) more() bool { return w.i < w.n }
+
+// next returns the next layer's weight bytes.
+func (w *modelWalk) next() ([]byte, error) {
+	if w.off+4 > len(w.b) {
+		return nil, fmt.Errorf("simtorch: truncated model (layer %d header)", w.i)
+	}
+	cnt := int(binary.BigEndian.Uint32(w.b[w.off:]))
+	start := w.off + 4
+	if start+8*cnt > len(w.b) {
+		return nil, fmt.Errorf("simtorch: truncated model (layer %d data)", w.i)
+	}
+	w.off = start + 8*cnt
+	w.i++
+	return w.b[start:w.off], nil
+}
+
+// weight decodes the j-th weight of a layer's bytes.
+func weight(l []byte, j int) float64 {
+	return math.Float64frombits(binary.BigEndian.Uint64(l[8*j:]))
+}
+
+// checkModel checks a serialized model's framing (magic, layer count, and
+// every layer's header and data in bounds) without reading a weight, and
+// returns a walk from its first layer, which then cannot fail.
+func checkModel(b []byte) (modelWalk, error) {
 	if len(b) < 8 || string(b[:4]) != string(modelMagic) {
-		return nil, fmt.Errorf("simtorch: not a model file")
+		return modelWalk{}, fmt.Errorf("simtorch: not a model file")
 	}
 	n := int(binary.BigEndian.Uint32(b[4:8]))
-	off := 8
 	// Every layer needs at least its 4-byte header, so a count the rest of
 	// the file cannot hold is refused before it sizes anything.
-	if n > (len(b)-off)/4 {
-		return nil, fmt.Errorf("simtorch: truncated model (%d layers in %d bytes)", n, len(b)-off)
+	if n > (len(b)-8)/4 {
+		return modelWalk{}, fmt.Errorf("simtorch: truncated model (%d layers in %d bytes)", n, len(b)-8)
 	}
-	layers := make([][]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if off+4 > len(b) {
-			return nil, fmt.Errorf("simtorch: truncated model (layer %d header)", i)
+	w := modelWalk{b: b, n: n, off: 8}
+	for probe := w; probe.more(); {
+		if _, err := probe.next(); err != nil {
+			return modelWalk{}, err
 		}
-		cnt := int(binary.BigEndian.Uint32(b[off:]))
-		off += 4
-		if off+8*cnt > len(b) {
-			return nil, fmt.Errorf("simtorch: truncated model (layer %d data)", i)
-		}
-		l := make([]float64, cnt)
+	}
+	return w, nil
+}
+
+// DecodeModel parses a serialized model. Trailing bytes are ignored.
+func DecodeModel(b []byte) ([][]float64, error) {
+	w, err := checkModel(b)
+	if err != nil {
+		return nil, err
+	}
+	layers := make([][]float64, 0, w.n)
+	for w.more() {
+		lb, _ := w.next() // checkModel walked the framing already
+		l := make([]float64, len(lb)/8)
 		for j := range l {
-			l[j] = math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
-			off += 8
+			l[j] = weight(lb, j)
 		}
 		layers = append(layers, l)
 	}
@@ -168,7 +208,7 @@ func registerLoading(r *framework.Registry) {
 			}
 			// Trojaned models (StegoNet) parse fine; the payload hides in
 			// the weights and detonates at forward() time.
-			if _, err := DecodeModel(stripTrojan(raw)); err != nil {
+			if _, err := checkModel(stripTrojan(raw)); err != nil {
 				return nil, err
 			}
 			id, _, err := ctx.NewBlob(raw)

@@ -314,6 +314,7 @@ const (
 	fzLoadAt              // addr, u16 length
 	fzStore               // addr, u16 length, fill byte
 	fzHook                // toggle a hook that vetoes some accesses
+	fzSnapshot            // mode, region index; addr and size unless a live region is picked
 	fzOps
 )
 
@@ -340,7 +341,10 @@ func vetoes(addr Addr, n int, kind AccessKind) error {
 // protection changes and accesses on an AddressSpace and on the per-page
 // reference model, and requires the two to agree on every returned region,
 // loaded byte, error, fault, hook call and counter, and at the end on every
-// page's permission, key, region and contents.
+// page's permission, key, region and contents. A Snapshot is held to the
+// reference's Load, and to the sharing rule: the same slice for a whole
+// region until a Store into its mapping or its Free, and no snapshot's
+// bytes ever change.
 func FuzzAddressSpace(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -355,6 +359,8 @@ func runScript(t *testing.T, in []byte) {
 	ref := newRefSpace(s.ID(), fuzzLimit)
 	var hookCalls, refHookCalls int
 	var live []Region
+	kept := map[Region][]byte{} // each whole region's current snapshot
+	var snaps []snapshot        // every snapshot taken, to check none changes
 	sc := &script{b: in}
 	for step := 0; step < fuzzSteps && len(sc.b) > 0; step++ {
 		op := sc.byte() % fzOps
@@ -388,6 +394,7 @@ func runScript(t *testing.T, in []byte) {
 			sameErr(t, name, err, ref.Free(r))
 			if err == nil {
 				live = append(live[:idx], live[idx+1:]...)
+				delete(kept, r)
 			}
 		case fzProtect:
 			addr, size, perm := sc.addr(live), sc.size(), Perm(sc.byte())&(PermRead|PermWrite|PermExec)
@@ -425,7 +432,16 @@ func runScript(t *testing.T, in []byte) {
 			for i := range buf {
 				buf[i] = fill + byte(i)
 			}
-			sameErr(t, name, s.Store(addr, buf), ref.Store(addr, buf))
+			err := s.Store(addr, buf)
+			sameErr(t, name, err, ref.Store(addr, buf))
+			if err == nil {
+				written := Region{Base: addr, Size: n}
+				for r := range kept {
+					if written.Overlaps(Region{Base: r.Base, Size: roundUp(r.Size)}) {
+						delete(kept, r)
+					}
+				}
+			}
 		case fzHook:
 			if ref.hook != nil {
 				s.SetAccessHook(nil)
@@ -440,6 +456,39 @@ func runScript(t *testing.T, in []byte) {
 				refHookCalls++
 				return vetoes(addr, n, kind)
 			}
+		case fzSnapshot:
+			mode, idx := sc.byte(), int(sc.byte())
+			var r Region
+			if mode%2 == 0 && len(live) > 0 {
+				r = live[idx%len(live)]
+			} else {
+				r = Region{Base: sc.addr(live), Size: sc.size()}
+			}
+			got, err := s.Snapshot(r)
+			want, rerr := ref.Load(r.Base, r.Size)
+			sameErr(t, name, err, rerr)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: Snapshot(%#x+%d) bytes differ from the reference Load", name, r.Base, r.Size)
+			}
+			if err != nil {
+				break
+			}
+			prev, shared := kept[r]
+			switch {
+			case shared && &got[0] != &prev[0]:
+				t.Fatalf("%s: Snapshot(%#x+%d) copied an unchanged region again", name, r.Base, r.Size)
+			case !shared && slices.ContainsFunc(snaps, func(o snapshot) bool { return &o.got[0] == &got[0] }):
+				t.Fatalf("%s: Snapshot(%#x+%d) returned a slice taken before a write or a free", name, r.Base, r.Size)
+			}
+			if slices.Contains(live, r) {
+				kept[r] = got
+			}
+			snaps = append(snaps, snapshot{got: got, want: bytes.Clone(got)})
+		}
+		for _, o := range snaps {
+			if !bytes.Equal(o.got, o.want) {
+				t.Fatalf("%s: a snapshot's bytes changed after it was taken", name)
+			}
 		}
 		if got, want := s.Stats(), ref.Stats(); got != want {
 			t.Fatalf("%s: stats %+v, reference %+v", name, got, want)
@@ -450,6 +499,9 @@ func runScript(t *testing.T, in []byte) {
 	}
 	comparePages(t, s, ref)
 }
+
+// snapshot is a slice Snapshot returned and a copy of its bytes then.
+type snapshot struct{ got, want []byte }
 
 var zeroPage [PageSize]byte
 
@@ -568,6 +620,35 @@ func fuzzSeeds() [][]byte {
 			fzOp(fzSetKey, fzBase(0, 0), fzPages(3), []byte{7}),
 			fzOp(fzLoad, fzBase(0, 0), fzSize(1)),
 			fzOp(fzLoad, fzBase(1, 0), fzSize(PageSize+1)),
+		),
+		// Snapshots: shared while the region is unchanged, kept across a
+		// Protect and a faulting Store, fresh after a Store into the
+		// mapping (here past the region's size, in its page) and after the
+		// region is freed and its span reused; a range that is not a whole
+		// region, and one the hook or a permission denies.
+		slices.Concat(
+			fzAllocOp(100), fzAllocOp(PageSize),
+			fzOp(fzStore, fzBase(0, 0), fzLen(100), []byte{3}),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzProtect, fzBase(0, 0), fzSize(1), []byte{byte(PermRead)}),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzStore, fzBase(0, 0), fzLen(1), []byte{9}),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzProtect, fzBase(0, 0), fzSize(1), []byte{byte(PermRW)}),
+			fzOp(fzStore, fzBase(0, 200), fzLen(1), []byte{9}),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzSnapshot, []byte{1, 0}, fzBase(0, 10), fzSize(20)),
+			fzOp(fzSnapshot, []byte{1, 0}, fzBase(0, 0), fzSize(100)),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzFree, []byte{0, 0}),
+			fzAllocOp(100),
+			fzOp(fzSnapshot, []byte{0, 1}),
+			fzOp(fzProtect, fzBase(1, 0), fzSize(1), []byte{byte(PermWrite)}),
+			fzOp(fzSnapshot, []byte{0, 1}),
+			fzOp(fzSnapshot, []byte{1, 0}, fzBase(0, PageSize), fzSize(PageSize+1)),
+			fzOp(fzHook),
+			fzOp(fzSnapshot, []byte{0, 0}),
 		),
 		// Ranges that wrap the address space or have a bad length.
 		slices.Concat(

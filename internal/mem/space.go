@@ -77,6 +77,9 @@ func (sp span) cut(n Addr) (head, tail span) {
 type mapping struct {
 	span
 	size int // the size Alloc was asked for
+	// snap holds the region's bytes as Snapshot copied them: nil until the
+	// first Snapshot, and again once a Store writes into the mapping.
+	snap []byte
 }
 
 func (m *mapping) region() Region { return Region{Base: m.base, Size: m.size} }
@@ -399,6 +402,35 @@ func (s *AddressSpace) LoadAt(addr Addr, buf []byte) error {
 	return nil
 }
 
+// Snapshot returns region r's bytes as Load(r.Base, r.Size) would, and
+// checks and counts the access exactly as Load does: the same access-hook
+// call, the same fault and the same Stats. The slice is read-only. The
+// region's mapping keeps it and every Snapshot of r returns that same
+// slice until a Store writes into the mapping, which drops it; the slice
+// itself keeps the bytes it was copied with. Free drops it with the
+// mapping, and Protect and SetKey, which change no byte, keep it. A range
+// that is not a whole allocated region is copied afresh, as by Load.
+func (s *AddressSpace) Snapshot(r Region) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.check(r.Base, r.Size, AccessRead); err != nil {
+		return nil, err
+	}
+	m := s.lookup(r.Base)
+	if m.region() != r {
+		buf := make([]byte, r.Size)
+		s.load(r.Base, buf)
+		return buf, nil
+	}
+	if m.snap == nil {
+		m.snap = make([]byte, r.Size)
+		copy(m.snap, m.bytes())
+	}
+	s.stats.Loads++
+	s.stats.BytesLoaded += uint64(r.Size)
+	return m.snap, nil
+}
+
 // load copies the checked range at addr into buf, under mu.
 func (s *AddressSpace) load(addr Addr, buf []byte) {
 	s.stats.Loads++
@@ -410,6 +442,7 @@ func (s *AddressSpace) load(addr Addr, buf []byte) {
 }
 
 // Store writes buf to memory starting at addr, checking write permission.
+// It drops the snapshot of every mapping it writes into.
 func (s *AddressSpace) Store(addr Addr, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -420,6 +453,7 @@ func (s *AddressSpace) Store(addr Addr, buf []byte) error {
 	s.stats.BytesStored += uint64(len(buf))
 	for i, off := s.seek(addr), 0; off < len(buf); i++ {
 		m := &s.maps[i]
+		m.snap = nil
 		off += copy(m.bytes()[addr+Addr(off)-m.base:], buf[off:])
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -545,5 +546,58 @@ func TestReusedPageIsFresh(t *testing.T) {
 	}
 	if b, err := s.LoadByte(again.Base); err != nil || b != 0 {
 		t.Fatalf("reused page byte = %#x, %v; want 0", b, err)
+	}
+}
+
+// TestSnapshotConcurrentWithStores: readers taking snapshots of a region
+// while a writer stores whole fills into it each see one fill, never a
+// mix, and a snapshot they hold keeps its bytes after later stores. Run
+// with -race, it also checks that the shared slice is only ever read.
+func TestSnapshotConcurrentWithStores(t *testing.T) {
+	s := NewSpace()
+	r, err := s.Alloc(3 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, r.Size) }
+	if err := s.Store(r.Base, fill(0)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held [][]byte
+			for i := 0; i < 200; i++ {
+				snap, err := s.Snapshot(r)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(snap, fill(snap[0])) {
+					errs <- errors.New("a snapshot mixes two stores")
+					return
+				}
+				held = append(held, snap)
+			}
+			for _, h := range held {
+				if !bytes.Equal(h, fill(h[0])) {
+					errs <- errors.New("a held snapshot changed")
+					return
+				}
+			}
+		}()
+	}
+	for v := byte(1); v <= 100; v++ {
+		if err := s.Store(r.Base, fill(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

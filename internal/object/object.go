@@ -77,6 +77,16 @@ func PayloadBytes(o Object) ([]byte, error) {
 	return o.Space().Load(r.Base, r.Size)
 }
 
+// Snapshot returns an object's full payload as PayloadBytes does, with the
+// same access check and counters, but the bytes are read-only: the space
+// keeps them and hands the same slice to every Snapshot of the object until
+// a Store writes into its region (mem.AddressSpace.Snapshot). Take a
+// snapshot only where the payload is kept anyway or only read; a caller
+// that writes the bytes, or drops them at once, loads with PayloadBytes.
+func Snapshot(o Object) ([]byte, error) {
+	return o.Space().Snapshot(o.Region())
+}
+
 // ContentHash hashes the object's payload (used in Refs so stale lazy
 // copies are detectable). It loads the payload a page at a time into a
 // stack buffer, so hashing copies nothing to the heap.

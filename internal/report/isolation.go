@@ -223,7 +223,9 @@ func fireCVE(rt *core.Runtime, cve attack.CVE) (cveVerdict, error) {
 	default:
 		payload = attack.DoS(cve.ID)
 	}
-	attack.Drive(rt, rt.HostCtx(), cve, payload)
+	if err := attack.Drive(rt, rt.HostCtx(), cve, payload); err != nil {
+		return cveVerdict{}, err
+	}
 
 	data, _ := host.Load(crit.Base, 9)
 	codeNow, _ := host.Load(code.Base, len(codeBytes))
