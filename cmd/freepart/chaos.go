@@ -67,7 +67,7 @@ func cmdChaos(args []string) error {
 			fmt.Printf("           server error: %v\n", serr)
 		}
 		if !ok || !srvOK {
-			fmt.Printf("           injection log:\n%s", indent(eng.Log()+engSrv.Log()))
+			fmt.Printf("           injection log:\n%s", indent(eng.Events().String()+engSrv.Events().String()))
 		}
 	}
 	if diverged > 0 {

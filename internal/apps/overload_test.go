@@ -52,7 +52,7 @@ func TestZeroCostGuardServing(t *testing.T) {
 			ex.SetAdmission(core.AdmissionPolicy{})
 		}
 		res := srv.ServeRampOpts(streams, opt)
-		return run{res, ex.Latencies().P50(), ex.Latencies().P99(), ex.CriticalPath(), len(ex.FailoverEvents())}
+		return run{res, ex.Latencies().P50(), ex.Latencies().P99(), ex.CriticalPath(), len(ex.Events())}
 	}
 
 	legacy := serve(false, apps.RampOptions{})

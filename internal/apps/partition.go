@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"freepart.dev/freepart/internal/core"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/partition"
 	"freepart.dev/freepart/internal/vclock"
 	"freepart.dev/freepart/internal/workload"
@@ -65,9 +66,9 @@ func (c PartitionConfig) compute() int {
 func (c PartitionConfig) touch(ex *core.Executor, sh *core.Shard, key uint64) {
 	if c.Memory != nil {
 		if c.Memory.Touch(key, sh.ID, sh.Gen, sh.K.Clock.Now()) {
-			ex.Metrics().AddWarmHit()
+			ex.Metrics().Update(func(m *metrics.Snapshot) { m.WarmHits++ })
 		} else {
-			ex.Metrics().AddColdMiss()
+			ex.Metrics().Update(func(m *metrics.Snapshot) { m.ColdMisses++ })
 			sh.K.Clock.Advance(c.Cost.ColdMissCost(c.workingSet()))
 		}
 	}

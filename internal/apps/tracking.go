@@ -36,9 +36,9 @@ type TrackStream struct {
 	// zero means present from the start. ServeStreams ignores it.
 	Offset int
 	// Tenant and Weight carry the stream's multi-tenant identity into its
-	// session (core.Executor.SessionFor). Both zero — the legacy value —
-	// opens the single-tenant default session, keeping pre-overload runs
-	// bit-identical.
+	// ServeRamp session (core.Executor.SessionFor, which lifts a weight
+	// below 1 to 1). Both zero is the executor's default session, tenant 0
+	// at weight 1.
 	Tenant int
 	Weight int
 }
@@ -311,7 +311,7 @@ func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions)
 			if streams[i].Offset != w || sessions[i] != nil {
 				continue
 			}
-			sessions[i] = srv.openSession(streams[i])
+			sessions[i] = srv.Ex.SessionFor(streams[i].Tenant, streams[i].Weight)
 			results[i] = TrackResult{User: streams[i].User}
 			if results[i].Err = srv.initSession(sessions[i], streams[i]); results[i].Err != nil {
 				sessions[i].Finish()
@@ -422,20 +422,6 @@ func noteStep(res *TrackResult, err error, opt RampOptions) {
 		return
 	}
 	res.Err = err
-}
-
-// openSession opens a stream's session under its tenant identity. The zero
-// identity — every stream generator before multi-tenancy — takes the
-// legacy single-tenant path.
-func (srv *TrackingServer) openSession(st TrackStream) *core.Session {
-	if st.Tenant != 0 || st.Weight != 0 {
-		w := st.Weight
-		if w < 1 {
-			w = 1
-		}
-		return srv.Ex.SessionFor(st.Tenant, w)
-	}
-	return srv.Ex.Session()
 }
 
 // initSession creates the session's state tensor and seeds it with the

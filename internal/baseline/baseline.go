@@ -181,7 +181,10 @@ func (s *System) ReadCritical(name string, off, n int) ([]byte, error) {
 		return nil, fmt.Errorf("baseline: unknown critical %q", name)
 	}
 	if s.Kind == CodeAPIData && c.proc != s.host {
-		s.Metrics.AddIPC(n)
+		s.Metrics.Update(func(m *metrics.Snapshot) {
+			m.IPCCalls++
+			m.BytesMoved += uint64(max(n, 0))
+		})
 		s.K.Clock.Advance(s.K.Cost.IPCRoundTrip + s.K.Cost.CopyCost(n))
 	}
 	return c.proc.Space().Load(c.region.Base+mem.Addr(off), n)
@@ -228,7 +231,7 @@ func (s *System) Call(apiName string, args ...framework.Value) ([]core.Handle, [
 	if !ok {
 		return nil, nil, fmt.Errorf("baseline: unknown API %s", apiName)
 	}
-	s.Metrics.AddAPICall()
+	s.Metrics.Update(func(m *metrics.Snapshot) { m.APICalls++ })
 	ctx := s.ctxOf(apiName)
 	crossing := ctx != s.hostCtx
 
@@ -263,7 +266,10 @@ func (s *System) Call(apiName string, args ...framework.Value) ([]core.Handle, [
 		resolved[i] = framework.Obj(s.putShadow(ctx, no))
 	}
 	if crossing {
-		s.Metrics.AddIPC(inBytes)
+		s.Metrics.Update(func(m *metrics.Snapshot) {
+			m.IPCCalls++
+			m.BytesMoved += uint64(inBytes)
+		})
 		s.K.Clock.Advance(s.K.Cost.IPCRoundTrip + s.K.Cost.CopyCost(inBytes))
 	}
 
@@ -289,7 +295,10 @@ func (s *System) Call(apiName string, args ...framework.Value) ([]core.Handle, [
 		}
 		if crossing && !s.sharedData {
 			outBytes += size
-			s.Metrics.AddEagerCopy(size)
+			s.Metrics.Update(func(m *metrics.Snapshot) {
+				m.EagerCopies++
+				m.BytesMoved += uint64(size)
+			})
 		}
 		handles = append(handles, s.handleFor(ctx, v.Obj, size))
 	}
@@ -342,7 +351,10 @@ func (s *System) Fetch(h core.Handle) ([]byte, error) {
 		return nil, err
 	}
 	if ref.ctx != s.hostCtx && !s.sharedData {
-		s.Metrics.AddIPC(o.Region().Size)
+		s.Metrics.Update(func(m *metrics.Snapshot) {
+			m.IPCCalls++
+			m.BytesMoved += uint64(o.Region().Size)
+		})
 		s.K.Clock.Advance(s.K.Cost.IPCRoundTrip + s.K.Cost.CopyCost(o.Region().Size))
 	}
 	return object.PayloadBytes(o)

@@ -55,7 +55,7 @@ func autoscaleRun(t *testing.T, seed int64, streams []apps.TrackStream) ([]apps.
 // served with no controller attached — scaling, rebalancing, batching, and
 // crash-driven failover together must not change a single result; (b) the
 // run must actually grow and shrink, or the soak exercised nothing; and
-// (c) replaying the same seed must reproduce the sched.Event decision log
+// (c) replaying the same seed must reproduce the autoscaler's decision log
 // byte for byte — the scaling analogue of the failover-log replay check.
 // Run under -race in CI (make check).
 func TestAutoscaleSoak(t *testing.T) {
@@ -107,8 +107,8 @@ func TestAutoscaleSoak(t *testing.T) {
 			if !reflect.DeepEqual(results2, results) {
 				t.Fatal("replay outputs diverged")
 			}
-			if log1, log2 := ctl.EventLog(), ctl2.EventLog(); log1 != log2 {
-				t.Fatalf("sched.Event logs diverged across replays:\n%s\nvs\n%s", log1, log2)
+			if log1, log2 := ctl.Events().String(), ctl2.Events().String(); log1 != log2 {
+				t.Fatalf("autoscaler logs diverged across replays:\n%s\nvs\n%s", log1, log2)
 			}
 			for id := 0; id < ex.Shards(); id++ {
 				l1, l2 := incarnationLogs(ex, id), incarnationLogs(ex2, id)

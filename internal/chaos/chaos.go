@@ -20,6 +20,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -29,28 +30,6 @@ import (
 	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
-
-// Event is one fired fault in the injection log.
-type Event struct {
-	// N is the 1-based position in the log.
-	N uint64
-	// At is the virtual time of injection (0 if no clock is bound).
-	At vclock.Duration
-	// Site is the layer: "kernel", "ipc", "mem", "supervisor", or
-	// "degrade" (the gray-failure service-time channel).
-	Site string
-	// Kind names the fault: "crash", "transient", "stall", "drop", "dup",
-	// "corrupt", "fault", "degrade" — or, on the gray-failure site, "slow",
-	// "gray-stall", "brownout".
-	Kind string
-	// Detail identifies the victim (process name, syscall, seq, address).
-	Detail string
-}
-
-// String renders the event as one log line.
-func (e Event) String() string {
-	return fmt.Sprintf("#%d @%v %s/%s %s", e.N, e.At, e.Site, e.Kind, e.Detail)
-}
 
 // Engine makes all injection decisions for one run. It implements
 // kernel.FaultInjector and ipc.Injector; core installs its MemFault as a
@@ -65,7 +44,7 @@ type Engine struct {
 	counters  *metrics.Counters
 	syscalls  uint64 // targeted syscall consultations (drives CrashEveryN)
 	transient int    // consecutive transients at the current site
-	events    []Event
+	events    metrics.Log
 }
 
 // New builds an engine from a plan. Bind attaches the clock and counters.
@@ -98,13 +77,17 @@ func (e *Engine) Bind(clock *vclock.Clock, counters *metrics.Counters) {
 // Plan returns the engine's configuration.
 func (e *Engine) Plan() Plan { return e.plan }
 
-// Events returns a copy of the injection log.
-func (e *Engine) Events() []Event {
+// Events returns a copy of the injection log. An event's Kind is
+// "site/kind": the site is the layer ("kernel", "ipc", "mem",
+// "supervisor", or "degrade", the gray-failure service-time channel) and
+// the kind names the fault ("crash", "transient", "stall", "drop", "dup",
+// "corrupt", "fault", "degrade", or on the gray-failure site "slow",
+// "gray-stall", "brownout"). Its Tick is the fault's 1-based position in
+// the log, and Detail identifies the victim.
+func (e *Engine) Events() metrics.Log {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Event, len(e.events))
-	copy(out, e.events)
-	return out
+	return slices.Clone(e.events)
 }
 
 // Injected returns how many faults have fired.
@@ -114,62 +97,24 @@ func (e *Engine) Injected() uint64 {
 	return uint64(len(e.events))
 }
 
-// Log renders the full injection log, one event per line.
-func (e *Engine) Log() string {
-	var b strings.Builder
-	for _, ev := range e.Events() {
-		b.WriteString(ev.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Summary returns per-kind fault counts as a stable one-line string.
-func (e *Engine) Summary() string {
-	counts := map[string]int{}
-	for _, ev := range e.Events() {
-		counts[ev.Site+"/"+ev.Kind]++
-	}
-	if len(counts) == 0 {
-		return "no faults injected"
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	// Stable order without importing sort at the call sites.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, counts[k])
-	}
-	return strings.Join(parts, " ")
-}
-
 // Note appends an externally-observed event (e.g. the supervisor recording
-// a degradation) to the log so the replay trace is complete.
-func (e *Engine) Note(site, kind, detail string) {
+// a degradation, kind "supervisor/degrade") to the log so the replay trace
+// is complete.
+func (e *Engine) Note(kind, detail string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.record(site, kind, detail)
+	e.record(kind, detail)
 }
 
 // record appends an event under e.mu.
-func (e *Engine) record(site, kind, detail string) {
+func (e *Engine) record(kind, detail string) {
 	at := vclock.Duration(0)
 	if e.clock != nil {
 		at = e.clock.Now()
 	}
-	e.events = append(e.events, Event{
-		N: uint64(len(e.events) + 1), At: at,
-		Site: site, Kind: kind, Detail: detail,
-	})
+	e.events = append(e.events, metrics.Event{Tick: len(e.events) + 1, At: at, Kind: kind, Detail: detail})
 	if e.counters != nil {
-		e.counters.AddInjectedFault()
+		e.counters.Update(func(m *metrics.Snapshot) { m.InjectedFaults++ })
 	}
 }
 
@@ -205,20 +150,20 @@ func (e *Engine) OnSyscall(p *kernel.Process, call kernel.Sysno) kernel.SyscallF
 	if kp.TransientProb > 0 && transientEligible(call) &&
 		e.transient < e.plan.maxTransient() && e.rng.Float64() < kp.TransientProb {
 		e.transient++
-		e.record("kernel", "transient", fmt.Sprintf("%s %s EINTR", p.Name(), call))
+		e.record("kernel/transient", fmt.Sprintf("%s %s EINTR", p.Name(), call))
 		return kernel.SyscallFault{Transient: true, Reason: "EINTR"}
 	}
 	e.transient = 0
 	if kp.CrashEveryN > 0 && e.syscalls%kp.CrashEveryN == 0 {
-		e.record("kernel", "crash", fmt.Sprintf("%s %s (every %d)", p.Name(), call, kp.CrashEveryN))
+		e.record("kernel/crash", fmt.Sprintf("%s %s (every %d)", p.Name(), call, kp.CrashEveryN))
 		return kernel.SyscallFault{Crash: true, Reason: fmt.Sprintf("chaos: scheduled crash in %s", call)}
 	}
 	if kp.CrashProb > 0 && e.rng.Float64() < kp.CrashProb {
-		e.record("kernel", "crash", fmt.Sprintf("%s %s", p.Name(), call))
+		e.record("kernel/crash", fmt.Sprintf("%s %s", p.Name(), call))
 		return kernel.SyscallFault{Crash: true, Reason: fmt.Sprintf("chaos: fault in %s", call)}
 	}
 	if kp.StallProb > 0 && stallEligible(call) && e.rng.Float64() < kp.StallProb {
-		e.record("kernel", "stall", fmt.Sprintf("%s %s +%v", p.Name(), call, kp.Stall))
+		e.record("kernel/stall", fmt.Sprintf("%s %s +%v", p.Name(), call, kp.Stall))
 		return kernel.SyscallFault{Stall: kp.Stall}
 	}
 	return kernel.SyscallFault{}
@@ -241,21 +186,21 @@ func (e *Engine) messageFault(dir string, seq uint64) ipc.MessageFault {
 	var f ipc.MessageFault
 	if ip.DropProb > 0 && e.rng.Float64() < ip.DropProb {
 		f.Drop = true
-		e.record("ipc", "drop", fmt.Sprintf("%s seq %d", dir, seq))
+		e.record("ipc/drop", fmt.Sprintf("%s seq %d", dir, seq))
 		return f
 	}
 	if ip.CorruptProb > 0 && e.rng.Float64() < ip.CorruptProb {
 		f.Corrupt = true
-		e.record("ipc", "corrupt", fmt.Sprintf("%s seq %d", dir, seq))
+		e.record("ipc/corrupt", fmt.Sprintf("%s seq %d", dir, seq))
 		return f
 	}
 	if dir == "req" && ip.DupProb > 0 && e.rng.Float64() < ip.DupProb {
 		f.Duplicate = true
-		e.record("ipc", "dup", fmt.Sprintf("%s seq %d", dir, seq))
+		e.record("ipc/dup", fmt.Sprintf("%s seq %d", dir, seq))
 	}
 	if ip.StallProb > 0 && e.rng.Float64() < ip.StallProb {
 		f.Stall = ip.Stall
-		e.record("ipc", "stall", fmt.Sprintf("%s seq %d +%v", dir, seq, ip.Stall))
+		e.record("ipc/stall", fmt.Sprintf("%s seq %d +%v", dir, seq, ip.Stall))
 	}
 	return f
 }
@@ -283,15 +228,15 @@ func (e *Engine) ServiceDegradation(start, service vclock.Duration) vclock.Durat
 	var extra vclock.Duration
 	if f := d.factorAt(start); f > 1 {
 		extra = vclock.Duration(float64(service) * (f - 1))
-		kind := "slow"
+		kind := "degrade/slow"
 		if d.BrownoutSlope > 0 && start > d.BrownoutAfter {
-			kind = "brownout"
+			kind = "degrade/brownout"
 		}
-		e.record("degrade", kind, fmt.Sprintf("service %v x%.2f +%v", service, f, extra))
+		e.record(kind, fmt.Sprintf("service %v x%.2f +%v", service, f, extra))
 	}
 	if d.StallProb > 0 && e.rng.Float64() < d.StallProb {
 		extra += d.Stall
-		e.record("degrade", "gray-stall", fmt.Sprintf("+%v", d.Stall))
+		e.record("degrade/gray-stall", fmt.Sprintf("+%v", d.Stall))
 	}
 	return extra
 }
@@ -312,7 +257,7 @@ func (e *Engine) MemFault(procName string, addr mem.Addr, kind mem.AccessKind) e
 		return nil
 	}
 	if e.rng.Float64() < mp.FaultProb {
-		e.record("mem", "fault", fmt.Sprintf("%s %v at %#x", procName, kind, uint64(addr)))
+		e.record("mem/fault", fmt.Sprintf("%s %v at %#x", procName, kind, uint64(addr)))
 		return fmt.Errorf("chaos: spurious %v fault at %#x in %s", kind, uint64(addr), procName)
 	}
 	return nil

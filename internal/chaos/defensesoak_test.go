@@ -163,7 +163,7 @@ func defenseSoakRun(t *testing.T, seed int64) (defenseOutcome, *core.Executor, *
 	wave(false)
 	barrier()
 
-	out.EventLog = ctl.EventLog()
+	out.EventLog = ctl.Events().String()
 	out.Stats = ctl.Stats()
 	out.AtFloor = ctl.Policy().Equal(ctl.Floor())
 	return out, ex, ctl
@@ -223,7 +223,7 @@ func TestDefenseSoak(t *testing.T) {
 				if !reflect.DeepEqual(l1, l2) {
 					t.Fatalf("shard %d injection logs diverged across replays:\n%v\nvs\n%v", id, l1, l2)
 				}
-				if ev1, ev2 := ex.FailoverEventsFor(id), ex2.FailoverEventsFor(id); !reflect.DeepEqual(ev1, ev2) {
+				if ev1, ev2 := ex.EventsFor(id), ex2.EventsFor(id); !reflect.DeepEqual(ev1, ev2) {
 					t.Fatalf("shard %d failover events diverged:\n%v\nvs\n%v", id, ev1, ev2)
 				}
 			}

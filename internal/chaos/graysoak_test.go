@@ -159,7 +159,7 @@ func TestGraySoak(t *testing.T) {
 				if a, b := incarnationLogs(ex, id), incarnationLogs(rex, id); !reflect.DeepEqual(a, b) {
 					t.Fatalf("shard %d injection logs diverged across replays:\n%v\n%v", id, a, b)
 				}
-				if a, b := ex.FailoverEventsFor(id), rex.FailoverEventsFor(id); !reflect.DeepEqual(a, b) {
+				if a, b := ex.EventsFor(id), rex.EventsFor(id); !reflect.DeepEqual(a, b) {
 					t.Fatalf("shard %d failover events diverged across replays:\n%v\n%v", id, a, b)
 				}
 			}

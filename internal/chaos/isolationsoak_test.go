@@ -106,7 +106,7 @@ func TestIsolationChaosSoak(t *testing.T) {
 					t.Fatalf("shard %d injection logs diverged across replays:\n%v\nvs\n%v", id, l1, l2)
 				}
 			}
-			if ev1, ev2 := ex.FailoverEventsFor(crashShard), ex2.FailoverEventsFor(crashShard); !reflect.DeepEqual(ev1, ev2) {
+			if ev1, ev2 := ex.EventsFor(crashShard), ex2.EventsFor(crashShard); !reflect.DeepEqual(ev1, ev2) {
 				t.Fatalf("failover event logs diverged:\n%v\nvs\n%v", ev1, ev2)
 			}
 		})

@@ -133,7 +133,7 @@ func TestOverloadSoak(t *testing.T) {
 					m.Rejected, m.DeadlineShed, m2.Rejected, m2.DeadlineShed)
 			}
 			for id := 0; id < shards; id++ {
-				e1, e2 := ex.FailoverEventsFor(id), ex2.FailoverEventsFor(id)
+				e1, e2 := ex.EventsFor(id), ex2.EventsFor(id)
 				if !reflect.DeepEqual(e1, e2) {
 					t.Fatalf("shard %d event subsequence diverged across replays:\n%v\nvs\n%v", id, e1, e2)
 				}

@@ -152,7 +152,7 @@ func TestPartitionSoak(t *testing.T) {
 				if a, b := incarnationLogs(ex, id), incarnationLogs(rex, id); !reflect.DeepEqual(a, b) {
 					t.Fatalf("shard %d injection logs diverged across replays:\n%v\n%v", id, a, b)
 				}
-				if a, b := ex.FailoverEventsFor(id), rex.FailoverEventsFor(id); !reflect.DeepEqual(a, b) {
+				if a, b := ex.EventsFor(id), rex.EventsFor(id); !reflect.DeepEqual(a, b) {
 					t.Fatalf("shard %d failover events diverged across replays:\n%v\n%v", id, a, b)
 				}
 			}
@@ -209,7 +209,7 @@ func TestPartitionZeroCost(t *testing.T) {
 		if a, b := incarnationLogs(plainEx, id), incarnationLogs(keyedEx, id); !reflect.DeepEqual(a, b) {
 			t.Fatalf("shard %d injection logs diverged:\n%v\n%v", id, a, b)
 		}
-		if a, b := plainEx.FailoverEventsFor(id), keyedEx.FailoverEventsFor(id); !reflect.DeepEqual(a, b) {
+		if a, b := plainEx.EventsFor(id), keyedEx.EventsFor(id); !reflect.DeepEqual(a, b) {
 			t.Fatalf("shard %d failover events diverged:\n%v\n%v", id, a, b)
 		}
 	}

@@ -66,7 +66,7 @@ func incarnationLogs(ex *core.Executor, id int) []string {
 	var out []string
 	for _, sh := range ex.Incarnations(id) {
 		if eng := sh.Chaos(); eng != nil {
-			out = append(out, eng.Log())
+			out = append(out, eng.Events().String())
 		}
 	}
 	return out
@@ -128,7 +128,7 @@ func TestMultiShardChaosSoak(t *testing.T) {
 					t.Fatalf("shard %d injection logs diverged across replays:\n%v\nvs\n%v", id, l1, l2)
 				}
 			}
-			if ev1, ev2 := ex.FailoverEventsFor(crashShard), ex2.FailoverEventsFor(crashShard); !reflect.DeepEqual(ev1, ev2) {
+			if ev1, ev2 := ex.EventsFor(crashShard), ex2.EventsFor(crashShard); !reflect.DeepEqual(ev1, ev2) {
 				t.Fatalf("failover event logs diverged:\n%v\nvs\n%v", ev1, ev2)
 			}
 		})

@@ -72,7 +72,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			if !bytes.Equal(csv, baseCSV) {
 				t.Fatalf("output diverged under chaos\nfaulty: %q\nclean:  %q\nlog:\n%s",
-					csv, baseCSV, eng.Log())
+					csv, baseCSV, eng.Events().String())
 			}
 			if !reflect.DeepEqual(scores, baseScores) {
 				t.Fatalf("scores diverged: %v vs %v", scores, baseScores)
@@ -101,7 +101,7 @@ func TestChaosRunReplayable(t *testing.T) {
 			t.Fatalf("seed %d: scores diverged: %v vs %v", seed, scores1, scores2)
 		}
 		if !reflect.DeepEqual(eng1.Events(), eng2.Events()) {
-			t.Fatalf("seed %d: injection logs diverged:\n%s\nvs\n%s", seed, eng1.Log(), eng2.Log())
+			t.Fatalf("seed %d: injection logs diverged:\n%s\nvs\n%s", seed, eng1.Events().String(), eng2.Events().String())
 		}
 	}
 }

@@ -189,7 +189,7 @@ type admissionOutcome struct {
 	Errs    []string
 	Lat     []vclock.Duration
 	Queue   []vclock.Duration
-	Events  []core.FailoverEvent
+	Events  metrics.Log
 	Clocks  []vclock.Duration
 	Metrics metrics.Snapshot
 }
@@ -304,7 +304,7 @@ func TestDoBatchMatchesDoAt(t *testing.T) {
 				out := admissionOutcome{
 					Lat:     sortedSamples(ex.Latencies()),
 					Queue:   sortedSamples(ex.QueueWaits()),
-					Events:  ex.FailoverEvents(),
+					Events:  ex.Events(),
 					Metrics: ex.Metrics().Snapshot(),
 				}
 				for _, err := range errs {

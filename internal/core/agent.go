@@ -12,6 +12,7 @@ import (
 	"freepart.dev/freepart/internal/isolation"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/object"
 	"freepart.dev/freepart/internal/vclock"
 )
@@ -278,7 +279,10 @@ func (rt *Runtime) unmarshalArgs(a *agent, ctx *framework.Ctx, call framework.Ca
 		if err != nil {
 			return nil, err
 		}
-		rt.Metrics.AddLazyCopy(len(payload))
+		rt.Metrics.Update(func(m *metrics.Snapshot) {
+			m.LazyCopies++
+			m.BytesMoved += uint64(len(payload))
+		})
 		rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(len(payload)))
 		id := ctx.Table.Put(o)
 		a.mu.Lock()
@@ -363,7 +367,7 @@ func (rt *Runtime) checkpointObjects(a *agent, ctx *framework.Ctx, api *framewor
 		a.mu.Lock()
 		a.checkpoints[v.Obj] = cp
 		a.mu.Unlock()
-		rt.Metrics.AddCheckpoint()
+		rt.Metrics.Update(func(m *metrics.Snapshot) { m.Checkpoints++ })
 		rt.K.Clock.Advance(rt.K.Cost.CheckpointCost(len(payload)))
 		if log != nil && session >= 0 && api.Stateful {
 			key := object.CheckpointKey{
@@ -399,7 +403,7 @@ func (rt *Runtime) restartAgent(a *agent) error {
 		return nil
 	}
 	rt.K.Restart(proc)
-	rt.Metrics.AddRestart()
+	rt.Metrics.Update(func(m *metrics.Snapshot) { m.Restarts++ })
 
 	newCtx := framework.NewCtx(rt.K, proc)
 	newCtx.OnExploit = rt.exploit
@@ -505,10 +509,13 @@ func (rt *Runtime) callAgent(a *agent, call framework.Call) (framework.Reply, er
 		if attempt == 0 {
 			out, err = a.conn.CallSeq(seq, 0, wire)
 		} else {
-			rt.Metrics.AddRetry()
+			rt.Metrics.Update(func(m *metrics.Snapshot) { m.Retries++ })
 			out, err = a.conn.Retry(seq, 0, wire)
 		}
-		rt.Metrics.AddIPC(payloadBytes(call))
+		rt.Metrics.Update(func(m *metrics.Snapshot) {
+			m.IPCCalls++
+			m.BytesMoved += uint64(payloadBytes(call))
+		})
 		if err == nil {
 			a.noteSuccess()
 			a.sent(len(call.Release))

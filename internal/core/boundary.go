@@ -9,6 +9,7 @@ import (
 	"freepart.dev/freepart/internal/isolation"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/object"
 )
 
@@ -142,7 +143,10 @@ func (processBoundary) Invoke(rt *Runtime, a *agent, api *framework.API, args []
 		if err != nil {
 			return Handle{}, err
 		}
-		rt.Metrics.AddEagerCopy(len(payload))
+		rt.Metrics.Update(func(m *metrics.Snapshot) {
+			m.EagerCopies++
+			m.BytesMoved += uint64(len(payload))
+		})
 		rt.K.Clock.Advance(rt.K.Cost.CopyCost(len(payload)))
 		return Handle{local: rt.hostCtx.Table.Put(o), materialized: true, size: len(payload), kind: v.Ref.Kind}, nil
 	})
@@ -282,7 +286,7 @@ func (rt *Runtime) domainEnter(a *agent) {
 		space.SetKeyAccess(k, own, own)
 	}
 	space.SetKeyAccess(hostCriticalKey, false, false)
-	rt.Metrics.AddDomainSwitch()
+	rt.Metrics.Update(func(m *metrics.Snapshot) { m.DomainSwitches++ })
 	rt.K.Clock.Advance(rt.K.Cost.DomainSwitchCost())
 }
 
@@ -294,7 +298,7 @@ func (rt *Runtime) domainExit(a *agent) {
 		space.SetKeyAccess(k, true, true)
 	}
 	space.SetKeyAccess(hostCriticalKey, true, true)
-	rt.Metrics.AddDomainSwitch()
+	rt.Metrics.Update(func(m *metrics.Snapshot) { m.DomainSwitches++ })
 	rt.K.Clock.Advance(rt.K.Cost.DomainSwitchCost())
 	rt.domainMu.Unlock()
 }
@@ -341,7 +345,10 @@ func (rt *Runtime) domainArgs(a *agent, ctx *framework.Ctx, args []framework.Val
 			if err != nil {
 				return nil, err
 			}
-			rt.Metrics.AddDomainCopy(len(payload))
+			rt.Metrics.Update(func(m *metrics.Snapshot) {
+				m.DomainCopies++
+				m.BytesMoved += uint64(len(payload))
+			})
 			rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
 			id := ctx.Table.Put(no)
 			_ = ctx.P.Space().SetKey(no.Region(), a.key)
@@ -374,11 +381,13 @@ func (rt *Runtime) domainArgs(a *agent, ctx *framework.Ctx, args []framework.Val
 			if err != nil {
 				return nil, err
 			}
-			if ep.space() == ctx.P.Space() {
-				// Same address space: a read-only page grant, no copy.
-				rt.Metrics.AddDomainGrant(len(payload))
-			} else {
-				rt.Metrics.AddLazyCopy(len(payload))
+			// An object another domain owns is in the same address space: a
+			// read-only page grant, no copy charged or counted.
+			if ep.space() != ctx.P.Space() {
+				rt.Metrics.Update(func(m *metrics.Snapshot) {
+					m.LazyCopies++
+					m.BytesMoved += uint64(len(payload))
+				})
 				rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(len(payload)))
 			}
 			id := ctx.Table.Put(o)
@@ -421,7 +430,10 @@ func (rt *Runtime) domainResults(a *agent, ctx *framework.Ctx, results []framewo
 		if err != nil {
 			return Handle{}, err
 		}
-		rt.Metrics.AddDomainCopy(len(payload))
+		rt.Metrics.Update(func(m *metrics.Snapshot) {
+			m.DomainCopies++
+			m.BytesMoved += uint64(len(payload))
+		})
 		rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
 		return Handle{local: rt.hostCtx.Table.Put(no), materialized: true, size: len(payload), kind: ref.Kind}, nil
 	})

@@ -34,7 +34,7 @@ func (d *Direct) Call(apiName string, args ...framework.Value) ([]Handle, []fram
 	if !ok {
 		return nil, nil, fmt.Errorf("core: unknown API %s", apiName)
 	}
-	d.Metrics.AddAPICall()
+	d.Metrics.Update(func(m *metrics.Snapshot) { m.APICalls++ })
 	results, err := api.Exec(d.Ctx, args)
 	if err != nil {
 		return nil, nil, err

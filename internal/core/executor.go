@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -260,30 +261,6 @@ type HealthPolicy struct {
 	DrainOnDegrade bool
 }
 
-// FailoverEvent is one entry in the executor's replayable failover log.
-// Per-shard subsequences (FailoverEventsFor) are deterministic for a fixed
-// plan seed; the interleaving across shards is not, so replay assertions
-// compare per shard.
-type FailoverEvent struct {
-	// At is the virtual time on the subject shard's clock.
-	At vclock.Duration
-	// Shard and Gen identify the shard incarnation the event concerns.
-	Shard int
-	Gen   int
-	// Kind is "kill", "drain", "replace", "replace-failed", "migrate",
-	// "migrate-failed" — or a control-plane action: "grow", "shrink",
-	// "rebalance", "rebind" (defense re-bind drain), "quarantine"
-	// (admission refused for a quarantined tenant).
-	Kind string
-	// Detail carries the reason or subject (session id, error).
-	Detail string
-}
-
-// String renders the event as one log line.
-func (ev FailoverEvent) String() string {
-	return fmt.Sprintf("@%v shard %d/gen %d %s %s", ev.At, ev.Shard, ev.Gen, ev.Kind, ev.Detail)
-}
-
 // Executor is the concurrent serving layer: a bounded worker pool over n
 // runtime shards. Sessions are assigned to shards round-robin; at most n
 // pipeline invocations run concurrently (one per shard worker), and
@@ -325,7 +302,7 @@ type Executor struct {
 	openPool  []PlacementInfo
 	retired   []*Shard
 	killAt    map[int]vclock.Duration
-	events    []FailoverEvent
+	events    metrics.Log
 	policy    HealthPolicy
 	admit     AdmissionPolicy
 	gate      AdmissionGate
@@ -568,65 +545,67 @@ func (e *Executor) recordEvent(sh *Shard, kind, detail string) {
 // never show a count the paired log doesn't explain (or vice versa).
 // Caller holds e.mu.
 func (e *Executor) recordLocked(sh *Shard, at vclock.Duration, kind, detail string) {
-	e.events = append(e.events, FailoverEvent{At: at, Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail})
-	switch kind {
-	case "drain":
-		e.met.AddShardDrain()
-	case "migrate":
-		e.met.AddMigration()
-	case "migrate-failed":
-		e.met.AddFailedMigration()
-	case "grow":
-		e.met.AddScaleUp()
-	case "shrink":
-		e.met.AddScaleDown()
-	case "rebalance":
-		e.met.AddRebalance()
-	case "rebind":
-		e.met.AddRebind()
-	case "hedge":
-		e.met.AddHedge()
-	case "hedge-win":
-		e.met.AddHedgeWin()
-	case "hedge-cancel":
-		e.met.AddHedgeCancel()
-	case "reject":
-		e.met.AddRejected()
-	case "shed":
-		e.met.AddDeadlineShed()
-	case "quarantine":
-		e.met.AddQuarantined()
-	case "gray-drain":
-		e.met.AddGrayDrain()
-	}
+	e.events = append(e.events, metrics.Event{At: at, Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail})
+	e.met.Update(func(m *metrics.Snapshot) {
+		switch kind {
+		case "drain":
+			m.ShardDrains++
+		case "migrate":
+			m.Migrations++
+		case "migrate-failed":
+			m.FailedMigrations++
+		case "grow":
+			m.ScaleUps++
+		case "shrink":
+			m.ScaleDowns++
+		case "rebalance":
+			m.Rebalances++
+		case "rebind":
+			m.Rebinds++
+		case "hedge":
+			m.Hedges++
+		case "hedge-win":
+			m.HedgeWins++
+		case "hedge-cancel":
+			m.HedgeCancels++
+		case "reject":
+			m.Rejected++
+		case "shed":
+			m.DeadlineShed++
+		case "gray-drain":
+			m.GrayDrains++
+		}
+	})
 }
 
 // EventsAndMetrics returns the control event log and the metrics snapshot
 // under one lock acquisition: the pair is consistent — every drain,
 // migration, scale, and rebalance counted in the snapshot has its event in
 // the log, even while migrations are in flight on other goroutines.
-func (e *Executor) EventsAndMetrics() ([]FailoverEvent, metrics.Snapshot) {
+func (e *Executor) EventsAndMetrics() (metrics.Log, metrics.Snapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]FailoverEvent, len(e.events))
-	copy(out, e.events)
-	return out, e.met.Snapshot()
+	return slices.Clone(e.events), e.met.Snapshot()
 }
 
-// FailoverEvents returns a copy of the full failover log.
-func (e *Executor) FailoverEvents() []FailoverEvent {
+// Events returns a copy of the event log: failover (kill, drain, replace,
+// replace-failed, migrate, migrate-failed), the control plane's grow,
+// shrink, rebalance and rebind, admission refusals (reject, shed,
+// quarantine) and the gray layer's suspect, suspect-clear, gray-drain and
+// hedges. Its per-shard subsequences (EventsFor) are deterministic for a
+// fixed plan seed; the interleaving across shards is not, so replay
+// assertions compare per shard.
+func (e *Executor) Events() metrics.Log {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]FailoverEvent, len(e.events))
-	copy(out, e.events)
-	return out
+	return slices.Clone(e.events)
 }
 
-// FailoverEventsFor returns the failover log filtered to one shard id —
-// the deterministic, replay-comparable subsequence.
-func (e *Executor) FailoverEventsFor(id int) []FailoverEvent {
-	var out []FailoverEvent
-	for _, ev := range e.FailoverEvents() {
+// EventsFor returns the event log filtered to one shard id — the
+// deterministic, replay-comparable subsequence.
+func (e *Executor) EventsFor(id int) metrics.Log {
+	var out metrics.Log
+	for _, ev := range e.Events() {
 		if ev.Shard == id {
 			out = append(out, ev)
 		}
@@ -1570,7 +1549,10 @@ func (e *Executor) DoBatch(entries []BatchEntry) []error {
 	}
 	e.sem.acquire()
 	defer e.sem.release()
-	e.met.AddBatchedAdmission(len(entries))
+	e.met.Update(func(m *metrics.Snapshot) {
+		m.BatchedAdmissions++
+		m.BatchedRequests += uint64(len(entries))
+	})
 	for i, en := range entries {
 		errs[i] = en.Session.do(en.Arrival, en.Job)
 	}

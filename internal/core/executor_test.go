@@ -136,10 +136,10 @@ func TestExecutorChaosDeterministicAtOneShard(t *testing.T) {
 	}
 	if !bytes.Equal(exCSV, syncCSV) {
 		t.Fatalf("chaos output diverged\nexec: %q\nsync: %q\nexec log:\n%s\nsync log:\n%s",
-			exCSV, syncCSV, engExec.Log(), engSync.Log())
+			exCSV, syncCSV, engExec.Events().String(), engSync.Events().String())
 	}
 	if !reflect.DeepEqual(engExec.Events(), engSync.Events()) {
-		t.Fatalf("injection logs diverged:\n%s\nvs\n%s", engExec.Log(), engSync.Log())
+		t.Fatalf("injection logs diverged:\n%s\nvs\n%s", engExec.Events().String(), engSync.Events().String())
 	}
 }
 

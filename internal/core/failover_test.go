@@ -88,7 +88,7 @@ func TestFailoverMigratesTrackingState(t *testing.T) {
 	if !reflect.DeepEqual(again, killed) {
 		t.Fatal("two identical kill runs diverged")
 	}
-	if ev, ev2 := ex.FailoverEventsFor(0), ex2.FailoverEventsFor(0); !reflect.DeepEqual(ev, ev2) {
+	if ev, ev2 := ex.EventsFor(0), ex2.EventsFor(0); !reflect.DeepEqual(ev, ev2) {
 		t.Fatalf("failover event logs diverged across replays:\n%v\nvs\n%v", ev, ev2)
 	}
 }
@@ -204,7 +204,7 @@ func TestDetectionFailoverDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(again, killed) {
 		t.Fatal("two identical kill runs diverged")
 	}
-	if ev, ev2 := ex.FailoverEventsFor(2), ex2.FailoverEventsFor(2); !reflect.DeepEqual(ev, ev2) {
+	if ev, ev2 := ex.EventsFor(2), ex2.EventsFor(2); !reflect.DeepEqual(ev, ev2) {
 		t.Fatalf("failover event logs diverged:\n%v\nvs\n%v", ev, ev2)
 	}
 }
@@ -316,7 +316,7 @@ func TestKillShardReplacesAndLogsEvents(t *testing.T) {
 		t.Fatalf("metrics = drains %d migrations %d, want 1/1", m.ShardDrains, m.Migrations)
 	}
 	kinds := []string{}
-	for _, ev := range ex.FailoverEventsFor(0) {
+	for _, ev := range ex.EventsFor(0) {
 		kinds = append(kinds, ev.Kind)
 	}
 	want := []string{"kill", "drain", "replace", "migrate"}
@@ -393,7 +393,7 @@ func TestFailedMigrationCounted(t *testing.T) {
 	if m.FailedMigrations != 1 || m.Migrations != 0 {
 		t.Fatalf("migrations = %d clean / %d failed, want 0/1", m.Migrations, m.FailedMigrations)
 	}
-	evs := ex.FailoverEventsFor(0)
+	evs := ex.EventsFor(0)
 	last := evs[len(evs)-1]
 	if last.Kind != "migrate-failed" {
 		t.Fatalf("last event = %v, want migrate-failed", last)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -360,7 +361,7 @@ func (s *Session) runHedge(primary *Shard, hArr, pEnd vclock.Duration, job func(
 			if hArr > start {
 				work = end - hArr
 			}
-			e.met.AddHedgeWork(work)
+			e.met.Update(func(m *metrics.Snapshot) { m.HedgeWork += work })
 			return sh, end, err, true
 		}
 		if failed {

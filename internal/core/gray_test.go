@@ -26,14 +26,14 @@ func advanceJob(d vclock.Duration, err error) func(*core.Shard) error {
 	}
 }
 
-// grayEventKinds filters the failover log to the given kinds, in order.
+// grayEventKinds filters the executor's event log to the given kinds, in order.
 func grayEventKinds(ex *core.Executor, kinds ...string) []string {
 	want := make(map[string]bool, len(kinds))
 	for _, k := range kinds {
 		want[k] = true
 	}
 	var out []string
-	for _, ev := range ex.FailoverEvents() {
+	for _, ev := range ex.Events() {
 		if want[ev.Kind] {
 			out = append(out, ev.Kind)
 		}
@@ -362,7 +362,7 @@ func incarnationLogsFor(ex *core.Executor, id int) string {
 	var logs []string
 	for _, sh := range ex.Incarnations(id) {
 		if eng := sh.Chaos(); eng != nil {
-			logs = append(logs, eng.Log())
+			logs = append(logs, eng.Events().String())
 		}
 	}
 	return strings.Join(logs, "\n---\n")

@@ -263,7 +263,7 @@ func TestSessionTableHoldsLiveSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var migrated []string
-	for _, ev := range e.FailoverEvents() {
+	for _, ev := range e.Events() {
 		if ev.Kind == "migrate" {
 			migrated = append(migrated, ev.Detail)
 		}

@@ -376,11 +376,10 @@ func (rt *Runtime) transition(next framework.APIType) {
 		if skip {
 			continue
 		}
-		pages, err := d.space.ProtectRegion(d.region, mem.PermRead)
-		if err != nil {
+		if _, err := d.space.ProtectRegion(d.region, mem.PermRead); err != nil {
 			continue // freed or remapped region: nothing to protect
 		}
-		rt.Metrics.AddPermFlip(pages)
+		rt.Metrics.Update(func(m *metrics.Snapshot) { m.PermFlips++ })
 		rt.K.Clock.Advance(rt.K.Cost.MProtect)
 	}
 }
@@ -424,7 +423,7 @@ func (rt *Runtime) Call(apiName string, args ...framework.Value) ([]Handle, []fr
 			return nil, nil, fmt.Errorf("core: %s: %w", apiName, err)
 		}
 	}
-	rt.Metrics.AddAPICall()
+	rt.Metrics.Update(func(m *metrics.Snapshot) { m.APICalls++ })
 
 	// State machine first: the call's type defines the new state, and the
 	// transition protects the previous state's objects before the agent
@@ -458,7 +457,7 @@ func (rt *Runtime) Call(apiName string, args ...framework.Value) ([]Handle, []fr
 			if rt.Config.EnforcePermissions {
 				if perm, mapped := space.PermAt(region.Base); mapped && !perm.CanWrite() {
 					if _, perr := space.ProtectRegion(region, mem.PermRW); perr == nil {
-						rt.Metrics.AddPermFlip(0)
+						rt.Metrics.Update(func(m *metrics.Snapshot) { m.PermFlips++ })
 						rt.K.Clock.Advance(rt.K.Cost.MProtect)
 					}
 				}
@@ -485,7 +484,7 @@ func (rt *Runtime) Call(apiName string, args ...framework.Value) ([]Handle, []fr
 	// the hook is nil.
 	handles, plain, err := a.boundary.Invoke(rt, a, api, args)
 	if rt.Config.OnAnomaly != nil && a.boundary.Tier() != isolation.TierProcess && !rt.Host.Alive() {
-		rt.Metrics.AddWatchdogTrip()
+		rt.Metrics.Update(func(m *metrics.Snapshot) { m.WatchdogTrips++ })
 		rt.Config.OnAnomaly(t, apiName, "host-crash",
 			fmt.Sprintf("%s-tier invocation killed the host", a.boundary.Tier()))
 	}
@@ -565,7 +564,10 @@ func (rt *Runtime) marshalArgs(args []framework.Value) (framework.Call, error) {
 			if err != nil {
 				return framework.Call{}, err
 			}
-			rt.Metrics.AddEagerCopy(len(payload))
+			rt.Metrics.Update(func(m *metrics.Snapshot) {
+				m.EagerCopies++
+				m.BytesMoved += uint64(len(payload))
+			})
 			call.Args[i] = framework.RefVal(ref)
 			call.Payloads[i] = payload
 		case framework.ValRef:
@@ -578,7 +580,10 @@ func (rt *Runtime) marshalArgs(args []framework.Value) (framework.Call, error) {
 			if err != nil {
 				return framework.Call{}, err
 			}
-			rt.Metrics.AddEagerCopy(len(payload))
+			rt.Metrics.Update(func(m *metrics.Snapshot) {
+				m.EagerCopies++
+				m.BytesMoved += uint64(len(payload))
+			})
 			call.Args[i] = v
 			call.Payloads[i] = payload
 		default:
@@ -659,10 +664,16 @@ func (rt *Runtime) Fetch(h Handle) ([]byte, error) {
 	// a cross-space copy; it pays the cheaper domain rate. The nil-policy
 	// path never has domain owners, so it charges exactly as before.
 	if ep, ok := rt.endpoint(h.ref.PID); ok && ep.agent != nil && ep.agent.boundary.Tier() == isolation.TierDomain {
-		rt.Metrics.AddDomainCopy(len(payload))
+		rt.Metrics.Update(func(m *metrics.Snapshot) {
+			m.DomainCopies++
+			m.BytesMoved += uint64(len(payload))
+		})
 		rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
 	} else {
-		rt.Metrics.AddLazyCopy(len(payload))
+		rt.Metrics.Update(func(m *metrics.Snapshot) {
+			m.LazyCopies++
+			m.BytesMoved += uint64(len(payload))
+		})
 		rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(len(payload)))
 	}
 	return payload, nil
@@ -773,7 +784,7 @@ func (rt *Runtime) adopt(a *agent, session int, cp object.Checkpoint) (Handle, e
 	a.mu.Lock()
 	a.checkpoints[id] = checkpoint{kind: cp.Kind, header: cp.Header, payload: cp.Payload}
 	a.mu.Unlock()
-	rt.Metrics.AddCheckpoint()
+	rt.Metrics.Update(func(m *metrics.Snapshot) { m.Checkpoints++ })
 	rt.K.Clock.Advance(rt.K.Cost.CopyCost(len(cp.Payload)))
 
 	ref, err := ctx.Table.RefFor(id)

@@ -8,6 +8,7 @@ import (
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework/all"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -93,7 +94,7 @@ func TestShrinkRetiresHighestSlotAndMigrates(t *testing.T) {
 // and demands byte-equal event logs and shard loads — the executor-level
 // half of the control plane's replayability story.
 func TestScaleSequenceDeterministic(t *testing.T) {
-	run := func() ([]core.FailoverEvent, []core.ShardLoad) {
+	run := func() (metrics.Log, []core.ShardLoad) {
 		reg := all.Registry()
 		ex, err := core.NewExecutor(2, core.DirectShards(reg))
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/mem"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/object"
 )
 
@@ -54,9 +55,9 @@ func (rt *Runtime) superviseRestart(a *agent) error {
 	if rt.Config.BreakerThreshold > 0 {
 		n := a.recordRestart(rt.K.Clock.Now(), rt.Config.BreakerWindow)
 		if n >= rt.Config.BreakerThreshold && a.setDegraded() {
-			rt.Metrics.AddDegraded()
+			rt.Metrics.Update(func(m *metrics.Snapshot) { m.Degraded++ })
 			if rt.Config.Chaos != nil {
-				rt.Config.Chaos.Note("supervisor", "degrade",
+				rt.Config.Chaos.Note("supervisor/degrade",
 					fmt.Sprintf("%s after %d restarts in window", a.name, n))
 			}
 		}
@@ -67,18 +68,28 @@ func (rt *Runtime) superviseRestart(a *agent) error {
 // callDegraded executes an API in the host process on behalf of a degraded
 // partition: availability bought by a recorded security downgrade.
 func (rt *Runtime) callDegraded(api *framework.API, args []framework.Value) ([]Handle, []framework.Value, error) {
-	rt.Metrics.AddDegradedCall()
+	rt.Metrics.Update(func(m *metrics.Snapshot) { m.DegradedCalls++ })
 	return rt.callInHost(api, args)
 }
 
 // callInHost executes an API in the host process: argument refs are
-// materialized into the host space and the API runs with no isolation.
+// materialized into the host space, a non-stateful API gets sealed host
+// objects as writable copies (unsealed; a stateful API's writes are its
+// state and must land in place), and the API runs with no isolation.
 // This is both the breaker's degraded path (via callDegraded, which also
 // counts the downgrade) and the host tier of the Boundary layer, where
 // running unprotected is the policy's explicit choice.
 func (rt *Runtime) callInHost(api *framework.API, args []framework.Value) ([]Handle, []framework.Value, error) {
 	local := make([]framework.Value, len(args))
 	for i, v := range args {
+		if v.Kind == framework.ValObj && !api.Stateful {
+			id, err := rt.unsealed(v.Obj)
+			if err != nil {
+				return nil, nil, err
+			}
+			local[i] = framework.Obj(id)
+			continue
+		}
 		if v.Kind != framework.ValRef {
 			local[i] = v
 			continue
@@ -91,7 +102,10 @@ func (rt *Runtime) callInHost(api *framework.API, args []framework.Value) ([]Han
 		if err != nil {
 			return nil, nil, err
 		}
-		rt.Metrics.AddEagerCopy(len(payload))
+		rt.Metrics.Update(func(m *metrics.Snapshot) {
+			m.EagerCopies++
+			m.BytesMoved += uint64(len(payload))
+		})
 		rt.K.Clock.Advance(rt.K.Cost.CopyCost(len(payload)))
 		local[i] = framework.Obj(rt.hostCtx.Table.Put(o))
 	}
@@ -107,6 +121,42 @@ func (rt *Runtime) callInHost(api *framework.API, args []framework.Value) ([]Han
 		}
 		return h, nil
 	})
+}
+
+// unsealed returns host object id, or, when the temporal state machine has
+// sealed the object read-only, the id of a writable copy of it. A
+// process-tier agent works on its own lazy copy of an earlier state's
+// object; this gives in-host execution the same: an API that writes its
+// argument in place (cv.rectangle draws on its canvas) writes the copy,
+// and the sealed original stays as it was. The copy is one memcpy inside
+// the host's address space, priced and counted as a host object crossing
+// into an MPK domain.
+func (rt *Runtime) unsealed(id uint64) (uint64, error) {
+	o, ok := rt.hostCtx.Table.Get(id)
+	if !ok {
+		return id, nil // dangling: the API reports it
+	}
+	if perm, mapped := o.Space().PermAt(o.Region().Base); !mapped || perm.CanWrite() {
+		return id, nil
+	}
+	ref, err := rt.hostCtx.Table.RefFor(id)
+	if err != nil {
+		return 0, err
+	}
+	payload, err := object.PayloadBytes(o)
+	if err != nil {
+		return 0, err
+	}
+	c, err := object.Rebuild(rt.Host.Space(), ref, payload)
+	if err != nil {
+		return 0, err
+	}
+	rt.Metrics.Update(func(m *metrics.Snapshot) {
+		m.DomainCopies++
+		m.BytesMoved += uint64(len(payload))
+	})
+	rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
+	return rt.hostCtx.Table.Put(c), nil
 }
 
 // armChaos threads the fault-injection engine into one agent: the RPC

@@ -79,12 +79,12 @@ func TestCircuitBreakerDegradesToInHost(t *testing.T) {
 	// The degradation is on the injection log for replay.
 	found := false
 	for _, ev := range eng.Events() {
-		if ev.Site == "supervisor" && ev.Kind == "degrade" {
+		if ev.Kind == "supervisor/degrade" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no supervisor/degrade event in log:\n%s", eng.Log())
+		t.Fatalf("no supervisor/degrade event in log:\n%s", eng.Events().String())
 	}
 	// The demoted partition keeps serving — in the host, correctly.
 	out, err := rt.Fetch(imgs[0])
@@ -96,6 +96,63 @@ func TestCircuitBreakerDegradesToInHost(t *testing.T) {
 	}
 	if _, _, err := rt.Call("cv.imread", framework.Str("/in.img")); err != nil {
 		t.Fatalf("second degraded call: %v", err)
+	}
+}
+
+// TestDegradedCallWritesSealedCopy: the breaker's degraded path runs a
+// partition's APIs in the host, where an earlier state's results live
+// sealed read-only. An in-place API (cv.rectangle draws on its canvas)
+// must draw on a copy, as the process tier's agent draws on its lazy copy,
+// leaving the sealed original unchanged and producing what an unprotected
+// run produces.
+func TestDegradedCallWritesSealedCopy(t *testing.T) {
+	// Every write into an agent space faults, so each partition crash-loops
+	// on its first call and the breaker demotes it.
+	eng := chaos.New(chaos.Plan{Seed: 1, Mem: chaos.MemPlan{FaultProb: 1}})
+	cfg := core.ChaosConfig(eng)
+	cfg.BreakerThreshold = 3
+	k, rt := setup(t, cfg)
+	writeImage(k, "/in.img", 8, 8)
+	imgs, _, err := rt.Call("cv.imread", framework.Str("/in.img"))
+	if err != nil {
+		t.Fatalf("imread: %v", err)
+	}
+	orig, err := rt.Fetch(imgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxed, _, err := rt.Call("cv.rectangle", imgs[0].Value())
+	if err != nil {
+		t.Fatalf("degraded rectangle on a sealed frame: %v", err)
+	}
+	if len(rt.DegradedPartitions()) < 2 {
+		t.Fatalf("degraded partitions %v, want loading and processing", rt.DegradedPartitions())
+	}
+	drawn, err := rt.Fetch(boxed[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, err := rt.Fetch(imgs[0]); err != nil || !bytes.Equal(after, orig) {
+		t.Fatalf("sealed original changed (err %v)", err)
+	}
+
+	dk := kernel.New()
+	writeImage(dk, "/in.img", 8, 8)
+	d := core.NewDirect(dk, all.Registry())
+	dimgs, _, err := d.Call("cv.imread", framework.Str("/in.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dboxed, _, err := d.Call("cv.rectangle", dimgs[0].Value())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.Fetch(dboxed[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(drawn, want) {
+		t.Fatal("degraded rectangle differs from the unprotected run")
 	}
 }
 
@@ -143,7 +200,7 @@ func TestIPCFaultsRetriedWithinBudget(t *testing.T) {
 		t.Fatal("no IPC faults fired; raise probabilities or change seed")
 	}
 	if snap := rt.Metrics.Snapshot(); snap.Retries == 0 {
-		t.Fatalf("no retries recorded despite injected faults:\n%s", eng.Log())
+		t.Fatalf("no retries recorded despite injected faults:\n%s", eng.Events().String())
 	}
 	if snap := rt.Metrics.Snapshot(); snap.Restarts != 0 {
 		t.Fatalf("pure message faults caused %d restarts, want 0", snap.Restarts)

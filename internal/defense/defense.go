@@ -20,8 +20,8 @@
 //     clean window, with hysteresis (the clean window doubles on each
 //     re-escalation) so a flapping attacker cannot oscillate the policy.
 //
-// Every decision lands in a byte-replayable Event log following the
-// sched.Event convention: sightings are buffered between barriers and
+// Every decision lands in a byte-replayable event log (metrics.Log), as
+// the autoscaler's do: sightings are buffered between barriers and
 // drained in (shard, sequence) order at Tick, so the log is a pure
 // function of the per-shard signal streams regardless of goroutine
 // interleaving. A nil controller costs nothing: with no sensors armed,
@@ -32,6 +32,7 @@ package defense
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,27 +44,9 @@ import (
 	"freepart.dev/freepart/internal/isolation"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
-
-// Event is one defense decision, in the replayable log convention shared
-// with sched.Event and the executor's failover log.
-type Event struct {
-	// Tick is the reconcile round the decision was made in.
-	Tick int
-	// At is the virtual time handed to Tick (the serving-wave barrier).
-	At vclock.Duration
-	// Kind is "sighting", "blocklist", "screen", "escalate", "anneal",
-	// "quarantine", "release", "rebind", or "rebind-failed".
-	Kind string
-	// Detail carries the subject (CVE, API type, tenant, tiers).
-	Detail string
-}
-
-// String renders the event as one log line.
-func (e Event) String() string {
-	return fmt.Sprintf("tick %d @%v %s %s", e.Tick, e.At, e.Kind, e.Detail)
-}
 
 // Params tunes the control loop. The zero value gets workable defaults
 // from New.
@@ -142,7 +125,7 @@ type Controller struct {
 	tick      int
 	cur       *isolation.Policy
 	dirty     bool
-	events    []Event
+	events    metrics.Log
 	pending   []sighting
 	seq       map[int]int
 	screens   []screenHit
@@ -322,7 +305,7 @@ func (c *Controller) typeStateLocked(t framework.APIType) *typeState {
 
 // record appends one event. Caller holds c.mu.
 func (c *Controller) record(tick int, at vclock.Duration, kind, detail string) {
-	c.events = append(c.events, Event{Tick: tick, At: at, Kind: kind, Detail: detail})
+	c.events = append(c.events, metrics.Event{Tick: tick, At: at, Kind: kind, Detail: detail})
 }
 
 // Tick reconciles at a serving-wave barrier stamped `now` on the run's
@@ -456,7 +439,7 @@ func (c *Controller) Tick(now vclock.Duration) {
 	}
 	// Re-bind every shard onto the changed policy: drain → respawn via
 	// the dynamic factory (which re-reads Policy()) → migrate sessions.
-	// Ascending slot order, so the failover log interleaving is fixed.
+	// Ascending slot order, so the executor log's interleaving is fixed.
 	for id := 0; id < n; id++ {
 		err := c.ex.RebindShard(id, "policy "+desc)
 		c.mu.Lock()
@@ -479,24 +462,12 @@ func policyDesc(p *isolation.Policy) string {
 	return strings.Join(parts, ",")
 }
 
-// Events returns a copy of the decision log.
-func (c *Controller) Events() []Event {
+// Events returns a copy of the decision log. Kinds: sighting, blocklist,
+// screen, escalate, anneal, quarantine, release, rebind and rebind-failed.
+func (c *Controller) Events() metrics.Log {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
-
-// EventLog renders the decision log one event per line — the byte string
-// replay runs compare.
-func (c *Controller) EventLog() string {
-	var b strings.Builder
-	for _, e := range c.Events() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return slices.Clone(c.events)
 }
 
 // Stats returns a copy of the activity counters.

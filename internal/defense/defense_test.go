@@ -93,7 +93,7 @@ func TestScreenArmsPerClass(t *testing.T) {
 	}
 	// The buffered hits land in the decision log at the next Tick.
 	c.Tick(1)
-	if log := c.EventLog(); !strings.Contains(log, "screen CVE-2018-5269") {
+	if log := c.Events().String(); !strings.Contains(log, "screen CVE-2018-5269") {
 		t.Fatalf("decision log missing screen events:\n%s", log)
 	}
 }
@@ -198,14 +198,15 @@ func TestNilExecutorTickAndDeterminism(t *testing.T) {
 	if a.Stats().Rebinds != 0 {
 		t.Fatalf("nil-executor controller re-bound %d shards", a.Stats().Rebinds)
 	}
-	if a.EventLog() != b.EventLog() {
-		t.Fatalf("replayed logs diverged:\n%s\nvs\n%s", a.EventLog(), b.EventLog())
+	log := a.Events().String()
+	if blog := b.Events().String(); log != blog {
+		t.Fatalf("replayed logs diverged:\n%s\nvs\n%s", log, blog)
 	}
-	if a.EventLog() == "" {
+	if log == "" {
 		t.Fatal("empty decision log")
 	}
 	// Sightings drain in (shard, seq) order regardless of append order.
-	if !strings.Contains(a.EventLog(), "shard 0 seq 0") || !strings.Contains(a.EventLog(), "shard 1 seq 0") {
-		t.Fatalf("sighting ordering broken:\n%s", a.EventLog())
+	if !strings.Contains(log, "shard 0 seq 0") || !strings.Contains(log, "shard 1 seq 0") {
+		t.Fatalf("sighting ordering broken:\n%s", log)
 	}
 }

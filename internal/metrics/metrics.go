@@ -1,7 +1,8 @@
 // Package metrics collects the counters the evaluation tables are built
 // from: IPC round trips, bytes moved between processes, lazy vs eager data
 // copies (Table 12), permission flips and restarts. Syscall denials are
-// recorded per process by the kernel (kernel.Process.Denials).
+// recorded per process by the kernel (kernel.Process.Denials). It also
+// holds the one event type every replayable log records.
 package metrics
 
 import (
@@ -24,7 +25,6 @@ type Snapshot struct {
 	LazyCopies  uint64
 	EagerCopies uint64
 	PermFlips   uint64
-	PagesFlip   uint64
 	Restarts    uint64
 	APICalls    uint64
 	Checkpoints uint64
@@ -75,15 +75,10 @@ type Snapshot struct {
 	// DomainSwitches counts protection-key domain entries/exits (one WRPKRU
 	// per switch; a domain-tier call charges two).
 	DomainSwitches uint64
-	// DomainCopies/DomainCopyBytes count buffers physically moved between
-	// protection domains inside one address space (the cheapest copy tier).
-	DomainCopies    uint64
-	DomainCopyBytes uint64
-	// DomainGrants/DomainGrantBytes count cross-domain read-only page
-	// grants: object payloads a domain consumed without any copy charge
-	// (the MPK analogue of lazy data copy).
-	DomainGrants     uint64
-	DomainGrantBytes uint64
+	// DomainCopies counts buffers physically copied inside one address
+	// space, the cheapest copy tier: between the host and an MPK domain,
+	// and sealed host objects copied for in-host execution.
+	DomainCopies uint64
 
 	// WatchdogTrips counts DoS resource-watchdog reports: domain- or
 	// host-tier invocations that killed the host process or overran their
@@ -94,9 +89,6 @@ type Snapshot struct {
 	// a changed isolation policy (defense escalation or annealing) — a
 	// subset of ShardDrains.
 	Rebinds uint64
-	// Quarantined counts admissions refused because the requesting tenant
-	// was quarantined by the defense controller.
-	Quarantined uint64
 
 	// GrayDrains counts shards drained by the latency-based suspicion
 	// scorer — shards that never tripped a crash window but whose service
@@ -127,274 +119,13 @@ type Snapshot struct {
 // New creates zeroed counters.
 func New() *Counters { return &Counters{} }
 
-// AddIPC records one RPC round trip moving n payload bytes.
-func (c *Counters) AddIPC(n int) {
+// Update applies f to the counters under their lock, so the fields f bumps
+// change together. f must not retain the Snapshot pointer. A func literal
+// passed here does not escape, so an update allocates nothing.
+func (c *Counters) Update(f func(*Snapshot)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.s.IPCCalls++
-	if n > 0 {
-		c.s.BytesMoved += uint64(n)
-	}
-}
-
-// AddLazyCopy records a direct agent-to-agent object copy of n bytes.
-func (c *Counters) AddLazyCopy(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.LazyCopies++
-	if n > 0 {
-		c.s.BytesMoved += uint64(n)
-	}
-}
-
-// AddEagerCopy records an object payload shipped through the host process.
-func (c *Counters) AddEagerCopy(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.EagerCopies++
-	if n > 0 {
-		c.s.BytesMoved += uint64(n)
-	}
-}
-
-// AddPermFlip records one mprotect covering pages pages.
-func (c *Counters) AddPermFlip(pages int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.PermFlips++
-	if pages > 0 {
-		c.s.PagesFlip += uint64(pages)
-	}
-}
-
-// AddRestart records an agent restart.
-func (c *Counters) AddRestart() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Restarts++
-}
-
-// AddAPICall records one framework API dispatch.
-func (c *Counters) AddAPICall() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.APICalls++
-}
-
-// AddCheckpoint records one stateful-state checkpoint write.
-func (c *Counters) AddCheckpoint() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Checkpoints++
-}
-
-// AddRetry records one supervised re-issue of an API call.
-func (c *Counters) AddRetry() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Retries++
-}
-
-// AddDegraded records a partition demoted to in-host direct execution.
-func (c *Counters) AddDegraded() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Degraded++
-}
-
-// AddDegradedCall records an API call served in-host for a degraded
-// partition.
-func (c *Counters) AddDegradedCall() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.DegradedCalls++
-}
-
-// AddInjectedFault records one fault fired by the chaos engine.
-func (c *Counters) AddInjectedFault() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.InjectedFaults++
-}
-
-// AddShardDrain records one serving shard drained and replaced.
-func (c *Counters) AddShardDrain() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.ShardDrains++
-}
-
-// AddMigration records one session migrated off a drained shard.
-func (c *Counters) AddMigration() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Migrations++
-}
-
-// AddFailedMigration records one migration that could not restore state.
-func (c *Counters) AddFailedMigration() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.FailedMigrations++
-}
-
-// AddScaleUp records one shard added to the pool by the control plane.
-func (c *Counters) AddScaleUp() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.ScaleUps++
-}
-
-// AddScaleDown records one shard retired from the pool by the control plane.
-func (c *Counters) AddScaleDown() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.ScaleDowns++
-}
-
-// AddRebalance records one session proactively migrated off a hot shard.
-func (c *Counters) AddRebalance() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Rebalances++
-}
-
-// AddBatchedAdmission records one coalesced admission batch of n requests.
-func (c *Counters) AddBatchedAdmission(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.BatchedAdmissions++
-	if n > 0 {
-		c.s.BatchedRequests += uint64(n)
-	}
-}
-
-// AddRejected records one queue-bound rejection (virtual 503).
-func (c *Counters) AddRejected() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Rejected++
-}
-
-// AddDeadlineShed records one deadline drop.
-func (c *Counters) AddDeadlineShed() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.DeadlineShed++
-}
-
-// AddDomainSwitch records one protection-key domain entry or exit.
-func (c *Counters) AddDomainSwitch() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.DomainSwitches++
-}
-
-// AddDomainCopy records n bytes physically copied between protection
-// domains inside one address space.
-func (c *Counters) AddDomainCopy(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.DomainCopies++
-	if n > 0 {
-		c.s.DomainCopyBytes += uint64(n)
-		c.s.BytesMoved += uint64(n)
-	}
-}
-
-// AddDomainGrant records n bytes consumed across domains via a read-only
-// page grant (no copy charged).
-func (c *Counters) AddDomainGrant(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.DomainGrants++
-	if n > 0 {
-		c.s.DomainGrantBytes += uint64(n)
-	}
-}
-
-// AddWatchdogTrip records one DoS resource-watchdog report.
-func (c *Counters) AddWatchdogTrip() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.WatchdogTrips++
-}
-
-// AddRebind records one shard drained to re-bind it at a changed
-// isolation policy.
-func (c *Counters) AddRebind() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Rebinds++
-}
-
-// AddQuarantined records one admission refused for a quarantined tenant.
-func (c *Counters) AddQuarantined() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Quarantined++
-}
-
-// AddGrayDrain records one shard drained on latency suspicion.
-func (c *Counters) AddGrayDrain() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.GrayDrains++
-}
-
-// AddHedge records one hedged secondary launched.
-func (c *Counters) AddHedge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Hedges++
-}
-
-// AddHedgeWin records one hedge that completed before its primary.
-func (c *Counters) AddHedgeWin() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.HedgeWins++
-}
-
-// AddHedgeCancel records one hedge cancelled because the primary won.
-func (c *Counters) AddHedgeCancel() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.HedgeCancels++
-}
-
-// AddWarmHit records one session visit placed on a shard whose simulated
-// page cache already held the session's working set.
-func (c *Counters) AddWarmHit() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.WarmHits++
-}
-
-// AddColdMiss records one session visit that found a cold cache and paid
-// the re-fault cost.
-func (c *Counters) AddColdMiss() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.ColdMisses++
-}
-
-// AddPartitionSplit records one hot-range split performed by the
-// partition-rebalance drill.
-func (c *Counters) AddPartitionSplit() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.PartitionSplits++
-}
-
-// AddHedgeWork records d of virtual service time spent on a hedge
-// execution (charged whether or not the hedge won).
-func (c *Counters) AddHedgeWork(d vclock.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d > 0 {
-		c.s.HedgeWork += d
-	}
+	f(&c.s)
 }
 
 // Snapshot returns a copy of the counters.

@@ -382,11 +382,12 @@ func runDefenseCampaign(shards, requests int, pol *isolation.Policy, adaptive bo
 	if ctl != nil {
 		finalPol = ctl.Policy()
 	}
-	steady, _, _, err := isolationServing(reg, cat, finalPol, shards, requests)
+	steady, err := isolationServing(reg, cat, finalPol, shards, requests)
 	if err != nil {
 		return res, fmt.Errorf("steady-state probe: %w", err)
 	}
-	res.SteadyPath = steady
+	res.SteadyPath = steady.CriticalPath()
+	steady.Close()
 	if ctl != nil {
 		st := ctl.Stats()
 		res.WatchdogTrips = st.WatchdogTrips

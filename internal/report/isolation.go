@@ -98,13 +98,19 @@ func MeasureIsolation(shards, requests int) ([]IsolationResult, error) {
 				Detected: detected,
 			})
 		}
-		crit, switches, copies, err := isolationServing(reg, cat, pol, shards, requests)
+		ex, err := isolationServing(reg, cat, pol, shards, requests)
 		if err != nil {
 			return nil, fmt.Errorf("report: serving under %s: %w", pol.Name, err)
 		}
-		res.CriticalPath = crit
-		res.DomainSwitches = switches
-		res.DomainCopies = copies
+		res.CriticalPath = ex.CriticalPath()
+		for i := 0; i < ex.Shards(); i++ {
+			if rt := ex.Shard(i).Rt; rt != nil {
+				snap := rt.Metrics.Snapshot()
+				res.DomainSwitches += snap.DomainSwitches
+				res.DomainCopies += snap.DomainCopies
+			}
+		}
+		ex.Close()
 		out = append(out, res)
 	}
 
@@ -240,18 +246,18 @@ func fireCVE(rt *core.Runtime, cve attack.CVE) (cveVerdict, error) {
 // isolationServing prices one policy: a session-sharded executor serves a
 // fixed detection stream where every request crosses all four API types
 // (load, detect, annotate, show, store), so tiering visualizing/storing
-// down to MPK domains shows up in the critical path. Returns the critical
-// path and the summed domain-switch/copy counts across shards.
-func isolationServing(reg *framework.Registry, cat *analysis.Categorization, pol *isolation.Policy, shards, requests int) (vclock.Duration, uint64, uint64, error) {
+// down to MPK domains shows up in the critical path. Request i writes its
+// annotated frame to /srv/out-i.img on the shard that served it. Returns
+// the executor it served on, which the caller closes.
+func isolationServing(reg *framework.Registry, cat *analysis.Categorization, pol *isolation.Policy, shards, requests int) (*core.Executor, error) {
 	reqs := apps.GenDetectionRequests(7, requests)
 	for i := range reqs {
 		reqs[i].Arrival = 0 // closed loop: measure capacity, not arrival pacing
 	}
 	ex, err := core.NewExecutor(shards, core.ProtectedShards(reg, cat, core.ConfigForIsolation(pol)))
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
-	defer ex.Close()
 
 	models := make([]core.Handle, ex.Shards())
 	for i := 0; i < ex.Shards(); i++ {
@@ -259,10 +265,12 @@ func isolationServing(reg *framework.Registry, cat *analysis.Categorization, pol
 		sh.K.FS.WriteFile("/srv/model.xml", simcv.EncodeClassifier(150, 4))
 		h, _, err := sh.Ex.Call("cv.CascadeClassifier", framework.Str("/srv/model.xml"))
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("shard %d model load: %w", i, err)
+			ex.Close()
+			return nil, fmt.Errorf("shard %d model load: %w", i, err)
 		}
 		if len(h) == 0 {
-			return 0, 0, 0, fmt.Errorf("shard %d model load returned no handle", i)
+			ex.Close()
+			return nil, fmt.Errorf("shard %d model load returned no handle", i)
 		}
 		models[i] = h[0]
 		// Steady state only: provisioning cost is identical per shard and
@@ -295,19 +303,11 @@ func isolationServing(reg *framework.Registry, cat *analysis.Categorization, pol
 			return err
 		})
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("request %d: %w", i, err)
+			ex.Close()
+			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
 	}
-
-	var switches, copies uint64
-	for i := 0; i < ex.Shards(); i++ {
-		if rt := ex.Shard(i).Rt; rt != nil {
-			snap := rt.Metrics.Snapshot()
-			switches += snap.DomainSwitches
-			copies += snap.DomainCopies
-		}
-	}
-	return ex.CriticalPath(), switches, copies, nil
+	return ex, nil
 }
 
 // TableIsolation renders the frontier and optionally writes the rows as

@@ -1,13 +1,19 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"freepart.dev/freepart/internal/attack"
+	"freepart.dev/freepart/internal/core"
+	"freepart.dev/freepart/internal/framework"
+	"freepart.dev/freepart/internal/framework/all"
+	"freepart.dev/freepart/internal/isolation"
 )
 
 // TestIsolationFrontier replays the 18-CVE corpus under every preset at a
@@ -73,6 +79,67 @@ func TestIsolationFrontier(t *testing.T) {
 			t.Errorf("tiered leaks %s (%s %s), want only the cv.imshow DoS", c.CVE, c.API, c.Class)
 		}
 	}
+}
+
+// TestEveryTierPolicyServes assigns each of the 3 tiers to each of the 4
+// concrete API types in turn, 81 policies in all, and serves the
+// isolation probe's detection stream under every one. Every policy must
+// serve every request, and write the same annotated frames as the
+// all-host run: the tier layer changes where an API runs, never what it
+// computes.
+func TestEveryTierPolicyServes(t *testing.T) {
+	const shards, requests = 4, 16
+	reg := all.Registry()
+	cat := hybridCatCached(reg)
+	serve := func(pol *isolation.Policy) (map[string][]byte, error) {
+		ex, err := isolationServing(reg, cat, pol, shards, requests)
+		if err != nil {
+			return nil, err
+		}
+		defer ex.Close()
+		return probeOutputs(ex, requests)
+	}
+	want, err := serve(isolation.None())
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := framework.ConcreteTypes()
+	tiers := []isolation.Tier{isolation.TierHost, isolation.TierDomain, isolation.TierProcess}
+	for n := 0; n < 81; n++ {
+		pol := &isolation.Policy{Tiers: map[framework.APIType]isolation.Tier{}}
+		for i, c := 0, n; i < len(types); i, c = i+1, c/len(tiers) {
+			pol.Tiers[types[i]] = tiers[c%len(tiers)]
+		}
+		pol.Name = describePolicy(pol)
+		got, err := serve(pol)
+		if err != nil {
+			t.Errorf("%s: %v", pol.Name, err)
+			continue
+		}
+		for path, w := range want {
+			if !bytes.Equal(got[path], w) {
+				t.Errorf("%s: %s differs from the all-host run", pol.Name, path)
+			}
+		}
+	}
+}
+
+// probeOutputs collects the frame each probe request wrote, from whichever
+// shard served it.
+func probeOutputs(ex *core.Executor, requests int) (map[string][]byte, error) {
+	out := make(map[string][]byte, requests)
+	for i := 0; i < requests; i++ {
+		path := fmt.Sprintf("/srv/out-%d.img", i)
+		for id := 0; id < ex.Shards(); id++ {
+			if data, err := ex.Shard(id).K.FS.ReadFile(path); err == nil {
+				out[path] = data
+			}
+		}
+		if out[path] == nil {
+			return nil, fmt.Errorf("no shard wrote %s", path)
+		}
+	}
+	return out, nil
 }
 
 // TestMeasureIsolationDeterministic pins replay stability: two measurements

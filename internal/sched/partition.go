@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"freepart.dev/freepart/internal/core"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/partition"
 	"freepart.dev/freepart/internal/vclock"
 )
@@ -171,7 +172,7 @@ func rebalance(ex *core.Executor, meta *partition.Meta, mem *partition.Placement
 	if newPart < 0 {
 		return -1, 0, fmt.Errorf("sched: partition %d cannot split", hot)
 	}
-	ex.Metrics().AddPartitionSplit()
+	ex.Metrics().Update(func(m *metrics.Snapshot) { m.PartitionSplits++ })
 	p := meta.Parts[newPart]
 	destShard := ex.Shard(dest)
 	if destShard == nil {

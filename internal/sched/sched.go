@@ -10,8 +10,8 @@
 // only at reconcile points ("ticks") the serving loop invokes at barriers,
 // when every in-flight invocation has drained. At a barrier the pool's
 // state is a pure function of the work it ran, so every decision — and the
-// Event log recording it — is byte-reproducible across runs, chaos
-// included, exactly like the failover log one layer down. Between ticks
+// event log recording it — is byte-reproducible across runs, chaos
+// included, exactly like the executor's log one layer down. Between ticks
 // the control plane costs the data path nothing: an executor with no
 // controller attached behaves bit-identically to the fixed-pool serving
 // layer.
@@ -19,10 +19,12 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"freepart.dev/freepart/internal/core"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -96,30 +98,11 @@ func DefaultPolicy(min, max int) Policy {
 	}
 }
 
-// Event is one control-plane decision in the replayable log. Events are
-// appended only at reconcile points, so for a fixed workload and seed the
-// log is byte-equal across runs — the scaling analogue of the failover
-// event log.
-type Event struct {
-	// Tick is the reconcile round the decision was made in.
-	Tick int
-	// At is the virtual time of the decision (the run's critical path at
-	// the barrier).
-	At vclock.Duration
-	// Kind is "grow", "shrink", "rebalance", or "compact".
-	Kind string
-	// Detail carries the signal that justified the action.
-	Detail string
-}
-
-// String renders the event as one log line.
-func (ev Event) String() string {
-	return fmt.Sprintf("tick %d @%v %s %s", ev.Tick, ev.At, ev.Kind, ev.Detail)
-}
-
 // Controller is the reconcile loop. Construct with New, then call Tick at
-// serving barriers; every decision lands in the Event log and is executed
-// through the executor's scale/migrate hooks.
+// serving barriers; every decision lands in the event log and is executed
+// through the executor's scale/migrate hooks. Events are appended only at
+// reconcile points, so for a fixed workload and seed the log is byte-equal
+// across runs. Kinds: suspect, grow, shrink, rebalance and compact.
 type Controller struct {
 	ex     *core.Executor
 	pol    Policy
@@ -135,7 +118,7 @@ type Controller struct {
 	lastScale  vclock.Duration
 	scaledOnce bool
 	prev       map[int]core.ShardLoad
-	events     []Event
+	events     metrics.Log
 	peak       int
 	// boot is the measured boot cost of the last grown shard (its clock
 	// minus the decision time) — the controller's own calibration of how
@@ -206,22 +189,10 @@ func (c *Controller) readyPool(pool []core.PlacementInfo) []core.PlacementInfo {
 func (c *Controller) Batch() Batcher { return c.pol.Batch }
 
 // Events returns a copy of the decision log.
-func (c *Controller) Events() []Event {
+func (c *Controller) Events() metrics.Log {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
-
-// EventLog renders the decision log one line per event — the byte string
-// replay tests compare.
-func (c *Controller) EventLog() string {
-	var out string
-	for _, ev := range c.Events() {
-		out += ev.String() + "\n"
-	}
-	return out
+	return slices.Clone(c.events)
 }
 
 // PeakShards reports the largest pool size observed at any reconcile point.
@@ -233,7 +204,7 @@ func (c *Controller) PeakShards() int {
 
 // record appends one decision.
 func (c *Controller) record(at vclock.Duration, kind, detail string) {
-	c.events = append(c.events, Event{Tick: c.tick, At: at, Kind: kind, Detail: detail})
+	c.events = append(c.events, metrics.Event{Tick: c.tick, At: at, Kind: kind, Detail: detail})
 }
 
 // window is one slot's load delta since the previous tick.

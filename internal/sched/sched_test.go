@@ -227,8 +227,8 @@ func TestControllerRebalancesImbalance(t *testing.T) {
 	if loads[0].Sessions != 2 || loads[1].Sessions != 2 {
 		t.Fatalf("sessions after rebalance = %d/%d, want 2/2", loads[0].Sessions, loads[1].Sessions)
 	}
-	if !strings.Contains(ctl.EventLog(), "rebalance") {
-		t.Fatalf("no rebalance event recorded:\n%s", ctl.EventLog())
+	if log := ctl.Events().String(); !strings.Contains(log, "rebalance") {
+		t.Fatalf("no rebalance event recorded:\n%s", log)
 	}
 }
 
@@ -275,7 +275,7 @@ func TestControllerEventLogReplays(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			ctl.Tick()
 		}
-		return ex.ShardLoads(), ctl.EventLog()
+		return ex.ShardLoads(), ctl.Events().String()
 	}
 	l1, log1 := run()
 	l2, log2 := run()
