@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -58,6 +59,19 @@ type agent struct {
 	// host released that this process-tier agent owns or holds a lazy copy
 	// of.
 	pending []framework.Released
+
+	// Storage a process-tier crossing reuses, so a call allocates only
+	// what outlives it. in and out hold the call the agent is serving and
+	// the results of the reply it builds; its connection serves one
+	// request at a time, and only the handler touches them. wire and reply
+	// hold the host's encoding of the call and its decoding of the reply,
+	// from encoding until the reply's results are handles; callMu
+	// serializes the host side of concurrent calls to the agent over them.
+	in     framework.Call
+	out    []framework.Value
+	callMu sync.Mutex
+	wire   []byte
+	reply  framework.Reply
 
 	// restartMu serializes the whole supervise-and-restart operation so
 	// concurrent observers of one crash cannot double-restart the process
@@ -193,8 +207,8 @@ func (a *agent) resolveLocked(id uint64) uint64 {
 // because it reads the current ctx/proc through the agent's mutex.
 func (rt *Runtime) serve(a *agent) ipc.Handler {
 	return func(kind uint32, payload []byte) ([]byte, error) {
-		call, err := framework.DecodeCall(payload)
-		if err != nil {
+		call := &a.in
+		if err := framework.DecodeCallInto(call, payload, rt.Reg); err != nil {
 			return nil, err
 		}
 		// Released objects go first, so this call reuses their pages.
@@ -226,17 +240,14 @@ func (rt *Runtime) serve(a *agent) ipc.Handler {
 		if (rt.Config.CheckpointStateful && api.Stateful) || rt.Config.CheckpointAll {
 			rt.checkpointObjects(a, ctx, api, args, results)
 		}
-		reply, err := rt.marshalReply(a, ctx, results)
-		if err != nil {
-			return nil, err
-		}
-		return framework.EncodeReply(reply)
+		return rt.marshalReply(a, ctx, results)
 	}
 }
 
 // unmarshalArgs converts wire values into agent-local values, performing
-// eager rebuilds (payload attached) or lazy direct copies (ref only).
-func (rt *Runtime) unmarshalArgs(a *agent, ctx *framework.Ctx, call framework.Call) ([]framework.Value, error) {
+// eager rebuilds (payload attached) or lazy direct copies (ref only). The
+// list it returns is new: the API may keep it.
+func (rt *Runtime) unmarshalArgs(a *agent, ctx *framework.Ctx, call *framework.Call) ([]framework.Value, error) {
 	args := make([]framework.Value, len(call.Args))
 	for i, v := range call.Args {
 		if v.Kind != framework.ValRef {
@@ -310,35 +321,39 @@ func (rt *Runtime) loadRemote(ref object.Ref) ([]byte, error) {
 	return object.PayloadBytes(o)
 }
 
-// marshalReply converts agent-local results into wire values: refs under
-// LDC, payloads otherwise.
-func (rt *Runtime) marshalReply(a *agent, ctx *framework.Ctx, results []framework.Value) (framework.Reply, error) {
-	reply := framework.Reply{
-		Results:  make([]framework.Value, len(results)),
-		Payloads: make([][]byte, len(results)),
+// marshalReply encodes agent-local results as the reply: refs under LDC,
+// payloads otherwise. Under LDC the payload list is all empty and shared,
+// not built. The reply is built in the agent's storage, which is emptied
+// once its bytes are made: its refs share their objects' headers, so
+// storage that kept them would keep the objects, and their address space,
+// reachable.
+func (rt *Runtime) marshalReply(a *agent, ctx *framework.Ctx, results []framework.Value) ([]byte, error) {
+	reply := framework.Reply{Results: append(a.out[:0], results...), Payloads: noPayloads(len(results))}
+	a.out = reply.Results
+	defer clear(reply.Results)
+	if !rt.Config.LazyDataCopy {
+		reply.Payloads = make([][]byte, len(results))
 	}
 	for i, v := range results {
 		if v.Kind != framework.ValObj {
-			reply.Results[i] = v
 			continue
 		}
 		ref, err := ctx.Table.RefFor(v.Obj)
 		if err != nil {
-			return framework.Reply{}, err
+			return nil, err
 		}
+		reply.Results[i] = framework.RefVal(ref)
 		if rt.Config.LazyDataCopy {
-			reply.Results[i] = framework.RefVal(ref)
 			continue
 		}
 		o, _ := ctx.Table.Get(v.Obj)
 		payload, err := object.PayloadBytes(o)
 		if err != nil {
-			return framework.Reply{}, err
+			return nil, err
 		}
-		reply.Results[i] = framework.RefVal(ref)
 		reply.Payloads[i] = payload
 	}
-	return reply, nil
+	return framework.EncodeReply(reply)
 }
 
 // checkpointObjects snapshots every object argument/result of a stateful
@@ -362,9 +377,19 @@ func (rt *Runtime) checkpointObjects(a *agent, ctx *framework.Ctx, api *framewor
 		}
 		// One snapshot serves the restart map, the portable log and the
 		// object's mapping, which hands it out again until the object is
-		// written; none of them writes to it.
-		cp := checkpoint{kind: o.Kind(), header: o.Header(), payload: payload}
+		// written; none of them writes to it. The header is copied at the
+		// object's first checkpoint and shared by its later ones: the
+		// object's own header bytes would keep the object, and so its
+		// address space, reachable for as long as a checkpoint is kept,
+		// past a restart or the shard's retirement.
+		header := o.Header()
 		a.mu.Lock()
+		if prev, ok := a.checkpoints[v.Obj]; ok && bytes.Equal(prev.header, header) {
+			header = prev.header
+		} else {
+			header = bytes.Clone(header)
+		}
+		cp := checkpoint{kind: o.Kind(), header: header, payload: payload}
 		a.checkpoints[v.Obj] = cp
 		a.mu.Unlock()
 		rt.Metrics.Update(func(m *metrics.Snapshot) { m.Checkpoints++ })
@@ -497,12 +522,16 @@ func (rt *Runtime) restartAgent(a *agent) error {
 // The agent's pending release list rides on the call. It stays pending
 // until the agent has run the call (an application error included), so a
 // call that never got through carries it again next time.
-func (rt *Runtime) callAgent(a *agent, call framework.Call) (framework.Reply, error) {
+//
+// The call encodes into a.wire and the reply decodes into a.reply, so the
+// caller holds a.callMu until it has read the reply.
+func (rt *Runtime) callAgent(a *agent, call framework.Call) error {
 	call.Release = a.pendingReleases()
-	wire, err := framework.EncodeCall(call)
+	wire, err := framework.AppendCall(a.wire[:0], call)
 	if err != nil {
-		return framework.Reply{}, err
+		return err
 	}
+	a.wire = wire
 	seq := a.conn.NextSeq()
 	for attempt := 0; ; attempt++ {
 		var out []byte
@@ -519,32 +548,28 @@ func (rt *Runtime) callAgent(a *agent, call framework.Call) (framework.Reply, er
 		if err == nil {
 			a.noteSuccess()
 			a.sent(len(call.Release))
-			reply, derr := framework.DecodeReply(out)
-			if derr != nil {
-				return framework.Reply{}, derr
-			}
-			return reply, nil
+			return framework.DecodeReplyInto(&a.reply, out)
 		}
 		crashed := errors.Is(err, ipc.ErrAgentCrashed)
 		transient := errors.Is(err, ipc.ErrTimeout) || errors.Is(err, ipc.ErrCorrupt)
 		if !crashed && !transient {
 			// Application-level error: surface unchanged, no retry.
 			a.sent(len(call.Release))
-			return framework.Reply{}, err
+			return err
 		}
 		if crashed {
 			if !rt.Config.Restart {
-				return framework.Reply{}, err
+				return err
 			}
 			if rerr := rt.superviseRestart(a); rerr != nil {
-				return framework.Reply{}, fmt.Errorf("core: restart failed: %w (after %v)", rerr, err)
+				return fmt.Errorf("core: restart failed: %w (after %v)", rerr, err)
 			}
 			if a.isDegraded() {
-				return framework.Reply{}, errAgentDegraded
+				return errAgentDegraded
 			}
 		}
 		if attempt >= rt.Config.RetryBudget {
-			return framework.Reply{}, err
+			return err
 		}
 	}
 }

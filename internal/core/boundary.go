@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"freepart.dev/freepart/internal/analysis"
@@ -128,14 +129,20 @@ func (processBoundary) Invoke(rt *Runtime, a *agent, api *framework.API, args []
 	}
 	call.API = api.Name
 
-	reply, err := rt.callAgent(a, call)
-	if err != nil {
+	a.callMu.Lock()
+	defer a.callMu.Unlock()
+	if err := rt.callAgent(a, call); err != nil {
 		return nil, nil, err
 	}
+	reply := &a.reply
 
 	return splitResults(reply.Results, framework.ValRef, func(i int, v framework.Value) (Handle, error) {
 		if rt.Config.LazyDataCopy {
-			return Handle{ref: v.Ref, size: v.Ref.Size, kind: v.Ref.Kind}, nil
+			// The decoded header lives in the agent's reply storage,
+			// which the next call overwrites: the handle keeps a copy.
+			ref := v.Ref
+			ref.Header = bytes.Clone(ref.Header)
+			return Handle{ref: ref, size: ref.Size, kind: ref.Kind}, nil
 		}
 		// Materialize through the host process (Fig. 11-(b)).
 		payload := reply.Payloads[i]

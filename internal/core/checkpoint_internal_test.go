@@ -109,3 +109,33 @@ func TestCheckpointSharesUnchangedSnapshot(t *testing.T) {
 		t.Fatalf("restored object holds other bytes than its checkpoint (err %v)", err)
 	}
 }
+
+// TestCheckpointCopiesHeaderOnce: a checkpoint keeps a copy of the object's
+// header, not the object's own header bytes, which would keep the object,
+// and its address space, reachable from the restart map and the portable
+// log. The copy is made at the object's first checkpoint and shared by the
+// later ones.
+func TestCheckpointCopiesHeaderOnce(t *testing.T) {
+	rt, _ := lifetimeRuntime(t, Default())
+	a := rt.agents[agentPartition(framework.TypeProcessing)]
+	api := rt.Reg.MustGet("cv.CascadeClassifier.detectMultiScale")
+	id, tensor, err := a.ctx.NewTensor(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []framework.Value{framework.Obj(id)}
+	header := func() []byte {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.checkpoints[id].header
+	}
+	rt.checkpointObjects(a, a.ctx, api, args, nil)
+	first := header()
+	if !bytes.Equal(first, tensor.Header()) || sameBytes(first, tensor.Header()) {
+		t.Fatalf("checkpoint header %x: want a copy of the tensor's %x", first, tensor.Header())
+	}
+	rt.checkpointObjects(a, a.ctx, api, args, nil)
+	if !sameBytes(header(), first) {
+		t.Fatal("a second checkpoint of the object copied its header again")
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"freepart.dev/freepart/internal/framework/simcv"
 	"freepart.dev/freepart/internal/ipc"
 	"freepart.dev/freepart/internal/kernel"
+	"freepart.dev/freepart/internal/mem"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -270,5 +271,44 @@ func TestSessionTableHoldsLiveSessions(t *testing.T) {
 	}
 	if want := []string{"session 10", "session 40", "session 97"}; !reflect.DeepEqual(migrated, want) {
 		t.Fatalf("failover migrated %q, want %q", migrated, want)
+	}
+}
+
+// TestTransitionReusesDefinedList: a transition seals what was defined in
+// the state it leaves and hands that state's list back cleared, so the
+// objects recorded when the pipeline re-enters the state go into the same
+// array. A loading → processing → loading round that defines one host
+// object in each state seals both, one permission flip each, and
+// allocates nothing.
+func TestTransitionReusesDefinedList(t *testing.T) {
+	rt, _ := lifetimeRuntime(t, Default())
+	space := rt.Host.Space()
+	var regions [2]mem.Region
+	for i := range regions {
+		r, err := space.Alloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions[i] = r
+	}
+	round := func() {
+		rt.transition(framework.TypeProcessing)
+		rt.RegisterCritical(regions[0])
+		rt.transition(framework.TypeLoading)
+		rt.RegisterCritical(regions[1])
+	}
+	round()
+	flips := rt.Metrics.Snapshot().PermFlips
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("a transition round made %.0f allocs, want 0", allocs)
+	}
+	if got := rt.Metrics.Snapshot().PermFlips - flips; got != 2*11 {
+		t.Fatalf("11 rounds made %d permission flips, want %d", got, 2*11)
+	}
+	rt.transition(framework.TypeProcessing)
+	for _, r := range regions {
+		if perm, _ := space.PermAt(r.Base); perm.CanWrite() {
+			t.Fatalf("region %#x still writable after its state was left", uint64(r.Base))
+		}
 	}
 }

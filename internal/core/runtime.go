@@ -353,7 +353,9 @@ func (rt *Runtime) RegisterCritical(r mem.Region) {
 }
 
 // transition enforces §4.4.3: on a state change, every object defined
-// during the previous state becomes read-only.
+// during the previous state becomes read-only. The sealed list then goes
+// back, cleared, as the previous state's list, so the next time the
+// pipeline records objects in that state it appends to the same array.
 func (rt *Runtime) transition(next framework.APIType) {
 	rt.mu.Lock()
 	if next == rt.state || next == framework.TypeUnknown {
@@ -366,22 +368,29 @@ func (rt *Runtime) transition(next framework.APIType) {
 	rt.defined[prev] = nil
 	rt.mu.Unlock()
 
-	if !rt.Config.EnforcePermissions {
-		return
-	}
-	for _, d := range toProtect {
-		rt.mu.Lock()
-		skip := rt.exempt[exemptKey{d.space, d.region.Base}]
-		rt.mu.Unlock()
-		if skip {
-			continue
+	if rt.Config.EnforcePermissions {
+		for _, d := range toProtect {
+			rt.mu.Lock()
+			skip := rt.exempt[exemptKey{d.space, d.region.Base}]
+			rt.mu.Unlock()
+			if skip {
+				continue
+			}
+			if _, err := d.space.ProtectRegion(d.region, mem.PermRead); err != nil {
+				continue // freed or remapped region: nothing to protect
+			}
+			rt.Metrics.Update(func(m *metrics.Snapshot) { m.PermFlips++ })
+			rt.K.Clock.Advance(rt.K.Cost.MProtect)
 		}
-		if _, err := d.space.ProtectRegion(d.region, mem.PermRead); err != nil {
-			continue // freed or remapped region: nothing to protect
-		}
-		rt.Metrics.Update(func(m *metrics.Snapshot) { m.PermFlips++ })
-		rt.K.Clock.Advance(rt.K.Cost.MProtect)
 	}
+	clear(toProtect)
+	rt.mu.Lock()
+	// A concurrent caller may have re-entered prev and recorded objects
+	// there meanwhile; those stay, and the array goes.
+	if len(rt.defined[prev]) == 0 {
+		rt.defined[prev] = toProtect[:0]
+	}
+	rt.mu.Unlock()
 }
 
 // recordResults registers result objects as live host handles, owned by
@@ -541,9 +550,34 @@ func (rt *Runtime) finishDegraded(api *framework.API, args []framework.Value) ([
 	return handles, plain, nil
 }
 
+// emptyPayloads backs noPayloads. Nothing writes to it.
+var emptyPayloads [16][]byte
+
+// noPayloads returns a payload list of n empty payloads, the list a call
+// or reply that ships no object carries. It shares one array nothing
+// writes, so the list is not built per message; its capacity is n, so an
+// append cannot write there either.
+func noPayloads(n int) [][]byte {
+	if n > len(emptyPayloads) {
+		return make([][]byte, n)
+	}
+	return emptyPayloads[:n:n]
+}
+
 // marshalArgs converts host-side argument values into wire form: handle
-// refs pass as-is (LDC) and host-local objects ship as deep copies.
+// refs pass as-is (LDC) and host-local objects ship as deep copies. When
+// nothing converts, the call carries args itself.
 func (rt *Runtime) marshalArgs(args []framework.Value) (framework.Call, error) {
+	eager := false
+	for _, v := range args {
+		if v.Kind == framework.ValObj || (v.Kind == framework.ValRef && !rt.Config.LazyDataCopy) {
+			eager = true
+			break
+		}
+	}
+	if !eager {
+		return framework.Call{Args: args, Payloads: noPayloads(len(args))}, nil
+	}
 	call := framework.Call{
 		Args:     make([]framework.Value, len(args)),
 		Payloads: make([][]byte, len(args)),

@@ -114,6 +114,20 @@ func (r *Registry) Get(name string) (*API, bool) {
 	return a, ok
 }
 
+// name returns the registered name that reads as raw, or a new string of
+// raw when r is nil or holds no such API.
+func (r *Registry) name(raw []byte) string {
+	if r != nil {
+		r.mu.RLock()
+		a, ok := r.apis[string(raw)]
+		r.mu.RUnlock()
+		if ok {
+			return a.Name
+		}
+	}
+	return string(raw)
+}
+
 // MustGet looks up an API, panicking if absent (for test/app construction).
 func (r *Registry) MustGet(name string) *API {
 	a, ok := r.Get(name)

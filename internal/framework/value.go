@@ -130,7 +130,14 @@ type Reply struct {
 // Every value has exactly one encoding and the decoder accepts nothing
 // else, so the bytes the IPC layer charges are a function of the value.
 // A zero-length list or byte slice decodes as nil, and decoded values
-// share no memory with the input.
+// share no memory with the input. DecodeCallInto and DecodeReplyInto are
+// the same decoder writing into a message the caller keeps: a list, and a
+// ref's header, reuses the array it held when that has room, so a
+// zero-length list decodes as an empty one there, and a string that reads
+// the same as the one it overwrites is kept instead of made again. The
+// storage must be the caller's own, since a decode writes into the arrays
+// it holds, and a caller that keeps a decoded ref past the next decode
+// copies its header.
 
 // Decoding failure classes, wrapped into the error a decode returns.
 var (
@@ -146,7 +153,13 @@ var (
 
 // EncodeCall serializes a Call for the IPC layer into a buffer of exactly
 // the encoded length.
-func EncodeCall(c Call) ([]byte, error) {
+func EncodeCall(c Call) ([]byte, error) { return AppendCall(nil, c) }
+
+// AppendCall appends c's encoding to b. When b has no room for it, the
+// encoding goes into a new buffer with room for exactly b and it. The host
+// encodes every call to an agent into the same buffer: no one keeps a
+// request once it has been served.
+func AppendCall(b []byte, c Call) ([]byte, error) {
 	n := bytesLen(len(c.API)) + valuesLen(c.Args) + payloadsLen(c.Payloads)
 	if len(c.Release) > 0 {
 		n += uvarintLen(uint64(len(c.Release)))
@@ -154,7 +167,9 @@ func EncodeCall(c Call) ([]byte, error) {
 			n += uvarintLen(uint64(r.PID)) + uvarintLen(r.ID)
 		}
 	}
-	b := make([]byte, 0, n)
+	if cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
 	b = appendBytes(b, c.API)
 	b, err := appendValues(b, c.Args)
 	if err != nil {
@@ -173,15 +188,34 @@ func EncodeCall(c Call) ([]byte, error) {
 
 // DecodeCall parses a serialized Call.
 func DecodeCall(b []byte) (Call, error) {
-	d := decoder{b: b}
-	c := Call{API: d.str(), Args: d.values(), Payloads: d.payloads()}
-	if len(d.b) > 0 {
-		c.Release = d.released()
-	}
-	if err := d.finish(); err != nil {
-		return Call{}, fmt.Errorf("framework: decode call: %w", err)
+	var c Call
+	if err := DecodeCallInto(&c, b, nil); err != nil {
+		return Call{}, err
 	}
 	return c, nil
+}
+
+// DecodeCallInto parses a serialized Call into c, reusing c's lists and
+// strings (see the wire format). An agent serves one call at a time, so
+// it decodes every call into the same Call. names, if not nil, is the
+// registry the API will be looked up in: a name it holds is taken from
+// it, so the decode makes no string for the name. After a failure c
+// holds an unspecified message.
+func DecodeCallInto(c *Call, b []byte, names *Registry) error {
+	d := decoder{b: b}
+	if raw := d.raw(); string(raw) != c.API {
+		c.API = names.name(raw)
+	}
+	c.Args = d.values(c.Args)
+	c.Payloads = d.payloads(c.Payloads)
+	c.Release = c.Release[:0]
+	if len(d.b) > 0 {
+		c.Release = d.released(c.Release)
+	}
+	if err := d.finish(); err != nil {
+		return fmt.Errorf("framework: decode call: %w", err)
+	}
+	return nil
 }
 
 // EncodeReply serializes a Reply into a buffer of exactly the encoded
@@ -201,13 +235,26 @@ func EncodeReply(r Reply) ([]byte, error) {
 
 // DecodeReply parses a serialized Reply.
 func DecodeReply(b []byte) (Reply, error) {
-	d := decoder{b: b}
-	r := Reply{Results: d.values(), Payloads: d.payloads()}
-	r.UpdatedArgs, r.UpdatedPayloads = d.values(), d.payloads()
-	if err := d.finish(); err != nil {
-		return Reply{}, fmt.Errorf("framework: decode reply: %w", err)
+	var r Reply
+	if err := DecodeReplyInto(&r, b); err != nil {
+		return Reply{}, err
 	}
 	return r, nil
+}
+
+// DecodeReplyInto parses a serialized Reply into r, reusing r's lists and
+// strings (see the wire format). After a failure r holds an unspecified
+// message.
+func DecodeReplyInto(r *Reply, b []byte) error {
+	d := decoder{b: b}
+	r.Results = d.values(r.Results)
+	r.Payloads = d.payloads(r.Payloads)
+	r.UpdatedArgs = d.values(r.UpdatedArgs)
+	r.UpdatedPayloads = d.payloads(r.UpdatedPayloads)
+	if err := d.finish(); err != nil {
+		return fmt.Errorf("framework: decode reply: %w", err)
+	}
+	return nil
 }
 
 // uvarintLen is the encoded length of a uvarint.
@@ -359,7 +406,14 @@ func (d *decoder) raw() []byte {
 	return s
 }
 
-func (d *decoder) str() string { return string(d.raw()) }
+// str reads a length-prefixed string. It returns old, making no string,
+// when the field reads the same.
+func (d *decoder) str(old string) string {
+	if s := d.raw(); string(s) != old {
+		return string(s)
+	}
+	return old
+}
 
 func (d *decoder) bytes() []byte {
 	if s := d.raw(); len(s) > 0 {
@@ -368,54 +422,64 @@ func (d *decoder) bytes() []byte {
 	return nil
 }
 
-func (d *decoder) values() []Value {
-	n := d.count()
-	if n == 0 {
-		return nil
+// resize returns s with n entries for a decoder to overwrite: in s's own
+// array when it has room, otherwise in a new one of exactly n. Entries
+// past n are zeroed, so reused storage keeps nothing of a longer message.
+// A nil s with n zero stays nil.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	vals := make([]Value, n)
+	clear(s[n:cap(s)])
+	return s[:n]
+}
+
+// values reads a value list into vals's storage.
+func (d *decoder) values(vals []Value) []Value {
+	vals = resize(vals, d.count())
 	for i := range vals {
-		vals[i] = d.value()
+		vals[i] = d.value(vals[i])
 	}
 	return vals
 }
 
-func (d *decoder) payloads() [][]byte {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	ps := make([][]byte, n)
+// payloads reads a payload list into ps's storage. Each payload is a new
+// copy: the list is reused, the bytes it names are not.
+func (d *decoder) payloads(ps [][]byte) [][]byte {
+	ps = resize(ps, d.count())
 	for i := range ps {
 		ps[i] = d.bytes()
 	}
 	return ps
 }
 
-// released reads a release list. An empty list is encoded by its absence,
-// so a zero count is not canonical and is refused.
-func (d *decoder) released() []Released {
+// released reads a release list into rs's storage. An empty list is
+// encoded by its absence, so a zero count is not canonical and is refused.
+func (d *decoder) released(rs []Released) []Released {
 	n := d.count()
 	if n == 0 {
 		d.fail(errEmpty)
-		return nil
+		return rs
 	}
-	rs := make([]Released, n)
+	rs = resize(rs, n)
 	for i := range rs {
 		pid := d.uvarint()
 		if pid > math.MaxUint32 {
 			d.fail(errPID)
-			return nil
+			return rs[:0]
 		}
 		rs[i] = Released{PID: uint32(pid), ID: d.uvarint()}
 	}
 	if d.err != nil {
-		return nil
+		return rs[:0]
 	}
 	return rs
 }
 
-func (d *decoder) value() Value {
+// value reads one value over old, the value its storage held: it keeps
+// old's string when the new one reads the same, and copies a ref's header
+// into old's header array.
+func (d *decoder) value(old Value) Value {
 	switch k := ValueKind(d.byte()); k {
 	case ValNil:
 		return Nil()
@@ -430,7 +494,7 @@ func (d *decoder) value() Value {
 		d.b = d.b[8:]
 		return Float64(f)
 	case ValStr:
-		return Str(d.str())
+		return Str(d.str(old.Str))
 	case ValBool:
 		switch d.byte() {
 		case 0:
@@ -442,8 +506,8 @@ func (d *decoder) value() Value {
 	case ValObj:
 		return Obj(d.uvarint())
 	case ValRef:
-		r, err := object.DecodeRef(d.raw())
-		if err != nil {
+		r := old.Ref
+		if err := object.DecodeRefInto(&r, d.raw()); err != nil {
 			d.fail(err)
 		}
 		return RefVal(r)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -207,7 +208,7 @@ func TestDecodeGarbage(t *testing.T) {
 		{"string longer than input", false, []byte("junk"), errLength},
 		{"huge payload count", false, unhex(t, "00 00 ffffffffffffffff7f"), errLength},
 		{"huge value count", true, unhex(t, "ffffffff0f"), errLength},
-		{"short ref", false, unhex(t, "00 01 06 03 010203 00"), nil}, // object.DecodeRef's error
+		{"short ref", false, unhex(t, "00 01 06 03 010203 00"), nil}, // object.DecodeRefInto's error
 		{"zero release count", false, append(append([]byte(nil), call...), 0), errEmpty},
 		{"huge release count", false, append(append([]byte(nil), call...), unhex(t, "ffffffff0f 0102")...), errLength},
 		{"truncated release entry", false, append(append([]byte(nil), call...), unhex(t, "01 03")...), errTruncated},
@@ -232,40 +233,133 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
+// TestResizeKeepsNothingOfALongerMessage: reused storage keeps its array
+// when it has room, and zeroes what a shorter message leaves past its end,
+// so it holds nothing of the longer message before it.
+func TestResizeKeepsNothingOfALongerMessage(t *testing.T) {
+	long := []Value{Str("a"), Str("b"), Str("c")}
+	short := resize(long, 1)
+	if len(short) != 1 || &short[0] != &long[0] {
+		t.Fatalf("resize to 1 made a new array or the wrong length: %d", len(short))
+	}
+	for i, v := range long[1:] {
+		if !reflect.DeepEqual(v, Value{}) {
+			t.Fatalf("entry %d past the end still holds %v", i+1, v)
+		}
+	}
+	if got := resize[Value](nil, 0); got != nil {
+		t.Fatalf("resize(nil, 0) = %v, want nil", got)
+	}
+	if got := resize(short, 4); len(got) != 4 || cap(got) != 4 {
+		t.Fatalf("growing past capacity gave len %d cap %d, want exactly 4", len(got), cap(got))
+	}
+}
+
 // checkCanonical is the fuzz property shared by both message types: bytes
 // that decode re-encode to exactly themselves, into a buffer with no spare
 // capacity, and the decoded message shares no memory with its input. The
 // IPC dedup cache keeps encoded replies as they are, so spare capacity
 // would be retained heap.
-func checkCanonical[M any](t *testing.T, in []byte, decode func([]byte) (M, error), encode func(M) ([]byte, error)) {
+//
+// The same bytes also decode into reused storage, a message that last held
+// another decoded message, as an agent decodes every call into one Call:
+// that decode must succeed or fail with the fresh one, give the same
+// message, re-encode exactly and share no memory with the input either.
+func checkCanonical[M any](t *testing.T, in []byte, reused M, decode func([]byte) (M, error), decodeInto func(*M, []byte) error, encode func(M) ([]byte, error), same func(a, b M) bool) {
 	orig := append([]byte(nil), in...)
 	m, err := decode(in)
+	errInto := decodeInto(&reused, in)
+	if (err == nil) != (errInto == nil) {
+		t.Fatalf("fresh decode: %v; decode into reused storage: %v", err, errInto)
+	}
 	if err != nil {
 		return
+	}
+	if !same(m, reused) {
+		t.Fatalf("decoding into reused storage gives %+v, a fresh decode %+v", reused, m)
 	}
 	for i := range in {
 		in[i] ^= 0xFF
 	}
-	out, err := encode(m)
-	if err != nil {
-		t.Fatalf("re-encoding a decoded message: %v", err)
-	}
-	if !bytes.Equal(out, orig) {
-		t.Fatalf("re-encoding differs:\n in %x\nout %x", orig, out)
-	}
-	if len(out) != cap(out) {
-		t.Fatalf("re-encoding has length %d but capacity %d", len(out), cap(out))
+	for _, m := range []M{m, reused} {
+		out, err := encode(m)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded message: %v", err)
+		}
+		if !bytes.Equal(out, orig) {
+			t.Fatalf("re-encoding differs:\n in %x\nout %x", orig, out)
+		}
+		if len(out) != cap(out) {
+			t.Fatalf("re-encoding has length %d but capacity %d", len(out), cap(out))
+		}
 	}
 }
 
+// sameValues compares value lists entry by entry, floats by their bits,
+// an empty list equal to a nil one.
+func sameValues(a, b []Value) bool {
+	return slices.EqualFunc(a, b, func(x, y Value) bool {
+		if math.Float64bits(x.Float) != math.Float64bits(y.Float) {
+			return false
+		}
+		x.Float, y.Float = 0, 0
+		return reflect.DeepEqual(x, y)
+	})
+}
+
+// samePayloads compares payload lists entry by entry, an empty list equal
+// to a nil one; an entry is nil in both or equal in both.
+func samePayloads(a, b [][]byte) bool {
+	return slices.EqualFunc(a, b, func(x, y []byte) bool { return (x == nil) == (y == nil) && bytes.Equal(x, y) })
+}
+
+func sameCall(a, b Call) bool {
+	return a.API == b.API && sameValues(a.Args, b.Args) && samePayloads(a.Payloads, b.Payloads) && slices.Equal(a.Release, b.Release)
+}
+
+func sameReply(a, b Reply) bool {
+	return sameValues(a.Results, b.Results) && samePayloads(a.Payloads, b.Payloads) &&
+		sameValues(a.UpdatedArgs, b.UpdatedArgs) && samePayloads(a.UpdatedPayloads, b.UpdatedPayloads)
+}
+
+// fuzzNames is the registry FuzzDecodeCall's reusing decode takes API
+// names from; seedNamed names its one API.
+var fuzzNames = func() *Registry {
+	r := NewRegistry()
+	r.Register(&API{Name: "cv.imread"})
+	return r
+}()
+
+var seedNamed = Call{API: "cv.imread", Args: []Value{Str("/in.img")}, Payloads: [][]byte{nil}}
+
 func FuzzDecodeCall(f *testing.F) {
+	for _, c := range []Call{goldenCall, goldenReleaseCall, seedNamed} {
+		b, err := EncodeCall(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		checkCanonical(t, in, DecodeCall, EncodeCall)
+		// Storage that last held the golden call, with a release list. It
+		// is decoded, not copied from goldenCall: a decode writes into the
+		// header arrays its storage holds.
+		reused, err := DecodeCall(unhex(t, goldenCallHex))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused.Release = []Released{{PID: 3, ID: 300}, {PID: 2, ID: 5}}
+		decodeInto := func(c *Call, b []byte) error { return DecodeCallInto(c, b, fuzzNames) }
+		checkCanonical(t, in, reused, DecodeCall, decodeInto, EncodeCall, sameCall)
 	})
 }
 
 func FuzzDecodeReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
-		checkCanonical(t, in, DecodeReply, EncodeReply)
+		reused, err := DecodeReply(unhex(t, goldenReplyHex))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCanonical(t, in, reused, DecodeReply, DecodeReplyInto, EncodeReply, sameReply)
 	})
 }

@@ -2,6 +2,7 @@ package object
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/big"
@@ -16,11 +17,11 @@ import (
 // for a tensor, so a byte size that wraps shows as well as a wrapped
 // element count).
 func FuzzRebuild(f *testing.F) {
-	f.Add(uint8(KindTensor), (&Tensor{shape: []int{2, 3}}).Header(), make([]byte, 48))
-	f.Add(uint8(KindMat), (&Mat{rows: 2, cols: 2, channels: 3}).Header(), make([]byte, 12))
+	f.Add(uint8(KindTensor), be32(2, 2, 3), make([]byte, 48)) // 2 dims: 2×3
+	f.Add(uint8(KindMat), be32(2, 2, 3), make([]byte, 12))    // 2×2×3
 	f.Add(uint8(KindBlob), []byte(nil), []byte("blob"))
 	// 1380655685 × 3340214413 = 2^62+1 elements, whose byte size wraps to 8.
-	f.Add(uint8(KindTensor), (&Tensor{shape: []int{1380655685, 3340214413}}).Header(), make([]byte, 8))
+	f.Add(uint8(KindTensor), be32(2, 1380655685, 3340214413), make([]byte, 8))
 	f.Fuzz(func(t *testing.T, kind uint8, header, payload []byte) {
 		space := mem.NewSpace()
 		space.SetLimit(1 << 20)
@@ -50,6 +51,15 @@ func FuzzRebuild(f *testing.F) {
 			t.Fatalf("%v: payload %x (%v), want %x", o, got, err, payload)
 		}
 	})
+}
+
+// be32 encodes each of vals as a big-endian uint32, as shape headers are.
+func be32(vals ...uint32) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.BigEndian.AppendUint32(b, v)
+	}
+	return b
 }
 
 // TestShapeOverflowOutOfMemory: a shape whose byte size overflows an int is

@@ -12,9 +12,11 @@ import (
 // plus a payload buffer in simulated memory holding row-major
 // rows×cols×channels bytes.
 type Mat struct {
-	rows, cols, channels int
-	space                *mem.AddressSpace
-	region               mem.Region
+	// header is the shape as Header encodes it, and its only record: rows,
+	// cols and channels as big-endian uint32s.
+	header [12]byte
+	space  *mem.AddressSpace
+	region mem.Region
 }
 
 // NewMat allocates a zeroed rows×cols×channels image in space. A shape
@@ -31,7 +33,11 @@ func NewMat(space *mem.AddressSpace, rows, cols, channels int) (*Mat, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mat{rows: rows, cols: cols, channels: channels, space: space, region: r}, nil
+	m := &Mat{space: space, region: r}
+	binary.BigEndian.PutUint32(m.header[0:4], uint32(rows))
+	binary.BigEndian.PutUint32(m.header[4:8], uint32(cols))
+	binary.BigEndian.PutUint32(m.header[8:12], uint32(channels))
+	return m, nil
 }
 
 // MatFromBytes allocates a mat and fills it with data (len must equal
@@ -60,25 +66,20 @@ func (m *Mat) Space() *mem.AddressSpace { return m.space }
 func (m *Mat) Region() mem.Region { return m.region }
 
 // Rows returns the image height.
-func (m *Mat) Rows() int { return m.rows }
+func (m *Mat) Rows() int { return int(binary.BigEndian.Uint32(m.header[0:4])) }
 
 // Cols returns the image width.
-func (m *Mat) Cols() int { return m.cols }
+func (m *Mat) Cols() int { return int(binary.BigEndian.Uint32(m.header[4:8])) }
 
 // Channels returns the number of channels.
-func (m *Mat) Channels() int { return m.channels }
+func (m *Mat) Channels() int { return int(binary.BigEndian.Uint32(m.header[8:12])) }
 
 // Size returns the payload size in bytes.
-func (m *Mat) Size() int { return m.rows * m.cols * m.channels }
+func (m *Mat) Size() int { return m.Rows() * m.Cols() * m.Channels() }
 
-// Header encodes the shape for reconstruction after transfer.
-func (m *Mat) Header() []byte {
-	b := make([]byte, 0, 12)
-	b = binary.BigEndian.AppendUint32(b, uint32(m.rows))
-	b = binary.BigEndian.AppendUint32(b, uint32(m.cols))
-	b = binary.BigEndian.AppendUint32(b, uint32(m.channels))
-	return b
-}
+// Header returns the shape for reconstruction after transfer: rows, cols
+// and channels as big-endian uint32s, encoded once at creation.
+func (m *Mat) Header() []byte { return m.header[:] }
 
 // MatShapeFromHeader decodes a Mat header.
 func MatShapeFromHeader(h []byte) (rows, cols, channels int, err error) {
@@ -92,10 +93,11 @@ func MatShapeFromHeader(h []byte) (rows, cols, channels int, err error) {
 
 // offset computes the payload offset of a pixel channel.
 func (m *Mat) offset(row, col, ch int) (mem.Addr, error) {
-	if row < 0 || row >= m.rows || col < 0 || col >= m.cols || ch < 0 || ch >= m.channels {
-		return 0, fmt.Errorf("object: pixel (%d,%d,%d) out of %dx%dx%d", row, col, ch, m.rows, m.cols, m.channels)
+	rows, cols, channels := m.Rows(), m.Cols(), m.Channels()
+	if row < 0 || row >= rows || col < 0 || col >= cols || ch < 0 || ch >= channels {
+		return 0, fmt.Errorf("object: pixel (%d,%d,%d) out of %dx%dx%d", row, col, ch, rows, cols, channels)
 	}
-	return m.region.Base + mem.Addr((row*m.cols+col)*m.channels+ch), nil
+	return m.region.Base + mem.Addr((row*cols+col)*channels+ch), nil
 }
 
 // At reads one pixel channel through the MMU (permission-checked).
@@ -118,18 +120,20 @@ func (m *Mat) Set(row, col, ch int, v byte) error {
 
 // Row reads an entire row (all columns and channels).
 func (m *Mat) Row(row int) ([]byte, error) {
-	if row < 0 || row >= m.rows {
-		return nil, fmt.Errorf("object: row %d out of %d", row, m.rows)
+	if row < 0 || row >= m.Rows() {
+		return nil, fmt.Errorf("object: row %d out of %d", row, m.Rows())
 	}
-	return m.space.Load(m.region.Base+mem.Addr(row*m.cols*m.channels), m.cols*m.channels)
+	n := m.Cols() * m.Channels()
+	return m.space.Load(m.region.Base+mem.Addr(row*n), n)
 }
 
 // SetRow writes an entire row.
 func (m *Mat) SetRow(row int, data []byte) error {
-	if row < 0 || row >= m.rows || len(data) != m.cols*m.channels {
+	n := m.Cols() * m.Channels()
+	if row < 0 || row >= m.Rows() || len(data) != n {
 		return fmt.Errorf("object: bad row write")
 	}
-	return m.space.Store(m.region.Base+mem.Addr(row*m.cols*m.channels), data)
+	return m.space.Store(m.region.Base+mem.Addr(row*n), data)
 }
 
 // CloneInto deep-copies the mat into dst (possibly a different space) —
@@ -139,10 +143,10 @@ func (m *Mat) CloneInto(dst *mem.AddressSpace) (*Mat, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MatFromBytes(dst, m.rows, m.cols, m.channels, data)
+	return MatFromBytes(dst, m.Rows(), m.Cols(), m.Channels(), data)
 }
 
 // String describes the mat.
 func (m *Mat) String() string {
-	return fmt.Sprintf("Mat(%dx%dx%d @%#x)", m.rows, m.cols, m.channels, uint64(m.region.Base))
+	return fmt.Sprintf("Mat(%dx%dx%d @%#x)", m.Rows(), m.Cols(), m.Channels(), uint64(m.region.Base))
 }

@@ -50,7 +50,9 @@ type Object interface {
 	// Region is the payload's location.
 	Region() mem.Region
 	// Header returns the type-specific metadata (shape, etc.) used to
-	// reconstruct the object after a raw byte transfer.
+	// reconstruct the object after a raw byte transfer. The bytes are the
+	// object's own, kept from its creation, and the refs RefFor makes share
+	// them: callers read them and never write them.
 	Header() []byte
 }
 
@@ -135,20 +137,24 @@ func (r Ref) Append(b []byte) []byte {
 	return append(b, r.Header...)
 }
 
-// DecodeRef parses an encoded ref.
-func DecodeRef(b []byte) (Ref, error) {
+// DecodeRefInto parses an encoded ref into r. The header is copied, into
+// the array r.Header holds when that has room; an empty one decodes as
+// nil.
+func DecodeRefInto(r *Ref, b []byte) error {
 	if len(b) < 29 {
-		return Ref{}, fmt.Errorf("object: short ref (%d bytes)", len(b))
+		return fmt.Errorf("object: short ref (%d bytes)", len(b))
 	}
-	r := Ref{
-		PID:  binary.BigEndian.Uint32(b[0:4]),
-		ID:   binary.BigEndian.Uint64(b[4:12]),
-		Size: int(binary.BigEndian.Uint64(b[12:20])),
-		Kind: Kind(b[20]),
-		Hash: binary.BigEndian.Uint64(b[21:29]),
-	}
+	var header []byte
 	if len(b) > 29 {
-		r.Header = append([]byte(nil), b[29:]...)
+		header = append(r.Header[:0], b[29:]...)
 	}
-	return r, nil
+	*r = Ref{
+		PID:    binary.BigEndian.Uint32(b[0:4]),
+		ID:     binary.BigEndian.Uint64(b[4:12]),
+		Size:   int(binary.BigEndian.Uint64(b[12:20])),
+		Kind:   Kind(b[20]),
+		Hash:   binary.BigEndian.Uint64(b[21:29]),
+		Header: header,
+	}
+	return nil
 }

@@ -292,8 +292,8 @@ func TestRefEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeRef(ref.Encode())
-	if err != nil {
+	var dec Ref
+	if err := DecodeRefInto(&dec, ref.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if dec.PID != 9 || dec.ID != id || dec.Size != 9 || dec.Kind != KindMat || dec.Hash != ref.Hash {
@@ -302,10 +302,17 @@ func TestRefEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(dec.Header, ref.Header) {
 		t.Fatal("header lost in round trip")
 	}
+	// A second decode into the same Ref copies the header into the array
+	// it already holds.
+	header := dec.Header
+	if err := DecodeRefInto(&dec, ref.Encode()); err != nil || &dec.Header[0] != &header[0] || !bytes.Equal(dec.Header, ref.Header) {
+		t.Fatalf("decoding into a held header array: %v, header %x", err, dec.Header)
+	}
 }
 
 func TestDecodeRefShort(t *testing.T) {
-	if _, err := DecodeRef([]byte{1, 2, 3}); err == nil {
+	var r Ref
+	if err := DecodeRefInto(&r, []byte{1, 2, 3}); err == nil {
 		t.Fatal("short ref should fail to decode")
 	}
 }

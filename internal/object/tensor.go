@@ -12,7 +12,13 @@ import (
 // modeled on PyTorch/TensorFlow tensors. Elements are stored row-major,
 // 8 bytes each, big-endian.
 type Tensor struct {
-	shape  []int
+	// header is the shape as Header encodes it, and its only record: the
+	// dimension count, then each dimension, as big-endian uint32s. small
+	// holds it for up to four dimensions, so such a tensor is one
+	// allocation.
+	header []byte
+	small  [4 + 4*4]byte
+	n      int // element count
 	space  *mem.AddressSpace
 	region mem.Region
 }
@@ -27,7 +33,16 @@ func NewTensor(space *mem.AddressSpace, shape ...int) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tensor{shape: append([]int(nil), shape...), space: space, region: r}, nil
+	t := &Tensor{n: n, space: space, region: r}
+	t.header = t.small[:0]
+	if size := 4 + 4*len(shape); size > len(t.small) {
+		t.header = make([]byte, 0, size)
+	}
+	t.header = binary.BigEndian.AppendUint32(t.header, uint32(len(shape)))
+	for _, d := range shape {
+		t.header = binary.BigEndian.AppendUint32(t.header, uint32(d))
+	}
+	return t, nil
 }
 
 // TensorFromValues allocates a 1-D tensor initialized with vals.
@@ -72,30 +87,29 @@ func (t *Tensor) Space() *mem.AddressSpace { return t.space }
 // Region implements Object.
 func (t *Tensor) Region() mem.Region { return t.region }
 
+// rank returns the number of dimensions.
+func (t *Tensor) rank() int { return len(t.header)/4 - 1 }
+
+// dim returns the size of dimension i.
+func (t *Tensor) dim(i int) int { return int(binary.BigEndian.Uint32(t.header[4+4*i:])) }
+
 // Shape returns the tensor's dimensions.
-func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
+func (t *Tensor) Shape() []int {
+	shape := make([]int, t.rank())
+	for i := range shape {
+		shape[i] = t.dim(i)
+	}
+	return shape
+}
 
 // Len returns the number of elements.
-func (t *Tensor) Len() int {
-	n := 1
-	for _, d := range t.shape {
-		n *= d
-	}
-	return n
-}
+func (t *Tensor) Len() int { return t.n }
 
 // Size returns the payload size in bytes.
 func (t *Tensor) Size() int { return t.Len() * 8 }
 
-// Header encodes the shape.
-func (t *Tensor) Header() []byte {
-	b := make([]byte, 0, 4+4*len(t.shape))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(t.shape)))
-	for _, d := range t.shape {
-		b = binary.BigEndian.AppendUint32(b, uint32(d))
-	}
-	return b
-}
+// Header returns the shape, encoded once at creation.
+func (t *Tensor) Header() []byte { return t.header }
 
 // TensorShapeFromHeader decodes a tensor header.
 func TensorShapeFromHeader(h []byte) ([]int, error) {
@@ -115,15 +129,16 @@ func TensorShapeFromHeader(h []byte) ([]int, error) {
 
 // flatIndex converts multi-dim indices to a flat offset.
 func (t *Tensor) flatIndex(idx []int) (int, error) {
-	if len(idx) != len(t.shape) {
-		return 0, fmt.Errorf("object: %d indices for %d-dim tensor", len(idx), len(t.shape))
+	if len(idx) != t.rank() {
+		return 0, fmt.Errorf("object: %d indices for %d-dim tensor", len(idx), t.rank())
 	}
 	flat := 0
 	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			return 0, fmt.Errorf("object: index %d out of dim %d (size %d)", x, i, t.shape[i])
+		d := t.dim(i)
+		if x < 0 || x >= d {
+			return 0, fmt.Errorf("object: index %d out of dim %d (size %d)", x, i, d)
 		}
-		flat = flat*t.shape[i] + x
+		flat = flat*d + x
 	}
 	return flat, nil
 }
@@ -206,7 +221,7 @@ func (t *Tensor) CloneInto(dst *mem.AddressSpace) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	nt, err := NewTensor(dst, t.shape...)
+	nt, err := NewTensor(dst, t.Shape()...)
 	if err != nil {
 		return nil, err
 	}
@@ -218,5 +233,5 @@ func (t *Tensor) CloneInto(dst *mem.AddressSpace) (*Tensor, error) {
 
 // String describes the tensor.
 func (t *Tensor) String() string {
-	return fmt.Sprintf("Tensor(%v @%#x)", t.shape, uint64(t.region.Base))
+	return fmt.Sprintf("Tensor(%v @%#x)", t.Shape(), uint64(t.region.Base))
 }

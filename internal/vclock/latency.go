@@ -3,16 +3,22 @@ package vclock
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
 // Latencies accumulates per-request virtual latencies and reports
-// percentiles. Samples are virtual durations, so every statistic is
-// bit-reproducible across runs. Safe for concurrent Add.
+// percentiles. It keeps an exact value→count table instead of every
+// sample: virtual latencies repeat, so the table grows with the distinct
+// values, not with the requests, while nearest-rank percentiles and the
+// mean are exactly those of the full sample list. Samples are virtual
+// durations, so every statistic is bit-reproducible across runs. Safe for
+// concurrent Add.
 type Latencies struct {
-	mu      sync.Mutex
-	samples []Duration
+	mu     sync.Mutex
+	counts map[Duration]int
+	n      int
+	sum    Duration
 }
 
 // Add records one latency sample. Negative samples are clamped to zero
@@ -23,48 +29,48 @@ func (l *Latencies) Add(d Duration) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.samples = append(l.samples, d)
+	if l.counts == nil {
+		l.counts = make(map[Duration]int)
+	}
+	l.counts[d]++
+	l.n++
+	l.sum += d
 }
 
 // Len returns the number of recorded samples.
 func (l *Latencies) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.samples)
+	return l.n
 }
 
-// sorted returns a sorted copy of the samples.
-func (l *Latencies) sorted() []Duration {
-	l.mu.Lock()
-	out := make([]Duration, len(l.samples))
-	copy(out, l.samples)
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Percentile returns the nearest-rank percentile p in [0, 100]. Zero
-// samples read as zero.
+// Percentile returns the nearest-rank percentile p in [0, 100]: the
+// sample at 1-based rank ceil(p/100 * n) in sorted order, clamped to
+// [1, n]. Zero samples read as zero.
 func (l *Latencies) Percentile(p float64) Duration {
-	s := l.sorted()
-	if len(s) == 0 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.n == 0 {
 		return 0
 	}
-	if p <= 0 {
-		return s[0]
+	rank := 1
+	switch {
+	case p >= 100:
+		rank = l.n
+	case p > 0:
+		rank = min(max(int(math.Ceil(p/100*float64(l.n))), 1), l.n)
 	}
-	if p >= 100 {
-		return s[len(s)-1]
+	values := make([]Duration, 0, len(l.counts))
+	for v := range l.counts {
+		values = append(values, v)
 	}
-	// Nearest-rank: ceil(p/100 * n), 1-based.
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
+	slices.Sort(values)
+	for _, v := range values {
+		if rank -= l.counts[v]; rank <= 0 {
+			return v
+		}
 	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
+	return values[len(values)-1] // unreachable: the counts sum to n
 }
 
 // P50 is the median latency.
@@ -80,14 +86,10 @@ func (l *Latencies) P99() Duration { return l.Percentile(99) }
 func (l *Latencies) Mean() Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
+	if l.n == 0 {
 		return 0
 	}
-	var sum Duration
-	for _, d := range l.samples {
-		sum += d
-	}
-	return sum / Duration(len(l.samples))
+	return l.sum / Duration(l.n)
 }
 
 // String summarizes the distribution on one line.

@@ -1,6 +1,12 @@
 package vclock
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+)
 
 // TestPercentileEmpty pins the zero-sample convention: every percentile of
 // an empty distribution reads zero, not a panic or a sentinel.
@@ -127,4 +133,97 @@ func TestAddClampsNegative(t *testing.T) {
 	if got := l.Percentile(0); got != 0 {
 		t.Fatalf("min after negative Add = %v, want 0", got)
 	}
+}
+
+// refLatencies is the reference Latencies is held to: it keeps every
+// sample and reads nearest-rank percentiles and the integer-division mean
+// off the sorted list.
+type refLatencies []Duration
+
+func (r *refLatencies) add(d Duration) { *r = append(*r, max(d, 0)) }
+
+func (r refLatencies) percentile(p float64) Duration {
+	s := slices.Clone(r)
+	slices.Sort(s)
+	switch {
+	case len(s) == 0:
+		return 0
+	case p <= 0:
+		return s[0]
+	case p >= 100:
+		return s[len(s)-1]
+	}
+	rank := int(math.Ceil(p / 100 * float64(len(s))))
+	return s[min(max(rank, 1), len(s))-1]
+}
+
+func (r refLatencies) mean() Duration {
+	if len(r) == 0 {
+		return 0
+	}
+	var sum Duration
+	for _, d := range r {
+		sum += d
+	}
+	return sum / Duration(len(r))
+}
+
+// checkAgainst fails unless l reads as ref on every statistic.
+func checkAgainst(t *testing.T, l *Latencies, ref refLatencies) {
+	t.Helper()
+	for _, p := range []float64{0, 0.1, 50, 95, 99, 99.9, 100} {
+		if got, want := l.Percentile(p), ref.percentile(p); got != want {
+			t.Fatalf("n=%d: Percentile(%v) = %v, want %v", len(ref), p, got, want)
+		}
+	}
+	if got, want := l.Mean(), ref.mean(); got != want {
+		t.Fatalf("n=%d: Mean = %v, want %v", len(ref), got, want)
+	}
+	if l.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", l.Len(), len(ref))
+	}
+}
+
+// TestLatenciesMatchReference holds the value→count table to a reference
+// that keeps every sample: random sample sets of 0 to 2,000 samples, few
+// distinct values or many, some negative (clamped to zero), a sum that
+// does not divide evenly.
+func TestLatenciesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 100; trial++ {
+		var l Latencies
+		var ref refLatencies
+		distinct := 1 + rng.Intn(1+trial*5)
+		for range rng.Intn(2001) {
+			d := Duration(rng.Intn(distinct))*997 - 2000
+			l.Add(d)
+			ref.add(d)
+		}
+		checkAgainst(t, &l, ref)
+	}
+}
+
+// TestLatenciesConcurrentAdd: samples added from several goroutines at
+// once are all counted (run under -race).
+func TestLatenciesConcurrentAdd(t *testing.T) {
+	const workers, each = 4, 500
+	var l Latencies
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				l.Add(Duration((i*7 + w) % 37))
+			}
+		}()
+	}
+	wg.Wait()
+	var ref refLatencies
+	for w := range workers {
+		for i := range each {
+			ref.add(Duration((i*7 + w) % 37))
+		}
+	}
+	checkAgainst(t, &l, ref)
 }
