@@ -5,7 +5,9 @@
 package freepart
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"freepart.dev/freepart/internal/analysis"
@@ -14,6 +16,7 @@ import (
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/all"
+	"freepart.dev/freepart/internal/framework/simcv"
 	"freepart.dev/freepart/internal/ipc"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/trace"
@@ -303,5 +306,92 @@ func TestCrashedAgentRefsFailCleanly(t *testing.T) {
 	}
 	if _, _, err := rt.Call("cv.GaussianBlur", img2[0].Value()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFileReadsLeaveFilesUnchanged: kernel.FS.ReadFile hands out a file's
+// own bytes, so a reader that wrote into them would change the file. Every
+// file is read, and its bytes hashed, before the trace suite and before
+// each of the 23 apps at 8x, run under core.Direct and under the paper
+// defaults of core.New, with a crafted imread input that fires through
+// MaybeExploit after each app. After the run every one of those byte
+// slices hashes as it did, and every ReadFile result has its length as its
+// capacity. The slices, not the paths, are hashed again because an app may
+// replace its own files (OMRChecker writes new sheets over its inputs);
+// replacing a file leaves the bytes handed out before untouched.
+func TestFileReadsLeaveFilesUnchanged(t *testing.T) {
+	type read struct {
+		data []byte
+		sum  [sha256.Size]byte
+	}
+	readAll := func(k *kernel.Kernel) map[string]read {
+		out := map[string]read{}
+		for _, p := range k.FS.List("") {
+			data, err := k.FS.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(data) != len(data) {
+				t.Fatalf("ReadFile(%s) has cap %d for %d bytes", p, cap(data), len(data))
+			}
+			out[p] = read{data, sha256.Sum256(data)}
+		}
+		return out
+	}
+	unchanged := func(run string, k *kernel.Kernel, before map[string]read) {
+		for p, r := range before {
+			if sha256.Sum256(r.data) != r.sum {
+				t.Errorf("%s wrote into the bytes of %s", run, p)
+			}
+		}
+		readAll(k)
+	}
+
+	k := kernel.New()
+	trace.SetupSuiteInputs(k)
+	before := readAll(k)
+	reg := all.Registry()
+	runner := trace.NewRunner(reg)
+	builders := trace.Builders()
+	for _, api := range reg.All() {
+		b, ok := builders[api.Name]
+		if !ok {
+			b = trace.DefaultBuilder(api)
+		}
+		_, _ = runner.RunAPI(k, api, b)
+	}
+	unchanged("the trace suite", k, before)
+	cat := analysis.New(reg, runner.Recorder).Categorize()
+
+	for _, protected := range []bool{false, true} {
+		for _, a := range apps.All() {
+			k := kernel.New()
+			var log attack.Log
+			var ex core.Caller
+			if protected {
+				rt, err := core.New(k, all.Registry(), cat, core.Default())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				rt.OnExploit = log.Handler()
+				ex = rt
+			} else {
+				d := core.NewDirect(k, all.Registry())
+				d.Ctx.OnExploit = log.Handler()
+				ex = d
+			}
+			env := apps.NewEnvScaled(k, ex, a, 8)
+			k.FS.WriteFile("/crafted.img", attack.DoS(simcv.CVEImreadDoS))
+			run := fmt.Sprintf("%s (protected %v)", a.Name, protected)
+			before := readAll(k)
+			if err := a.Run(env); err != nil {
+				t.Fatalf("%s: %v", run, err)
+			}
+			if _, _, err := ex.Call("cv.imread", framework.Str("/crafted.img")); err == nil || len(log.Outcomes) != 1 {
+				t.Fatalf("%s: crafted imread = %v, %d exploits fired", run, err, len(log.Outcomes))
+			}
+			unchanged(run, k, before)
+		}
 	}
 }

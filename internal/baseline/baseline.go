@@ -252,16 +252,12 @@ func (s *System) Call(apiName string, args ...framework.Value) ([]core.Handle, [
 			resolved[i] = framework.Obj(ref.id)
 			continue
 		}
-		payload, err := object.PayloadBytes(o)
+		no, err := object.CopyInto(ctx.P.Space(), object.Ref{Kind: o.Kind(), Header: o.Header()}, o)
 		if err != nil {
 			return nil, nil, err
 		}
 		if !s.sharedData {
-			inBytes += len(payload)
-		}
-		no, err := object.Rebuild(ctx.P.Space(), object.Ref{Kind: o.Kind(), Header: o.Header()}, payload)
-		if err != nil {
-			return nil, nil, err
+			inBytes += no.Region().Size
 		}
 		resolved[i] = framework.Obj(s.putShadow(ctx, no))
 	}

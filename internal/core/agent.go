@@ -282,19 +282,20 @@ func (rt *Runtime) unmarshalArgs(a *agent, ctx *framework.Ctx, call *framework.C
 				continue
 			}
 		}
-		payload, err := rt.loadRemote(ref)
+		src, err := rt.remoteObject(ref)
 		if err != nil {
 			return nil, err
 		}
-		o, err := object.Rebuild(ctx.P.Space(), ref, payload)
+		o, err := object.CopyInto(ctx.P.Space(), ref, src)
 		if err != nil {
 			return nil, err
 		}
+		n := o.Region().Size
 		rt.Metrics.Update(func(m *metrics.Snapshot) {
 			m.LazyCopies++
-			m.BytesMoved += uint64(len(payload))
+			m.BytesMoved += uint64(n)
 		})
-		rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(len(payload)))
+		rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(n))
 		id := ctx.Table.Put(o)
 		a.mu.Lock()
 		a.deref[key] = id
@@ -304,8 +305,8 @@ func (rt *Runtime) unmarshalArgs(a *agent, ctx *framework.Ctx, call *framework.C
 	return args, nil
 }
 
-// loadRemote reads an object's payload out of its owning endpoint.
-func (rt *Runtime) loadRemote(ref object.Ref) ([]byte, error) {
+// remoteObject returns the object a ref names in its owning endpoint.
+func (rt *Runtime) remoteObject(ref object.Ref) (object.Object, error) {
 	ep, ok := rt.endpoint(ref.PID)
 	if !ok {
 		return nil, fmt.Errorf("core: no endpoint for pid %d", ref.PID)
@@ -318,7 +319,7 @@ func (rt *Runtime) loadRemote(ref object.Ref) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: dangling ref pid=%d id=%d", ref.PID, ref.ID)
 	}
-	return object.PayloadBytes(o)
+	return o, nil
 }
 
 // marshalReply encodes agent-local results as the reply: refs under LDC,

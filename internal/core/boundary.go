@@ -344,19 +344,16 @@ func (rt *Runtime) domainArgs(a *agent, ctx *framework.Ctx, args []framework.Val
 			if err != nil {
 				return nil, err
 			}
-			payload, err := object.PayloadBytes(o)
+			no, err := object.CopyInto(ctx.P.Space(), ref, o)
 			if err != nil {
 				return nil, err
 			}
-			no, err := object.Rebuild(ctx.P.Space(), ref, payload)
-			if err != nil {
-				return nil, err
-			}
+			n := no.Region().Size
 			rt.Metrics.Update(func(m *metrics.Snapshot) {
 				m.DomainCopies++
-				m.BytesMoved += uint64(len(payload))
+				m.BytesMoved += uint64(n)
 			})
-			rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
+			rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(n))
 			id := ctx.Table.Put(no)
 			_ = ctx.P.Space().SetKey(no.Region(), a.key)
 			local[i] = framework.Obj(id)
@@ -380,22 +377,23 @@ func (rt *Runtime) domainArgs(a *agent, ctx *framework.Ctx, args []framework.Val
 			if !ok {
 				return nil, fmt.Errorf("core: no endpoint for pid %d", ref.PID)
 			}
-			payload, err := rt.loadRemote(ref)
+			src, err := rt.remoteObject(ref)
 			if err != nil {
 				return nil, err
 			}
-			o, err := object.Rebuild(ctx.P.Space(), ref, payload)
+			o, err := object.CopyInto(ctx.P.Space(), ref, src)
 			if err != nil {
 				return nil, err
 			}
 			// An object another domain owns is in the same address space: a
 			// read-only page grant, no copy charged or counted.
 			if ep.space() != ctx.P.Space() {
+				n := o.Region().Size
 				rt.Metrics.Update(func(m *metrics.Snapshot) {
 					m.LazyCopies++
-					m.BytesMoved += uint64(len(payload))
+					m.BytesMoved += uint64(n)
 				})
-				rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(len(payload)))
+				rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(n))
 			}
 			id := ctx.Table.Put(o)
 			_ = ctx.P.Space().SetKey(o.Region(), a.key)
@@ -429,20 +427,17 @@ func (rt *Runtime) domainResults(a *agent, ctx *framework.Ctx, results []framewo
 		if rt.Config.LazyDataCopy {
 			return Handle{ref: ref, size: ref.Size, kind: ref.Kind}, nil
 		}
-		payload, err := object.PayloadBytes(o)
+		no, err := object.CopyInto(rt.Host.Space(), ref, o)
 		if err != nil {
 			return Handle{}, err
 		}
-		no, err := object.Rebuild(rt.Host.Space(), ref, payload)
-		if err != nil {
-			return Handle{}, err
-		}
+		n := no.Region().Size
 		rt.Metrics.Update(func(m *metrics.Snapshot) {
 			m.DomainCopies++
-			m.BytesMoved += uint64(len(payload))
+			m.BytesMoved += uint64(n)
 		})
-		rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
-		return Handle{local: rt.hostCtx.Table.Put(no), materialized: true, size: len(payload), kind: ref.Kind}, nil
+		rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(n))
+		return Handle{local: rt.hostCtx.Table.Put(no), materialized: true, size: n, kind: ref.Kind}, nil
 	})
 }
 

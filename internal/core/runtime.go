@@ -610,7 +610,11 @@ func (rt *Runtime) marshalArgs(args []framework.Value) (framework.Call, error) {
 				continue
 			}
 			// Without LDC a ref should never escape; materialize defensively.
-			payload, err := rt.loadRemote(v.Ref)
+			src, err := rt.remoteObject(v.Ref)
+			if err != nil {
+				return framework.Call{}, err
+			}
+			payload, err := object.PayloadBytes(src)
 			if err != nil {
 				return framework.Call{}, err
 			}
@@ -637,16 +641,8 @@ func (rt *Runtime) Locate(h Handle) (*mem.AddressSpace, mem.Region, bool) {
 		}
 		return o.Space(), o.Region(), true
 	}
-	ep, ok := rt.endpoint(h.ref.PID)
-	if !ok {
-		return nil, mem.Region{}, false
-	}
-	id := h.ref.ID
-	if ep.agent != nil {
-		id = ep.agent.resolveID(id)
-	}
-	o, ok := ep.table().Get(id)
-	if !ok {
+	o, err := rt.remoteObject(h.ref)
+	if err != nil {
 		return nil, mem.Region{}, false
 	}
 	return o.Space(), o.Region(), true
@@ -690,7 +686,11 @@ func (rt *Runtime) Fetch(h Handle) ([]byte, error) {
 	if err := rt.checkArg(h.Value()); err != nil {
 		return nil, err
 	}
-	payload, err := rt.loadRemote(h.ref)
+	src, err := rt.remoteObject(h.ref)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := object.PayloadBytes(src)
 	if err != nil {
 		return nil, err
 	}

@@ -94,19 +94,20 @@ func (rt *Runtime) callInHost(api *framework.API, args []framework.Value) ([]Han
 			local[i] = v
 			continue
 		}
-		payload, err := rt.loadRemote(v.Ref)
+		src, err := rt.remoteObject(v.Ref)
 		if err != nil {
 			return nil, nil, err
 		}
-		o, err := object.Rebuild(rt.Host.Space(), v.Ref, payload)
+		o, err := object.CopyInto(rt.Host.Space(), v.Ref, src)
 		if err != nil {
 			return nil, nil, err
 		}
+		n := o.Region().Size
 		rt.Metrics.Update(func(m *metrics.Snapshot) {
 			m.EagerCopies++
-			m.BytesMoved += uint64(len(payload))
+			m.BytesMoved += uint64(n)
 		})
-		rt.K.Clock.Advance(rt.K.Cost.CopyCost(len(payload)))
+		rt.K.Clock.Advance(rt.K.Cost.CopyCost(n))
 		local[i] = framework.Obj(rt.hostCtx.Table.Put(o))
 	}
 	results, err := api.Exec(rt.hostCtx, local)
@@ -143,19 +144,16 @@ func (rt *Runtime) unsealed(id uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	payload, err := object.PayloadBytes(o)
+	c, err := object.CopyInto(rt.Host.Space(), ref, o)
 	if err != nil {
 		return 0, err
 	}
-	c, err := object.Rebuild(rt.Host.Space(), ref, payload)
-	if err != nil {
-		return 0, err
-	}
+	n := c.Region().Size
 	rt.Metrics.Update(func(m *metrics.Snapshot) {
 		m.DomainCopies++
-		m.BytesMoved += uint64(len(payload))
+		m.BytesMoved += uint64(n)
 	})
-	rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
+	rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(n))
 	return rt.hostCtx.Table.Put(c), nil
 }
 

@@ -124,7 +124,9 @@ func (c *Ctx) MaybeExploit(api *API, data []byte) (bool, error) {
 
 // --- kernel-mediated I/O with dynamic-trace emission -------------------------
 
-// FileRead loads a file into memory, emitting W(MEM, R(FILE)).
+// FileRead loads a file into memory, emitting W(MEM, R(FILE)). The bytes
+// are the file's own (kernel.FS.ReadFile) and are only read: an API
+// decodes them, or stores them into its space with NewBlob or the like.
 func (c *Ctx) FileRead(path string) ([]byte, error) {
 	data, err := c.K.FileRead(c.P, path)
 	if err != nil {

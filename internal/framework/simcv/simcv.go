@@ -28,12 +28,17 @@ func EncodeImage(rows, cols, channels int, data []byte) ([]byte, error) {
 	if len(data) != rows*cols*channels {
 		return nil, fmt.Errorf("simcv: encode %d bytes for shape %dx%dx%d", len(data), rows, cols, channels)
 	}
-	out := make([]byte, 0, 16+len(data))
+	return append(imageHeader(rows, cols, channels, len(data)), data...), nil
+}
+
+// imageHeader returns an image's 16 header bytes, in a slice with room for
+// its n payload bytes.
+func imageHeader(rows, cols, channels, n int) []byte {
+	out := make([]byte, 0, 16+n)
 	out = append(out, imgMagic...)
 	out = binary.BigEndian.AppendUint32(out, uint32(rows))
 	out = binary.BigEndian.AppendUint32(out, uint32(cols))
-	out = binary.BigEndian.AppendUint32(out, uint32(channels))
-	return append(out, data...), nil
+	return binary.BigEndian.AppendUint32(out, uint32(channels))
 }
 
 // DecodeImage parses the simcv file format.
@@ -51,13 +56,17 @@ func DecodeImage(b []byte) (rows, cols, channels int, data []byte, err error) {
 	return rows, cols, channels, data, nil
 }
 
-// EncodeMat serializes a mat object to the image format.
+// EncodeMat serializes a mat object to the image format. The payload is
+// loaded straight into the encoding, past its header, with the one checked
+// load PayloadBytes would make.
 func EncodeMat(m *object.Mat) ([]byte, error) {
-	data, err := object.PayloadBytes(m)
-	if err != nil {
+	r := m.Region()
+	out := imageHeader(m.Rows(), m.Cols(), m.Channels(), r.Size)
+	out = out[:16+r.Size]
+	if err := m.Space().LoadAt(r.Base, out[16:]); err != nil {
 		return nil, err
 	}
-	return EncodeImage(m.Rows(), m.Cols(), m.Channels(), data)
+	return out, nil
 }
 
 // matAndBytes resolves an argument to its mat and full payload.

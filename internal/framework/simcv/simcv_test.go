@@ -97,6 +97,27 @@ func TestImageEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestEncodeMatLoadsInPlace: EncodeMat encodes a mat as EncodeImage does
+// its bytes, with one checked load straight into the encoding, its only
+// allocation.
+func TestEncodeMatLoadsInPlace(t *testing.T) {
+	k := kernel.New()
+	space := k.Spawn("test").Space()
+	data := []byte{1, 2, 3, 4, 5, 6}
+	m, err := object.MatFromBytes(space, 2, 3, 1, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := simcv.EncodeImage(2, 3, 1, data)
+	loads := space.Stats().Loads
+	if got, err := simcv.EncodeMat(m); err != nil || string(got) != string(want) || space.Stats().Loads != loads+1 {
+		t.Fatalf("EncodeMat = %v, %v after %d loads", got, err, space.Stats().Loads-loads)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = simcv.EncodeMat(m) }); allocs != 1 {
+		t.Fatalf("EncodeMat made %v allocs, want 1", allocs)
+	}
+}
+
 func TestImreadImwriteRoundTrip(t *testing.T) {
 	e := newEnv(t)
 	data := make([]byte, 6*4*3)

@@ -38,6 +38,7 @@ func (c *Camera) Read() (frame []byte, ok bool) {
 		return nil, false
 	}
 	frame = c.frames[0]
+	c.frames[0] = nil // the queue's array no longer keeps the frame
 	c.frames = c.frames[1:]
 	c.reads++
 	return frame, true
@@ -130,6 +131,7 @@ func (n *Network) Recv(host string) (data []byte, ok bool) {
 		return nil, false
 	}
 	data = q[0]
+	q[0] = nil // the queue's array no longer keeps the message
 	n.inbound[host] = q[1:]
 	return data, true
 }

@@ -30,7 +30,12 @@ func (fs *FS) WriteFile(path string, data []byte) {
 	fs.files[path] = append([]byte(nil), data...)
 }
 
-// ReadFile returns a copy of the file's contents.
+// ReadFile returns the file's contents: the file's own bytes, not a copy,
+// so callers must only read them. The slice's capacity is its length, so
+// an append to it copies instead of reaching bytes an AppendFile adds.
+// The FS never writes the bytes it hands out: WriteFile replaces a file
+// with a copy of its own, and AppendFile writes only past every length a
+// reader holds.
 func (fs *FS) ReadFile(path string) ([]byte, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -38,7 +43,7 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("fs: no such file: %s", path)
 	}
-	return append([]byte(nil), data...), nil
+	return data[:len(data):len(data)], nil
 }
 
 // AppendFile appends to a file, creating it if absent.

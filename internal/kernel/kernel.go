@@ -278,7 +278,9 @@ func (k *Kernel) syscalls(p *Process, calls ...Sysno) error {
 
 // FileRead performs the openat/fstat/read/lseek/close sequence a data-
 // loading API issues (Fig. 12) and returns the file contents, charging
-// device-read cost per byte.
+// device-read cost per byte. The bytes are the file's own (FS.ReadFile):
+// a caller decodes, hashes or compares them, or stores them into
+// simulated memory, and never writes them.
 func (k *Kernel) FileRead(p *Process, path string) ([]byte, error) {
 	if err := k.syscalls(p, SysOpenat, SysFstat, SysRead, SysLseek, SysClose); err != nil {
 		return nil, err

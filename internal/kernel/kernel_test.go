@@ -190,6 +190,29 @@ func TestFileReadWrite(t *testing.T) {
 	}
 }
 
+// TestReadFileSharesFileBytes: ReadFile hands out the file's own bytes,
+// capped at their length, and neither an append to the file nor a rewrite
+// of it changes bytes a reader already holds.
+func TestReadFileSharesFileBytes(t *testing.T) {
+	fs := NewFS()
+	fs.WriteFile("/f", []byte("abc"))
+	fs.AppendFile("/f", []byte("d"))
+	a, _ := fs.ReadFile("/f")
+	b, _ := fs.ReadFile("/f")
+	if string(a) != "abcd" || cap(a) != len(a) || &a[0] != &b[0] {
+		t.Fatalf("ReadFile = %q, cap %d, shared %v", a, cap(a), &a[0] == &b[0])
+	}
+	fs.AppendFile("/f", []byte("e"))
+	fs.WriteFile("/g", a)
+	fs.WriteFile("/f", []byte("xyz!"))
+	if string(a) != "abcd" {
+		t.Fatalf("held bytes changed to %q", a)
+	}
+	if g, _ := fs.ReadFile("/g"); string(g) != "abcd" || &g[0] == &a[0] {
+		t.Fatalf("WriteFile kept the caller's bytes: %q", g)
+	}
+}
+
 func TestFileReadMissing(t *testing.T) {
 	k := New()
 	p := k.Spawn("a")
@@ -320,6 +343,42 @@ func TestCameraExhaustion(t *testing.T) {
 	}
 	if cam.Reads() != 1 || cam.Pending() != 0 {
 		t.Fatalf("camera stats: reads=%d pending=%d", cam.Reads(), cam.Pending())
+	}
+}
+
+// TestConsumedQueueItemsReleased: once every frame and message has been
+// read, the queues' backing arrays hold none of them, so a device does not
+// keep what it handed out reachable.
+func TestConsumedQueueItemsReleased(t *testing.T) {
+	cam := NewCamera("/dev/camera0")
+	for i := 0; i < 4; i++ {
+		cam.Push([]byte{byte(i)})
+	}
+	frames := cam.frames[:cap(cam.frames)]
+	for i := 0; i < 4; i++ {
+		if f, ok := cam.Read(); !ok || f[0] != byte(i) {
+			t.Fatalf("frame %d = %v, %v", i, f, ok)
+		}
+	}
+	n := NewNetwork()
+	for i := 0; i < 3; i++ {
+		n.QueueInbound("srv", []byte{byte(i)})
+	}
+	msgs := n.inbound["srv"][:cap(n.inbound["srv"])]
+	for i := 0; i < 3; i++ {
+		if d, ok := n.Recv("srv"); !ok || d[0] != byte(i) {
+			t.Fatalf("message %d = %v, %v", i, d, ok)
+		}
+	}
+	for i, f := range frames {
+		if f != nil {
+			t.Errorf("camera queue slot %d still holds a read frame", i)
+		}
+	}
+	for i, m := range msgs {
+		if m != nil {
+			t.Errorf("network queue slot %d still holds a received message", i)
+		}
 	}
 }
 

@@ -315,6 +315,8 @@ const (
 	fzStore               // addr, u16 length, fill byte
 	fzHook                // toggle a hook that vetoes some accesses
 	fzSnapshot            // mode, region index; addr and size unless a live region is picked
+	fzCopy                // mode (source and destination space), addr, size
+	fzStoreInPlace        // space, addr, u16 length, fill byte
 	fzOps
 )
 
@@ -344,7 +346,9 @@ func vetoes(addr Addr, n int, kind AccessKind) error {
 // page's permission, key, region and contents. A Snapshot is held to the
 // reference's Load, and to the sharing rule: the same slice for a whole
 // region until a Store into its mapping or its Free, and no snapshot's
-// bytes ever change.
+// bytes ever change. A second space, with a reference of its own, takes
+// copies: Copy within a space and between the two is held to the
+// reference's Load, Alloc and Store, and StoreInPlace to its Store.
 func FuzzAddressSpace(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -352,19 +356,62 @@ func FuzzAddressSpace(f *testing.F) {
 	f.Fuzz(runScript)
 }
 
-// runScript runs one fuzz script on a fresh space and its reference.
-func runScript(t *testing.T, in []byte) {
+// fzSpace is one scripted space with its reference model, the regions
+// allocated in it and each whole region's current snapshot.
+type fzSpace struct {
+	s    *AddressSpace
+	ref  *refSpace
+	live []Region
+	kept map[Region][]byte
+}
+
+func newFzSpace() *fzSpace {
 	s := NewSpace()
 	s.SetLimit(fuzzLimit)
-	ref := newRefSpace(s.ID(), fuzzLimit)
-	var hookCalls, refHookCalls int
-	var live []Region
-	kept := map[Region][]byte{} // each whole region's current snapshot
-	var snaps []snapshot        // every snapshot taken, to check none changes
+	return &fzSpace{s: s, ref: newRefSpace(s.ID(), fuzzLimit), kept: map[Region][]byte{}}
+}
+
+// stored drops the kept snapshot of every region a store into
+// [addr, addr+n) wrote into the mapping of.
+func (f *fzSpace) stored(addr Addr, n int) {
+	written := Region{Base: addr, Size: n}
+	for r := range f.kept {
+		if written.Overlaps(Region{Base: r.Base, Size: roundUp(r.Size)}) {
+			delete(f.kept, r)
+		}
+	}
+}
+
+// peek returns the n bytes at addr in the space, without a check or a
+// count.
+func (f *fzSpace) peek(addr Addr, n int) []byte {
+	f.s.mu.Lock()
+	defer f.s.mu.Unlock()
+	buf := make([]byte, n)
+	f.s.read(addr, buf)
+	return buf
+}
+
+// hookCall is one access-hook call, recorded to compare order.
+type hookCall struct {
+	space SpaceID
+	addr  Addr
+	n     int
+	kind  AccessKind
+}
+
+// runScript runs one fuzz script on a fresh space and its reference.
+func runScript(t *testing.T, in []byte) {
+	a, b := newFzSpace(), newFzSpace()
+	spaces := [2]*fzSpace{a, b}
+	var hooked bool
+	var hookLog, refHookLog []hookCall
+	var snaps []snapshot // every snapshot taken, to check none changes
 	sc := &script{b: in}
 	for step := 0; step < fuzzSteps && len(sc.b) > 0; step++ {
 		op := sc.byte() % fzOps
 		name := scriptStep{step, op}
+		s, ref := a.s, a.ref
 		switch op {
 		case fzAlloc:
 			size := int(int16(sc.u16()))
@@ -375,29 +422,30 @@ func runScript(t *testing.T, in []byte) {
 				t.Fatalf("%s: Alloc(%d) = %+v, reference %+v", name, size, got, want)
 			}
 			if err == nil {
-				live = append(live, got)
+				a.live = append(a.live, got)
 			}
 		case fzFree:
-			idx, mode := int(sc.byte()), sc.byte()%3
-			if len(live) == 0 {
+			idx, mode := int(sc.byte()), sc.byte()
+			f := spaces[mode/3%2]
+			if len(f.live) == 0 {
 				continue
 			}
-			idx %= len(live)
-			r := live[idx]
-			switch mode {
+			idx %= len(f.live)
+			r := f.live[idx]
+			switch mode % 3 {
 			case 1:
 				r.Size++
 			case 2:
 				r.Base += PageSize
 			}
-			err := s.Free(r)
-			sameErr(t, name, err, ref.Free(r))
+			err := f.s.Free(r)
+			sameErr(t, name, err, f.ref.Free(r))
 			if err == nil {
-				live = append(live[:idx], live[idx+1:]...)
-				delete(kept, r)
+				f.live = append(f.live[:idx], f.live[idx+1:]...)
+				delete(f.kept, r)
 			}
 		case fzProtect:
-			addr, size, perm := sc.addr(live), sc.size(), Perm(sc.byte())&(PermRead|PermWrite|PermExec)
+			addr, size, perm := sc.addr(a.live), sc.size(), Perm(sc.byte())&(PermRead|PermWrite|PermExec)
 			n, err := s.Protect(addr, size, perm)
 			rn, rerr := ref.Protect(addr, size, perm)
 			sameErr(t, name, err, rerr)
@@ -405,14 +453,14 @@ func runScript(t *testing.T, in []byte) {
 				t.Fatalf("%s: Protect(%#x, %d) touched %d pages, reference %d", name, addr, size, n, rn)
 			}
 		case fzSetKey:
-			r := Region{Base: sc.addr(live), Size: sc.size()}
+			r := Region{Base: sc.addr(a.live), Size: sc.size()}
 			k := Key(sc.byte()) % (MaxKey + 2)
 			sameErr(t, name, s.SetKey(r, k), ref.SetKey(r, k))
 		case fzSetKeyAccess:
 			k, bits := Key(sc.byte())%(MaxKey+2), sc.byte()
 			sameErr(t, name, s.SetKeyAccess(k, bits&1 != 0, bits&2 != 0), ref.SetKeyAccess(k, bits&1 != 0, bits&2 != 0))
 		case fzLoad:
-			addr, n := sc.addr(live), sc.size()
+			addr, n := sc.addr(a.live), sc.size()
 			got, err := s.Load(addr, n)
 			want, rerr := ref.Load(addr, n)
 			sameErr(t, name, err, rerr)
@@ -420,14 +468,14 @@ func runScript(t *testing.T, in []byte) {
 				t.Fatalf("%s: Load(%#x, %d) bytes differ from the reference", name, addr, n)
 			}
 		case fzLoadAt:
-			addr, n := sc.addr(live), int(sc.u16())%(3*PageSize)
+			addr, n := sc.addr(a.live), int(sc.u16())%(3*PageSize)
 			got, want := make([]byte, n), make([]byte, n)
 			sameErr(t, name, s.LoadAt(addr, got), ref.LoadAt(addr, want))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: LoadAt(%#x, %d) bytes differ from the reference", name, addr, n)
 			}
 		case fzStore:
-			addr, n, fill := sc.addr(live), int(sc.u16())%(3*PageSize), sc.byte()
+			addr, n, fill := sc.addr(a.live), int(sc.u16())%(3*PageSize), sc.byte()
 			buf := make([]byte, n)
 			for i := range buf {
 				buf[i] = fill + byte(i)
@@ -435,37 +483,92 @@ func runScript(t *testing.T, in []byte) {
 			err := s.Store(addr, buf)
 			sameErr(t, name, err, ref.Store(addr, buf))
 			if err == nil {
-				written := Region{Base: addr, Size: n}
-				for r := range kept {
-					if written.Overlaps(Region{Base: r.Base, Size: roundUp(r.Size)}) {
-						delete(kept, r)
-					}
-				}
+				a.stored(addr, n)
 			}
-		case fzHook:
-			if ref.hook != nil {
-				s.SetAccessHook(nil)
-				ref.hook = nil
+		case fzStoreInPlace:
+			f := spaces[sc.byte()%2]
+			addr, n, fill := sc.addr(f.live), int(sc.u16())%(3*PageSize), sc.byte()
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = fill + byte(i)
+			}
+			var parts []int
+			off := 0
+			err := f.s.StoreInPlace(addr, n, func(p []byte) {
+				parts = append(parts, len(p))
+				off += copy(p, buf[off:])
+			})
+			sameErr(t, name, err, f.ref.Store(addr, buf))
+			if err != nil {
+				if len(parts) > 0 {
+					t.Fatalf("%s: StoreInPlace(%#x, %d) wrote after a refused check", name, addr, n)
+				}
 				break
 			}
-			s.SetAccessHook(func(addr Addr, n int, kind AccessKind) error {
-				hookCalls++
-				return vetoes(addr, n, kind)
-			})
-			ref.hook = func(addr Addr, n int, kind AccessKind) error {
-				refHookCalls++
-				return vetoes(addr, n, kind)
+			// The parts are the range in address order, split only where
+			// one mapping ends and the next begins.
+			end := addr
+			for i, p := range parts {
+				if end += Addr(p); p == 0 || i < len(parts)-1 && end%PageSize != 0 {
+					t.Fatalf("%s: StoreInPlace(%#x, %d) part %d of %d bytes ends inside a page", name, addr, n, i, p)
+				}
+			}
+			if off != n || !bytes.Equal(f.peek(addr, n), buf) {
+				t.Fatalf("%s: StoreInPlace(%#x, %d) handed out %d bytes or wrote other bytes than the reference Store", name, addr, n, off)
+			}
+			f.stored(addr, n)
+		case fzCopy:
+			mode := sc.byte()
+			src, dst := spaces[mode%2], spaces[mode/2%2]
+			addr, n := sc.addr(src.live), sc.size()
+			regions := dst.s.Regions()
+			got, err := Copy(dst.s, src.s, addr, n)
+			want, rerr := src.ref.Load(addr, n)
+			var wr Region
+			if rerr == nil {
+				if wr, rerr = dst.ref.Alloc(n); rerr == nil {
+					dst.live = append(dst.live, wr)
+					rerr = dst.ref.Store(wr.Base, want)
+				}
+			}
+			sameErr(t, name, err, rerr)
+			switch {
+			case err == nil && (got != wr || !bytes.Equal(dst.peek(got.Base, got.Size), want)):
+				t.Fatalf("%s: Copy(%#x, %d) = %+v, reference %+v, or its bytes differ from the reference Load", name, addr, n, got, wr)
+			case err != nil && got != (Region{}):
+				t.Fatalf("%s: Copy(%#x, %d) failed and returned %+v", name, addr, n, got)
+			case wr == (Region{}) && !slices.Equal(dst.s.Regions(), regions):
+				t.Fatalf("%s: Copy(%#x, %d) allocated after its read failed", name, addr, n)
+			}
+		case fzHook:
+			hooked = !hooked
+			for _, f := range spaces {
+				if !hooked {
+					f.s.SetAccessHook(nil)
+					f.ref.hook = nil
+					continue
+				}
+				id := f.s.ID()
+				f.s.SetAccessHook(func(addr Addr, n int, kind AccessKind) error {
+					hookLog = append(hookLog, hookCall{id, addr, n, kind})
+					return vetoes(addr, n, kind)
+				})
+				f.ref.hook = func(addr Addr, n int, kind AccessKind) error {
+					refHookLog = append(refHookLog, hookCall{id, addr, n, kind})
+					return vetoes(addr, n, kind)
+				}
 			}
 		case fzSnapshot:
 			mode, idx := sc.byte(), int(sc.byte())
+			f := spaces[mode/2%2]
 			var r Region
-			if mode%2 == 0 && len(live) > 0 {
-				r = live[idx%len(live)]
+			if mode%2 == 0 && len(f.live) > 0 {
+				r = f.live[idx%len(f.live)]
 			} else {
-				r = Region{Base: sc.addr(live), Size: sc.size()}
+				r = Region{Base: sc.addr(f.live), Size: sc.size()}
 			}
-			got, err := s.Snapshot(r)
-			want, rerr := ref.Load(r.Base, r.Size)
+			got, err := f.s.Snapshot(r)
+			want, rerr := f.ref.Load(r.Base, r.Size)
 			sameErr(t, name, err, rerr)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: Snapshot(%#x+%d) bytes differ from the reference Load", name, r.Base, r.Size)
@@ -473,15 +576,15 @@ func runScript(t *testing.T, in []byte) {
 			if err != nil {
 				break
 			}
-			prev, shared := kept[r]
+			prev, shared := f.kept[r]
 			switch {
 			case shared && &got[0] != &prev[0]:
 				t.Fatalf("%s: Snapshot(%#x+%d) copied an unchanged region again", name, r.Base, r.Size)
 			case !shared && slices.ContainsFunc(snaps, func(o snapshot) bool { return &o.got[0] == &got[0] }):
 				t.Fatalf("%s: Snapshot(%#x+%d) returned a slice taken before a write or a free", name, r.Base, r.Size)
 			}
-			if slices.Contains(live, r) {
-				kept[r] = got
+			if slices.Contains(f.live, r) {
+				f.kept[r] = got
 			}
 			snaps = append(snaps, snapshot{got: got, want: bytes.Clone(got)})
 		}
@@ -490,14 +593,19 @@ func runScript(t *testing.T, in []byte) {
 				t.Fatalf("%s: a snapshot's bytes changed after it was taken", name)
 			}
 		}
-		if got, want := s.Stats(), ref.Stats(); got != want {
-			t.Fatalf("%s: stats %+v, reference %+v", name, got, want)
+		for i, f := range spaces {
+			if got, want := f.s.Stats(), f.ref.Stats(); got != want {
+				t.Fatalf("%s: space %d stats %+v, reference %+v", name, i, got, want)
+			}
 		}
-		if hookCalls != refHookCalls {
-			t.Fatalf("%s: %d hook calls, reference %d", name, hookCalls, refHookCalls)
+		if !slices.Equal(hookLog, refHookLog) {
+			t.Fatalf("%s: hook calls %v, reference %v", name, hookLog, refHookLog)
 		}
+		hookLog, refHookLog = hookLog[:0], refHookLog[:0]
 	}
-	comparePages(t, s, ref)
+	for _, f := range spaces {
+		comparePages(t, f.s, f.ref)
+	}
 }
 
 // snapshot is a slice Snapshot returned and a copy of its bytes then.
@@ -574,8 +682,9 @@ func fzLen(n uint16) []byte       { return []byte{byte(n >> 8), byte(n)} }
 
 // fuzzSeeds are the scripted corner cases: an access across two adjacent
 // regions, partial reuse of a larger freed span, Protect and SetKey across
-// a region boundary and across an unmapped gap, and ranges that wrap the
-// address space or have a bad length.
+// a region boundary and across an unmapped gap, snapshots, copies and
+// stores in place, and ranges that wrap the address space or have a bad
+// length.
 func fuzzSeeds() [][]byte {
 	return [][]byte{
 		// Two adjacent regions; a store and loads across their boundary.
@@ -666,6 +775,50 @@ func fuzzSeeds() [][]byte {
 			fzOp(fzHook),
 			fzOp(fzLoad, fzAbs(256), fzSize(64)),
 			fzOp(fzStore, fzBase(0, 3), fzLen(64), []byte{4}),
+		),
+		// Copies into the second space, back, and within each, one across
+		// two adjacent source regions; a snapshot of a copy, shared until a
+		// store in place drops it; stores in place across a region boundary
+		// and onto a read-only page; a copy into a freed and reused span.
+		slices.Concat(
+			fzAllocOp(5000), fzAllocOp(100),
+			fzOp(fzStore, fzBase(0, 0), fzLen(2*PageSize+50), []byte{0x11}),
+			fzOp(fzCopy, []byte{2}, fzBase(0, 0), fzSize(5000)),
+			fzOp(fzSnapshot, []byte{2, 0}),
+			fzOp(fzSnapshot, []byte{2, 0}),
+			fzOp(fzStoreInPlace, []byte{1}, fzBase(0, 10), fzLen(20), []byte{0x22}),
+			fzOp(fzSnapshot, []byte{2, 0}),
+			fzOp(fzCopy, []byte{1}, fzBase(0, 0), fzSize(5000)),
+			fzOp(fzCopy, []byte{0}, fzBase(0, 8000), fzSize(300)),
+			fzOp(fzCopy, []byte{3}, fzBase(0, 0), fzSize(100)),
+			fzOp(fzStoreInPlace, []byte{0}, fzBase(1, -10), fzLen(20), []byte{0x33}),
+			fzOp(fzProtect, fzBase(1, 0), fzSize(1), []byte{byte(PermRead)}),
+			fzOp(fzStoreInPlace, []byte{0}, fzBase(1, -10), fzLen(20), []byte{0x44}),
+			fzOp(fzFree, []byte{0, 3}),
+			fzOp(fzCopy, []byte{2}, fzBase(1, 0), fzSize(100)),
+			fzOp(fzSnapshot, []byte{2, 1}),
+		),
+		// Copies that fail: the destination's hook refuses the write (the
+		// region stays allocated), the source's hook or permission refuses
+		// the read (nothing is allocated), a bad length, a range that wraps,
+		// and a destination out of memory after three 16-page copies.
+		slices.Concat(
+			fzAllocOp(100),
+			fzOp(fzStore, fzBase(0, 0), fzLen(100), []byte{5}),
+			fzOp(fzHook),
+			fzOp(fzCopy, []byte{2}, fzBase(0, 0), fzSize(5)),
+			fzOp(fzCopy, []byte{2}, fzBase(0, 0), fzSize(6)),
+			fzOp(fzHook),
+			fzOp(fzProtect, fzBase(0, 0), fzSize(1), []byte{byte(PermNone)}),
+			fzOp(fzCopy, []byte{2}, fzBase(0, 0), fzSize(10)),
+			fzOp(fzProtect, fzBase(0, 0), fzSize(1), []byte{byte(PermRW)}),
+			fzOp(fzCopy, []byte{2}, fzBase(0, 0), fzNeg(-1)),
+			fzOp(fzCopy, []byte{2}, fzTop(10), fzSize(100)),
+			fzAllocOp(8*PageSize-1), fzAllocOp(8*PageSize-1), fzAllocOp(8*PageSize-1), fzAllocOp(8*PageSize-1),
+			fzOp(fzCopy, []byte{2}, fzBase(1, 0), fzPages(16)),
+			fzOp(fzCopy, []byte{2}, fzBase(1, 0), fzPages(16)),
+			fzOp(fzCopy, []byte{2}, fzBase(1, 0), fzPages(16)),
+			fzOp(fzCopy, []byte{2}, fzBase(1, 0), fzPages(16)),
 		),
 	}
 }

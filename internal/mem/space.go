@@ -87,7 +87,8 @@ func (m *mapping) region() Region { return Region{Base: m.base, Size: m.size} }
 // AccessHook observes every checked access before the permission tables are
 // consulted and may veto it by returning a non-nil error — the seam used by
 // the chaos engine to raise spurious faults on otherwise-legal accesses.
-// The hook runs with the space lock held and must not re-enter the space.
+// The hook runs with the space lock held, and during a Copy with the other
+// space's lock too, and must not re-enter either space.
 type AccessHook func(addr Addr, n int, kind AccessKind) error
 
 // Region describes a contiguous allocated range.
@@ -169,11 +170,16 @@ func roundUp(n int) int {
 // bleeds into a neighbouring allocation (matching how the paper protects
 // whole buffers).
 func (s *AddressSpace) Alloc(size int) (Region, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.alloc(size)
+}
+
+// alloc is Alloc under mu.
+func (s *AddressSpace) alloc(size int) (Region, error) {
 	if size <= 0 {
 		return Region{}, fmt.Errorf("%w: alloc size %d", ErrBadRange, size)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := Addr(roundUp(size))
 	sp, ok := s.takeFreed(n)
 	if !ok {
@@ -431,10 +437,16 @@ func (s *AddressSpace) Snapshot(r Region) ([]byte, error) {
 	return m.snap, nil
 }
 
-// load copies the checked range at addr into buf, under mu.
+// load counts a checked load of len(buf) bytes at addr and copies them
+// into buf, under mu.
 func (s *AddressSpace) load(addr Addr, buf []byte) {
 	s.stats.Loads++
 	s.stats.BytesLoaded += uint64(len(buf))
+	s.read(addr, buf)
+}
+
+// read copies the checked range at addr into buf, under mu.
+func (s *AddressSpace) read(addr Addr, buf []byte) {
 	for i, off := s.seek(addr), 0; off < len(buf); i++ {
 		m := &s.maps[i]
 		off += copy(buf[off:], m.bytes()[addr+Addr(off)-m.base:])
@@ -444,19 +456,42 @@ func (s *AddressSpace) load(addr Addr, buf []byte) {
 // Store writes buf to memory starting at addr, checking write permission.
 // It drops the snapshot of every mapping it writes into.
 func (s *AddressSpace) Store(addr Addr, buf []byte) error {
+	off := 0
+	return s.StoreInPlace(addr, len(buf), func(b []byte) { off += copy(b, buf[off:]) })
+}
+
+// StoreInPlace is Store for a caller that makes the bytes where they land
+// (Store is StoreInPlace with a write that copies its buffer): it checks
+// and counts a store of n bytes at addr, drops the snapshot of every
+// mapping the range covers, then calls write on the range's bytes
+// themselves, once per mapping the range covers, in address order, so a
+// range inside one region is one call with all n bytes. write is not
+// called when the check fails, and runs with the space locked: it must
+// not touch the space, nor keep the slice.
+func (s *AddressSpace) StoreInPlace(addr Addr, n int, write func(b []byte)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.check(addr, len(buf), AccessWrite); err != nil {
+	if err := s.check(addr, n, AccessWrite); err != nil {
 		return err
 	}
+	s.fill(addr, n, write)
+	return nil
+}
+
+// fill counts a checked store of n bytes at addr, drops the snapshot of
+// every mapping the range covers, and calls write on each mapping's part
+// of the range, in address order, under mu.
+func (s *AddressSpace) fill(addr Addr, n int, write func(b []byte)) {
 	s.stats.Stores++
-	s.stats.BytesStored += uint64(len(buf))
-	for i, off := s.seek(addr), 0; off < len(buf); i++ {
+	s.stats.BytesStored += uint64(n)
+	for i, off := s.seek(addr), 0; off < n; i++ {
 		m := &s.maps[i]
 		m.snap = nil
-		off += copy(m.bytes()[addr+Addr(off)-m.base:], buf[off:])
+		b := m.bytes()[addr+Addr(off)-m.base:]
+		b = b[:min(len(b), n-off)]
+		write(b)
+		off += len(b)
 	}
-	return nil
 }
 
 // LoadByte loads a single byte.
@@ -485,13 +520,44 @@ func (s *AddressSpace) Exec(addr Addr, n int) ([]byte, error) {
 	return s.Load(addr, n)
 }
 
-// Copy transfers n bytes from (src, srcAddr) to (dst, dstAddr), enforcing
-// read permission on the source and write permission on the destination —
-// the primitive under every simulated IPC transfer.
-func Copy(dst *AddressSpace, dstAddr Addr, src *AddressSpace, srcAddr Addr, n int) error {
-	buf, err := src.Load(srcAddr, n)
-	if err != nil {
-		return err
+// Copy allocates n bytes in dst and copies the n bytes at srcAddr in src
+// into them, slab to slab, so the bytes move once and through no buffer:
+// the copy of an object into another space, or into a new region of its
+// own when dst is src. It checks, calls the access hooks and counts Stats
+// exactly as Load from src and then Alloc and Store into dst would. The
+// read is checked and counted before anything is allocated, so a refused
+// read leaves dst as it was; a refused write returns the fault and leaves
+// the new region allocated, as a refused Store into it would. The new
+// region has no snapshot. Copy locks the two spaces in SpaceID order, or
+// once when they are the same, so copies in opposite directions cannot
+// deadlock, and the hooks run with both locked.
+func Copy(dst, src *AddressSpace, srcAddr Addr, n int) (Region, error) {
+	first, second := src, dst
+	if dst.id < src.id {
+		first, second = dst, src
 	}
-	return dst.Store(dstAddr, buf)
+	first.mu.Lock()
+	defer first.mu.Unlock()
+	if second != first {
+		second.mu.Lock()
+		defer second.mu.Unlock()
+	}
+	if err := src.check(srcAddr, n, AccessRead); err != nil {
+		return Region{}, err
+	}
+	src.stats.Loads++
+	src.stats.BytesLoaded += uint64(n)
+	r, err := dst.alloc(n)
+	if err != nil {
+		return Region{}, err
+	}
+	if err := dst.check(r.Base, n, AccessWrite); err != nil {
+		return Region{}, err
+	}
+	off := 0
+	dst.fill(r.Base, n, func(b []byte) {
+		src.read(srcAddr+Addr(off), b)
+		off += len(b)
+	})
+	return r, nil
 }

@@ -237,30 +237,149 @@ func TestOutOfMemory(t *testing.T) {
 func TestCrossSpaceCopy(t *testing.T) {
 	a, b := NewSpace(), NewSpace()
 	ra, _ := a.Alloc(64)
-	rb, _ := b.Alloc(64)
 	want := []byte("isolation boundary crossing")
 	if err := a.Store(ra.Base, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := Copy(b, rb.Base, a, ra.Base, len(want)); err != nil {
+	rb, err := Copy(b, a, ra.Base, len(want))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := b.Load(rb.Base, len(want))
+	if rb.Size != len(want) {
+		t.Fatalf("copy region %+v, want %d bytes", rb, len(want))
+	}
+	got, _ := b.Load(rb.Base, rb.Size)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("copy mismatch: %q", got)
 	}
+	// Within one space: a new region with the same bytes.
+	rc, err := Copy(a, a, ra.Base, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Overlaps(ra) {
+		t.Fatalf("copy within a space reused its source: %+v, %+v", rc, ra)
+	}
+	if got, _ := a.Load(rc.Base, rc.Size); !bytes.Equal(got, want) {
+		t.Fatalf("copy within a space: %q", got)
+	}
+	sa, sb := a.Stats(), b.Stats()
+	if sa.Loads != 3 || sa.Stores != 2 || sb.Loads != 1 || sb.Stores != 1 || sa.BytesStored != 2*uint64(len(want)) {
+		t.Fatalf("stats %+v and %+v, want each copy counted as a load and a store", sa, sb)
+	}
 }
 
+// TestCrossSpaceCopyHonorsPerms: a source the reader may not read faults
+// before anything is allocated in the destination, and a write the
+// destination's hook refuses faults with the new region left allocated, as
+// a refused Store into it leaves it.
 func TestCrossSpaceCopyHonorsPerms(t *testing.T) {
 	a, b := NewSpace(), NewSpace()
 	ra, _ := a.Alloc(64)
-	rb, _ := b.Alloc(64)
-	if _, err := b.ProtectRegion(rb, PermRead); err != nil {
+	if _, err := a.ProtectRegion(ra, PermNone); err != nil {
 		t.Fatal(err)
 	}
-	err := Copy(b, rb.Base, a, ra.Base, 8)
+	_, err := Copy(b, a, ra.Base, 8)
+	if f, ok := IsFault(err); !ok || f.Space != a.ID() || f.Kind != AccessRead {
+		t.Fatalf("copy from an unreadable region should fault on the read, got %v", err)
+	}
+	if len(b.Regions()) != 0 || b.Stats() != (Stats{}) {
+		t.Fatalf("a refused read allocated or counted in the destination: %v, %+v", b.Regions(), b.Stats())
+	}
+	if _, err := a.ProtectRegion(ra, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	b.SetAccessHook(func(_ Addr, _ int, kind AccessKind) error {
+		if kind == AccessWrite {
+			return errors.New("write refused")
+		}
+		return nil
+	})
+	if _, err := Copy(b, a, ra.Base, 8); err == nil || err.Error() != "write refused" {
+		t.Fatalf("copy into a refusing destination = %v", err)
+	}
+	if st := b.Stats(); len(b.Regions()) != 1 || st.Faults != 1 || st.Stores != 0 {
+		t.Fatalf("after a refused write: regions %v, stats %+v", b.Regions(), st)
+	}
+}
+
+// TestCopyOppositeDirections: copies from A to B and from B to A at once,
+// with hooks on both spaces, finish. Copy takes the two locks in SpaceID
+// order, so neither copy holds one lock while it waits for the other.
+func TestCopyOppositeDirections(t *testing.T) {
+	a, b := NewSpace(), NewSpace()
+	var mu sync.Mutex
+	hookCalls := 0
+	hook := func(Addr, int, AccessKind) error {
+		mu.Lock()
+		hookCalls++
+		mu.Unlock()
+		return nil
+	}
+	a.SetAccessHook(hook)
+	b.SetAccessHook(hook)
+	ra, _ := a.Alloc(2 * PageSize)
+	rb, _ := b.Alloc(2 * PageSize)
+	const copies = 2000
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, dir := range []struct {
+		dst, src *AddressSpace
+		from     Region
+	}{{b, a, ra}, {a, b, rb}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < copies; i++ {
+				r, err := Copy(dir.dst, dir.src, dir.from.Base, dir.from.Size)
+				if err == nil {
+					err = dir.dst.Free(r)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if hookCalls != 4*copies {
+		t.Fatalf("%d hook calls, want %d", hookCalls, 4*copies)
+	}
+}
+
+// TestStoreInPlace: the caller writes the stored bytes where they land, one
+// call per region the range covers, counted and checked as one Store.
+func TestStoreInPlace(t *testing.T) {
+	s := NewSpace()
+	r1, _ := s.Alloc(PageSize)
+	r2, _ := s.Alloc(100)
+	var calls []int
+	err := s.StoreInPlace(r1.End()-10, 20, func(b []byte) {
+		calls = append(calls, len(b))
+		for i := range b {
+			b[i] = 0xAB
+		}
+	})
+	if err != nil || len(calls) != 2 || calls[0] != 10 || calls[1] != 10 {
+		t.Fatalf("StoreInPlace across two regions: calls %v, %v", calls, err)
+	}
+	if got, _ := s.Load(r1.End()-10, 20); !bytes.Equal(got, bytes.Repeat([]byte{0xAB}, 20)) {
+		t.Fatalf("stored bytes %x", got)
+	}
+	if _, err := s.ProtectRegion(r2, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	err = s.StoreInPlace(r2.Base, 4, func([]byte) { t.Fatal("write called after a refused check") })
 	if _, ok := IsFault(err); !ok {
-		t.Fatalf("copy into read-only region should fault, got %v", err)
+		t.Fatalf("store into a read-only region = %v", err)
+	}
+	if st := s.Stats(); st.Stores != 1 || st.BytesStored != 20 || st.Faults != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

@@ -33,18 +33,23 @@ func NewMat(space *mem.AddressSpace, rows, cols, channels int) (*Mat, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newMat(space, r, rows, cols, channels), nil
+}
+
+// newMat wraps region r of space, rows*cols*channels bytes, as a mat.
+func newMat(space *mem.AddressSpace, r mem.Region, rows, cols, channels int) *Mat {
 	m := &Mat{space: space, region: r}
 	binary.BigEndian.PutUint32(m.header[0:4], uint32(rows))
 	binary.BigEndian.PutUint32(m.header[4:8], uint32(cols))
 	binary.BigEndian.PutUint32(m.header[8:12], uint32(channels))
-	return m, nil
+	return m
 }
 
 // MatFromBytes allocates a mat and fills it with data (len must equal
 // rows*cols*channels).
 func MatFromBytes(space *mem.AddressSpace, rows, cols, channels int, data []byte) (*Mat, error) {
-	if n, ok := ShapeSize(len(data), rows, cols, channels); !ok || n != len(data) {
-		return nil, fmt.Errorf("object: mat data %d bytes, shape %dx%dx%d", len(data), rows, cols, channels)
+	if err := checkMatSize(len(data), rows, cols, channels); err != nil {
+		return nil, err
 	}
 	m, err := NewMat(space, rows, cols, channels)
 	if err != nil {
@@ -54,6 +59,14 @@ func MatFromBytes(space *mem.AddressSpace, rows, cols, channels int, data []byte
 		return nil, err
 	}
 	return m, nil
+}
+
+// checkMatSize checks that n bytes are exactly a rows×cols×channels mat.
+func checkMatSize(n, rows, cols, channels int) error {
+	if size, ok := ShapeSize(n, rows, cols, channels); !ok || size != n {
+		return fmt.Errorf("object: mat data %d bytes, shape %dx%dx%d", n, rows, cols, channels)
+	}
+	return nil
 }
 
 // Kind implements Object.
@@ -134,16 +147,6 @@ func (m *Mat) SetRow(row int, data []byte) error {
 		return fmt.Errorf("object: bad row write")
 	}
 	return m.space.Store(m.region.Base+mem.Addr(row*n), data)
-}
-
-// CloneInto deep-copies the mat into dst (possibly a different space) —
-// the "deep copy of the object when its reference is passed" of §4.3.
-func (m *Mat) CloneInto(dst *mem.AddressSpace) (*Mat, error) {
-	data, err := PayloadBytes(m)
-	if err != nil {
-		return nil, err
-	}
-	return MatFromBytes(dst, m.Rows(), m.Cols(), m.Channels(), data)
 }
 
 // String describes the mat.

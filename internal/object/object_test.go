@@ -2,6 +2,8 @@ package object
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"slices"
 	"testing"
@@ -75,26 +77,29 @@ func TestMatRowIO(t *testing.T) {
 	}
 }
 
-func TestMatCloneIntoOtherSpace(t *testing.T) {
-	a, b := mem.NewSpace(), mem.NewSpace()
-	m, _ := NewMat(a, 2, 2, 1)
-	_ = m.Set(0, 0, 0, 42)
-	c, err := m.CloneInto(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Space() != b {
-		t.Fatal("clone should live in destination space")
-	}
-	v, _ := c.At(0, 0, 0)
-	if v != 42 {
-		t.Fatalf("clone pixel = %d", v)
-	}
-	// Mutating the clone leaves the original untouched (deep copy).
-	_ = c.Set(0, 0, 0, 7)
-	v, _ = m.At(0, 0, 0)
-	if v != 42 {
-		t.Fatal("deep copy violated")
+// TestCopyIntoMat: a copy of a mat, into a second space or into the
+// mat's own, is a deep copy of its shape and bytes.
+func TestCopyIntoMat(t *testing.T) {
+	a := mem.NewSpace()
+	m, _ := NewMat(a, 2, 3, 1)
+	_ = m.Set(1, 2, 0, 42)
+	for _, dst := range []*mem.AddressSpace{mem.NewSpace(), a} {
+		o, err := CopyInto(dst, Ref{Kind: KindMat, Header: m.Header()}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, ok := o.(*Mat)
+		if !ok || c.Space() != dst || c.Rows() != 2 || c.Cols() != 3 || dst == a && c.Region() == m.Region() {
+			t.Fatalf("copy = %v in %v", o, o.Space())
+		}
+		if v, _ := c.At(1, 2, 0); v != 42 {
+			t.Fatalf("copied pixel = %d", v)
+		}
+		// Writing the copy leaves the original untouched (deep copy).
+		_ = c.Set(1, 2, 0, 7)
+		if v, _ := m.At(1, 2, 0); v != 42 {
+			t.Fatal("deep copy violated")
+		}
 	}
 }
 
@@ -172,19 +177,27 @@ func TestTensorInvalidShape(t *testing.T) {
 	}
 }
 
-func TestTensorFromValuesAndClone(t *testing.T) {
-	a, b := mem.NewSpace(), mem.NewSpace()
+// TestCopyIntoTensor: a copy of a tensor, into a second space or into the
+// tensor's own, has its shape and elements.
+func TestCopyIntoTensor(t *testing.T) {
+	a := mem.NewSpace()
 	ten, err := TensorFromValues(a, []float64{1.5, -2.5, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := ten.CloneInto(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []float64{1.5, -2.5, 0} {
-		if v, _ := cl.AtFlat(i); v != want {
-			t.Fatalf("clone[%d] = %v, want %v", i, v, want)
+	for _, dst := range []*mem.AddressSpace{mem.NewSpace(), a} {
+		o, err := CopyInto(dst, Ref{Kind: KindTensor, Header: ten.Header()}, ten)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := o.(*Tensor)
+		if cl.Space() != dst || !slices.Equal(cl.Shape(), []int{3}) || dst == a && cl.Region() == ten.Region() {
+			t.Fatalf("copy = %v", cl)
+		}
+		for i, want := range []float64{1.5, -2.5, 0} {
+			if v, _ := cl.AtFlat(i); v != want {
+				t.Fatalf("copy[%d] = %v, want %v", i, v, want)
+			}
 		}
 	}
 }
@@ -233,13 +246,14 @@ func TestBlob(t *testing.T) {
 	if _, err := NewBlob(s, nil); err == nil {
 		t.Fatal("empty blob should fail")
 	}
-	c, err := b.CloneInto(mem.NewSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, _ := c.Bytes()
-	if string(cb) != "model weights" {
-		t.Fatal("blob clone mismatch")
+	for _, dst := range []*mem.AddressSpace{mem.NewSpace(), s} {
+		c, err := CopyInto(dst, Ref{Kind: KindBlob}, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cb, _ := c.(*Blob).Bytes(); string(cb) != "model weights" || c.Space() != dst || dst == s && c.Region() == b.Region() {
+			t.Fatalf("blob copy = %q in %v", cb, c.Region())
+		}
 	}
 }
 
@@ -403,6 +417,90 @@ func TestRebuildBadPayload(t *testing.T) {
 	}
 }
 
+// TestCopyIntoActsAsRebuild: CopyInto refuses a ref that does not fit the
+// source's payload with Rebuild's error for that payload, touching neither
+// space, and otherwise leaves both spaces' counters, hook calls and
+// allocations as PayloadBytes of the source followed by Rebuild does: a
+// read the source refuses allocates nothing, and a write the destination
+// refuses leaves its region allocated.
+func TestCopyIntoActsAsRebuild(t *testing.T) {
+	type outcome struct {
+		err                 string
+		srcBefore, src, dst mem.Stats
+		srcHook, dstHook    int
+		dstRegions          []mem.Region
+	}
+	run := func(viaCopy bool, ref Ref, srcPerm mem.Perm, refuseWrite bool) outcome {
+		src, dst := mem.NewSpace(), mem.NewSpace()
+		var out outcome
+		ten, _ := TensorFromValues(src, []float64{1, 2, 3, 4})
+		src.SetAccessHook(func(mem.Addr, int, mem.AccessKind) error { out.srcHook++; return nil })
+		dst.SetAccessHook(func(_ mem.Addr, _ int, kind mem.AccessKind) error {
+			out.dstHook++
+			if refuseWrite && kind == mem.AccessWrite {
+				return errors.New("write refused")
+			}
+			return nil
+		})
+		_, _ = src.ProtectRegion(ten.Region(), srcPerm)
+		out.srcBefore = src.Stats()
+		var err error
+		if viaCopy {
+			_, err = CopyInto(dst, ref, ten)
+		} else if payload, lerr := PayloadBytes(ten); lerr != nil {
+			err = lerr
+		} else {
+			_, err = Rebuild(dst, ref, payload)
+		}
+		if f, ok := mem.IsFault(err); ok && f.Space == src.ID() {
+			f.Space = 0 // the two runs' spaces differ only in their ids
+		}
+		if err != nil {
+			out.err = err.Error()
+		}
+		out.src, out.dst, out.dstRegions = src.Stats(), dst.Stats(), dst.Regions()
+		return out
+	}
+	tensorRef := func(dims ...int) Ref {
+		h := binary.BigEndian.AppendUint32(nil, uint32(len(dims)))
+		for _, d := range dims {
+			h = binary.BigEndian.AppendUint32(h, uint32(d))
+		}
+		return Ref{Kind: KindTensor, Header: h}
+	}
+	for _, c := range []struct {
+		name        string
+		ref         Ref
+		perm        mem.Perm
+		refuseWrite bool
+	}{
+		{"fits", tensorRef(2, 2), mem.PermRW, false},
+		{"source unreadable", tensorRef(4), mem.PermNone, false},
+		{"destination refuses the write", tensorRef(4), mem.PermRead, true},
+		{"short shape", tensorRef(3), mem.PermRW, false},
+		{"bad tensor header", Ref{Kind: KindTensor, Header: []byte{0, 0}}, mem.PermRW, false},
+		{"as a mat", Ref{Kind: KindMat, Header: []byte{0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 4}}, mem.PermRW, false},
+		{"as a blob", Ref{Kind: KindBlob}, mem.PermRW, false},
+		{"unknown kind", Ref{Kind: Kind(99)}, mem.PermRW, false},
+	} {
+		got, want := run(true, c.ref, c.perm, c.refuseWrite), run(false, c.ref, c.perm, c.refuseWrite)
+		if got.err != want.err {
+			t.Errorf("%s: error %q, Rebuild %q", c.name, got.err, want.err)
+		}
+		if want.err != "" && want.src.Faults == 0 && want.dstHook == 0 {
+			// Rebuild refused the ref after loading the payload; CopyInto
+			// refuses it before touching either space.
+			if got.src != got.srcBefore || got.srcHook != 0 || got.dst != (mem.Stats{}) || len(got.dstRegions) != 0 {
+				t.Errorf("%s: a ref that does not fit touched a space: %+v", c.name, got)
+			}
+			continue
+		}
+		if got.src != want.src || got.dst != want.dst || got.srcHook != want.srcHook || got.dstHook != want.dstHook || !slices.Equal(got.dstRegions, want.dstRegions) {
+			t.Errorf("%s: CopyInto %+v, PayloadBytes then Rebuild %+v", c.name, got, want)
+		}
+	}
+}
+
 func TestContentHashBlockedByPermNone(t *testing.T) {
 	s := mem.NewSpace()
 	m, _ := NewMat(s, 2, 2, 1)
@@ -434,6 +532,45 @@ func TestReadPathAllocs(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if got := testing.AllocsPerRun(100, func() { _ = c.read() }); got != c.want {
+			t.Errorf("%s: %v allocs, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestWritePathAllocs pins the allocations of the in-place writes:
+// SetValues encodes into the tensor's region with none, and CopyInto into
+// a span a freed copy left makes only the new object.
+func TestWritePathAllocs(t *testing.T) {
+	src, dst := mem.NewSpace(), mem.NewSpace()
+	ten, err := NewTensor(src, 3*mem.PageSize/8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, ten.Len())
+	m, err := NewMat(src, 64, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := Ref{Kind: KindMat, Header: m.Header()}
+	copyAndFree := func() error {
+		o, err := CopyInto(dst, ref, m)
+		if err != nil {
+			return err
+		}
+		return dst.Free(o.Region())
+	}
+	for _, c := range []struct {
+		name  string
+		want  float64
+		write func() error
+	}{
+		{"Tensor.SetValues of 3 pages", 0, func() error { return ten.SetValues(vals) }},
+		{"CopyInto of a 3-page mat", 1, copyAndFree},
+	} {
+		if err := c.write(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = c.write() }); got != c.want {
 			t.Errorf("%s: %v allocs, want %v", c.name, got, c.want)
 		}
 	}

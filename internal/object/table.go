@@ -17,17 +17,11 @@ type Blob struct {
 
 // NewBlob allocates a blob holding data.
 func NewBlob(space *mem.AddressSpace, data []byte) (*Blob, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("object: empty blob")
-	}
-	r, err := space.Alloc(len(data))
+	o, err := Rebuild(space, Ref{Kind: KindBlob}, data)
 	if err != nil {
 		return nil, err
 	}
-	if err := space.Store(r.Base, data); err != nil {
-		return nil, err
-	}
-	return &Blob{space: space, region: r, n: len(data)}, nil
+	return o.(*Blob), nil
 }
 
 // Kind implements Object.
@@ -47,15 +41,6 @@ func (b *Blob) Header() []byte { return nil }
 
 // Bytes loads the blob contents through the MMU.
 func (b *Blob) Bytes() ([]byte, error) { return PayloadBytes(b) }
-
-// CloneInto deep-copies the blob into dst.
-func (b *Blob) CloneInto(dst *mem.AddressSpace) (*Blob, error) {
-	data, err := b.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	return NewBlob(dst, data)
-}
 
 // Table is a process-local registry of objects, giving each an ID stable
 // across RPC boundaries. Safe for concurrent use.
@@ -158,35 +143,74 @@ func (t *Table) RefFor(id uint64) (Ref, error) {
 // Rebuild materializes an object of the ref's kind in space from raw
 // payload bytes (the receiving side of a data copy).
 func Rebuild(space *mem.AddressSpace, ref Ref, payload []byte) (Object, error) {
+	return build(space, ref, len(payload), func() (mem.Region, error) {
+		r, err := space.Alloc(len(payload))
+		if err != nil {
+			return mem.Region{}, err
+		}
+		return r, space.Store(r.Base, payload)
+	})
+}
+
+// CopyInto copies src into space, which may be src's own, as an object of
+// the ref's kind and header: the receiving side of a data copy whose
+// source is still mapped, such as a lazy copy's dereference (Fig. 11-(a),
+// step 4). The payload moves once, slab to slab (mem.Copy), so CopyInto
+// checks, calls the access hooks and counts exactly as PayloadBytes of src
+// followed by Rebuild, and a refused read leaves space as it was. The ref
+// is held to src's payload size with Rebuild's checks and errors, before
+// either space is touched.
+func CopyInto(space *mem.AddressSpace, ref Ref, src Object) (Object, error) {
+	r := src.Region()
+	return build(space, ref, r.Size, func() (mem.Region, error) {
+		return mem.Copy(space, src.Space(), r.Base, r.Size)
+	})
+}
+
+// build checks that n payload bytes fit the ref's kind and header, then
+// has place allocate the payload's region in space and fill it, and wraps
+// the region as the ref's kind.
+func build(space *mem.AddressSpace, ref Ref, n int, place func() (mem.Region, error)) (Object, error) {
 	switch ref.Kind {
 	case KindMat:
 		rows, cols, ch, err := MatShapeFromHeader(ref.Header)
 		if err != nil {
 			return nil, err
 		}
-		return MatFromBytes(space, rows, cols, ch, payload)
+		if err := checkMatSize(n, rows, cols, ch); err != nil {
+			return nil, err
+		}
+		r, err := place()
+		if err != nil {
+			return nil, err
+		}
+		return newMat(space, r, rows, cols, ch), nil
 	case KindTensor:
 		shape, err := TensorShapeFromHeader(ref.Header)
 		if err != nil {
 			return nil, err
 		}
-		n, err := tensorLen(shape)
+		elems, err := tensorLen(shape)
 		if err != nil {
 			return nil, err
 		}
-		if len(payload) != n*8 {
-			return nil, fmt.Errorf("object: tensor payload %d bytes, want %d", len(payload), n*8)
+		if n != elems*8 {
+			return nil, fmt.Errorf("object: tensor payload %d bytes, want %d", n, elems*8)
 		}
-		nt, err := NewTensor(space, shape...)
+		r, err := place()
 		if err != nil {
 			return nil, err
 		}
-		if err := space.Store(nt.Region().Base, payload); err != nil {
-			return nil, err
-		}
-		return nt, nil
+		return newTensor(space, r, elems, shape), nil
 	case KindBlob:
-		return NewBlob(space, payload)
+		if n == 0 {
+			return nil, fmt.Errorf("object: empty blob")
+		}
+		r, err := place()
+		if err != nil {
+			return nil, err
+		}
+		return &Blob{space: space, region: r, n: n}, nil
 	default:
 		return nil, fmt.Errorf("object: unknown kind %v", ref.Kind)
 	}

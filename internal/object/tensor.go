@@ -33,6 +33,12 @@ func NewTensor(space *mem.AddressSpace, shape ...int) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newTensor(space, r, n, shape), nil
+}
+
+// newTensor wraps region r of space, n elements of the given shape, as a
+// tensor.
+func newTensor(space *mem.AddressSpace, r mem.Region, n int, shape []int) *Tensor {
 	t := &Tensor{n: n, space: space, region: r}
 	t.header = t.small[:0]
 	if size := 4 + 4*len(shape); size > len(t.small) {
@@ -42,7 +48,7 @@ func NewTensor(space *mem.AddressSpace, shape ...int) (*Tensor, error) {
 	for _, d := range shape {
 		t.header = binary.BigEndian.AppendUint32(t.header, uint32(d))
 	}
-	return t, nil
+	return t
 }
 
 // TensorFromValues allocates a 1-D tensor initialized with vals.
@@ -203,32 +209,19 @@ func (t *Tensor) Values() ([]float64, error) {
 	return vals, nil
 }
 
-// SetValues bulk-stores every element; len(vals) must equal t.Len().
+// SetValues bulk-stores every element; len(vals) must equal t.Len(). The
+// elements are encoded straight into the region under one checked store
+// (mem.AddressSpace.StoreInPlace), with no buffer of their own.
 func (t *Tensor) SetValues(vals []float64) error {
 	if len(vals) != t.Len() {
 		return fmt.Errorf("object: SetValues got %d values for %d elements", len(vals), t.Len())
 	}
-	raw := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.BigEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-	}
-	return t.space.Store(t.region.Base, raw)
-}
-
-// CloneInto deep-copies the tensor into dst.
-func (t *Tensor) CloneInto(dst *mem.AddressSpace) (*Tensor, error) {
-	data, err := PayloadBytes(t)
-	if err != nil {
-		return nil, err
-	}
-	nt, err := NewTensor(dst, t.Shape()...)
-	if err != nil {
-		return nil, err
-	}
-	if err := dst.Store(nt.region.Base, data); err != nil {
-		return nil, err
-	}
-	return nt, nil
+	return t.space.StoreInPlace(t.region.Base, len(vals)*8, func(b []byte) {
+		for i := 0; i+8 <= len(b); i += 8 {
+			binary.BigEndian.PutUint64(b[i:], math.Float64bits(vals[0]))
+			vals = vals[1:]
+		}
+	})
 }
 
 // String describes the tensor.
