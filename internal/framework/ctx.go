@@ -136,7 +136,9 @@ func (c *Ctx) FileRead(path string) ([]byte, error) {
 	return data, nil
 }
 
-// FileWrite stores memory to a file, emitting W(FILE, R(MEM)).
+// FileWrite stores memory to a file, emitting W(FILE, R(MEM)). The file
+// keeps data itself (kernel.FS.WriteFile): an API passes a buffer it built
+// for the write and does not write it afterwards.
 func (c *Ctx) FileWrite(path string, data []byte) error {
 	if err := c.K.FileWrite(c.P, path, data); err != nil {
 		return err

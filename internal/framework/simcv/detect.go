@@ -92,7 +92,7 @@ func registerDetect(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			m, data, err := matAndBytes(ctx, args[1])
+			m, data, err := matView(ctx, args[1])
 			if err != nil {
 				return nil, err
 			}

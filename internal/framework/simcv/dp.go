@@ -17,7 +17,8 @@ func dpSyscalls(extra ...kernel.Sysno) []kernel.Sysno {
 }
 
 // unaryFn transforms one image into another. args carries the API's full
-// argument list (args[0] is the input mat).
+// argument list (args[0] is the input mat). data is the input's read-only
+// view (matView): fn must not write it.
 type unaryFn func(m *object.Mat, data []byte, args []framework.Value) (rows, cols, ch int, out []byte, err error)
 
 // unaryAPI builds a data-processing API over one input mat: resolve the
@@ -35,7 +36,7 @@ func unaryAPI(name string, intensity float64, cves []string, syscalls []kernel.S
 			if err := needArgs(name, args, 1); err != nil {
 				return nil, err
 			}
-			m, data, err := matAndBytes(ctx, args[0])
+			m, data, err := matView(ctx, args[0])
 			if err != nil {
 				return nil, err
 			}
@@ -58,7 +59,7 @@ func unaryAPI(name string, intensity float64, cves []string, syscalls []kernel.S
 	return api
 }
 
-// binaryFn combines two images.
+// binaryFn combines two images, reading their views da and db.
 type binaryFn func(a, b *object.Mat, da, db []byte, args []framework.Value) (rows, cols, ch int, out []byte, err error)
 
 // binaryAPI builds a data-processing API over two input mats.
@@ -74,11 +75,11 @@ func binaryAPI(name string, intensity float64, cves []string, syscalls []kernel.
 			if err := needArgs(name, args, 2); err != nil {
 				return nil, err
 			}
-			a, da, err := matAndBytes(ctx, args[0])
+			a, da, err := matView(ctx, args[0])
 			if err != nil {
 				return nil, err
 			}
-			b, db, err := matAndBytes(ctx, args[1])
+			b, db, err := matView(ctx, args[1])
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +105,7 @@ func binaryAPI(name string, intensity float64, cves []string, syscalls []kernel.
 	return api
 }
 
-// reduceFn computes scalar results from one image.
+// reduceFn computes scalar results from one image, reading its view data.
 type reduceFn func(m *object.Mat, data []byte, args []framework.Value) ([]framework.Value, error)
 
 // reduceAPI builds a data-processing API that reduces an image to scalars
@@ -122,7 +123,7 @@ func reduceAPI(name string, intensity float64, cves []string, syscalls []kernel.
 			if err := needArgs(name, args, 1); err != nil {
 				return nil, err
 			}
-			m, data, err := matAndBytes(ctx, args[0])
+			m, data, err := matView(ctx, args[0])
 			if err != nil {
 				return nil, err
 			}

@@ -219,7 +219,7 @@ func registerFilter(r *framework.Registry) {
 			if err := needArgs("cv.filter2D", args, 2); err != nil {
 				return nil, err
 			}
-			m, data, err := matAndBytes(ctx, args[0])
+			m, data, err := matView(ctx, args[0])
 			if err != nil {
 				return nil, err
 			}

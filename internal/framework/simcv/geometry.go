@@ -94,7 +94,7 @@ func registerGeometry(r *framework.Registry) {
 				if err := needArgs(name, args, 2); err != nil {
 					return nil, err
 				}
-				m, data, err := matAndBytes(ctx, args[0])
+				m, data, err := matView(ctx, args[0])
 				if err != nil {
 					return nil, err
 				}
@@ -266,7 +266,7 @@ func registerGeometry(r *framework.Registry) {
 			if err := needArgs("cv.remap", args, 2); err != nil {
 				return nil, err
 			}
-			m, data, err := matAndBytes(ctx, args[0])
+			m, data, err := matView(ctx, args[0])
 			if err != nil {
 				return nil, err
 			}

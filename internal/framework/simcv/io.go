@@ -239,7 +239,7 @@ func registerIO(r *framework.Registry) {
 			if err := needArgs("imshow", args, 2); err != nil {
 				return nil, err
 			}
-			m, data, err := matAndBytes(ctx, args[1])
+			m, data, err := matView(ctx, args[1])
 			if err != nil {
 				return nil, err
 			}

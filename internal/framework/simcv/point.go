@@ -333,7 +333,7 @@ func registerPoint(r *framework.Registry) {
 			planes := make([][]byte, 0, len(args))
 			var rows, cols int
 			for i, a := range args {
-				m, data, err := matAndBytes(ctx, a)
+				m, data, err := matView(ctx, a)
 				if err != nil {
 					return nil, err
 				}

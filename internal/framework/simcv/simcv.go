@@ -69,13 +69,27 @@ func EncodeMat(m *object.Mat) ([]byte, error) {
 	return out, nil
 }
 
-// matAndBytes resolves an argument to its mat and full payload.
+// matAndBytes resolves an argument to its mat and a copy of its full
+// payload, for a kernel that writes the bytes: the drawing kernels.
 func matAndBytes(ctx *framework.Ctx, v framework.Value) (*object.Mat, []byte, error) {
+	return resolveMat(ctx, v, object.PayloadBytes)
+}
+
+// matView resolves an argument to its mat and its full payload as a
+// read-only snapshot (object.Snapshot), for a kernel that only reads it.
+// The access is checked and counted as matAndBytes checks it, and a store
+// into the mat, an exploit handler's among them, leaves the view as it was.
+func matView(ctx *framework.Ctx, v framework.Value) (*object.Mat, []byte, error) {
+	return resolveMat(ctx, v, object.Snapshot)
+}
+
+// resolveMat resolves an argument to its mat and the payload load returns.
+func resolveMat(ctx *framework.Ctx, v framework.Value, load func(object.Object) ([]byte, error)) (*object.Mat, []byte, error) {
 	m, err := ctx.Mat(v)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := object.PayloadBytes(m)
+	data, err := load(m)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -23,18 +23,22 @@ func NewFS() *FS {
 	}
 }
 
-// WriteFile creates or replaces a file.
+// WriteFile creates or replaces a file with data itself, not a copy: the
+// caller hands the buffer over and must not write it afterwards, as every
+// caller passes a buffer built for the write or a request body nothing
+// writes. The file keeps data capped at its length, so an AppendFile
+// copies it instead of writing into the caller's array.
 func (fs *FS) WriteFile(path string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.files[path] = append([]byte(nil), data...)
+	fs.files[path] = data[:len(data):len(data)]
 }
 
 // ReadFile returns the file's contents: the file's own bytes, not a copy,
 // so callers must only read them. The slice's capacity is its length, so
 // an append to it copies instead of reaching bytes an AppendFile adds.
 // The FS never writes the bytes it hands out: WriteFile replaces a file
-// with a copy of its own, and AppendFile writes only past every length a
+// with another buffer, and AppendFile writes only past every length a
 // reader holds.
 func (fs *FS) ReadFile(path string) ([]byte, error) {
 	fs.mu.RLock()

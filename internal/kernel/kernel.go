@@ -294,6 +294,8 @@ func (k *Kernel) FileRead(p *Process, path string) ([]byte, error) {
 }
 
 // FileWrite performs the openat/write/close sequence a storing API issues.
+// The file keeps data itself (FS.WriteFile), so the caller must not write
+// it afterwards.
 func (k *Kernel) FileWrite(p *Process, path string, data []byte) error {
 	if err := k.syscalls(p, SysOpenat, SysWrite, SysClose); err != nil {
 		return err

@@ -190,13 +190,22 @@ func TestFileReadWrite(t *testing.T) {
 	}
 }
 
-// TestReadFileSharesFileBytes: ReadFile hands out the file's own bytes,
-// capped at their length, and neither an append to the file nor a rewrite
-// of it changes bytes a reader already holds.
+// TestReadFileSharesFileBytes: WriteFile keeps the caller's buffer and
+// ReadFile hands out the file's own bytes, both capped at their length, so
+// an append to the file never writes into the caller's array, and neither
+// an append nor a rewrite changes bytes a reader already holds.
 func TestReadFileSharesFileBytes(t *testing.T) {
 	fs := NewFS()
-	fs.WriteFile("/f", []byte("abc"))
+	buf := make([]byte, 3, 8)
+	copy(buf, "abc")
+	fs.WriteFile("/f", buf)
+	if w, _ := fs.ReadFile("/f"); &w[0] != &buf[0] || cap(w) != len(w) {
+		t.Fatalf("WriteFile copied the caller's buffer or kept its spare capacity: cap %d", cap(w))
+	}
 	fs.AppendFile("/f", []byte("d"))
+	if buf[:4][3] != 0 {
+		t.Fatalf("AppendFile wrote %q into the caller's spare capacity", buf[:4][3])
+	}
 	a, _ := fs.ReadFile("/f")
 	b, _ := fs.ReadFile("/f")
 	if string(a) != "abcd" || cap(a) != len(a) || &a[0] != &b[0] {
@@ -205,11 +214,11 @@ func TestReadFileSharesFileBytes(t *testing.T) {
 	fs.AppendFile("/f", []byte("e"))
 	fs.WriteFile("/g", a)
 	fs.WriteFile("/f", []byte("xyz!"))
-	if string(a) != "abcd" {
-		t.Fatalf("held bytes changed to %q", a)
+	if string(a) != "abcd" || string(buf) != "abc" {
+		t.Fatalf("held bytes changed to %q and %q", a, buf)
 	}
-	if g, _ := fs.ReadFile("/g"); string(g) != "abcd" || &g[0] == &a[0] {
-		t.Fatalf("WriteFile kept the caller's bytes: %q", g)
+	if g, _ := fs.ReadFile("/g"); string(g) != "abcd" || &g[0] != &a[0] {
+		t.Fatalf("WriteFile of a file's bytes: %q, shared %v", g, &g[0] == &a[0])
 	}
 }
 

@@ -315,8 +315,9 @@ const (
 	fzStore               // addr, u16 length, fill byte
 	fzHook                // toggle a hook that vetoes some accesses
 	fzSnapshot            // mode, region index; addr and size unless a live region is picked
-	fzCopy                // mode (source and destination space), addr, size
+	fzCopy                // mode (source and destination space, whole region); region index or addr and size
 	fzStoreInPlace        // space, addr, u16 length, fill byte
+	fzAllocIn             // space, u16 size as int16
 	fzOps
 )
 
@@ -342,13 +343,18 @@ func vetoes(addr Addr, n int, kind AccessKind) error {
 // FuzzAddressSpace runs byte-scripted sequences of allocations, frees,
 // protection changes and accesses on an AddressSpace and on the per-page
 // reference model, and requires the two to agree on every returned region,
-// loaded byte, error, fault, hook call and counter, and at the end on every
-// page's permission, key, region and contents. A Snapshot is held to the
-// reference's Load, and to the sharing rule: the same slice for a whole
-// region until a Store into its mapping or its Free, and no snapshot's
-// bytes ever change. A second space, with a reference of its own, takes
-// copies: Copy within a space and between the two is held to the
-// reference's Load, Alloc and Store, and StoreInPlace to its Store.
+// loaded byte, error, fault, hook call and counter, on every live region's
+// bytes after every step, and at the end on every page's permission, key,
+// region and contents. A Snapshot is held to the reference's Load, and to
+// the sharing rule: the same slice for a whole region until a Store into
+// its mapping or its Free, a slice an earlier snapshot returned only for
+// the same contents, and no snapshot's bytes ever change. A second space,
+// with a reference of its own, takes copies: Copy within a space and
+// between the two, of any range or of a whole region, is held to the
+// reference's Load, Alloc and Store, and StoreInPlace to its Store. Since
+// a whole region of a page or more shares its slab with its snapshots and
+// copies, the per-step check of every live region also holds the two
+// sides of a copy apart once either is written.
 func FuzzAddressSpace(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -357,27 +363,60 @@ func FuzzAddressSpace(f *testing.F) {
 }
 
 // fzSpace is one scripted space with its reference model, the regions
-// allocated in it and each whole region's current snapshot.
+// allocated in it, each whole region's current snapshot, and each live
+// region's contents version.
 type fzSpace struct {
 	s    *AddressSpace
 	ref  *refSpace
 	live []Region
 	kept map[Region][]byte
+	// ver names each live region's contents: a new version at every
+	// allocation and every store into the region's mapping, the source's
+	// at a copy of a whole region. Regions of one version hold the same
+	// bytes, which a snapshot of either may share.
+	ver map[Region]int
 }
 
 func newFzSpace() *fzSpace {
 	s := NewSpace()
 	s.SetLimit(fuzzLimit)
-	return &fzSpace{s: s, ref: newRefSpace(s.ID(), fuzzLimit), kept: map[Region][]byte{}}
+	return &fzSpace{s: s, ref: newRefSpace(s.ID(), fuzzLimit), kept: map[Region][]byte{}, ver: map[Region]int{}}
 }
 
-// stored drops the kept snapshot of every region a store into
-// [addr, addr+n) wrote into the mapping of.
-func (f *fzSpace) stored(addr Addr, n int) {
+// versions hands out contents versions, each new one once.
+type versions int
+
+func (v *versions) next() int {
+	*v++
+	return int(*v)
+}
+
+// added records a region allocated with contents version v.
+func (f *fzSpace) added(r Region, v int) {
+	f.live = append(f.live, r)
+	f.ver[r] = v
+}
+
+// stored gives every region a store into [addr, addr+n) wrote into the
+// mapping of a new contents version, and drops its kept snapshot.
+func (f *fzSpace) stored(addr Addr, n int, vs *versions) {
 	written := Region{Base: addr, Size: n}
-	for r := range f.kept {
+	for _, r := range f.live {
 		if written.Overlaps(Region{Base: r.Base, Size: roundUp(r.Size)}) {
 			delete(f.kept, r)
+			f.ver[r] = vs.next()
+		}
+	}
+}
+
+// sameBytes requires every live region's span, its page tail included, to
+// hold the reference's bytes.
+func (f *fzSpace) sameBytes(t *testing.T, op fmt.Stringer) {
+	for _, r := range f.live {
+		for addr := r.Base; addr < r.Base+Addr(roundUp(r.Size)); addr += PageSize {
+			if got, want := pageBytes(f.s, f.ref, addr); !bytes.Equal(got, want) {
+				t.Fatalf("%s: page %#x of region %#x+%d: bytes differ from the reference", op, addr, r.Base, r.Size)
+			}
 		}
 	}
 }
@@ -407,22 +446,27 @@ func runScript(t *testing.T, in []byte) {
 	var hooked bool
 	var hookLog, refHookLog []hookCall
 	var snaps []snapshot // every snapshot taken, to check none changes
+	var vs versions
 	sc := &script{b: in}
 	for step := 0; step < fuzzSteps && len(sc.b) > 0; step++ {
 		op := sc.byte() % fzOps
 		name := scriptStep{step, op}
 		s, ref := a.s, a.ref
 		switch op {
-		case fzAlloc:
+		case fzAlloc, fzAllocIn:
+			f := a
+			if op == fzAllocIn {
+				f = spaces[sc.byte()%2]
+			}
 			size := int(int16(sc.u16()))
-			got, err := s.Alloc(size)
-			want, rerr := ref.Alloc(size)
+			got, err := f.s.Alloc(size)
+			want, rerr := f.ref.Alloc(size)
 			sameErr(t, name, err, rerr)
 			if got != want {
 				t.Fatalf("%s: Alloc(%d) = %+v, reference %+v", name, size, got, want)
 			}
 			if err == nil {
-				a.live = append(a.live, got)
+				f.added(got, vs.next())
 			}
 		case fzFree:
 			idx, mode := int(sc.byte()), sc.byte()
@@ -441,8 +485,11 @@ func runScript(t *testing.T, in []byte) {
 			err := f.s.Free(r)
 			sameErr(t, name, err, f.ref.Free(r))
 			if err == nil {
-				f.live = append(f.live[:idx], f.live[idx+1:]...)
+				// A wrong base can name another live region, which is
+				// then the one freed.
+				f.live = slices.DeleteFunc(f.live, func(l Region) bool { return l == r })
 				delete(f.kept, r)
+				delete(f.ver, r)
 			}
 		case fzProtect:
 			addr, size, perm := sc.addr(a.live), sc.size(), Perm(sc.byte())&(PermRead|PermWrite|PermExec)
@@ -483,7 +530,7 @@ func runScript(t *testing.T, in []byte) {
 			err := s.Store(addr, buf)
 			sameErr(t, name, err, ref.Store(addr, buf))
 			if err == nil {
-				a.stored(addr, n)
+				a.stored(addr, n, &vs)
 			}
 		case fzStoreInPlace:
 			f := spaces[sc.byte()%2]
@@ -516,19 +563,34 @@ func runScript(t *testing.T, in []byte) {
 			if off != n || !bytes.Equal(f.peek(addr, n), buf) {
 				t.Fatalf("%s: StoreInPlace(%#x, %d) handed out %d bytes or wrote other bytes than the reference Store", name, addr, n, off)
 			}
-			f.stored(addr, n)
+			f.stored(addr, n, &vs)
 		case fzCopy:
 			mode := sc.byte()
 			src, dst := spaces[mode%2], spaces[mode/2%2]
-			addr, n := sc.addr(src.live), sc.size()
+			var addr Addr
+			var n int
+			if mode&4 != 0 {
+				// A whole region: one of a page or more shares its slab.
+				if idx := int(sc.byte()); len(src.live) > 0 {
+					r := src.live[idx%len(src.live)]
+					addr, n = r.Base, r.Size
+				}
+			} else {
+				addr, n = sc.addr(src.live), sc.size()
+			}
+			// A copy of a whole region has its contents, a partial one and
+			// a refused write new ones.
+			v, whole := src.ver[Region{Base: addr, Size: n}]
 			regions := dst.s.Regions()
 			got, err := Copy(dst.s, src.s, addr, n)
 			want, rerr := src.ref.Load(addr, n)
 			var wr Region
 			if rerr == nil {
 				if wr, rerr = dst.ref.Alloc(n); rerr == nil {
-					dst.live = append(dst.live, wr)
-					rerr = dst.ref.Store(wr.Base, want)
+					if rerr = dst.ref.Store(wr.Base, want); rerr != nil || !whole {
+						v = vs.next()
+					}
+					dst.added(wr, v)
 				}
 			}
 			sameErr(t, name, err, rerr)
@@ -576,17 +638,23 @@ func runScript(t *testing.T, in []byte) {
 			if err != nil {
 				break
 			}
+			// A range that is not a whole live region is a fresh copy, of
+			// contents no other snapshot has.
+			v, whole := f.ver[r]
+			if !whole {
+				v = vs.next()
+			}
 			prev, shared := f.kept[r]
 			switch {
 			case shared && &got[0] != &prev[0]:
 				t.Fatalf("%s: Snapshot(%#x+%d) copied an unchanged region again", name, r.Base, r.Size)
-			case !shared && slices.ContainsFunc(snaps, func(o snapshot) bool { return &o.got[0] == &got[0] }):
-				t.Fatalf("%s: Snapshot(%#x+%d) returned a slice taken before a write or a free", name, r.Base, r.Size)
+			case slices.ContainsFunc(snaps, func(o snapshot) bool { return &o.got[0] == &got[0] && o.ver != v }):
+				t.Fatalf("%s: Snapshot(%#x+%d) returned a slice a snapshot of other contents returned", name, r.Base, r.Size)
 			}
-			if slices.Contains(f.live, r) {
+			if whole {
 				f.kept[r] = got
 			}
-			snaps = append(snaps, snapshot{got: got, want: bytes.Clone(got)})
+			snaps = append(snaps, snapshot{got: got, want: bytes.Clone(got), ver: v})
 		}
 		for _, o := range snaps {
 			if !bytes.Equal(o.got, o.want) {
@@ -597,6 +665,7 @@ func runScript(t *testing.T, in []byte) {
 			if got, want := f.s.Stats(), f.ref.Stats(); got != want {
 				t.Fatalf("%s: space %d stats %+v, reference %+v", name, i, got, want)
 			}
+			f.sameBytes(t, name)
 		}
 		if !slices.Equal(hookLog, refHookLog) {
 			t.Fatalf("%s: hook calls %v, reference %v", name, hookLog, refHookLog)
@@ -608,8 +677,12 @@ func runScript(t *testing.T, in []byte) {
 	}
 }
 
-// snapshot is a slice Snapshot returned and a copy of its bytes then.
-type snapshot struct{ got, want []byte }
+// snapshot is a slice Snapshot returned, a copy of its bytes then and the
+// contents version it was taken of.
+type snapshot struct {
+	got, want []byte
+	ver       int
+}
 
 var zeroPage [PageSize]byte
 
@@ -650,17 +723,23 @@ func comparePages(t *testing.T, s *AddressSpace, ref *refSpace) {
 		if !mapped {
 			continue
 		}
-		got, want := zeroPage[:], zeroPage[:]
-		if m := s.lookup(addr); m.data != nil {
-			got = m.data[addr-m.base:][:PageSize]
-		}
-		if pg.data != nil {
-			want = pg.data
-		}
-		if !bytes.Equal(got, want) {
+		if got, want := pageBytes(s, ref, addr); !bytes.Equal(got, want) {
 			t.Fatalf("page %#x: bytes differ from the reference", addr)
 		}
 	}
+}
+
+// pageBytes returns the bytes of the mapped page at addr in the space and
+// in the reference, without a check or a count.
+func pageBytes(s *AddressSpace, ref *refSpace, addr Addr) (got, want []byte) {
+	got, want = zeroPage[:], zeroPage[:]
+	if m := s.lookup(addr); m.data != nil {
+		got = m.data[addr-m.base:][:PageSize]
+	}
+	if pg := ref.pages[addr.PageIndex()]; pg.data != nil {
+		want = pg.data
+	}
+	return got, want
 }
 
 // Seed script assembly: operands in the layout the fuzz body decodes.
@@ -683,8 +762,8 @@ func fzLen(n uint16) []byte       { return []byte{byte(n >> 8), byte(n)} }
 // fuzzSeeds are the scripted corner cases: an access across two adjacent
 // regions, partial reuse of a larger freed span, Protect and SetKey across
 // a region boundary and across an unmapped gap, snapshots, copies and
-// stores in place, and ranges that wrap the address space or have a bad
-// length.
+// stores in place, ranges that wrap the address space or have a bad
+// length, and slabs that snapshots and copies share.
 func fuzzSeeds() [][]byte {
 	return [][]byte{
 		// Two adjacent regions; a store and loads across their boundary.
@@ -819,6 +898,40 @@ func fuzzSeeds() [][]byte {
 			fzOp(fzCopy, []byte{2}, fzBase(1, 0), fzPages(16)),
 			fzOp(fzCopy, []byte{2}, fzBase(1, 0), fzPages(16)),
 			fzOp(fzCopy, []byte{2}, fzBase(1, 0), fzPages(16)),
+		),
+		// Shared slabs. A whole-region copy within the first space, which
+		// grows its index, then a store into the source; a snapshot, a copy
+		// into the second space and a snapshot of that copy share one slab
+		// until stores into each side; a store into a region's page tail,
+		// after which a whole copy of it is not shared; whole copies of a
+		// one-page region (shared) and of a 100-byte one (copied); a shared
+		// region freed and its span allocated again, in each space; a
+		// private one freed and a whole copy into its span, which copies.
+		slices.Concat(
+			fzAllocOp(2*PageSize-100), fzAllocOp(PageSize), fzAllocOp(100), fzAllocOp(200),
+			fzOp(fzStore, fzBase(0, 0), fzLen(2*PageSize-100), []byte{0x10}),
+			fzOp(fzCopy, []byte{4, 0}),
+			fzOp(fzStore, fzBase(0, 8), fzLen(16), []byte{0x20}),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzCopy, []byte{6, 0}),
+			fzOp(fzSnapshot, []byte{2, 0}),
+			fzOp(fzStore, fzBase(0, 100), fzLen(16), []byte{0x30}),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzStoreInPlace, []byte{1}, fzBase(0, PageSize+5), fzLen(10), []byte{0x40}),
+			fzOp(fzStoreInPlace, []byte{0}, fzEnd(4, 10), fzLen(4), []byte{0x50}),
+			fzOp(fzCopy, []byte{6, 4}),
+			fzOp(fzCopy, []byte{6, 1}),
+			fzOp(fzCopy, []byte{6, 2}),
+			fzOp(fzSnapshot, []byte{2, 2}),
+			fzOp(fzFree, []byte{0, 0}),
+			fzAllocOp(2*PageSize-100),
+			fzOp(fzFree, []byte{0, 3}),
+			fzOp(fzCopy, []byte{6, 4}),
+			fzOp(fzFree, []byte{1, 3}),
+			fzOp(fzAllocIn, []byte{1}, fzLen(PageSize)),
+			fzOp(fzStore, fzBase(0, 0), fzLen(PageSize), []byte{0x60}),
+			fzOp(fzSnapshot, []byte{2, 3}),
 		),
 	}
 }

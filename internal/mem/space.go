@@ -41,9 +41,10 @@ type pageState struct {
 
 // span is a page-aligned run of the address space: one protection record
 // per page and one byte slab for the whole run, made on its first access.
-// Once made, a slab stays with its addresses: Free hands an allocation's
-// span to the free list and Alloc takes it, or a prefix of it, back, so
-// the slabs never cover more than the break.
+// Once made, a slab stays with its addresses unless a snapshot or a copy
+// shares it: Free hands an allocation's span to the free list and Alloc
+// takes it, or a prefix of it, back, so the slabs never cover more than
+// the break.
 type span struct {
 	base  Addr
 	pages []pageState
@@ -77,12 +78,27 @@ func (sp span) cut(n Addr) (head, tail span) {
 type mapping struct {
 	span
 	size int // the size Alloc was asked for
-	// snap holds the region's bytes as Snapshot copied them: nil until the
-	// first Snapshot, and again once a Store writes into the mapping.
+	// snap holds a region of less than a page as Snapshot copied it: nil
+	// until the first Snapshot, and again once a Store writes into the
+	// mapping.
 	snap []byte
+	// shared is set once a Snapshot or a Copy hands out the slab itself:
+	// the next store into the mapping writes into a private copy of it, and
+	// Free drops the slab instead of keeping it for reuse.
+	shared bool
 }
 
 func (m *mapping) region() Region { return Region{Base: m.base, Size: m.size} }
+
+// writable returns the slab a store into the mapping writes: its own, made
+// private first if it is shared. The snapshot is dropped.
+func (m *mapping) writable() []byte {
+	m.snap = nil
+	if m.shared {
+		m.data, m.shared = slices.Clone(m.data), false
+	}
+	return m.bytes()
+}
 
 // AccessHook observes every checked access before the permission tables are
 // consulted and may veto it by returning a non-nil error — the seam used by
@@ -234,9 +250,10 @@ func (s *AddressSpace) lookup(addr Addr) *mapping {
 	return nil
 }
 
-// Free unmaps an allocated region and keeps its span, slab included, for
-// reuse. Accessing a freed region faults. r must be a region Alloc
-// returned and not yet freed.
+// Free unmaps an allocated region and keeps its span for reuse, slab
+// included unless a snapshot or a copy shares it: Alloc zeroes the slab of
+// a span it reuses, and a shared one is still read. Accessing a freed
+// region faults. r must be a region Alloc returned and not yet freed.
 func (s *AddressSpace) Free(r Region) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -245,6 +262,9 @@ func (s *AddressSpace) Free(r Region) error {
 		return fmt.Errorf("%w: free of unallocated region %#x+%d", ErrBadRange, r.Base, r.Size)
 	}
 	sp := s.maps[i].span
+	if s.maps[i].shared {
+		sp.data = nil
+	}
 	s.maps = slices.Delete(s.maps, i, i+1)
 	s.mapped -= uint64(len(sp.pages))
 	s.freed = append(s.freed, sp)
@@ -410,12 +430,15 @@ func (s *AddressSpace) LoadAt(addr Addr, buf []byte) error {
 
 // Snapshot returns region r's bytes as Load(r.Base, r.Size) would, and
 // checks and counts the access exactly as Load does: the same access-hook
-// call, the same fault and the same Stats. The slice is read-only. The
-// region's mapping keeps it and every Snapshot of r returns that same
-// slice until a Store writes into the mapping, which drops it; the slice
-// itself keeps the bytes it was copied with. Free drops it with the
-// mapping, and Protect and SetKey, which change no byte, keep it. A range
-// that is not a whole allocated region is copied afresh, as by Load.
+// call, the same fault and the same Stats. The slice is read-only, and
+// every Snapshot of r returns that same slice until a Store writes into
+// the region's mapping; the slice itself keeps its bytes. A region of a
+// page or more hands out its slab itself, copy-on-write: the next store
+// into the mapping writes into a private copy, and Free drops the slab
+// rather than zero it for reuse. A smaller region is copied once and the
+// copy kept, since the store that unshares a slab would copy a whole page.
+// Protect and SetKey, which change no byte, keep the slice. A range that
+// is not a whole allocated region is copied afresh, as by Load.
 func (s *AddressSpace) Snapshot(r Region) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -428,12 +451,16 @@ func (s *AddressSpace) Snapshot(r Region) ([]byte, error) {
 		s.load(r.Base, buf)
 		return buf, nil
 	}
+	s.stats.Loads++
+	s.stats.BytesLoaded += uint64(r.Size)
+	if r.Size >= PageSize {
+		m.shared = true
+		return m.bytes()[:r.Size:r.Size], nil
+	}
 	if m.snap == nil {
 		m.snap = make([]byte, r.Size)
 		copy(m.snap, m.bytes())
 	}
-	s.stats.Loads++
-	s.stats.BytesLoaded += uint64(r.Size)
 	return m.snap, nil
 }
 
@@ -479,15 +506,14 @@ func (s *AddressSpace) StoreInPlace(addr Addr, n int, write func(b []byte)) erro
 }
 
 // fill counts a checked store of n bytes at addr, drops the snapshot of
-// every mapping the range covers, and calls write on each mapping's part
-// of the range, in address order, under mu.
+// every mapping the range covers and unshares its slab, and calls write on
+// each mapping's part of the range, in address order, under mu.
 func (s *AddressSpace) fill(addr Addr, n int, write func(b []byte)) {
 	s.stats.Stores++
 	s.stats.BytesStored += uint64(n)
 	for i, off := s.seek(addr), 0; off < n; i++ {
 		m := &s.maps[i]
-		m.snap = nil
-		b := m.bytes()[addr+Addr(off)-m.base:]
+		b := m.writable()[addr+Addr(off)-m.base:]
 		b = b[:min(len(b), n-off)]
 		write(b)
 		off += len(b)
@@ -528,9 +554,14 @@ func (s *AddressSpace) Exec(addr Addr, n int) ([]byte, error) {
 // read is checked and counted before anything is allocated, so a refused
 // read leaves dst as it was; a refused write returns the fault and leaves
 // the new region allocated, as a refused Store into it would. The new
-// region has no snapshot. Copy locks the two spaces in SpaceID order, or
-// once when they are the same, so copies in opposite directions cannot
-// deadlock, and the hooks run with both locked.
+// region has no snapshot. A copy of a whole region of a page or more, into
+// a span that has no slab yet, shares the source's slab copy-on-write
+// instead, as Snapshot does, when the slab's bytes past the region are
+// zero as a copy would leave them; a span reused with its own slab is
+// copied into, so a space that frees what it copies allocates nothing.
+// Copy locks the two spaces in SpaceID order, or once when they are the
+// same, so copies in opposite directions cannot deadlock, and the hooks
+// run with both locked.
 func Copy(dst, src *AddressSpace, srcAddr Addr, n int) (Region, error) {
 	first, second := src, dst
 	if dst.id < src.id {
@@ -554,10 +585,28 @@ func Copy(dst, src *AddressSpace, srcAddr Addr, n int) (Region, error) {
 	if err := dst.check(r.Base, n, AccessWrite); err != nil {
 		return Region{}, err
 	}
+	// Looked up after alloc, which moves the mappings when dst is src.
+	sm, dm := src.lookup(srcAddr), dst.lookup(r.Base)
+	if n >= PageSize && sm.region() == (Region{Base: srcAddr, Size: n}) && dm.data == nil && zero(sm.bytes()[n:]) {
+		dst.stats.Stores++
+		dst.stats.BytesStored += uint64(n)
+		dm.data, dm.shared, sm.shared = sm.data, true, true
+		return r, nil
+	}
 	off := 0
 	dst.fill(r.Base, n, func(b []byte) {
 		src.read(srcAddr+Addr(off), b)
 		off += len(b)
 	})
 	return r, nil
+}
+
+// zero reports whether every byte of b is zero.
+func zero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

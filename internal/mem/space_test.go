@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -574,7 +576,11 @@ func TestBadRangesFailBeforeAllocating(t *testing.T) {
 // TestRegionAllocs pins what a region costs in Go allocations: its page
 // records and, on its first access, one slab, whatever its length, plus the
 // slice a Load returns. Free then Alloc of the same span hands both back and
-// allocates nothing.
+// allocates nothing. A snapshot of the region allocates nothing and a whole
+// copy of it into a fresh span only its page records, both sharing the
+// slab; the first store into either side then allocates one slab. A copy
+// into a freed span that kept its slab copies into it, so a loop that
+// frees what it copies allocates nothing.
 func TestRegionAllocs(t *testing.T) {
 	var counts []float64
 	for _, pages := range []int{1, 8, 64} {
@@ -607,10 +613,72 @@ func TestRegionAllocs(t *testing.T) {
 			t.Errorf("%d-page region: %.0f allocs for Alloc+Store+Load (want <= 3), %.0f for Free+Alloc (want 0)", pages, fresh, reuse)
 		}
 		counts = append(counts, fresh)
+
+		other := NewSpace()
+		other.maps = make([]mapping, 0, 1) // room in the index: a copy's records are all it makes
+		keep := func(e error) {
+			if err == nil {
+				err = e
+			}
+		}
+		var rc Region
+		keep(s.Store(r.Base, data)) // the region's slab is made
+		shared := []uint64{
+			mallocs(func() { _, e := s.Snapshot(r); keep(e) }),
+			mallocs(func() { keep(s.Store(r.Base, data[:1])) }),
+			mallocs(func() { var e error; rc, e = Copy(other, s, r.Base, r.Size); keep(e) }),
+			mallocs(func() { keep(other.Store(rc.Base, data[:1])) }),
+			mallocs(func() { keep(s.Store(r.Base, data[:1])) }),
+		}
+		loop := testing.AllocsPerRun(50, func() {
+			keep(other.Free(rc))
+			var e error
+			rc, e = Copy(other, s, r.Base, r.Size)
+			keep(e)
+			keep(other.Store(rc.Base, data[:1]))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []uint64{0, 1, 1, 1, 1}; !slices.Equal(shared, want) || loop != 0 {
+			t.Errorf("%d-page region: %v allocs for Snapshot, Store, Copy, Store into the copy, Store into the source (want %v); %.0f for Free+Copy+Store (want 0)", pages, shared, want, loop)
+		}
 	}
 	if counts[0] != counts[1] || counts[1] != counts[2] {
 		t.Errorf("allocs per region grow with its length: %v for 1, 8 and 64 pages", counts)
 	}
+	// Less than a page, a snapshot is a copy of the region, and the store
+	// after it writes the slab in place instead of copying a whole page.
+	s := NewSpace()
+	r, err := s.Alloc(100)
+	keep := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	small := []uint64{
+		mallocs(func() { keep(s.Store(r.Base, []byte{1})) }),
+		mallocs(func() { _, e := s.Snapshot(r); keep(e) }),
+		mallocs(func() { keep(s.Store(r.Base, []byte{2})) }),
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1, 1, 0}; !slices.Equal(small, want) {
+		t.Errorf("100-byte region: %v allocs for Store, Snapshot, Store (want %v)", small, want)
+	}
+}
+
+// mallocs returns the heap allocations one call of f makes, counted as
+// testing.AllocsPerRun counts them, for a call whose first run is the one
+// to measure.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestFreeRejectsUnallocated checks that Free takes only a region Alloc
@@ -665,6 +733,83 @@ func TestReusedPageIsFresh(t *testing.T) {
 	}
 	if b, err := s.LoadByte(again.Base); err != nil || b != 0 {
 		t.Fatalf("reused page byte = %#x, %v; want 0", b, err)
+	}
+}
+
+// TestSharedSlabConcurrentStores: a region and its whole copy in a second
+// space share one slab, which a snapshot taken before the copy also holds.
+// On each side a writer stores whole fills into its region while a reader
+// takes snapshots of it: every snapshot holds one fill of its own side, a
+// held snapshot keeps its bytes, and the first snapshot stays zero. Run
+// with -race, it also checks that the shared slab is only ever read.
+func TestSharedSlabConcurrentStores(t *testing.T) {
+	a, b := NewSpace(), NewSpace()
+	ra, err := a.Alloc(3 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, ra.Size) }
+	if err := a.Store(ra.Base, fill(0)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := a.Snapshot(ra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := Copy(b, a, ra.Base, ra.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for _, side := range []struct {
+		s      *AddressSpace
+		r      Region
+		lo, hi byte // the fills its writer stores
+	}{{a, ra, 1, 100}, {b, rb, 101, 200}} {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for v := side.lo; v <= side.hi; v++ {
+				if err := side.s.Store(side.r.Base, fill(v)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			var held [][]byte
+			ours := func(b []byte) bool {
+				return bytes.Equal(b, fill(b[0])) && (b[0] == 0 || b[0] >= side.lo && b[0] <= side.hi)
+			}
+			for i := 0; i < 200; i++ {
+				snap, err := side.s.Snapshot(side.r)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !ours(snap) {
+					errs <- errors.New("a snapshot mixes two stores or holds the other side's")
+					return
+				}
+				held = append(held, snap)
+			}
+			for _, h := range held {
+				if !ours(h) {
+					errs <- errors.New("a held snapshot changed")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if !bytes.Equal(first, fill(0)) {
+		t.Error("the snapshot taken before the copy changed")
 	}
 }
 

@@ -81,10 +81,12 @@ func PayloadBytes(o Object) ([]byte, error) {
 
 // Snapshot returns an object's full payload as PayloadBytes does, with the
 // same access check and counters, but the bytes are read-only: the space
-// keeps them and hands the same slice to every Snapshot of the object until
-// a Store writes into its region (mem.AddressSpace.Snapshot). Take a
-// snapshot only where the payload is kept anyway or only read; a caller
-// that writes the bytes, or drops them at once, loads with PayloadBytes.
+// hands the same slice to every Snapshot of the object until a Store
+// writes into its region (mem.AddressSpace.Snapshot). For a payload of a
+// page or more the slice is the region's own slab, copy-on-write, so a
+// snapshot copies nothing; a smaller payload is copied once and kept.
+// Take a snapshot where the payload is only read, or kept; a caller that
+// writes the bytes loads with PayloadBytes.
 func Snapshot(o Object) ([]byte, error) {
 	return o.Space().Snapshot(o.Region())
 }
