@@ -203,7 +203,7 @@ func TestPolicyApplyEnforces(t *testing.T) {
 	policies := a.DeriveSyscallPolicy(c, []string{"cv.GaussianBlur"})
 	k := kernel.New()
 	p := k.Spawn("dp-agent")
-	if err := policies[framework.TypeProcessing].Apply(p.Filter(), kernel.ActionKill); err != nil {
+	if err := policies[framework.TypeProcessing].Apply(p.Filter()); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Syscall(p, kernel.SysBrk, ""); err != nil {

@@ -71,11 +71,11 @@ func (a *Analyzer) DeriveSyscallPolicy(c *Categorization, apiNames []string) map
 }
 
 // Apply configures a process filter from the policy: allow the union,
-// restrict fd-scoped calls to their labels, then install with the given
-// action. Init-only syscalls are NOT allowed — callers must run each
-// API's first execution before calling Apply (§4.4.1: "FreePart first
-// executes all the framework APIs and then restricts them afterwards").
-func (p *AgentPolicy) Apply(f *kernel.Filter, action kernel.FilterAction) error {
+// restrict fd-scoped calls to their labels, then install it. Init-only
+// syscalls are NOT allowed — callers must run each API's first execution
+// before calling Apply (§4.4.1: "FreePart first executes all the framework
+// APIs and then restricts them afterwards").
+func (p *AgentPolicy) Apply(f *kernel.Filter) error {
 	if err := f.Allow(p.Allowed...); err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (p *AgentPolicy) Apply(f *kernel.Filter, action kernel.FilterAction) error 
 			return err
 		}
 	}
-	f.Install(action)
+	f.Install()
 	return nil
 }
 

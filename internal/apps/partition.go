@@ -118,16 +118,11 @@ type PartitionVisit struct {
 // cold-miss service inflation turns into visible queueing delay.
 const visitInterArrival = 12 * time.Microsecond
 
-// GenPartitionVisits draws a deterministic Zipf-skewed visit schedule: n
-// visits over a universe of users keys with skew s, arrivals evenly spaced.
-// Same arguments ⇒ byte-equal schedule.
-func GenPartitionVisits(seed int64, users, n int, s float64) []PartitionVisit {
-	return GenPartitionVisitsSpaced(seed, users, n, s, visitInterArrival)
-}
-
-// GenPartitionVisitsSpaced is GenPartitionVisits with an explicit
-// inter-arrival gap, so a benchmark can dial the offered load against the
-// pool's service capacity (gap <= 0 uses the default spacing).
+// GenPartitionVisitsSpaced draws a deterministic Zipf-skewed visit
+// schedule: n visits over a universe of users keys with skew s, arrivals
+// gap apart (gap <= 0 uses the default spacing), so a benchmark can dial
+// the offered load against the pool's service capacity. Same arguments ⇒
+// byte-equal schedule.
 func GenPartitionVisitsSpaced(seed int64, users, n int, s float64, gap vclock.Duration) []PartitionVisit {
 	if gap <= 0 {
 		gap = visitInterArrival

@@ -13,12 +13,12 @@ import (
 )
 
 func TestGenPartitionVisitsDeterministic(t *testing.T) {
-	a := apps.GenPartitionVisits(11, 1000, 500, 1.2)
-	b := apps.GenPartitionVisits(11, 1000, 500, 1.2)
+	a := apps.GenPartitionVisitsSpaced(11, 1000, 500, 1.2, 0)
+	b := apps.GenPartitionVisitsSpaced(11, 1000, 500, 1.2, 0)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed must generate a byte-equal visit schedule")
 	}
-	c := apps.GenPartitionVisits(12, 1000, 500, 1.2)
+	c := apps.GenPartitionVisitsSpaced(12, 1000, 500, 1.2, 0)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("distinct seeds generated identical schedules")
 	}
@@ -48,7 +48,7 @@ func partitionPool(t *testing.T, placer sched.Placer, mem *partition.PlacementMe
 }
 
 func TestPartitionServerWarmsUnderAffinity(t *testing.T) {
-	visits := apps.GenPartitionVisits(3, 64, 600, 1.3)
+	visits := apps.GenPartitionVisitsSpaced(3, 64, 600, 1.3, 0)
 
 	mem := partition.NewMemory()
 	pa := sched.PartitionAware{Memory: mem, Topo: sched.Topology{ShardsPerSocket: 2}}
@@ -89,7 +89,7 @@ func TestPartitionServerReplaysByteEqual(t *testing.T) {
 		meta := partition.New(partition.Range, 4, 64)
 		pa := sched.PartitionAware{Meta: meta, Memory: mem, Topo: sched.Topology{ShardsPerSocket: 2}}
 		_, srv := partitionPool(t, pa, mem, meta)
-		res := srv.ServeVisits(apps.GenPartitionVisits(7, 64, 400, 1.4), 0, nil)
+		res := srv.ServeVisits(apps.GenPartitionVisitsSpaced(7, 64, 400, 1.4, 0), 0, nil)
 		return res, mem.Encode(), meta.Encode()
 	}
 	r1, m1, t1 := run()
@@ -115,12 +115,12 @@ func TestPartitionServerResidentMigration(t *testing.T) {
 	pa := sched.PartitionAware{Meta: meta, Memory: mem, Topo: sched.Topology{ShardsPerSocket: 2}}
 	ex, srv := partitionPool(t, pa, mem, meta)
 	srv.Resident([]uint64{40, 50})
-	visits := apps.GenPartitionVisits(9, 64, 300, 1.3)
+	visits := apps.GenPartitionVisitsSpaced(9, 64, 300, 1.3, 0)
 
 	drilled := false
 	results := srv.ServeVisits(visits, 150, func() {
-		_, moved, err := sched.RebalancePartition(ex, meta, mem,
-			sched.Topology{ShardsPerSocket: 2}, vclock.Default(), 1, 3, 8<<10)
+		_, moved, err := sched.RebalancePartitionAt(ex, meta, mem,
+			sched.Topology{ShardsPerSocket: 2}, vclock.Default(), 1, 0, 3, 8<<10)
 		if err != nil {
 			t.Fatalf("rebalance: %v", err)
 		}

@@ -120,14 +120,14 @@ func (srv *DetectionServer) model(id int) core.Handle {
 }
 
 // ProvisionDetection builds the service on an executor: the classifier
-// bytes are built exactly once (copy-on-write shared across shards via the
-// store), then each shard loads the model into its own runtime. The same
+// bytes are built exactly once and shared across shards through the
+// store, then each shard loads the model into its own runtime. The same
 // load runs again on every replacement shard and on every shard the
 // control plane grows into the pool (via the executor's OnReplace hook),
 // so a failed-over or newly scaled shard serves with its model in place
 // before its first request.
 func ProvisionDetection(ex *core.Executor) (*DetectionServer, error) {
-	im, err := ex.Store().Intern(detectionModelKey, object.KindBlob, nil, func() ([]byte, error) {
+	im, err := ex.Store().Intern(detectionModelKey, object.KindBlob, func() ([]byte, error) {
 		return simcv.EncodeClassifier(150, 4), nil
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"sort"
 	"sync"
 
 	"freepart.dev/freepart/internal/framework"
@@ -239,28 +238,5 @@ func CorpusByTypeAndClass(corpus []CVE) map[framework.APIType]map[VulnClass]int 
 		}
 		out[c.APIType][c.Class]++
 	}
-	return out
-}
-
-// CorpusByFramework tabulates CVE counts per framework.
-func CorpusByFramework(corpus []CVE) map[string]int {
-	out := make(map[string]int)
-	for _, c := range corpus {
-		out[c.Framework]++
-	}
-	return out
-}
-
-// Frameworks lists the distinct frameworks in a corpus, sorted.
-func Frameworks(corpus []CVE) []string {
-	set := make(map[string]bool)
-	for _, c := range corpus {
-		set[c.Framework] = true
-	}
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Strings(out)
 	return out
 }

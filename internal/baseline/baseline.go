@@ -304,12 +304,10 @@ func (s *System) Call(apiName string, args ...framework.Value) ([]core.Handle, [
 	return handles, plain, nil
 }
 
-// Object ids are globally disambiguated by context: each context's table
-// already yields unique ids per process, so a handle needs (ctx, id). The
-// executor interface only carries an id, so the system keeps a side map.
-type handleKey struct{ id uint64 }
-
-// handleFor wraps an object id with its owning context via the side map.
+// handleFor wraps an object id with its owning context. Each context's
+// table yields ids unique only within its process, so a handle needs
+// (ctx, id); the executor interface carries only an id, so the system
+// keeps a side map from global ids to (ctx, id).
 func (s *System) handleFor(ctx *framework.Ctx, id uint64, size int) core.Handle {
 	gid := s.nextGlobal()
 	s.owners[gid] = ownerRef{ctx: ctx, id: id}

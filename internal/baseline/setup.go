@@ -132,11 +132,3 @@ func (s *System) PlaceCriticalAuto(name string, data []byte) (mem.Region, error)
 	}
 	return s.PlaceCritical(name, data, proc)
 }
-
-// allocDataProcess is used by tests needing extra data-only processes.
-func (s *System) allocDataProcess(name string) *kernel.Process {
-	p := s.K.Spawn(name)
-	s.procs = append(s.procs, p)
-	s.ctxs = append(s.ctxs, framework.NewCtx(s.K, p))
-	return p
-}

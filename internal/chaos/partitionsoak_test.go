@@ -70,8 +70,8 @@ func partitionSoakRun(t *testing.T, seed int64, crashShard int) ([]apps.Detectio
 	results := srv.ServeSeqKeyed(reqs[:24], keys[:24], cfg)
 	// Mid-window drill: split the Zipf head's partition and move the upper
 	// half (live sessions included) onto shard 3.
-	if _, _, err := sched.RebalancePartition(ex, meta, mem, topo, vclock.Default(),
-		0, 3, 16<<10); err != nil {
+	if _, _, err := sched.RebalancePartitionAt(ex, meta, mem, topo, vclock.Default(),
+		0, 0, 3, 16<<10); err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}
 	results = append(results, srv.ServeSeqKeyed(reqs[24:], keys[24:], cfg)...)

@@ -504,7 +504,7 @@ func (rt *Runtime) restartAgent(a *agent) error {
 		return err
 	}
 	if a.policy != nil {
-		if err := a.policy.Apply(proc.Filter(), kernel.ActionKill); err != nil {
+		if err := a.policy.Apply(proc.Filter()); err != nil {
 			return err
 		}
 	}

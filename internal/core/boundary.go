@@ -114,7 +114,7 @@ func (processBoundary) Spawn(rt *Runtime, a *agent) error {
 		return err
 	}
 	if a.policy != nil {
-		if err := a.policy.Apply(proc.Filter(), kernel.ActionKill); err != nil {
+		if err := a.policy.Apply(proc.Filter()); err != nil {
 			return err
 		}
 	}

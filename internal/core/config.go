@@ -142,22 +142,8 @@ type Handle struct {
 	kind         object.Kind
 }
 
-// Size returns the object's payload size in bytes.
-func (h Handle) Size() int { return h.size }
-
 // Kind returns the object kind.
 func (h Handle) Kind() object.Kind { return h.kind }
-
-// Materialized reports whether the object lives in the host space.
-func (h Handle) Materialized() bool { return h.materialized }
-
-// OwnerPID returns the owning agent's process id (0 when materialized).
-func (h Handle) OwnerPID() uint32 {
-	if h.materialized {
-		return 0
-	}
-	return h.ref.PID
-}
 
 // Value converts the handle into an API argument value.
 func (h Handle) Value() framework.Value {

@@ -48,8 +48,7 @@ type Shard struct {
 	// scales the shard in; zero for live shards and failover corpses.
 	retiredAt vclock.Duration
 
-	mu   sync.Mutex
-	jobs uint64
+	mu sync.Mutex
 	// ends is the completion-stamp ring behind the virtual queue-depth
 	// signal (see queuedAt); only populated while an admission policy is
 	// active, so the unbounded path never pays for it.
@@ -65,13 +64,6 @@ type Shard struct {
 
 // Clock returns the shard's virtual clock.
 func (s *Shard) Clock() *vclock.Clock { return s.K.Clock }
-
-// Jobs reports how many invocations the shard has executed.
-func (s *Shard) Jobs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs
-}
 
 // Chaos returns the fault-injection engine bound to this shard, nil when
 // the shard runs without chaos (or is a direct shard).
@@ -1498,7 +1490,6 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 			end = sh.K.Clock.Now()
 		}
 	}
-	sh.jobs++
 
 	crashed := isCrashClass(jerr, sh)
 	if crashed && pol.FailThreshold > 0 {

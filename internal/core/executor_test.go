@@ -226,9 +226,9 @@ func TestExecutorSharedStoreBuildsOnce(t *testing.T) {
 		t.Fatalf("served %d/%d", got, len(reqs))
 	}
 	// Round-robin: 12 requests over 4 shards, 3 each.
-	for i := 0; i < ex.Shards(); i++ {
-		if got := ex.Shard(i).Jobs(); got != 3 {
-			t.Fatalf("shard %d ran %d jobs, want 3", i, got)
+	for i, l := range ex.ShardLoads() {
+		if l.Jobs != 3 {
+			t.Fatalf("shard %d ran %d jobs, want 3", i, l.Jobs)
 		}
 	}
 }

@@ -83,16 +83,6 @@ type GrayScore struct {
 	Drains uint64
 }
 
-// String renders the score as one summary line.
-func (g GrayScore) String() string {
-	state := "healthy"
-	if g.Suspect {
-		state = "SUSPECT"
-	}
-	return fmt.Sprintf("shard %d/gen %d: ewma %v score %.1f (%s, %d samples, %d gray drains)",
-		g.ID, g.Gen, g.EWMA, g.Score, state, g.Samples, g.Drains)
-}
-
 // SetGray installs the gray-failure scoring policy. Install it before
 // serving; the zero policy disables scoring.
 func (e *Executor) SetGray(p GrayPolicy) {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/mem"
@@ -178,31 +177,4 @@ func (rt *Runtime) armChaos(a *agent) {
 		rt.K.Crash(proc, f.Error())
 		return f
 	})
-}
-
-// EndpointCount returns how many endpoints (host + agents) the runtime
-// tracks — inspection for leak tests.
-func (rt *Runtime) EndpointCount() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.endpoints)
-}
-
-// DegradedPartitions returns the names of partitions the circuit breaker
-// has demoted to in-host execution, sorted for deterministic logs.
-func (rt *Runtime) DegradedPartitions() []string {
-	rt.mu.Lock()
-	agents := make([]*agent, 0, len(rt.agents))
-	for _, a := range rt.agents {
-		agents = append(agents, a)
-	}
-	rt.mu.Unlock()
-	var out []string
-	for _, a := range agents {
-		if a.isDegraded() {
-			out = append(out, a.name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

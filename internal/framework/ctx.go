@@ -50,9 +50,6 @@ func NewCtx(k *kernel.Kernel, p *kernel.Process) *Ctx {
 	return &Ctx{K: k, P: p, Table: object.NewTable(uint32(p.PID()))}
 }
 
-// APIName returns the name of the API currently executing.
-func (c *Ctx) APIName() string { return c.api }
-
 // emit records a dynamic data-flow operation.
 func (c *Ctx) emit(op Op) {
 	if c.Tracer != nil {
@@ -175,15 +172,6 @@ func (c *Ctx) NetDownload(host string) ([]byte, bool, error) {
 	}
 	c.emit(WriteOp(StorageMem, StorageDev))
 	return data, true, nil
-}
-
-// NetSend transmits memory to a remote host, emitting W(DEV, R(MEM)).
-func (c *Ctx) NetSend(host string, data []byte) error {
-	if err := c.K.NetSend(c.P, host, data); err != nil {
-		return err
-	}
-	c.emit(WriteOp(StorageDev, StorageMem))
-	return nil
 }
 
 // GUIShow paints pixels, emitting W(GUI, R(MEM)).

@@ -105,9 +105,6 @@ func binaryAPI(name string, intensity float64, cves []string, syscalls []kernel.
 	return api
 }
 
-// reduceFn computes scalar results from one image, reading its view data.
-type reduceFn func(m *object.Mat, data []byte, args []framework.Value) ([]framework.Value, error)
-
 // reduceAPI builds a data-processing API that reduces an image to scalars
 // or small tensors (the ctx is threaded through for tensor allocation via
 // closures over it; fn receives results builder helpers instead).

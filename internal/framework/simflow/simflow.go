@@ -571,7 +571,7 @@ func Registry() *framework.Registry {
 
 // exploitOnTensor fires a trigger embedded in tensor values: crafted
 // tensors carry the trigger encoded as a run of values spelling the magic
-// bytes. The attack layer builds these with EncodeTriggerTensor.
+// bytes, one byte value per element.
 func exploitOnTensor(ctx *framework.Ctx, api *framework.API, vals []float64) (bool, error) {
 	raw := make([]byte, 0, len(vals))
 	for _, v := range vals {
@@ -581,14 +581,4 @@ func exploitOnTensor(ctx *framework.Ctx, api *framework.API, vals []float64) (bo
 		raw = append(raw, byte(v))
 	}
 	return ctx.MaybeExploit(api, raw)
-}
-
-// EncodeTriggerTensor converts a crafted byte input into tensor values so
-// an exploit can flow through tensor-typed APIs.
-func EncodeTriggerTensor(trigger []byte) []float64 {
-	vals := make([]float64, len(trigger))
-	for i, b := range trigger {
-		vals[i] = float64(b)
-	}
-	return vals
 }

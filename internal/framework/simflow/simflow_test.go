@@ -99,7 +99,11 @@ func TestConv3d(t *testing.T) {
 
 func TestConv3dExploit(t *testing.T) {
 	e := newEnv(t)
-	trig := simflow.EncodeTriggerTensor(framework.Trigger("CVE-2021-29513", nil))
+	// The trigger's bytes, one per element, as exploitOnTensor reads them.
+	var trig []float64
+	for _, b := range framework.Trigger("CVE-2021-29513", nil) {
+		trig = append(trig, float64(b))
+	}
 	// Pad to a 3x3x3 cube.
 	for len(trig) < 27 {
 		trig = append(trig, 0)

@@ -61,9 +61,6 @@ func Obj(id uint64) Value { return Value{Kind: ValObj, Obj: id} }
 // RefVal wraps a cross-process object reference.
 func RefVal(r object.Ref) Value { return Value{Kind: ValRef, Ref: r} }
 
-// IsObj reports whether the value carries an object (local or remote).
-func (v Value) IsObj() bool { return v.Kind == ValObj || v.Kind == ValRef }
-
 // String renders the value for logs.
 func (v Value) String() string {
 	switch v.Kind {

@@ -251,14 +251,6 @@ func (c *Conn) remember(seq uint64, tag byte, out []byte) {
 	}
 }
 
-// Call issues one request and returns its response, charging the IPC
-// round-trip plus per-byte copy costs to the virtual clock. Application
-// errors returned by the handler come back as errors; a crash comes back
-// as ErrAgentCrashed.
-func (c *Conn) Call(kind uint32, payload []byte) ([]byte, error) {
-	return c.callSeq(c.NextSeq(), kind, payload, false)
-}
-
 // NextSeq reserves and returns a fresh sequence number, for callers that
 // need to know the sequence before issuing the request (CallSeq + Retry).
 func (c *Conn) NextSeq() uint64 { return c.seq.Add(1) }
@@ -274,9 +266,6 @@ func (c *Conn) CallSeq(seq uint64, kind uint32, payload []byte) ([]byte, error) 
 func (c *Conn) Retry(seq uint64, kind uint32, payload []byte) ([]byte, error) {
 	return c.callSeq(seq, kind, payload, true)
 }
-
-// LastSeq returns the most recently assigned sequence number.
-func (c *Conn) LastSeq() uint64 { return c.seq.Load() }
 
 // callSeq runs one attempt. Injector draws and virtual charges happen in a
 // fixed order: request fault, agent side (a duplicated request is served a
@@ -364,13 +353,6 @@ func corrupted(p []byte) []byte {
 	copy(out, p)
 	out[len(out)/2] ^= 0xFF
 	return out
-}
-
-// Stats returns a snapshot of the RPC counters.
-func (c *Conn) Stats() CallStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // Close retires the connection: later calls fail with ErrClosed. It does

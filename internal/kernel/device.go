@@ -40,15 +40,7 @@ func (c *Camera) Read() (frame []byte, ok bool) {
 	frame = c.frames[0]
 	c.frames[0] = nil // the queue's array no longer keeps the frame
 	c.frames = c.frames[1:]
-	c.reads++
 	return frame, true
-}
-
-// Reads reports how many frames have been consumed.
-func (c *Camera) Reads() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reads
 }
 
 // Pending reports how many frames remain queued.
@@ -177,14 +169,6 @@ func (g *GUI) PopKey() int {
 // NewGUI creates an empty GUI subsystem.
 func NewGUI() *GUI {
 	return &GUI{windows: make(map[string]bool)}
-}
-
-// Create registers a window.
-func (g *GUI) Create(name string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.windows[name] = true
-	g.events = append(g.events, GUIEvent{Op: "create", Window: name})
 }
 
 // Show displays nbytes of image data in the named window, creating it if

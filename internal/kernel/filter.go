@@ -1,29 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-	"sort"
-)
-
-// FilterAction is what the filter does with a violating syscall, mirroring
-// seccomp-BPF return actions.
-type FilterAction uint8
-
-const (
-	// ActionKill terminates the offending process (SECCOMP_RET_KILL), the
-	// default FreePart policy: a denied syscall means a compromised agent.
-	ActionKill FilterAction = iota
-	// ActionErrno fails the syscall with EPERM but lets the process live.
-	ActionErrno
-)
-
-// String names the action.
-func (a FilterAction) String() string {
-	if a == ActionKill {
-		return "kill"
-	}
-	return "errno"
-}
+import "fmt"
 
 // Filter is a seccomp-style syscall filter attached to a process.
 //
@@ -35,7 +12,6 @@ func (a FilterAction) String() string {
 type Filter struct {
 	installed  bool
 	noNewPrivs bool
-	action     FilterAction
 	allowed    map[Sysno]bool
 	// fdRules restricts fd-scoped syscalls (ioctl, connect, select, fcntl)
 	// to a set of resource labels (e.g. "/dev/camera0", "host:gui").
@@ -80,20 +56,17 @@ func (f *Filter) RestrictFD(call Sysno, labels ...string) error {
 	return nil
 }
 
-// Install activates the filter with the given action and sets NoNewPrivs so
-// that subsequent modification attempts fail (the paper's anti-tamper
-// measure).
-func (f *Filter) Install(action FilterAction) {
+// Install activates the filter and sets NoNewPrivs so that subsequent
+// modification attempts fail (the paper's anti-tamper measure). A violating
+// syscall then kills the process (SECCOMP_RET_KILL): a denied syscall
+// means a compromised agent.
+func (f *Filter) Install() {
 	f.installed = true
 	f.noNewPrivs = true
-	f.action = action
 }
 
 // Installed reports whether the filter is active.
 func (f *Filter) Installed() bool { return f.installed }
-
-// Action returns the configured violation action.
-func (f *Filter) Action() FilterAction { return f.action }
 
 // Allowed reports whether the filter permits the syscall against the given
 // resource label ("" when the call is not fd-scoped or has no target).
@@ -108,14 +81,4 @@ func (f *Filter) Allowed(call Sysno, label string) bool {
 		return rules[label]
 	}
 	return true
-}
-
-// AllowedList returns the sorted allowlist, for reports (Table 7).
-func (f *Filter) AllowedList() []Sysno {
-	out := make([]Sysno, 0, len(f.allowed))
-	for c := range f.allowed {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -12,15 +12,11 @@ import (
 type FS struct {
 	mu    sync.RWMutex
 	files map[string][]byte
-	dirs  map[string]bool
 }
 
-// NewFS returns an empty filesystem with a root directory.
+// NewFS returns an empty filesystem.
 func NewFS() *FS {
-	return &FS{
-		files: make(map[string][]byte),
-		dirs:  map[string]bool{"/": true},
-	}
+	return &FS{files: make(map[string][]byte)}
 }
 
 // WriteFile creates or replaces a file with data itself, not a copy: the
@@ -57,32 +53,12 @@ func (fs *FS) AppendFile(path string, data []byte) {
 	fs.files[path] = append(fs.files[path], data...)
 }
 
-// Remove deletes a file.
-func (fs *FS) Remove(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; !ok {
-		return fmt.Errorf("fs: no such file: %s", path)
-	}
-	delete(fs.files, path)
-	return nil
-}
-
-// Mkdir records a directory.
-func (fs *FS) Mkdir(path string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.dirs[path] = true
-}
-
-// Exists reports whether path names a file or directory.
+// Exists reports whether path names a file.
 func (fs *FS) Exists(path string) bool {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	if _, ok := fs.files[path]; ok {
-		return true
-	}
-	return fs.dirs[path]
+	_, ok := fs.files[path]
+	return ok
 }
 
 // Size returns the file's length in bytes, or -1 if absent.

@@ -10,7 +10,7 @@ import (
 )
 
 // ErrSyscallDenied is returned (wrapped) when a seccomp filter blocks a
-// syscall in ActionErrno mode, or alongside a kill in ActionKill mode.
+// syscall and kills the process that issued it.
 var ErrSyscallDenied = errors.New("kernel: syscall denied by seccomp filter")
 
 // ErrProcessDead is returned when a syscall is attempted by a process that
@@ -128,14 +128,6 @@ func (k *Kernel) SpawnDomain(name string, host *Process) *Process {
 	return p
 }
 
-// Process looks up a process by pid.
-func (k *Kernel) Process(pid PID) (*Process, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	p, ok := k.procs[pid]
-	return p, ok
-}
-
 // Processes returns all processes in spawn order.
 func (k *Kernel) Processes() []*Process {
 	k.mu.Lock()
@@ -216,7 +208,7 @@ const maxTransientRestarts = 8
 // Syscall dispatches one system call by process p against an optional
 // fd-scoped resource label. It charges syscall (and, when a filter is
 // installed, seccomp-evaluation) cost, updates accounting, and enforces the
-// filter. On violation with ActionKill the process dies.
+// filter. On violation the process dies.
 func (k *Kernel) Syscall(p *Process, call Sysno, label string) error {
 	if inj := k.injector(); inj != nil {
 		f := inj.OnSyscall(p, call)
@@ -258,11 +250,8 @@ func (k *Kernel) Syscall(p *Process, call Sysno, label string) error {
 	if allowed {
 		return nil
 	}
-	if f.Action() == ActionKill {
-		k.Kill(p, fmt.Sprintf("seccomp: %s(%s) denied", call, label))
-		return fmt.Errorf("%w: %s(%s) by %s (killed)", ErrSyscallDenied, call, label, p.name)
-	}
-	return fmt.Errorf("%w: %s(%s) by %s", ErrSyscallDenied, call, label, p.name)
+	k.Kill(p, fmt.Sprintf("seccomp: %s(%s) denied", call, label))
+	return fmt.Errorf("%w: %s(%s) by %s (killed)", ErrSyscallDenied, call, label, p.name)
 }
 
 // syscalls issues a sequence of non-fd-scoped syscalls, stopping on the

@@ -11,15 +11,11 @@ import (
 func TestSpawnAndLookup(t *testing.T) {
 	k := New()
 	p := k.Spawn("host")
-	got, ok := k.Process(p.PID())
-	if !ok || got != p {
-		t.Fatalf("lookup failed: %v %v", got, ok)
-	}
 	if !p.Alive() || p.Name() != "host" {
 		t.Fatalf("process = %v", p)
 	}
-	if len(k.Processes()) != 1 {
-		t.Fatal("Processes() should list the spawned process")
+	if got := k.Processes(); len(got) != 1 || got[0] != p {
+		t.Fatalf("Processes() = %v, want the spawned process", got)
 	}
 }
 
@@ -45,10 +41,22 @@ func TestSyscallAccounting(t *testing.T) {
 	}
 }
 
+// allSyscalls lists every syscall the simulated kernel implements.
+var allSyscalls = []Sysno{
+	SysOpenat, SysOpen, SysClose, SysRead, SysWrite, SysLseek, SysFstat,
+	SysLstat, SysStat, SysAccess, SysUnlink, SysMkdir, SysGetcwd, SysBrk,
+	SysMmap, SysMunmap, SysMprotect, SysShmOpen, SysIoctl, SysSelect,
+	SysFcntl, SysDup, SysSocket, SysConnect, SysAccept, SysBind,
+	SysListen, SysSend, SysSendto, SysRecvfrom, SysFutex, SysGetpid,
+	SysGetuid, SysGetrandom, SysGettimeofday, SysClockGettime,
+	SysEventfd2, SysUmask, SysUname, SysExit, SysFork, SysExecve,
+	SysKill, SysSeccomp, SysPrctl,
+}
+
 func TestUninstalledFilterAllowsEverything(t *testing.T) {
 	k := New()
 	p := k.Spawn("a")
-	for _, call := range AllSyscalls() {
+	for _, call := range allSyscalls {
 		if err := k.Syscall(p, call, "anything"); err != nil {
 			t.Fatalf("%s denied with no filter installed: %v", call, err)
 		}
@@ -61,7 +69,7 @@ func TestFilterDenyKillsProcess(t *testing.T) {
 	if err := p.Filter().Allow(SysRead, SysOpenat); err != nil {
 		t.Fatal(err)
 	}
-	p.Filter().Install(ActionKill)
+	p.Filter().Install()
 	if err := k.Syscall(p, SysRead, ""); err != nil {
 		t.Fatalf("allowed syscall failed: %v", err)
 	}
@@ -77,28 +85,11 @@ func TestFilterDenyKillsProcess(t *testing.T) {
 	}
 }
 
-func TestFilterDenyErrnoKeepsProcessAlive(t *testing.T) {
-	k := New()
-	p := k.Spawn("agent")
-	_ = p.Filter().Allow(SysRead)
-	p.Filter().Install(ActionErrno)
-	err := k.Syscall(p, SysWrite, "")
-	if !errors.Is(err, ErrSyscallDenied) {
-		t.Fatalf("want denial, got %v", err)
-	}
-	if !p.Alive() {
-		t.Fatal("ActionErrno should not kill the process")
-	}
-	if err := k.Syscall(p, SysRead, ""); err != nil {
-		t.Fatalf("process should still execute allowed calls: %v", err)
-	}
-}
-
 func TestFilterLockedAfterInstall(t *testing.T) {
 	k := New()
 	p := k.Spawn("agent")
 	_ = p.Filter().Allow(SysRead)
-	p.Filter().Install(ActionKill)
+	p.Filter().Install()
 	if err := p.Filter().Allow(SysSendto); err == nil {
 		t.Fatal("Allow after Install must fail (PR_SET_NO_NEW_PRIVS)")
 	}
@@ -117,7 +108,7 @@ func TestFDScopedRestriction(t *testing.T) {
 	_ = p.Filter().Allow(SysIoctl, SysSelect, SysRead)
 	_ = p.Filter().RestrictFD(SysIoctl, "/dev/camera0")
 	_ = p.Filter().RestrictFD(SysSelect, "/dev/camera0")
-	p.Filter().Install(ActionKill)
+	p.Filter().Install()
 
 	frame, ok, err := k.CameraRead(p, "/dev/camera0")
 	if err != nil || !ok || !bytes.Equal(frame, []byte{1, 2, 3}) {
@@ -235,7 +226,7 @@ func TestFileReadDeniedByFilter(t *testing.T) {
 	p := k.Spawn("a")
 	k.FS.WriteFile("/f", []byte("x"))
 	_ = p.Filter().Allow(SysRead) // openat missing
-	p.Filter().Install(ActionKill)
+	p.Filter().Install()
 	if _, err := k.FileRead(p, "/f"); !errors.Is(err, ErrSyscallDenied) {
 		t.Fatalf("want denial, got %v", err)
 	}
@@ -319,7 +310,7 @@ func TestMProtectDeniedBlocksCodeRewrite(t *testing.T) {
 	r, _ := p.Space().Alloc(mem.PageSize)
 	_, _ = p.Space().ProtectRegion(r, mem.PermRead|mem.PermExec)
 	_ = p.Filter().Allow(SysRead, SysOpenat) // mprotect not allowed
-	p.Filter().Install(ActionKill)
+	p.Filter().Install()
 	err := k.MProtect(p, r, mem.PermRW)
 	if !errors.Is(err, ErrSyscallDenied) {
 		t.Fatalf("want denial, got %v", err)
@@ -350,8 +341,8 @@ func TestCameraExhaustion(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("exhausted camera: ok=%v err=%v", ok, err)
 	}
-	if cam.Reads() != 1 || cam.Pending() != 0 {
-		t.Fatalf("camera stats: reads=%d pending=%d", cam.Reads(), cam.Pending())
+	if cam.Pending() != 0 {
+		t.Fatalf("camera pending = %d, want 0", cam.Pending())
 	}
 }
 
@@ -416,16 +407,6 @@ func TestFSBasics(t *testing.T) {
 	if got := fs.List("/a/"); len(got) != 2 || got[0] != "/a/x" {
 		t.Fatalf("List = %v", got)
 	}
-	if err := fs.Remove("/a/x"); err != nil || fs.Exists("/a/x") {
-		t.Fatal("Remove failed")
-	}
-	if err := fs.Remove("/a/x"); err == nil {
-		t.Fatal("double remove should fail")
-	}
-	fs.Mkdir("/dir")
-	if !fs.Exists("/dir") {
-		t.Fatal("Mkdir not recorded")
-	}
 }
 
 func TestExitState(t *testing.T) {
@@ -453,31 +434,11 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-func TestFDScoped(t *testing.T) {
-	for _, s := range []Sysno{SysIoctl, SysConnect, SysSelect, SysFcntl} {
-		if !FDScoped(s) {
-			t.Errorf("%s should be fd-scoped", s)
-		}
-	}
-	if FDScoped(SysRead) || FDScoped(SysMprotect) {
-		t.Error("read/mprotect are not fd-scoped")
-	}
-}
-
-func TestAllowedListSorted(t *testing.T) {
-	f := NewFilter()
-	_ = f.Allow(SysWrite, SysAccess, SysMmap)
-	got := f.AllowedList()
-	if len(got) != 3 || got[0] != SysAccess || got[1] != SysMmap || got[2] != SysWrite {
-		t.Fatalf("AllowedList = %v", got)
-	}
-}
-
 func TestSeccompCheckCostCharged(t *testing.T) {
 	k := New()
 	p := k.Spawn("a")
 	_ = p.Filter().Allow(SysRead)
-	p.Filter().Install(ActionKill)
+	p.Filter().Install()
 	t0 := k.Clock.Now()
 	_ = k.Syscall(p, SysRead, "")
 	withFilter := k.Clock.Now() - t0

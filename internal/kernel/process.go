@@ -17,7 +17,7 @@ type ProcState uint8
 const (
 	StateRunning ProcState = iota
 	StateCrashed           // faulted (segfault / DoS) — restartable
-	StateKilled            // terminated by seccomp ActionKill
+	StateKilled            // terminated by its seccomp filter
 	StateExited            // clean exit
 )
 

@@ -65,29 +65,3 @@ const (
 	SysSeccomp      Sysno = "seccomp"
 	SysPrctl        Sysno = "prctl"
 )
-
-// AllSyscalls lists every syscall the simulated kernel implements, in a
-// stable order suitable for reports.
-func AllSyscalls() []Sysno {
-	return []Sysno{
-		SysOpenat, SysOpen, SysClose, SysRead, SysWrite, SysLseek, SysFstat,
-		SysLstat, SysStat, SysAccess, SysUnlink, SysMkdir, SysGetcwd, SysBrk,
-		SysMmap, SysMunmap, SysMprotect, SysShmOpen, SysIoctl, SysSelect,
-		SysFcntl, SysDup, SysSocket, SysConnect, SysAccept, SysBind,
-		SysListen, SysSend, SysSendto, SysRecvfrom, SysFutex, SysGetpid,
-		SysGetuid, SysGetrandom, SysGettimeofday, SysClockGettime,
-		SysEventfd2, SysUmask, SysUname, SysExit, SysFork, SysExecve,
-		SysKill, SysSeccomp, SysPrctl,
-	}
-}
-
-// FDScoped reports whether the syscall takes a file descriptor whose target
-// must additionally be validated by the filter (§4.4.1: "system calls, such
-// as ioctl, require an additional restriction on their arguments").
-func FDScoped(s Sysno) bool {
-	switch s {
-	case SysIoctl, SysConnect, SysSelect, SysFcntl:
-		return true
-	}
-	return false
-}

@@ -12,7 +12,6 @@ type AccessKind uint8
 const (
 	AccessRead AccessKind = iota
 	AccessWrite
-	AccessExec
 )
 
 // String names the access kind.
@@ -22,8 +21,6 @@ func (k AccessKind) String() string {
 		return "read"
 	case AccessWrite:
 		return "write"
-	case AccessExec:
-		return "exec"
 	default:
 		return fmt.Sprintf("access(%d)", uint8(k))
 	}

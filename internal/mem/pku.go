@@ -44,17 +44,6 @@ func (s *AddressSpace) SetKey(r Region, k Key) error {
 	return nil
 }
 
-// KeyAt returns the protection key of the page containing addr.
-func (s *AddressSpace) KeyAt(addr Addr) (Key, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.lookup(addr)
-	if m == nil {
-		return 0, false
-	}
-	return m.pages[(addr-m.base)/PageSize].key, true
-}
-
 // SetKeyAccess writes the space's PKRU entry for the key: whether loads
 // and stores of pages tagged with it are permitted. Key 0 cannot be
 // restricted (the default domain must stay usable, as in hardware MPK
@@ -72,14 +61,6 @@ func (s *AddressSpace) SetKeyAccess(k Key, allowRead, allowWrite bool) error {
 	return nil
 }
 
-// KeyAccess reports the PKRU entry for the key.
-func (s *AddressSpace) KeyAccess(k Key) (allowRead, allowWrite bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	a := s.pkru[k]
-	return !a.denyRead, !a.denyWrite
-}
-
 // keyAllows checks the PKRU mask for an access, under s.mu.
 func (s *AddressSpace) keyAllows(k Key, kind AccessKind) bool {
 	if k == 0 {
@@ -87,7 +68,7 @@ func (s *AddressSpace) keyAllows(k Key, kind AccessKind) bool {
 	}
 	a := s.pkru[k]
 	switch kind {
-	case AccessRead, AccessExec:
+	case AccessRead:
 		return !a.denyRead
 	case AccessWrite:
 		return !a.denyWrite

@@ -60,19 +60,6 @@ func TestKeyDeniesRead(t *testing.T) {
 	}
 }
 
-func TestKeyAccessQueries(t *testing.T) {
-	s := NewSpace()
-	_ = s.SetKeyAccess(2, true, false)
-	rd, wr := s.KeyAccess(2)
-	if !rd || wr {
-		t.Fatalf("KeyAccess = %v, %v", rd, wr)
-	}
-	rd, wr = s.KeyAccess(9) // untouched key defaults to full access
-	if !rd || !wr {
-		t.Fatalf("default KeyAccess = %v, %v", rd, wr)
-	}
-}
-
 func TestKeyValidation(t *testing.T) {
 	s := NewSpace()
 	r, _ := s.Alloc(PageSize)

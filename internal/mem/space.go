@@ -113,15 +113,6 @@ type Region struct {
 	Size int
 }
 
-// End returns the first address past the region.
-func (r Region) End() Addr { return r.Base + Addr(r.Size) }
-
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr Addr) bool { return addr >= r.Base && addr < r.End() }
-
-// Overlaps reports whether the two regions share any address.
-func (r Region) Overlaps(o Region) bool { return r.Base < o.End() && o.Base < r.End() }
-
 // AddressSpace is a simulated per-process virtual address space with a
 // page-granular permission table. The zero value is not usable; create
 // spaces with NewSpace. AddressSpace is safe for concurrent use.
@@ -282,16 +273,6 @@ func (s *AddressSpace) Regions() []Region {
 	return out
 }
 
-// RegionOf returns the allocated region containing addr, if any.
-func (s *AddressSpace) RegionOf(addr Addr) (Region, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if m := s.lookup(addr); m != nil && m.region().Contains(addr) {
-		return m.region(), true
-	}
-	return Region{}, false
-}
-
 // eachPage calls f on the record of every page that [addr, addr+n) overlaps,
 // in address order, until f returns false. It stops at the first such page
 // that no mapping holds and returns that page's address with ok false. A
@@ -397,8 +378,6 @@ func (s *AddressSpace) allows(st pageState, kind AccessKind) bool {
 		allowed = st.perm.CanRead()
 	case AccessWrite:
 		allowed = st.perm.CanWrite()
-	case AccessExec:
-		allowed = st.perm.CanExec()
 	}
 	return allowed && s.keyAllows(st.key, kind)
 }
@@ -532,18 +511,6 @@ func (s *AddressSpace) LoadByte(addr Addr) (byte, error) {
 // StoreByte stores a single byte.
 func (s *AddressSpace) StoreByte(addr Addr, v byte) error {
 	return s.Store(addr, []byte{v})
-}
-
-// Exec simulates an instruction fetch of n bytes at addr; it checks exec
-// permission and returns the bytes (payload code in attack scenarios).
-func (s *AddressSpace) Exec(addr Addr, n int) ([]byte, error) {
-	s.mu.Lock()
-	if err := s.check(addr, n, AccessExec); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	s.mu.Unlock()
-	return s.Load(addr, n)
 }
 
 // Copy allocates n bytes in dst and copies the n bytes at srcAddr in src

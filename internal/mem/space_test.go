@@ -172,20 +172,6 @@ func TestNoReadPermFaults(t *testing.T) {
 	}
 }
 
-func TestExecPermission(t *testing.T) {
-	s := NewSpace()
-	r, _ := s.Alloc(PageSize)
-	if _, err := s.Exec(r.Base, 4); err == nil {
-		t.Fatal("exec of rw- page should fault")
-	}
-	if _, err := s.ProtectRegion(r, PermRead|PermExec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(r.Base, 4); err != nil {
-		t.Fatalf("exec of r-x page: %v", err)
-	}
-}
-
 func TestFreeUnmaps(t *testing.T) {
 	s := NewSpace()
 	r, _ := s.Alloc(PageSize)

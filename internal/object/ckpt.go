@@ -104,16 +104,10 @@ func NewCheckpointLog() *CheckpointLog {
 	return &CheckpointLog{latest: make(map[CheckpointKey]*version)}
 }
 
-// Append writes a new version of key's state and returns the version number
-// (1 for the first write). The payload and header are copied, so callers may
-// reuse their buffers.
-func (l *CheckpointLog) Append(key CheckpointKey, kind Kind, header, payload []byte) uint64 {
-	return l.AppendOwned(key, kind, append([]byte(nil), header...), append([]byte(nil), payload...))
-}
-
-// AppendOwned is Append without the copies: the log keeps header and
-// payload themselves, so the caller hands them over and must never write
-// to them again. The agent runtime passes the snapshot its restart map
+// AppendOwned writes a new version of key's state and returns the version
+// number (1 for the first write). The log keeps header and payload
+// themselves, so the caller hands them over and must never write to them
+// again. The agent runtime passes the snapshot its restart map
 // holds, which is written by neither side.
 func (l *CheckpointLog) AppendOwned(key CheckpointKey, kind Kind, header, payload []byte) uint64 {
 	v := &version{Checkpoint: Checkpoint{Key: key, Kind: kind, Header: header, Payload: payload}}
@@ -139,17 +133,6 @@ func copyOut(cp *Checkpoint) Checkpoint {
 	out.Header = append([]byte(nil), cp.Header...)
 	out.Payload = append([]byte(nil), cp.Payload...)
 	return out
-}
-
-// Latest returns the newest version of key's state.
-func (l *CheckpointLog) Latest(key CheckpointKey) (Checkpoint, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	v, ok := l.latest[key]
-	if !ok {
-		return Checkpoint{}, false
-	}
-	return copyOut(&v.Checkpoint), true
 }
 
 // LatestSlot returns the newest state for (session, slot) regardless of API

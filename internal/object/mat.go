@@ -131,24 +131,6 @@ func (m *Mat) Set(row, col, ch int, v byte) error {
 	return m.space.StoreByte(a, v)
 }
 
-// Row reads an entire row (all columns and channels).
-func (m *Mat) Row(row int) ([]byte, error) {
-	if row < 0 || row >= m.Rows() {
-		return nil, fmt.Errorf("object: row %d out of %d", row, m.Rows())
-	}
-	n := m.Cols() * m.Channels()
-	return m.space.Load(m.region.Base+mem.Addr(row*n), n)
-}
-
-// SetRow writes an entire row.
-func (m *Mat) SetRow(row int, data []byte) error {
-	n := m.Cols() * m.Channels()
-	if row < 0 || row >= m.Rows() || len(data) != n {
-		return fmt.Errorf("object: bad row write")
-	}
-	return m.space.Store(m.region.Base+mem.Addr(row*n), data)
-}
-
 // String describes the mat.
 func (m *Mat) String() string {
 	return fmt.Sprintf("Mat(%dx%dx%d @%#x)", m.Rows(), m.Cols(), m.Channels(), uint64(m.region.Base))

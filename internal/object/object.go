@@ -124,9 +124,6 @@ type Ref struct {
 // the header.
 func (r Ref) EncodedLen() int { return 29 + len(r.Header) }
 
-// Encode serializes the ref into a buffer of exactly EncodedLen bytes.
-func (r Ref) Encode() []byte { return r.Append(make([]byte, 0, r.EncodedLen())) }
-
 // Append appends the ref's encoding to b. It is the field of a reference
 // value in the framework call/reply wire format, written straight into
 // the message buffer.

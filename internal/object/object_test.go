@@ -58,25 +58,6 @@ func TestMatInvalidShape(t *testing.T) {
 	}
 }
 
-func TestMatRowIO(t *testing.T) {
-	s := mem.NewSpace()
-	m, _ := NewMat(s, 3, 4, 2)
-	row := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := m.SetRow(1, row); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Row(1)
-	if err != nil || !bytes.Equal(got, row) {
-		t.Fatalf("Row = %v, %v", got, err)
-	}
-	if _, err := m.Row(5); err == nil {
-		t.Fatal("out-of-range Row should fail")
-	}
-	if err := m.SetRow(0, []byte{1}); err == nil {
-		t.Fatal("short SetRow should fail")
-	}
-}
-
 // TestCopyIntoMat: a copy of a mat, into a second space or into the
 // mat's own, is a deep copy of its shape and bytes.
 func TestCopyIntoMat(t *testing.T) {
@@ -181,10 +162,7 @@ func TestTensorInvalidShape(t *testing.T) {
 // tensor's own, has its shape and elements.
 func TestCopyIntoTensor(t *testing.T) {
 	a := mem.NewSpace()
-	ten, err := TensorFromValues(a, []float64{1.5, -2.5, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ten := tensorOf(t, a, 1.5, -2.5, 0)
 	for _, dst := range []*mem.AddressSpace{mem.NewSpace(), a} {
 		o, err := CopyInto(dst, Ref{Kind: KindTensor, Header: ten.Header()}, ten)
 		if err != nil {
@@ -285,17 +263,6 @@ func TestTableIDsUnique(t *testing.T) {
 	}
 }
 
-func TestTableClear(t *testing.T) {
-	s := mem.NewSpace()
-	tab := NewTable(1)
-	m, _ := NewMat(s, 1, 1, 1)
-	tab.Put(m)
-	tab.Clear()
-	if tab.Len() != 0 {
-		t.Fatal("Clear should empty the table")
-	}
-}
-
 func TestRefEncodeDecodeRoundTrip(t *testing.T) {
 	s := mem.NewSpace()
 	tab := NewTable(9)
@@ -307,7 +274,7 @@ func TestRefEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dec Ref
-	if err := DecodeRefInto(&dec, ref.Encode()); err != nil {
+	if err := DecodeRefInto(&dec, ref.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if dec.PID != 9 || dec.ID != id || dec.Size != 9 || dec.Kind != KindMat || dec.Hash != ref.Hash {
@@ -319,7 +286,7 @@ func TestRefEncodeDecodeRoundTrip(t *testing.T) {
 	// A second decode into the same Ref copies the header into the array
 	// it already holds.
 	header := dec.Header
-	if err := DecodeRefInto(&dec, ref.Encode()); err != nil || &dec.Header[0] != &header[0] || !bytes.Equal(dec.Header, ref.Header) {
+	if err := DecodeRefInto(&dec, ref.Append(nil)); err != nil || &dec.Header[0] != &header[0] || !bytes.Equal(dec.Header, ref.Header) {
 		t.Fatalf("decoding into a held header array: %v, header %x", err, dec.Header)
 	}
 }
@@ -376,7 +343,7 @@ func TestRebuildTensorAndBlob(t *testing.T) {
 	src, dst := mem.NewSpace(), mem.NewSpace()
 	tab := NewTable(1)
 
-	ten, _ := TensorFromValues(src, []float64{5, 6})
+	ten := tensorOf(t, src, 5, 6)
 	tid := tab.Put(ten)
 	tref, _ := tab.RefFor(tid)
 	tp, _ := PayloadBytes(ten)
@@ -433,7 +400,7 @@ func TestCopyIntoActsAsRebuild(t *testing.T) {
 	run := func(viaCopy bool, ref Ref, srcPerm mem.Perm, refuseWrite bool) outcome {
 		src, dst := mem.NewSpace(), mem.NewSpace()
 		var out outcome
-		ten, _ := TensorFromValues(src, []float64{1, 2, 3, 4})
+		ten := tensorOf(t, src, 1, 2, 3, 4)
 		src.SetAccessHook(func(mem.Addr, int, mem.AccessKind) error { out.srcHook++; return nil })
 		dst.SetAccessHook(func(_ mem.Addr, _ int, kind mem.AccessKind) error {
 			out.dstHook++
@@ -604,4 +571,17 @@ func TestBulkReadsSpanPages(t *testing.T) {
 	if sum, err := ContentHash(ten); err != nil || sum != h.Sum64() {
 		t.Fatalf("ContentHash = %x, %v; want %x", sum, err, h.Sum64())
 	}
+}
+
+// tensorOf allocates a 1-D tensor in space holding vals.
+func tensorOf(tb testing.TB, space *mem.AddressSpace, vals ...float64) *Tensor {
+	tb.Helper()
+	ten, err := NewTensor(space, len(vals))
+	if err == nil {
+		err = ten.SetValues(vals)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ten
 }

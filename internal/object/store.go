@@ -3,17 +3,12 @@ package object
 import (
 	"fmt"
 	"sync"
-
-	"freepart.dev/freepart/internal/mem"
 )
 
-// Store is a copy-on-write read-only object store shared across runtime
-// shards. Immutable artifacts — model weights, classifier files, grading
+// Store is a read-only object store shared across runtime shards.
+// Immutable artifacts — model weights, classifier files, grading
 // templates — are built exactly once and every shard reads the same backing
-// bytes instead of re-materializing its own copy. A shard that needs the
-// artifact inside its own simulated address space materializes it lazily,
-// memoized per space; a shard that needs to mutate takes a private copy
-// (the copy-on-write escape), leaving the canonical bytes untouched.
+// bytes instead of re-materializing its own copy.
 //
 // Safe for concurrent use: builds are single-flight, so two shards racing
 // to intern the same key run the builder once and share the result.
@@ -53,7 +48,7 @@ func NewStore() *Store {
 // Intern returns the immutable registered under name, building it with
 // build on first use. Concurrent interns of the same name run build exactly
 // once; every caller shares the same backing payload.
-func (s *Store) Intern(name string, kind Kind, header []byte, build func() ([]byte, error)) (*Immutable, error) {
+func (s *Store) Intern(name string, kind Kind, build func() ([]byte, error)) (*Immutable, error) {
 	s.mu.Lock()
 	e, ok := s.entries[name]
 	if !ok {
@@ -74,13 +69,7 @@ func (s *Store) Intern(name string, kind Kind, header []byte, build func() ([]by
 			e.err = fmt.Errorf("object: store artifact %q built empty", name)
 			return
 		}
-		e.im = &Immutable{
-			name:    name,
-			kind:    kind,
-			header:  append([]byte(nil), header...),
-			payload: payload,
-			mats:    make(map[mem.SpaceID]Object),
-		}
+		e.im = &Immutable{name: name, kind: kind, payload: payload}
 	})
 	if e.err != nil {
 		return nil, e.err
@@ -95,18 +84,6 @@ func (s *Store) Intern(name string, kind Kind, header []byte, build func() ([]by
 	}
 	s.mu.Unlock()
 	return e.im, nil
-}
-
-// Get returns the immutable under name if it has been interned (and its
-// build succeeded).
-func (s *Store) Get(name string) (*Immutable, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[name]
-	s.mu.Unlock()
-	if !ok || e.im == nil {
-		return nil, false
-	}
-	return e.im, true
 }
 
 // Len returns the number of successfully interned artifacts.
@@ -130,15 +107,11 @@ func (s *Store) Stats() StoreStats {
 }
 
 // Immutable is one read-only artifact in a Store. Its payload is shared by
-// every reader; mutation goes through MutableCopy.
+// every reader.
 type Immutable struct {
 	name    string
 	kind    Kind
-	header  []byte
 	payload []byte
-
-	mu   sync.Mutex
-	mats map[mem.SpaceID]Object // per-address-space materializations
 }
 
 // Name returns the store key.
@@ -147,52 +120,6 @@ func (im *Immutable) Name() string { return im.name }
 // Kind returns the object kind the artifact rebuilds as.
 func (im *Immutable) Kind() Kind { return im.kind }
 
-// Size returns the payload size in bytes.
-func (im *Immutable) Size() int { return len(im.payload) }
-
 // Bytes returns the shared backing payload. Callers must treat it as
-// read-only — this is the zero-copy read path of the COW contract. Use
-// MutableCopy to obtain writable bytes.
+// read-only: every reader shares these bytes.
 func (im *Immutable) Bytes() []byte { return im.payload }
-
-// MutableCopy returns a private copy of the payload — the copy-on-write
-// escape hatch for callers that need to mutate the artifact. The shared
-// bytes are never affected.
-func (im *Immutable) MutableCopy() []byte {
-	out := make([]byte, len(im.payload))
-	copy(out, im.payload)
-	return out
-}
-
-// Materialize rebuilds the artifact as an Object inside the given address
-// space, memoized per space: a shard that materializes the same artifact
-// twice gets the same object back, paying allocation and copy cost once.
-func (im *Immutable) Materialize(space *mem.AddressSpace) (Object, error) {
-	im.mu.Lock()
-	if o, ok := im.mats[space.ID()]; ok {
-		im.mu.Unlock()
-		return o, nil
-	}
-	im.mu.Unlock()
-
-	o, err := Rebuild(space, Ref{Kind: im.kind, Header: im.header}, im.payload)
-	if err != nil {
-		return nil, err
-	}
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	// A racing materialization into the same space wins by first insert,
-	// keeping the memoized object stable.
-	if prior, ok := im.mats[space.ID()]; ok {
-		return prior, nil
-	}
-	im.mats[space.ID()] = o
-	return o, nil
-}
-
-// Materialized reports how many distinct address spaces hold a copy.
-func (im *Immutable) Materialized() int {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	return len(im.mats)
-}

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"freepart.dev/freepart/internal/mem"
 )
 
 func TestStoreInternBuildsOnce(t *testing.T) {
@@ -18,11 +16,11 @@ func TestStoreInternBuildsOnce(t *testing.T) {
 		return []byte("weights-v1"), nil
 	}
 
-	first, err := s.Intern("model", KindBlob, nil, build)
+	first, err := s.Intern("model", KindBlob, build)
 	if err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	second, err := s.Intern("model", KindBlob, nil, build)
+	second, err := s.Intern("model", KindBlob, build)
 	if err != nil {
 		t.Fatalf("Intern (hit): %v", err)
 	}
@@ -36,8 +34,8 @@ func TestStoreInternBuildsOnce(t *testing.T) {
 	if st.Builds != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 build / 1 hit", st)
 	}
-	if st.SharedBytes != uint64(first.Size()) {
-		t.Fatalf("SharedBytes = %d, want %d", st.SharedBytes, first.Size())
+	if st.SharedBytes != uint64(len(first.Bytes())) {
+		t.Fatalf("SharedBytes = %d, want %d", st.SharedBytes, len(first.Bytes()))
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
@@ -54,7 +52,7 @@ func TestStoreInternConcurrentSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			im, err := s.Intern("tpl", KindBlob, nil, func() ([]byte, error) {
+			im, err := s.Intern("tpl", KindBlob, func() ([]byte, error) {
 				builds.Add(1)
 				return []byte("template"), nil
 			})
@@ -78,7 +76,7 @@ func TestStoreInternConcurrentSingleFlight(t *testing.T) {
 
 func TestStoreSharedBytesIdentity(t *testing.T) {
 	s := NewStore()
-	im, err := s.Intern("blob", KindBlob, nil, func() ([]byte, error) {
+	im, err := s.Intern("blob", KindBlob, func() ([]byte, error) {
 		return []byte{1, 2, 3, 4}, nil
 	})
 	if err != nil {
@@ -88,14 +86,6 @@ func TestStoreSharedBytesIdentity(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Fatal("Bytes did not return the shared backing array")
 	}
-	c := im.MutableCopy()
-	if &c[0] == &a[0] {
-		t.Fatal("MutableCopy aliases the shared payload")
-	}
-	c[0] = 99
-	if a[0] != 1 {
-		t.Fatal("mutating the copy leaked into the shared payload")
-	}
 	if !bytes.Equal(a, []byte{1, 2, 3, 4}) {
 		t.Fatalf("shared payload corrupted: %v", a)
 	}
@@ -104,97 +94,18 @@ func TestStoreSharedBytesIdentity(t *testing.T) {
 func TestStoreInternBuildError(t *testing.T) {
 	s := NewStore()
 	boom := errors.New("boom")
-	if _, err := s.Intern("bad", KindBlob, nil, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := s.Intern("bad", KindBlob, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("Intern error = %v, want %v", err, boom)
 	}
 	// The failed build is sticky — later interns see the same error and the
-	// artifact never appears in lookups.
-	if _, err := s.Intern("bad", KindBlob, nil, func() ([]byte, error) { return []byte("x"), nil }); !errors.Is(err, boom) {
+	// artifact is never counted.
+	if _, err := s.Intern("bad", KindBlob, func() ([]byte, error) { return []byte("x"), nil }); !errors.Is(err, boom) {
 		t.Fatalf("second Intern error = %v, want sticky %v", err, boom)
-	}
-	if _, ok := s.Get("bad"); ok {
-		t.Fatal("failed artifact is visible via Get")
 	}
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", s.Len())
 	}
-	if _, err := s.Intern("empty", KindBlob, nil, func() ([]byte, error) { return nil, nil }); err == nil {
+	if _, err := s.Intern("empty", KindBlob, func() ([]byte, error) { return nil, nil }); err == nil {
 		t.Fatal("empty build succeeded, want error")
-	}
-}
-
-func TestImmutableMaterializeMemoizedPerSpace(t *testing.T) {
-	s := NewStore()
-	im, err := s.Intern("model", KindBlob, nil, func() ([]byte, error) {
-		return []byte("shared-model-weights"), nil
-	})
-	if err != nil {
-		t.Fatalf("Intern: %v", err)
-	}
-
-	spaceA, spaceB := mem.NewSpace(), mem.NewSpace()
-	oa1, err := im.Materialize(spaceA)
-	if err != nil {
-		t.Fatalf("Materialize A: %v", err)
-	}
-	oa2, err := im.Materialize(spaceA)
-	if err != nil {
-		t.Fatalf("Materialize A again: %v", err)
-	}
-	if oa1 != oa2 {
-		t.Fatal("second materialize into the same space was not memoized")
-	}
-	ob, err := im.Materialize(spaceB)
-	if err != nil {
-		t.Fatalf("Materialize B: %v", err)
-	}
-	if ob == oa1 {
-		t.Fatal("distinct spaces shared one materialized object")
-	}
-	if im.Materialized() != 2 {
-		t.Fatalf("Materialized = %d, want 2", im.Materialized())
-	}
-
-	got, err := PayloadBytes(ob)
-	if err != nil {
-		t.Fatalf("PayloadBytes: %v", err)
-	}
-	if !bytes.Equal(got, im.Bytes()) {
-		t.Fatal("materialized payload differs from shared bytes")
-	}
-}
-
-func TestImmutableMaterializeConcurrent(t *testing.T) {
-	s := NewStore()
-	im, err := s.Intern("m", KindBlob, nil, func() ([]byte, error) {
-		return []byte("payload"), nil
-	})
-	if err != nil {
-		t.Fatalf("Intern: %v", err)
-	}
-	space := mem.NewSpace()
-	const callers = 8
-	objs := make([]Object, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o, err := im.Materialize(space)
-			if err != nil {
-				t.Errorf("Materialize: %v", err)
-				return
-			}
-			objs[i] = o
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if objs[i] != objs[0] {
-			t.Fatal("concurrent materializations into one space diverged")
-		}
-	}
-	if im.Materialized() != 1 {
-		t.Fatalf("Materialized = %d, want 1", im.Materialized())
 	}
 }

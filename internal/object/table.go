@@ -33,9 +33,6 @@ func (b *Blob) Space() *mem.AddressSpace { return b.space }
 // Region implements Object.
 func (b *Blob) Region() mem.Region { return b.region }
 
-// Size returns the payload size.
-func (b *Blob) Size() int { return b.n }
-
 // Header is empty for blobs.
 func (b *Blob) Header() []byte { return nil }
 
@@ -56,9 +53,6 @@ type Table struct {
 func NewTable(pid uint32) *Table {
 	return &Table{pid: pid, nextID: 1, objs: make(map[uint64]Object)}
 }
-
-// PID returns the owning process id.
-func (t *Table) PID() uint32 { return t.pid }
 
 // Put registers an object and returns its id (the map_set of Fig. 10-(c)).
 func (t *Table) Put(o Object) uint64 {
@@ -90,14 +84,6 @@ func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.objs)
-}
-
-// Clear drops every entry (used when a process restarts with a fresh
-// address space: old objects are unreachable by design).
-func (t *Table) Clear() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.objs = make(map[uint64]Object)
 }
 
 // NextID reports the id the allocator would hand out next.

@@ -51,20 +51,6 @@ func newTensor(space *mem.AddressSpace, r mem.Region, n int, shape []int) *Tenso
 	return t
 }
 
-// TensorFromValues allocates a 1-D tensor initialized with vals.
-func TensorFromValues(space *mem.AddressSpace, vals []float64) (*Tensor, error) {
-	t, err := NewTensor(space, len(vals))
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range vals {
-		if err := t.SetFlat(i, v); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
 // tensorLen returns the element count of shape. A shape whose byte size
 // does not fit in an int is out of memory, rather than wrapping to a small
 // count.

@@ -23,7 +23,7 @@ type trace struct {
 // disabled configuration.
 //
 // The memory is deterministic and byte-replayable: state is a pure function
-// of the Touch/Rehome/Evict call sequence, and Encode renders it in a
+// of the Touch/Rehome/EvictRange call sequence, and Encode renders it in a
 // canonical sorted form so two replays can be compared byte-for-byte.
 type PlacementMemory struct {
 	mu     sync.Mutex
@@ -98,24 +98,6 @@ func (pm *PlacementMemory) Rehome(from, to, gen int, keys map[uint64]bool) int {
 		moved++
 	}
 	return moved
-}
-
-// Evict forgets every trace pointing at shard slot id — the slot's process
-// was replaced and its page cache is gone. Returns how many keys cooled.
-func (pm *PlacementMemory) Evict(id int) int {
-	if pm == nil {
-		return 0
-	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	n := 0
-	for k, t := range pm.traces {
-		if t.shard == id {
-			delete(pm.traces, k)
-			n++
-		}
-	}
-	return n
 }
 
 // EvictRange forgets every trace whose key is in [lo, hi) except traces

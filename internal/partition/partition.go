@@ -209,26 +209,6 @@ func (m *Meta) SplitAt(part int, at uint64, preferred int) int {
 	return newID
 }
 
-// Clone deep-copies the meta so a drill can mutate its own view.
-func (m *Meta) Clone() *Meta {
-	if m == nil {
-		return nil
-	}
-	c := &Meta{Strategy: m.Strategy, KeySpace: m.KeySpace}
-	c.Parts = make([]Info, len(m.Parts))
-	copy(c.Parts, m.Parts)
-	for i := range c.Parts {
-		if m.Parts[i].Classes != nil {
-			cl := make(map[string]int, len(m.Parts[i].Classes))
-			for k, v := range m.Parts[i].Classes {
-				cl[k] = v
-			}
-			c.Parts[i].Classes = cl
-		}
-	}
-	return c
-}
-
 // Encode renders the meta in a canonical byte form (sorted class keys) for
 // byte-replayability comparisons.
 func (m *Meta) Encode() []byte {

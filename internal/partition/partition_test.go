@@ -95,20 +95,6 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := New(Range, 2, 100)
-	m.Record(10, 5, "a")
-	c := m.Clone()
-	c.Record(10, 5, "a")
-	c.Prefer(0, 3)
-	if m.Parts[0].Classes["a"] != 1 || m.Parts[0].Preferred != -1 {
-		t.Fatal("mutating the clone leaked into the original")
-	}
-	if !bytes.Equal(m.Clone().Encode(), m.Encode()) {
-		t.Fatal("clone does not encode identically to its source")
-	}
-}
-
 func TestMetaEncodeCanonical(t *testing.T) {
 	build := func() *Meta {
 		m := New(Range, 3, 300)
@@ -133,8 +119,8 @@ func TestNilMetaSafe(t *testing.T) {
 	if m.Split(0, 0) != -1 {
 		t.Fatal("nil meta split should decline")
 	}
-	if m.Clone() != nil || m.Encode() != nil {
-		t.Fatal("nil meta should clone/encode to nil")
+	if m.Encode() != nil {
+		t.Fatal("nil meta should encode to nil")
 	}
 }
 
@@ -190,7 +176,7 @@ func TestPlacementMemoryRehomeAndEvict(t *testing.T) {
 	if n := pm.Rehome(5, 7, 0, nil); n != 1 {
 		t.Fatalf("full rehome moved %d keys, want 1", n)
 	}
-	if n := pm.Evict(6); n != 1 {
+	if n := pm.EvictRange(2, 3, -1); n != 1 {
 		t.Fatalf("evict cooled %d keys, want 1", n)
 	}
 	if _, _, ok := pm.WarmShard(2); ok {
@@ -208,7 +194,7 @@ func TestPlacementMemoryEncodeReplay(t *testing.T) {
 			pm.Touch(k*37%64, int(k%4), int(k%2), vclock.Duration(k))
 		}
 		pm.Rehome(1, 2, 3, nil)
-		pm.Evict(3)
+		pm.EvictRange(16, 48, 1)
 		return pm
 	}
 	a, b := build().Encode(), build().Encode()
@@ -225,7 +211,7 @@ func TestNilPlacementMemoryInert(t *testing.T) {
 	if _, _, ok := pm.WarmShard(1); ok {
 		t.Fatal("nil memory has a warm shard")
 	}
-	if pm.Rehome(0, 1, 0, nil) != 0 || pm.Evict(0) != 0 || pm.Len() != 0 {
+	if pm.Rehome(0, 1, 0, nil) != 0 || pm.EvictRange(0, 1, 0) != 0 || pm.Len() != 0 {
 		t.Fatal("nil memory mutated")
 	}
 	h, m := pm.Stats()

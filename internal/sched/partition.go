@@ -132,34 +132,23 @@ func (pa PartitionAware) PlaceKeyed(session int, key uint64, pool []core.Placeme
 	return pa.base().Place(session, pool)
 }
 
-// RebalancePartition is the hot-range drill: when one socket melts under a
-// hot range, split the range's partition at its key midpoint, re-prefer the
-// upper half onto shard slot dest, migrate every live keyed session owned
-// by the moved range there through the existing checkpoint log (cross-
-// socket moves pay CrossSocketCost on the destination clock, sized by
-// bytesPerSession), and rehome the moved keys in the placement memory so
-// their next visit scores warm at dest. Returns the new partition's id and
-// how many sessions moved. Purely a control-plane action: served results
-// must be byte-equal with or without it — only where (and at what virtual
-// cost) the work runs changes.
-func RebalancePartition(ex *core.Executor, meta *partition.Meta, mem *partition.PlacementMemory,
-	topo Topology, cost vclock.CostModel, hot, dest, bytesPerSession int) (newPart, moved int, err error) {
-	return rebalance(ex, meta, mem, topo, cost, hot, 0, dest, bytesPerSession)
-}
-
-// RebalancePartitionAt is RebalancePartition with an explicit split key.
-// Zipf-hot ranges concentrate their load at the low end of the interval, so
-// a key-midpoint split sheds almost nothing; the operator (or the report's
-// drill) computes the observed load midpoint from the traffic it has seen
-// and splits there instead, the way range-sharded stores split a region at
-// its data median.
+// RebalancePartitionAt is the hot-range drill: when one socket melts under
+// a hot range, split the range's partition at key at (at == 0 splits at the
+// key midpoint), re-prefer the upper half onto shard slot dest, migrate
+// every live keyed session owned by the moved range there through the
+// existing checkpoint log (cross-socket moves pay CrossSocketCost on the
+// destination clock, sized by bytesPerSession), and rehome the moved keys
+// in the placement memory so their next visit scores warm at dest. Returns
+// the new partition's id and how many sessions moved. Purely a
+// control-plane action: served results must be byte-equal with or without
+// it — only where (and at what virtual cost) the work runs changes.
+//
+// Zipf-hot ranges concentrate their load at the low end of the interval,
+// so a key-midpoint split sheds almost nothing; the operator (or the
+// report's drill) computes the observed load midpoint from the traffic it
+// has seen and splits there instead, the way range-sharded stores split a
+// region at its data median.
 func RebalancePartitionAt(ex *core.Executor, meta *partition.Meta, mem *partition.PlacementMemory,
-	topo Topology, cost vclock.CostModel, hot int, at uint64, dest, bytesPerSession int) (newPart, moved int, err error) {
-	return rebalance(ex, meta, mem, topo, cost, hot, at, dest, bytesPerSession)
-}
-
-// rebalance implements both drill entry points; at == 0 means key midpoint.
-func rebalance(ex *core.Executor, meta *partition.Meta, mem *partition.PlacementMemory,
 	topo Topology, cost vclock.CostModel, hot int, at uint64, dest, bytesPerSession int) (newPart, moved int, err error) {
 	if meta == nil {
 		return -1, 0, fmt.Errorf("sched: rebalance needs partition metadata")

@@ -173,11 +173,3 @@ func (q *WFQ) Observe(slot int, entries []core.BatchEntry, errs []error) {
 		}
 	}
 }
-
-// Reset clears all finish-clock state (between independent runs sharing
-// one policy value).
-func (q *WFQ) Reset() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.finish = nil
-}

@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 
 	"freepart.dev/freepart/internal/framework"
@@ -44,18 +43,6 @@ func (r *Recorder) Ops(api string) []Op {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Op(nil), r.ops[api]...)
-}
-
-// Covered returns the names of APIs with at least one observation, sorted.
-func (r *Recorder) Covered() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.ops))
-	for api := range r.ops {
-		out = append(out, api)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Has reports whether the API has any observation.
@@ -140,17 +127,4 @@ func (r *Runner) CoverageFor(fw string) Coverage {
 		}
 	}
 	return cov
-}
-
-// SyscallsObserved returns the union of syscalls the API's process issued
-// during traced runs. Because RunAPI uses a fresh process per API, the
-// per-process syscall counters are exact per-API observations.
-func SyscallsObserved(p *kernel.Process) []kernel.Sysno {
-	counts := p.SyscallCounts()
-	out := make([]kernel.Sysno, 0, len(counts))
-	for s := range counts {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

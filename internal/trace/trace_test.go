@@ -22,9 +22,6 @@ func TestRecorderDedup(t *testing.T) {
 	if !r.Has("a") || r.Has("b") {
 		t.Fatal("Has wrong")
 	}
-	if cov := r.Covered(); len(cov) != 1 || cov[0] != "a" {
-		t.Fatalf("Covered = %v", cov)
-	}
 }
 
 func TestRunSuiteCoversMostAPIs(t *testing.T) {
@@ -118,14 +115,11 @@ func TestRunAPISyscallObservation(t *testing.T) {
 	if _, err := api.Exec(ctx, []framework.Value{framework.Str("/suite/img.img")}); err != nil {
 		t.Fatal(err)
 	}
-	obs := trace.SyscallsObserved(p)
-	want := map[kernel.Sysno]bool{kernel.SysOpenat: true, kernel.SysRead: true}
-	got := map[kernel.Sysno]bool{}
-	for _, s := range obs {
-		got[s] = true
-	}
-	for s := range want {
-		if !got[s] {
+	// RunAPI gives each API a fresh process, so the process's syscall
+	// counts are exactly what the API issued.
+	obs := p.SyscallCounts()
+	for _, s := range []kernel.Sysno{kernel.SysOpenat, kernel.SysRead} {
+		if obs[s] == 0 {
 			t.Errorf("missing observed syscall %s in %v", s, obs)
 		}
 	}
