@@ -18,6 +18,7 @@ import (
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/all"
+	"freepart.dev/freepart/internal/framework/simtorch"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/report"
 	"freepart.dev/freepart/internal/trace"
@@ -282,12 +283,13 @@ func skipUnderRace(t *testing.T) {
 // TestDetectionRequestAllocs is the stateful row of the call-path bound:
 // one detection request served through DetectionServer.Serve, one request
 // per call, on two protected shards under the paper policy with the
-// executor's checkpoint log attached. 35 allocations are made; the bound of
-// 35 fails when a kernel reads its input through PayloadBytes again or
-// WriteFile copies the body again (36 each), or a crossing builds any of
-// its per-call lists again, decodes a ref's header into new memory, or
-// encodes an object's header again on every RefFor and checkpoint, or a
-// checkpoint copies its snapshot again (3 or more per request each).
+// executor's checkpoint log attached. 34 allocations are made; the bound of
+// 34 fails when grayOf copies a one-channel image again, a kernel reads its
+// input through PayloadBytes again or WriteFile copies the body again (35
+// each), or a crossing builds any of its per-call lists again, decodes a
+// ref's header into new memory, or encodes an object's header again on
+// every RefFor and checkpoint, or a checkpoint copies its snapshot again
+// (3 or more per request each).
 func TestDetectionRequestAllocs(t *testing.T) {
 	skipUnderRace(t)
 	reg := all.Registry()
@@ -316,8 +318,8 @@ func TestDetectionRequestAllocs(t *testing.T) {
 		t.Fatal("no checkpoint was written through to the log")
 	}
 	t.Logf("%.0f allocs per detection request", allocs)
-	if allocs > 35 {
-		t.Fatalf("one protected detection request made %.0f allocs, want <= 35", allocs)
+	if allocs > 34 {
+		t.Fatalf("one protected detection request made %.0f allocs, want <= 34", allocs)
 	}
 }
 
@@ -396,13 +398,17 @@ func fig13AppRuns(t *testing.T) []appRun {
 }
 
 // TestAppRunAllocs bounds the heap allocations of one Fig. 13 app run,
-// averaged over the apps after the first (the warm-up run). 683 allocations
-// are made, 684 now and then; the bound of 684 fails when a snapshot copies
-// the region again (699), kernels read their inputs through PayloadBytes
-// again (696), a whole-region copy copies the slab again (693) or WriteFile
-// copies its buffer again (686), and so when the simulated MMU allocates a
-// record and a byte array per page again or a crossing allocates anything
-// per call again (each adds 40 or more).
+// averaged over the apps after the first (the warm-up run). 634
+// allocations are made; the bound of 635 fails when a snapshot copies the
+// region again (657), the simtorch kernels read their operands with Values
+// again (656), kernels read their input mats through PayloadBytes again
+// (651), a whole-region copy copies the slab again (646), the dedup cache
+// is a map again (645), torch.tensor fills a Go slice again or grayOf
+// copies a one-channel image again (639 each), the drawing kernels copy
+// their canvas again (638) or WriteFile copies its buffer again (637), and
+// so when the simulated MMU allocates a record and a byte array per page
+// again or a crossing allocates anything per call again (each adds 40 or
+// more).
 func TestAppRunAllocs(t *testing.T) {
 	skipUnderRace(t)
 	runs := fig13AppRuns(t)
@@ -419,17 +425,22 @@ func TestAppRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%.0f allocs per app run", allocs)
-	if allocs > 684 {
-		t.Fatalf("one Fig. 13 app run made %.0f allocs, want <= 684", allocs)
+	if allocs > 635 {
+		t.Fatalf("one Fig. 13 app run made %.0f allocs, want <= 635", allocs)
 	}
 }
 
 // TestAppRunBytes bounds the Go bytes one Fig. 13 app run allocates,
 // counted as runtime.MemStats.TotalAlloc across all 23 runs with their
-// set-up excluded. About 3.17 MB per run are allocated; the bound of 3.2 MB
-// fails when a snapshot copies the region again (4.02 MB), a whole-region
-// copy copies the slab again (3.68 MB), kernels read their inputs through
-// PayloadBytes again (3.64 MB) or WriteFile copies its buffer again (3.26
+// set-up excluded. About 1.64 MB per run are allocated; the bound of 1.7 MB
+// fails when a snapshot copies the region again (2.76 MB), the simtorch
+// kernels read their operands with Values again (2.41 MB), kernels read
+// their input mats through PayloadBytes again (2.25 MB), a whole-region
+// copy copies the slab again (2.21 MB), components builds a label array
+// its caller drops again or torch.tensor fills a Go slice again (1.91 MB
+// each), the forward reads its input with Values again (1.85 MB), grayOf
+// copies a one-channel image again (1.84 MB), the drawing kernels copy
+// their canvas again (1.79 MB) or WriteFile copies its buffer again (1.72
 // MB).
 func TestAppRunBytes(t *testing.T) {
 	skipUnderRace(t)
@@ -444,8 +455,8 @@ func TestAppRunBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(runs))
 	t.Logf("%.0f bytes per app run", perRun)
-	if perRun > 3.2e6 {
-		t.Fatalf("one Fig. 13 app run allocated %.0f bytes, want <= 3.2 MB", perRun)
+	if perRun > 1.7e6 {
+		t.Fatalf("one Fig. 13 app run allocated %.0f bytes, want <= 1.7 MB", perRun)
 	}
 }
 
@@ -453,7 +464,7 @@ func TestAppRunBytes(t *testing.T) {
 // HeapAlloc after a collection, read before the runs are set up and again
 // after all of them ran, with every run kept alive. About 71.1 MB stay
 // live; the bound of 72 MB fails when a snapshot copies the region again
-// (88.7 MB) or a whole-region copy copies the slab again (81.0 MB).
+// (93.4 MB) or a whole-region copy copies the slab again (81.0 MB).
 func TestAppRunLiveBytes(t *testing.T) {
 	before := liveHeap()
 	runs := fig13AppRuns(t)
@@ -467,6 +478,51 @@ func TestAppRunLiveBytes(t *testing.T) {
 	t.Logf("%.2f MB live after the 23 app runs", float64(live)/1e6)
 	if live > 72e6 {
 		t.Fatalf("the 23 Fig. 13 app runs keep %.2f MB live, want <= 72 MB", float64(live)/1e6)
+	}
+}
+
+// TestModelForwardAllocs is the kernels' row: torch.Module.forward over a
+// 32,768-element input (256 KiB), with a model of a hidden layer of 2 and
+// an output layer of 2, called on one process. The forward reads its input
+// and the model's weights where they lie, so a call allocates about 5 KB:
+// the layers' outputs and the result tensor with its page. The bound, a
+// tenth of the input's bytes, fails when the forward reads its input with
+// Values again (267 KB per call).
+func TestModelForwardAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const n = 32768
+	k := kernel.New()
+	ctx := framework.NewCtx(k, k.Spawn("forward"))
+	mid, _, err := ctx.NewBlob(simtorch.EncodeModel([][]float64{make([]float64, 2*n), {1, 0, 0, 1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, in, err := ctx.NewTensor(n)
+	if err == nil {
+		err = in.SetValues(make([]float64, n))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := all.Registry().MustGet("torch.Module.forward")
+	args := []framework.Value{framework.Obj(mid), framework.Obj(tid)}
+	call := func() {
+		if _, err := fwd.Exec(ctx, args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per forward over a %d-byte input", perCall, in.Size())
+	if perCall >= uint64(in.Size())/10 {
+		t.Fatalf("a forward over a %d-byte input allocated %d bytes, want < %d", in.Size(), perCall, in.Size()/10)
 	}
 }
 

@@ -35,12 +35,14 @@ func tensorArg(ctx *framework.Ctx, args []framework.Value, i int) (*object.Tenso
 	return ctx.Tensor(args[i])
 }
 
-func newOut(ctx *framework.Ctx, shape []int, vals []float64) (framework.Value, error) {
+// fillOut allocates a result tensor of the given shape and encodes each
+// element i as f(i) straight into it (object.Tensor.Fill).
+func fillOut(ctx *framework.Ctx, shape []int, f func(i int) float64) (framework.Value, error) {
 	id, t, err := ctx.NewTensor(shape...)
 	if err != nil {
 		return framework.Nil(), err
 	}
-	if err := t.SetValues(vals); err != nil {
+	if err := t.Fill(f); err != nil {
 		return framework.Nil(), err
 	}
 	return framework.Obj(id), nil
@@ -131,16 +133,17 @@ func Registry() *framework.Registry {
 			for _, s := range sizes {
 				total += s
 			}
-			vals := make([]float64, total)
-			off := 0
-			for li, s := range sizes {
-				for i := 0; i < s; i++ {
-					vals[off+i] = 0.1 * float64(li+1)
-				}
-				off += s
-			}
 			ctx.EmitMemOp()
-			v, err := newOut(ctx, []int{total}, vals)
+			// Layer li's sizes[li] weights, one layer after another.
+			li, left := 0, sizes[0]
+			v, err := fillOut(ctx, []int{total}, func(int) float64 {
+				if left == 0 {
+					li++
+					left = sizes[li]
+				}
+				left--
+				return 0.1 * float64(li+1)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -161,34 +164,29 @@ func Registry() *framework.Registry {
 			if err != nil {
 				return nil, err
 			}
-			vw, err := w.Values()
+			vw, err := w.View()
 			if err != nil {
 				return nil, err
 			}
-			vi, err := in.Values()
+			vi, err := in.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(w.Size()+in.Size(), 10)
 			ctx.EmitMemOp()
 			// Dot-product score per weight chunk of input length.
-			n := len(vi)
+			n := vi.Len()
 			if n == 0 {
 				return nil, fmt.Errorf("simcaffe: empty input")
 			}
-			outs := len(vw) / n
-			if outs == 0 {
-				outs = 1
-			}
-			out := make([]float64, outs)
-			for o := 0; o < outs; o++ {
+			outs := max(vw.Len()/n, 1)
+			v, err := fillOut(ctx, []int{outs}, func(o int) float64 {
 				s := 0.0
-				for j := 0; j < n && o*n+j < len(vw); j++ {
-					s += vw[o*n+j] * vi[j]
+				for j := 0; j < n && o*n+j < vw.Len(); j++ {
+					s += vw.At(o*n+j) * vi.At(j)
 				}
-				out[o] = math.Max(0, s)
-			}
-			v, err := newOut(ctx, []int{outs}, out)
+				return math.Max(0, s)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -205,17 +203,15 @@ func Registry() *framework.Registry {
 			if err != nil {
 				return nil, err
 			}
-			vo, err := out.Values()
+			vo, err := out.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(out.Size(), 10)
 			ctx.EmitMemOp()
-			grads := make([]float64, len(vo))
-			for i, v := range vo {
-				grads[i] = 2 * v // d(v^2)/dv
-			}
-			v, err := newOut(ctx, out.Shape(), grads)
+			v, err := fillOut(ctx, out.Shape(), func(i int) float64 {
+				return 2 * vo.At(i) // d(v^2)/dv
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -247,16 +243,19 @@ func Registry() *framework.Registry {
 			if n > dst.Len() {
 				n = dst.Len()
 			}
-			vals, err := dst.Values()
+			vals, err := dst.View()
 			if err != nil {
 				return nil, err
 			}
-			for i := 0; i < n; i++ {
-				vals[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[i*8:]))
-			}
 			ctx.Charge(len(raw), 1)
 			ctx.EmitMemOp()
-			if err := dst.SetValues(vals); err != nil {
+			// The first n weights come from the blob, the rest stay.
+			if err := dst.Fill(func(i int) float64 {
+				if i < n {
+					return math.Float64frombits(binary.BigEndian.Uint64(raw[i*8:]))
+				}
+				return vals.At(i)
+			}); err != nil {
 				return nil, err
 			}
 			return []framework.Value{args[0]}, nil
@@ -279,20 +278,19 @@ func Registry() *framework.Registry {
 			if w.Len() != g.Len() {
 				return nil, fmt.Errorf("simcaffe: solver weight/grad mismatch")
 			}
-			vw, err := w.Values()
+			vw, err := w.View()
 			if err != nil {
 				return nil, err
 			}
-			vg, err := g.Values()
+			vg, err := g.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(w.Size(), 2)
 			ctx.EmitMemOp()
-			for i := range vw {
-				vw[i] -= 0.01 * vg[i]
-			}
-			if err := w.SetValues(vw); err != nil {
+			// The view of w keeps the weights as they were while w is
+			// written.
+			if err := w.Fill(func(i int) float64 { return vw.At(i) - 0.01*vg.At(i) }); err != nil {
 				return nil, err
 			}
 			return []framework.Value{args[0]}, nil
@@ -314,12 +312,12 @@ func Registry() *framework.Registry {
 			if rows*cols != t.Len() {
 				return nil, fmt.Errorf("simcaffe: reshape %d to %dx%d", t.Len(), rows, cols)
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.EmitMemOp()
-			v, err := newOut(ctx, []int{rows, cols}, vals)
+			v, err := fillOut(ctx, []int{rows, cols}, vals.At)
 			if err != nil {
 				return nil, err
 			}
@@ -340,14 +338,11 @@ func Registry() *framework.Registry {
 				if err != nil {
 					return nil, err
 				}
-				vals, err := t.Values()
+				vals, err := t.View()
 				if err != nil {
 					return nil, err
 				}
-				raw := make([]byte, 8*len(vals))
-				for i, v := range vals {
-					binary.BigEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-				}
+				raw := vals.Append(make([]byte, 0, t.Size()))
 				ctx.Charge(len(raw), 1)
 				return nil, ctx.FileWrite(args[1].Str, raw)
 			},

@@ -8,25 +8,28 @@ import (
 	"freepart.dev/freepart/internal/object"
 )
 
-// components labels 4-connected components of a binary image, returning
-// the label map (0 = background) and per-component bounding boxes
-// (minR, minC, maxR, maxC) and areas.
-func components(rows, cols int, bin []byte) (labels []int, boxes [][4]int, areas []int) {
-	labels = make([]int, rows*cols)
-	next := 0
+// components finds the 4-connected components of a binary image and
+// returns their bounding boxes (minR, minC, maxR, maxC) and areas. It
+// marks each pixel it visits by clearing it in bin, which must be the
+// caller's own (binarize's result); labels, when not nil, receives each
+// pixel's component number from 1, truncated to a byte (0 = background).
+func components(rows, cols int, bin, labels []byte) (boxes [][4]int, areas []int) {
 	var stack []int
 	for start := 0; start < rows*cols; start++ {
-		if bin[start] == 0 || labels[start] != 0 {
+		if bin[start] == 0 {
 			continue
 		}
-		next++
+		label := byte(len(boxes) + 1)
 		box := [4]int{rows, cols, -1, -1}
 		area := 0
 		stack = append(stack[:0], start)
-		labels[start] = next
+		bin[start] = 0
 		for len(stack) > 0 {
 			i := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			if labels != nil {
+				labels[i] = label
+			}
 			r, c := i/cols, i%cols
 			area++
 			if r < box[0] {
@@ -47,8 +50,8 @@ func components(rows, cols int, bin []byte) (labels []int, boxes [][4]int, areas
 					continue
 				}
 				j := nr*cols + nc
-				if bin[j] != 0 && labels[j] == 0 {
-					labels[j] = next
+				if bin[j] != 0 {
+					bin[j] = 0
 					stack = append(stack, j)
 				}
 			}
@@ -56,7 +59,7 @@ func components(rows, cols int, bin []byte) (labels []int, boxes [][4]int, areas
 		boxes = append(boxes, box)
 		areas = append(areas, area)
 	}
-	return labels, boxes, areas
+	return boxes, areas
 }
 
 // binarize thresholds a gray image at 128.
@@ -75,8 +78,7 @@ func registerAnalysis(r *framework.Registry) {
 	r.Register(reduceAPI("cv.findContours", 8, []string{CVEContoursDoS}, dpSyscalls(),
 		func(ctx *framework.Ctx, m *object.Mat, data []byte, args []framework.Value) ([]framework.Value, error) {
 			rows, cols := m.Rows(), m.Cols()
-			g := binarize(grayOf(rows, cols, m.Channels(), data))
-			_, boxes, areas := components(rows, cols, g)
+			boxes, areas := components(rows, cols, binarize(grayOf(rows, cols, m.Channels(), data)), nil)
 			if len(boxes) == 0 {
 				id, _, err := ctx.NewTensor(1, 5)
 				if err != nil {
@@ -236,18 +238,18 @@ func registerAnalysis(r *framework.Registry) {
 			if a.Len() != b.Len() {
 				return nil, errorString("simcv: histogram length mismatch")
 			}
-			va, err := a.Values()
+			va, err := a.View()
 			if err != nil {
 				return nil, err
 			}
-			vb, err := b.Values()
+			vb, err := b.View()
 			if err != nil {
 				return nil, err
 			}
 			// Chi-square distance.
 			d := 0.0
-			for i, x := range va {
-				y := vb[i]
+			for i := range va.Len() {
+				x, y := va.At(i), vb.At(i)
 				if x+y > 0 {
 					d += (x - y) * (x - y) / (x + y)
 				}
@@ -356,8 +358,7 @@ func registerAnalysis(r *framework.Registry) {
 		func(ctx *framework.Ctx, m *object.Mat, data []byte, args []framework.Value) ([]framework.Value, error) {
 			// Circle proxy: centroids of round-ish components.
 			rows, cols := m.Rows(), m.Cols()
-			g := binarize(grayOf(rows, cols, m.Channels(), data))
-			_, boxes, areas := components(rows, cols, g)
+			boxes, areas := components(rows, cols, binarize(grayOf(rows, cols, m.Channels(), data)), nil)
 			var circ []float64
 			for i, b := range boxes {
 				h, w := b[2]-b[0]+1, b[3]-b[1]+1
@@ -388,12 +389,8 @@ func registerAnalysis(r *framework.Registry) {
 	r.Register(reduceAPI("cv.connectedComponents", 8, nil, dpSyscalls(),
 		func(ctx *framework.Ctx, m *object.Mat, data []byte, args []framework.Value) ([]framework.Value, error) {
 			rows, cols := m.Rows(), m.Cols()
-			g := binarize(grayOf(rows, cols, m.Channels(), data))
-			labels, boxes, _ := components(rows, cols, g)
 			lab := make([]byte, rows*cols)
-			for i, l := range labels {
-				lab[i] = byte(l)
-			}
+			boxes, _ := components(rows, cols, binarize(grayOf(rows, cols, m.Channels(), data)), lab)
 			v, err := outMat(ctx, rows, cols, 1, lab)
 			if err != nil {
 				return nil, err

@@ -233,11 +233,11 @@ func registerDetect(r *framework.Registry) {
 			if len(sa) != 2 || len(sb) != 2 || sa[1] != sb[1] {
 				return nil, fmt.Errorf("simcv: match wants NxD tensors, got %v vs %v", sa, sb)
 			}
-			va, err := a.Values()
+			va, err := a.View()
 			if err != nil {
 				return nil, err
 			}
-			vb, err := b.Values()
+			vb, err := b.View()
 			if err != nil {
 				return nil, err
 			}
@@ -250,13 +250,11 @@ func registerDetect(r *framework.Registry) {
 			}
 			dim := sa[1]
 			for i := 0; i < sa[0]; i++ {
-				row := va[i*dim : (i+1)*dim]
 				bestJ, bestD := 0, math.MaxFloat64
 				for j := 0; j < sb[0]; j++ {
-					other := vb[j*dim : (j+1)*dim]
 					d := 0.0
-					for k, x := range row {
-						y := other[k]
+					for k := range dim {
+						x, y := va.At(i*dim+k), vb.At(j*dim+k)
 						d += (x - y) * (x - y)
 					}
 					if d < bestD {

@@ -136,9 +136,11 @@ func reduceAPI(name string, intensity float64, cves []string, syscalls []kernel.
 }
 
 // grayOf collapses a multi-channel image to single-channel by averaging.
+// A one-channel image is its own gray image: grayOf returns data itself, a
+// kernel's read-only view, so its callers only read what it returns.
 func grayOf(rows, cols, ch int, data []byte) []byte {
 	if ch == 1 {
-		return append([]byte(nil), data...)
+		return data
 	}
 	out := make([]byte, rows*cols)
 	for i := 0; i < rows*cols; i++ {

@@ -7,14 +7,21 @@ import (
 	"freepart.dev/freepart/internal/object"
 )
 
-// drawFn mutates image bytes in place.
-type drawFn func(m *object.Mat, data []byte, args []framework.Value) error
+// drawFn draws on a canvas's bytes in place. It runs inside the store
+// that writes them (mem.AddressSpace.StoreInPlace), under the space's lock,
+// so it touches nothing but data and cannot fail: a drawing API checks its
+// arguments before the store.
+type drawFn func(m *object.Mat, data []byte, args []framework.Value)
 
 // drawAPI builds an in-place drawing operation. Drawing APIs mutate their
 // first argument (the canvas) rather than returning a new mat — the
 // out-parameter path the RPC layer's UpdatedArgs exists for (Fig. 10-(c),
 // agent_update_arg). The mutated mat is also returned for convenience.
-func drawAPI(name string, intensity float64, fn drawFn) *framework.API {
+// The canvas is read once, as a snapshot, for the exploit check and the
+// load it counts; check, when not nil, vets the arguments; then fn draws
+// straight into the canvas's region within one store, so a draw that
+// fails its check leaves the canvas as it was.
+func drawAPI(name string, intensity float64, check func(m *object.Mat, args []framework.Value) error, fn drawFn) *framework.API {
 	var api *framework.API
 	api = &framework.API{
 		Name: name, Framework: Name, TrueType: framework.TypeProcessing,
@@ -23,7 +30,7 @@ func drawAPI(name string, intensity float64, fn drawFn) *framework.API {
 			if err := needArgs(name, args, 1); err != nil {
 				return nil, err
 			}
-			m, data, err := matAndBytes(ctx, args[0])
+			m, data, err := matView(ctx, args[0])
 			if err != nil {
 				return nil, err
 			}
@@ -32,17 +39,24 @@ func drawAPI(name string, intensity float64, fn drawFn) *framework.API {
 			}
 			ctx.Charge(len(data), intensity)
 			ctx.EmitMemOp()
-			if err := fn(m, data, args); err != nil {
-				return nil, err
+			if check != nil {
+				if err := check(m, args); err != nil {
+					return nil, err
+				}
 			}
-			// Write the mutated canvas back through the MMU.
-			if err := m.Space().Store(m.Region().Base, data); err != nil {
+			if err := drawInPlace(m, func(b []byte) { fn(m, b, args) }); err != nil {
 				return nil, err
 			}
 			return []framework.Value{args[0]}, nil
 		},
 	}
 	return api
+}
+
+// drawInPlace draws on the canvas's whole region with one checked store.
+func drawInPlace(m *object.Mat, draw func(data []byte)) error {
+	r := m.Region()
+	return m.Space().StoreInPlace(r.Base, r.Size, draw)
 }
 
 // rectArgs extracts (x, y, w, h) beginning at args[i], with defaults.
@@ -69,8 +83,8 @@ func setPix(m *object.Mat, data []byte, r, c int, v byte) {
 // cv.rectangle and cv.putText, the two hot-loop APIs the Fig. 4 partition
 // sweep turns on.
 func registerDrawing(r *framework.Registry) {
-	r.Register(drawAPI("cv.rectangle", 0.05,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
+	r.Register(drawAPI("cv.rectangle", 0.05, nil,
+		func(m *object.Mat, data []byte, args []framework.Value) {
 			x, y, w, h := rectArgs(m, args, 1)
 			for c := x; c < x+w; c++ {
 				setPix(m, data, y, c, 255)
@@ -80,11 +94,10 @@ func registerDrawing(r *framework.Registry) {
 				setPix(m, data, rr, x, 255)
 				setPix(m, data, rr, x+w-1, 255)
 			}
-			return nil
 		}))
 
-	r.Register(drawAPI("cv.putText", 0.05,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
+	r.Register(drawAPI("cv.putText", 0.05, nil,
+		func(m *object.Mat, data []byte, args []framework.Value) {
 			// Stamp a 5x3 block per character at (x, y).
 			text := "?"
 			x, y := 2, 2
@@ -103,11 +116,10 @@ func registerDrawing(r *framework.Registry) {
 					}
 				}
 			}
-			return nil
 		}))
 
-	r.Register(drawAPI("cv.line", 0.05,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
+	r.Register(drawAPI("cv.line", 0.05, nil,
+		func(m *object.Mat, data []byte, args []framework.Value) {
 			x0, y0, x1, y1 := 0, 0, m.Cols()-1, m.Rows()-1
 			if len(args) > 4 {
 				x0, y0, x1, y1 = int(args[1].Int), int(args[2].Int), int(args[3].Int), int(args[4].Int)
@@ -136,11 +148,10 @@ func registerDrawing(r *framework.Registry) {
 					y0 += sy
 				}
 			}
-			return nil
 		}))
 
-	r.Register(drawAPI("cv.circle", 0.05,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
+	r.Register(drawAPI("cv.circle", 0.05, nil,
+		func(m *object.Mat, data []byte, args []framework.Value) {
 			cx, cy, rad := m.Cols()/2, m.Rows()/2, min(m.Cols(), m.Rows())/4
 			if len(args) > 3 {
 				cx, cy, rad = int(args[1].Int), int(args[2].Int), int(args[3].Int)
@@ -159,11 +170,10 @@ func registerDrawing(r *framework.Registry) {
 					e += 2*(y-x) + 1
 				}
 			}
-			return nil
 		}))
 
-	r.Register(drawAPI("cv.arrowedLine", 0.05,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
+	r.Register(drawAPI("cv.arrowedLine", 0.05, nil,
+		func(m *object.Mat, data []byte, args []framework.Value) {
 			x0, y0, x1, y1 := 0, 0, m.Cols()-1, m.Rows()-1
 			if len(args) > 4 {
 				x0, y0, x1, y1 = int(args[1].Int), int(args[2].Int), int(args[3].Int), int(args[4].Int)
@@ -178,30 +188,27 @@ func registerDrawing(r *framework.Registry) {
 			// Arrow head.
 			setPix(m, data, y1-1, x1, 255)
 			setPix(m, data, y1, x1-1, 255)
-			return nil
 		}))
 
 	r.Register(drawAPI("cv.ellipse", 0.2,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
-			cx, cy := m.Cols()/2, m.Rows()/2
-			a, b := m.Cols()/3, m.Rows()/4
-			if len(args) > 4 {
-				cx, cy, a, b = int(args[1].Int), int(args[2].Int), int(args[3].Int), int(args[4].Int)
-			}
-			if a <= 0 || b <= 0 {
+		func(m *object.Mat, args []framework.Value) error {
+			if _, _, a, b := ellipseArgs(m, args); a <= 0 || b <= 0 {
 				return errorString("simcv: ellipse axes must be positive")
 			}
+			return nil
+		},
+		func(m *object.Mat, data []byte, args []framework.Value) {
+			cx, cy, a, b := ellipseArgs(m, args)
 			for deg := 0; deg < 360; deg++ {
 				rad := float64(deg) * 3.14159265 / 180
 				x := cx + int(float64(a)*math.Cos(rad))
 				y := cy + int(float64(b)*math.Sin(rad))
 				setPix(m, data, y, x, 255)
 			}
-			return nil
 		}))
 
-	r.Register(drawAPI("cv.polylines", 0.05,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
+	r.Register(drawAPI("cv.polylines", 0.05, nil,
+		func(m *object.Mat, data []byte, args []framework.Value) {
 			// Closed box through the arg points (x,y pairs), default frame.
 			pts := [][2]int{{0, 0}, {m.Cols() - 1, 0}, {m.Cols() - 1, m.Rows() - 1}, {0, m.Rows() - 1}}
 			for i := 0; i < len(pts); i++ {
@@ -214,22 +221,20 @@ func registerDrawing(r *framework.Registry) {
 					setPix(m, data, p[1]+(q[1]-p[1])*s/steps, p[0]+(q[0]-p[0])*s/steps, 255)
 				}
 			}
-			return nil
 		}))
 
-	r.Register(drawAPI("cv.fillPoly", 2,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
+	r.Register(drawAPI("cv.fillPoly", 2, nil,
+		func(m *object.Mat, data []byte, args []framework.Value) {
 			x, y, w, h := rectArgs(m, args, 1)
 			for rr := y; rr < y+h; rr++ {
 				for cc := x; cc < x+w; cc++ {
 					setPix(m, data, rr, cc, 255)
 				}
 			}
-			return nil
 		}))
 
-	r.Register(drawAPI("cv.drawMarker", 0.02,
-		func(m *object.Mat, data []byte, args []framework.Value) error {
+	r.Register(drawAPI("cv.drawMarker", 0.02, nil,
+		func(m *object.Mat, data []byte, args []framework.Value) {
 			cx, cy := m.Cols()/2, m.Rows()/2
 			if len(args) > 2 {
 				cx, cy = int(args[1].Int), int(args[2].Int)
@@ -238,7 +243,6 @@ func registerDrawing(r *framework.Registry) {
 				setPix(m, data, cy, cx+d, 255)
 				setPix(m, data, cy+d, cx, 255)
 			}
-			return nil
 		}))
 
 	// drawContours draws boxes from a contour tensor onto the canvas.
@@ -250,7 +254,7 @@ func registerDrawing(r *framework.Registry) {
 			if err := needArgs("cv.drawContours", args, 2); err != nil {
 				return nil, err
 			}
-			m, data, err := matAndBytes(ctx, args[0])
+			m, data, err := matView(ctx, args[0])
 			if err != nil {
 				return nil, err
 			}
@@ -265,31 +269,43 @@ func registerDrawing(r *framework.Registry) {
 			if len(sh) != 2 || sh[1] < 4 {
 				return nil, errorString("simcv: drawContours wants Nx5 contour tensor")
 			}
-			boxes, err := t.Values()
+			boxes, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(len(data), 1)
 			ctx.EmitMemOp()
-			for i := 0; i < sh[0]; i++ {
-				box := boxes[i*sh[1]:]
-				minR, minC, maxR, maxC := box[0], box[1], box[2], box[3]
-				for c := int(minC); c <= int(maxC); c++ {
-					setPix(m, data, int(minR), c, 255)
-					setPix(m, data, int(maxR), c, 255)
+			if err := drawInPlace(m, func(canvas []byte) {
+				for i := 0; i < sh[0]; i++ {
+					minR, minC := boxes.At(i*sh[1]), boxes.At(i*sh[1]+1)
+					maxR, maxC := boxes.At(i*sh[1]+2), boxes.At(i*sh[1]+3)
+					for c := int(minC); c <= int(maxC); c++ {
+						setPix(m, canvas, int(minR), c, 255)
+						setPix(m, canvas, int(maxR), c, 255)
+					}
+					for rr := int(minR); rr <= int(maxR); rr++ {
+						setPix(m, canvas, rr, int(minC), 255)
+						setPix(m, canvas, rr, int(maxC), 255)
+					}
 				}
-				for rr := int(minR); rr <= int(maxR); rr++ {
-					setPix(m, data, rr, int(minC), 255)
-					setPix(m, data, rr, int(maxC), 255)
-				}
-			}
-			if err := m.Space().Store(m.Region().Base, data); err != nil {
+			}); err != nil {
 				return nil, err
 			}
 			return []framework.Value{args[0]}, nil
 		},
 	}
 	r.Register(dcAPI)
+}
+
+// ellipseArgs extracts cv.ellipse's (cx, cy, a, b) from args, with
+// defaults.
+func ellipseArgs(m *object.Mat, args []framework.Value) (cx, cy, a, b int) {
+	cx, cy = m.Cols()/2, m.Rows()/2
+	a, b = m.Cols()/3, m.Rows()/4
+	if len(args) > 4 {
+		cx, cy, a, b = int(args[1].Int), int(args[2].Int), int(args[3].Int), int(args[4].Int)
+	}
+	return cx, cy, a, b
 }
 
 func abs(v int) int {

@@ -279,7 +279,7 @@ func registerGeometry(r *framework.Registry) {
 			if len(sh) != 3 || sh[0] != rows || sh[1] != cols || sh[2] != 2 {
 				return nil, fmt.Errorf("simcv: remap flow shape %v for %dx%d image", sh, rows, cols)
 			}
-			fv, err := flow.Values()
+			fv, err := flow.View()
 			if err != nil {
 				return nil, err
 			}
@@ -288,7 +288,7 @@ func registerGeometry(r *framework.Registry) {
 			out := make([]byte, len(data))
 			for rr := 0; rr < rows; rr++ {
 				for cc := 0; cc < cols; cc++ {
-					fx, fy := fv[(rr*cols+cc)*2], fv[(rr*cols+cc)*2+1]
+					fx, fy := fv.At((rr*cols+cc)*2), fv.At((rr*cols+cc)*2+1)
 					sr, sc := rr+int(fy), cc+int(fx)
 					for z := 0; z < ch; z++ {
 						out[(rr*cols+cc)*ch+z] = pix(data, rows, cols, ch, sr, sc, z)

@@ -32,19 +32,13 @@ const (
 // floMagic prefixes encoded optical-flow files.
 var floMagic = []byte("FLO1")
 
-// encodeFlow serializes an optical-flow field (rows×cols×2 float64).
-func encodeFlow(rows, cols int, vals []float64) ([]byte, error) {
-	if len(vals) != rows*cols*2 {
-		return nil, fmt.Errorf("simcv: flow %d values for %dx%d", len(vals), rows, cols)
-	}
-	out := make([]byte, 0, 12+8*len(vals))
-	out = append(out, floMagic...)
+// flowHeader returns an optical-flow file's 12 header bytes for a
+// rows×cols field, in a slice with room for its n payload bytes: the
+// field's float64s, 8 big-endian bytes each, as a tensor holds them.
+func flowHeader(rows, cols, n int) []byte {
+	out := append(make([]byte, 0, 12+n), floMagic...)
 	out = binary.BigEndian.AppendUint32(out, uint32(rows))
-	out = binary.BigEndian.AppendUint32(out, uint32(cols))
-	for _, v := range vals {
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(v))
-	}
-	return out, nil
+	return binary.BigEndian.AppendUint32(out, uint32(cols))
 }
 
 // decodeFlow parses an optical-flow file.
@@ -381,15 +375,11 @@ func registerIO(r *framework.Registry) {
 			if len(sh) != 3 || sh[2] != 2 {
 				return nil, fmt.Errorf("simcv: flow tensor must be rows x cols x 2, got %v", sh)
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
-			enc, err := encodeFlow(sh[0], sh[1], vals)
-			if err != nil {
-				return nil, err
-			}
-			if err := ctx.FileWrite(args[0].Str, enc); err != nil {
+			if err := ctx.FileWrite(args[0].Str, vals.Append(flowHeader(sh[0], sh[1], t.Size()))); err != nil {
 				return nil, err
 			}
 			return []framework.Value{framework.Bool(true)}, nil

@@ -69,27 +69,18 @@ func EncodeMat(m *object.Mat) ([]byte, error) {
 	return out, nil
 }
 
-// matAndBytes resolves an argument to its mat and a copy of its full
-// payload, for a kernel that writes the bytes: the drawing kernels.
-func matAndBytes(ctx *framework.Ctx, v framework.Value) (*object.Mat, []byte, error) {
-	return resolveMat(ctx, v, object.PayloadBytes)
-}
-
 // matView resolves an argument to its mat and its full payload as a
-// read-only snapshot (object.Snapshot), for a kernel that only reads it.
-// The access is checked and counted as matAndBytes checks it, and a store
-// into the mat, an exploit handler's among them, leaves the view as it was.
+// read-only snapshot (object.Snapshot), with the one checked and counted
+// load of the payload. Every kernel reads its input mats this way; one
+// that writes a mat, a drawing kernel's canvas, writes it in place with a
+// store of its own, and a store into the mat, an exploit handler's among
+// them, leaves the view as it was.
 func matView(ctx *framework.Ctx, v framework.Value) (*object.Mat, []byte, error) {
-	return resolveMat(ctx, v, object.Snapshot)
-}
-
-// resolveMat resolves an argument to its mat and the payload load returns.
-func resolveMat(ctx *framework.Ctx, v framework.Value, load func(object.Object) ([]byte, error)) (*object.Mat, []byte, error) {
 	m, err := ctx.Mat(v)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := load(m)
+	data, err := object.Snapshot(m)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -106,8 +97,9 @@ func outMat(ctx *framework.Ctx, rows, cols, ch int, data []byte) (framework.Valu
 }
 
 // readFlat reads len(dst) consecutive elements of t, from flat index from
-// on, stopping at the first access error. Kernels that read a fixed handful
-// of elements use it; the rest read a whole operand with Values.
+// on, one checked load each, stopping at the first access error. Kernels
+// that read a fixed handful of elements use it, so they load only those;
+// the rest read a whole operand through one view (object.Tensor.View).
 func readFlat(t *object.Tensor, from int, dst []float64) error {
 	for i := range dst {
 		v, err := t.AtFlat(from + i)

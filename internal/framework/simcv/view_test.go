@@ -14,9 +14,11 @@ import (
 // input mats through a read-only snapshot on inputs of more than a page,
 // whose snapshots are the regions' own slabs, and requires each call to
 // succeed and leave every input region's bytes as they were: a kernel that
-// wrote its view would write the region itself.
+// wrote its view would write the region itself. Each runs on three-channel
+// and on one-channel inputs, whose gray image (grayOf) is the view itself.
 func TestViewKernelsLeaveInputsUnchanged(t *testing.T) {
-	const rows, cols = 48, 40 // 1,920 pixels: two pages at 3 channels
+	// 1,920 pixels are two pages at 3 channels; 4,608 pixels two pages at 1.
+	shapes := []struct{ rows, cols, ch int }{{48, 40, 3}, {72, 64, 1}}
 	oneMat := []string{
 		"cv.CascadeClassifier.detectMultiScale", "cv.Canny", "cv.GaussianBlur",
 		"cv.HOGDescriptor.compute", "cv.HoughCircles", "cv.HoughLines",
@@ -65,39 +67,43 @@ func TestViewKernelsLeaveInputsUnchanged(t *testing.T) {
 	pixel := func(i int) byte { return byte(i*7 + i/97) }
 	for _, name := range oneMat {
 		t.Run(name, func(t *testing.T) {
-			e := newEnv(t)
-			img := e.fixedMat(t, pixel, rows, cols, 3)
-			args := []framework.Value{img}
-			switch name {
-			case "cv.CascadeClassifier.detectMultiScale":
-				e.k.FS.WriteFile("/model.xml", simcv.EncodeClassifier(100, 4))
-				model := e.call(t, "cv.CascadeClassifier", framework.Str("/model.xml"))[0]
-				args = []framework.Value{model, img}
-			case "cv.imshow":
-				args = []framework.Value{framework.Str("view"), img}
-			case "cv.filter2D", "cv.warpAffine", "cv.warpPerspective":
-				identity := e.fixedTensor(t, func(i int) float64 { return float64(1 - min(i%4, 1)) }, 3, 3)
-				args = append(args, identity)
-			case "cv.remap":
-				flow := e.fixedTensor(t, func(i int) float64 { return float64(i%5) - 2 }, rows, cols, 2)
-				args = append(args, flow)
+			for _, sh := range shapes {
+				e := newEnv(t)
+				img := e.fixedMat(t, pixel, sh.rows, sh.cols, sh.ch)
+				args := []framework.Value{img}
+				switch name {
+				case "cv.CascadeClassifier.detectMultiScale":
+					e.k.FS.WriteFile("/model.xml", simcv.EncodeClassifier(100, 4))
+					model := e.call(t, "cv.CascadeClassifier", framework.Str("/model.xml"))[0]
+					args = []framework.Value{model, img}
+				case "cv.imshow":
+					args = []framework.Value{framework.Str("view"), img}
+				case "cv.filter2D", "cv.warpAffine", "cv.warpPerspective":
+					identity := e.fixedTensor(t, func(i int) float64 { return float64(1 - min(i%4, 1)) }, 3, 3)
+					args = append(args, identity)
+				case "cv.remap":
+					flow := e.fixedTensor(t, func(i int) float64 { return float64(i%5) - 2 }, sh.rows, sh.cols, 2)
+					args = append(args, flow)
+				}
+				check(t, e, name, []framework.Value{img}, args)
 			}
-			check(t, e, name, []framework.Value{img}, args)
 		})
 	}
 	for _, name := range twoMats {
 		t.Run(name, func(t *testing.T) {
-			e := newEnv(t)
-			a := e.fixedMat(t, pixel, rows, cols, 3)
-			b := e.fixedMat(t, func(i int) byte { return pixel(i + 11) }, rows, cols, 3)
-			check(t, e, name, []framework.Value{a, b}, []framework.Value{a, b})
+			for _, sh := range shapes {
+				e := newEnv(t)
+				a := e.fixedMat(t, pixel, sh.rows, sh.cols, sh.ch)
+				b := e.fixedMat(t, func(i int) byte { return pixel(i + 11) }, sh.rows, sh.cols, sh.ch)
+				check(t, e, name, []framework.Value{a, b}, []framework.Value{a, b})
+			}
 		})
 	}
 	t.Run("cv.merge", func(t *testing.T) {
 		e := newEnv(t)
 		var planes []framework.Value
 		for c := 0; c < 3; c++ {
-			planes = append(planes, e.fixedMat(t, func(i int) byte { return pixel(i + c) }, 3*rows, cols, 1))
+			planes = append(planes, e.fixedMat(t, func(i int) byte { return pixel(i + c) }, 3*48, 40, 1))
 		}
 		check(t, e, "cv.merge", planes, planes)
 	})

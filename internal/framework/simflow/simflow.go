@@ -38,12 +38,14 @@ func tensorArg(ctx *framework.Ctx, args []framework.Value, i int) (*object.Tenso
 	return ctx.Tensor(args[i])
 }
 
-func newOut(ctx *framework.Ctx, shape []int, vals []float64) (framework.Value, error) {
+// fillOut allocates a result tensor of the given shape and encodes each
+// element i as f(i) straight into it (object.Tensor.Fill).
+func fillOut(ctx *framework.Ctx, shape []int, f func(i int) float64) (framework.Value, error) {
 	id, t, err := ctx.NewTensor(shape...)
 	if err != nil {
 		return framework.Nil(), err
 	}
-	if err := t.SetValues(vals); err != nil {
+	if err := t.Fill(f); err != nil {
 		return framework.Nil(), err
 	}
 	return framework.Obj(id), nil
@@ -59,16 +61,13 @@ func EncodeDataset(vals []float64) []byte {
 	return out
 }
 
-// decodeDataset parses a dataset file.
-func decodeDataset(b []byte) ([]float64, error) {
+// checkDataset checks a dataset file's framing: a whole, nonzero number of
+// float64s, which decode where they lie.
+func checkDataset(b []byte) error {
 	if len(b) == 0 || len(b)%8 != 0 {
-		return nil, fmt.Errorf("simflow: dataset length %d not a float64 multiple", len(b))
+		return fmt.Errorf("simflow: dataset length %d not a float64 multiple", len(b))
 	}
-	vals := make([]float64, len(b)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.BigEndian.Uint64(b[i*8:]))
-	}
-	return vals, nil
+	return nil
 }
 
 // Registry builds the simflow API registry.
@@ -133,20 +132,30 @@ func Registry() *framework.Registry {
 			if len(paths) == 0 {
 				return nil, fmt.Errorf("simflow: empty dataset dir %s", args[0].Str)
 			}
-			var all []float64
+			// The files' samples are encoded into the result one after
+			// another, each read where the file holds it.
+			raws := make([][]byte, 0, len(paths))
+			n := 0
 			for _, p := range paths {
 				raw, err := ctx.FileRead(p)
 				if err != nil {
 					return nil, err
 				}
-				vals, err := decodeDataset(raw)
-				if err != nil {
+				if err := checkDataset(raw); err != nil {
 					return nil, err
 				}
-				all = append(all, vals...)
+				raws = append(raws, raw)
+				n += len(raw)
 			}
-			ctx.Charge(len(all)*8, 1)
-			v, err := newOut(ctx, []int{len(all)}, all)
+			ctx.Charge(n, 1)
+			v, err := fillOut(ctx, []int{n / 8}, func(int) float64 {
+				if len(raws[0]) == 0 {
+					raws = raws[1:]
+				}
+				x := math.Float64frombits(binary.BigEndian.Uint64(raws[0]))
+				raws[0] = raws[0][8:]
+				return x
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -191,7 +200,7 @@ func Registry() *framework.Registry {
 		if len(si) != 3 || si[0] < 3 || si[1] < 3 || si[2] < 3 {
 			return nil, fmt.Errorf("simflow: conv3d input %v", si)
 		}
-		vi, err := in.Values()
+		vi, err := in.View()
 		if err != nil {
 			return nil, err
 		}
@@ -200,25 +209,20 @@ func Registry() *framework.Registry {
 		}
 		ctx.Charge(in.Size(), 27)
 		ctx.EmitMemOp()
-		d, h, w := si[0], si[1], si[2]
-		od, oh, ow := d-2, h-2, w-2
-		out := make([]float64, od*oh*ow)
-		for z := 0; z < od; z++ {
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
-					s := 0.0
-					for dz := 0; dz < 3; dz++ {
-						for dy := 0; dy < 3; dy++ {
-							for dx := 0; dx < 3; dx++ {
-								s += vi[(z+dz)*h*w+(y+dy)*w+x+dx]
-							}
-						}
+		h, w := si[1], si[2]
+		oh, ow := h-2, w-2
+		v, err := fillOut(ctx, []int{si[0] - 2, oh, ow}, func(o int) float64 {
+			z, y, x := o/(oh*ow), o/ow%oh, o%ow
+			s := 0.0
+			for dz := 0; dz < 3; dz++ {
+				for dy := 0; dy < 3; dy++ {
+					for dx := 0; dx < 3; dx++ {
+						s += vi.At((z+dz)*h*w + (y+dy)*w + x + dx)
 					}
-					out[z*oh*ow+y*ow+x] = s / 27
 				}
 			}
-		}
-		v, err := newOut(ctx, []int{od, oh, ow}, out)
+			return s / 27
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +245,7 @@ func Registry() *framework.Registry {
 				if len(si) != 2 || si[0] < 2 || si[1] < 2 {
 					return nil, fmt.Errorf("simflow: %s input %v", name, si)
 				}
-				vi, err := in.Values()
+				vi, err := in.View()
 				if err != nil {
 					return nil, err
 				}
@@ -250,22 +254,18 @@ func Registry() *framework.Registry {
 				}
 				ctx.Charge(in.Size(), 4)
 				ctx.EmitMemOp()
-				oh, ow := si[0]/2, si[1]/2
-				out := make([]float64, oh*ow)
-				for y := 0; y < oh; y++ {
-					for x := 0; x < ow; x++ {
-						a := vi[(2*y)*si[1]+2*x]
-						b := vi[(2*y)*si[1]+2*x+1]
-						c := vi[(2*y+1)*si[1]+2*x]
-						d := vi[(2*y+1)*si[1]+2*x+1]
-						if avg {
-							out[y*ow+x] = (a + b + c + d) / 4
-						} else {
-							out[y*ow+x] = math.Max(math.Max(a, b), math.Max(c, d))
-						}
+				ow := si[1] / 2
+				v, err := fillOut(ctx, []int{si[0] / 2, ow}, func(o int) float64 {
+					y, x := o/ow, o%ow
+					a := vi.At((2*y)*si[1] + 2*x)
+					b := vi.At((2*y)*si[1] + 2*x + 1)
+					c := vi.At((2*y+1)*si[1] + 2*x)
+					d := vi.At((2*y+1)*si[1] + 2*x + 1)
+					if avg {
+						return (a + b + c + d) / 4
 					}
-				}
-				v, err := newOut(ctx, []int{oh, ow}, out)
+					return math.Max(math.Max(a, b), math.Max(c, d))
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -295,31 +295,28 @@ func Registry() *framework.Registry {
 		if len(sa) != 2 || len(sb) != 2 || sa[1] != sb[0] {
 			return nil, fmt.Errorf("simflow: matmul %v x %v", sa, sb)
 		}
-		va, err := a.Values()
+		va, err := a.View()
 		if err != nil {
 			return nil, err
 		}
 		if fired, err := exploitOnTensor(ctx, matmul, va); fired {
 			return nil, err
 		}
-		vb, err := b.Values()
+		vb, err := b.View()
 		if err != nil {
 			return nil, err
 		}
 		ctx.Charge(a.Size()+b.Size(), float64(sa[1]))
 		ctx.EmitMemOp()
-		m, k, n := sa[0], sa[1], sb[1]
-		out := make([]float64, m*n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				s := 0.0
-				for x := 0; x < k; x++ {
-					s += va[i*k+x] * vb[x*n+j]
-				}
-				out[i*n+j] = s
+		k, n := sa[1], sb[1]
+		v, err := fillOut(ctx, []int{sa[0], n}, func(o int) float64 {
+			i, j := o/n, o%n
+			s := 0.0
+			for x := 0; x < k; x++ {
+				s += va.At(i*k+x) * vb.At(x*n+j)
 			}
-		}
-		v, err := newOut(ctx, []int{m, n}, out)
+			return s
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -336,17 +333,13 @@ func Registry() *framework.Registry {
 				if err != nil {
 					return nil, err
 				}
-				vals, err := t.Values()
+				vals, err := t.View()
 				if err != nil {
 					return nil, err
 				}
 				ctx.Charge(t.Size(), 1)
 				ctx.EmitMemOp()
-				out := make([]float64, len(vals))
-				for i, v := range vals {
-					out[i] = f(v)
-				}
-				res, err := newOut(ctx, t.Shape(), out)
+				res, err := fillOut(ctx, t.Shape(), func(i int) float64 { return f(vals.At(i)) })
 				if err != nil {
 					return nil, err
 				}
@@ -367,17 +360,17 @@ func Registry() *framework.Registry {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 1)
 			ctx.EmitMemOp()
 			s := 0.0
-			for _, v := range vals {
-				s += v
+			for i := range vals.Len() {
+				s += vals.At(i)
 			}
-			return []framework.Value{framework.Float64(s / float64(len(vals)))}, nil
+			return []framework.Value{framework.Float64(s / float64(vals.Len()))}, nil
 		},
 	})
 
@@ -389,15 +382,15 @@ func Registry() *framework.Registry {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 1)
 			ctx.EmitMemOp()
 			best := 0
-			for i, v := range vals {
-				if v > vals[best] {
+			for i := range vals.Len() {
+				if vals.At(i) > vals.At(best) {
 					best = i
 				}
 			}
@@ -416,10 +409,13 @@ func Registry() *framework.Registry {
 			if depth <= 0 || idx < 0 || idx >= depth {
 				return nil, fmt.Errorf("simflow: one_hot(%d, %d)", idx, depth)
 			}
-			vals := make([]float64, depth)
-			vals[idx] = 1
 			ctx.EmitMemOp()
-			v, err := newOut(ctx, []int{depth}, vals)
+			v, err := fillOut(ctx, []int{depth}, func(i int) float64 {
+				if i == idx {
+					return 1
+				}
+				return 0
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -444,19 +440,16 @@ func Registry() *framework.Registry {
 			if len(si) != 2 || nh <= 0 || nw <= 0 {
 				return nil, fmt.Errorf("simflow: resize %v to %dx%d", si, nh, nw)
 			}
-			vi, err := in.Values()
+			vi, err := in.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(in.Size(), 2)
 			ctx.EmitMemOp()
-			out := make([]float64, nh*nw)
-			for y := 0; y < nh; y++ {
-				for x := 0; x < nw; x++ {
-					out[y*nw+x] = vi[(y*si[0]/nh)*si[1]+x*si[1]/nw]
-				}
-			}
-			v, err := newOut(ctx, []int{nh, nw}, out)
+			v, err := fillOut(ctx, []int{nh, nw}, func(o int) float64 {
+				y, x := o/nw, o%nw
+				return vi.At((y*si[0]/nh)*si[1] + x*si[1]/nw)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -482,17 +475,17 @@ func Registry() *framework.Registry {
 			if st.Len() < 2 {
 				return nil, fmt.Errorf("simflow: train state needs [steps, loss]")
 			}
-			vals, err := data.Values()
+			vals, err := data.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(data.Size(), 12)
 			ctx.EmitMemOp()
 			loss := 0.0
-			for _, v := range vals {
-				loss += v * v
+			for i := range vals.Len() {
+				loss += vals.At(i) * vals.At(i)
 			}
-			loss = math.Sqrt(loss) / float64(len(vals))
+			loss = math.Sqrt(loss) / float64(vals.Len())
 			steps, err := st.AtFlat(0)
 			if err != nil {
 				return nil, err
@@ -536,12 +529,14 @@ func Registry() *framework.Registry {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 1)
-			return nil, ctx.FileWrite(args[1].Str, EncodeDataset(vals))
+			// EncodeDataset's bytes are the elements' as the tensor holds
+			// them.
+			return nil, ctx.FileWrite(args[1].Str, vals.Append(make([]byte, 0, t.Size())))
 		},
 	})
 
@@ -557,12 +552,14 @@ func Registry() *framework.Registry {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 1)
-			return nil, ctx.FileWrite(args[1].Str, EncodeDataset(vals))
+			// EncodeDataset's bytes are the elements' as the tensor holds
+			// them.
+			return nil, ctx.FileWrite(args[1].Str, vals.Append(make([]byte, 0, t.Size())))
 		},
 	})
 
@@ -572,9 +569,10 @@ func Registry() *framework.Registry {
 // exploitOnTensor fires a trigger embedded in tensor values: crafted
 // tensors carry the trigger encoded as a run of values spelling the magic
 // bytes, one byte value per element.
-func exploitOnTensor(ctx *framework.Ctx, api *framework.API, vals []float64) (bool, error) {
-	raw := make([]byte, 0, len(vals))
-	for _, v := range vals {
+func exploitOnTensor(ctx *framework.Ctx, api *framework.API, vals object.TensorView) (bool, error) {
+	raw := make([]byte, 0, vals.Len())
+	for i := range vals.Len() {
+		v := vals.At(i)
 		if v < 0 || v > 255 || v != math.Trunc(v) {
 			break
 		}

@@ -1,6 +1,7 @@
 package simtorch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -24,12 +25,8 @@ func registerNN(r *framework.Registry) {
 			if len(args) > 1 {
 				fill = args[1].Float
 			}
-			vals := make([]float64, n)
-			for i := range vals {
-				vals[i] = fill
-			}
 			ctx.EmitMemOp()
-			v, err := newOut(ctx, []int{n}, vals)
+			v, err := fillOut(ctx, []int{n}, func(int) float64 { return fill })
 			if err != nil {
 				return nil, err
 			}
@@ -60,21 +57,17 @@ func registerNN(r *framework.Registry) {
 				if a.Len() != b.Len() {
 					return nil, fmt.Errorf("simtorch: %s length mismatch %d vs %d", name, a.Len(), b.Len())
 				}
-				va, err := a.Values()
+				va, err := a.View()
 				if err != nil {
 					return nil, err
 				}
-				vb, err := b.Values()
+				vb, err := b.View()
 				if err != nil {
 					return nil, err
 				}
 				ctx.Charge(a.Size()+b.Size(), 1)
 				ctx.EmitMemOp()
-				out := make([]float64, len(va))
-				for i := range va {
-					out[i] = f(va[i], vb[i])
-				}
-				v, err := newOut(ctx, a.Shape(), out)
+				v, err := fillOut(ctx, a.Shape(), func(i int) float64 { return f(va.At(i), vb.At(i)) })
 				if err != nil {
 					return nil, err
 				}
@@ -102,28 +95,25 @@ func registerNN(r *framework.Registry) {
 			if len(sa) != 2 || len(sb) != 2 || sa[1] != sb[0] {
 				return nil, fmt.Errorf("simtorch: matmul %v x %v", sa, sb)
 			}
-			va, err := a.Values()
+			va, err := a.View()
 			if err != nil {
 				return nil, err
 			}
-			vb, err := b.Values()
+			vb, err := b.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(a.Size()+b.Size(), float64(sa[1]))
 			ctx.EmitMemOp()
-			m, k, n := sa[0], sa[1], sb[1]
-			out := make([]float64, m*n)
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					s := 0.0
-					for x := 0; x < k; x++ {
-						s += va[i*k+x] * vb[x*n+j]
-					}
-					out[i*n+j] = s
+			k, n := sa[1], sb[1]
+			v, err := fillOut(ctx, []int{sa[0], n}, func(o int) float64 {
+				i, j := o/n, o%n
+				s := 0.0
+				for x := 0; x < k; x++ {
+					s += va.At(i*k+x) * vb.At(x*n+j)
 				}
-			}
-			v, err := newOut(ctx, []int{m, n}, out)
+				return s
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -148,30 +138,27 @@ func registerNN(r *framework.Registry) {
 			if len(si) != 2 || len(sk) != 2 || sk[0] > si[0] || sk[1] > si[1] {
 				return nil, fmt.Errorf("simtorch: conv2d %v with kernel %v", si, sk)
 			}
-			vi, err := in.Values()
+			vi, err := in.View()
 			if err != nil {
 				return nil, err
 			}
-			vk, err := kr.Values()
+			vk, err := kr.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(in.Size(), float64(sk[0]*sk[1]))
 			ctx.EmitMemOp()
 			oh, ow := si[0]-sk[0]+1, si[1]-sk[1]+1
-			out := make([]float64, oh*ow)
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
-					s := 0.0
-					for ky := 0; ky < sk[0]; ky++ {
-						for kx := 0; kx < sk[1]; kx++ {
-							s += vi[(y+ky)*si[1]+x+kx] * vk[ky*sk[1]+kx]
-						}
+			v, err := fillOut(ctx, []int{oh, ow}, func(o int) float64 {
+				y, x := o/ow, o%ow
+				s := 0.0
+				for ky := 0; ky < sk[0]; ky++ {
+					for kx := 0; kx < sk[1]; kx++ {
+						s += vi.At((y+ky)*si[1]+x+kx) * vk.At(ky*sk[1]+kx)
 					}
-					out[y*ow+x] = s
 				}
-			}
-			v, err := newOut(ctx, []int{oh, ow}, out)
+				return s
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -192,28 +179,24 @@ func registerNN(r *framework.Registry) {
 				if len(si) != 2 || si[0] < 2 || si[1] < 2 {
 					return nil, fmt.Errorf("simtorch: %s input %v", name, si)
 				}
-				vi, err := in.Values()
+				vi, err := in.View()
 				if err != nil {
 					return nil, err
 				}
 				ctx.Charge(in.Size(), 4)
 				ctx.EmitMemOp()
-				oh, ow := si[0]/2, si[1]/2
-				out := make([]float64, oh*ow)
-				for y := 0; y < oh; y++ {
-					for x := 0; x < ow; x++ {
-						a := vi[(2*y)*si[1]+2*x]
-						b := vi[(2*y)*si[1]+2*x+1]
-						c := vi[(2*y+1)*si[1]+2*x]
-						d := vi[(2*y+1)*si[1]+2*x+1]
-						if avg {
-							out[y*ow+x] = (a + b + c + d) / 4
-						} else {
-							out[y*ow+x] = math.Max(math.Max(a, b), math.Max(c, d))
-						}
+				ow := si[1] / 2
+				v, err := fillOut(ctx, []int{si[0] / 2, ow}, func(o int) float64 {
+					y, x := o/ow, o%ow
+					a := vi.At((2*y)*si[1] + 2*x)
+					b := vi.At((2*y)*si[1] + 2*x + 1)
+					c := vi.At((2*y+1)*si[1] + 2*x)
+					d := vi.At((2*y+1)*si[1] + 2*x + 1)
+					if avg {
+						return (a + b + c + d) / 4
 					}
-				}
-				v, err := newOut(ctx, []int{oh, ow}, out)
+					return math.Max(math.Max(a, b), math.Max(c, d))
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -232,26 +215,21 @@ func registerNN(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 2)
 			ctx.EmitMemOp()
 			maxV := math.Inf(-1)
-			for _, v := range vals {
-				maxV = math.Max(maxV, v)
+			for i := range vals.Len() {
+				maxV = math.Max(maxV, vals.At(i))
 			}
 			sum := 0.0
-			out := make([]float64, len(vals))
-			for i, v := range vals {
-				out[i] = math.Exp(v - maxV)
-				sum += out[i]
+			for i := range vals.Len() {
+				sum += math.Exp(vals.At(i) - maxV)
 			}
-			for i := range out {
-				out[i] /= sum
-			}
-			v, err := newOut(ctx, t.Shape(), out)
+			v, err := fillOut(ctx, t.Shape(), func(i int) float64 { return math.Exp(vals.At(i)-maxV) / sum })
 			if err != nil {
 				return nil, err
 			}
@@ -259,7 +237,7 @@ func registerNN(r *framework.Registry) {
 		},
 	})
 
-	reduce := func(name string, f func(vals []float64) float64) *framework.API {
+	reduce := func(name string, f func(vals object.TensorView) float64) *framework.API {
 		return &framework.API{
 			Name: name, Framework: Name, TrueType: framework.TypeProcessing,
 			StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
@@ -268,7 +246,7 @@ func registerNN(r *framework.Registry) {
 				if err != nil {
 					return nil, err
 				}
-				vals, err := t.Values()
+				vals, err := t.View()
 				if err != nil {
 					return nil, err
 				}
@@ -278,24 +256,14 @@ func registerNN(r *framework.Registry) {
 			},
 		}
 	}
-	r.Register(reduce("torch.mean", func(vals []float64) float64 {
-		s := 0.0
-		for _, v := range vals {
-			s += v
-		}
-		return s / float64(len(vals))
+	r.Register(reduce("torch.mean", func(vals object.TensorView) float64 {
+		return sumOf(vals) / float64(vals.Len())
 	}))
-	r.Register(reduce("torch.sum", func(vals []float64) float64 {
+	r.Register(reduce("torch.sum", sumOf))
+	r.Register(reduce("torch.norm", func(vals object.TensorView) float64 {
 		s := 0.0
-		for _, v := range vals {
-			s += v
-		}
-		return s
-	}))
-	r.Register(reduce("torch.norm", func(vals []float64) float64 {
-		s := 0.0
-		for _, v := range vals {
-			s += v * v
+		for i := range vals.Len() {
+			s += vals.At(i) * vals.At(i)
 		}
 		return math.Sqrt(s)
 	}))
@@ -308,15 +276,15 @@ func registerNN(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 1)
 			ctx.EmitMemOp()
 			best := 0
-			for i, v := range vals {
-				if v > vals[best] {
+			for i := range vals.Len() {
+				if vals.At(i) > vals.At(best) {
 					best = i
 				}
 			}
@@ -332,12 +300,12 @@ func registerNN(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.EmitMemOp()
-			v, err := newOut(ctx, []int{len(vals)}, vals)
+			v, err := fillOut(ctx, []int{vals.Len()}, vals.At)
 			if err != nil {
 				return nil, err
 			}
@@ -360,12 +328,12 @@ func registerNN(r *framework.Registry) {
 			if rows*cols != t.Len() {
 				return nil, fmt.Errorf("simtorch: reshape %d elements to %dx%d", t.Len(), rows, cols)
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.EmitMemOp()
-			v, err := newOut(ctx, []int{rows, cols}, vals)
+			v, err := fillOut(ctx, []int{rows, cols}, vals.At)
 			if err != nil {
 				return nil, err
 			}
@@ -381,11 +349,11 @@ func registerNN(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
-			n := len(vals)
+			n := vals.Len()
 			if n < 2 {
 				return nil, fmt.Errorf("simtorch: combinations needs >=2 elements")
 			}
@@ -394,13 +362,19 @@ func registerNN(r *framework.Registry) {
 			}
 			ctx.Charge(t.Size(), 2)
 			ctx.EmitMemOp()
-			var out []float64
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					out = append(out, vals[i], vals[j])
+			// Each pair (i, j), i < j, in order: vals[i], then vals[j].
+			i, j := 0, 1
+			v, err := fillOut(ctx, []int{n * (n - 1) / 2, 2}, func(o int) float64 {
+				if o%2 == 0 {
+					return vals.At(i)
 				}
-			}
-			v, err := newOut(ctx, []int{len(out) / 2, 2}, out)
+				x := vals.At(j)
+				if j++; j == n {
+					i++
+					j = i + 1
+				}
+				return x
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -439,7 +413,7 @@ func registerNN(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			x, err := in.Values()
+			in0, err := in.View()
 			if err != nil {
 				return nil, err
 			}
@@ -447,29 +421,42 @@ func registerNN(r *framework.Registry) {
 			ctx.EmitMemOp()
 			// Each layer is a dense weight row-set: out_i = relu(sum w_ij x_j),
 			// with layer sizes inferred from len(w) / len(x). The weights are
-			// read in place from the model bytes.
+			// read in place from the model bytes and the first layer's input
+			// through its view; only the layers' outputs are Go slices, and
+			// the last one is encoded into the result.
+			var x []float64 // the last layer's output; nil before the first
+			nx := in0.Len()
 			for walk.more() {
 				li := walk.i
 				w, _ := walk.next() // checkModel walked the framing already
 				nw := len(w) / 8
-				if len(x) == 0 || nw%len(x) != 0 {
-					return nil, fmt.Errorf("simtorch: layer %d (%d weights) incompatible with input %d", li, nw, len(x))
+				if nx == 0 || nw%nx != 0 {
+					return nil, fmt.Errorf("simtorch: layer %d (%d weights) incompatible with input %d", li, nw, nx)
 				}
-				outN := nw / len(x)
-				next := make([]float64, outN)
-				for i := 0; i < outN; i++ {
+				next := make([]float64, nw/nx)
+				for i := range next {
 					s := 0.0
-					for j := range x {
-						s += weight(w, i*len(x)+j) * x[j]
+					if x == nil {
+						for j := range nx {
+							s += weight(w, i*nx+j) * in0.At(j)
+						}
+					} else {
+						for j := range x {
+							s += weight(w, i*len(x)+j) * x[j]
+						}
 					}
 					if li < walk.n-1 && s < 0 {
 						s = 0 // ReLU on hidden layers
 					}
 					next[i] = s
 				}
-				x = next
+				x, nx = next, len(next)
 			}
-			v, err := newOut(ctx, []int{len(x)}, x)
+			xAt := in0.At
+			if x != nil {
+				xAt = func(i int) float64 { return x[i] }
+			}
+			v, err := fillOut(ctx, []int{nx}, xAt)
 			if err != nil {
 				return nil, err
 			}
@@ -499,20 +486,19 @@ func registerNN(r *framework.Registry) {
 			if len(args) > 2 && args[2].Float > 0 {
 				lr = args[2].Float
 			}
-			vw, err := w.Values()
+			vw, err := w.View()
 			if err != nil {
 				return nil, err
 			}
-			vg, err := g.Values()
+			vg, err := g.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(w.Size(), 1)
 			ctx.EmitMemOp()
-			for i := range vw {
-				vw[i] -= lr * vg[i]
-			}
-			if err := w.SetValues(vw); err != nil {
+			// The view of w keeps the weights as they were while w is
+			// written.
+			if err := w.Fill(func(i int) float64 { return vw.At(i) - lr*vg.At(i) }); err != nil {
 				return nil, err
 			}
 			return []framework.Value{args[0]}, nil
@@ -534,12 +520,17 @@ func registerStoring(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 1)
-			return nil, ctx.FileWrite(args[1].Str, EncodeModel([][]float64{vals}))
+			// EncodeModel of the one layer: the header, then the elements'
+			// bytes as the tensor holds them.
+			out := append(make([]byte, 0, 12+t.Size()), modelMagic...)
+			out = binary.BigEndian.AppendUint32(out, 1)
+			out = binary.BigEndian.AppendUint32(out, uint32(vals.Len()))
+			return nil, ctx.FileWrite(args[1].Str, vals.Append(out))
 		},
 	})
 
@@ -556,4 +547,13 @@ func registerStoring(r *framework.Registry) {
 			return nil, ctx.FileAppend(args[0].Str+"/events.log", []byte(line))
 		},
 	})
+}
+
+// sumOf adds a view's elements in order.
+func sumOf(v object.TensorView) float64 {
+	s := 0.0
+	for i := range v.Len() {
+		s += v.At(i)
+	}
+	return s
 }

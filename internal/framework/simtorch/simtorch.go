@@ -138,13 +138,14 @@ func tensorArg(ctx *framework.Ctx, args []framework.Value, i int) (*object.Tenso
 	return ctx.Tensor(args[i])
 }
 
-// newOut allocates a result tensor with vals.
-func newOut(ctx *framework.Ctx, shape []int, vals []float64) (framework.Value, error) {
+// fillOut allocates a result tensor of the given shape and encodes each
+// element i as f(i) straight into it (object.Tensor.Fill).
+func fillOut(ctx *framework.Ctx, shape []int, f func(i int) float64) (framework.Value, error) {
 	id, t, err := ctx.NewTensor(shape...)
 	if err != nil {
 		return framework.Nil(), err
 	}
-	if err := t.SetValues(vals); err != nil {
+	if err := t.Fill(f); err != nil {
 		return framework.Nil(), err
 	}
 	return framework.Obj(id), nil
@@ -160,17 +161,13 @@ func elementwise(name string, f func(float64) float64) *framework.API {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 1)
 			ctx.EmitMemOp()
-			out := make([]float64, len(vals))
-			for i, v := range vals {
-				out[i] = f(v)
-			}
-			v, err := newOut(ctx, t.Shape(), out)
+			v, err := fillOut(ctx, t.Shape(), func(i int) float64 { return f(vals.At(i)) })
 			if err != nil {
 				return nil, err
 			}
@@ -280,12 +277,10 @@ func registerLoading(r *framework.Registry) {
 			if n == 0 || n%64 != 0 {
 				return nil, fmt.Errorf("simtorch: bad mnist file (%d values)", n)
 			}
-			vals := make([]float64, n)
-			for i := range vals {
-				vals[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[i*8:]))
-			}
 			ctx.Charge(len(raw), 1)
-			v, err := newOut(ctx, []int{n / 64, 64}, vals)
+			v, err := fillOut(ctx, []int{n / 64, 64}, func(i int) float64 {
+				return math.Float64frombits(binary.BigEndian.Uint64(raw[i*8:]))
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -315,13 +310,13 @@ func registerLoading(r *framework.Registry) {
 			if batch > sh[0] {
 				batch = sh[0]
 			}
-			vals, err := t.Values()
+			vals, err := t.View()
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(t.Size(), 1)
 			ctx.EmitMemOp()
-			v, err := newOut(ctx, []int{batch, sh[1]}, vals[:batch*sh[1]])
+			v, err := fillOut(ctx, []int{batch, sh[1]}, vals.At)
 			if err != nil {
 				return nil, err
 			}

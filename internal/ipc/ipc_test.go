@@ -117,18 +117,76 @@ func TestCallChargesVirtualTime(t *testing.T) {
 	}
 }
 
+// TestDedupCacheEviction: the dedup cache holds the responses of the last
+// doneCap completed sequences and no more. A retry of any of them, oldest
+// first or newest first, is answered from the cache, application errors
+// included, without running the handler again; a retry of an evicted one
+// runs it again.
 func TestDedupCacheEviction(t *testing.T) {
-	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) { return p, nil })
-	c.doneCap = 4
-	for i := 0; i < 10; i++ {
-		if _, err := c.Call(0, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
+	runs := 0
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
+		runs++
+		if p[0]%3 == 0 {
+			return nil, fmt.Errorf("error %d", p[0])
 		}
+		return p, nil
+	})
+	c.doneCap = 4
+	var seqs []uint64
+	for i := 0; i < 10; i++ {
+		seq := c.NextSeq()
+		_, _ = c.CallSeq(seq, 0, []byte{byte(i)})
+		seqs = append(seqs, seq)
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.done) > 4 {
-		t.Fatalf("dedup cache grew to %d entries, cap 4", len(c.done))
+	held := len(c.done)
+	c.mu.Unlock()
+	if held > 4 {
+		t.Fatalf("dedup cache grew to %d entries, cap 4", held)
+	}
+	check := func(i int) {
+		t.Helper()
+		out, err := c.Retry(seqs[i], 0, []byte{0xff})
+		if i%3 == 0 {
+			if err == nil || err.Error() != fmt.Sprintf("error %d", i) {
+				t.Fatalf("retry of seq %d = %q, %v; want its cached error", seqs[i], out, err)
+			}
+		} else if err != nil || !bytes.Equal(out, []byte{byte(i)}) {
+			t.Fatalf("retry of seq %d = %q, %v; want its cached response", seqs[i], out, err)
+		}
+	}
+	for _, i := range []int{6, 7, 8, 9, 9, 8, 7, 6} {
+		check(i)
+	}
+	if runs != 10 || c.Stats().Dedups != 8 {
+		t.Fatalf("handler ran %d times and the cache answered %d retries; want 10 and 8", runs, c.Stats().Dedups)
+	}
+	if _, err := c.Retry(seqs[5], 0, []byte{5}); err != nil || runs != 11 {
+		t.Fatalf("retry of an evicted sequence: %v, handler ran %d times; want it run an 11th time", err, runs)
+	}
+}
+
+// TestDedupCacheWarmAllocs: once the dedup cache holds doneCap responses,
+// remembering one more takes the oldest one's slot and allocates nothing.
+func TestDedupCacheWarmAllocs(t *testing.T) {
+	c := NewConn(nil, vclock.CostModel{}, nil)
+	body := []byte("reply")
+	seq := uint64(0)
+	remember := func() {
+		seq++
+		c.remember(seq, tagResult, body)
+	}
+	for range c.doneCap {
+		remember()
+	}
+	if allocs := testing.AllocsPerRun(1000, remember); allocs != 0 {
+		t.Fatalf("remembering into a warm cache made %v allocs, want 0", allocs)
+	}
+	if e, ok := c.lookup(seq - uint64(c.doneCap) + 1); !ok || !bytes.Equal(e.body, body) {
+		t.Fatalf("the oldest of the last %d sequences is not cached", c.doneCap)
+	}
+	if _, ok := c.lookup(seq - uint64(c.doneCap)); ok {
+		t.Fatalf("%d sequences ago is still cached, past the cap of %d", c.doneCap, c.doneCap)
 	}
 }
 

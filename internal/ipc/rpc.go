@@ -146,14 +146,26 @@ type Conn struct {
 
 	mu    sync.Mutex // held for a whole call: the agent serves one request at a time
 	stats CallStats
-	// done is the server-side dedup cache: each completed sequence's
-	// response body, kept as the handler returned it. failed holds the
-	// cached sequences whose response is an application error.
-	done    map[uint64][]byte
-	failed  map[uint64]struct{}
+	// done is the server-side dedup cache: the responses of the last
+	// doneCap completed sequences, in the order they completed, oldest at
+	// done[next] once it is full. It grows as responses arrive, so an idle
+	// connection holds none; once full, a response takes the oldest one's
+	// slot, so remembering allocates nothing. hi is the highest sequence it
+	// has held: a request above it, the usual case, is new without a
+	// search.
+	done    []cached
+	next    int
+	hi      uint64
 	doneCap int
-	order   []uint64 // insertion order for cache eviction
 	inject  Injector
+}
+
+// cached is one completed sequence's response in the dedup cache: key is
+// the sequence shifted left once, its low bit set when the response is an
+// application error, and body is the response as the handler returned it.
+type cached struct {
+	key  uint64
+	body []byte
 }
 
 // NewConn creates a connection to an agent that serves requests with h.
@@ -163,8 +175,6 @@ func NewConn(clock *vclock.Clock, cost vclock.CostModel, h Handler) *Conn {
 		clock:   clock,
 		cost:    cost,
 		handler: h,
-		done:    make(map[uint64][]byte),
-		failed:  make(map[uint64]struct{}),
 		doneCap: 1024,
 	}
 }
@@ -204,13 +214,13 @@ func (c *Conn) serve(m Message) Message {
 		// same sequence can still execute exactly once.
 		return response(m.Seq, respKindCorrupt, 0, []byte("request checksum mismatch"))
 	}
-	if cached, dup := c.done[m.Seq]; dup {
+	if e, dup := c.lookup(m.Seq); dup {
 		c.stats.Dedups++
 		tag := tagResult
-		if _, ok := c.failed[m.Seq]; ok {
+		if e.key&1 != 0 {
 			tag = tagError
 		}
-		return response(m.Seq, respKindOK, tag, cached)
+		return response(m.Seq, respKindOK, tag, e.body)
 	}
 	out, err := c.handler(m.Kind, m.Payload)
 	if err != nil && errors.Is(err, ErrAgentCrashed) {
@@ -233,22 +243,36 @@ func response(seq uint64, kind uint32, tag byte, p []byte) Message {
 	return m
 }
 
-// remember stores a completed response for dedup, evicting oldest entries.
-// Called with c.mu held.
+// lookup returns the cached response to seq, if the dedup cache holds
+// one. It searches newest first, since a retry follows its failed attempt
+// closely. Called with c.mu held.
+func (c *Conn) lookup(seq uint64) (cached, bool) {
+	if seq > c.hi {
+		return cached{}, false
+	}
+	for i := range c.done {
+		e := c.done[(c.next-1-i+len(c.done))%len(c.done)]
+		if e.key>>1 == seq {
+			return e, true
+		}
+	}
+	return cached{}, false
+}
+
+// remember stores the response to seq, a sequence the cache does not
+// hold, evicting the oldest once doneCap are held. Called with c.mu held.
 func (c *Conn) remember(seq uint64, tag byte, out []byte) {
-	if _, ok := c.done[seq]; ok {
+	e := cached{key: seq << 1, body: out}
+	if tag == tagError {
+		e.key |= 1
+	}
+	c.hi = max(c.hi, seq)
+	if len(c.done) < c.doneCap {
+		c.done = append(c.done, e)
 		return
 	}
-	c.done[seq] = out
-	if tag == tagError {
-		c.failed[seq] = struct{}{}
-	}
-	c.order = append(c.order, seq)
-	for len(c.order) > c.doneCap {
-		delete(c.done, c.order[0])
-		delete(c.failed, c.order[0])
-		c.order = c.order[1:]
-	}
+	c.done[c.next] = e
+	c.next = (c.next + 1) % len(c.done)
 }
 
 // NextSeq reserves and returns a fresh sequence number, for callers that

@@ -478,8 +478,8 @@ func TestContentHashBlockedByPermNone(t *testing.T) {
 }
 
 // TestReadPathAllocs pins the allocations of the mediated read path: an
-// element read and a content hash copy nothing to the heap, and Values
-// allocates only its result.
+// element read, a content hash and a view of a tensor of a page or more
+// copy nothing to the heap, and Values allocates only its result.
 func TestReadPathAllocs(t *testing.T) {
 	s := mem.NewSpace()
 	ten, err := NewTensor(s, 3*mem.PageSize/8)
@@ -494,6 +494,7 @@ func TestReadPathAllocs(t *testing.T) {
 		{"Tensor.AtFlat", 0, func() error { _, err := ten.AtFlat(5); return err }},
 		{"ContentHash of 3 pages", 0, func() error { _, err := ContentHash(ten); return err }},
 		{"Tensor.Values", 1, func() error { _, err := ten.Values(); return err }},
+		{"Tensor.View of 3 pages", 0, func() error { _, err := ten.View(); return err }},
 	} {
 		if err := c.read(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -505,8 +506,8 @@ func TestReadPathAllocs(t *testing.T) {
 }
 
 // TestWritePathAllocs pins the allocations of the in-place writes:
-// SetValues encodes into the tensor's region with none, and CopyInto into
-// a span a freed copy left makes only the new object.
+// SetValues and Fill encode into the tensor's region with none, and
+// CopyInto into a span a freed copy left makes only the new object.
 func TestWritePathAllocs(t *testing.T) {
 	src, dst := mem.NewSpace(), mem.NewSpace()
 	ten, err := NewTensor(src, 3*mem.PageSize/8)
@@ -532,6 +533,7 @@ func TestWritePathAllocs(t *testing.T) {
 		write func() error
 	}{
 		{"Tensor.SetValues of 3 pages", 0, func() error { return ten.SetValues(vals) }},
+		{"Tensor.Fill of 3 pages", 0, func() error { return ten.Fill(func(i int) float64 { return float64(i) }) }},
 		{"CopyInto of a 3-page mat", 1, copyAndFree},
 	} {
 		if err := c.write(); err != nil {
@@ -544,8 +546,9 @@ func TestWritePathAllocs(t *testing.T) {
 }
 
 // TestBulkReadsSpanPages: Values and ContentHash load a payload a page at
-// a time. On a tensor that ends part-way into its fourth page they must see
-// every byte a whole-payload load sees.
+// a time, and a View in one load. On a tensor that ends part-way into its
+// fourth page they must see every byte a whole-payload load sees, and a
+// view keeps those bytes when Fill then rewrites the tensor.
 func TestBulkReadsSpanPages(t *testing.T) {
 	s := mem.NewSpace()
 	ten, err := NewTensor(s, 3*mem.PageSize/8+5)
@@ -570,6 +573,19 @@ func TestBulkReadsSpanPages(t *testing.T) {
 	_, _ = h.Write(raw)
 	if sum, err := ContentHash(ten); err != nil || sum != h.Sum64() {
 		t.Fatalf("ContentHash = %x, %v; want %x", sum, err, h.Sum64())
+	}
+	v, err := ten.View()
+	if err != nil || v.Len() != len(want) || !bytes.Equal(v.Append(nil), raw) {
+		t.Fatalf("View holds %d elements (err %v), or other bytes than the payload", v.Len(), err)
+	}
+	if err := ten.Fill(func(i int) float64 { return -v.At(i) }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ten.Values()
+	for i := range want {
+		if err != nil || v.At(i) != want[i] || got[i] != -want[i] {
+			t.Fatalf("element %d: view %v, filled %v (err %v); want %v and %v", i, v.At(i), got[i], err, want[i], -want[i])
+		}
 	}
 }
 

@@ -144,8 +144,9 @@ func (t *Tensor) At(idx ...int) (float64, error) {
 	return t.AtFlat(flat)
 }
 
-// AtFlat reads the i-th element in row-major order. It allocates nothing;
-// a kernel that reads every element should call Values once instead.
+// AtFlat reads the i-th element in row-major order, with a checked load of
+// its 8 bytes. It allocates nothing; a kernel that reads a whole operand
+// takes one View of it instead, one load in all.
 func (t *Tensor) AtFlat(i int) (float64, error) {
 	if i < 0 || i >= t.Len() {
 		return 0, fmt.Errorf("object: flat index %d out of %d", i, t.Len())
@@ -176,9 +177,10 @@ func (t *Tensor) SetFlat(i int, v float64) error {
 	return t.space.Store(t.region.Base+mem.Addr(i*8), b[:])
 }
 
-// Values bulk-loads every element with one permission-checked load per
-// page instead of one per element. Each page is loaded into a stack buffer
-// and decoded straight into the result, the only allocation.
+// Values decodes every element into a new slice, with one checked load
+// per page, each through a stack buffer. No kernel reads its operands this
+// way since they read them through a View; Values is the decode-first
+// reference the kernels' differential tests hold them to.
 func (t *Tensor) Values() ([]float64, error) {
 	vals := make([]float64, t.Len())
 	var page [mem.PageSize]byte
@@ -195,19 +197,60 @@ func (t *Tensor) Values() ([]float64, error) {
 	return vals, nil
 }
 
-// SetValues bulk-stores every element; len(vals) must equal t.Len(). The
-// elements are encoded straight into the region under one checked store
-// (mem.AddressSpace.StoreInPlace), with no buffer of their own.
+// TensorView is a tensor's elements where its region holds them: a
+// read-only snapshot of the payload (Snapshot) that decodes each
+// big-endian float64 when it is read, so reading an operand copies
+// nothing. A view is never written. It keeps the bytes it was taken of: a
+// later store into the tensor writes around it (mem.AddressSpace.Snapshot),
+// so a kernel may read a view of a tensor while it fills that tensor.
+type TensorView struct{ b []byte }
+
+// View returns the tensor's elements as a read-only view, with one checked
+// and counted load of the whole region: the access check, the access hook
+// and BytesLoaded are those of a load of every element.
+func (t *Tensor) View() (TensorView, error) {
+	b, err := t.space.Snapshot(t.region)
+	if err != nil {
+		return TensorView{}, err
+	}
+	return TensorView{b}, nil
+}
+
+// Len returns the number of elements.
+func (v TensorView) Len() int { return len(v.b) / 8 }
+
+// At decodes the i-th element in row-major order.
+func (v TensorView) At(i int) float64 {
+	return math.Float64frombits(binary.BigEndian.Uint64(v.b[8*i:]))
+}
+
+// Append appends the elements' encoding, 8 big-endian bytes each as the
+// region holds them, to b: a tensor's bytes in a file are these.
+func (v TensorView) Append(b []byte) []byte { return append(b, v.b...) }
+
+// Fill sets every element i to f(i), encoding each straight into the
+// region under one checked store (mem.AddressSpace.StoreInPlace): a
+// kernel's output needs no slice of its own. f is called once per element,
+// in order, so it may keep state from one element to the next. It runs
+// under the space's lock and must not touch the space; it may read views,
+// which are the Go memory they were taken of, the tensor's own among them.
+func (t *Tensor) Fill(f func(i int) float64) error {
+	i := 0
+	return t.space.StoreInPlace(t.region.Base, t.n*8, func(b []byte) {
+		for ; len(b) >= 8; b = b[8:] {
+			binary.BigEndian.PutUint64(b, math.Float64bits(f(i)))
+			i++
+		}
+	})
+}
+
+// SetValues stores every element; len(vals) must equal t.Len(). It is Fill
+// from a slice: one checked store, with no buffer of its own.
 func (t *Tensor) SetValues(vals []float64) error {
 	if len(vals) != t.Len() {
 		return fmt.Errorf("object: SetValues got %d values for %d elements", len(vals), t.Len())
 	}
-	return t.space.StoreInPlace(t.region.Base, len(vals)*8, func(b []byte) {
-		for i := 0; i+8 <= len(b); i += 8 {
-			binary.BigEndian.PutUint64(b[i:], math.Float64bits(vals[0]))
-			vals = vals[1:]
-		}
-	})
+	return t.Fill(func(i int) float64 { return vals[i] })
 }
 
 // String describes the tensor.

@@ -73,6 +73,9 @@ var keptUnlinked = map[string]string{
 	"sched.RoundRobin.MigrateTarget": reference,
 	// FuzzModelForward's reference decoder; workload's tests read it too.
 	"simtorch.DecodeModel": reference,
+	// The decode-first reads FuzzModelForward and FuzzTensorKernels hold
+	// the kernels' views to.
+	"object.(*Tensor).Values": reference,
 
 	"core.(*Runtime).Agents":        accessor,
 	"kernel.(*Process).Denials":     accessor,
