@@ -296,7 +296,7 @@ func (s *System) Call(apiName string, args ...framework.Value) ([]core.Handle, [
 				m.BytesMoved += uint64(size)
 			})
 		}
-		handles = append(handles, s.handleFor(ctx, v.Obj, size))
+		handles = append(handles, s.handleFor(ctx, v.Obj))
 	}
 	if crossing && outBytes > 0 {
 		s.K.Clock.Advance(s.K.Cost.CopyCost(outBytes))
@@ -308,10 +308,10 @@ func (s *System) Call(apiName string, args ...framework.Value) ([]core.Handle, [
 // table yields ids unique only within its process, so a handle needs
 // (ctx, id); the executor interface carries only an id, so the system
 // keeps a side map from global ids to (ctx, id).
-func (s *System) handleFor(ctx *framework.Ctx, id uint64, size int) core.Handle {
+func (s *System) handleFor(ctx *framework.Ctx, id uint64) core.Handle {
 	gid := s.nextGlobal()
 	s.owners[gid] = ownerRef{ctx: ctx, id: id}
-	return core.BaselineHandle(gid, size)
+	return core.BaselineHandle(gid)
 }
 
 // findRef resolves a global handle id to its owner and object.

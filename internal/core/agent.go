@@ -20,7 +20,7 @@ import (
 
 // agent is one isolated partition: a process, its object table, an RPC
 // connection, the derived syscall policy, and restart bookkeeping. The
-// boundary decides which of those a given partition actually has: only
+// tier decides which of those a given partition actually has: only
 // process-tier agents carry a conn and a syscall policy; only domain-tier
 // agents carry a protection key.
 type agent struct {
@@ -29,9 +29,9 @@ type agent struct {
 	types  map[framework.APIType]bool // API types homed here
 	policy *analysis.AgentPolicy      // nil when syscall restriction is off
 
-	// boundary is the isolation mechanism hosting this partition, fixed at
+	// tier is the isolation mechanism hosting this partition, fixed at
 	// spawn (the policy is immutable for a runtime's lifetime).
-	boundary Boundary
+	tier isolation.Tier
 	// key is the protection key tagging this partition's state; nonzero
 	// only for domain-tier agents.
 	key mem.Key
@@ -244,9 +244,10 @@ func (rt *Runtime) serve(a *agent) ipc.Handler {
 	}
 }
 
-// unmarshalArgs converts wire values into agent-local values, performing
-// eager rebuilds (payload attached) or lazy direct copies (ref only). The
-// list it returns is new: the API may keep it.
+// unmarshalArgs converts wire values into agent-local values: a payload
+// shipped through the host (the deep-copy path, charged as wire bytes) is
+// rebuilt here, and a ref resolves through deref. The list it returns is
+// new: the API may keep it.
 func (rt *Runtime) unmarshalArgs(a *agent, ctx *framework.Ctx, call *framework.Call) ([]framework.Value, error) {
 	args := make([]framework.Value, len(call.Args))
 	for i, v := range call.Args {
@@ -254,69 +255,30 @@ func (rt *Runtime) unmarshalArgs(a *agent, ctx *framework.Ctx, call *framework.C
 			args[i] = v
 			continue
 		}
-		ref := v.Ref
-		// Payload shipped through the host (deep copy path).
 		if i < len(call.Payloads) && call.Payloads[i] != nil {
-			o, err := object.Rebuild(ctx.P.Space(), ref, call.Payloads[i])
+			o, err := object.Rebuild(ctx.P.Space(), v.Ref, call.Payloads[i])
 			if err != nil {
 				return nil, err
 			}
 			args[i] = framework.Obj(ctx.Table.Put(o))
 			continue
 		}
-		// Reference to an object this agent already owns.
-		if ref.PID == uint32(ctx.P.PID()) {
-			args[i] = framework.Obj(a.resolveID(ref.ID))
-			continue
-		}
-		// Lazy data copy: dereference now, copying directly from the
-		// owning agent's space (Fig. 11-(a), step 4) — unless this agent
-		// already holds this version of the object.
-		key := derefKey{pid: ref.PID, id: ref.ID, hash: ref.Hash}
-		a.mu.Lock()
-		localID, cached := a.deref[key]
-		a.mu.Unlock()
-		if cached {
-			if _, ok := ctx.Table.Get(localID); ok {
-				args[i] = framework.Obj(localID)
-				continue
-			}
-		}
-		src, err := rt.remoteObject(ref)
+		id, err := rt.deref(a, ctx, v.Ref)
 		if err != nil {
 			return nil, err
 		}
-		o, err := object.CopyInto(ctx.P.Space(), ref, src)
-		if err != nil {
-			return nil, err
-		}
-		n := o.Region().Size
-		rt.Metrics.Update(func(m *metrics.Snapshot) {
-			m.LazyCopies++
-			m.BytesMoved += uint64(n)
-		})
-		rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(n))
-		id := ctx.Table.Put(o)
-		a.mu.Lock()
-		a.deref[key] = id
-		a.mu.Unlock()
 		args[i] = framework.Obj(id)
 	}
 	return args, nil
 }
 
-// remoteObject returns the object a ref names in its owning endpoint.
+// remoteObject returns the object a ref names in its owner's table.
 func (rt *Runtime) remoteObject(ref object.Ref) (object.Object, error) {
-	ep, ok := rt.endpoint(ref.PID)
+	_, o, ok := rt.lookup(refKey(ref))
 	if !ok {
 		return nil, fmt.Errorf("core: no endpoint for pid %d", ref.PID)
 	}
-	id := ref.ID
-	if ep.agent != nil {
-		id = ep.agent.resolveID(id)
-	}
-	o, ok := ep.table().Get(id)
-	if !ok {
+	if o == nil {
 		return nil, fmt.Errorf("core: dangling ref pid=%d id=%d", ref.PID, ref.ID)
 	}
 	return o, nil
@@ -419,8 +381,8 @@ func (rt *Runtime) restartAgent(a *agent) error {
 	// Restart replaces the process's address space — catastrophic for a
 	// domain- or host-tier partition, which *shares* the host's space.
 	// Those tiers have no restart story: the partition dies with the host.
-	if a.boundary != nil && a.boundary.Tier() != isolation.TierProcess {
-		return fmt.Errorf("core: cannot restart %s: %s-tier partitions share the host's fate", a.name, a.boundary.Tier())
+	if a.tier != isolation.TierProcess {
+		return fmt.Errorf("core: cannot restart %s: %s-tier partitions share the host's fate", a.name, a.tier)
 	}
 	a.mu.Lock()
 	proc := a.proc
@@ -431,9 +393,7 @@ func (rt *Runtime) restartAgent(a *agent) error {
 	rt.K.Restart(proc)
 	rt.Metrics.Update(func(m *metrics.Snapshot) { m.Restarts++ })
 
-	newCtx := framework.NewCtx(rt.K, proc)
-	newCtx.OnExploit = rt.exploit
-	newCtx.Tracer = rt.Tracer
+	newCtx := rt.newCtx(proc)
 
 	// Old objects are intentionally gone (§6); restore only checkpointed
 	// stateful state, remapping ids.
@@ -500,18 +460,7 @@ func (rt *Runtime) restartAgent(a *agent) error {
 		a.mu.Unlock()
 	}
 
-	if err := rt.initAgent(a); err != nil {
-		return err
-	}
-	if a.policy != nil {
-		if err := a.policy.Apply(proc.Filter()); err != nil {
-			return err
-		}
-	}
-	// Re-arm fault injection on the fresh address space — after checkpoint
-	// restoration, so the revival itself cannot be faulted back down.
-	rt.armChaos(a)
-	return nil
+	return rt.boot(a)
 }
 
 // callAgent performs one RPC to the agent under the supervision policy:
@@ -535,13 +484,10 @@ func (rt *Runtime) callAgent(a *agent, call framework.Call) error {
 	a.wire = wire
 	seq := a.conn.NextSeq()
 	for attempt := 0; ; attempt++ {
-		var out []byte
-		if attempt == 0 {
-			out, err = a.conn.CallSeq(seq, 0, wire)
-		} else {
+		if attempt > 0 {
 			rt.Metrics.Update(func(m *metrics.Snapshot) { m.Retries++ })
-			out, err = a.conn.Retry(seq, 0, wire)
 		}
+		out, err := a.conn.CallSeq(seq, 0, wire)
 		rt.Metrics.Update(func(m *metrics.Snapshot) {
 			m.IPCCalls++
 			m.BytesMoved += uint64(payloadBytes(call))

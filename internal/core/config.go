@@ -138,12 +138,7 @@ type Handle struct {
 	ref          object.Ref
 	local        uint64
 	materialized bool
-	size         int
-	kind         object.Kind
 }
-
-// Kind returns the object kind.
-func (h Handle) Kind() object.Kind { return h.kind }
 
 // Value converts the handle into an API argument value.
 func (h Handle) Value() framework.Value {
@@ -168,8 +163,8 @@ type Caller interface {
 // BaselineHandle builds a handle carrying an executor-specific opaque id —
 // used by the baseline isolation techniques (internal/baseline), whose
 // object ownership model differs from the FreePart runtime's.
-func BaselineHandle(id uint64, size int) Handle {
-	return Handle{local: id, materialized: true, size: size}
+func BaselineHandle(id uint64) Handle {
+	return Handle{local: id, materialized: true}
 }
 
 // BaselineHandleID extracts the opaque id from a baseline handle.

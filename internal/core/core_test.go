@@ -62,8 +62,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(imgs) != 1 || imgs[0].Size() != 64 {
+	if len(imgs) != 1 {
 		t.Fatalf("imread handles = %v", imgs)
+	}
+	if _, region, ok := rt.Locate(imgs[0]); !ok || region.Size != 64 {
+		t.Fatalf("imread result: region %+v (found %v), want 64 bytes", region, ok)
 	}
 	blurred, _, err := rt.Call("cv.GaussianBlur", imgs[0].Value())
 	if err != nil {

@@ -39,21 +39,7 @@ func (d *Direct) Call(apiName string, args ...framework.Value) ([]Handle, []fram
 	if err != nil {
 		return nil, nil, err
 	}
-	var handles []Handle
-	var plain []framework.Value
-	for _, v := range results {
-		if v.Kind == framework.ValObj {
-			o, _ := d.Ctx.Table.Get(v.Obj)
-			size := 0
-			if o != nil {
-				size = o.Region().Size
-			}
-			handles = append(handles, Handle{local: v.Obj, materialized: true, size: size})
-			continue
-		}
-		plain = append(plain, v)
-	}
-	return handles, plain, nil
+	return hostResults(results)
 }
 
 // Fetch reads a handle's payload from the host table.

@@ -1,11 +1,6 @@
 package core
 
-import "sort"
-
 // Test-only accessors: no binary reads these.
-
-// Size returns the object's payload size in bytes.
-func (h Handle) Size() int { return h.size }
 
 // Materialized reports whether the object lives in the host space.
 func (h Handle) Materialized() bool { return h.materialized }
@@ -27,20 +22,13 @@ func (rt *Runtime) EndpointCount() int {
 }
 
 // DegradedPartitions returns the names of partitions the circuit breaker
-// has demoted to in-host execution, sorted for deterministic logs.
+// has demoted to in-host execution, in partition order.
 func (rt *Runtime) DegradedPartitions() []string {
-	rt.mu.Lock()
-	agents := make([]*agent, 0, len(rt.agents))
-	for _, a := range rt.agents {
-		agents = append(agents, a)
-	}
-	rt.mu.Unlock()
 	var out []string
-	for _, a := range agents {
+	for _, a := range rt.byID {
 		if a.isDegraded() {
 			out = append(out, a.name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }

@@ -75,7 +75,7 @@ func agentBit(a *agent) uint64 { return 1 << (uint(a.id) & 63) }
 // other agents own: it may keep lazy copies of them, which their release
 // must reach. Host-tier agents keep no copies.
 func (rt *Runtime) noteCopies(a *agent, args []framework.Value) {
-	if a.boundary.Tier() == isolation.TierHost {
+	if a.tier == isolation.TierHost {
 		return
 	}
 	pid := uint32(a.process().PID())
@@ -112,37 +112,50 @@ func (rt *Runtime) release(k framework.Released) bool {
 	rt.mu.Lock()
 	copies, live := rt.objects[k]
 	delete(rt.objects, k)
-	ep := rt.endpoints[k.PID]
 	rt.mu.Unlock()
 	if !live {
 		return false
 	}
-	if ep == nil {
+	owner, o, ok := rt.lookup(k)
+	if !ok {
 		return true
 	}
-	id := k.ID
-	if ep.agent != nil {
-		id = ep.agent.resolveID(id)
-	}
-	o, found := ep.table().Get(id)
-	if found {
+	if o != nil {
 		rt.forget(o.Space(), o.Region().Base)
 	}
-	if ep.agent == nil {
+	if owner == nil {
 		// An object materialized in the host's own table.
-		if found {
-			ep.table().Delete(id)
+		if o != nil {
+			rt.hostCtx.Table.Delete(k.ID)
 			_ = o.Space().Free(o.Region())
 		}
 	} else {
-		ep.agent.release(rt, k)
+		owner.release(rt, k)
 	}
 	for _, a := range rt.byID {
-		if a != ep.agent && copies&agentBit(a) != 0 {
+		if a != owner && copies&agentBit(a) != 0 {
 			a.release(rt, k)
 		}
 	}
 	return true
+}
+
+// lookup finds the object k names in its owner's table. It returns the
+// owner's agent, nil for the host (whose table also holds the host tier's
+// objects), and the object under its current id there, which a restart
+// may have remapped. o is nil when the owner no longer holds the object,
+// and ok is false when no endpoint has k's pid.
+func (rt *Runtime) lookup(k framework.Released) (owner *agent, o object.Object, ok bool) {
+	owner, ok = rt.endpoint(k.PID)
+	if !ok {
+		return nil, nil, false
+	}
+	if owner == nil {
+		o, _ = rt.hostCtx.Table.Get(k.ID)
+	} else {
+		o, _ = owner.context().Table.Get(owner.resolveID(k.ID))
+	}
+	return owner, o, true
 }
 
 // forget drops the host's temporal-protection records of a released
@@ -194,7 +207,7 @@ func (rt *Runtime) finishSession(session int) {
 // so nothing would deliver the entry. A domain-tier agent shares the host's
 // address space, so the host frees the object in place.
 func (a *agent) release(rt *Runtime, k framework.Released) {
-	if a.boundary.Tier() == isolation.TierProcess {
+	if a.tier == isolation.TierProcess {
 		a.mu.Lock()
 		if !a.degraded {
 			a.pending = append(a.pending, k)

@@ -8,21 +8,12 @@ import (
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/framework"
-	"freepart.dev/freepart/internal/ipc"
 	"freepart.dev/freepart/internal/isolation"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
 	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/object"
 )
-
-// endpoint locates the space and table behind a process id, for lazy
-// cross-agent copies.
-type endpoint struct {
-	space func() *mem.AddressSpace
-	table func() *object.Table
-	agent *agent
-}
 
 // definedObject tracks one object created during a framework state, for
 // temporal permission enforcement (§4.4.3).
@@ -47,8 +38,6 @@ type Runtime struct {
 	Cat     *analysis.Categorization
 	Config  Config
 	Metrics *metrics.Counters
-	// Tracer is attached to every execution context when set.
-	Tracer framework.Tracer
 	// OnExploit overrides the exploit behaviour inside agents (the attack
 	// layer installs payload semantics here).
 	OnExploit framework.ExploitFunc
@@ -56,9 +45,12 @@ type Runtime struct {
 	Host    *kernel.Process
 	hostCtx *framework.Ctx
 
-	mu        sync.Mutex
-	agents    map[int]*agent
-	endpoints map[uint32]*endpoint
+	mu     sync.Mutex
+	agents map[int]*agent
+	// endpoints maps each process id whose table a ref can name to its
+	// agent: nil for the host's own pid. A host-tier partition has none of
+	// its own; its objects are the host's.
+	endpoints map[uint32]*agent
 	state     framework.APIType
 	defined   map[framework.APIType][]definedObject
 	exempt    map[exemptKey]bool
@@ -85,13 +77,19 @@ type Runtime struct {
 	spareOwned []framework.Released
 	byID       []*agent
 
+	// hostMu serializes the crossings that run in the host's address
+	// space: a whole domain-tier call (arguments, PKRU narrowing, the run,
+	// results), a whole in-host call (host tier and the degraded path), and
+	// a Fetch of an object in the host's space. Those share the host's
+	// PKRU and its execution context. Process-tier calls do not take it.
+	// A domain- or host-tier API runs under it, exploit handler included,
+	// so neither may call back into Call or Fetch.
+	hostMu sync.Mutex
+
 	// Domain-tier state (internal/isolation): the protection keys handed to
 	// MPK-domain partitions in spawn order, the next free key, and whether
 	// the policy uses any domain at all (when true, RegisterCritical also
-	// tags host objects with hostCriticalKey). domainMu serializes the
-	// PKRU-narrowing window of a domain-tier call. All written during New,
-	// except domainMu.
-	domainMu      sync.Mutex
+	// tags host objects with hostCriticalKey). All written during New.
 	domainKeys    []mem.Key
 	nextDomainKey mem.Key
 	usesDomains   bool
@@ -121,7 +119,7 @@ func New(k *kernel.Kernel, reg *framework.Registry, cat *analysis.Categorization
 		K: k, Reg: reg, Cat: cat, Config: cfg,
 		Metrics:     metrics.New(),
 		agents:      make(map[int]*agent),
-		endpoints:   make(map[uint32]*endpoint),
+		endpoints:   make(map[uint32]*agent),
 		state:       framework.TypeUnknown, // initialization state
 		defined:     make(map[framework.APIType][]definedObject),
 		exempt:      make(map[exemptKey]bool),
@@ -132,10 +130,7 @@ func New(k *kernel.Kernel, reg *framework.Registry, cat *analysis.Categorization
 	}
 	rt.Host = k.Spawn("host")
 	rt.hostCtx = framework.NewCtx(k, rt.Host)
-	rt.endpoints[uint32(rt.Host.PID())] = &endpoint{
-		space: rt.Host.Space,
-		table: func() *object.Table { return rt.hostCtx.Table },
-	}
+	rt.endpoints[uint32(rt.Host.PID())] = nil
 	rt.usesDomains = cfg.Isolation != nil && cfg.Isolation.HasTier(isolation.TierDomain)
 	if cfg.Isolation != nil && (rt.usesDomains || cfg.Isolation.HasTier(isolation.TierHost)) {
 		// Domain- and host-tier partitions execute APIs in contexts that
@@ -197,29 +192,6 @@ func (rt *Runtime) partitionSet() map[int]map[framework.APIType]bool {
 	return out
 }
 
-// spawnAgent creates and initializes one partition: the bare agent record
-// is built here, then the boundary the policy picked brings it up —
-// process spawn + RPC wiring for the process tier, protection-key
-// allocation for the domain tier, aliasing into the host for the host
-// tier.
-func (rt *Runtime) spawnAgent(id int, types map[framework.APIType]bool) error {
-	name := fmt.Sprintf("agent:%d", id)
-	if len(types) == 1 {
-		for t := range types {
-			name = "agent:" + t.Long()
-		}
-	}
-	a := &agent{
-		id: id, name: name, types: types,
-		remap:       make(map[uint64]uint64),
-		canon:       make(map[uint64]uint64),
-		checkpoints: make(map[uint64]checkpoint),
-		deref:       make(map[derefKey]uint64),
-	}
-	a.boundary = rt.boundaryFor(types)
-	return a.boundary.Spawn(rt, a)
-}
-
 // initAgent performs the one-time initialization syscalls that the
 // steady-state filter forbids (§4.4.1): the visualizing agent opens its
 // GUI socket before lockdown.
@@ -240,12 +212,13 @@ func (rt *Runtime) exploit(ctx *framework.Ctx, cve string, payload []byte) error
 	return fmt.Errorf("%w: %s (agent crashed)", framework.ErrExploited, cve)
 }
 
-// endpoint looks up the endpoint for a pid.
-func (rt *Runtime) endpoint(pid uint32) (*endpoint, bool) {
+// endpoint returns the agent whose process has pid, nil for the host's
+// own; ok is false for a pid no endpoint has.
+func (rt *Runtime) endpoint(pid uint32) (*agent, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ep, ok := rt.endpoints[pid]
-	return ep, ok
+	a, ok := rt.endpoints[pid]
+	return a, ok
 }
 
 // agentFor picks the agent that homes an API, honoring type-neutral
@@ -284,29 +257,17 @@ func (rt *Runtime) agentFor(api *framework.API) (*agent, error) {
 
 // Agents returns the agent processes in partition order (for inspection).
 func (rt *Runtime) Agents() []*kernel.Process {
-	rt.mu.Lock()
-	ids := make([]int, 0, len(rt.agents))
-	for id := range rt.agents {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	agents := make([]*agent, 0, len(ids))
-	for _, id := range ids {
-		agents = append(agents, rt.agents[id])
-	}
-	rt.mu.Unlock()
-	out := make([]*kernel.Process, 0, len(agents))
-	for _, a := range agents {
+	out := make([]*kernel.Process, 0, len(rt.byID))
+	for _, a := range rt.byID {
 		out = append(out, a.process())
 	}
 	return out
 }
 
-// AgentForType returns the process currently homing the given API type.
+// AgentForType returns the process currently homing the given API type:
+// the first such partition in partition order.
 func (rt *Runtime) AgentForType(t framework.APIType) (*kernel.Process, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, a := range rt.agents {
+	for _, a := range rt.byID {
 		if a.types[t] {
 			return a.process(), true
 		}
@@ -327,9 +288,7 @@ func (rt *Runtime) HostCtx() *framework.Ctx { return rt.hostCtx }
 // Close shuts down all agent connections (domain- and host-tier
 // partitions have none).
 func (rt *Runtime) Close() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, a := range rt.agents {
+	for _, a := range rt.byID {
 		if a.conn != nil {
 			a.conn.Close()
 		}
@@ -396,32 +355,35 @@ func (rt *Runtime) transition(next framework.APIType) {
 // recordResults registers result objects as live host handles, owned by
 // the session in scope if any, and as defined in the current state.
 func (rt *Runtime) recordResults(handles []Handle) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	for _, h := range handles {
-		rt.trackLocked(rt.keyOf(h), rt.ckptSession)
-		ep, ok := rt.endpoints[h.ref.PID]
-		if !ok || h.materialized {
-			if h.materialized {
-				if o, found := rt.hostCtx.Table.Get(h.local); found {
-					rt.defined[rt.state] = append(rt.defined[rt.state], definedObject{space: o.Space(), region: o.Region()})
-				}
-			}
-			continue
-		}
-		id := h.ref.ID
-		if ep.agent != nil {
-			id = ep.agent.resolveID(id)
-		}
-		if o, found := ep.table().Get(id); found {
+		k := rt.keyOf(h)
+		_, o, _ := rt.lookup(k)
+		rt.mu.Lock()
+		rt.trackLocked(k, rt.ckptSession)
+		if o != nil {
 			rt.defined[rt.state] = append(rt.defined[rt.state], definedObject{space: o.Space(), region: o.Region()})
 		}
+		rt.mu.Unlock()
 	}
 }
 
+// keepWritable exempts the object behind h from temporal sealing, as the
+// state of a stateful API (§A.2.4 — the API mutates it on every call). It
+// returns where the object lives; ok is false for a dangling handle.
+func (rt *Runtime) keepWritable(h Handle) (space *mem.AddressSpace, region mem.Region, ok bool) {
+	space, region, ok = rt.Locate(h)
+	if ok {
+		rt.mu.Lock()
+		rt.exempt[exemptKey{space, region.Base}] = true
+		rt.mu.Unlock()
+	}
+	return space, region, ok
+}
+
 // Call interposes one framework API invocation from the host program: it
-// routes to the owning agent over RPC, moves data per the LDC policy,
-// drives the temporal state machine, and returns handles to the results.
+// drives the temporal state machine, routes to the owning partition,
+// crosses its isolation boundary moving data per the LDC policy, and
+// returns handles to the results.
 func (rt *Runtime) Call(apiName string, args ...framework.Value) ([]Handle, []framework.Value, error) {
 	api, ok := rt.Reg.Get(apiName)
 	if !ok {
@@ -448,22 +410,15 @@ func (rt *Runtime) Call(apiName string, args ...framework.Value) ([]Handle, []fr
 	}
 
 	// Objects flowing through a stateful API are its internal state: the
-	// runtime keeps them writable across framework states (§A.2.4 — the
-	// API mutates them on every call), restoring write access if a prior
-	// transition already sealed them.
+	// runtime keeps them writable across framework states, restoring write
+	// access if a prior transition already sealed them.
 	if api.Stateful {
 		for _, v := range args {
 			if v.Kind != framework.ValRef {
 				continue
 			}
-			space, region, ok := rt.Locate(Handle{ref: v.Ref})
-			if !ok {
-				continue
-			}
-			rt.mu.Lock()
-			rt.exempt[exemptKey{space, region.Base}] = true
-			rt.mu.Unlock()
-			if rt.Config.EnforcePermissions {
+			space, region, ok := rt.keepWritable(Handle{ref: v.Ref})
+			if ok && rt.Config.EnforcePermissions {
 				if perm, mapped := space.PermAt(region.Base); mapped && !perm.CanWrite() {
 					if _, perr := space.ProtectRegion(region, mem.PermRW); perr == nil {
 						rt.Metrics.Update(func(m *metrics.Snapshot) { m.PermFlips++ })
@@ -474,76 +429,45 @@ func (rt *Runtime) Call(apiName string, args ...framework.Value) ([]Handle, []fr
 		}
 	}
 
-	// A partition the circuit breaker demoted runs in-host (§4.4.2's
-	// availability escape hatch): no isolation, but the pipeline survives.
+	var handles []Handle
+	var plain []framework.Value
 	if a.isDegraded() {
-		return rt.finishDegraded(api, args)
-	}
-	rt.noteCopies(a, args)
-
-	// Cross the partition's isolation boundary: per-call IPC for the
-	// process tier, a PKRU-bracketed direct call for the domain tier,
-	// plain in-host execution for the host tier.
-	//
-	// The DoS resource watchdog watches the crossing for partitions that
-	// share the host's fate: a domain- or host-tier invocation that kills
-	// the host is the one attack shape those tiers cannot contain — so it
-	// is at least *detected* here and reported to the anomaly hook.
-	// Observation only: no clock advance, no state change, nothing when
-	// the hook is nil.
-	handles, plain, err := a.boundary.Invoke(rt, a, api, args)
-	if rt.Config.OnAnomaly != nil && a.boundary.Tier() != isolation.TierProcess && !rt.Host.Alive() {
-		rt.Metrics.Update(func(m *metrics.Snapshot) { m.WatchdogTrips++ })
-		rt.Config.OnAnomaly(t, apiName, "host-crash",
-			fmt.Sprintf("%s-tier invocation killed the host", a.boundary.Tier()))
-	}
-	if errors.Is(err, errAgentDegraded) {
-		// The breaker tripped while this very call was being supervised.
-		return rt.finishDegraded(api, args)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if api.Stateful {
-		for _, h := range handles {
-			if space, region, ok := rt.Locate(h); ok {
-				rt.mu.Lock()
-				rt.exempt[exemptKey{space, region.Base}] = true
-				rt.mu.Unlock()
-			}
+		// A partition the circuit breaker demoted runs in-host (§4.4.2's
+		// availability escape hatch): no isolation, but the pipeline
+		// survives.
+		handles, plain, err = rt.callDegraded(api, args)
+	} else {
+		rt.noteCopies(a, args)
+		switch a.tier {
+		case isolation.TierHost:
+			handles, plain, err = rt.callInHost(api, args)
+		case isolation.TierDomain:
+			handles, plain, err = rt.callDomain(a, api, args)
+		default:
+			handles, plain, err = rt.callProcess(a, api, args)
+		}
+		// The DoS resource watchdog watches the crossing for partitions
+		// that share the host's fate: a domain- or host-tier invocation
+		// that kills the host is the one attack shape those tiers cannot
+		// contain — so it is at least *detected* here and reported to the
+		// anomaly hook. Observation only: no clock advance, no state
+		// change, nothing when the hook is nil.
+		if rt.Config.OnAnomaly != nil && a.tier != isolation.TierProcess && !rt.Host.Alive() {
+			rt.Metrics.Update(func(m *metrics.Snapshot) { m.WatchdogTrips++ })
+			rt.Config.OnAnomaly(t, apiName, "host-crash",
+				fmt.Sprintf("%s-tier invocation killed the host", a.tier))
+		}
+		if errors.Is(err, errAgentDegraded) {
+			// The breaker tripped while this very call was being supervised.
+			handles, plain, err = rt.callDegraded(api, args)
 		}
 	}
-	rt.recordResults(handles)
-	return handles, plain, nil
-}
-
-// finishDegraded runs the in-host execution path and applies the same
-// post-call bookkeeping (stateful exemptions, temporal registration) that
-// the RPC path applies.
-//
-// Under a serving session (a portable checkpoint log is attached and a
-// session is in scope) the degraded path is refused instead: in-host
-// execution cannot honor the portable-checkpoint contract — mutations would
-// bypass the log and freshly created objects have no cross-shard identity —
-// so a tripped breaker surfaces as a crash-class failure. The executor
-// treats loss of isolation as loss of the shard: it drains it and re-runs
-// the invocation on an isolated replacement. The API never executes here,
-// so the re-run stays exactly-once.
-func (rt *Runtime) finishDegraded(api *framework.API, args []framework.Value) ([]Handle, []framework.Value, error) {
-	if log, session := rt.checkpointScope(); log != nil && session >= 0 {
-		return nil, nil, fmt.Errorf("%w: breaker degraded a partition under serving session %d", ipc.ErrAgentCrashed, session)
-	}
-	handles, plain, err := rt.callDegraded(api, args)
 	if err != nil {
 		return nil, nil, err
 	}
 	if api.Stateful {
 		for _, h := range handles {
-			if space, region, ok := rt.Locate(h); ok {
-				rt.mu.Lock()
-				rt.exempt[exemptKey{space, region.Base}] = true
-				rt.mu.Unlock()
-			}
+			rt.keepWritable(h)
 		}
 	}
 	rt.recordResults(handles)
@@ -565,8 +489,9 @@ func noPayloads(n int) [][]byte {
 }
 
 // marshalArgs converts host-side argument values into wire form: handle
-// refs pass as-is (LDC) and host-local objects ship as deep copies. When
-// nothing converts, the call carries args itself.
+// refs pass as-is (LDC) and host-local objects ship as deep copies, counted
+// here and charged as wire bytes. When nothing converts, the call carries
+// args itself.
 func (rt *Runtime) marshalArgs(args []framework.Value) (framework.Call, error) {
 	eager := false
 	for _, v := range args {
@@ -598,10 +523,7 @@ func (rt *Runtime) marshalArgs(args []framework.Value) (framework.Call, error) {
 			if err != nil {
 				return framework.Call{}, err
 			}
-			rt.Metrics.Update(func(m *metrics.Snapshot) {
-				m.EagerCopies++
-				m.BytesMoved += uint64(len(payload))
-			})
+			rt.count(eagerCopy, len(payload))
 			call.Args[i] = framework.RefVal(ref)
 			call.Payloads[i] = payload
 		case framework.ValRef:
@@ -618,10 +540,7 @@ func (rt *Runtime) marshalArgs(args []framework.Value) (framework.Call, error) {
 			if err != nil {
 				return framework.Call{}, err
 			}
-			rt.Metrics.Update(func(m *metrics.Snapshot) {
-				m.EagerCopies++
-				m.BytesMoved += uint64(len(payload))
-			})
+			rt.count(eagerCopy, len(payload))
 			call.Args[i] = v
 			call.Payloads[i] = payload
 		default:
@@ -654,14 +573,8 @@ func (rt *Runtime) Locate(h Handle) (*mem.AddressSpace, mem.Region, bool) {
 // partitions are restartable: a dead domain- or host-tier partition
 // means the host process itself is gone.
 func (rt *Runtime) RestartDead() error {
-	rt.mu.Lock()
-	agents := make([]*agent, 0, len(rt.agents))
-	for _, a := range rt.agents {
-		agents = append(agents, a)
-	}
-	rt.mu.Unlock()
-	for _, a := range agents {
-		if a.boundary.Tier() != isolation.TierProcess {
+	for _, a := range rt.byID {
+		if a.tier != isolation.TierProcess {
 			continue
 		}
 		if !a.process().Alive() {
@@ -674,13 +587,18 @@ func (rt *Runtime) RestartDead() error {
 }
 
 // Fetch materializes a handle's payload into the host address space and
-// returns the bytes — the host program dereferencing a result.
+// returns the bytes — the host program dereferencing a result. An object
+// already in the host's address space (materialized in the host, or a
+// domain's) is read under hostMu. A domain's object pays the in-space copy
+// rate, and a process-tier agent's a lazy copy.
 func (rt *Runtime) Fetch(h Handle) ([]byte, error) {
 	if h.materialized {
 		o, ok := rt.hostCtx.Table.Get(h.local)
 		if !ok {
 			return nil, fmt.Errorf("%w: host object %d", ErrReleased, h.local)
 		}
+		rt.hostMu.Lock()
+		defer rt.hostMu.Unlock()
 		return object.PayloadBytes(o)
 	}
 	if err := rt.checkArg(h.Value()); err != nil {
@@ -690,26 +608,17 @@ func (rt *Runtime) Fetch(h Handle) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	kind := lazyCopy
+	if src.Space() == rt.Host.Space() {
+		kind = domainCopy
+		rt.hostMu.Lock()
+		defer rt.hostMu.Unlock()
+	}
 	payload, err := object.PayloadBytes(src)
 	if err != nil {
 		return nil, err
 	}
-	// Dereferencing a domain-tier result is an in-address-space read, not
-	// a cross-space copy; it pays the cheaper domain rate. The nil-policy
-	// path never has domain owners, so it charges exactly as before.
-	if ep, ok := rt.endpoint(h.ref.PID); ok && ep.agent != nil && ep.agent.boundary.Tier() == isolation.TierDomain {
-		rt.Metrics.Update(func(m *metrics.Snapshot) {
-			m.DomainCopies++
-			m.BytesMoved += uint64(len(payload))
-		})
-		rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(len(payload)))
-	} else {
-		rt.Metrics.Update(func(m *metrics.Snapshot) {
-			m.LazyCopies++
-			m.BytesMoved += uint64(len(payload))
-		})
-		rt.K.Clock.Advance(rt.K.Cost.DirectCopyCost(len(payload)))
-	}
+	rt.charge(kind, len(payload))
 	return payload, nil
 }
 
@@ -754,21 +663,13 @@ func (rt *Runtime) checkpointScope() (*object.CheckpointLog, int) {
 // spawn deterministically, so a replacement shard has the same pid map),
 // otherwise the agent homing the checkpoint's API type.
 func (rt *Runtime) adoptTarget(cp object.Checkpoint) (*agent, error) {
-	wantPID := uint32(cp.Key.Slot >> 32)
+	if a, _ := rt.endpoint(uint32(cp.Key.Slot >> 32)); a != nil {
+		return a, nil
+	}
 	t := framework.APIType(cp.Key.Type)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if ep, ok := rt.endpoints[wantPID]; ok && ep.agent != nil {
-		return ep.agent, nil
-	}
-	ids := make([]int, 0, len(rt.agents))
-	for id := range rt.agents {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if rt.agents[id].types[t] {
-			return rt.agents[id], nil
+	for _, a := range rt.byID {
+		if a.types[t] {
+			return a, nil
 		}
 	}
 	return nil, fmt.Errorf("core: no agent homes type %s for checkpoint adoption", t)
@@ -841,7 +742,7 @@ func (rt *Runtime) adopt(a *agent, session int, cp object.Checkpoint) (Handle, e
 		// the restart map above; neither writes to it.
 		log.AppendOwned(key, cp.Kind, cp.Header, cp.Payload)
 	}
-	return Handle{ref: ref, size: len(cp.Payload), kind: cp.Kind}, nil
+	return Handle{ref: ref}, nil
 }
 
 // SealObject applies intra-process PKU-style protection to an

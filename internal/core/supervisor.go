@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"freepart.dev/freepart/internal/framework"
+	"freepart.dev/freepart/internal/ipc"
 	"freepart.dev/freepart/internal/mem"
 	"freepart.dev/freepart/internal/metrics"
-	"freepart.dev/freepart/internal/object"
 )
 
 // errAgentDegraded signals internally that the circuit breaker demoted the
@@ -66,61 +66,62 @@ func (rt *Runtime) superviseRestart(a *agent) error {
 
 // callDegraded executes an API in the host process on behalf of a degraded
 // partition: availability bought by a recorded security downgrade.
+//
+// Under a serving session (a portable checkpoint log is attached and a
+// session is in scope) the degraded path is refused instead: in-host
+// execution cannot honor the portable-checkpoint contract — mutations would
+// bypass the log and freshly created objects have no cross-shard identity —
+// so a tripped breaker surfaces as a crash-class failure. The executor
+// treats loss of isolation as loss of the shard: it drains it and re-runs
+// the invocation on an isolated replacement. The API never executes here,
+// so the re-run stays exactly-once.
 func (rt *Runtime) callDegraded(api *framework.API, args []framework.Value) ([]Handle, []framework.Value, error) {
+	if log, session := rt.checkpointScope(); log != nil && session >= 0 {
+		return nil, nil, fmt.Errorf("%w: breaker degraded a partition under serving session %d", ipc.ErrAgentCrashed, session)
+	}
 	rt.Metrics.Update(func(m *metrics.Snapshot) { m.DegradedCalls++ })
 	return rt.callInHost(api, args)
 }
 
 // callInHost executes an API in the host process: argument refs are
-// materialized into the host space, a non-stateful API gets sealed host
-// objects as writable copies (unsealed; a stateful API's writes are its
-// state and must land in place), and the API runs with no isolation.
-// This is both the breaker's degraded path (via callDegraded, which also
-// counts the downgrade) and the host tier of the Boundary layer, where
-// running unprotected is the policy's explicit choice.
+// copied into the host space, a non-stateful API gets sealed host objects
+// as writable copies (unsealed; a stateful API's writes are its state and
+// must land in place), and the API runs with no isolation. This is both
+// the breaker's degraded path (via callDegraded, which also counts the
+// downgrade) and the host tier, where running unprotected is the policy's
+// explicit choice. The whole call holds hostMu: it runs on the host's
+// context, in the host's address space.
 func (rt *Runtime) callInHost(api *framework.API, args []framework.Value) ([]Handle, []framework.Value, error) {
+	rt.hostMu.Lock()
+	defer rt.hostMu.Unlock()
 	local := make([]framework.Value, len(args))
 	for i, v := range args {
-		if v.Kind == framework.ValObj && !api.Stateful {
+		switch {
+		case v.Kind == framework.ValObj && !api.Stateful:
 			id, err := rt.unsealed(v.Obj)
 			if err != nil {
 				return nil, nil, err
 			}
 			local[i] = framework.Obj(id)
-			continue
-		}
-		if v.Kind != framework.ValRef {
+		case v.Kind == framework.ValRef:
+			src, err := rt.remoteObject(v.Ref)
+			if err != nil {
+				return nil, nil, err
+			}
+			id, err := rt.copyInto(rt.hostCtx, 0, eagerCopy, v.Ref, src)
+			if err != nil {
+				return nil, nil, err
+			}
+			local[i] = framework.Obj(id)
+		default:
 			local[i] = v
-			continue
 		}
-		src, err := rt.remoteObject(v.Ref)
-		if err != nil {
-			return nil, nil, err
-		}
-		o, err := object.CopyInto(rt.Host.Space(), v.Ref, src)
-		if err != nil {
-			return nil, nil, err
-		}
-		n := o.Region().Size
-		rt.Metrics.Update(func(m *metrics.Snapshot) {
-			m.EagerCopies++
-			m.BytesMoved += uint64(n)
-		})
-		rt.K.Clock.Advance(rt.K.Cost.CopyCost(n))
-		local[i] = framework.Obj(rt.hostCtx.Table.Put(o))
 	}
 	results, err := api.Exec(rt.hostCtx, local)
 	if err != nil {
 		return nil, nil, err
 	}
-	return splitResults(results, framework.ValObj, func(_ int, v framework.Value) (Handle, error) {
-		h := Handle{local: v.Obj, materialized: true}
-		if o, ok := rt.hostCtx.Table.Get(v.Obj); ok {
-			h.size = o.Region().Size
-			h.kind = o.Kind()
-		}
-		return h, nil
-	})
+	return hostResults(results)
 }
 
 // unsealed returns host object id, or, when the temporal state machine has
@@ -143,17 +144,7 @@ func (rt *Runtime) unsealed(id uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c, err := object.CopyInto(rt.Host.Space(), ref, o)
-	if err != nil {
-		return 0, err
-	}
-	n := c.Region().Size
-	rt.Metrics.Update(func(m *metrics.Snapshot) {
-		m.DomainCopies++
-		m.BytesMoved += uint64(n)
-	})
-	rt.K.Clock.Advance(rt.K.Cost.DomainCopyCost(n))
-	return rt.hostCtx.Table.Put(c), nil
+	return rt.copyInto(rt.hostCtx, 0, domainCopy, ref, o)
 }
 
 // armChaos threads the fault-injection engine into one agent: the RPC

@@ -6,7 +6,6 @@ import (
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/kernel"
-	"freepart.dev/freepart/internal/object"
 )
 
 // ThreadGroup implements §6's multi-threading model: a multi-threaded host
@@ -57,10 +56,7 @@ func (rt *Runtime) adoptHost(host *kernel.Process, hostCtx *framework.Ctx) {
 	rt.K.Exit(own)
 	rt.Host = host
 	rt.hostCtx = hostCtx
-	rt.endpoints[uint32(host.PID())] = &endpoint{
-		space: host.Space,
-		table: func() *object.Table { return hostCtx.Table },
-	}
+	rt.endpoints[uint32(host.PID())] = nil
 }
 
 // Thread returns the i-th thread's runtime.

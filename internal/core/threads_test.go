@@ -8,6 +8,7 @@ import (
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/all"
+	"freepart.dev/freepart/internal/isolation"
 	"freepart.dev/freepart/internal/kernel"
 )
 
@@ -132,52 +133,68 @@ func TestThreadsShareHostCriticalData(t *testing.T) {
 	}
 }
 
-// TestConcurrentCrossTypeCallsOneRuntime hammers a single runtime with
-// overlapping calls across every API type from many goroutines. Each agent
-// serves one request at a time and answers it on its caller's goroutine,
-// so one runtime safely serves concurrent work (verified under -race).
+// TestConcurrentCrossTypeCallsOneRuntime hammers one runtime per isolation
+// preset with overlapping calls across every API type from many
+// goroutines. Each agent serves one request at a time and answers it on
+// its caller's goroutine, and the crossings that run in the host's
+// address space (a domain-tier or in-host call, a fetch of an object
+// there) hold the runtime's host lock, so one runtime safely serves
+// concurrent work on every tier (verified under -race).
 func TestConcurrentCrossTypeCallsOneRuntime(t *testing.T) {
-	k, g := threadGroup(t, 1)
-	rt := g.Thread(0)
-	const workers = 8
-	for i := 0; i < workers; i++ {
-		writeImage(k, pathFor(i), 8, 8)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Each worker crosses all four API types: loading (imread),
-			// processing (GaussianBlur), visualizing (imshow), storing
-			// (imwrite) — on the SAME runtime, concurrently.
-			img, _, err := rt.Call("cv.imread", framework.Str(pathFor(i)))
-			if err != nil {
-				errs[i] = err
-				return
+	for _, pol := range isolation.Presets() {
+		t.Run(pol.Name, func(t *testing.T) {
+			k, rt := setup(t, core.ConfigForIsolation(pol))
+			const workers = 8
+			for i := 0; i < workers; i++ {
+				writeImage(k, pathFor(i), 8, 8)
 			}
-			blur, _, err := rt.Call("cv.GaussianBlur", img[0].Value())
-			if err != nil {
-				errs[i] = err
-				return
+			var wg sync.WaitGroup
+			errs := make([]error, workers)
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = crossAllTypes(rt, pathFor(i))
+				}(i)
 			}
-			if _, _, err := rt.Call("cv.imshow", framework.Str(pathFor(i)), blur[0].Value()); err != nil {
-				errs[i] = err
-				return
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", i, err)
+				}
+				if !k.FS.Exists(pathFor(i) + ".out") {
+					t.Fatalf("worker %d produced no output", i)
+				}
 			}
-			_, _, errs[i] = rt.Call("cv.imwrite", framework.Str(pathFor(i)+".out"), blur[0].Value())
-		}(i)
+		})
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		if !k.FS.Exists(pathFor(i) + ".out") {
-			t.Fatalf("worker %d produced no output", i)
-		}
+}
+
+// crossAllTypes crosses all four API types on rt: loading (imread),
+// processing (GaussianBlur), a fetch of the blurred image, visualizing
+// (imshow) and storing (imwrite), then releases both images.
+func crossAllTypes(rt *core.Runtime, path string) error {
+	img, _, err := rt.Call("cv.imread", framework.Str(path))
+	if err != nil {
+		return err
 	}
+	blur, _, err := rt.Call("cv.GaussianBlur", img[0].Value())
+	if err != nil {
+		return err
+	}
+	if _, err := rt.Fetch(blur[0]); err != nil {
+		return err
+	}
+	if _, _, err := rt.Call("cv.imshow", framework.Str(path), blur[0].Value()); err != nil {
+		return err
+	}
+	if _, _, err := rt.Call("cv.imwrite", framework.Str(path+".out"), blur[0].Value()); err != nil {
+		return err
+	}
+	if err := rt.Release(blur[0]); err != nil {
+		return err
+	}
+	return rt.Release(img[0])
 }
 
 func TestThreadGroupInvalidSize(t *testing.T) {

@@ -7,15 +7,8 @@ package ipc
 // errors returned by the handler come back as errors; a crash comes back
 // as ErrAgentCrashed.
 func (c *Conn) Call(kind uint32, payload []byte) ([]byte, error) {
-	return c.callSeq(c.NextSeq(), kind, payload, false)
+	return c.CallSeq(c.NextSeq(), kind, payload)
 }
 
 // LastSeq returns the most recently assigned sequence number.
 func (c *Conn) LastSeq() uint64 { return c.seq.Load() }
-
-// Stats returns a snapshot of the RPC counters.
-func (c *Conn) Stats() CallStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}

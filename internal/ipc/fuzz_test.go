@@ -33,9 +33,8 @@ func (s *faultScript) ResponseFault(uint64, []byte) MessageFault { return s.next
 // one script byte, so maxScript+1 attempts always reach a clean one.
 const maxScript = 64
 
-// FuzzConnExactlyOnce drives one sequence through CallSeq and then Retry
-// under the same sequence until it succeeds, with faults scripted per
-// message. Whatever the faults, the call must succeed within the bound,
+// FuzzConnExactlyOnce drives one sequence through CallSeq, re-issued under
+// the same sequence until it succeeds, with faults scripted per message. Whatever the faults, the call must succeed within the bound,
 // echo its payload intact, and execute the handler exactly once.
 func FuzzConnExactlyOnce(f *testing.F) {
 	f.Add([]byte{}, []byte("payload"))
@@ -60,7 +59,7 @@ func FuzzConnExactlyOnce(f *testing.F) {
 		seq := c.NextSeq()
 		out, err := c.CallSeq(seq, 1, payload)
 		for attempt := 1; err != nil && attempt <= maxScript; attempt++ {
-			out, err = c.Retry(seq, 1, payload)
+			out, err = c.CallSeq(seq, 1, payload)
 		}
 		if err != nil {
 			t.Fatalf("no clean attempt within %d retries: %v", maxScript, err)

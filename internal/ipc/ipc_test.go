@@ -7,19 +7,33 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"freepart.dev/freepart/internal/vclock"
 )
 
-// echoConn connects to an agent that echoes payloads with kind prepended.
-func echoConn() *Conn {
-	return NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
+// echoConn connects to an agent that echoes payloads with kind prepended,
+// charging clk (which may be nil) at byteCost.
+func echoConn(clk *vclock.Clock) *Conn {
+	return NewConn(clk, byteCost, func(kind uint32, p []byte) ([]byte, error) {
 		return append([]byte{byte(kind)}, p...), nil
 	})
 }
 
+// byteCost prices a round trip at 1µs and each wire byte at 1ns, so the
+// virtual time calls charge reads off how many round trips they made and
+// how many bytes they moved.
+var byteCost = vclock.CostModel{IPCRoundTrip: vclock.Duration(time.Microsecond), CopyPerBytePS: 1000}
+
+// wireTime is the virtual time byteCost charges for calls round trips that
+// move n wire bytes between them: requests, and responses with their tags.
+func wireTime(calls, n int) vclock.Duration {
+	return vclock.Duration(calls)*byteCost.IPCRoundTrip + byteCost.CopyCost(n)
+}
+
 func TestCallRoundTrip(t *testing.T) {
-	c := echoConn()
+	clk := vclock.New()
+	c := echoConn(clk)
 	out, err := c.Call(7, []byte("abc"))
 	if err != nil {
 		t.Fatal(err)
@@ -27,9 +41,10 @@ func TestCallRoundTrip(t *testing.T) {
 	if !bytes.Equal(out, append([]byte{7}, []byte("abc")...)) {
 		t.Fatalf("out = %v", out)
 	}
-	st := c.Stats()
-	if st.Calls != 1 || st.BytesRequest != 3 {
-		t.Fatalf("stats = %+v", st)
+	// One round trip: 3 request bytes, and a response of its tag and 4
+	// bytes.
+	if got, want := clk.Now(), wireTime(1, 3+5); got != want {
+		t.Fatalf("call charged %v, want %v", got, want)
 	}
 }
 
@@ -68,15 +83,12 @@ func TestRetryDedup(t *testing.T) {
 		t.Fatalf("call = %q, %v", out, err)
 	}
 	seq := c.LastSeq()
-	out, err = c.Retry(seq, 1, []byte("req"))
+	out, err = c.CallSeq(seq, 1, []byte("req"))
 	if err != nil || string(out) != "done" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
 	if executions != 1 {
 		t.Fatalf("handler executed %d times, want 1 (exactly-once)", executions)
-	}
-	if c.Stats().Dedups != 1 || c.Stats().Retries != 1 {
-		t.Fatalf("stats = %+v", c.Stats())
 	}
 }
 
@@ -96,7 +108,7 @@ func TestRetryAfterCrashReexecutes(t *testing.T) {
 	if !errors.Is(err, ErrAgentCrashed) {
 		t.Fatalf("first call err = %v", err)
 	}
-	out, err := c.Retry(c.LastSeq(), 5, nil)
+	out, err := c.CallSeq(c.LastSeq(), 5, nil)
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
@@ -146,7 +158,7 @@ func TestDedupCacheEviction(t *testing.T) {
 	}
 	check := func(i int) {
 		t.Helper()
-		out, err := c.Retry(seqs[i], 0, []byte{0xff})
+		out, err := c.CallSeq(seqs[i], 0, []byte{0xff})
 		if i%3 == 0 {
 			if err == nil || err.Error() != fmt.Sprintf("error %d", i) {
 				t.Fatalf("retry of seq %d = %q, %v; want its cached error", seqs[i], out, err)
@@ -158,10 +170,10 @@ func TestDedupCacheEviction(t *testing.T) {
 	for _, i := range []int{6, 7, 8, 9, 9, 8, 7, 6} {
 		check(i)
 	}
-	if runs != 10 || c.Stats().Dedups != 8 {
-		t.Fatalf("handler ran %d times and the cache answered %d retries; want 10 and 8", runs, c.Stats().Dedups)
+	if runs != 10 {
+		t.Fatalf("handler ran %d times; want 10, the cache answering all 8 retries", runs)
 	}
-	if _, err := c.Retry(seqs[5], 0, []byte{5}); err != nil || runs != 11 {
+	if _, err := c.CallSeq(seqs[5], 0, []byte{5}); err != nil || runs != 11 {
 		t.Fatalf("retry of an evicted sequence: %v, handler ran %d times; want it run an 11th time", err, runs)
 	}
 }
@@ -192,7 +204,7 @@ func TestDedupCacheWarmAllocs(t *testing.T) {
 
 func TestCallSeqProperty(t *testing.T) {
 	// Sequence numbers strictly increase and responses match requests.
-	c := echoConn()
+	c := echoConn(nil)
 	prev := uint64(0)
 	f := func(b byte) bool {
 		out, err := c.Call(uint32(b), []byte{b})
@@ -258,7 +270,7 @@ func TestCorruptRequestDetectedThenRetried(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
-	out, err := c.Retry(c.LastSeq(), 1, []byte("abc"))
+	out, err := c.CallSeq(c.LastSeq(), 1, []byte("abc"))
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
@@ -276,15 +288,12 @@ func TestDroppedResponseTimeoutThenDedupAnswers(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	out, err := c.Retry(c.LastSeq(), 1, []byte("abc"))
+	out, err := c.CallSeq(c.LastSeq(), 1, []byte("abc"))
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
 	if *executions != 1 {
 		t.Fatalf("handler ran %d times, want 1 (dedup must absorb the retry)", *executions)
-	}
-	if c.Stats().Dedups != 1 {
-		t.Fatalf("stats = %+v, want 1 dedup", c.Stats())
 	}
 }
 
@@ -300,9 +309,6 @@ func TestDuplicatedRequestAbsorbedByDedup(t *testing.T) {
 	}
 	if *executions != 2 {
 		t.Fatalf("handler ran %d times, want 2 (duplicate must not re-execute)", *executions)
-	}
-	if c.Stats().Dedups != 1 {
-		t.Fatalf("stats = %+v, want 1 dedup", c.Stats())
 	}
 }
 
@@ -332,7 +338,7 @@ func TestDuplicateDeliveryAfterCrashServedBeforeReturn(t *testing.T) {
 		t.Fatalf("handler ran %d times by the time Call returned, want 2", runs)
 	}
 	dead = false // the supervisor revives the agent
-	out, err := c.Retry(seq, 1, []byte("step"))
+	out, err := c.CallSeq(seq, 1, []byte("step"))
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
@@ -371,7 +377,8 @@ func TestPipelinedOverlappingCalls(t *testing.T) {
 	// Many goroutines issue calls concurrently on ONE connection. The agent
 	// serves them one at a time, and every caller must get exactly its own
 	// echo back.
-	c := echoConn()
+	clk := vclock.New()
+	c := echoConn(clk)
 	const callers = 16
 	const perCaller = 25
 	var wg sync.WaitGroup
@@ -400,8 +407,10 @@ func TestPipelinedOverlappingCalls(t *testing.T) {
 			t.Fatalf("caller %d: %v", g, err)
 		}
 	}
-	if got := c.Stats().Calls; got != callers*perCaller {
-		t.Fatalf("calls = %d, want %d", got, callers*perCaller)
+	// Each call is one round trip of 2 request bytes and a response of its
+	// tag and 3 bytes.
+	if got, want := clk.Now(), wireTime(callers*perCaller, callers*perCaller*(2+4)); got != want {
+		t.Fatalf("calls charged %v, want %v", got, want)
 	}
 }
 
@@ -426,13 +435,10 @@ func TestPipelinedRetrySemanticsPreserved(t *testing.T) {
 			}
 		}()
 	}
-	out, err := c.Retry(seq, 1, []byte("victim"))
+	out, err := c.CallSeq(seq, 1, []byte("victim"))
 	wg.Wait()
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("retry = %q, %v", out, err)
-	}
-	if c.Stats().Dedups != 1 {
-		t.Fatalf("dedups = %d, want 1", c.Stats().Dedups)
 	}
 	if *executions != 5 {
 		t.Fatalf("handler ran %d times, want 5 (victim once + 4 bystanders)", *executions)
@@ -443,20 +449,26 @@ func TestPipelinedRetrySemanticsPreserved(t *testing.T) {
 // its body, but is checksummed and charged as one wire byte, also when the
 // response is damaged in transit; the retry is answered from the cache.
 func TestResponseTagChargedAsWireByte(t *testing.T) {
-	c, executions := countingConn(&scriptedInjector{respFault: MessageFault{Corrupt: true}})
+	clk := vclock.New()
+	executions := 0
+	c := NewConn(clk, byteCost, func(kind uint32, p []byte) ([]byte, error) {
+		executions++
+		return []byte("ok"), nil
+	})
+	c.SetInjector(&scriptedInjector{respFault: MessageFault{Corrupt: true}})
 	seq := c.NextSeq()
 	if _, err := c.CallSeq(seq, 1, []byte("abc")); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
-	out, err := c.Retry(seq, 1, []byte("abc"))
+	out, err := c.CallSeq(seq, 1, []byte("abc"))
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
-	if *executions != 1 {
-		t.Fatalf("handler ran %d times, want 1", *executions)
+	if executions != 1 {
+		t.Fatalf("handler ran %d times, want 1", executions)
 	}
-	if got, want := c.Stats().BytesResponse, uint64(2*len("=ok")); got != want {
-		t.Fatalf("BytesResponse = %d, want %d", got, want)
+	if got, want := clk.Now(), wireTime(2, 2*len("abc=ok")); got != want {
+		t.Fatalf("two attempts charged %v, want %v", got, want)
 	}
 }
 
@@ -464,8 +476,9 @@ func TestResponseTagChargedAsWireByte(t *testing.T) {
 // application error gets that error again from the dedup cache, not a
 // success, and the handler does not run again.
 func TestDedupAnswersApplicationError(t *testing.T) {
+	clk := vclock.New()
 	executions := 0
-	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
+	c := NewConn(clk, byteCost, func(kind uint32, p []byte) ([]byte, error) {
 		executions++
 		if executions > 1 {
 			return []byte("late"), nil
@@ -474,18 +487,14 @@ func TestDedupAnswersApplicationError(t *testing.T) {
 	})
 	seq := c.NextSeq()
 	for attempt := 0; attempt < 2; attempt++ {
-		call := c.CallSeq
-		if attempt > 0 {
-			call = c.Retry
-		}
-		if _, err := call(seq, 1, []byte("x")); err == nil || err.Error() != "bad input" {
+		if _, err := c.CallSeq(seq, 1, []byte("x")); err == nil || err.Error() != "bad input" {
 			t.Fatalf("attempt %d: err = %v, want bad input", attempt, err)
 		}
 	}
-	if executions != 1 || c.Stats().Dedups != 1 {
-		t.Fatalf("executions = %d, dedups = %d, want 1 and 1", executions, c.Stats().Dedups)
+	if executions != 1 {
+		t.Fatalf("handler ran %d times, want 1", executions)
 	}
-	if got, want := c.Stats().BytesResponse, uint64(2*len("!bad input")); got != want {
-		t.Fatalf("BytesResponse = %d, want %d", got, want)
+	if got, want := clk.Now(), wireTime(2, 2*len("x!bad input")); got != want {
+		t.Fatalf("two attempts charged %v, want %v", got, want)
 	}
 }

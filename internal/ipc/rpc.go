@@ -29,15 +29,15 @@ import (
 // whether to retry, giving at-least-once semantics.
 var ErrAgentCrashed = errors.New("ipc: agent crashed during request")
 
-// ErrTimeout is returned by Call when fault injection dropped a message; the
-// caller has been charged the virtual IPCTimeout. The request may or may not
-// have executed; a Retry with the same sequence number is safe because the
-// server-side dedup cache absorbs duplicates.
+// ErrTimeout is returned by a call when fault injection dropped a message;
+// the caller has been charged the virtual IPCTimeout. The request may or may
+// not have executed; re-issuing it under the same sequence number is safe
+// because the server-side dedup cache absorbs duplicates.
 var ErrTimeout = errors.New("ipc: call timed out")
 
-// ErrCorrupt is returned by Call when a message failed its checksum — the
+// ErrCorrupt is returned by a call when a message failed its checksum — the
 // payload was damaged in transit. The request was not executed (corrupt
-// requests are rejected before dispatch), so a Retry is safe.
+// requests are rejected before dispatch), so re-issuing it is safe.
 var ErrCorrupt = errors.New("ipc: message corrupted in transit")
 
 // ErrClosed is returned by calls on a closed connection.
@@ -111,15 +111,6 @@ type Injector interface {
 	ResponseFault(seq uint64, payload []byte) MessageFault
 }
 
-// CallStats counts RPC activity on a Conn.
-type CallStats struct {
-	Calls         uint64 // round trips issued
-	Retries       uint64 // re-sent requests after a crash
-	Dedups        uint64 // duplicate requests absorbed by the server cache
-	BytesRequest  uint64
-	BytesResponse uint64
-}
-
 // Conn is the RPC connection between the host process and one agent
 // process. A call delivers its request to the agent's handler and returns
 // the agent's response, charging the IPC round trip plus per-byte copy
@@ -144,8 +135,7 @@ type Conn struct {
 	seq    atomic.Uint64
 	closed atomic.Bool
 
-	mu    sync.Mutex // held for a whole call: the agent serves one request at a time
-	stats CallStats
+	mu sync.Mutex // held for a whole call: the agent serves one request at a time
 	// done is the server-side dedup cache: the responses of the last
 	// doneCap completed sequences, in the order they completed, oldest at
 	// done[next] once it is full. It grows as responses arrive, so an idle
@@ -210,12 +200,11 @@ func (m Message) sum() uint64 {
 // and build the response. Called with c.mu held.
 func (c *Conn) serve(m Message) Message {
 	if m.sum() != m.Sum {
-		// Damaged in transit: reject before dispatch so a Retry with the
-		// same sequence can still execute exactly once.
+		// Damaged in transit: reject before dispatch so a re-issue under
+		// the same sequence can still execute exactly once.
 		return response(m.Seq, respKindCorrupt, 0, []byte("request checksum mismatch"))
 	}
 	if e, dup := c.lookup(m.Seq); dup {
-		c.stats.Dedups++
 		tag := tagResult
 		if e.key&1 != 0 {
 			tag = tagError
@@ -276,26 +265,17 @@ func (c *Conn) remember(seq uint64, tag byte, out []byte) {
 }
 
 // NextSeq reserves and returns a fresh sequence number, for callers that
-// need to know the sequence before issuing the request (CallSeq + Retry).
+// need to know the sequence before issuing the request.
 func (c *Conn) NextSeq() uint64 { return c.seq.Add(1) }
 
-// CallSeq issues a request under a sequence number previously reserved with
-// NextSeq, so the caller can Retry the identical sequence after a failure.
+// CallSeq runs one attempt of a request under a sequence number reserved
+// with NextSeq. After a failure the caller re-issues it under the same
+// sequence: if the agent had already completed it, the dedup cache
+// answers. Injector draws and virtual charges happen in a fixed order:
+// request fault, agent side (a duplicated request is served a second time
+// right behind the original, its answer discarded), crash short-circuit,
+// response fault, then round trip plus copy cost.
 func (c *Conn) CallSeq(seq uint64, kind uint32, payload []byte) ([]byte, error) {
-	return c.callSeq(seq, kind, payload, false)
-}
-
-// Retry re-issues a call with its original sequence number after a crash;
-// if the agent had already completed it, the dedup cache answers.
-func (c *Conn) Retry(seq uint64, kind uint32, payload []byte) ([]byte, error) {
-	return c.callSeq(seq, kind, payload, true)
-}
-
-// callSeq runs one attempt. Injector draws and virtual charges happen in a
-// fixed order: request fault, agent side (a duplicated request is served a
-// second time right behind the original, its answer discarded), crash
-// short-circuit, response fault, then round trip plus copy cost.
-func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -338,12 +318,6 @@ func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]b
 			m = m.corrupted()
 		}
 	}
-	c.stats.Calls++
-	if retry {
-		c.stats.Retries++
-	}
-	c.stats.BytesRequest += uint64(len(payload))
-	c.stats.BytesResponse += uint64(m.size())
 	c.advance(c.cost.IPCRoundTrip)
 	c.advance(c.cost.CopyCost(len(payload) + m.size()))
 	if m.Kind == respKindCorrupt || m.sum() != m.Sum {

@@ -1,6 +1,6 @@
 // Package isolation is the per-API-type policy engine for the tiered
 // isolation mechanisms: it decides, for every framework API type, which
-// Boundary tier hosts the partition that homes it. The tiers span the
+// isolation tier hosts the partition that homes it. The tiers span the
 // compartmentalization design space the related work maps — FreePart's
 // process+IPC partitions at one end (strongest containment, highest cost),
 // ERIM-style MPK protection-key domains in the middle (~100-cycle switch,

@@ -8,7 +8,7 @@ import (
 )
 
 func TestTierOrdering(t *testing.T) {
-	// boundaryFor picks the strongest tier among a partition's types, so
+	// core picks the strongest tier among a partition's types, so
 	// the ordering is load-bearing: host < domain < process.
 	if !(TierHost < TierDomain && TierDomain < TierProcess) {
 		t.Fatal("tier ordering broken")
