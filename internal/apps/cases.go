@@ -138,7 +138,6 @@ func (v *Viewer) Recent() (string, error) {
 // (possibly trojaned) model in the processing path.
 type MedicalApp struct {
 	PatientRegion mem.Region
-	space         *mem.AddressSpace
 	Diagnoses     []int
 }
 
@@ -152,7 +151,7 @@ func NewMedicalApp(e *Env, record string) (*MedicalApp, error) {
 	if err := space.Store(r.Base, []byte(record)); err != nil {
 		return nil, err
 	}
-	m := &MedicalApp{PatientRegion: r, space: space}
+	m := &MedicalApp{PatientRegion: r}
 	if e.Rt != nil {
 		e.Rt.RegisterCritical(r)
 	}
@@ -186,7 +185,6 @@ func (m *MedicalApp) Analyze(e *Env, imgPath, modelPath string) error {
 // model.
 type InvoiceApp struct {
 	TaxpayerRegion mem.Region
-	space          *mem.AddressSpace
 	Processed      int
 }
 
@@ -200,7 +198,7 @@ func NewInvoiceApp(e *Env, record string) (*InvoiceApp, error) {
 	if err := space.Store(r.Base, []byte(record)); err != nil {
 		return nil, err
 	}
-	a := &InvoiceApp{TaxpayerRegion: r, space: space}
+	a := &InvoiceApp{TaxpayerRegion: r}
 	if e.Rt != nil {
 		e.Rt.RegisterCritical(r)
 	}

@@ -1,7 +1,6 @@
 package apps_test
 
 import (
-	"reflect"
 	"testing"
 
 	"freepart.dev/freepart/internal/analysis"
@@ -29,50 +28,6 @@ func newTrackingPool(t *testing.T, n int) (*core.Executor, *apps.TrackingServer)
 		ex.Shard(i).K.Clock.Reset()
 	}
 	return ex, srv
-}
-
-// TestZeroCostGuardServing pins the PR's compatibility obligation: with the
-// zero admission policy and no orderer the serving path must behave
-// bit-identically to the legacy ramp — and a WFQ orderer over single-tenant
-// streams (which by construction keeps arrival order) must not change a
-// result, a latency percentile, or the event log either, even though it
-// routes every wave through the entries path instead of the fast path.
-func TestZeroCostGuardServing(t *testing.T) {
-	streams := apps.GenTrackStreams(21, 6, 8)
-	type run struct {
-		results []apps.TrackResult
-		p50     vclock.Duration
-		p99     vclock.Duration
-		crit    vclock.Duration
-		events  int
-	}
-	serve := func(explicitZero bool, opt apps.RampOptions) run {
-		ex, srv := newTrackingPool(t, 2)
-		if explicitZero {
-			ex.SetAdmission(core.AdmissionPolicy{})
-		}
-		res := srv.ServeRampOpts(streams, opt)
-		return run{res, ex.Latencies().P50(), ex.Latencies().P99(), ex.CriticalPath(), len(ex.Events())}
-	}
-
-	legacy := serve(false, apps.RampOptions{})
-	zeroPol := serve(true, apps.RampOptions{})
-	ordered := serve(false, apps.RampOptions{Orderer: &sched.WFQ{}})
-
-	for i, r := range legacy.results {
-		if r.Err != nil {
-			t.Fatalf("legacy stream %d: %v", i, r.Err)
-		}
-	}
-	if !reflect.DeepEqual(legacy, zeroPol) {
-		t.Fatalf("explicit zero policy diverged from legacy path:\n%+v\nvs\n%+v", zeroPol, legacy)
-	}
-	if !reflect.DeepEqual(legacy, ordered) {
-		t.Fatalf("WFQ orderer over single-tenant streams diverged from legacy path:\n%+v\nvs\n%+v", ordered, legacy)
-	}
-	if legacy.events != 0 {
-		t.Fatalf("legacy run logged %d failover events, want 0", legacy.events)
-	}
 }
 
 // TestShedPurityCheckpointLog pins the exactly-once side of shedding: a

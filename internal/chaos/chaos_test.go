@@ -9,6 +9,7 @@ import (
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
 	"freepart.dev/freepart/internal/metrics"
+	"freepart.dev/freepart/internal/vclock"
 )
 
 // drive pushes a fixed consultation pattern through an engine and returns
@@ -175,4 +176,49 @@ func TestSpaceAccessHookVetoesAccess(t *testing.T) {
 	if err := s.Store(r.Base, []byte("x")); err != nil {
 		t.Fatalf("store after clearing hook: %v", err)
 	}
+}
+
+// TestForShardDerivation pins the per-shard plan split: shard 0 is the
+// root plan unchanged (the n=1 byte-compatibility guarantee), other shards
+// get stable, pairwise-distinct derived seeds.
+func TestForShardDerivation(t *testing.T) {
+	root := chaos.Scaled(42, 0.05)
+	if got := root.ForShard(0); !reflect.DeepEqual(got, root) {
+		t.Fatalf("ForShard(0) changed the plan: %+v", got)
+	}
+	seen := map[int64]int{root.Seed: 0}
+	for id := 1; id <= 8; id++ {
+		p := root.ForShard(id)
+		if p.Seed == root.Seed {
+			t.Fatalf("shard %d kept the root seed", id)
+		}
+		if prev, dup := seen[p.Seed]; dup {
+			t.Fatalf("shards %d and %d derived the same seed", prev, id)
+		}
+		seen[p.Seed] = id
+		if p.Kernel != root.Kernel || p.IPC != root.IPC || p.Mem != root.Mem {
+			t.Fatalf("shard %d derivation changed probabilities", id)
+		}
+		if again := root.ForShard(id); again.Seed != p.Seed {
+			t.Fatalf("shard %d derivation unstable", id)
+		}
+	}
+	if chaos.DerivedSeed(1, 2) == chaos.DerivedSeed(2, 1) {
+		t.Fatal("seed/shard mixing is symmetric; streams would collide")
+	}
+}
+
+// TestEngineBindPanicsOnSecondClock pins the sharing guard: one engine
+// must not serve two kernel clocks. Rebinding the same clock is fine.
+func TestEngineBindPanicsOnSecondClock(t *testing.T) {
+	eng := chaos.New(chaos.Scaled(1, 0.05))
+	c1, c2 := vclock.New(), vclock.New()
+	eng.Bind(c1, nil)
+	eng.Bind(c1, nil) // idempotent
+	defer func() {
+		if recover() == nil {
+			t.Fatal("binding a second clock must panic")
+		}
+	}()
+	eng.Bind(c2, nil)
 }

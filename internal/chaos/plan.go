@@ -62,7 +62,7 @@ type IPCPlan struct {
 //
 // The zero value is inert: no randomness is consumed and no time is
 // charged, so plans without a degradation profile stay byte-identical to
-// the pre-gray engine — the zero-cost guard the gray campaign pins down.
+// the pre-gray engine (replay row TestGrayZeroCost).
 type DegradePlan struct {
 	// Factor is the persistent service-time multiplier; values <= 1 add
 	// nothing. Factor 10 models the canonical "alive but 10x slow" shard.

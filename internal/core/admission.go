@@ -83,7 +83,7 @@ func (e *Executor) SetAdmissionGate(g AdmissionGate) {
 
 // AdmissionPolicy bounds what a shard will queue. The zero value disables
 // overload control entirely: the admission path is then bit-identical to
-// the unbounded serving layer, which the zero-cost guard test pins down.
+// the unbounded serving layer (replay row TestZeroCostGuardServing).
 type AdmissionPolicy struct {
 	// QueueLimit caps how many earlier requests may still be in the system
 	// (in service or queued on the virtual timeline) when a request

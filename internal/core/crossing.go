@@ -201,6 +201,7 @@ func (rt *Runtime) copyInto(ctx *framework.Ctx, key mem.Key, kind copyKind, ref 
 // fresh copy from its owner — a lazy copy, or a page grant when the owner
 // shares a's address space (another domain's object). Mutations in the
 // owner change the hash a fresh ref carries, so a stale cache entry misses.
+// A process-tier agent copies out of the host's space under hostMu.
 func (rt *Runtime) deref(a *agent, ctx *framework.Ctx, ref object.Ref) (uint64, error) {
 	if ref.PID == uint32(ctx.P.PID()) {
 		return a.resolveID(ref.ID), nil
@@ -221,6 +222,9 @@ func (rt *Runtime) deref(a *agent, ctx *framework.Ctx, ref object.Ref) (uint64, 
 	kind := lazyCopy
 	if src.Space() == ctx.P.Space() {
 		kind = grantCopy
+	} else if src.Space() == rt.Host.Space() {
+		rt.hostMu.Lock()
+		defer rt.hostMu.Unlock()
 	}
 	id, err = rt.copyInto(ctx, a.key, kind, ref, src)
 	if err != nil {

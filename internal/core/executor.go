@@ -198,9 +198,8 @@ func ChaosShards(reg *framework.Registry, cat *analysis.Categorization, cfg Conf
 // plan of each shard id and generation: the factory counts how many times
 // each id was built, and build order per id is deterministic, so the gen
 // sequence replays exactly. With a cfgOf that always returns the same
-// configuration and a nil planOf, the factory builds byte-identical shards
-// to ProtectedShards over that configuration — the defense zero-cost guard
-// pins this down.
+// configuration and a nil planOf, the factory builds the shards
+// ProtectedShards builds over it (replay row TestDefenseZeroCost).
 func DynamicShards(reg *framework.Registry, cat *analysis.Categorization, cfgOf func() Config, planOf func(id, gen int) chaos.Plan) ShardFactory {
 	var mu sync.Mutex
 	gens := make(map[int]int)

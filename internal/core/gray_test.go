@@ -3,15 +3,10 @@ package core_test
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
-	"freepart.dev/freepart/internal/analysis"
-	"freepart.dev/freepart/internal/apps"
-	"freepart.dev/freepart/internal/chaos"
 	"freepart.dev/freepart/internal/core"
-	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -281,89 +276,4 @@ func TestHedgeClosedLoopExempt(t *testing.T) {
 	if m := ex.Metrics().Snapshot(); m.Hedges != 0 {
 		t.Fatalf("Hedges = %d, want 0 for closed-loop call", m.Hedges)
 	}
-}
-
-// TestGrayZeroCost is the zero-cost guard: an executor with the gray layer
-// explicitly installed but disabled — zero GrayPolicy, zero HedgePolicy,
-// zero DegradePlan in every chaos plan — must be bit-identical to one that
-// never heard of the gray layer, on a workload with real fault injection:
-// same latencies, same queue waits, same critical path, same failover
-// events, same metrics, and byte-equal per-shard injection logs.
-func TestGrayZeroCost(t *testing.T) {
-	reg := all.Registry()
-	cat := analysis.New(reg, nil).Categorize()
-	reqs := apps.GenDetectionRequests(7, 32)
-
-	run := func(installGray bool) (*core.Executor, []apps.DetectionResult) {
-		planOf := func(id, gen int) chaos.Plan {
-			p := chaos.Scaled(41, 0.02).ForShard(id)
-			if installGray {
-				// The zero profile must change nothing.
-				p = p.WithDegrade(chaos.DegradePlan{})
-			}
-			return p
-		}
-		cfg := core.ChaosConfig(nil)
-		cfg.BreakerThreshold = 3
-		cfg.BreakerWindow = 200 * ms
-		ex, err := core.NewExecutor(4, core.ChaosShards(reg, cat, cfg, planOf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(ex.Close)
-		ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
-		srv, err := apps.ProvisionDetection(ex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if installGray {
-			ex.SetGray(core.GrayPolicy{})
-			ex.SetHedge(core.HedgePolicy{})
-		}
-		return ex, srv.ServeSeq(reqs)
-	}
-
-	plain, plainRes := run(false)
-	gray, grayRes := run(true)
-
-	for i := range plainRes {
-		if (plainRes[i].Err == nil) != (grayRes[i].Err == nil) || plainRes[i].Objects != grayRes[i].Objects {
-			t.Fatalf("request %d diverged: %+v vs %+v", i, plainRes[i], grayRes[i])
-		}
-	}
-	if a, b := plain.Latencies().String(), gray.Latencies().String(); a != b {
-		t.Fatalf("latencies diverged:\n%s\n%s", a, b)
-	}
-	if a, b := plain.QueueWaits().String(), gray.QueueWaits().String(); a != b {
-		t.Fatalf("queue waits diverged:\n%s\n%s", a, b)
-	}
-	if a, b := plain.CriticalPath(), gray.CriticalPath(); a != b {
-		t.Fatalf("critical path diverged: %v vs %v", a, b)
-	}
-	pe, pm := plain.EventsAndMetrics()
-	ge, gm := gray.EventsAndMetrics()
-	if !reflect.DeepEqual(pe, ge) {
-		t.Fatalf("failover events diverged:\n%v\n%v", pe, ge)
-	}
-	if !reflect.DeepEqual(pm, gm) {
-		t.Fatalf("metrics diverged:\n%+v\n%+v", pm, gm)
-	}
-	for id := 0; id < 4; id++ {
-		a := incarnationLogsFor(plain, id)
-		b := incarnationLogsFor(gray, id)
-		if a != b {
-			t.Fatalf("shard %d injection logs diverged:\n%s\n%s", id, a, b)
-		}
-	}
-}
-
-// incarnationLogsFor joins every incarnation's injection log for one slot.
-func incarnationLogsFor(ex *core.Executor, id int) string {
-	var logs []string
-	for _, sh := range ex.Incarnations(id) {
-		if eng := sh.Chaos(); eng != nil {
-			logs = append(logs, eng.Events().String())
-		}
-	}
-	return strings.Join(logs, "\n---\n")
 }

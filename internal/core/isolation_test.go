@@ -9,62 +9,7 @@ import (
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/isolation"
 	"freepart.dev/freepart/internal/mem"
-	"freepart.dev/freepart/internal/metrics"
-	"freepart.dev/freepart/internal/vclock"
 )
-
-// isolationPipeline runs a fixed pipeline crossing all four API types and
-// returns the final virtual time, the metrics snapshot, and the stored
-// output bytes — the full observable surface of one run.
-func isolationPipeline(t *testing.T, cfg core.Config) (vclock.Duration, metrics.Snapshot, []byte) {
-	t.Helper()
-	k, rt := setup(t, cfg)
-	writeImage(k, "/in.img", 8, 8)
-	img, _, err := rt.Call("cv.imread", framework.Str("/in.img"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, _, err := rt.Call("cv.equalizeHist", img[0].Value())
-	if err != nil {
-		t.Fatal(err)
-	}
-	boxed, _, err := rt.Call("cv.rectangle", eq[0].Value())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rt.Call("cv.imshow", framework.Str("w"), boxed[0].Value()); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rt.Call("cv.imwrite", framework.Str("/out.img"), boxed[0].Value()); err != nil {
-		t.Fatal(err)
-	}
-	out, err := k.FS.ReadFile("/out.img")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k.Clock.Now(), rt.Metrics.Snapshot(), out
-}
-
-// TestIsolationZeroCostPaperPolicy is the refactor's zero-cost guard: a
-// runtime built with the explicit "paper" policy must replay byte-identical
-// to one built with no policy at all — same virtual clock, same metrics,
-// same outputs. The Boundary seam may not cost the default path anything.
-func TestIsolationZeroCostPaperPolicy(t *testing.T) {
-	now1, snap1, out1 := isolationPipeline(t, core.Default())
-	now2, snap2, out2 := isolationPipeline(t, core.ConfigForIsolation(isolation.Paper()))
-	if now1 != now2 {
-		t.Fatalf("virtual clocks diverged: nil policy %v, paper policy %v", now1, now2)
-	}
-	if !reflect.DeepEqual(snap1, snap2) {
-		t.Fatalf("metrics diverged:\nnil:   %+v\npaper: %+v", snap1, snap2)
-	}
-	if string(out1) != string(out2) {
-		t.Fatal("stored output bytes diverged")
-	}
-	if snap2.DomainSwitches != 0 || snap2.DomainCopies != 0 {
-		t.Fatalf("paper policy charged domain costs: %+v", snap2)
-	}
-}
 
 // TestTieredPolicyMixesBoundaries pins the per-type dispatch: under the
 // tiered preset, a loading call crosses a process boundary (IPC, no domain

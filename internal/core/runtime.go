@@ -77,13 +77,13 @@ type Runtime struct {
 	spareOwned []framework.Released
 	byID       []*agent
 
-	// hostMu serializes the crossings that run in the host's address
-	// space: a whole domain-tier call (arguments, PKRU narrowing, the run,
-	// results), a whole in-host call (host tier and the degraded path), and
-	// a Fetch of an object in the host's space. Those share the host's
-	// PKRU and its execution context. Process-tier calls do not take it.
-	// A domain- or host-tier API runs under it, exploit handler included,
-	// so neither may call back into Call or Fetch.
+	// hostMu serializes what runs in or reads the host's address space,
+	// its PKRU and its execution context: a whole domain-tier call (whose
+	// run narrows the PKRU), a whole in-host call (host tier and the
+	// degraded path), a Fetch of an object there, and a process-tier
+	// crossing's copy of one (marshalArgs, deref). A domain- or host-tier
+	// API runs under it, exploit handler included, so neither may call
+	// back into Call or Fetch.
 	hostMu sync.Mutex
 
 	// Domain-tier state (internal/isolation): the protection keys handed to
@@ -503,6 +503,8 @@ func (rt *Runtime) marshalArgs(args []framework.Value) (framework.Call, error) {
 	if !eager {
 		return framework.Call{Args: args, Payloads: noPayloads(len(args))}, nil
 	}
+	rt.hostMu.Lock()
+	defer rt.hostMu.Unlock()
 	call := framework.Call{
 		Args:     make([]framework.Value, len(args)),
 		Payloads: make([][]byte, len(args)),

@@ -138,12 +138,26 @@ func TestThreadsShareHostCriticalData(t *testing.T) {
 // goroutines. Each agent serves one request at a time and answers it on
 // its caller's goroutine, and the crossings that run in the host's
 // address space (a domain-tier or in-host call, a fetch of an object
-// there) hold the runtime's host lock, so one runtime safely serves
-// concurrent work on every tier (verified under -race).
+// there, a process-tier agent copying an object out of it) hold the
+// runtime's host lock, so one runtime safely serves concurrent work on
+// every tier (verified under -race). The mixed policy puts processing in
+// a process and everything else in domains, so a processing agent copies
+// its argument out of the host's space while other workers' domain calls
+// narrow that space's PKRU; its workers loop, since one pass each rarely
+// overlaps the two.
 func TestConcurrentCrossTypeCallsOneRuntime(t *testing.T) {
+	type policy struct {
+		name   string
+		pol    *isolation.Policy
+		rounds int
+	}
+	pols := []policy{{"mixed", isolation.ERIM().WithTier(framework.TypeProcessing, isolation.TierProcess), 20}}
 	for _, pol := range isolation.Presets() {
-		t.Run(pol.Name, func(t *testing.T) {
-			k, rt := setup(t, core.ConfigForIsolation(pol))
+		pols = append(pols, policy{pol.Name, pol, 1})
+	}
+	for _, p := range pols {
+		t.Run(p.name, func(t *testing.T) {
+			k, rt := setup(t, core.ConfigForIsolation(p.pol))
 			const workers = 8
 			for i := 0; i < workers; i++ {
 				writeImage(k, pathFor(i), 8, 8)
@@ -154,7 +168,9 @@ func TestConcurrentCrossTypeCallsOneRuntime(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					errs[i] = crossAllTypes(rt, pathFor(i))
+					for r := 0; r < p.rounds && errs[i] == nil; r++ {
+						errs[i] = crossAllTypes(rt, pathFor(i))
+					}
 				}(i)
 			}
 			wg.Wait()

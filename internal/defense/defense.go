@@ -26,7 +26,7 @@
 // function of the per-shard signal streams regardless of goroutine
 // interleaving. A nil controller costs nothing: with no sensors armed,
 // no gate installed, and a static factory configuration, the serving
-// path is bit-identical to the static presets (TestDefenseZeroCost).
+// path is bit-identical to the static presets (row TestDefenseZeroCost).
 package defense
 
 import (
@@ -70,14 +70,14 @@ const hysteresisFactor = 2
 // sighting is one buffered attack signal, recorded by a sensor between
 // barriers and processed at the next Tick.
 type sighting struct {
-	shard, seq      int
-	cve             string
-	class           attack.VulnClass
-	api             framework.APIType
-	tier            isolation.Tier
-	blocked         bool
-	signal          string
-	tenant, session int
+	shard, seq int
+	cve        string
+	class      attack.VulnClass
+	api        framework.APIType
+	tier       isolation.Tier
+	blocked    bool
+	signal     string
+	tenant     int
 }
 
 // screenHit is one buffered front-door rejection.
@@ -217,7 +217,7 @@ func (c *Controller) sensor(shard int, rt *core.Runtime, inner framework.Exploit
 		c.note(sighting{
 			shard: shard, cve: cve, class: meta.Class, api: meta.APIType,
 			tier: tier, blocked: meta.Class.BlockedBy(tier), signal: signal,
-			tenant: c.tenantOf(session), session: session,
+			tenant: c.tenantOf(session),
 		})
 		return err
 	}
@@ -234,7 +234,7 @@ func (c *Controller) anomaly(shard int, rt *core.Runtime) func(t framework.APITy
 			shard: shard, cve: api, class: attack.ClassDoS, api: t,
 			tier: rt.Config.Isolation.TierOf(t), blocked: false,
 			signal: "watchdog:" + kind,
-			tenant: c.tenantOf(session), session: session,
+			tenant: c.tenantOf(session),
 		})
 	}
 }

@@ -28,7 +28,7 @@ func dosSighting(tenant int) sighting {
 	return sighting{
 		shard: 0, cve: "CVE-2017-14136", class: attack.ClassDoS,
 		api: framework.TypeLoading, tier: isolation.TierDomain,
-		signal: "agent-crash", tenant: tenant, session: -1,
+		signal: "agent-crash", tenant: tenant,
 	}
 }
 
@@ -187,7 +187,7 @@ func TestNilExecutorTickAndDeterminism(t *testing.T) {
 		c.note(sighting{
 			shard: 1, cve: "CVE-2020-10378", class: attack.ClassMemRead,
 			api: framework.TypeLoading, tier: isolation.TierDomain,
-			signal: "exploit", tenant: 9, session: -1,
+			signal: "exploit", tenant: 9,
 		})
 		c.Tick(0)
 		c.Tick(cleanW)

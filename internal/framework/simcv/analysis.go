@@ -402,10 +402,7 @@ func registerAnalysis(r *framework.Registry) {
 		func(ctx *framework.Ctx, m *object.Mat, data []byte, args []framework.Value) ([]framework.Value, error) {
 			rows, cols := m.Rows(), m.Cols()
 			g := grayOf(rows, cols, m.Channels(), data)
-			type corner struct {
-				score int
-				r, c  int
-			}
+			type corner struct{ r, c int }
 			var best []corner
 			for r := 1; r < rows-1; r++ {
 				for c := 1; c < cols-1; c++ {
@@ -413,7 +410,7 @@ func registerAnalysis(r *framework.Registry) {
 					gy := int(g[(r+1)*cols+c]) - int(g[(r-1)*cols+c])
 					s := gx*gx + gy*gy
 					if s > 10000 {
-						best = append(best, corner{s, r, c})
+						best = append(best, corner{r, c})
 						if len(best) >= 64 {
 							break
 						}
@@ -426,7 +423,7 @@ func registerAnalysis(r *framework.Registry) {
 			n := len(best)
 			if n == 0 {
 				n = 1
-				best = []corner{{0, 0, 0}}
+				best = []corner{{0, 0}}
 			}
 			id, t, err := ctx.NewTensor(n, 2)
 			if err != nil {

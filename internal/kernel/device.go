@@ -11,7 +11,6 @@ type Camera struct {
 	mu     sync.Mutex
 	label  string
 	frames [][]byte
-	reads  int
 }
 
 // NewCamera creates a camera device with the given label (e.g.

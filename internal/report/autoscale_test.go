@@ -6,66 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"freepart.dev/freepart/internal/analysis"
-	"freepart.dev/freepart/internal/apps"
-	"freepart.dev/freepart/internal/core"
-	"freepart.dev/freepart/internal/framework/all"
-	"freepart.dev/freepart/internal/sched"
-	"freepart.dev/freepart/internal/vclock"
 )
-
-// rampFingerprint is everything the serving layer's numbers hang off.
-type rampFingerprint struct {
-	results  []apps.TrackResult
-	p50, p99 vclock.Duration
-	samples  int
-	crit     vclock.Duration
-	shards   int
-}
-
-// serveRampFixed runs the ramp on a fixed pool, optionally with an inert
-// controller attached (pinned pool, every signal disabled, round-robin
-// placement — the scheduler present but switched off).
-func serveRampFixed(t *testing.T, streams []apps.TrackStream, inertController bool) rampFingerprint {
-	t.Helper()
-	reg := all.Registry()
-	cat := analysis.New(reg, nil).Categorize()
-	ex, err := core.NewExecutor(3, core.ProtectedShards(reg, cat, core.Default()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ex.Close)
-	srv := apps.ProvisionTracking(ex)
-	var ticker apps.Ticker
-	if inertController {
-		ctl := sched.New(ex, sched.Policy{MinShards: 3, MaxShards: 3}, sched.RoundRobin{})
-		ticker = ctl
-	}
-	results := srv.ServeRamp(streams, ticker, nil)
-	lat := ex.Latencies()
-	return rampFingerprint{
-		results: results,
-		p50:     lat.P50(), p99: lat.P99(),
-		samples: lat.Len(),
-		crit:    ex.CriticalPath(),
-		shards:  ex.Shards(),
-	}
-}
-
-// TestServingZeroCostWhenSchedulerOff is the regression guard for the
-// control plane's core promise: a scheduler that is attached but disabled
-// (pinned pool, no signals, round-robin placement, no batching) must leave
-// every serving number — results, latency distribution, critical path —
-// bit-identical to a run with no scheduler at all.
-func TestServingZeroCostWhenSchedulerOff(t *testing.T) {
-	streams := apps.GenRampStreams(13, 4, 5, 32)
-	plain := serveRampFixed(t, streams, false)
-	inert := serveRampFixed(t, streams, true)
-	if !reflect.DeepEqual(plain, inert) {
-		t.Fatalf("disabled scheduler changed serving numbers:\nplain: %+v\ninert: %+v", plain, inert)
-	}
-}
 
 // TestAutoscaleMeetsFixedPoolTail pins the headline autoscaling claim the
 // BENCH_autoscale.json artifact ships: on the ramp, the autoscaled pool

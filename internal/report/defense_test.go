@@ -3,79 +3,9 @@ package report
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-
-	"freepart.dev/freepart/internal/analysis"
-	"freepart.dev/freepart/internal/apps"
-	"freepart.dev/freepart/internal/core"
-	"freepart.dev/freepart/internal/framework/all"
-	"freepart.dev/freepart/internal/isolation"
-	"freepart.dev/freepart/internal/metrics"
-	"freepart.dev/freepart/internal/vclock"
 )
-
-// poolFingerprint is everything a serving run leaves behind that the
-// zero-cost guard compares: the merged critical path, each shard's final
-// clock, each shard runtime's full metrics snapshot, and the served count.
-type poolFingerprint struct {
-	Critical vclock.Duration
-	Clocks   []vclock.Duration
-	Metrics  []metrics.Snapshot
-	Served   int
-}
-
-// serveFingerprint provisions the detection service on an executor built
-// from factory, serves the standard request stream, and returns the
-// fingerprint.
-func serveFingerprint(t *testing.T, factory core.ShardFactory) poolFingerprint {
-	t.Helper()
-	ex, err := core.NewExecutor(4, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ex.Close)
-	srv, err := apps.ProvisionDetection(ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := srv.Serve(apps.GenDetectionRequests(7, 24))
-	fp := poolFingerprint{Critical: ex.CriticalPath(), Served: apps.Served(results)}
-	for i := 0; i < ex.Shards(); i++ {
-		sh := ex.Shard(i)
-		fp.Clocks = append(fp.Clocks, sh.Clock().Now())
-		if sh.Rt != nil {
-			fp.Metrics = append(fp.Metrics, sh.Rt.Metrics.Snapshot())
-		}
-	}
-	return fp
-}
-
-// TestDefenseZeroCost pins the tentpole's zero-cost guarantee: a
-// DynamicShards factory whose configuration closure always returns the
-// same static configuration builds pools indistinguishable — clocks,
-// metrics, results — from ProtectedShards over that configuration, for
-// every isolation preset. Deploying the re-bind machinery without an
-// active controller costs nothing.
-func TestDefenseZeroCost(t *testing.T) {
-	reg := all.Registry()
-	cat := analysis.New(reg, nil).Categorize()
-	for _, pol := range isolation.Presets() {
-		pol := pol
-		t.Run(pol.Name, func(t *testing.T) {
-			cfg := core.ConfigForIsolation(pol)
-			static := serveFingerprint(t, core.ProtectedShards(reg, cat, cfg))
-			dynamic := serveFingerprint(t, core.DynamicShards(reg, cat, func() core.Config { return cfg }, nil))
-			if static.Served != 24 {
-				t.Fatalf("static pool served %d/24", static.Served)
-			}
-			if !reflect.DeepEqual(static, dynamic) {
-				t.Fatalf("dynamic pool with static config diverged from ProtectedShards:\nstatic:  %+v\ndynamic: %+v", static, dynamic)
-			}
-		})
-	}
-}
 
 // TestMeasureDefense runs the full campaign at drill scale and checks the
 // headline invariants: the adaptive row blocks at least as much of the
