@@ -399,17 +399,18 @@ func fig13AppRuns(t *testing.T) []appRun {
 }
 
 // TestAppRunAllocs bounds the heap allocations of one Fig. 13 app run,
-// averaged over the apps after the first (the warm-up run). 634
-// allocations are made; the bound of 635 fails when a snapshot copies the
-// region again (657), the simtorch kernels read their operands with Values
-// again (656), kernels read their input mats through PayloadBytes again
-// (651), a whole-region copy copies the slab again (646), the dedup cache
-// is a map again (645), torch.tensor fills a Go slice again or grayOf
-// copies a one-channel image again (639 each), the drawing kernels copy
-// their canvas again (638) or WriteFile copies its buffer again (637), and
-// so when the simulated MMU allocates a record and a byte array per page
-// again or a crossing allocates anything per call again (each adds 40 or
-// more).
+// averaged over the apps after the first (the warm-up run). 621
+// allocations are made; the bound of 622 fails when MatFromBytes stores
+// into a new slab again (634). Read against the 634 made before objects
+// took their bytes over, it also fails when a snapshot copies the region
+// again (+23), the simtorch kernels read their operands with Values again
+// (+22), kernels read their input mats through PayloadBytes again (+17), a
+// whole-region copy copies the slab again (+12), the dedup cache is a map
+// again (+11), torch.tensor fills a Go slice again or grayOf copies a
+// one-channel image again (+5 each), the drawing kernels copy their canvas
+// again (+4) or WriteFile copies its buffer again (+3), and so when the
+// simulated MMU allocates a record and a byte array per page again or a
+// crossing allocates anything per call again (each adds 40 or more).
 func TestAppRunAllocs(t *testing.T) {
 	skipUnderRace(t)
 	runs := fig13AppRuns(t)
@@ -426,23 +427,25 @@ func TestAppRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%.0f allocs per app run", allocs)
-	if allocs > 635 {
-		t.Fatalf("one Fig. 13 app run made %.0f allocs, want <= 635", allocs)
+	if allocs > 622 {
+		t.Fatalf("one Fig. 13 app run made %.0f allocs, want <= 622", allocs)
 	}
 }
 
 // TestAppRunBytes bounds the Go bytes one Fig. 13 app run allocates,
 // counted as runtime.MemStats.TotalAlloc across all 23 runs with their
-// set-up excluded. About 1.64 MB per run are allocated; the bound of 1.7 MB
-// fails when a snapshot copies the region again (2.76 MB), the simtorch
-// kernels read their operands with Values again (2.41 MB), kernels read
-// their input mats through PayloadBytes again (2.25 MB), a whole-region
-// copy copies the slab again (2.21 MB), components builds a label array
-// its caller drops again or torch.tensor fills a Go slice again (1.91 MB
-// each), the forward reads its input with Values again (1.85 MB), grayOf
-// copies a one-channel image again (1.84 MB), the drawing kernels copy
-// their canvas again (1.79 MB) or WriteFile copies its buffer again (1.72
-// MB).
+// set-up excluded. About 1.08 MB per run are allocated; the bound of 1.1 MB
+// fails when MatFromBytes stores into a new slab again (1.49 MB) or
+// NewBlob copies a loaded file again (1.23 MB). Read against the 1.64 MB
+// allocated before objects took their bytes over, it also fails when a
+// snapshot copies the region again (+1.12 MB), the simtorch kernels read
+// their operands with Values again (+0.77 MB), kernels read their input
+// mats through PayloadBytes again (+0.61 MB), a whole-region copy copies
+// the slab again (+0.57 MB), components builds a label array its caller
+// drops again or torch.tensor fills a Go slice again (+0.27 MB each), the
+// forward reads its input with Values again (+0.21 MB), grayOf copies a
+// one-channel image again (+0.20 MB), the drawing kernels copy their
+// canvas again (+0.15 MB) or WriteFile copies its buffer again (+0.08 MB).
 func TestAppRunBytes(t *testing.T) {
 	skipUnderRace(t)
 	runs := fig13AppRuns(t)
@@ -456,16 +459,19 @@ func TestAppRunBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(runs))
 	t.Logf("%.0f bytes per app run", perRun)
-	if perRun > 1.7e6 {
-		t.Fatalf("one Fig. 13 app run allocated %.0f bytes, want <= 1.7 MB", perRun)
+	if perRun > 1.1e6 {
+		t.Fatalf("one Fig. 13 app run allocated %.0f bytes, want <= 1.1 MB", perRun)
 	}
 }
 
 // TestAppRunLiveBytes bounds the Go heap the 23 Fig. 13 app runs keep live:
 // HeapAlloc after a collection, read before the runs are set up and again
-// after all of them ran, with every run kept alive. About 71.1 MB stay
-// live; the bound of 72 MB fails when a snapshot copies the region again
-// (93.4 MB) or a whole-region copy copies the slab again (81.0 MB).
+// after all of them ran, with every run kept alive. About 62.3 MB stay
+// live; the bound of 63 MB fails when MatFromBytes stores into a new slab
+// again (67.8 MB) or NewBlob copies a loaded file again (65.6 MB). Read
+// against the 71.1 MB kept before objects took their bytes over, it also
+// fails when a snapshot copies the region again (+22.3 MB) or a
+// whole-region copy copies the slab again (+9.9 MB).
 func TestAppRunLiveBytes(t *testing.T) {
 	before := liveHeap()
 	runs := fig13AppRuns(t)
@@ -477,8 +483,8 @@ func TestAppRunLiveBytes(t *testing.T) {
 	live := liveHeap() - before
 	runtime.KeepAlive(runs)
 	t.Logf("%.2f MB live after the 23 app runs", float64(live)/1e6)
-	if live > 72e6 {
-		t.Fatalf("the 23 Fig. 13 app runs keep %.2f MB live, want <= 72 MB", float64(live)/1e6)
+	if live > 63e6 {
+		t.Fatalf("the 23 Fig. 13 app runs keep %.2f MB live, want <= 63 MB", float64(live)/1e6)
 	}
 }
 

@@ -93,9 +93,13 @@ func TestChaosRunReplayable(t *testing.T) {
 // trackSoak serves tracking streams over 4 slots under cfg, slot 2 in a
 // crash loop and every slot under background faults. Sessions fail over
 // off the dying shard, and every stream ends where it does on a fault-free
-// pool under baseCfg. The slots are served a goroutine each, and the
-// variant serves them under GOMAXPROCS 1: contention must not move the
-// digest.
+// pool under baseCfg. Slot 2's sessions fail over before they bind any
+// state, since the crash loop faults their first write, so slot 3 is also
+// killed halfway through the 51µs its two streams take on a fault-free
+// slot: its sessions have bound their filter state by then, and it moves
+// with them through the checkpoint log, whose adoption count the row
+// checks. The slots are served a goroutine each, and the variant serves
+// them under GOMAXPROCS 1: contention must not move the digest.
 func trackSoak(cfg, baseCfg core.Config) scenario {
 	streams := apps.GenTrackStreams(21, 8, 6)
 	return scenario{
@@ -105,13 +109,21 @@ func trackSoak(cfg, baseCfg core.Config) scenario {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			}
 			ex := chaosPool(t, 4, cfg, crashLoop(seed, 0.03, 2))
+			ex.ScheduleKill(3, ex.Shard(3).Clock().Now()+vclock.Duration(25*time.Microsecond))
 			return run{out: apps.ProvisionTracking(ex).ServeStreams(streams), ex: ex}
 		},
 		variants: 1,
 		baseline: func(t *testing.T, _ int64) any {
 			return apps.ProvisionTracking(protected(t, 4, baseCfg)).ServeStreams(streams)
 		},
-		fired: map[string]uint64{"ShardDrains": 1},
+		fired: map[string]uint64{"ShardDrains": 2, "Migrations": 4},
+		check: func(t *testing.T, r run) {
+			// Each of slot 3's two sessions restores its filter from the
+			// log; slot 2's, which bind nothing, restore none.
+			if n := r.ex.CheckpointLog().Stats().Adoptions; n < 2 {
+				t.Fatalf("%d bound handles restored from the checkpoint log, want slot 3's 2", n)
+			}
+		},
 	}
 }
 

@@ -123,7 +123,8 @@ func (c *Ctx) MaybeExploit(api *API, data []byte) (bool, error) {
 
 // FileRead loads a file into memory, emitting W(MEM, R(FILE)). The bytes
 // are the file's own (kernel.FS.ReadFile) and are only read: an API
-// decodes them, or stores them into its space with NewBlob or the like.
+// decodes them, or makes an object of them with NewBlob or
+// NewMatFromBytes, which take them over.
 func (c *Ctx) FileRead(path string) ([]byte, error) {
 	data, err := c.K.FileRead(c.P, path)
 	if err != nil {
@@ -215,7 +216,9 @@ func (c *Ctx) NewMat(rows, cols, channels int) (uint64, *object.Mat, error) {
 	return c.Table.Put(m), m, nil
 }
 
-// NewMatFromBytes allocates and fills a mat.
+// NewMatFromBytes makes a mat of data in the hosting process and
+// registers it. The mat takes data over (object.MatFromBytes): the caller
+// must not write data afterwards.
 func (c *Ctx) NewMatFromBytes(rows, cols, channels int, data []byte) (uint64, *object.Mat, error) {
 	m, err := object.MatFromBytes(c.P.Space(), rows, cols, channels, data)
 	if err != nil {
@@ -233,7 +236,9 @@ func (c *Ctx) NewTensor(shape ...int) (uint64, *object.Tensor, error) {
 	return c.Table.Put(t), t, nil
 }
 
-// NewBlob allocates a blob in the hosting process and registers it.
+// NewBlob makes a blob of data in the hosting process and registers it.
+// The blob takes data over (object.NewBlob): the caller must not write
+// data afterwards.
 func (c *Ctx) NewBlob(data []byte) (uint64, *object.Blob, error) {
 	b, err := object.NewBlob(c.P.Space(), data)
 	if err != nil {

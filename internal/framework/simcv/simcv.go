@@ -87,7 +87,11 @@ func matView(ctx *framework.Ctx, v framework.Value) (*object.Mat, []byte, error)
 	return m, data, nil
 }
 
-// outMat allocates a result mat filled with data and returns its Value.
+// outMat makes a result mat of data and returns its Value. The mat takes
+// data over (framework.Ctx.NewMatFromBytes), so a caller passes bytes
+// nothing writes afterwards: a result it has just computed, the pixels of
+// a file or camera frame (DecodeImage's slice of them), or grayOf's
+// read-only view of a one-channel input.
 func outMat(ctx *framework.Ctx, rows, cols, ch int, data []byte) (framework.Value, error) {
 	id, _, err := ctx.NewMatFromBytes(rows, cols, ch, data)
 	if err != nil {

@@ -126,10 +126,14 @@ type forwardRun struct {
 	alive bool
 }
 
-// maxFuzzInput caps the fuzzed input tensor's length. The bytes past the
-// cap change nothing, so the fuzzer's minimizer, quadratic in the input's
-// length, cuts them first and stays fast.
-const maxFuzzInput = 16
+// maxFuzzInput caps the fuzzed input tensor's length, and maxFuzzModel the
+// model's bytes, above every seed. The bytes past a cap change nothing, so
+// the fuzzer's minimizer, quadratic in an input's length, cuts them first
+// and stays fast.
+const (
+	maxFuzzInput = 16
+	maxFuzzModel = 1 << 10
+)
 
 // runForward runs impl as torch.Module.forward on a fresh process holding
 // the model blob and, when input has a value, the input tensor (its
@@ -192,8 +196,8 @@ func forwardInput(vals ...float64) []byte {
 	return b
 }
 
-// FuzzModelForward: for any model bytes and input values,
-// torch.Module.forward, which checks the model's framing and then reads the
+// FuzzModelForward: for any model bytes, up to maxFuzzModel of them, and
+// input values, torch.Module.forward, which checks the model's framing and then reads the
 // weights in place, gives the bit-identical output of a forward that
 // decodes the model with DecodeModel first, or the same error at the same
 // point: the same virtual time charged and the same loads and stores made.
@@ -213,6 +217,7 @@ func FuzzModelForward(f *testing.F) {
 	fwd := Registry().MustGet("torch.Module.forward").Impl
 	dispatch := kernel.New().Cost.APIFixed
 	f.Fuzz(func(t *testing.T, model, input []byte) {
+		model = model[:min(len(model), maxFuzzModel)]
 		if len(model) == 0 {
 			return // a blob holds at least one byte
 		}

@@ -22,7 +22,10 @@ func NewCamera(label string) *Camera {
 // Label returns the device label used in fd-scoped filter rules.
 func (c *Camera) Label() string { return c.label }
 
-// Push queues a frame for later Read calls.
+// Push queues a copy of frame for later Read calls. The copy is what lets
+// Read hand the frame out with nothing else holding it: the reader may
+// take it over, as cv.VideoCapture.read does when it makes a mat of it,
+// while the pusher keeps writing its own buffer.
 func (c *Camera) Push(frame []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -318,6 +318,7 @@ const (
 	fzCopy                // mode (source and destination space, whole region); region index or addr and size
 	fzStoreInPlace        // space, addr, u16 length, fill byte
 	fzAllocIn             // space, u16 size as int16
+	fzMap                 // space, u16 length, fill byte
 	fzOps
 )
 
@@ -354,7 +355,9 @@ func vetoes(addr Addr, n int, kind AccessKind) error {
 // reference's Load, Alloc and Store, and StoreInPlace to its Store. Since
 // a whole region of a page or more shares its slab with its snapshots and
 // copies, the per-step check of every live region also holds the two
-// sides of a copy apart once either is written.
+// sides of a copy apart once either is written. Map is held to the
+// reference's Alloc and then Store of the same bytes, and the bytes handed
+// to it are held, like a snapshot's, to what they were at every later step.
 func FuzzAddressSpace(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -445,7 +448,7 @@ func runScript(t *testing.T, in []byte) {
 	spaces := [2]*fzSpace{a, b}
 	var hooked bool
 	var hookLog, refHookLog []hookCall
-	var snaps []snapshot // every snapshot taken, to check none changes
+	var snaps []snapshot // every snapshot taken and buffer mapped, to check none changes
 	var vs versions
 	sc := &script{b: in}
 	for step := 0; step < fuzzSteps && len(sc.b) > 0; step++ {
@@ -516,7 +519,8 @@ func runScript(t *testing.T, in []byte) {
 			}
 		case fzLoadAt:
 			addr, n := sc.addr(a.live), int(sc.u16())%(3*PageSize)
-			got, want := make([]byte, n), make([]byte, n)
+			// LoadAt overwrites every byte of a buffer that holds others.
+			got, want := bytes.Repeat([]byte{0xA5}, n), bytes.Repeat([]byte{0xA5}, n)
 			sameErr(t, name, s.LoadAt(addr, got), ref.LoadAt(addr, want))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: LoadAt(%#x, %d) bytes differ from the reference", name, addr, n)
@@ -602,6 +606,33 @@ func runScript(t *testing.T, in []byte) {
 			case wr == (Region{}) && !slices.Equal(dst.s.Regions(), regions):
 				t.Fatalf("%s: Copy(%#x, %d) allocated after its read failed", name, addr, n)
 			}
+		case fzMap:
+			f := spaces[sc.byte()%2]
+			n, fill := int(sc.u16())%(3*PageSize), sc.byte()
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = fill + byte(i)
+			}
+			got, err := f.s.Map(buf)
+			v := vs.next()
+			want, rerr := f.ref.Alloc(n)
+			if rerr == nil {
+				// A refused store leaves the region allocated.
+				f.added(want, v)
+				rerr = f.ref.Store(want.Base, buf)
+			}
+			sameErr(t, name, err, rerr)
+			if err != nil {
+				want = Region{}
+			}
+			if got != want {
+				t.Fatalf("%s: Map(%d bytes) = %+v, reference %+v", name, n, got, want)
+			}
+			// The region may keep buf as its slab, which its snapshots and
+			// whole copies then share.
+			if n > 0 {
+				snaps = append(snaps, snapshot{got: buf, want: bytes.Clone(buf), ver: v})
+			}
 		case fzHook:
 			hooked = !hooked
 			for _, f := range spaces {
@@ -658,7 +689,7 @@ func runScript(t *testing.T, in []byte) {
 		}
 		for _, o := range snaps {
 			if !bytes.Equal(o.got, o.want) {
-				t.Fatalf("%s: a snapshot's bytes changed after it was taken", name)
+				t.Fatalf("%s: a snapshot's bytes, or a mapped buffer's, changed after it was taken", name)
 			}
 		}
 		for i, f := range spaces {
@@ -677,8 +708,8 @@ func runScript(t *testing.T, in []byte) {
 	}
 }
 
-// snapshot is a slice Snapshot returned, a copy of its bytes then and the
-// contents version it was taken of.
+// snapshot is a slice Snapshot returned or a buffer handed to Map, a copy
+// of its bytes then and the contents version it was taken or made of.
 type snapshot struct {
 	got, want []byte
 	ver       int
@@ -730,11 +761,13 @@ func comparePages(t *testing.T, s *AddressSpace, ref *refSpace) {
 }
 
 // pageBytes returns the bytes of the mapped page at addr in the space and
-// in the reference, without a check or a count.
+// in the reference, without a check or a count. Past the end of a short
+// slab the page reads as zero.
 func pageBytes(s *AddressSpace, ref *refSpace, addr Addr) (got, want []byte) {
 	got, want = zeroPage[:], zeroPage[:]
 	if m := s.lookup(addr); m.data != nil {
-		got = m.data[addr-m.base:][:PageSize]
+		got = make([]byte, PageSize)
+		copy(got, m.from(addr-m.base))
 	}
 	if pg := ref.pages[addr.PageIndex()]; pg.data != nil {
 		want = pg.data
@@ -763,7 +796,7 @@ func fzLen(n uint16) []byte       { return []byte{byte(n >> 8), byte(n)} }
 // regions, partial reuse of a larger freed span, Protect and SetKey across
 // a region boundary and across an unmapped gap, snapshots, copies and
 // stores in place, ranges that wrap the address space or have a bad
-// length, and slabs that snapshots and copies share.
+// length, slabs that snapshots and copies share, and buffers Map borrows.
 func fuzzSeeds() [][]byte {
 	return [][]byte{
 		// Two adjacent regions; a store and loads across their boundary.
@@ -932,6 +965,47 @@ func fuzzSeeds() [][]byte {
 			fzOp(fzAllocIn, []byte{1}, fzLen(PageSize)),
 			fzOp(fzStore, fzBase(0, 0), fzLen(PageSize), []byte{0x60}),
 			fzOp(fzSnapshot, []byte{2, 3}),
+		),
+		// Maps. A buffer of a page and 100 bytes becomes its fresh span's
+		// short slab: loads of the whole span and of its last page read the
+		// page tail as zero, a snapshot and a whole copy into the second
+		// space share the buffer, and a partial copy out of the region reads
+		// past its size. A store into the copy's page tail unshares it. The
+		// region is freed while it still borrows the buffer, its span
+		// allocated again and written, freed and mapped again, which drops
+		// the span's own slab for the buffer, and stored into. A fresh three-page Map
+		// in the second space is stored into, and another freed and its
+		// span copied into. Seven one-page Maps with the hook on, one of
+		// which it refuses, and a Map of nothing.
+		slices.Concat(
+			fzOp(fzMap, []byte{0}, fzLen(PageSize+100), []byte{0x21}),
+			fzOp(fzLoad, fzBase(0, 0), fzPages(2)),
+			fzOp(fzSnapshot, []byte{0, 0}),
+			fzOp(fzCopy, []byte{6, 0}),
+			fzOp(fzCopy, []byte{0}, fzBase(0, PageSize-8), fzSize(300)),
+			fzOp(fzSnapshot, []byte{2, 0}),
+			fzOp(fzLoadAt, fzBase(0, PageSize), fzLen(PageSize)),
+			fzOp(fzStoreInPlace, []byte{1}, fzEnd(0, 5), fzLen(10), []byte{0x31}),
+			fzOp(fzFree, []byte{0, 0}),
+			fzAllocOp(PageSize+100),
+			fzOp(fzStore, fzBase(1, 0), fzLen(PageSize+100), []byte{0x41}),
+			fzOp(fzFree, []byte{1, 0}),
+			fzOp(fzMap, []byte{0}, fzLen(2*PageSize), []byte{0x51}),
+			fzOp(fzStore, fzBase(1, 8), fzLen(16), []byte{0x61}),
+			fzOp(fzMap, []byte{1}, fzLen(3*PageSize-1), []byte{0x71}),
+			fzOp(fzStoreInPlace, []byte{1}, fzBase(1, 100), fzLen(10), []byte{0x72}),
+			fzOp(fzMap, []byte{1}, fzLen(PageSize), []byte{0x73}),
+			fzOp(fzFree, []byte{2, 3}),
+			fzOp(fzCopy, []byte{6, 0}),
+			fzOp(fzHook),
+			fzOp(fzMap, []byte{1}, fzLen(1), []byte{1}),
+			fzOp(fzMap, []byte{1}, fzLen(2), []byte{2}),
+			fzOp(fzMap, []byte{1}, fzLen(3), []byte{3}),
+			fzOp(fzMap, []byte{1}, fzLen(4), []byte{4}),
+			fzOp(fzMap, []byte{1}, fzLen(5), []byte{5}),
+			fzOp(fzMap, []byte{1}, fzLen(6), []byte{6}),
+			fzOp(fzMap, []byte{1}, fzLen(7), []byte{7}),
+			fzOp(fzMap, []byte{0}, fzLen(0), []byte{8}),
 		),
 	}
 }

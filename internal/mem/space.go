@@ -40,15 +40,20 @@ type pageState struct {
 }
 
 // span is a page-aligned run of the address space: one protection record
-// per page and one byte slab for the whole run, made on its first access.
-// Once made, a slab stays with its addresses unless a snapshot or a copy
-// shares it: Free hands an allocation's span to the free list and Alloc
-// takes it, or a prefix of it, back, so the slabs never cover more than
-// the break.
+// per page and one byte slab for the whole run, made on its first access
+// or borrowed by Map. Once made, a slab stays with its addresses unless a
+// snapshot or a copy shares it: Free hands an allocation's span to the
+// free list and Alloc takes it, or a prefix of it, back, so the slabs
+// never cover more than the break. Only a full slab its mapping owns
+// reaches the free list.
 type span struct {
 	base  Addr
 	pages []pageState
-	data  []byte // nil until first accessed, then len(pages)*PageSize
+	// data is nil until first accessed, then len(pages)*PageSize bytes. A
+	// shared slab, which a Map borrows or a whole-region Copy shares from
+	// one, may be shorter, but holds at least its region's bytes: the bytes
+	// past its end read as zero.
+	data []byte
 }
 
 // end returns the first address past the span.
@@ -60,6 +65,13 @@ func (sp *span) bytes() []byte {
 		sp.data = make([]byte, len(sp.pages)*PageSize)
 	}
 	return sp.data
+}
+
+// from returns the span's slab from offset off on: empty where a short
+// shared slab ends before off.
+func (sp *span) from(off Addr) []byte {
+	b := sp.bytes()
+	return b[min(off, Addr(len(b))):]
 }
 
 // cut splits the span after its first n bytes, a multiple of PageSize.
@@ -82,20 +94,23 @@ type mapping struct {
 	// until the first Snapshot, and again once a Store writes into the
 	// mapping.
 	snap []byte
-	// shared is set once a Snapshot or a Copy hands out the slab itself:
-	// the next store into the mapping writes into a private copy of it, and
-	// Free drops the slab instead of keeping it for reuse.
+	// shared is set once a Snapshot or a Copy hands out the slab itself,
+	// and on a slab Map borrows: the next store into the mapping writes
+	// into a private copy of it, and Free drops the slab instead of keeping
+	// it for reuse.
 	shared bool
 }
 
 func (m *mapping) region() Region { return Region{Base: m.base, Size: m.size} }
 
 // writable returns the slab a store into the mapping writes: its own, made
-// private first if it is shared. The snapshot is dropped.
+// private and full first if it is shared. The snapshot is dropped.
 func (m *mapping) writable() []byte {
 	m.snap = nil
 	if m.shared {
-		m.data, m.shared = slices.Clone(m.data), false
+		own := make([]byte, len(m.pages)*PageSize)
+		copy(own, m.data)
+		m.data, m.shared = own, false
 	}
 	return m.bytes()
 }
@@ -451,11 +466,14 @@ func (s *AddressSpace) load(addr Addr, buf []byte) {
 	s.read(addr, buf)
 }
 
-// read copies the checked range at addr into buf, under mu.
+// read copies the checked range at addr into buf, under mu. The bytes
+// past the end of a short slab read as zero.
 func (s *AddressSpace) read(addr Addr, buf []byte) {
 	for i, off := s.seek(addr), 0; off < len(buf); i++ {
 		m := &s.maps[i]
-		off += copy(buf[off:], m.bytes()[addr+Addr(off)-m.base:])
+		part := buf[off:min(len(buf), int(m.end()-addr))]
+		clear(part[copy(part, m.from(addr+Addr(off)-m.base)):])
+		off += len(part)
 	}
 }
 
@@ -497,6 +515,31 @@ func (s *AddressSpace) fill(addr Addr, n int, write func(b []byte)) {
 		write(b)
 		off += len(b)
 	}
+}
+
+// Map allocates len(b) bytes as Alloc does and stores b into them: it
+// checks, calls the access hook and counts Stats exactly as Alloc and then
+// Store(r.Base, b) would. The caller hands b over and must not write it
+// afterwards: the new region takes b itself as its slab, copy-on-write, as
+// a whole-region Copy shares its source's. The first store into the region
+// writes into a private copy, and Free drops b rather than keep it for
+// reuse. A refused store returns the fault and leaves the new region
+// allocated, as a refused Store into it would.
+func (s *AddressSpace) Map(b []byte) (Region, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, err := s.alloc(len(b))
+	if err != nil {
+		return Region{}, err
+	}
+	if err := s.check(r.Base, len(b), AccessWrite); err != nil {
+		return Region{}, err
+	}
+	s.stats.Stores++
+	s.stats.BytesStored += uint64(len(b))
+	m := s.lookup(r.Base)
+	m.data, m.shared = b, true
+	return r, nil
 }
 
 // LoadByte loads a single byte.

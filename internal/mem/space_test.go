@@ -566,7 +566,8 @@ func TestBadRangesFailBeforeAllocating(t *testing.T) {
 // copy of it into a fresh span only its page records, both sharing the
 // slab; the first store into either side then allocates one slab. A copy
 // into a freed span that kept its slab copies into it, so a loop that
-// frees what it copies allocates nothing.
+// frees what it copies allocates nothing; Map borrows its buffer as the
+// slab, so a loop that frees what it maps allocates nothing either.
 func TestRegionAllocs(t *testing.T) {
 	var counts []float64
 	for _, pages := range []int{1, 8, 64} {
@@ -623,11 +624,17 @@ func TestRegionAllocs(t *testing.T) {
 			keep(e)
 			keep(other.Store(rc.Base, data[:1]))
 		})
+		mapLoop := testing.AllocsPerRun(50, func() {
+			keep(s.Free(r))
+			var e error
+			r, e = s.Map(data)
+			keep(e)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := []uint64{0, 1, 1, 1, 1}; !slices.Equal(shared, want) || loop != 0 {
-			t.Errorf("%d-page region: %v allocs for Snapshot, Store, Copy, Store into the copy, Store into the source (want %v); %.0f for Free+Copy+Store (want 0)", pages, shared, want, loop)
+		if want := []uint64{0, 1, 1, 1, 1}; !slices.Equal(shared, want) || loop != 0 || mapLoop != 0 {
+			t.Errorf("%d-page region: %v allocs for Snapshot, Store, Copy, Store into the copy, Store into the source (want %v); %.0f for Free+Copy+Store, %.0f for Free+Map (want 0)", pages, shared, want, loop, mapLoop)
 		}
 	}
 	if counts[0] != counts[1] || counts[1] != counts[2] {
@@ -726,16 +733,37 @@ func TestReusedPageIsFresh(t *testing.T) {
 // space share one slab, which a snapshot taken before the copy also holds.
 // On each side a writer stores whole fills into its region while a reader
 // takes snapshots of it: every snapshot holds one fill of its own side, a
-// held snapshot keeps its bytes, and the first snapshot stays zero. Run
-// with -race, it also checks that the shared slab is only ever read.
+// held snapshot keeps its bytes, and the first snapshot stays zero. It
+// runs on a region a Store filled and on one Map made, whose slab is the
+// buffer handed over, shorter than its span. Run with -race, it also
+// checks that the shared slab is only ever read.
 func TestSharedSlabConcurrentStores(t *testing.T) {
-	a, b := NewSpace(), NewSpace()
-	ra, err := a.Alloc(3 * PageSize)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name      string
+		size      int
+		newRegion func(s *AddressSpace, b []byte) (Region, error)
+	}{
+		{"stored", 3 * PageSize, func(s *AddressSpace, b []byte) (Region, error) {
+			r, err := s.Alloc(len(b))
+			if err == nil {
+				err = s.Store(r.Base, b)
+			}
+			return r, err
+		}},
+		// Map borrows the buffer as a slab shorter than its span.
+		{"mapped", 3*PageSize - 100, (*AddressSpace).Map},
+	} {
+		t.Run(c.name, func(t *testing.T) { sharedSlabConcurrentStores(t, c.size, c.newRegion) })
 	}
-	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, ra.Size) }
-	if err := a.Store(ra.Base, fill(0)); err != nil {
+}
+
+// sharedSlabConcurrentStores runs TestSharedSlabConcurrentStores on a
+// region of size bytes that newRegion makes of zeros.
+func sharedSlabConcurrentStores(t *testing.T, size int, newRegion func(*AddressSpace, []byte) (Region, error)) {
+	a, b := NewSpace(), NewSpace()
+	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, size) }
+	ra, err := newRegion(a, fill(0))
+	if err != nil {
 		t.Fatal(err)
 	}
 	first, err := a.Snapshot(ra)

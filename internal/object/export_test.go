@@ -20,4 +20,4 @@ func (l *CheckpointLog) Latest(key CheckpointKey) (Checkpoint, bool) {
 }
 
 // Size returns the payload size.
-func (b *Blob) Size() int { return b.n }
+func (b *Blob) Size() int { return b.region.Size }

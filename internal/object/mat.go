@@ -45,20 +45,19 @@ func newMat(space *mem.AddressSpace, r mem.Region, rows, cols, channels int) *Ma
 	return m
 }
 
-// MatFromBytes allocates a mat and fills it with data (len must equal
-// rows*cols*channels).
+// MatFromBytes makes a rows×cols×channels mat of data, whose length must
+// be rows*cols*channels. The mat takes data over (mem.AddressSpace.Map):
+// in a fresh span the region's slab is data itself, copy-on-write, so the
+// caller must not write data afterwards.
 func MatFromBytes(space *mem.AddressSpace, rows, cols, channels int, data []byte) (*Mat, error) {
 	if err := checkMatSize(len(data), rows, cols, channels); err != nil {
 		return nil, err
 	}
-	m, err := NewMat(space, rows, cols, channels)
+	r, err := space.Map(data)
 	if err != nil {
 		return nil, err
 	}
-	if err := space.Store(m.region.Base, data); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newMat(space, r, rows, cols, channels), nil
 }
 
 // checkMatSize checks that n bytes are exactly a rows×cols×channels mat.

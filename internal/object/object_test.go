@@ -508,6 +508,8 @@ func TestReadPathAllocs(t *testing.T) {
 // TestWritePathAllocs pins the allocations of the in-place writes:
 // SetValues and Fill encode into the tensor's region with none, and
 // CopyInto into a span a freed copy left makes only the new object.
+// MatFromBytes and NewBlob into a fresh span make only the object and its
+// mapping's page records: the region takes the buffer over as its slab.
 func TestWritePathAllocs(t *testing.T) {
 	src, dst := mem.NewSpace(), mem.NewSpace()
 	ten, err := NewTensor(src, 3*mem.PageSize/8)
@@ -520,6 +522,7 @@ func TestWritePathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := Ref{Kind: KindMat, Header: m.Header()}
+	buf := make([]byte, 3*mem.PageSize)
 	copyAndFree := func() error {
 		o, err := CopyInto(dst, ref, m)
 		if err != nil {
@@ -535,6 +538,8 @@ func TestWritePathAllocs(t *testing.T) {
 		{"Tensor.SetValues of 3 pages", 0, func() error { return ten.SetValues(vals) }},
 		{"Tensor.Fill of 3 pages", 0, func() error { return ten.Fill(func(i int) float64 { return float64(i) }) }},
 		{"CopyInto of a 3-page mat", 1, copyAndFree},
+		{"MatFromBytes of 3 pages", 2, func() error { _, err := MatFromBytes(src, 3, mem.PageSize, 1, buf); return err }},
+		{"NewBlob of 3 pages", 2, func() error { _, err := NewBlob(src, buf); return err }},
 	} {
 		if err := c.write(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -12,12 +12,15 @@ import (
 type Blob struct {
 	space  *mem.AddressSpace
 	region mem.Region
-	n      int
 }
 
-// NewBlob allocates a blob holding data.
+// NewBlob makes a blob of data. The blob takes data over
+// (mem.AddressSpace.Map): in a fresh span the region's slab is data
+// itself, copy-on-write, so the caller must not write data afterwards.
 func NewBlob(space *mem.AddressSpace, data []byte) (*Blob, error) {
-	o, err := Rebuild(space, Ref{Kind: KindBlob}, data)
+	o, err := build(space, Ref{Kind: KindBlob}, len(data), func() (mem.Region, error) {
+		return space.Map(data)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +130,9 @@ func (t *Table) RefFor(id uint64) (Ref, error) {
 }
 
 // Rebuild materializes an object of the ref's kind in space from raw
-// payload bytes (the receiving side of a data copy).
+// payload bytes (the receiving side of a data copy). It copies the
+// payload, which the caller may reuse or keep: a connection's receive
+// buffer is reused by its next call, and a checkpoint log keeps its bytes.
 func Rebuild(space *mem.AddressSpace, ref Ref, payload []byte) (Object, error) {
 	return build(space, ref, len(payload), func() (mem.Region, error) {
 		r, err := space.Alloc(len(payload))
@@ -196,7 +201,7 @@ func build(space *mem.AddressSpace, ref Ref, n int, place func() (mem.Region, er
 		if err != nil {
 			return nil, err
 		}
-		return &Blob{space: space, region: r, n: n}, nil
+		return &Blob{space: space, region: r}, nil
 	default:
 		return nil, fmt.Errorf("object: unknown kind %v", ref.Kind)
 	}
