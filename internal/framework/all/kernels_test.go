@@ -12,6 +12,8 @@ import (
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/framework/simcaffe"
+	"freepart.dev/freepart/internal/framework/simcv"
+	"freepart.dev/freepart/internal/framework/simtorch"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
 	"freepart.dev/freepart/internal/object"
@@ -139,12 +141,14 @@ func (o *operands) num(lo, span int) framework.Value {
 // outPath is where the storing kernels write.
 const outPath = "/out.bin"
 
-// kernelCase is one rewritten tensor kernel: how to build its arguments,
-// and its decode-first reference, which reads each operand with Values and
-// stores its output with SetValues, as the kernels ran before they read
-// views and filled their outputs in place. api is the registry's API, for
-// the reference's exploit checks. inPlace marks a kernel that writes its
-// first argument.
+// kernelCase is one API: how to build its arguments, and its reference. A
+// tensor kernel's reference is decode-first: it reads each operand with
+// Values and stores its output with SetValues, as the kernels ran before
+// they read views and filled their outputs in place. A loader's or file
+// appender's is the API's implementation as its framework wrote it before
+// package tensors shared the loaders. api is the registry's API, for the
+// reference's exploit checks. inPlace marks a kernel that writes its first
+// argument.
 type kernelCase struct {
 	api     string
 	args    func(o *operands) []framework.Value
@@ -155,9 +159,8 @@ type kernelCase struct {
 // one builds a single tensor of any rank.
 func one(o *operands) []framework.Value { return []framework.Value{o.anyTensor()} }
 
-// kernelCases lists every tensor kernel of simtorch, simflow and simcaffe
-// that reads its operands through views or fills its output in place,
-// torch.Module.forward aside: FuzzModelForward holds it to its reference.
+// kernelCases lists every API of simtorch, simflow and simcaffe but those
+// heldElsewhere names.
 var kernelCases = func() []kernelCase {
 	cs := []kernelCase{
 		{"torch.tensor", func(o *operands) []framework.Value {
@@ -203,6 +206,11 @@ var kernelCases = func() []kernelCase {
 			o.ctx.K.FS.WriteFile("/mnist/mnist.bin", o.vals)
 			return []framework.Value{framework.Str("/mnist")}
 		}, refMNIST, false},
+		{"torch.load", fileArgs, refTorchLoad, false},
+		{"torch.hub.load", downloadArgs("hub.pytorch.org"), refHubLoad, false},
+		{"torch.utils.tensorboard.SummaryWriter", func(o *operands) []framework.Value {
+			return []framework.Value{framework.Str("/tb"), framework.Float64(o.value())}
+		}, refSummaryWriter, false},
 
 		{"tf.nn.conv3d", func(o *operands) []framework.Value {
 			if o.big {
@@ -241,6 +249,14 @@ var kernelCases = func() []kernelCase {
 			}
 			return []framework.Value{framework.Str("/ds/")}
 		}, refDatasetDir, false},
+		{"tf.io.read_file", fileArgs, refReadFile, false},
+		{"tf.keras.utils.get_file", downloadArgs("storage.googleapis.com"), refGetFile, false},
+		{"tf.debugging.experimental.enable_dump_debug_info", func(o *operands) []framework.Value {
+			if o.byte()%2 == 1 {
+				return nil
+			}
+			return []framework.Value{framework.Str("/dbg")}
+		}, refDumpDebugInfo, false},
 
 		{"caffe.Net", func(o *operands) []framework.Value {
 			var proto strings.Builder
@@ -266,6 +282,8 @@ var kernelCases = func() []kernelCase {
 		}, refCopyTrained, true},
 		{"caffe.SGDSolver.Step", (*operands).pair, refSGD("simcaffe: solver weight/grad mismatch", 2, 0.01, false), true},
 		{"caffe.Blob.Reshape", reshapeArgs, refCopy("simcaffe: reshape %d to %dx%d"), false},
+		{"caffe.ReadProtoFromTextFile", fileArgs, refReadProto("caffe.ReadProtoFromTextFile", false), false},
+		{"caffe.ReadProtoFromBinaryFile", fileArgs, refReadProto("caffe.ReadProtoFromBinaryFile", true), false},
 	}
 	for _, name := range []string{"caffe.WriteProtoToTextFile", "caffe.hdf5_save_string", "caffe.Solver.Snapshot"} {
 		cs = append(cs, kernelCase{name, saveArgs, refSaveDataset, false})
@@ -283,6 +301,66 @@ var kernelCases = func() []kernelCase {
 	slices.SortFunc(cs, func(a, b kernelCase) int { return strings.Compare(a.api, b.api) })
 	return cs
 }()
+
+// heldElsewhere names the fuzz target that holds each simtorch, simflow and
+// simcaffe API that is not a row of kernelCases to its reference.
+var heldElsewhere = map[string]string{"torch.Module.forward": "FuzzModelForward"}
+
+// TestEveryTensorAPIIsHeld requires each API of simtorch, simflow and
+// simcaffe to be a row of kernelCases or to name the target that holds it
+// in heldElsewhere, and not both.
+func TestEveryTensorAPIIsHeld(t *testing.T) {
+	rows := map[string]bool{}
+	for _, c := range kernelCases {
+		rows[c.api] = true
+	}
+	reg := all.Registry()
+	for _, api := range reg.All() {
+		if api.Framework == simcv.Name {
+			continue
+		}
+		target, held := heldElsewhere[api.Name]
+		switch {
+		case !rows[api.Name] && !held:
+			t.Errorf("%s is no row of FuzzTensorKernels and names no target that holds it", api.Name)
+		case rows[api.Name] && held:
+			t.Errorf("%s is a row of FuzzTensorKernels, and heldElsewhere names %s", api.Name, target)
+		}
+	}
+	for name := range heldElsewhere {
+		if _, ok := reg.Get(name); !ok {
+			t.Errorf("heldElsewhere names %s, which is no API", name)
+		}
+	}
+}
+
+// fileArgs writes the value bytes to a file and names it, or names a file
+// that does not exist, or passes no path, as a shape byte asks.
+func fileArgs(o *operands) []framework.Value {
+	switch o.byte() % 8 {
+	case 6:
+		return nil
+	case 7:
+		return []framework.Value{framework.Str("/missing")}
+	}
+	o.ctx.K.FS.WriteFile("/in.bin", o.vals)
+	return []framework.Value{framework.Str("/in.bin")}
+}
+
+// downloadArgs queues the value bytes as a download from host and names it,
+// or queues nothing, or passes no name, as a shape byte asks.
+func downloadArgs(host string) func(o *operands) []framework.Value {
+	return func(o *operands) []framework.Value {
+		switch o.byte() % 8 {
+		case 6:
+			return nil
+		case 7:
+		default:
+			o.ctx.K.Net.QueueInbound(host, o.vals)
+		}
+		return []framework.Value{framework.Str("m.bin")}
+	}
+}
 
 func matmulArgs(o *operands) []framework.Value {
 	m, k, n := o.dim(), o.dim(), o.dim()
@@ -1011,15 +1089,175 @@ func refCopyTrained(*framework.API) framework.Impl {
 	}
 }
 
+// stripTrojan is simtorch's: a model file cut where an embedded trigger
+// starts.
+func stripTrojan(raw []byte) []byte {
+	if i := bytes.Index(raw, []byte("!!CVE:")); i >= 0 {
+		return raw[:i]
+	}
+	return raw
+}
+
+func refTorchLoad(api *framework.API) framework.Impl {
+	return func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
+		if len(args) < 1 {
+			return nil, fmt.Errorf("simtorch: load needs a path")
+		}
+		raw, err := ctx.FileRead(args[0].Str)
+		if err != nil {
+			return nil, err
+		}
+		if fired, err := ctx.MaybeExploit(api, raw); fired {
+			return nil, err
+		}
+		if _, err := simtorch.DecodeModel(stripTrojan(raw)); err != nil {
+			return nil, err
+		}
+		id, _, err := ctx.NewBlob(raw)
+		if err != nil {
+			return nil, err
+		}
+		return []framework.Value{framework.Obj(id)}, nil
+	}
+}
+
+func refHubLoad(*framework.API) framework.Impl {
+	return func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
+		if len(args) < 1 {
+			return nil, fmt.Errorf("simtorch: hub.load needs a model name")
+		}
+		host := "hub.pytorch.org"
+		if err := ctx.K.NetConnect(ctx.P, host); err != nil {
+			return nil, err
+		}
+		data, ok, err := ctx.NetDownload(host)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("simtorch: hub has no model %q queued", args[0].Str)
+		}
+		cache := "/cache/hub/" + args[0].Str
+		if err := ctx.FileWrite(cache, data); err != nil {
+			return nil, err
+		}
+		raw, err := ctx.FileRead(cache)
+		if err != nil {
+			return nil, err
+		}
+		id, _, err := ctx.NewBlob(raw)
+		if err != nil {
+			return nil, err
+		}
+		return []framework.Value{framework.Obj(id)}, nil
+	}
+}
+
+func refSummaryWriter(*framework.API) framework.Impl {
+	return func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
+		if len(args) < 2 {
+			return nil, fmt.Errorf("simtorch: SummaryWriter needs (dir, scalar)")
+		}
+		line := fmt.Sprintf("scalar %g\n", args[1].Float)
+		return nil, ctx.FileAppend(args[0].Str+"/events.log", []byte(line))
+	}
+}
+
+func refReadFile(*framework.API) framework.Impl {
+	return func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
+		if len(args) < 1 {
+			return nil, fmt.Errorf("simflow: read_file needs a path")
+		}
+		raw, err := ctx.FileRead(args[0].Str)
+		if err != nil {
+			return nil, err
+		}
+		id, _, err := ctx.NewBlob(raw)
+		if err != nil {
+			return nil, err
+		}
+		return []framework.Value{framework.Obj(id)}, nil
+	}
+}
+
+func refGetFile(*framework.API) framework.Impl {
+	return func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
+		if len(args) < 1 {
+			return nil, fmt.Errorf("simflow: get_file needs a name")
+		}
+		host := "storage.googleapis.com"
+		if err := ctx.K.NetConnect(ctx.P, host); err != nil {
+			return nil, err
+		}
+		data, ok, err := ctx.NetDownload(host)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("simflow: no download queued for %q", args[0].Str)
+		}
+		tmp := "/tmp/" + args[0].Str
+		if err := ctx.FileWrite(tmp, data); err != nil {
+			return nil, err
+		}
+		raw, err := ctx.FileRead(tmp)
+		if err != nil {
+			return nil, err
+		}
+		id, _, err := ctx.NewBlob(raw)
+		if err != nil {
+			return nil, err
+		}
+		return []framework.Value{framework.Obj(id), framework.Str(tmp)}, nil
+	}
+}
+
+func refDumpDebugInfo(*framework.API) framework.Impl {
+	return func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
+		dir := "/tmp/tfdbg"
+		if len(args) > 0 && args[0].Str != "" {
+			dir = args[0].Str
+		}
+		return nil, ctx.FileAppend(dir+"/dump.log", []byte("debug dump enabled\n"))
+	}
+}
+
+func refReadProto(name string, binaryFile bool) func(*framework.API) framework.Impl {
+	return func(api *framework.API) framework.Impl {
+		return func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
+			if len(args) < 1 {
+				return nil, fmt.Errorf("simcaffe: %s needs a path", name)
+			}
+			raw, err := ctx.FileRead(args[0].Str)
+			if err != nil {
+				return nil, err
+			}
+			if fired, err := ctx.MaybeExploit(api, raw); fired {
+				return nil, err
+			}
+			if !binaryFile {
+				if _, _, err := simcaffe.ParsePrototxt(string(raw)); err != nil {
+					return nil, err
+				}
+			}
+			id, _, err := ctx.NewBlob(raw)
+			if err != nil {
+				return nil, err
+			}
+			return []framework.Value{framework.Obj(id)}, nil
+		}
+	}
+}
+
 // kernelRun is what one kernel call left behind.
 type kernelRun struct {
 	err                              string
 	out                              []string // each result, objects as their header and payload
 	args                             []string // each object argument's payload after the call
-	file                             []byte   // outPath after the call
 	virt                             vclock.Duration
 	stores, bytesStored, bytesLoaded uint64
 	alive                            bool
+	files                            []string // each file after the call, as its path and bytes
 }
 
 // render describes a value bit-exactly: an object as its header and
@@ -1084,18 +1322,21 @@ func runKernel(t *testing.T, api *framework.API, impl framework.Impl, args func(
 			run.args = append(run.args, render(t, o.ctx, v))
 		}
 	}
-	run.file, _ = k.FS.ReadFile(outPath)
+	for _, p := range k.FS.List("") {
+		b, _ := k.FS.ReadFile(p)
+		run.files = append(run.files, fmt.Sprintf("%s:%x", p, b))
+	}
 	return run
 }
 
-// FuzzTensorKernels: for any shapes and values, each tensor kernel of
-// simtorch, simflow and simcaffe, which reads its operands through views
-// and encodes its output in place, gives the bit-identical outputs of its
-// decode-first reference (any NaN matching any NaN, see render), or the
-// same error, and leaves its arguments and files the same: with the same
-// virtual time charged and the same stores, bytes stored and bytes loaded.
-// Loads are not compared: a view is one load of its operand where Values
-// made one per page.
+// FuzzTensorKernels: for any shapes and values, and any file or download
+// the loaders read, each API of simtorch, simflow and simcaffe that is a
+// row of kernelCases gives the bit-identical outputs of its reference (any
+// NaN matching any NaN, see render), or the same error, and leaves its
+// arguments and every file the same: with the same virtual time charged
+// and the same stores, bytes stored and bytes loaded. Loads are not
+// compared: a view is one load of its operand where Values made one per
+// page.
 func FuzzTensorKernels(f *testing.F) {
 	var vals []byte
 	for _, v := range []float64{1.5, -2.25, 3, 0.5, -7, 11, 0, 2} {
@@ -1113,7 +1354,19 @@ func FuzzTensorKernels(f *testing.F) {
 	for _, b := range trigger {
 		crafted = binary.BigEndian.AppendUint64(crafted, math.Float64bits(float64(b)))
 	}
-	f.Add(uint8(slices.IndexFunc(kernelCases, func(c kernelCase) bool { return c.api == "tf.matmul" })), []byte{5, 5, 5, 0}, crafted)
+	row := func(api string) uint8 {
+		return uint8(slices.IndexFunc(kernelCases, func(c kernelCase) bool { return c.api == api }))
+	}
+	f.Add(row("tf.matmul"), []byte{5, 5, 5, 0}, crafted)
+	// The loaders' files and downloads: a model, a trojaned model, whose
+	// trigger hides after its weights, and a prototxt and a malformed one.
+	model := simtorch.EncodeModel([][]float64{{1, 0, 0, 1}, {0.5, -2}})
+	trojan := append(slices.Clip(model), framework.Trigger(simtorch.CVEStegoNet, []byte("payload"))...)
+	f.Add(row("torch.load"), []byte{0}, model)
+	f.Add(row("torch.load"), []byte{0}, trojan)
+	f.Add(row("torch.hub.load"), []byte{0}, model)
+	f.Add(row("caffe.ReadProtoFromTextFile"), []byte{0}, []byte("conv1 4\nfc 2\n"))
+	f.Add(row("caffe.ReadProtoFromTextFile"), []byte{0}, []byte("conv1 4\nfc two\n"))
 	reg := all.Registry()
 	f.Fuzz(func(t *testing.T, which uint8, shape, vals []byte) {
 		c := kernelCases[int(which)%len(kernelCases)]
@@ -1122,7 +1375,7 @@ func FuzzTensorKernels(f *testing.F) {
 		got := runKernel(t, api, api.Impl, c.args, in)
 		want := runKernel(t, api, c.ref(api), c.args, in)
 		if got.err != want.err || !slices.Equal(got.out, want.out) || !slices.Equal(got.args, want.args) ||
-			!bytes.Equal(got.file, want.file) || got.virt != want.virt || got.stores != want.stores ||
+			!slices.Equal(got.files, want.files) || got.virt != want.virt || got.stores != want.stores ||
 			got.bytesStored != want.bytesStored || got.bytesLoaded != want.bytesLoaded || got.alive != want.alive {
 			t.Fatalf("%s:\n kernel    %+v\n reference %+v", c.api, got, want)
 		}

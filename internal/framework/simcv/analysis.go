@@ -102,7 +102,7 @@ func registerAnalysis(r *framework.Registry) {
 
 	r.Register(&framework.API{
 		Name: "cv.boundingRect", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 1,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("cv.boundingRect", args, 2); err != nil {
 				return nil, err
@@ -131,7 +131,7 @@ func registerAnalysis(r *framework.Registry) {
 
 	r.Register(&framework.API{
 		Name: "cv.contourArea", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 1,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("cv.contourArea", args, 2); err != nil {
 				return nil, err
@@ -222,7 +222,7 @@ func registerAnalysis(r *framework.Registry) {
 
 	r.Register(&framework.API{
 		Name: "cv.compareHist", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 1,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("cv.compareHist", args, 2); err != nil {
 				return nil, err

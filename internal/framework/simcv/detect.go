@@ -70,7 +70,7 @@ func registerDetect(r *framework.Registry) {
 	dmsAPI = &framework.API{
 		Name: "cv.CascadeClassifier.detectMultiScale", Framework: Name,
 		TrueType: framework.TypeProcessing, Stateful: true,
-		StaticOps: memOps(),
+		StaticOps: framework.DPOps(),
 		Syscalls:  dpSyscalls(kernel.SysFutex, kernel.SysClockGettime),
 		Intensity: 30,
 		CVEs:      []string{CVEDetectRCE, CVEDetectDoS},
@@ -216,7 +216,7 @@ func registerDetect(r *framework.Registry) {
 
 	r.Register(&framework.API{
 		Name: "cv.BFMatcher.match", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 8,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 8,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("BFMatcher.match", args, 2); err != nil {
 				return nil, err
@@ -273,7 +273,7 @@ func registerDetect(r *framework.Registry) {
 	// advances (pos += vel); correct blends a measurement in.
 	r.Register(&framework.API{
 		Name: "cv.KalmanFilter.predict", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 1,
 		Stateful: true, SharedState: true,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("KalmanFilter.predict", args, 1); err != nil {
@@ -303,7 +303,7 @@ func registerDetect(r *framework.Registry) {
 	})
 	r.Register(&framework.API{
 		Name: "cv.KalmanFilter.correct", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 1,
 		Stateful: true, SharedState: true,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("KalmanFilter.correct", args, 3); err != nil {

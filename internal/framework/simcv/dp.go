@@ -6,11 +6,6 @@ import (
 	"freepart.dev/freepart/internal/object"
 )
 
-// memOps is the canonical data-processing flow W(MEM, R(MEM)).
-func memOps() []framework.Op {
-	return []framework.Op{framework.WriteOp(framework.StorageMem, framework.StorageMem)}
-}
-
 // dpSyscalls is the default syscall footprint of a compute-only API.
 func dpSyscalls(extra ...kernel.Sysno) []kernel.Sysno {
 	return append([]kernel.Sysno{kernel.SysBrk}, extra...)
@@ -28,7 +23,7 @@ func unaryAPI(name string, intensity float64, cves []string, syscalls []kernel.S
 	var api *framework.API
 	api = &framework.API{
 		Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(),
+		StaticOps: framework.DPOps(),
 		Syscalls:  syscalls,
 		Intensity: intensity,
 		CVEs:      cves,
@@ -67,7 +62,7 @@ func binaryAPI(name string, intensity float64, cves []string, syscalls []kernel.
 	var api *framework.API
 	api = &framework.API{
 		Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(),
+		StaticOps: framework.DPOps(),
 		Syscalls:  syscalls,
 		Intensity: intensity,
 		CVEs:      cves,
@@ -112,7 +107,7 @@ func reduceAPI(name string, intensity float64, cves []string, syscalls []kernel.
 	var api *framework.API
 	api = &framework.API{
 		Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(),
+		StaticOps: framework.DPOps(),
 		Syscalls:  syscalls,
 		Intensity: intensity,
 		CVEs:      cves,

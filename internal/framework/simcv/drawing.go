@@ -25,7 +25,7 @@ func drawAPI(name string, intensity float64, check func(m *object.Mat, args []fr
 	var api *framework.API
 	api = &framework.API{
 		Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: intensity,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: intensity,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs(name, args, 1); err != nil {
 				return nil, err
@@ -249,7 +249,7 @@ func registerDrawing(r *framework.Registry) {
 	var dcAPI *framework.API
 	dcAPI = &framework.API{
 		Name: "cv.drawContours", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 1,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("cv.drawContours", args, 2); err != nil {
 				return nil, err

@@ -214,7 +214,7 @@ func registerFilter(r *framework.Registry) {
 
 	r.Register(&framework.API{
 		Name: "cv.filter2D", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 9,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 9,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("cv.filter2D", args, 2); err != nil {
 				return nil, err

@@ -89,7 +89,7 @@ func registerGeometry(r *framework.Registry) {
 		var api *framework.API
 		api = &framework.API{
 			Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-			StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 4, CVEs: cves,
+			StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 4, CVEs: cves,
 			Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 				if err := needArgs(name, args, 2); err != nil {
 					return nil, err
@@ -153,7 +153,7 @@ func registerGeometry(r *framework.Registry) {
 	transformFrom := func(name string) *framework.API {
 		return &framework.API{
 			Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-			StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 1,
+			StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 1,
 			Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 				if err := needArgs(name, args, 2); err != nil {
 					return nil, err
@@ -261,7 +261,7 @@ func registerGeometry(r *framework.Registry) {
 
 	r.Register(&framework.API{
 		Name: "cv.remap", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 4,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 4,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("cv.remap", args, 2); err != nil {
 				return nil, err

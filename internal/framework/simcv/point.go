@@ -325,7 +325,7 @@ func registerPoint(r *framework.Registry) {
 	var mergeAPI *framework.API
 	mergeAPI = &framework.API{
 		Name: "cv.merge", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: memOps(), Syscalls: dpSyscalls(), Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: dpSyscalls(), Intensity: 1,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			if err := needArgs("cv.merge", args, 1); err != nil {
 				return nil, err

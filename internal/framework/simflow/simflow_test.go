@@ -8,6 +8,7 @@ import (
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/simflow"
 	"freepart.dev/freepart/internal/kernel"
+	"freepart.dev/freepart/internal/mem"
 )
 
 type env struct {
@@ -99,7 +100,7 @@ func TestConv3d(t *testing.T) {
 
 func TestConv3dExploit(t *testing.T) {
 	e := newEnv(t)
-	// The trigger's bytes, one per element, as exploitOnTensor reads them.
+	// The trigger's bytes, one per element, as tensors.Exploit reads them.
 	var trig []float64
 	for _, b := range framework.Trigger("CVE-2021-29513", nil) {
 		trig = append(trig, float64(b))
@@ -179,6 +180,37 @@ func TestEstimatorTrainAccumulatesState(t *testing.T) {
 	api := e.reg.MustGet("tf.estimator.DNNClassifier.train")
 	if !api.Stateful || !api.SharedState {
 		t.Fatal("train should be stateful+shared")
+	}
+}
+
+// TestEstimatorTrainReportsRefusedStore refuses the first, then the
+// second, of train's two state stores through the space's access hook:
+// each call must fail, not report a loss over state it did not update.
+func TestEstimatorTrainReportsRefusedStore(t *testing.T) {
+	refused := errors.New("store refused")
+	for _, refuse := range []int{1, 2} {
+		e := newEnv(t)
+		stID, st, _ := e.ctx.NewTensor(2)
+		data := e.tensor2D(t, 1, 4, []float64{1, 1, 1, 1})
+		stores := 0
+		space := e.ctx.P.Space()
+		space.SetAccessHook(func(_ mem.Addr, _ int, kind mem.AccessKind) error {
+			if kind == mem.AccessWrite {
+				if stores++; stores == refuse {
+					return refused
+				}
+			}
+			return nil
+		})
+		out, err := e.reg.MustGet("tf.estimator.DNNClassifier.train").
+			Exec(e.ctx, []framework.Value{framework.Obj(stID), data})
+		space.SetAccessHook(nil)
+		if !errors.Is(err, refused) {
+			t.Fatalf("store %d refused: train = %v, %v; want the refusal", refuse, out, err)
+		}
+		if steps, _ := st.AtFlat(0); steps != float64(refuse-1) {
+			t.Fatalf("store %d refused: steps = %v, want %d", refuse, steps, refuse-1)
+		}
 	}
 }
 

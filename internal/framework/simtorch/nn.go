@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"freepart.dev/freepart/internal/framework"
+	"freepart.dev/freepart/internal/framework/tensors"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/object"
 )
@@ -14,7 +15,7 @@ import (
 func registerNN(r *framework.Registry) {
 	r.Register(&framework.API{
 		Name: "torch.tensor", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk, kernel.SysMmap}, Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: []kernel.Sysno{kernel.SysBrk, kernel.SysMmap}, Intensity: 1,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			// torch.tensor(n, fill): builds a 1-D tensor of n copies of fill.
 			n := 1
@@ -26,14 +27,13 @@ func registerNN(r *framework.Registry) {
 				fill = args[1].Float
 			}
 			ctx.EmitMemOp()
-			v, err := fillOut(ctx, []int{n}, func(int) float64 { return fill })
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
+			return tensors.Out(ctx, []int{n}, func(int) float64 { return fill })
 		},
 	})
 
+	elementwise := func(name string, f func(float64) float64) *framework.API {
+		return tensors.Elementwise(&framework.API{Name: name, Framework: Name, Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1}, f)
+	}
 	r.Register(elementwise("torch.relu", func(v float64) float64 { return math.Max(0, v) }))
 	r.Register(elementwise("torch.sigmoid", func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }))
 	r.Register(elementwise("torch.tanh", math.Tanh))
@@ -44,13 +44,13 @@ func registerNN(r *framework.Registry) {
 	binop := func(name string, f func(a, b float64) float64) *framework.API {
 		return &framework.API{
 			Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-			StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
+			StaticOps: framework.DPOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
 			Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-				a, err := tensorArg(ctx, args, 0)
+				a, err := tensors.Arg(ctx, Name, args, 0)
 				if err != nil {
 					return nil, err
 				}
-				b, err := tensorArg(ctx, args, 1)
+				b, err := tensors.Arg(ctx, Name, args, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -67,11 +67,7 @@ func registerNN(r *framework.Registry) {
 				}
 				ctx.Charge(a.Size()+b.Size(), 1)
 				ctx.EmitMemOp()
-				v, err := fillOut(ctx, a.Shape(), func(i int) float64 { return f(va.At(i), vb.At(i)) })
-				if err != nil {
-					return nil, err
-				}
-				return []framework.Value{v}, nil
+				return tensors.Out(ctx, a.Shape(), func(i int) float64 { return f(va.At(i), vb.At(i)) })
 			},
 		}
 	}
@@ -79,58 +75,20 @@ func registerNN(r *framework.Registry) {
 	r.Register(binop("torch.sub", func(a, b float64) float64 { return a - b }))
 	r.Register(binop("torch.mul", func(a, b float64) float64 { return a * b }))
 
-	r.Register(&framework.API{
-		Name: "torch.matmul", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk, kernel.SysFutex}, Intensity: 8,
-		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			a, err := tensorArg(ctx, args, 0)
-			if err != nil {
-				return nil, err
-			}
-			b, err := tensorArg(ctx, args, 1)
-			if err != nil {
-				return nil, err
-			}
-			sa, sb := a.Shape(), b.Shape()
-			if len(sa) != 2 || len(sb) != 2 || sa[1] != sb[0] {
-				return nil, fmt.Errorf("simtorch: matmul %v x %v", sa, sb)
-			}
-			va, err := a.View()
-			if err != nil {
-				return nil, err
-			}
-			vb, err := b.View()
-			if err != nil {
-				return nil, err
-			}
-			ctx.Charge(a.Size()+b.Size(), float64(sa[1]))
-			ctx.EmitMemOp()
-			k, n := sa[1], sb[1]
-			v, err := fillOut(ctx, []int{sa[0], n}, func(o int) float64 {
-				i, j := o/n, o%n
-				s := 0.0
-				for x := 0; x < k; x++ {
-					s += va.At(i*k+x) * vb.At(x*n+j)
-				}
-				return s
-			})
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
-		},
-	})
+	r.Register(tensors.Matmul(&framework.API{
+		Name: "torch.matmul", Framework: Name, Syscalls: []kernel.Sysno{kernel.SysBrk, kernel.SysFutex}, Intensity: 8,
+	}))
 
 	r.Register(&framework.API{
 		Name: "torch.nn.Conv2d", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk, kernel.SysFutex}, Intensity: 9,
+		StaticOps: framework.DPOps(), Syscalls: []kernel.Sysno{kernel.SysBrk, kernel.SysFutex}, Intensity: 9,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
 			// Conv2d(input HxW, kernel KxK) -> valid convolution.
-			in, err := tensorArg(ctx, args, 0)
+			in, err := tensors.Arg(ctx, Name, args, 0)
 			if err != nil {
 				return nil, err
 			}
-			kr, err := tensorArg(ctx, args, 1)
+			kr, err := tensors.Arg(ctx, Name, args, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +107,7 @@ func registerNN(r *framework.Registry) {
 			ctx.Charge(in.Size(), float64(sk[0]*sk[1]))
 			ctx.EmitMemOp()
 			oh, ow := si[0]-sk[0]+1, si[1]-sk[1]+1
-			v, err := fillOut(ctx, []int{oh, ow}, func(o int) float64 {
+			return tensors.Out(ctx, []int{oh, ow}, func(o int) float64 {
 				y, x := o/ow, o%ow
 				s := 0.0
 				for ky := 0; ky < sk[0]; ky++ {
@@ -159,59 +117,20 @@ func registerNN(r *framework.Registry) {
 				}
 				return s
 			})
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
 		},
 	})
 
 	pool := func(name string, avg bool) *framework.API {
-		return &framework.API{
-			Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-			StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 4,
-			Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-				in, err := tensorArg(ctx, args, 0)
-				if err != nil {
-					return nil, err
-				}
-				si := in.Shape()
-				if len(si) != 2 || si[0] < 2 || si[1] < 2 {
-					return nil, fmt.Errorf("simtorch: %s input %v", name, si)
-				}
-				vi, err := in.View()
-				if err != nil {
-					return nil, err
-				}
-				ctx.Charge(in.Size(), 4)
-				ctx.EmitMemOp()
-				ow := si[1] / 2
-				v, err := fillOut(ctx, []int{si[0] / 2, ow}, func(o int) float64 {
-					y, x := o/ow, o%ow
-					a := vi.At((2*y)*si[1] + 2*x)
-					b := vi.At((2*y)*si[1] + 2*x + 1)
-					c := vi.At((2*y+1)*si[1] + 2*x)
-					d := vi.At((2*y+1)*si[1] + 2*x + 1)
-					if avg {
-						return (a + b + c + d) / 4
-					}
-					return math.Max(math.Max(a, b), math.Max(c, d))
-				})
-				if err != nil {
-					return nil, err
-				}
-				return []framework.Value{v}, nil
-			},
-		}
+		return tensors.Pool(&framework.API{Name: name, Framework: Name, Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 4}, avg)
 	}
 	r.Register(pool("torch.max_pool2d", false))
 	r.Register(pool("torch.avg_pool2d", true))
 
 	r.Register(&framework.API{
 		Name: "torch.softmax", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 2,
+		StaticOps: framework.DPOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 2,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			t, err := tensorArg(ctx, args, 0)
+			t, err := tensors.Arg(ctx, Name, args, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -229,74 +148,23 @@ func registerNN(r *framework.Registry) {
 			for i := range vals.Len() {
 				sum += math.Exp(vals.At(i) - maxV)
 			}
-			v, err := fillOut(ctx, t.Shape(), func(i int) float64 { return math.Exp(vals.At(i)-maxV) / sum })
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
+			return tensors.Out(ctx, t.Shape(), func(i int) float64 { return math.Exp(vals.At(i)-maxV) / sum })
 		},
 	})
 
-	reduce := func(name string, f func(vals object.TensorView) float64) *framework.API {
-		return &framework.API{
-			Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-			StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
-			Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-				t, err := tensorArg(ctx, args, 0)
-				if err != nil {
-					return nil, err
-				}
-				vals, err := t.View()
-				if err != nil {
-					return nil, err
-				}
-				ctx.Charge(t.Size(), 1)
-				ctx.EmitMemOp()
-				return []framework.Value{framework.Float64(f(vals))}, nil
-			},
-		}
+	reduce := func(name string, f func(object.TensorView) framework.Value) *framework.API {
+		return tensors.Reduce(&framework.API{Name: name, Framework: Name, Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1}, f)
 	}
-	r.Register(reduce("torch.mean", func(vals object.TensorView) float64 {
-		return sumOf(vals) / float64(vals.Len())
-	}))
-	r.Register(reduce("torch.sum", sumOf))
-	r.Register(reduce("torch.norm", func(vals object.TensorView) float64 {
-		s := 0.0
-		for i := range vals.Len() {
-			s += vals.At(i) * vals.At(i)
-		}
-		return math.Sqrt(s)
-	}))
-
-	r.Register(&framework.API{
-		Name: "torch.argmax", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
-		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			t, err := tensorArg(ctx, args, 0)
-			if err != nil {
-				return nil, err
-			}
-			vals, err := t.View()
-			if err != nil {
-				return nil, err
-			}
-			ctx.Charge(t.Size(), 1)
-			ctx.EmitMemOp()
-			best := 0
-			for i := range vals.Len() {
-				if vals.At(i) > vals.At(best) {
-					best = i
-				}
-			}
-			return []framework.Value{framework.Int64(int64(best))}, nil
-		},
-	})
+	r.Register(reduce("torch.mean", tensors.Mean))
+	r.Register(reduce("torch.sum", tensors.Sum))
+	r.Register(reduce("torch.norm", tensors.Norm))
+	r.Register(reduce("torch.argmax", tensors.Argmax))
 
 	r.Register(&framework.API{
 		Name: "torch.flatten", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			t, err := tensorArg(ctx, args, 0)
+			t, err := tensors.Arg(ctx, Name, args, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -305,47 +173,19 @@ func registerNN(r *framework.Registry) {
 				return nil, err
 			}
 			ctx.EmitMemOp()
-			v, err := fillOut(ctx, []int{vals.Len()}, vals.At)
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
+			return tensors.Out(ctx, []int{vals.Len()}, vals.At)
 		},
 	})
 
-	r.Register(&framework.API{
-		Name: "torch.reshape", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
-		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			t, err := tensorArg(ctx, args, 0)
-			if err != nil {
-				return nil, err
-			}
-			if len(args) < 3 {
-				return nil, fmt.Errorf("simtorch: reshape needs rows, cols")
-			}
-			rows, cols := int(args[1].Int), int(args[2].Int)
-			if rows*cols != t.Len() {
-				return nil, fmt.Errorf("simtorch: reshape %d elements to %dx%d", t.Len(), rows, cols)
-			}
-			vals, err := t.View()
-			if err != nil {
-				return nil, err
-			}
-			ctx.EmitMemOp()
-			v, err := fillOut(ctx, []int{rows, cols}, vals.At)
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
-		},
-	})
+	r.Register(tensors.Reshape(&framework.API{
+		Name: "torch.reshape", Framework: Name, Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
+	}, "simtorch: reshape needs rows, cols", "simtorch: reshape %d elements to %dx%d"))
 
 	r.Register(&framework.API{
 		Name: "torch.combinations", Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 2,
+		StaticOps: framework.DPOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 2,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			t, err := tensorArg(ctx, args, 0)
+			t, err := tensors.Arg(ctx, Name, args, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -364,7 +204,7 @@ func registerNN(r *framework.Registry) {
 			ctx.EmitMemOp()
 			// Each pair (i, j), i < j, in order: vals[i], then vals[j].
 			i, j := 0, 1
-			v, err := fillOut(ctx, []int{n * (n - 1) / 2, 2}, func(o int) float64 {
+			return tensors.Out(ctx, []int{n * (n - 1) / 2, 2}, func(o int) float64 {
 				if o%2 == 0 {
 					return vals.At(i)
 				}
@@ -375,10 +215,6 @@ func registerNN(r *framework.Registry) {
 				}
 				return x
 			})
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
 		},
 	})
 
@@ -388,7 +224,7 @@ func registerNN(r *framework.Registry) {
 	fwdAPI = &framework.API{
 		Name: "torch.Module.forward", Framework: Name, TrueType: framework.TypeProcessing,
 		Stateful:  true,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk, kernel.SysFutex, kernel.SysClockGettime},
+		StaticOps: framework.DPOps(), Syscalls: []kernel.Sysno{kernel.SysBrk, kernel.SysFutex, kernel.SysClockGettime},
 		Intensity: 16,
 		CVEs:      []string{CVEStegoNet},
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
@@ -409,7 +245,7 @@ func registerNN(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			in, err := tensorArg(ctx, args, 1)
+			in, err := tensors.Arg(ctx, Name, args, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -456,54 +292,16 @@ func registerNN(r *framework.Registry) {
 			if x != nil {
 				xAt = func(i int) float64 { return x[i] }
 			}
-			v, err := fillOut(ctx, []int{nx}, xAt)
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
+			return tensors.Out(ctx, []int{nx}, xAt)
 		},
 	}
 	r.Register(fwdAPI)
 
 	// SGD.step is stateful: it updates the weights tensor in place.
-	r.Register(&framework.API{
-		Name: "torch.optim.SGD.step", Framework: Name, TrueType: framework.TypeProcessing,
-		Stateful: true, SharedState: true,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
-		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			w, err := tensorArg(ctx, args, 0)
-			if err != nil {
-				return nil, err
-			}
-			g, err := tensorArg(ctx, args, 1)
-			if err != nil {
-				return nil, err
-			}
-			if w.Len() != g.Len() {
-				return nil, fmt.Errorf("simtorch: SGD weight/grad mismatch")
-			}
-			lr := 0.01
-			if len(args) > 2 && args[2].Float > 0 {
-				lr = args[2].Float
-			}
-			vw, err := w.View()
-			if err != nil {
-				return nil, err
-			}
-			vg, err := g.View()
-			if err != nil {
-				return nil, err
-			}
-			ctx.Charge(w.Size(), 1)
-			ctx.EmitMemOp()
-			// The view of w keeps the weights as they were while w is
-			// written.
-			if err := w.Fill(func(i int) float64 { return vw.At(i) - lr*vg.At(i) }); err != nil {
-				return nil, err
-			}
-			return []framework.Value{args[0]}, nil
-		},
-	})
+	r.Register(tensors.SGDStep(&framework.API{
+		Name: "torch.optim.SGD.step", Framework: Name, Stateful: true, SharedState: true,
+		Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
+	}, "simtorch: SGD weight/grad mismatch", true))
 }
 
 // registerStoring installs model persistence APIs.
@@ -516,7 +314,7 @@ func registerStoring(r *framework.Registry) {
 			if len(args) < 2 {
 				return nil, fmt.Errorf("simtorch: save needs (tensor, path)")
 			}
-			t, err := tensorArg(ctx, args, 0)
+			t, err := tensors.Arg(ctx, Name, args, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -547,13 +345,4 @@ func registerStoring(r *framework.Registry) {
 			return nil, ctx.FileAppend(args[0].Str+"/events.log", []byte(line))
 		},
 	})
-}
-
-// sumOf adds a view's elements in order.
-func sumOf(v object.TensorView) float64 {
-	s := 0.0
-	for i := range v.Len() {
-		s += v.At(i)
-	}
-	return s
 }

@@ -17,8 +17,8 @@ import (
 	"math"
 
 	"freepart.dev/freepart/internal/framework"
+	"freepart.dev/freepart/internal/framework/tensors"
 	"freepart.dev/freepart/internal/kernel"
-	"freepart.dev/freepart/internal/object"
 )
 
 // Name is the framework identifier.
@@ -125,57 +125,6 @@ func DecodeModel(b []byte) ([][]float64, error) {
 	return layers, nil
 }
 
-// dpOps is the canonical processing flow.
-func dpOps() []framework.Op {
-	return []framework.Op{framework.WriteOp(framework.StorageMem, framework.StorageMem)}
-}
-
-// tensorArg resolves args[i] to a tensor.
-func tensorArg(ctx *framework.Ctx, args []framework.Value, i int) (*object.Tensor, error) {
-	if i >= len(args) {
-		return nil, fmt.Errorf("simtorch: missing tensor argument %d", i)
-	}
-	return ctx.Tensor(args[i])
-}
-
-// fillOut allocates a result tensor of the given shape and encodes each
-// element i as f(i) straight into it (object.Tensor.Fill).
-func fillOut(ctx *framework.Ctx, shape []int, f func(i int) float64) (framework.Value, error) {
-	id, t, err := ctx.NewTensor(shape...)
-	if err != nil {
-		return framework.Nil(), err
-	}
-	if err := t.Fill(f); err != nil {
-		return framework.Nil(), err
-	}
-	return framework.Obj(id), nil
-}
-
-// elementwise builds a DP API applying f to each element of one tensor.
-func elementwise(name string, f func(float64) float64) *framework.API {
-	return &framework.API{
-		Name: name, Framework: Name, TrueType: framework.TypeProcessing,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
-		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			t, err := tensorArg(ctx, args, 0)
-			if err != nil {
-				return nil, err
-			}
-			vals, err := t.View()
-			if err != nil {
-				return nil, err
-			}
-			ctx.Charge(t.Size(), 1)
-			ctx.EmitMemOp()
-			v, err := fillOut(ctx, t.Shape(), func(i int) float64 { return f(vals.At(i)) })
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
-		},
-	}
-}
-
 // Registry builds the simtorch API registry.
 func Registry() *framework.Registry {
 	r := framework.NewRegistry()
@@ -187,78 +136,20 @@ func Registry() *framework.Registry {
 
 // registerLoading installs model/dataset loading APIs.
 func registerLoading(r *framework.Registry) {
-	var loadAPI *framework.API
-	loadAPI = &framework.API{
-		Name: "torch.load", Framework: Name, TrueType: framework.TypeLoading,
-		StaticOps: []framework.Op{framework.WriteOp(framework.StorageMem, framework.StorageFile)},
-		Syscalls:  []kernel.Sysno{kernel.SysOpenat, kernel.SysFstat, kernel.SysRead, kernel.SysClose, kernel.SysBrk, kernel.SysMmap},
-		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			if len(args) < 1 {
-				return nil, fmt.Errorf("simtorch: load needs a path")
-			}
-			raw, err := ctx.FileRead(args[0].Str)
-			if err != nil {
-				return nil, err
-			}
-			if fired, err := ctx.MaybeExploit(loadAPI, raw); fired {
-				return nil, err
-			}
-			// Trojaned models (StegoNet) parse fine; the payload hides in
-			// the weights and detonates at forward() time.
-			if _, err := checkModel(stripTrojan(raw)); err != nil {
-				return nil, err
-			}
-			id, _, err := ctx.NewBlob(raw)
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{framework.Obj(id)}, nil
-		},
-	}
-	r.Register(loadAPI)
+	// Trojaned models (StegoNet) parse fine; the payload hides in the
+	// weights and detonates at forward() time.
+	r.Register(tensors.FileLoader(&framework.API{
+		Name: "torch.load", Framework: Name,
+		Syscalls: []kernel.Sysno{kernel.SysOpenat, kernel.SysFstat, kernel.SysRead, kernel.SysClose, kernel.SysBrk, kernel.SysMmap},
+	}, "simtorch: load needs a path", func(raw []byte) error {
+		_, err := checkModel(stripTrojan(raw))
+		return err
+	}))
 
-	r.Register(&framework.API{
-		Name: "torch.hub.load", Framework: Name, TrueType: framework.TypeLoading,
-		// Downloads over the network, caches to disk, then reads back: the
-		// memory-copy-via-file pattern of §4.2.1. Static analysis sees the
-		// file write+read; the reduction collapses it to a load.
-		StaticOps: []framework.Op{
-			framework.WriteOp(framework.StorageMem, framework.StorageDev),
-			framework.WriteOp(framework.StorageFile, framework.StorageMem),
-			framework.WriteOp(framework.StorageMem, framework.StorageFile),
-		},
+	r.Register(tensors.DownloadLoader(&framework.API{
+		Name: "torch.hub.load", Framework: Name,
 		Syscalls: []kernel.Sysno{kernel.SysSocket, kernel.SysConnect, kernel.SysRecvfrom, kernel.SysOpenat, kernel.SysWrite, kernel.SysRead, kernel.SysClose},
-		FDLabels: map[kernel.Sysno][]string{kernel.SysConnect: {"hub.pytorch.org"}},
-		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			if len(args) < 1 {
-				return nil, fmt.Errorf("simtorch: hub.load needs a model name")
-			}
-			host := "hub.pytorch.org"
-			if err := ctx.K.NetConnect(ctx.P, host); err != nil {
-				return nil, err
-			}
-			data, ok, err := ctx.NetDownload(host)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("simtorch: hub has no model %q queued", args[0].Str)
-			}
-			cache := "/cache/hub/" + args[0].Str
-			if err := ctx.FileWrite(cache, data); err != nil {
-				return nil, err
-			}
-			raw, err := ctx.FileRead(cache)
-			if err != nil {
-				return nil, err
-			}
-			id, _, err := ctx.NewBlob(raw)
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{framework.Obj(id)}, nil
-		},
-	})
+	}, "hub.pytorch.org", "/cache/hub/", "simtorch: hub.load needs a model name", "simtorch: hub has no model %q queued", false))
 
 	r.Register(&framework.API{
 		Name: "torchvision.datasets.MNIST", Framework: Name, TrueType: framework.TypeLoading,
@@ -278,24 +169,20 @@ func registerLoading(r *framework.Registry) {
 				return nil, fmt.Errorf("simtorch: bad mnist file (%d values)", n)
 			}
 			ctx.Charge(len(raw), 1)
-			v, err := fillOut(ctx, []int{n / 64, 64}, func(i int) float64 {
+			return tensors.Out(ctx, []int{n / 64, 64}, func(i int) float64 {
 				return math.Float64frombits(binary.BigEndian.Uint64(raw[i*8:]))
 			})
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
 		},
 	})
 
 	// DataLoader is type-neutral: pure memory batching used right after
 	// dataset loads and right before training steps (§A.6).
-	dl := &framework.API{
+	r.Register(&framework.API{
 		Name: "torch.utils.data.DataLoader", Framework: Name,
 		TrueType: framework.TypeProcessing, Neutral: true,
-		StaticOps: dpOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
+		StaticOps: framework.DPOps(), Syscalls: []kernel.Sysno{kernel.SysBrk}, Intensity: 1,
 		Impl: func(ctx *framework.Ctx, args []framework.Value) ([]framework.Value, error) {
-			t, err := tensorArg(ctx, args, 0)
+			t, err := tensors.Arg(ctx, Name, args, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -316,14 +203,9 @@ func registerLoading(r *framework.Registry) {
 			}
 			ctx.Charge(t.Size(), 1)
 			ctx.EmitMemOp()
-			v, err := fillOut(ctx, []int{batch, sh[1]}, vals.At)
-			if err != nil {
-				return nil, err
-			}
-			return []framework.Value{v}, nil
+			return tensors.Out(ctx, []int{batch, sh[1]}, vals.At)
 		},
-	}
-	r.Register(dl)
+	})
 }
 
 // stripTrojan removes an embedded trigger blob from a model file so the

@@ -109,6 +109,10 @@ type Op struct {
 // WriteOp builds W(dst, R(src)).
 func WriteOp(dst, src Storage) Op { return Op{Dst: dst, Src: src, DstValid: true} }
 
+// DPOps is the data-processing flow W(MEM, R(MEM)), a fresh slice for each
+// API that states it.
+func DPOps() []Op { return []Op{WriteOp(StorageMem, StorageMem)} }
+
 // ReadOp builds a pure R(src).
 func ReadOp(src Storage) Op { return Op{Src: src} }
 
