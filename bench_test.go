@@ -110,11 +110,11 @@ func BenchmarkTable9_TechniqueComparison(b *testing.B) {
 			baseline.CodeAPI, baseline.CodeAPIData, baseline.LibraryEntire,
 			baseline.LibraryPerAPI, baseline.MemoryBased,
 		} {
-			if _, err := baseline.MeasureBaseline(kind, 1, 8, 4); err != nil {
+			if _, err := baseline.MeasureBaseline(kind, 1, 8, 4, baseline.DefaultCell); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if _, err := baseline.MeasureFreePart(true, 1, 8, 4); err != nil {
+		if _, err := baseline.MeasureFreePart(true, 1, 8, 4, baseline.DefaultCell); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func BenchmarkTable12_LDC(b *testing.B) {
 // sample each.
 func BenchmarkFig4_Partitions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.SweepPartitions(4, 8, 1, 1); err != nil {
+		if _, err := baseline.SweepPartitions(4, 8, 1, 1, 24); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,13 +284,14 @@ func skipUnderRace(t *testing.T) {
 // TestDetectionRequestAllocs is the stateful row of the call-path bound:
 // one detection request served through DetectionServer.Serve, one request
 // per call, on two protected shards under the paper policy with the
-// executor's checkpoint log attached. 34 allocations are made; the bound of
-// 34 fails when grayOf copies a one-channel image again, a kernel reads its
-// input through PayloadBytes again or WriteFile copies the body again (35
+// executor's checkpoint log attached. 31 allocations are made; the bound of
+// 31 fails when grayOf copies a one-channel image again, a kernel reads its
+// input through PayloadBytes again or WriteFile copies the body again (32
 // each), or a crossing builds any of its per-call lists again, decodes a
 // ref's header into new memory, or encodes an object's header again on
-// every RefFor and checkpoint, or a checkpoint copies its snapshot again
-// (3 or more per request each).
+// every RefFor and checkpoint, a checkpoint copies its snapshot again, or
+// the checkpoint log allocates a node per append again (3 or more per
+// request each: a request appends 3 checkpoints).
 func TestDetectionRequestAllocs(t *testing.T) {
 	skipUnderRace(t)
 	reg := all.Registry()
@@ -319,8 +320,8 @@ func TestDetectionRequestAllocs(t *testing.T) {
 		t.Fatal("no checkpoint was written through to the log")
 	}
 	t.Logf("%.0f allocs per detection request", allocs)
-	if allocs > 34 {
-		t.Fatalf("one protected detection request made %.0f allocs, want <= 34", allocs)
+	if allocs > 31 {
+		t.Fatalf("one protected detection request made %.0f allocs, want <= 31", allocs)
 	}
 }
 
@@ -329,13 +330,15 @@ func TestDetectionRequestAllocs(t *testing.T) {
 // shards under the paper policy, each step one stateful
 // cv.KalmanFilter.correct call whose state is checkpointed through the
 // executor's log. The ramp's own set-up (sessions, state tensors) is
-// amortized over its 200 waves. About 30.6 allocations are made per wave,
-// one step per stream; the bound of 31 fails when a crossing allocates
+// amortized over its 200 waves. About 26.6 allocations are made per wave,
+// one step per stream; the bound of 27 fails when a crossing allocates
 // anything per call again (4 or more per wave each): the request bytes, the
 // API name as a new string, any of the per-call lists, a ref's header
 // decoded into new memory, the header a checkpoint or a RefFor encodes, a
-// second copy of a checkpoint, or a reply copied on its way back. Its state
-// objects are less than a page, so the shared slabs do not reach this path.
+// second copy of a checkpoint, or a reply copied on its way back. It also
+// fails when the checkpoint log allocates a node per append again (4 per
+// wave: each step appends one checkpoint). Its state objects are less than
+// a page, so the shared slabs do not reach this path.
 func TestTrackingWaveAllocs(t *testing.T) {
 	skipUnderRace(t)
 	reg := all.Registry()
@@ -365,8 +368,8 @@ func TestTrackingWaveAllocs(t *testing.T) {
 	}
 	allocs := perRamp / waves
 	t.Logf("%.1f allocs per tracking wave", allocs)
-	if allocs > 31 {
-		t.Fatalf("one protected tracking wave made %.1f allocs, want <= 31", allocs)
+	if allocs > 27 {
+		t.Fatalf("one protected tracking wave made %.1f allocs, want <= 27", allocs)
 	}
 }
 
@@ -607,7 +610,7 @@ func BenchmarkA14_SubPartitioning(b *testing.B) {
 	cat := analysis.New(reg, nil).Categorize()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.MeasurePartitioned(5, baseline.SplitHotPairPartitionOf(cat), 1, 8, 4); err != nil {
+		if _, err := baseline.MeasurePartitioned(5, baseline.SplitHotPairPartitionOf(cat), 1, 8, 4, baseline.DefaultCell); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,13 +8,9 @@ import (
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/simcv"
-	"freepart.dev/freepart/internal/object"
 	"freepart.dev/freepart/internal/vclock"
 	"freepart.dev/freepart/internal/workload"
 )
-
-// detectionModelKey names the shared classifier in the executor's store.
-const detectionModelKey = "simcv/cascade-classifier"
 
 // DetectionRequest is one user's image submission to the detection service
 // (the long-running server of §4.4.2 / §5.3, generalized to many
@@ -70,18 +66,20 @@ type DetectionResult struct {
 }
 
 // DetectionServer is the session-sharded detection service: one classifier
-// model interned once in the executor's read-only store and loaded on every
-// shard, with requests fanned out across shards through sessions.
+// file built once and loaded on every shard, with requests fanned out
+// across shards through sessions.
 type DetectionServer struct {
 	// Ex is the serving pool.
 	Ex *core.Executor
 
 	mu     sync.Mutex
 	models map[int]core.Handle // per-shard loaded model, keyed by slot id
-	im     *object.Immutable
+	// classifier is the model file every shard loads. FS.WriteFile keeps
+	// the buffer it is given, so every shard reads these same bytes.
+	classifier []byte
 }
 
-// loadModel writes the interned classifier into sh's filesystem and loads
+// loadModel writes the classifier into sh's filesystem and loads
 // it, recording the resulting per-shard handle. The model belongs to the
 // shard, not to a session: a load from inside a session's job (the defense
 // drill reprovisions a shard in place) runs outside that session's scope,
@@ -91,7 +89,7 @@ func (srv *DetectionServer) loadModel(sh *core.Shard) error {
 		defer sh.Rt.SetSessionScope(sh.Rt.SessionScope())
 		sh.Rt.SetSessionScope(-1)
 	}
-	sh.K.FS.WriteFile("/srv/model.xml", srv.im.Bytes())
+	sh.K.FS.WriteFile("/srv/model.xml", srv.classifier)
 	h, _, err := sh.Ex.Call("cv.CascadeClassifier", framework.Str("/srv/model.xml"))
 	if err != nil {
 		return fmt.Errorf("apps: shard %d model load: %w", sh.ID, err)
@@ -105,7 +103,7 @@ func (srv *DetectionServer) loadModel(sh *core.Shard) error {
 	return nil
 }
 
-// Reload provisions one shard with the interned classifier — the same
+// Reload provisions one shard with the classifier — the same
 // hook body ProvisionDetection installs as OnReplace. Exported so callers
 // composing their own replacement chain (the defense drill re-arms its
 // sensors on every replacement shard, then still needs the model loaded)
@@ -120,20 +118,14 @@ func (srv *DetectionServer) model(id int) core.Handle {
 }
 
 // ProvisionDetection builds the service on an executor: the classifier
-// bytes are built exactly once and shared across shards through the
-// store, then each shard loads the model into its own runtime. The same
+// bytes are built once, written into every shard's filesystem without a
+// copy, and each shard loads the model into its own runtime. The same
 // load runs again on every replacement shard and on every shard the
 // control plane grows into the pool (via the executor's OnReplace hook),
 // so a failed-over or newly scaled shard serves with its model in place
 // before its first request.
 func ProvisionDetection(ex *core.Executor) (*DetectionServer, error) {
-	im, err := ex.Store().Intern(detectionModelKey, object.KindBlob, func() ([]byte, error) {
-		return simcv.EncodeClassifier(150, 4), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv := &DetectionServer{Ex: ex, models: make(map[int]core.Handle), im: im}
+	srv := &DetectionServer{Ex: ex, models: make(map[int]core.Handle), classifier: simcv.EncodeClassifier(150, 4)}
 	for i := 0; i < ex.Shards(); i++ {
 		if err := srv.loadModel(ex.Shard(i)); err != nil {
 			return nil, err

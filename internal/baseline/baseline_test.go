@@ -201,17 +201,17 @@ func TestTable9Shape(t *testing.T) {
 		baseline.CodeAPI, baseline.CodeAPIData, baseline.LibraryEntire,
 		baseline.LibraryPerAPI, baseline.MemoryBased,
 	} {
-		p, err := baseline.MeasureBaseline(kind, sheets, q, o)
+		p, err := baseline.MeasureBaseline(kind, sheets, q, o, baseline.DefaultCell)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		perf[kind.String()] = p
 	}
-	fp, err := baseline.MeasureFreePart(true, sheets, q, o)
+	fp, err := baseline.MeasureFreePart(true, sheets, q, o, baseline.DefaultCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := baseline.MeasureUnprotected(sheets, q, o)
+	base, err := baseline.MeasureUnprotected(sheets, q, o, baseline.DefaultCell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,14 +247,11 @@ func TestOverheadShrinksWithInputSize(t *testing.T) {
 	// inputs grow: overhead at large cells must be well below tiny cells
 	// and land in the single digits.
 	measure := func(cell int) float64 {
-		old := baseline.Cell
-		baseline.Cell = cell
-		defer func() { baseline.Cell = old }()
-		fp, err := baseline.MeasureFreePart(true, 1, 8, 4)
+		fp, err := baseline.MeasureFreePart(true, 1, 8, 4, cell)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := baseline.MeasureUnprotected(1, 8, 4)
+		base, err := baseline.MeasureUnprotected(1, 8, 4, cell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,11 +268,11 @@ func TestOverheadShrinksWithInputSize(t *testing.T) {
 }
 
 func TestLDCAblationShape(t *testing.T) {
-	with, err := baseline.MeasureFreePart(true, 2, 8, 4)
+	with, err := baseline.MeasureFreePart(true, 2, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := baseline.MeasureFreePart(false, 2, 8, 4)
+	without, err := baseline.MeasureFreePart(false, 2, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +288,11 @@ func TestPartitionSweepShape(t *testing.T) {
 	// Fig. 4: 4 type-based partitions beat random 5-partition splits that
 	// tear the hot pair apart.
 	cat := analysis.New(all.Registry(), nil).Categorize()
-	p4, err := baseline.MeasurePartitioned(4, baseline.TypePartitionOf(cat), 2, 8, 4)
+	p4, err := baseline.MeasurePartitioned(4, baseline.TypePartitionOf(cat), 2, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p5, err := baseline.MeasurePartitioned(5, baseline.SplitHotPairPartitionOf(cat), 2, 8, 4)
+	p5, err := baseline.MeasurePartitioned(5, baseline.SplitHotPairPartitionOf(cat), 2, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
-	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 	"freepart.dev/freepart/internal/workload"
 )
@@ -321,16 +320,14 @@ func omrWorkload(k *kernel.Kernel, ex core.Caller, readTemplate func(off, n int)
 	return nil
 }
 
-// DefaultCell sizes OMR bubbles; experiments raise it via MeasureOpts to
+// DefaultCell sizes OMR bubbles. Each Measure* helper takes the bubble
+// size, so an experiment can run the same harness on larger images, which
 // make the workload compute-dominated like the paper's 1.7 MB inputs.
 const DefaultCell = 6
 
-// Cell is the bubble size used by the Measure* helpers (package-level so
-// experiments can run the same harness at realistic image sizes).
-var Cell = DefaultCell
-
-// MeasureBaseline runs the OMR workload on one baseline technique.
-func MeasureBaseline(kind Kind, sheets, questions, options int) (Perf, error) {
+// MeasureBaseline runs the OMR workload on one baseline technique, with
+// bubbles of cell pixels.
+func MeasureBaseline(kind Kind, sheets, questions, options, cell int) (Perf, error) {
 	k := kernel.New()
 	reg := all.Registry()
 	s, err := New(kind, k, reg, OMRAPIs())
@@ -346,7 +343,7 @@ func MeasureBaseline(kind Kind, sheets, questions, options int) (Perf, error) {
 	start := k.Clock.Now()
 	err = omrWorkload(k, s, func(off, n int) ([]byte, error) {
 		return s.ReadCritical("template", off, n)
-	}, sheets, questions, options, Cell)
+	}, sheets, questions, options, cell)
 	if err != nil {
 		return Perf{}, err
 	}
@@ -356,7 +353,7 @@ func MeasureBaseline(kind Kind, sheets, questions, options int) (Perf, error) {
 
 // MeasureFreePart runs the OMR workload under the FreePart runtime,
 // optionally without lazy data copy (the §5.2 ablation).
-func MeasureFreePart(ldc bool, sheets, questions, options int) (Perf, error) {
+func MeasureFreePart(ldc bool, sheets, questions, options, cell int) (Perf, error) {
 	k := kernel.New()
 	reg := all.Registry()
 	cat := analysis.New(reg, nil).Categorize()
@@ -378,7 +375,7 @@ func MeasureFreePart(ldc bool, sheets, questions, options int) (Perf, error) {
 	err = omrWorkload(k, rt, func(off, n int) ([]byte, error) {
 		// Host-resident template: a plain local read.
 		return rt.Host.Space().Load(tmpl.Base+mem.Addr(off), n)
-	}, sheets, questions, options, Cell)
+	}, sheets, questions, options, cell)
 	if err != nil {
 		return Perf{}, err
 	}
@@ -392,7 +389,7 @@ func MeasureFreePart(ldc bool, sheets, questions, options int) (Perf, error) {
 
 // MeasureUnprotected runs the workload with no isolation at all (the
 // normalization baseline of Fig. 13 / Table 9's memory-based row timing).
-func MeasureUnprotected(sheets, questions, options int) (Perf, error) {
+func MeasureUnprotected(sheets, questions, options, cell int) (Perf, error) {
 	k := kernel.New()
 	d := core.NewDirect(k, all.Registry())
 	size := questions * options * 2
@@ -403,7 +400,7 @@ func MeasureUnprotected(sheets, questions, options int) (Perf, error) {
 	start := k.Clock.Now()
 	err = omrWorkload(k, d, func(off, n int) ([]byte, error) {
 		return d.Proc.Space().Load(tmpl.Base+mem.Addr(off), n)
-	}, sheets, questions, options, Cell)
+	}, sheets, questions, options, cell)
 	if err != nil {
 		return Perf{}, err
 	}
@@ -411,11 +408,8 @@ func MeasureUnprotected(sheets, questions, options int) (Perf, error) {
 	return Perf{Technique: "Unprotected", IPCs: snap.IPCCalls, Bytes: snap.BytesMoved, Time: k.Clock.Now() - start}, nil
 }
 
-// ensure metrics import is used even if future edits drop other uses.
-var _ = metrics.New
-
 // RunOMRWorkload exposes the OMR measurement workload for external
 // harnesses (ablation studies, benches).
-func RunOMRWorkload(k *kernel.Kernel, ex core.Caller, readTemplate func(off, n int) ([]byte, error), sheets, questions, options int) error {
-	return omrWorkload(k, ex, readTemplate, sheets, questions, options, Cell)
+func RunOMRWorkload(k *kernel.Kernel, ex core.Caller, readTemplate func(off, n int) ([]byte, error), sheets, questions, options, cell int) error {
+	return omrWorkload(k, ex, readTemplate, sheets, questions, options, cell)
 }

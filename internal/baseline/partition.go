@@ -115,8 +115,8 @@ func annotateWorkload(k *kernel.Kernel, ex core.Caller, sheets, questions, optio
 }
 
 // MeasurePartitioned runs the annotation workload under a custom K-way
-// partitioning and returns its virtual time.
-func MeasurePartitioned(partitions int, partitionOf func(*framework.API) int, sheets, questions, options int) (Perf, error) {
+// partitioning, with bubbles of cell pixels, and returns its virtual time.
+func MeasurePartitioned(partitions int, partitionOf func(*framework.API) int, sheets, questions, options, cell int) (Perf, error) {
 	k := kernel.New()
 	reg := all.Registry()
 	cat := analysis.New(reg, nil).Categorize()
@@ -130,7 +130,7 @@ func MeasurePartitioned(partitions int, partitionOf func(*framework.API) int, sh
 	}
 	defer rt.Close()
 	start := k.Clock.Now()
-	if err := annotateWorkload(k, rt, sheets, questions, options, Cell); err != nil {
+	if err := annotateWorkload(k, rt, sheets, questions, options, cell); err != nil {
 		return Perf{}, err
 	}
 	snap := rt.Metrics.Snapshot()
@@ -143,13 +143,9 @@ func MeasurePartitioned(partitions int, partitionOf func(*framework.API) int, sh
 
 // SweepPartitions measures average runtime for each partition count in
 // [from, to], sampling `samples` random assignments per count (the Fig. 4
-// experiment, subsampled like the paper's 7,750-per-K runs).
-func SweepPartitions(from, to, samples, sheets int) (map[int]float64, error) {
-	// Larger bubbles make the hot-pair data sharing substantial, as in the
-	// paper's workload; restore the ambient cell afterwards.
-	old := Cell
-	Cell = 24
-	defer func() { Cell = old }()
+// experiment, subsampled like the paper's 7,750-per-K runs), with bubbles
+// of cell pixels.
+func SweepPartitions(from, to, samples, sheets, cell int) (map[int]float64, error) {
 	out := make(map[int]float64, to-from+1)
 	apiNames := OMRAPIs()
 	cat := analysis.New(all.Registry(), nil).Categorize()
@@ -157,7 +153,7 @@ func SweepPartitions(from, to, samples, sheets int) (map[int]float64, error) {
 		if n == 4 {
 			// K=4 is FreePart's type-based partitioning — the fixed point
 			// the random finer-grained splits are compared against.
-			p, err := MeasurePartitioned(4, TypePartitionOf(cat), sheets, 8, 4)
+			p, err := MeasurePartitioned(4, TypePartitionOf(cat), sheets, 8, 4, cell)
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +163,7 @@ func SweepPartitions(from, to, samples, sheets int) (map[int]float64, error) {
 		var total float64
 		runs := 0
 		for s := 0; s < samples; s++ {
-			p, err := MeasurePartitioned(n, RandomPartitionOf(apiNames, n, int64(n*1000+s)), sheets, 8, 4)
+			p, err := MeasurePartitioned(n, RandomPartitionOf(apiNames, n, int64(n*1000+s)), sheets, 8, 4, cell)
 			if err != nil {
 				return nil, err
 			}

@@ -307,7 +307,7 @@ func campaign(t *testing.T, planOf func(id, gen int) chaos.Plan) run {
 		return cfg
 	}
 	ex := executor(t, 4, core.DynamicShards(reg, cat, cfgOf, planOf))
-	ctl = defense.New(ex, defense.Params{Floor: floor, CleanWindow: vclock.Duration(10 * time.Microsecond)})
+	ctl = defense.New(ex)
 	ex.SetAdmissionGate(ctl.Gate())
 	srv := provisionDetection(t, ex)
 	alog := &attack.Log{}

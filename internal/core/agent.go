@@ -358,12 +358,11 @@ func (rt *Runtime) checkpointObjects(a *agent, ctx *framework.Ctx, api *framewor
 		rt.Metrics.Update(func(m *metrics.Snapshot) { m.Checkpoints++ })
 		rt.K.Clock.Advance(rt.K.Cost.CheckpointCost(len(payload)))
 		if log != nil && session >= 0 && api.Stateful {
-			key := object.CheckpointKey{
-				Session: session,
-				Type:    uint8(rt.Cat.TypeOf(api.Name)),
-				Slot:    object.Slot(uint32(a.process().PID()), a.canonOf(v.Obj)),
-			}
-			log.AppendOwned(key, cp.kind, cp.header, cp.payload)
+			log.AppendOwned(object.Checkpoint{
+				Key:  object.CheckpointKey{Session: session, Slot: object.Slot(uint32(a.process().PID()), a.canonOf(v.Obj))},
+				Type: uint8(rt.Cat.TypeOf(api.Name)),
+				Kind: cp.kind, Header: cp.header, Payload: cp.payload,
+			})
 		}
 	}
 	for _, v := range args {

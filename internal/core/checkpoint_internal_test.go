@@ -16,8 +16,8 @@ func sameBytes(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &
 // object that nobody wrote in between hand the restart map and the portable
 // log the same payload slice, the one the object's mapping keeps, and both
 // still charge CheckpointCost on the full length. A Store between two
-// checkpoints gives a fresh slice, and the earlier version keeps its bytes.
-// A restart restores the object from the shared slice.
+// checkpoints gives a fresh slice, and the earlier snapshot keeps its
+// bytes. A restart restores the object from the shared slice.
 func TestCheckpointSharesUnchangedSnapshot(t *testing.T) {
 	rt, _ := lifetimeRuntime(t, Default())
 	log := object.NewCheckpointLog()
@@ -34,33 +34,33 @@ func TestCheckpointSharesUnchangedSnapshot(t *testing.T) {
 
 	// checkpoint runs one checkpoint of the blob and returns the restart
 	// map's payload, requiring the full-length charge and one more log
-	// version of the full length.
+	// append, which leaves the log at one key of the full length.
 	checkpoint := func(step string) []byte {
 		t.Helper()
-		before, appends, logBytes := rt.K.Clock.Now(), log.Stats().Appends, log.Stats().Bytes
+		before, appends := rt.K.Clock.Now(), log.Stats().Appends
 		rt.checkpointObjects(a, a.ctx, api, args, nil)
 		if got, want := rt.K.Clock.Now()-before, rt.K.Cost.CheckpointCost(len(state)); got != want {
 			t.Fatalf("%s: checkpoint charged %v, want CheckpointCost(%d) = %v", step, got, len(state), want)
 		}
 		st := log.Stats()
-		if st.Appends != appends+1 || st.Bytes != logBytes+uint64(len(state)) {
-			t.Fatalf("%s: log at %d appends and %d bytes, want %d and %d", step, st.Appends, st.Bytes, appends+1, logBytes+uint64(len(state)))
+		if st.Appends != appends+1 || st.Keys != 1 || st.Bytes != uint64(len(state)) {
+			t.Fatalf("%s: log at %d appends, %d keys and %d bytes, want %d, 1 and %d", step, st.Appends, st.Keys, st.Bytes, appends+1, len(state))
 		}
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		return a.checkpoints[id].payload
 	}
-	// logShares reports whether the log's latest version is p itself: a byte
+	// logShares reports whether the log's checkpoint is p itself: a byte
 	// flipped in p shows through the log's copy-out.
 	logShares := func(p []byte) bool {
 		t.Helper()
 		p[0] ^= 0xff
 		defer func() { p[0] ^= 0xff }()
-		cps := log.Session(1)
-		if len(cps) != 1 {
-			t.Fatalf("log holds %d keys for the session, want 1", len(cps))
+		cp, ok := log.LatestSlot(1, object.Slot(uint32(a.process().PID()), a.canonOf(id)))
+		if !ok {
+			t.Fatal("the log holds no checkpoint for the blob")
 		}
-		return bytes.Equal(cps[0].Payload, p)
+		return bytes.Equal(cp.Payload, p)
 	}
 
 	first := checkpoint("first")

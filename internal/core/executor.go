@@ -255,18 +255,16 @@ type HealthPolicy struct {
 // Executor is the concurrent serving layer: a bounded worker pool over n
 // runtime shards. Sessions are assigned to shards round-robin; at most n
 // pipeline invocations run concurrently (one per shard worker), and
-// invocations pinned to the same shard serialize on it. Immutable
-// artifacts are shared across shards through the executor's read-only
-// object store, and stateful-API state is written through to a portable
-// checkpoint log so sessions survive the loss of their shard: a failed
-// shard is drained, its sessions migrate to a replacement with their
-// checkpointed state materialized there, and serving continues.
+// invocations pinned to the same shard serialize on it. Stateful-API
+// state is written through to a portable checkpoint log so sessions
+// survive the loss of their shard: a failed shard is drained, its sessions
+// migrate to a replacement with their checkpointed state materialized
+// there, and serving continues.
 //
 // With n = 1 and no faults the executor degenerates to the synchronous
 // path: one shard, one worker, every invocation in submission order —
 // byte-identical outputs to calling the runtime directly.
 type Executor struct {
-	store   *object.Store
 	ckpt    *object.CheckpointLog
 	factory ShardFactory
 	sem     *workerSem
@@ -369,7 +367,6 @@ func NewExecutor(n int, factory ShardFactory) (*Executor, error) {
 		return nil, fmt.Errorf("core: executor needs n > 0 shards")
 	}
 	e := &Executor{
-		store:    object.NewStore(),
 		ckpt:     object.NewCheckpointLog(),
 		factory:  factory,
 		sem:      newWorkerSem(n),
@@ -429,9 +426,6 @@ func (e *Executor) Incarnations(id int) []*Shard {
 	}
 	return out
 }
-
-// Store returns the executor's shared read-only object store.
-func (e *Executor) Store() *object.Store { return e.store }
 
 // CheckpointLog returns the portable checkpoint log shared by all shards.
 func (e *Executor) CheckpointLog() *object.CheckpointLog { return e.ckpt }

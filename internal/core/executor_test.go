@@ -203,8 +203,9 @@ func TestExecutorBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestExecutorSharedStoreBuildsOnce checks the copy-on-write sharing: four
-// shards serve from one interned model build.
+// TestExecutorSharedStoreBuildsOnce checks the shared model file: the four
+// shards' /srv/model.xml are one backing array, built once (FS.ReadFile
+// hands out a file's own bytes).
 func TestExecutorSharedStoreBuildsOnce(t *testing.T) {
 	reg := all.Registry()
 	ex, err := core.NewExecutor(4, core.DirectShards(reg))
@@ -216,9 +217,17 @@ func TestExecutorSharedStoreBuildsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ex.Store().Stats()
-	if st.Builds != 1 {
-		t.Fatalf("model built %d times for 4 shards, want 1", st.Builds)
+	var first []byte
+	for i := 0; i < ex.Shards(); i++ {
+		model, err := ex.Shard(i).K.FS.ReadFile("/srv/model.xml")
+		if err != nil || len(model) == 0 {
+			t.Fatalf("shard %d has no model file (err %v)", i, err)
+		}
+		if i == 0 {
+			first = model
+		} else if &model[0] != &first[0] {
+			t.Fatalf("shard %d reads its own copy of the model, not the shared one", i)
+		}
 	}
 	reqs := apps.GenDetectionRequests(3, 12)
 	results := srv.Serve(reqs)

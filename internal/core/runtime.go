@@ -668,7 +668,7 @@ func (rt *Runtime) adoptTarget(cp object.Checkpoint) (*agent, error) {
 	if a, _ := rt.endpoint(uint32(cp.Key.Slot >> 32)); a != nil {
 		return a, nil
 	}
-	t := framework.APIType(cp.Key.Type)
+	t := framework.APIType(cp.Type)
 	for _, a := range rt.byID {
 		if a.types[t] {
 			return a, nil
@@ -735,14 +735,10 @@ func (rt *Runtime) adopt(a *agent, session int, cp object.Checkpoint) (Handle, e
 	rt.mu.Unlock()
 
 	if log != nil {
-		key := object.CheckpointKey{
-			Session: session,
-			Type:    cp.Key.Type,
-			Slot:    object.Slot(uint32(ctx.P.PID()), id),
-		}
-		// cp is the caller's copy of the adopted version, now shared with
-		// the restart map above; neither writes to it.
-		log.AppendOwned(key, cp.Kind, cp.Header, cp.Payload)
+		// cp is the caller's copy of the adopted checkpoint, now shared
+		// with the restart map above; neither writes to it.
+		cp.Key = object.CheckpointKey{Session: session, Slot: object.Slot(uint32(ctx.P.PID()), id)}
+		log.AppendOwned(cp)
 	}
 	return Handle{ref: ref}, nil
 }

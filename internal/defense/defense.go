@@ -16,7 +16,7 @@
 //   - arm a per-vulnerability-class signature blocklist so repeat attacks
 //     of a sighted class are rejected at the front door (Screen,
 //     core.ErrAttackBlocked) without reaching a partition;
-//   - anneal escalated types back toward the configured floor after a
+//   - anneal escalated types back toward the floor (erim) after a
 //     clean window, with hysteresis (the clean window doubles on each
 //     re-escalation) so a flapping attacker cannot oscillate the policy.
 //
@@ -48,18 +48,13 @@ import (
 	"freepart.dev/freepart/internal/vclock"
 )
 
-// Params tunes the control loop. The zero value gets workable defaults
-// from New.
-type Params struct {
-	// Floor is the steady-state policy the controller starts at and
-	// anneals back to — the cheap end of the frontier the deployment pays
-	// when nobody is attacking. Nil defaults to isolation.ERIM().
-	Floor *isolation.Policy
-	// CleanWindow is how much sighting-free virtual time an escalated API
-	// type must accumulate before one anneal step down, and how long a
-	// quarantined tenant stays gated before release. Defaults to 2ms.
-	CleanWindow vclock.Duration
-}
+// cleanWindow is how much sighting-free virtual time an escalated API type
+// must accumulate before one anneal step down, and how long a quarantined
+// tenant stays gated before release. It is tiny on purpose: barriers only
+// run between serving waves, and each wave is hundreds of microseconds of
+// virtual work, so a clean wave is always a full clean window and the
+// anneal arc completes inside one campaign.
+const cleanWindow = vclock.Duration(10 * time.Microsecond)
 
 // hysteresisFactor multiplies a type's clean window on each re-escalation
 // after its first, so an attacker alternating attack and silence pays an
@@ -119,7 +114,10 @@ type Stats struct {
 // at Tick, called from serving-wave barriers with no admissions racing.
 type Controller struct {
 	ex *core.Executor
-	p  Params
+	// floor is the steady-state policy the controller starts at and anneals
+	// back to: erim, the cheap end of the frontier the deployment pays when
+	// nobody is attacking.
+	floor *isolation.Policy
 
 	mu        sync.Mutex
 	tick      int
@@ -139,17 +137,12 @@ type Controller struct {
 // tests that drive the lattice without a pool; Tick then re-binds
 // nothing). The current policy starts at the floor under the name
 // "adaptive".
-func New(ex *core.Executor, p Params) *Controller {
-	if p.Floor == nil {
-		p.Floor = isolation.ERIM()
-	}
-	if p.CleanWindow <= 0 {
-		p.CleanWindow = vclock.Duration(2 * time.Millisecond)
-	}
-	cur := p.Floor.Clone()
+func New(ex *core.Executor) *Controller {
+	floor := isolation.ERIM()
+	cur := floor.Clone()
 	cur.Name = "adaptive"
 	return &Controller{
-		ex: ex, p: p, cur: cur,
+		ex: ex, floor: floor, cur: cur,
 		seq:       make(map[int]int),
 		blocklist: make(map[attack.VulnClass]bool),
 		types:     make(map[framework.APIType]*typeState),
@@ -166,8 +159,8 @@ func (c *Controller) Policy() *isolation.Policy {
 	return c.cur.Clone()
 }
 
-// Floor returns the configured steady-state policy.
-func (c *Controller) Floor() *isolation.Policy { return c.p.Floor.Clone() }
+// Floor returns the steady-state policy.
+func (c *Controller) Floor() *isolation.Policy { return c.floor.Clone() }
 
 // Arm installs the controller's sensors on one shard: the exploit sensor
 // wrapping inner (the attack layer's payload handler — nil falls back to
@@ -297,7 +290,7 @@ func (c *Controller) Gate() core.AdmissionGate {
 func (c *Controller) typeStateLocked(t framework.APIType) *typeState {
 	ts := c.types[t]
 	if ts == nil {
-		ts = &typeState{window: c.p.CleanWindow}
+		ts = &typeState{window: cleanWindow}
 		c.types[t] = ts
 	}
 	return ts
@@ -388,7 +381,7 @@ func (c *Controller) Tick(now vclock.Duration) {
 	// toward the floor. One step per window — a type two tiers up takes
 	// two clean windows to come all the way home.
 	for _, t := range framework.ConcreteTypes() {
-		cur, floor := c.cur.TierOf(t), c.p.Floor.TierOf(t)
+		cur, floor := c.cur.TierOf(t), c.floor.TierOf(t)
 		if cur <= floor {
 			continue
 		}
@@ -415,7 +408,7 @@ func (c *Controller) Tick(now vclock.Duration) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		q := c.quar[id]
-		if now-q.since >= c.p.CleanWindow {
+		if now-q.since >= cleanWindow {
 			delete(c.quar, id)
 			c.stats.Releases++
 			c.record(tick, now, "release", fmt.Sprintf("tenant %d after %v quarantined", id, now-q.since))

@@ -4,21 +4,19 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"freepart.dev/freepart/internal/attack"
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/isolation"
-	"freepart.dev/freepart/internal/vclock"
 )
 
-const cleanW = vclock.Duration(100 * time.Microsecond)
+const cleanW = cleanWindow
 
 // lattice builds a pool-less controller (nil executor: Tick re-binds
-// nothing) with a 100µs clean window over the erim floor.
+// nothing) over the erim floor.
 func lattice() *Controller {
-	return New(nil, Params{Floor: isolation.ERIM(), CleanWindow: cleanW})
+	return New(nil)
 }
 
 // dosSighting is a DoS sighting on the loading type — the class whose
@@ -33,12 +31,9 @@ func dosSighting(tenant int) sighting {
 }
 
 func TestDefaults(t *testing.T) {
-	c := New(nil, Params{})
+	c := New(nil)
 	if !c.Policy().Equal(isolation.ERIM()) {
 		t.Fatal("default floor must be erim")
-	}
-	if c.p.CleanWindow <= 0 {
-		t.Fatalf("defaulted clean window %v, want > 0", c.p.CleanWindow)
 	}
 	if c.Policy().Name != "adaptive" {
 		t.Fatalf("adaptive policy named %q", c.Policy().Name)
@@ -137,7 +132,7 @@ func TestAnnealAndHysteresis(t *testing.T) {
 }
 
 func TestQuarantineAndRelease(t *testing.T) {
-	c := New(nil, Params{Floor: isolation.ERIM(), CleanWindow: cleanW})
+	c := lattice()
 	gate := c.Gate()
 	if err := gate(42, 0); err != nil {
 		t.Fatalf("gate before sighting = %v, want admit", err)

@@ -3,7 +3,6 @@ package report
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"freepart.dev/freepart/internal/apps"
 	"freepart.dev/freepart/internal/attack"
@@ -103,17 +102,6 @@ const (
 	defenseOffender = 101
 	defenseAttacker = 102
 )
-
-// defenseParams tunes the drill's control loop. The windows are tiny on
-// purpose: barriers only run between serving waves, and each wave is
-// hundreds of microseconds of virtual work, so a clean wave is always a
-// full clean window and the anneal arc completes inside one campaign.
-func defenseParams() defense.Params {
-	return defense.Params{
-		Floor:       isolation.ERIM(),
-		CleanWindow: vclock.Duration(10 * time.Microsecond),
-	}
-}
 
 // probeCVEs picks the campaign's probe wave: the first evaluation CVE of
 // each vulnerability class, except that the DoS probe prefers the imshow
@@ -248,7 +236,7 @@ func runDefenseCampaign(shards, requests int, pol *isolation.Policy, adaptive bo
 	}
 	defer ex.Close()
 	if adaptive {
-		ctl = defense.New(ex, defenseParams())
+		ctl = defense.New(ex)
 		ex.SetAdmissionGate(ctl.Gate())
 	}
 

@@ -20,7 +20,9 @@ import (
 // random assignments (the paper's 7,750-per-K subsample, scaled down via
 // the samples argument).
 func Fig4(from, to, samples, sheets int) (string, error) {
-	times, err := baseline.SweepPartitions(from, to, samples, sheets)
+	// Larger bubbles make the hot-pair data sharing substantial, as in the
+	// paper's workload.
+	times, err := baseline.SweepPartitions(from, to, samples, sheets, 24)
 	if err != nil {
 		return "", err
 	}
@@ -228,7 +230,7 @@ func SecurityMatrix() (string, error) {
 // pays heavy cross-partition copies.
 func A14(samples, sheets int) (string, error) {
 	_, cat := hybridCat()
-	base, err := baseline.MeasurePartitioned(4, baseline.TypePartitionOf(cat), sheets, 8, 4)
+	base, err := baseline.MeasurePartitioned(4, baseline.TypePartitionOf(cat), sheets, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		return "", err
 	}
@@ -238,7 +240,7 @@ func A14(samples, sheets int) (string, error) {
 	for k := 5; k <= 8; k++ {
 		for s := 0; s < samples; s++ {
 			p, err := baseline.MeasurePartitioned(k,
-				baseline.RandomPartitionOf(baseline.OMRAPIs(), k, int64(k*777+s)), sheets, 8, 4)
+				baseline.RandomPartitionOf(baseline.OMRAPIs(), k, int64(k*777+s)), sheets, 8, 4, baseline.DefaultCell)
 			if err != nil {
 				return "", err
 			}
@@ -251,7 +253,7 @@ func A14(samples, sheets int) (string, error) {
 		}
 	}
 	// The adversarial split that motivates the paper's 16x worst case.
-	adv, err := baseline.MeasurePartitioned(5, baseline.SplitHotPairPartitionOf(cat), sheets, 8, 4)
+	adv, err := baseline.MeasurePartitioned(5, baseline.SplitHotPairPartitionOf(cat), sheets, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		return "", err
 	}
@@ -307,7 +309,7 @@ type AblationRow struct {
 // permissions, syscall restriction, and checkpointing toggled off — the
 // design-choice ablation DESIGN.md calls out.
 func Ablation(sheets int) (string, error) {
-	base, err := baseline.MeasureUnprotected(sheets, 8, 4)
+	base, err := baseline.MeasureUnprotected(sheets, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		return "", err
 	}
@@ -334,7 +336,7 @@ func Ablation(sheets int) (string, error) {
 		read := func(off, n int) ([]byte, error) {
 			return rt.Host.Space().Load(tmpl.Base+mem.Addr(off), n)
 		}
-		if err := baseline.RunOMRWorkload(k, rt, read, sheets, 8, 4); err != nil {
+		if err := baseline.RunOMRWorkload(k, rt, read, sheets, 8, 4, baseline.DefaultCell); err != nil {
 			return AblationRow{}, err
 		}
 		elapsed := k.Clock.Now() - start

@@ -227,18 +227,18 @@ func Table9(sheets int) (string, error) {
 		baseline.CodeAPI, baseline.CodeAPIData, baseline.LibraryEntire,
 		baseline.LibraryPerAPI, baseline.MemoryBased,
 	} {
-		p, err := baseline.MeasureBaseline(kind, sheets, 8, 4)
+		p, err := baseline.MeasureBaseline(kind, sheets, 8, 4, baseline.DefaultCell)
 		if err != nil {
 			return "", err
 		}
 		t.Add(p.Technique, u(p.IPCs), u(p.Bytes), p.Time.String())
 	}
-	fp, err := baseline.MeasureFreePart(true, sheets, 8, 4)
+	fp, err := baseline.MeasureFreePart(true, sheets, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		return "", err
 	}
 	t.Add(fp.Technique, u(fp.IPCs), u(fp.Bytes), fp.Time.String())
-	base, err := baseline.MeasureUnprotected(sheets, 8, 4)
+	base, err := baseline.MeasureUnprotected(sheets, 8, 4, baseline.DefaultCell)
 	if err != nil {
 		return "", err
 	}

@@ -102,7 +102,7 @@ func DefaultPolicy(min, max int) Policy {
 // serving barriers; every decision lands in the event log and is executed
 // through the executor's scale/migrate hooks. Events are appended only at
 // reconcile points, so for a fixed workload and seed the log is byte-equal
-// across runs. Kinds: suspect, grow, shrink, rebalance and compact.
+// across runs. Kinds: suspect, grow, shrink and rebalance.
 type Controller struct {
 	ex     *core.Executor
 	pol    Policy
@@ -228,8 +228,7 @@ func (w window) mean() vclock.Duration {
 // invocation is in flight — so the signals it reads, and therefore the
 // decision it takes, are deterministic. Priority order: scale beats
 // rebalance (a pool changing size this tick should settle before sessions
-// shuffle), and every migration wave ends with a checkpoint-log compaction
-// so superseded state never accumulates.
+// shuffle).
 func (c *Controller) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -306,7 +305,6 @@ func (c *Controller) Tick() {
 		shrinkWant = (proj <= t*(pool-1)-t-1 || proj == 0) && poolMean <= c.pol.GrowWait
 	}
 
-	migrated := false
 	switch {
 	case growWant && pool < c.pol.MaxShards && canScale:
 		sh, err := c.ex.Grow(now)
@@ -328,16 +326,9 @@ func (c *Controller) Tick() {
 			break
 		}
 		c.lastScale, c.scaledOnce = now, true
-		migrated = true
 		c.record(now, "shrink", fmt.Sprintf("pool %d->%d shard %d sessions %d mean-wait %v", pool, pool-1, victim.ID, sessions, poolMean))
 	default:
-		migrated = c.rebalance(now, wins, poolMean)
-	}
-
-	if migrated {
-		if st := c.ex.CheckpointLog().Compact(); st.Retired > 0 {
-			c.record(now, "compact", fmt.Sprintf("retired %d versions (%d bytes), %d live keys", st.Retired, st.BytesFreed, st.Kept))
-		}
+		c.rebalance(now, wins, poolMean)
 	}
 	if n := c.ex.Shards(); n > c.peak {
 		c.peak = n
@@ -378,12 +369,11 @@ func (c *Controller) projected(now vclock.Duration, sessions int) int {
 // sessions spread until counts are within one — and queue-wait skew — a
 // shard whose window mean wait dominates the pool mean by RebalanceRatio
 // (a degrading shard under chaos) sheds a session even when counts look
-// even. Reports whether any session moved.
-func (c *Controller) rebalance(now vclock.Duration, wins []window, poolMean vclock.Duration) bool {
+// even.
+func (c *Controller) rebalance(now vclock.Duration, wins []window, poolMean vclock.Duration) {
 	if c.pol.RebalanceRatio <= 0 {
-		return false
+		return
 	}
-	moved := false
 	for m := 0; m < c.pol.MaxMovesPerTick; m++ {
 		pool := poolInfo(c.ex.ShardLoads())
 		src, reason := c.pickSource(pool, wins, poolMean)
@@ -414,10 +404,8 @@ func (c *Controller) rebalance(now vclock.Duration, wins []window, poolMean vclo
 			c.record(now, "rebalance", fmt.Sprintf("session %d failed: %v", sid, err))
 			break
 		}
-		moved = true
 		c.record(now, "rebalance", fmt.Sprintf("session %d shard %d->%d (%s)", sid, src, dest, reason))
 	}
-	return moved
 }
 
 // improves reports whether moving one session src→dest strictly narrows
@@ -510,11 +498,7 @@ func (c *Controller) moveCost(sid, from, dest int) vclock.Duration {
 	if !ok || from < 0 || topo.Socket(from) == topo.Socket(dest) {
 		return 0
 	}
-	bytes := 0
-	for _, cp := range c.ex.CheckpointLog().Session(sid) {
-		bytes += len(cp.Payload)
-	}
-	return c.pol.Cost.CrossSocketCost(bytes)
+	return c.pol.Cost.CrossSocketCost(c.ex.CheckpointLog().SessionBytes(sid))
 }
 
 // poolInfo projects load signals onto placement facts.

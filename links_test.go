@@ -91,7 +91,6 @@ var keptUnlinked = map[string]string{
 	"object.(*Mat).At":              accessor,
 	"object.(*Mat).Set":             accessor,
 	"object.(*Mat).offset":          accessor,
-	"object.(*Store).Stats":         accessor,
 
 	// The framework's and simcv's tests make blank mats with Ctx.NewMat;
 	// object.NewMat is its body, and object's own tests call it too.
