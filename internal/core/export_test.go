@@ -1,5 +1,11 @@
 package core
 
+import (
+	"freepart.dev/freepart/internal/analysis"
+	"freepart.dev/freepart/internal/framework"
+	"freepart.dev/freepart/internal/isolation"
+)
+
 // Test-only accessors: no binary reads these.
 
 // Materialized reports whether the object lives in the host space.
@@ -31,4 +37,27 @@ func (rt *Runtime) DegradedPartitions() []string {
 		}
 	}
 	return out
+}
+
+// AgentPolicy is one agent's installed syscall policy, as tests read it.
+type AgentPolicy struct {
+	ID     int
+	Name   string
+	Tier   isolation.Tier
+	Policy *analysis.AgentPolicy // nil when the agent installs none
+}
+
+// AgentPolicies returns every agent's syscall policy, in partition order.
+func (rt *Runtime) AgentPolicies() []AgentPolicy {
+	out := make([]AgentPolicy, 0, len(rt.byID))
+	for _, a := range rt.byID {
+		out = append(out, AgentPolicy{ID: a.id, Name: a.name, Tier: a.tier, Policy: a.policy})
+	}
+	return out
+}
+
+// DerivedPolicies returns the per-type policies the runtime's agents
+// install theirs from; nil when it restricts no syscalls.
+func (rt *Runtime) DerivedPolicies() map[framework.APIType]*analysis.AgentPolicy {
+	return rt.policies
 }
