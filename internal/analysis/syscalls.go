@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/kernel"
@@ -11,6 +12,10 @@ import (
 // of syscalls required by every API assigned to it (Fig. 12-(b)), fd-scope
 // restrictions for the dangerous calls, and the initialization-only set
 // that is permitted before lockdown (§4.4.1).
+//
+// A derived policy is read-only: the runtime installs one in every agent of
+// its type, in every shard its factory builds, and Apply copies what it
+// reads into each agent's filter.
 type AgentPolicy struct {
 	Type     framework.APIType
 	Allowed  []kernel.Sysno
@@ -61,17 +66,18 @@ func (a *Analyzer) DeriveSyscallPolicy(c *Categorization, apiNames []string) map
 	}
 
 	for _, p := range policies {
-		p.Allowed = dedupSyscalls(p.Allowed)
-		p.InitOnly = dedupSyscalls(p.InitOnly)
-		for call := range p.FDLabels {
-			p.FDLabels[call] = dedupStrings(p.FDLabels[call])
+		p.Allowed = sortedSet(p.Allowed)
+		p.InitOnly = sortedSet(p.InitOnly)
+		for call, labels := range p.FDLabels {
+			p.FDLabels[call] = sortedSet(labels)
 		}
 	}
 	return policies
 }
 
 // Apply configures a process filter from the policy: allow the union,
-// restrict fd-scoped calls to their labels, then install it. Init-only
+// restrict fd-scoped calls to their labels, then install it. The filter
+// keeps copies, never the policy's slices. Init-only
 // syscalls are NOT allowed — callers must run each API's first execution
 // before calling Apply (§4.4.1: "FreePart first executes all the framework
 // APIs and then restricts them afterwards").
@@ -88,32 +94,10 @@ func (p *AgentPolicy) Apply(f *kernel.Filter) error {
 	return nil
 }
 
-// dedupSyscalls sorts and deduplicates.
-func dedupSyscalls(in []kernel.Sysno) []kernel.Sysno {
-	seen := make(map[kernel.Sysno]bool, len(in))
-	out := in[:0]
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// dedupStrings sorts and deduplicates.
-func dedupStrings(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := in[:0]
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+// sortedSet sorts in and drops its repeats, in place.
+func sortedSet[E cmp.Ordered](in []E) []E {
+	slices.Sort(in)
+	return slices.Compact(in)
 }
 
 // UsageCount is one application's API usage for one type (a Table 6 cell

@@ -8,9 +8,10 @@
 //   - mem: spurious faults on page accesses inside agent address spaces
 //     (mem.AccessHook, installed by the core runtime).
 //
-// Determinism: all decisions come from one rand.Rand seeded by Plan.Seed,
-// consulted in the order the (single-threaded, synchronous-RPC) pipeline
-// reaches each site. Non-targeted processes — anything without the
+// Determinism: all decisions come from one rand.Rand seeded by Plan.Seed
+// at the engine's first draw, consulted in the order the (single-threaded,
+// synchronous-RPC) pipeline reaches each site. An engine whose plan never
+// draws never seeds. Non-targeted processes — anything without the
 // "agent:" name prefix, i.e. the host — are skipped without consuming
 // randomness, so the host is never injected and the decision stream does
 // not depend on host activity. Every fired fault is appended to a log;
@@ -39,7 +40,7 @@ type Engine struct {
 	plan Plan
 
 	mu        sync.Mutex
-	rng       *rand.Rand
+	rng       *rand.Rand // made from plan.Seed at the first draw
 	clock     *vclock.Clock
 	counters  *metrics.Counters
 	syscalls  uint64 // targeted syscall consultations (drives CrashEveryN)
@@ -49,10 +50,16 @@ type Engine struct {
 
 // New builds an engine from a plan. Bind attaches the clock and counters.
 func New(plan Plan) *Engine {
-	return &Engine{
-		plan: plan,
-		rng:  rand.New(rand.NewSource(plan.Seed)),
+	return &Engine{plan: plan}
+}
+
+// draw returns the next number of the decision stream, in [0, 1), seeding
+// the stream from the plan at the first draw. Called under e.mu.
+func (e *Engine) draw() float64 {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.plan.Seed))
 	}
+	return e.rng.Float64()
 }
 
 // Bind attaches the virtual clock (for event timestamps) and the metrics
@@ -148,7 +155,7 @@ func (e *Engine) OnSyscall(p *kernel.Process, call kernel.Sysno) kernel.SyscallF
 	e.syscalls++
 	kp := e.plan.Kernel
 	if kp.TransientProb > 0 && transientEligible(call) &&
-		e.transient < e.plan.maxTransient() && e.rng.Float64() < kp.TransientProb {
+		e.transient < e.plan.maxTransient() && e.draw() < kp.TransientProb {
 		e.transient++
 		e.record("kernel/transient", fmt.Sprintf("%s %s EINTR", p.Name(), call))
 		return kernel.SyscallFault{Transient: true, Reason: "EINTR"}
@@ -158,11 +165,11 @@ func (e *Engine) OnSyscall(p *kernel.Process, call kernel.Sysno) kernel.SyscallF
 		e.record("kernel/crash", fmt.Sprintf("%s %s (every %d)", p.Name(), call, kp.CrashEveryN))
 		return kernel.SyscallFault{Crash: true, Reason: fmt.Sprintf("chaos: scheduled crash in %s", call)}
 	}
-	if kp.CrashProb > 0 && e.rng.Float64() < kp.CrashProb {
+	if kp.CrashProb > 0 && e.draw() < kp.CrashProb {
 		e.record("kernel/crash", fmt.Sprintf("%s %s", p.Name(), call))
 		return kernel.SyscallFault{Crash: true, Reason: fmt.Sprintf("chaos: fault in %s", call)}
 	}
-	if kp.StallProb > 0 && stallEligible(call) && e.rng.Float64() < kp.StallProb {
+	if kp.StallProb > 0 && stallEligible(call) && e.draw() < kp.StallProb {
 		e.record("kernel/stall", fmt.Sprintf("%s %s +%v", p.Name(), call, kp.Stall))
 		return kernel.SyscallFault{Stall: kp.Stall}
 	}
@@ -184,21 +191,21 @@ func (e *Engine) messageFault(dir string, seq uint64) ipc.MessageFault {
 	defer e.mu.Unlock()
 	ip := e.plan.IPC
 	var f ipc.MessageFault
-	if ip.DropProb > 0 && e.rng.Float64() < ip.DropProb {
+	if ip.DropProb > 0 && e.draw() < ip.DropProb {
 		f.Drop = true
 		e.record("ipc/drop", fmt.Sprintf("%s seq %d", dir, seq))
 		return f
 	}
-	if ip.CorruptProb > 0 && e.rng.Float64() < ip.CorruptProb {
+	if ip.CorruptProb > 0 && e.draw() < ip.CorruptProb {
 		f.Corrupt = true
 		e.record("ipc/corrupt", fmt.Sprintf("%s seq %d", dir, seq))
 		return f
 	}
-	if dir == "req" && ip.DupProb > 0 && e.rng.Float64() < ip.DupProb {
+	if dir == "req" && ip.DupProb > 0 && e.draw() < ip.DupProb {
 		f.Duplicate = true
 		e.record("ipc/dup", fmt.Sprintf("%s seq %d", dir, seq))
 	}
-	if ip.StallProb > 0 && e.rng.Float64() < ip.StallProb {
+	if ip.StallProb > 0 && e.draw() < ip.StallProb {
 		f.Stall = ip.Stall
 		e.record("ipc/stall", fmt.Sprintf("%s seq %d +%v", dir, seq, ip.Stall))
 	}
@@ -234,7 +241,7 @@ func (e *Engine) ServiceDegradation(start, service vclock.Duration) vclock.Durat
 		}
 		e.record(kind, fmt.Sprintf("service %v x%.2f +%v", service, f, extra))
 	}
-	if d.StallProb > 0 && e.rng.Float64() < d.StallProb {
+	if d.StallProb > 0 && e.draw() < d.StallProb {
 		extra += d.Stall
 		e.record("degrade/gray-stall", fmt.Sprintf("+%v", d.Stall))
 	}
@@ -256,7 +263,7 @@ func (e *Engine) MemFault(procName string, addr mem.Addr, kind mem.AccessKind) e
 	if mp.Page != 0 && addr.PageIndex() != mp.Page {
 		return nil
 	}
-	if e.rng.Float64() < mp.FaultProb {
+	if e.draw() < mp.FaultProb {
 		e.record("mem/fault", fmt.Sprintf("%s %v at %#x", procName, kind, uint64(addr)))
 		return fmt.Errorf("chaos: spurious %v fault at %#x in %s", kind, uint64(addr), procName)
 	}

@@ -3,6 +3,8 @@ package chaos_test
 import (
 	"errors"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"freepart.dev/freepart/internal/chaos"
@@ -74,6 +76,66 @@ func TestEngineNeverTargetsHost(t *testing.T) {
 	}
 	if !reflect.DeepEqual(interleaved.Events(), plain.Events()) {
 		t.Fatal("host activity perturbed the agent decision stream")
+	}
+}
+
+// TestEngineSeedsAtFirstDraw checks that an engine makes its PRNG at its
+// first draw: one whose plan has every probability at 0 consults every
+// site without drawing and never makes one.
+func TestEngineSeedsAtFirstDraw(t *testing.T) {
+	k := kernel.New()
+	agent := k.Spawn("agent:processing")
+	idle := chaos.New(chaos.Scaled(3, 0))
+	drive(idle, k, agent)
+	idle.ServiceDegradation(0, vclock.Duration(100))
+	if idle.Seeded() || idle.Injected() != 0 {
+		t.Fatalf("an engine with every probability 0 seeded %t and injected %d faults", idle.Seeded(), idle.Injected())
+	}
+	e := chaos.New(chaos.Plan{Seed: 3, Mem: chaos.MemPlan{FaultProb: 0.5}})
+	_ = e.MemFault(agent.Name(), 0x1000, mem.AccessRead)
+	if e.Seeded() {
+		t.Fatal("a read, which draws nothing, seeded the engine")
+	}
+	_ = e.MemFault(agent.Name(), 0x1000, mem.AccessWrite)
+	if !e.Seeded() {
+		t.Fatal("a write drew without seeding the engine")
+	}
+}
+
+// TestConcurrentEngineFirstDraws consults one engine from several
+// goroutines at once, each drawing from its first call: the engine seeds
+// once, so its first draws fault exactly as often as one goroutine's
+// would, and its log holds one entry per fault.
+func TestConcurrentEngineFirstDraws(t *testing.T) {
+	plan := chaos.Plan{Seed: 11, Mem: chaos.MemPlan{FaultProb: 0.5}}
+	const goroutines, calls = 8, 50
+	e := chaos.New(plan)
+	var faults atomic.Int64
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				if e.MemFault("agent:processing", mem.Addr(0x1000+(g*calls+i)*64), mem.AccessWrite) != nil {
+					faults.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	seq := chaos.New(plan)
+	var want int64
+	for i := range goroutines * calls {
+		if seq.MemFault("agent:processing", mem.Addr(0x1000+i*64), mem.AccessWrite) != nil {
+			want++
+		}
+	}
+	if faults.Load() != want {
+		t.Fatalf("%d concurrent draws faulted %d times, want %d as from one stream", goroutines*calls, faults.Load(), want)
+	}
+	if n := len(e.Events()); int64(n) != want {
+		t.Fatalf("log holds %d entries for %d faults", n, want)
 	}
 }
 

@@ -76,16 +76,7 @@ func (rt *Runtime) spawnAgent(id int, types map[framework.APIType]bool) error {
 		a.ctx = rt.newCtx(a.proc)
 		a.conn = ipc.NewConn(rt.K.Clock, rt.K.Cost, rt.serve(a))
 		if rt.policies != nil {
-			a.policy = &analysis.AgentPolicy{FDLabels: make(map[kernel.Sysno][]string)}
-			for t := range types {
-				if p, ok := rt.policies[t]; ok {
-					a.policy.Allowed = append(a.policy.Allowed, p.Allowed...)
-					a.policy.InitOnly = append(a.policy.InitOnly, p.InitOnly...)
-					for call, labels := range p.FDLabels {
-						a.policy.FDLabels[call] = append(a.policy.FDLabels[call], labels...)
-					}
-				}
-			}
+			a.policy = rt.partitionPolicy(types)
 		}
 	}
 
@@ -102,6 +93,30 @@ func (rt *Runtime) spawnAgent(id int, types map[framework.APIType]bool) error {
 		return rt.initAgent(a)
 	}
 	return rt.boot(a)
+}
+
+// partitionPolicy returns the syscall policy of a process-tier partition
+// homing types: its type's derived policy itself when it homes one type,
+// else a fresh union of its types' policies. Either is read-only.
+func (rt *Runtime) partitionPolicy(types map[framework.APIType]bool) *analysis.AgentPolicy {
+	if len(types) == 1 {
+		for t := range types {
+			if p, ok := rt.policies[t]; ok {
+				return p
+			}
+		}
+	}
+	u := &analysis.AgentPolicy{FDLabels: make(map[kernel.Sysno][]string)}
+	for t := range types {
+		if p, ok := rt.policies[t]; ok {
+			u.Allowed = append(u.Allowed, p.Allowed...)
+			u.InitOnly = append(u.InitOnly, p.InitOnly...)
+			for call, labels := range p.FDLabels {
+				u.FDLabels[call] = append(u.FDLabels[call], labels...)
+			}
+		}
+	}
+	return u
 }
 
 // newCtx makes the execution context of an agent's process, its exploits

@@ -158,7 +158,8 @@ type ShardFactory func(id int) (*Shard, error)
 
 // ProtectedShards returns a factory producing FreePart-protected shards:
 // each shard is a fresh kernel with a full runtime (host, agents, policies)
-// configured by cfg.
+// configured by cfg. The syscall policies are derived once, at the first
+// shard, and every shard and replacement installs them read-only.
 //
 // Chaos is split per shard: the first shard 0 keeps cfg.Chaos itself (so a
 // one-shard executor is byte-identical to the synchronous path, injection
@@ -168,12 +169,13 @@ type ShardFactory func(id int) (*Shard, error)
 // multi-shard chaos runs byte-replayable per shard.
 func ProtectedShards(reg *framework.Registry, cat *analysis.Categorization, cfg Config) ShardFactory {
 	var rootEngineUsed atomic.Bool
+	policies := &shardPolicies{reg: reg, cat: cat}
 	return func(id int) (*Shard, error) {
 		c := cfg
 		if c.Chaos != nil && !(id == 0 && rootEngineUsed.CompareAndSwap(false, true)) {
 			c.Chaos = chaos.New(c.Chaos.Plan().ForShard(id))
 		}
-		return protectedShard(id, reg, cat, c)
+		return protectedShard(id, reg, cat, c, policies)
 	}
 }
 
@@ -197,12 +199,17 @@ func ChaosShards(reg *framework.Registry, cat *analysis.Categorization, cfg Conf
 // anneals through (RebindShard). planOf, when non-nil, supplies the chaos
 // plan of each shard id and generation: the factory counts how many times
 // each id was built, and build order per id is deterministic, so the gen
-// sequence replays exactly. With a cfgOf that always returns the same
-// configuration and a nil planOf, the factory builds the shards
-// ProtectedShards builds over it (replay row TestDefenseZeroCost).
+// sequence replays exactly. Syscall policies are derived at the first
+// build that restricts syscalls and shared by every later one; a
+// configuration with other AppAPIs derives again (isolation policy, which
+// re-binds switch, does not enter the derivation). With a cfgOf that
+// always returns the same configuration and a nil planOf, the factory
+// builds the shards ProtectedShards builds over it (replay row
+// TestDefenseZeroCost).
 func DynamicShards(reg *framework.Registry, cat *analysis.Categorization, cfgOf func() Config, planOf func(id, gen int) chaos.Plan) ShardFactory {
 	var mu sync.Mutex
 	gens := make(map[int]int)
+	policies := &shardPolicies{reg: reg, cat: cat}
 	return func(id int) (*Shard, error) {
 		mu.Lock()
 		gen := gens[id]
@@ -212,15 +219,16 @@ func DynamicShards(reg *framework.Registry, cat *analysis.Categorization, cfgOf 
 		if planOf != nil {
 			c.Chaos = chaos.New(planOf(id, gen))
 		}
-		return protectedShard(id, reg, cat, c)
+		return protectedShard(id, reg, cat, c, policies)
 	}
 }
 
 // protectedShard boots shard id: a fresh kernel running a full runtime
-// configured by cfg.
-func protectedShard(id int, reg *framework.Registry, cat *analysis.Categorization, cfg Config) (*Shard, error) {
+// configured by cfg, its agents installing the syscall policies its
+// factory derived once for every shard it builds.
+func protectedShard(id int, reg *framework.Registry, cat *analysis.Categorization, cfg Config, policies *shardPolicies) (*Shard, error) {
 	k := kernel.New()
-	rt, err := New(k, reg, cat, cfg)
+	rt, err := newRuntime(k, reg, cat, cfg, policies.of(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("core: shard %d: %w", id, err)
 	}
