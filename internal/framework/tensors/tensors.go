@@ -45,18 +45,26 @@ func Out(ctx *framework.Ctx, shape []int, f func(i int) float64) ([]framework.Va
 
 // Exploit fires a trigger embedded in tensor values: crafted tensors carry
 // the trigger encoded as a run of values spelling the magic bytes, one byte
-// value per element.
+// value per element. The leading run of byte values is counted first and
+// copied out only when it is not empty, so a tensor that stops the scan at
+// its first element allocates nothing.
 func Exploit(ctx *framework.Ctx, api *framework.API, vals object.TensorView) (bool, error) {
-	raw := make([]byte, 0, vals.Len())
-	for i := range vals.Len() {
-		v := vals.At(i)
-		if v < 0 || v > 255 || v != math.Trunc(v) {
-			break
+	n := 0
+	for n < vals.Len() && isByte(vals.At(n)) {
+		n++
+	}
+	var raw []byte
+	if n > 0 {
+		raw = make([]byte, n)
+		for i := range raw {
+			raw[i] = byte(vals.At(i))
 		}
-		raw = append(raw, byte(v))
 	}
 	return ctx.MaybeExploit(api, raw)
 }
+
+// isByte reports whether v is a whole number a byte holds.
+func isByte(v float64) bool { return v >= 0 && v <= 255 && v == math.Trunc(v) }
 
 // complete gives api the kernel's true type, static ops and
 // implementation.
