@@ -28,7 +28,18 @@ func EncodeImage(rows, cols, channels int, data []byte) ([]byte, error) {
 	if len(data) != rows*cols*channels {
 		return nil, fmt.Errorf("simcv: encode %d bytes for shape %dx%dx%d", len(data), rows, cols, channels)
 	}
-	return append(imageHeader(rows, cols, channels, len(data)), data...), nil
+	file, payload := NewImage(rows, cols, channels)
+	copy(payload, data)
+	return file, nil
+}
+
+// NewImage returns an image file of shape rows×cols×channels, its header
+// written and its payload zero, and the payload itself, for the caller to
+// draw the pixels into where the file holds them.
+func NewImage(rows, cols, channels int) (file, payload []byte) {
+	n := rows * cols * channels
+	file = imageHeader(rows, cols, channels, n)[:16+n]
+	return file, file[16:]
 }
 
 // imageHeader returns an image's 16 header bytes, in a slice with room for

@@ -38,16 +38,25 @@ var modelMagic = []byte("PTM1")
 // EncodeModel serializes layers of float64 weights into one buffer of
 // exactly the encoded size.
 func EncodeModel(layers [][]float64) []byte {
-	n := len(modelMagic) + 4
-	for _, l := range layers {
-		n += 4 + 8*len(l)
+	return BuildModel(len(layers), func(i int) int { return len(layers[i]) }, func(i, j int) float64 { return layers[i][j] })
+}
+
+// BuildModel serializes a model of n layers, layer i of size(i) weights,
+// into one buffer of exactly the encoded size. weight(i, j) gives the j-th
+// weight of layer i; it is called once per weight, layer by layer, in
+// order, as the weight is encoded.
+func BuildModel(n int, size func(layer int) int, weight func(layer, j int) float64) []byte {
+	total := len(modelMagic) + 4
+	for i := range n {
+		total += 4 + 8*size(i)
 	}
-	out := append(make([]byte, 0, n), modelMagic...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(layers)))
-	for _, l := range layers {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(l)))
-		for _, v := range l {
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(v))
+	out := append(make([]byte, 0, total), modelMagic...)
+	out = binary.BigEndian.AppendUint32(out, uint32(n))
+	for i := range n {
+		m := size(i)
+		out = binary.BigEndian.AppendUint32(out, uint32(m))
+		for j := range m {
+			out = binary.BigEndian.AppendUint64(out, math.Float64bits(weight(i, j)))
 		}
 	}
 	return out

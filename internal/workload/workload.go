@@ -24,10 +24,11 @@ func New(seed int64) *Gen {
 	return &Gen{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Image produces raw pixels with textured noise plus a few bright regions
-// (so detectors, thresholds, and contours have something to find).
-func (g *Gen) Image(rows, cols, channels int) []byte {
-	data := make([]byte, rows*cols*channels)
+// EncodedImage produces a simcv-format image file of textured noise plus
+// a few bright regions (so detectors, thresholds, and contours have
+// something to find), drawing the pixels straight into the file.
+func (g *Gen) EncodedImage(rows, cols, channels int) []byte {
+	file, data := simcv.NewImage(rows, cols, channels)
 	for i := range data {
 		data[i] = byte(g.rng.Intn(80))
 	}
@@ -43,16 +44,7 @@ func (g *Gen) Image(rows, cols, channels int) []byte {
 			}
 		}
 	}
-	return data
-}
-
-// EncodedImage produces a simcv-format image file.
-func (g *Gen) EncodedImage(rows, cols, channels int) []byte {
-	enc, err := simcv.EncodeImage(rows, cols, channels, g.Image(rows, cols, channels))
-	if err != nil {
-		panic(err) // shapes are generator-controlled
-	}
-	return enc
+	return file
 }
 
 // OMRSheet draws an answer sheet: a grid of bubbles, some filled. answers
@@ -111,21 +103,14 @@ func (g *Gen) EncodedDataset(n int) []byte {
 }
 
 // Model produces a torch model with the given layer sizes (weights in
-// [-0.5, 0.5)).
+// [-0.5, 0.5)), encoding each weight as it draws it.
 func (g *Gen) Model(layerSizes ...int) []byte {
-	layers := make([][]float64, len(layerSizes))
-	for i, n := range layerSizes {
-		l := make([]float64, n)
-		for j := range l {
-			l[j] = g.rng.Float64() - 0.5
-		}
-		layers[i] = l
-	}
-	return simtorch.EncodeModel(layers)
+	return simtorch.BuildModel(len(layerSizes), func(i int) int { return layerSizes[i] },
+		func(int, int) float64 { return g.rng.Float64() - 0.5 })
 }
 
 // Classifier produces a cascade classifier file tuned to fire on the
-// bright regions Image() draws.
+// bright regions EncodedImage draws.
 func (g *Gen) Classifier(window int) []byte {
 	return simcv.EncodeClassifier(150, window)
 }

@@ -11,17 +11,20 @@ import (
 
 func TestDeterministicGeneration(t *testing.T) {
 	a, b := New(42), New(42)
-	if !bytes.Equal(a.Image(8, 8, 1), b.Image(8, 8, 1)) {
+	if !bytes.Equal(a.EncodedImage(8, 8, 1), b.EncodedImage(8, 8, 1)) {
 		t.Fatal("same seed should generate identical images")
 	}
 	c := New(43)
-	if bytes.Equal(a.Image(8, 8, 1), c.Image(8, 8, 1)) {
+	if bytes.Equal(a.EncodedImage(8, 8, 1), c.EncodedImage(8, 8, 1)) {
 		t.Fatal("different seeds should differ")
 	}
 }
 
 func TestImageHasBrightRegions(t *testing.T) {
-	img := New(1).Image(16, 16, 1)
+	_, _, _, img, err := simcv.DecodeImage(New(1).EncodedImage(16, 16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	bright := 0
 	for _, v := range img {
 		if v >= 200 {
