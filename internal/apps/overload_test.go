@@ -70,10 +70,7 @@ func TestShedPurityCheckpointLog(t *testing.T) {
 
 	ex, srv := newTrackingPool(t, shards)
 	ex.SetAdmission(core.AdmissionPolicy{QueueLimit: 2, Deadline: 2 * stepCost})
-	results := srv.ServeRampOpts(streams, apps.RampOptions{
-		TolerateShed: true,
-		Orderer:      &sched.WFQ{Quantum: 5 * stepCost / 4},
-	})
+	results := srv.ServeRamp(streams, nil, &sched.WFQ{Quantum: 5 * stepCost / 4})
 	served, dropped := 0, 0
 	for i, r := range results {
 		if r.Err != nil {

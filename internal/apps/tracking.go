@@ -234,19 +234,13 @@ func (b streamBatch) serveSlot(_ int, queue []int) {
 // controller at all).
 type Ticker interface{ Tick() }
 
-// AdmissionBatcher coalesces one shard's wave queue into admission
-// batches for core.Executor.DoBatch. sched.Batcher implements it.
-type AdmissionBatcher interface {
-	Split([]core.BatchEntry) [][]core.BatchEntry
-}
-
 // AdmissionOrderer reorders one shard slot's wave queue before admission —
 // the dequeue-policy hook. Order returns a permutation of entry indices;
 // sched.WFQ implements it with per-tenant virtual finish times. The slot
 // id keys any per-slot state: each slot's queue drains on its own
 // goroutine, so an orderer keyed by slot stays deterministic.
 type AdmissionOrderer interface {
-	Order(slot int, entries []core.BatchEntry) []int
+	Order(slot int, entries []core.Admission) []int
 }
 
 // AdmissionObserver is the optional feedback half of an orderer: after a
@@ -255,23 +249,7 @@ type AdmissionOrderer interface {
 // tenant's virtual finish clock only for requests actually served — can
 // account capacity correctly. Shed entries consumed none.
 type AdmissionObserver interface {
-	Observe(slot int, entries []core.BatchEntry, errs []error)
-}
-
-// RampOptions configures ServeRampOpts. The zero value reproduces
-// ServeRamp(streams, nil, nil) exactly.
-type RampOptions struct {
-	// Ticker runs at every wave barrier (the control plane).
-	Ticker Ticker
-	// Batcher coalesces each slot's wave queue into admission batches.
-	Batcher AdmissionBatcher
-	// Orderer permutes each slot's wave queue before admission (WFQ).
-	Orderer AdmissionOrderer
-	// TolerateShed keeps a stream alive through overload sheds: a step
-	// rejected with core.ErrOverloaded or dropped with
-	// core.ErrDeadlineExceeded counts in TrackResult.Dropped and the
-	// stream carries on, instead of the error aborting the stream.
-	TolerateShed bool
+	Observe(slot int, entries []core.Admission, errs []error)
 }
 
 // ServeRamp runs streams wave by wave: wave w serves step w−Offset of
@@ -281,21 +259,18 @@ type RampOptions struct {
 // and ctl.Tick — when a controller is attached — runs at each barrier,
 // where no invocation is in flight and pool state is a pure function of
 // the work done. Within a wave each busy shard slot drains its queue in
-// stream order, the first on the calling goroutine and every other on a
-// goroutine of its own; a batcher coalesces that queue through DoBatch.
-// The slot-per-goroutine invariant survives chaos: failover replaces a
-// shard in its own slot, and control-plane migrations happen only at
-// barriers, so no two goroutines ever contend for one shard's clock
-// mid-wave — which is what keeps the controller's barrier reads, and
-// its event log, byte-reproducible.
-func (srv *TrackingServer) ServeRamp(streams []TrackStream, ctl Ticker, batcher AdmissionBatcher) []TrackResult {
-	return srv.ServeRampOpts(streams, RampOptions{Ticker: ctl, Batcher: batcher})
-}
-
-// ServeRampOpts is ServeRamp with the full option set: admission ordering
-// (WFQ) and shed tolerance for overload runs. Zero options reproduce the
-// plain ramp bit for bit.
-func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions) []TrackResult {
+// stream order, or in the order orderer (WFQ) gives it when one is set,
+// the first slot on the calling goroutine and every other on a goroutine
+// of its own. The slot-per-goroutine invariant survives chaos: failover
+// replaces a shard in its own slot, and control-plane migrations happen
+// only at barriers, so no two goroutines ever contend for one shard's
+// clock mid-wave — which is what keeps the controller's barrier reads,
+// and its event log, byte-reproducible.
+//
+// A step the admission policy sheds (core.ErrOverloaded or
+// core.ErrDeadlineExceeded) counts in its stream's Dropped and the stream
+// carries on; without an admission policy no step is shed.
+func (srv *TrackingServer) ServeRamp(streams []TrackStream, ctl Ticker, orderer AdmissionOrderer) []TrackResult {
 	results := make([]TrackResult, len(streams))
 	sessions := make([]*core.Session, len(streams))
 	waves := 0
@@ -332,7 +307,7 @@ func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions)
 			}
 			queues[id] = append(queues[id], i)
 		}
-		fanOut(queues, rampWave{srv, streams, sessions, results, w, &opt})
+		fanOut(queues, rampWave{srv, streams, sessions, results, w, orderer})
 		// Release sessions whose stream just finished or errored out, so
 		// the control plane sees their shards as shrink/placement capacity.
 		for i := range streams {
@@ -343,85 +318,61 @@ func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions)
 				sessions[i].Finish()
 			}
 		}
-		if opt.Ticker != nil {
-			opt.Ticker.Tick()
+		if ctl != nil {
+			ctl.Tick()
 		}
 	}
 	return results
 }
 
-// rampWave is one wave of ServeRampOpts, which fanOut serves slot by slot.
+// rampWave is one wave of ServeRamp, which fanOut serves slot by slot.
 type rampWave struct {
 	srv      *TrackingServer
 	streams  []TrackStream
 	sessions []*core.Session
 	results  []TrackResult
 	w        int
-	opt      *RampOptions // a pointer keeps the value small enough to copy into a goroutine
+	orderer  AdmissionOrderer
 }
 
-// serveSlot drains one shard slot's queue for one wave: order (WFQ), then
-// coalesce (batcher), then admit. Split returns consecutive subslices, so
-// batch errors map back to queue positions with a running cursor — the
-// orderer permutes queue and entries together before the cursor starts, so
-// the contract holds under reordering too.
+// serveSlot drains one shard slot's queue for one wave: in stream order
+// without an orderer; otherwise the orderer permutes the queue's entries,
+// each step runs in the new order, and an AdmissionObserver hears the
+// outcomes in that order.
 func (r rampWave) serveSlot(slot int, queue []int) {
-	if r.opt.Batcher == nil && r.opt.Orderer == nil {
+	if r.orderer == nil {
 		for _, i := range queue {
-			noteStep(&r.results[i], r.srv.serveStep(r.sessions[i], r.streams[i], r.w-r.streams[i].Offset, &r.results[i]), *r.opt)
+			r.serve(i)
 		}
 		return
 	}
-	entries := make([]core.BatchEntry, len(queue))
+	entries := make([]core.Admission, len(queue))
 	for k, i := range queue {
-		step := r.w - r.streams[i].Offset
-		entries[k] = core.BatchEntry{
-			Session: r.sessions[i],
-			Arrival: r.streams[i].Arrivals[step],
-			Job:     r.srv.stepJob(r.sessions[i], r.streams[i], step, &r.results[i]),
-		}
+		entries[k] = core.Admission{Session: r.sessions[i], Arrival: r.streams[i].Arrivals[r.w-r.streams[i].Offset]}
 	}
-	if r.opt.Orderer != nil {
-		perm := r.opt.Orderer.Order(slot, entries)
-		reEntries := make([]core.BatchEntry, len(entries))
-		reQueue := make([]int, len(queue))
-		for k, p := range perm {
-			reEntries[k], reQueue[k] = entries[p], queue[p]
-		}
-		entries, queue = reEntries, reQueue
-	}
+	perm := r.orderer.Order(slot, entries)
+	ordered := make([]core.Admission, len(entries))
 	errs := make([]error, len(entries))
-	if r.opt.Batcher == nil {
-		for k, i := range queue {
-			errs[k] = r.sessions[i].DoAt(entries[k].Arrival, entries[k].Job)
-			noteStep(&r.results[i], errs[k], *r.opt)
-		}
-	} else {
-		pos := 0
-		for _, batch := range r.opt.Batcher.Split(entries) {
-			for k, err := range r.srv.Ex.DoBatch(batch) {
-				errs[pos+k] = err
-				noteStep(&r.results[queue[pos+k]], err, *r.opt)
-			}
-			pos += len(batch)
-		}
+	for k, p := range perm {
+		ordered[k], errs[k] = entries[p], r.serve(queue[p])
 	}
-	if obs, ok := r.opt.Orderer.(AdmissionObserver); ok {
-		obs.Observe(slot, entries, errs)
+	if obs, ok := r.orderer.(AdmissionObserver); ok {
+		obs.Observe(slot, ordered, errs)
 	}
 }
 
-// noteStep folds one step's outcome into the stream's result. Shed steps —
-// the admission layer's deliberate refusals — count as drops when the run
-// tolerates shedding; everything else (including nil) lands in Err exactly
-// as before.
-func noteStep(res *TrackResult, err error, opt RampOptions) {
-	if err != nil && opt.TolerateShed &&
-		(errors.Is(err, core.ErrOverloaded) || errors.Is(err, core.ErrDeadlineExceeded)) {
+// serve runs stream i's step of this wave and folds its outcome into the
+// stream's result: a shed step — the admission layer's deliberate refusal
+// — counts as a drop, and everything else (including nil) lands in Err.
+func (r rampWave) serve(i int) error {
+	res := &r.results[i]
+	err := r.srv.serveStep(r.sessions[i], r.streams[i], r.w-r.streams[i].Offset, res)
+	if errors.Is(err, core.ErrOverloaded) || errors.Is(err, core.ErrDeadlineExceeded) {
 		res.Dropped++
-		return
+	} else {
+		res.Err = err
 	}
-	res.Err = err
+	return err
 }
 
 // initSession creates the session's state tensor and seeds it with the
@@ -455,15 +406,8 @@ func (srv *TrackingServer) initSession(s *core.Session, st TrackStream) error {
 // a failover (between steps or mid-job) rebinds it to the state
 // materialized on the replacement shard.
 func (srv *TrackingServer) serveStep(s *core.Session, st TrackStream, step int, res *TrackResult) error {
-	return s.DoAt(st.Arrivals[step], srv.stepJob(s, st, step, res))
-}
-
-// stepJob builds the invocation body of one measurement step, shared by
-// the per-call path (serveStep) and the batched admission path (ServeRamp
-// hands it to core.Executor.DoBatch inside a BatchEntry).
-func (srv *TrackingServer) stepJob(s *core.Session, st TrackStream, step int, res *TrackResult) func(sh *core.Shard) error {
 	p := st.Points[step]
-	return func(sh *core.Shard) error {
+	return s.DoAt(st.Arrivals[step], func(sh *core.Shard) error {
 		h, ok := s.Bound(trackerBinding)
 		if !ok {
 			return fmt.Errorf("apps: session %d has no bound tracker state", s.ID)
@@ -478,7 +422,7 @@ func (srv *TrackingServer) stepJob(s *core.Session, st TrackStream, step int, re
 		}
 		res.Steps++
 		return nil
-	}
+	})
 }
 
 // restartAfter revives any crashed agents on the shard (availability

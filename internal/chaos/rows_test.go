@@ -219,10 +219,7 @@ func TestOverloadSoak(t *testing.T) {
 				ex.Shard(i).K.Clock.Reset()
 			}
 			ex.SetAdmission(core.AdmissionPolicy{QueueLimit: 3, Deadline: 2 * stepCost})
-			out := srv.ServeRampOpts(streams, apps.RampOptions{
-				TolerateShed: true,
-				Orderer:      &sched.WFQ{Quantum: 5 * stepCost / 4},
-			})
+			out := srv.ServeRamp(streams, nil, &sched.WFQ{Quantum: 5 * stepCost / 4})
 			return run{out: out, ex: ex}
 		},
 		fired: map[string]uint64{"ShardDrains": 1},
@@ -250,8 +247,8 @@ func TestOverloadSoak(t *testing.T) {
 
 // TestAutoscaleSoak scales a pool both ways along a load ramp: 2 slots to
 // start, slot 1 crash-looping, and every slot the controller grows under
-// background faults. Scaling, rebalancing, batching and failover change no
-// result against a fixed 4-slot fault-free pool with no controller.
+// background faults. Scaling, rebalancing and failover change no result
+// against a fixed 4-slot fault-free pool with no controller.
 func TestAutoscaleSoak(t *testing.T) {
 	streams := apps.GenRampStreams(17, 4, 6, 64)
 	scenario{
@@ -260,7 +257,7 @@ func TestAutoscaleSoak(t *testing.T) {
 			ex := chaosPool(t, 2, crashLoopConfig(), crashLoop(seed, 0.03, 1))
 			srv := apps.ProvisionTracking(ex)
 			ctl := sched.New(ex, sched.DefaultPolicy(2, 6), nil)
-			out := srv.ServeRamp(streams, ctl, ctl.Batch())
+			out := srv.ServeRamp(streams, ctl, nil)
 			// Reconciling on after the last stream folds the pool back.
 			for i := 0; i < 6; i++ {
 				ctl.Tick()
@@ -569,14 +566,14 @@ func TestZeroCostGuardServing(t *testing.T) {
 			for i := 0; i < ex.Shards(); i++ {
 				ex.Shard(i).K.Clock.Reset()
 			}
-			var opt apps.RampOptions
+			var orderer apps.AdmissionOrderer
 			switch variant {
 			case 1:
 				ex.SetAdmission(core.AdmissionPolicy{})
 			case 2:
-				opt.Orderer = &sched.WFQ{}
+				orderer = &sched.WFQ{}
 			}
-			return run{out: srv.ServeRampOpts(apps.GenTrackStreams(seed, 6, 8), opt), ex: ex}
+			return run{out: srv.ServeRamp(apps.GenTrackStreams(seed, 6, 8), nil, orderer), ex: ex}
 		},
 		variants: 2,
 		check: func(t *testing.T, r run) {
@@ -588,8 +585,8 @@ func TestZeroCostGuardServing(t *testing.T) {
 }
 
 // TestServingZeroCostWhenSchedulerOff attaches a scheduler switched off:
-// a pinned pool, no signals, round-robin placement and no batching. The
-// ramp digests as it does with no scheduler.
+// a pinned pool, no signals and round-robin placement. The ramp digests as
+// it does with no scheduler.
 func TestServingZeroCostWhenSchedulerOff(t *testing.T) {
 	scenario{
 		seeds: []int64{13},

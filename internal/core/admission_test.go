@@ -3,13 +3,11 @@ package core_test
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/ipc"
-	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -183,28 +181,6 @@ func TestErrClassTaxonomy(t *testing.T) {
 	}
 }
 
-// admissionOutcome is everything an admission path leaves behind on an
-// executor: what DoBatch must share with a sequence of DoAt calls.
-type admissionOutcome struct {
-	Errs    []string
-	Lat     []vclock.Duration
-	Queue   []vclock.Duration
-	Events  metrics.Log
-	Clocks  []vclock.Duration
-	Metrics metrics.Snapshot
-}
-
-// sortedSamples reads a distribution's samples in ascending order through
-// its nearest-rank percentiles.
-func sortedSamples(l *vclock.Latencies) []vclock.Duration {
-	n := l.Len()
-	out := make([]vclock.Duration, n)
-	for i := range out {
-		out[i] = l.Percentile(100 * (float64(i) + 0.5) / float64(n))
-	}
-	return out
-}
-
 // noRebuildOfSlot0 returns a direct-shard factory whose slot 0 cannot be
 // built a second time: its replacement always fails.
 func noRebuildOfSlot0() core.ShardFactory {
@@ -221,12 +197,12 @@ func noRebuildOfSlot0() core.ShardFactory {
 	}
 }
 
-// TestDoBatchMatchesDoAt pins DoBatch to DoAt's admission path: the same
-// entries run as one batch on one executor, and through DoAt one after
-// another on a twin, leave equal per-entry errors, latency and queue-wait
-// samples, event logs, shard clocks and metrics — apart from the batch
-// counters. Each row is a decision the batch path once made on its own.
-func TestDoBatchMatchesDoAt(t *testing.T) {
+// TestDoAtHedgeAndFailedReplacement runs entries through DoAt one after
+// another on a two-shard executor: a stamped entry whose primary overruns
+// the hedge delay hedges and the hedge wins, and when slot 0's replacement
+// cannot be built, slot 0's entries fail while the entry pinned to healthy
+// slot 1 still runs.
+func TestDoAtHedgeAndFailedReplacement(t *testing.T) {
 	slowOn0 := func(sh *core.Shard) error {
 		if sh.ID == 0 {
 			sh.K.Clock.Advance(10 * ms)
@@ -245,85 +221,51 @@ func TestDoBatchMatchesDoAt(t *testing.T) {
 		factory func() core.ShardFactory
 		setup   func(*core.Executor)
 		entries []entry
-		check   func(t *testing.T, got admissionOutcome)
+		check   func(t *testing.T, ex *core.Executor, errs []error)
 	}{
 		{
-			// A stamped entry whose primary overruns the delay hedges.
 			name:    "hedge",
 			factory: func() core.ShardFactory { return core.DirectShards(all.Registry()) },
 			setup:   func(ex *core.Executor) { ex.SetHedge(core.HedgePolicy{Delay: ms}) },
 			entries: []entry{{0, 0, slowOn0}, {1, 0, advance(ms / 2)}},
-			check: func(t *testing.T, got admissionOutcome) {
-				if m := got.Metrics; m.Hedges != 1 || m.HedgeWins != 1 {
+			check: func(t *testing.T, ex *core.Executor, _ []error) {
+				if m := ex.Metrics().Snapshot(); m.Hedges != 1 || m.HedgeWins != 1 {
 					t.Fatalf("hedges/wins = %d/%d, want 1/1", m.Hedges, m.HedgeWins)
 				}
 			},
 		},
 		{
-			// Slot 0's replacement cannot be built: its entries fail, and
-			// the entry pinned to healthy slot 1 still runs.
 			name:    "failed replacement",
 			factory: noRebuildOfSlot0,
 			setup:   func(ex *core.Executor) { ex.KillShard(0, "test") },
 			entries: []entry{{0, 0, advance(ms)}, {1, 0, advance(ms)}, {0, ms, advance(ms)}},
-			check: func(t *testing.T, got admissionOutcome) {
-				if got.Errs[0] == "<nil>" || got.Errs[1] != "<nil>" || got.Errs[2] == "<nil>" {
-					t.Fatalf("errors = %q, want slot 0's entries failed and slot 1's served", got.Errs)
+			check: func(t *testing.T, ex *core.Executor, errs []error) {
+				if errs[0] == nil || errs[1] != nil || errs[2] == nil {
+					t.Fatalf("errors = %v, want slot 0's entries failed and slot 1's served", errs)
 				}
-				if got.Clocks[1] != ms {
-					t.Fatalf("slot 1 clock = %v, want its job's %v", got.Clocks[1], ms)
+				if got := ex.Shard(1).Clock().Now(); got != ms {
+					t.Fatalf("slot 1 clock = %v, want its job's %v", got, ms)
 				}
 			},
 		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			run := func(batched bool) admissionOutcome {
-				ex, err := core.NewExecutor(2, row.factory())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(ex.Close)
-				sessions := []*core.Session{ex.Session(), ex.Session()}
-				for i := 0; i < ex.Shards(); i++ {
-					ex.Shard(i).K.Clock.Reset()
-				}
-				row.setup(ex)
-				errs := make([]error, len(row.entries))
-				if batched {
-					batch := make([]core.BatchEntry, len(row.entries))
-					for i, en := range row.entries {
-						batch[i] = core.BatchEntry{Session: sessions[en.session], Arrival: en.arrival, Job: en.job}
-					}
-					errs = ex.DoBatch(batch)
-				} else {
-					for i, en := range row.entries {
-						errs[i] = sessions[en.session].DoAt(en.arrival, en.job)
-					}
-				}
-				out := admissionOutcome{
-					Lat:     sortedSamples(ex.Latencies()),
-					Queue:   sortedSamples(ex.QueueWaits()),
-					Events:  ex.Events(),
-					Metrics: ex.Metrics().Snapshot(),
-				}
-				for _, err := range errs {
-					out.Errs = append(out.Errs, fmt.Sprint(err))
-				}
-				for i := 0; i < ex.Shards(); i++ {
-					out.Clocks = append(out.Clocks, ex.Shard(i).Clock().Now())
-				}
-				return out
+			ex, err := core.NewExecutor(2, row.factory())
+			if err != nil {
+				t.Fatal(err)
 			}
-			seq, batched := run(false), run(true)
-			row.check(t, seq)
-			if m := batched.Metrics; m.BatchedAdmissions != 1 || m.BatchedRequests != uint64(len(row.entries)) {
-				t.Fatalf("batch counters = %d/%d, want 1/%d", m.BatchedAdmissions, m.BatchedRequests, len(row.entries))
+			t.Cleanup(ex.Close)
+			sessions := []*core.Session{ex.Session(), ex.Session()}
+			for i := 0; i < ex.Shards(); i++ {
+				ex.Shard(i).K.Clock.Reset()
 			}
-			batched.Metrics.BatchedAdmissions, batched.Metrics.BatchedRequests = 0, 0
-			if !reflect.DeepEqual(batched, seq) {
-				t.Fatalf("DoBatch left\n%+v\nDoAt left\n%+v", batched, seq)
+			row.setup(ex)
+			errs := make([]error, len(row.entries))
+			for i, en := range row.entries {
+				errs[i] = sessions[en.session].DoAt(en.arrival, en.job)
 			}
+			row.check(t, ex, errs)
 		})
 	}
 }

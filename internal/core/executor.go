@@ -110,46 +110,6 @@ func (s *Shard) recordFailure() int {
 	return s.failures
 }
 
-// workerSem is a resizable counting semaphore bounding concurrent
-// admissions — the executor's worker pool. Capacity tracks the shard count
-// as the control plane grows and shrinks the pool; shrinking below the
-// in-use count simply blocks new admissions until enough slots drain.
-type workerSem struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cap  int
-	used int
-}
-
-func newWorkerSem(n int) *workerSem {
-	s := &workerSem{cap: n}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *workerSem) acquire() {
-	s.mu.Lock()
-	for s.used >= s.cap {
-		s.cond.Wait()
-	}
-	s.used++
-	s.mu.Unlock()
-}
-
-func (s *workerSem) release() {
-	s.mu.Lock()
-	s.used--
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-func (s *workerSem) setCap(n int) {
-	s.mu.Lock()
-	s.cap = n
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
 // ShardFactory builds the id-th shard of an executor. Factories must be
 // deterministic: shard id in, identical shard out, so an executor built
 // twice from the same factory behaves identically — and so a replacement
@@ -260,22 +220,21 @@ type HealthPolicy struct {
 	DrainOnDegrade bool
 }
 
-// Executor is the concurrent serving layer: a bounded worker pool over n
-// runtime shards. Sessions are assigned to shards round-robin; at most n
-// pipeline invocations run concurrently (one per shard worker), and
-// invocations pinned to the same shard serialize on it. Stateful-API
-// state is written through to a portable checkpoint log so sessions
-// survive the loss of their shard: a failed shard is drained, its sessions
-// migrate to a replacement with their checkpointed state materialized
-// there, and serving continues.
+// Executor is the concurrent serving layer over n runtime shards. Sessions
+// are assigned to shards round-robin, and every invocation runs under its
+// shard's lock: invocations pinned to the same shard serialize on it, so
+// at most n run at once, and a session on an idle shard never waits behind
+// another shard's queue. Stateful-API state is written through to a
+// portable checkpoint log so sessions survive the loss of their shard: a
+// failed shard is drained, its sessions migrate to a replacement with
+// their checkpointed state materialized there, and serving continues.
 //
 // With n = 1 and no faults the executor degenerates to the synchronous
-// path: one shard, one worker, every invocation in submission order —
-// byte-identical outputs to calling the runtime directly.
+// path: one shard, every invocation in submission order — byte-identical
+// outputs to calling the runtime directly.
 type Executor struct {
 	ckpt    *object.CheckpointLog
 	factory ShardFactory
-	sem     *workerSem
 	lat     *vclock.Latencies
 	queue   *vclock.Latencies
 	met     *metrics.Counters
@@ -294,7 +253,7 @@ type Executor struct {
 	// sessions have finished.
 	sessions map[int]*Session
 	nextID   int
-	// openPool is the placement snapshot open hands to the hooks, refilled
+	// openPool is the placement snapshot open hands to the hook, refilled
 	// in place for every open.
 	openPool  []PlacementInfo
 	retired   []*Shard
@@ -304,8 +263,7 @@ type Executor struct {
 	admit     AdmissionPolicy
 	gate      AdmissionGate
 	onReplace func(*Shard) error
-	place     func(session int, pool []PlacementInfo) int
-	placeKey  func(session int, key uint64, pool []PlacementInfo) int
+	place     func(session int, key uint64, keyed bool, pool []PlacementInfo) int
 	// pinned is the incremental unfinished-session count per pool slot. It
 	// replaces the per-open scan over every session — at tens of thousands
 	// of sessions the scan made each open O(sessions) — and is maintained
@@ -377,7 +335,6 @@ func NewExecutor(n int, factory ShardFactory) (*Executor, error) {
 	e := &Executor{
 		ckpt:     object.NewCheckpointLog(),
 		factory:  factory,
-		sem:      newWorkerSem(n),
 		lat:      &vclock.Latencies{},
 		queue:    &vclock.Latencies{},
 		met:      metrics.New(),
@@ -633,29 +590,17 @@ func (e *Executor) TotalWork() vclock.Duration {
 }
 
 // SetPlacement installs a pluggable placement hook for new sessions: given
-// the session id and a snapshot of the live pool, it returns the shard slot
-// to pin to. Nil (the default) keeps round-robin by open order — the
+// the session id, its session key and whether it was opened with one
+// (SessionKeyed), and a snapshot of the live pool, it returns the shard
+// slot to pin to. Nil (the default) keeps round-robin by open order — the
 // n=1-bit-identical policy every experiment before the control plane used.
 // An out-of-range return falls back to round-robin. The snapshot is valid
 // only during the call: the executor refills it for the next open, so a
 // hook must copy whatever it keeps.
-func (e *Executor) SetPlacement(fn func(session int, pool []PlacementInfo) int) {
+func (e *Executor) SetPlacement(fn func(session int, key uint64, keyed bool, pool []PlacementInfo) int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.place = fn
-}
-
-// SetKeyedPlacement installs the placement hook consulted for sessions
-// opened with a session key (SessionKeyed): it additionally sees the key,
-// so a partition-aware placer can score warm-cache affinity. Keyless opens
-// never consult it; keyed opens fall back to the plain hook (then
-// round-robin) when it is nil or declines — so with no keyed hook
-// installed, SessionKeyed is bit-identical to SessionFor. As for
-// SetPlacement, the snapshot is valid only during the call.
-func (e *Executor) SetKeyedPlacement(fn func(session int, key uint64, pool []PlacementInfo) int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.placeKey = fn
 }
 
 // placementPoolLocked snapshots the live pool for a placement decision into
@@ -698,9 +643,7 @@ func (e *Executor) SessionFor(tenant, weight int) *Session {
 }
 
 // SessionKeyed opens a session carrying a stable session key — the identity
-// a returning user keeps across visits. Placement consults the keyed hook
-// first (SetKeyedPlacement), then the plain hook, then round-robin; with no
-// keyed hook installed the open is bit-identical to SessionFor.
+// a returning user keeps across visits, which the placement hook sees.
 func (e *Executor) SessionKeyed(tenant, weight int, key uint64) *Session {
 	return e.open(tenant, weight, key, true)
 }
@@ -715,16 +658,9 @@ func (e *Executor) open(tenant, weight int, key uint64, keyed bool) *Session {
 	id := e.nextID
 	e.nextID++
 	slot := id % len(e.shards)
-	placed := false
-	if keyed && e.placeKey != nil {
+	if e.place != nil {
 		e.openPool = e.placementPoolLocked(e.openPool)
-		if p := e.placeKey(id, key, e.openPool); p >= 0 && p < len(e.shards) {
-			slot, placed = p, true
-		}
-	}
-	if !placed && e.place != nil {
-		e.openPool = e.placementPoolLocked(e.openPool)
-		if p := e.place(id, e.openPool); p >= 0 && p < len(e.shards) {
+		if p := e.place(id, key, keyed, e.openPool); p >= 0 && p < len(e.shards) {
 			slot = p
 		}
 	}
@@ -925,7 +861,6 @@ func (e *Executor) Grow(at vclock.Duration) (*Shard, error) {
 	e.shards = append(e.shards, sh)
 	n := len(e.shards)
 	e.mu.Unlock()
-	e.sem.setCap(n)
 	e.recordEvent(sh, "grow", fmt.Sprintf("pool %d", n))
 	return sh, nil
 }
@@ -986,7 +921,6 @@ func (e *Executor) Shrink(plan func(session int, pool []PlacementInfo) Migration
 	delete(e.killAt, victim.ID)
 	sessions := e.liveSessionsLocked()
 	e.mu.Unlock()
-	e.sem.setCap(n)
 	e.recordEvent(victim, "shrink", fmt.Sprintf("pool %d", n))
 
 	for _, s := range sessions {
@@ -1190,14 +1124,13 @@ func (s *Session) pinnedTo(sh *Shard) bool {
 	return !s.done && s.shard == sh
 }
 
-// Finish marks the session complete and removes it from the executor:
-// DoAt and DoBatch refuse its further work with ErrSessionFinished, the
-// control plane stops counting it toward shard load, failover and shrink
-// leave it where it is, and the by-id lookups answer for its id as for an
-// unknown one. The executor's pinned counts are updated in the same
-// critical section placement snapshots read them under (e.mu before s.mu —
-// the established order), so no placement decision ever sees a
-// half-finished session.
+// Finish marks the session complete and removes it from the executor: DoAt
+// refuses its further work with ErrSessionFinished, the control plane stops
+// counting it toward shard load, failover and shrink leave it where it is,
+// and the by-id lookups answer for its id as for an unknown one. The
+// executor's pinned counts are updated in the same critical section
+// placement snapshots read them under (e.mu before s.mu — the established
+// order), so no placement decision ever sees a half-finished session.
 //
 // Finish also ends the life of the session's state: its bindings are
 // dropped, every live shard that holds objects the session created
@@ -1334,8 +1267,8 @@ func (s *Session) Do(job func(sh *Shard) error) error {
 }
 
 // DoAt runs one pipeline invocation that arrived at the given virtual time
-// on the session's shard clock. Admission is bounded by the executor's
-// worker count; invocations on the same shard serialize. If the shard is
+// on the session's shard clock. Invocations on the same shard serialize on
+// its lock, which is the executor's only admission bound. If the shard is
 // idle past the arrival time its clock advances to the arrival (the shard
 // waited for the request); if the shard is busy, the gap between arrival
 // and service start is the request's admission-queue wait. The recorded
@@ -1343,7 +1276,11 @@ func (s *Session) Do(job func(sh *Shard) error) error {
 // and the wait alone is recorded in the executor's queue distribution.
 //
 // A negative arrival means "arrived now": the stamp is taken when the shard
-// first admits the invocation, yielding zero queueing delay.
+// first admits the invocation, yielding zero queueing delay. Such a
+// closed-loop request carries no client-side deadline, even across
+// failover retries, and never hedges — the same idempotence rule deadline
+// shedding applies; a stamped request hedges when a hedge policy is
+// installed.
 //
 // If the shard was lost (killed, or drained by the health policy), the
 // session fails over — drain, replace, migrate — and the invocation runs on
@@ -1352,19 +1289,6 @@ func (s *Session) Do(job func(sh *Shard) error) error {
 // the loss of a shard. A finished session runs nothing: DoAt returns
 // ErrSessionFinished.
 func (s *Session) DoAt(arrival vclock.Duration, job func(sh *Shard) error) error {
-	s.ex.sem.acquire()
-	defer s.ex.sem.release()
-	return s.do(arrival, job)
-}
-
-// do runs one invocation through the admission path DoAt and DoBatch
-// share: hedged when a hedge policy is installed and the request is
-// stamped, on the session's pinned shard alone otherwise. A negative
-// arrival is a closed-loop request: its stamp resolves at first admission
-// and carries no client-side deadline, even across failover retries. Only
-// stamped requests hedge — the same idempotence rule deadline shedding
-// applies. Caller holds a worker-pool slot.
-func (s *Session) do(arrival vclock.Duration, job func(sh *Shard) error) error {
 	stamped := arrival >= 0
 	s.ex.mu.Lock()
 	hp := s.ex.hedgep
@@ -1380,8 +1304,7 @@ func (s *Session) do(arrival vclock.Duration, job func(sh *Shard) error) error {
 // shard, following failovers, and returns the shard it completed on plus
 // the completion time on that shard's clock and the service time alone.
 // recordLat controls whether the completion records a latency sample — the
-// hedged path defers that to the race winner. Caller holds a worker-pool
-// slot.
+// hedged path defers that to the race winner.
 func (s *Session) runPrimary(arrival *vclock.Duration, job func(sh *Shard) error, stamped, recordLat bool) (*Shard, vclock.Duration, vclock.Duration, error) {
 	for {
 		sh := s.currentShard()
@@ -1412,16 +1335,17 @@ func (s *Session) runPrimary(arrival *vclock.Duration, job func(sh *Shard) error
 	}
 }
 
-// runLocked runs one admitted invocation on sh; the caller holds sh.mu and
-// a worker-pool slot. It returns done=false when the invocation must be
-// re-run after a failover — the shard was already failed at admission, or
-// it died under this invocation. *arrival resolves to "now" on first
-// admission when negative and is kept across retries; stamped records
-// whether the request carried a client arrival (closed-loop requests are
-// exempt from deadline shedding). recordLat controls whether the completion
-// records a latency sample (the hedged path records only the race winner);
-// end is the completion time on sh's clock, degradation included, and svc
-// the service time alone (end minus service start, no queue wait) — the
+// runLocked runs one admitted invocation on sh; the caller holds sh.mu, so
+// no shard runs more than one job at once, and a failed shard runs none.
+// It returns done=false when the invocation must be re-run after a
+// failover — the shard was already failed at admission, or it died under
+// this invocation. *arrival resolves to "now" on first admission when
+// negative and is kept across retries; stamped records whether the request
+// carried a client arrival (closed-loop requests are exempt from deadline
+// shedding). recordLat controls whether the completion records a latency
+// sample (the hedged path records only the race winner); end is the
+// completion time on sh's clock, degradation included, and svc the service
+// time alone (end minus service start, no queue wait) — the
 // shard-attributable latency the hedge trigger gates on.
 func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Shard) error, stamped, recordLat bool) (done bool, end, svc vclock.Duration, err error) {
 	e := s.ex
@@ -1513,42 +1437,16 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 	return true, end, end - svcStart, jerr
 }
 
-// BatchEntry is one invocation inside a coalesced admission batch.
-type BatchEntry struct {
-	// Session runs the entry.
+// Admission is one invocation waiting in a serving loop's queue as an
+// admission orderer (sched.WFQ) sees it: the session, whose tenant and
+// weight the orderer reads, and the arrival stamp. The loop runs the
+// invocations through DoAt in the order the orderer chooses.
+type Admission struct {
+	// Session runs the invocation.
 	Session *Session
-	// Arrival is the entry's arrival stamp; negative means "arrived at
-	// admission".
+	// Arrival is the invocation's arrival stamp; negative means "arrived
+	// at admission".
 	Arrival vclock.Duration
-	// Job is the invocation body.
-	Job func(sh *Shard) error
-}
-
-// DoBatch admits a coalesced batch of invocations as one unit: one
-// worker-pool slot for the whole batch, amortizing the per-invocation
-// semaphore traffic that streams of small requests otherwise pay. Entries
-// execute in order, each through the same admission path as DoAt — its own
-// arrival stamp, hedge, failover, latency and queue-wait samples — so
-// batching changes admission cost, not measured semantics: a batch behaves
-// as the same entries submitted through DoAt one after another. An entry of
-// a finished session runs nothing and gets ErrSessionFinished. Entries are
-// read, not written: a negative Arrival resolves at admission without being
-// rewritten in place. Returns one error per entry.
-func (e *Executor) DoBatch(entries []BatchEntry) []error {
-	errs := make([]error, len(entries))
-	if len(entries) == 0 {
-		return errs
-	}
-	e.sem.acquire()
-	defer e.sem.release()
-	e.met.Update(func(m *metrics.Snapshot) {
-		m.BatchedAdmissions++
-		m.BatchedRequests += uint64(len(entries))
-	})
-	for i, en := range entries {
-		errs[i] = en.Session.do(en.Arrival, en.Job)
-	}
-	return errs
 }
 
 // Call implements Caller on the session: a single-API invocation submitted

@@ -3,9 +3,12 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -162,9 +165,9 @@ func TestExecutorSessionRoundRobin(t *testing.T) {
 	}
 }
 
-// TestExecutorBoundsConcurrency checks that at most n invocations run at
-// once: the pool admits one worker per shard.
-func TestExecutorBoundsConcurrency(t *testing.T) {
+// TestConcurrentInvocationsBoundedByShards checks that at most n
+// invocations run at once: each runs under its shard's lock.
+func TestConcurrentInvocationsBoundedByShards(t *testing.T) {
 	reg := all.Registry()
 	const n = 2
 	ex, err := core.NewExecutor(n, core.DirectShards(reg))
@@ -201,6 +204,76 @@ func TestExecutorBoundsConcurrency(t *testing.T) {
 	if ex.Latencies().Len() != 8 {
 		t.Fatalf("recorded %d latency samples, want 8", ex.Latencies().Len())
 	}
+}
+
+// TestConcurrentIdleShardServedWhileAnotherQueues holds shard 0 with one
+// job and queues a second session behind it: a session on idle shard 1
+// must still be served at once, since only shard 0's lock holds the queued
+// session. A pool-wide cap of one admission per shard would count the
+// queued session against it and make shard 1 wait for shard 0's job.
+func TestConcurrentIdleShardServedWhileAnotherQueues(t *testing.T) {
+	ex, err := core.NewExecutor(2, core.DirectShards(all.Registry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Close)
+	holder, idle, queued := ex.Session(), ex.Session(), ex.Session() // slots 0, 1, 0
+
+	held, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		errs <- holder.Do(func(*core.Shard) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	go func() { errs <- queued.Do(advance(1)) }()
+	// finish releases the held job and waits for both shard 0 sessions, so
+	// the test leaves no goroutine running whichever way it ends.
+	finish := func() {
+		close(release)
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Errorf("shard 0 session: %v", err)
+			}
+		}
+	}
+	if !parkedOnShardLock(2 * time.Second) {
+		finish()
+		t.Fatal("the second session on shard 0 never queued on its lock")
+	}
+
+	served := make(chan error, 1)
+	go func() { served <- idle.Do(advance(1)) }()
+	select {
+	case err := <-served:
+		finish()
+		if err != nil {
+			t.Fatalf("idle shard 1: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		finish()
+		<-served
+		t.Fatal("a session on idle shard 1 waited behind shard 0's queue")
+	}
+}
+
+// parkedOnShardLock reports whether, within d, some goroutine parks on a
+// mutex inside Session.runPrimary, which only a session waiting for its
+// shard's lock does.
+func parkedOnShardLock(d time.Duration) bool {
+	buf := make([]byte, 1<<20)
+	for end := time.Now().Add(d); time.Now().Before(end); runtime.Gosched() {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "core.(*Session).runPrimary") {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestExecutorSharedStoreBuildsOnce checks the shared model file: the four

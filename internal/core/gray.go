@@ -287,8 +287,7 @@ func shedClass(err error) bool {
 // the extra-work cost the Hedges/HedgeWork counters price. The secondary
 // only launches when a target is predicted to beat the primary (see
 // hedgeTarget) — overrun alone is not enough, or hedge work would feed
-// the very queueing that triggers hedges. Caller holds a worker-pool
-// slot.
+// the very queueing that triggers hedges.
 func (s *Session) doHedged(arrival vclock.Duration, hp HedgePolicy, job func(sh *Shard) error) error {
 	e := s.ex
 	pArr := arrival

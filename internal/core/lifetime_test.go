@@ -152,12 +152,12 @@ func TestFinishAllocatesNothing(t *testing.T) {
 
 // TestOpenFinishAllocs pins what a short session leaves behind in the
 // executor: opening and finishing one allocates the Session alone, with no
-// placement hook and with both hooks consulted on every open.
+// placement hook and with a hook consulted on every open.
 func TestOpenFinishAllocs(t *testing.T) {
-	for _, hooks := range []bool{false, true} {
+	for _, hook := range []bool{false, true} {
 		name := "no hooks"
-		if hooks {
-			name = "both hooks"
+		if hook {
+			name = "hook"
 		}
 		t.Run(name, func(t *testing.T) {
 			ex, err := core.NewExecutor(8, core.DirectShards(all.Registry()))
@@ -165,10 +165,10 @@ func TestOpenFinishAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(ex.Close)
-			if hooks {
-				// The keyed hook declines, so the plain hook sees a snapshot too.
-				ex.SetKeyedPlacement(func(int, uint64, []core.PlacementInfo) int { return -1 })
-				ex.SetPlacement(func(session int, pool []core.PlacementInfo) int { return pool[session%len(pool)].ID })
+			if hook {
+				ex.SetPlacement(func(session int, _ uint64, _ bool, pool []core.PlacementInfo) int {
+					return pool[session%len(pool)].ID
+				})
 			}
 			var k uint64
 			allocs := testing.AllocsPerRun(1000, func() {
@@ -183,9 +183,9 @@ func TestOpenFinishAllocs(t *testing.T) {
 }
 
 // TestFinishedSessionRefusesWork submits work on a finished session whose
-// shard was then killed: Do, Call and a batch entry are each refused with
+// shard was then killed: Do, Call and DoAt are each refused with
 // ErrSessionFinished, no job runs, and no failover starts on the session's
-// behalf, while a live session's entry in the same batch still runs.
+// behalf, while a live session's DoAt still runs.
 func TestFinishedSessionRefusesWork(t *testing.T) {
 	ex, err := core.NewExecutor(2, core.DirectShards(all.Registry()))
 	if err != nil {
@@ -209,12 +209,11 @@ func TestFinishedSessionRefusesWork(t *testing.T) {
 	if _, _, err := s.Call("cv.imread", framework.Str("/in.img")); !errors.Is(err, core.ErrSessionFinished) {
 		t.Fatalf("Call on a finished session: %v, want ErrSessionFinished", err)
 	}
-	errs := ex.DoBatch([]core.BatchEntry{
-		{Session: s, Arrival: -1, Job: job},
-		{Session: live, Arrival: -1, Job: func(*core.Shard) error { liveRan++; return nil }},
-	})
-	if !errors.Is(errs[0], core.ErrSessionFinished) || errs[1] != nil {
-		t.Fatalf("DoBatch errors %v, want [ErrSessionFinished <nil>]", errs)
+	if err := s.DoAt(0, job); !errors.Is(err, core.ErrSessionFinished) {
+		t.Fatalf("DoAt on a finished session: %v, want ErrSessionFinished", err)
+	}
+	if err := live.DoAt(0, func(*core.Shard) error { liveRan++; return nil }); err != nil {
+		t.Fatalf("DoAt on a live session: %v", err)
 	}
 	if ran != 0 || liveRan != 1 {
 		t.Fatalf("%d jobs of the finished session ran and %d of the live one, want 0 and 1", ran, liveRan)

@@ -31,9 +31,16 @@ const (
 // EncodeDataset serializes float64 samples for image_dataset_from_directory
 // and estimator training.
 func EncodeDataset(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint64(out[i*8:], math.Float64bits(v))
+	return BuildDataset(len(vals), func(i int) float64 { return vals[i] })
+}
+
+// BuildDataset serializes a dataset of n samples into one buffer of exactly
+// the encoded size. sample(i) gives the i-th sample; it is called once per
+// sample, in order, as the sample is encoded.
+func BuildDataset(n int, sample func(i int) float64) []byte {
+	out := make([]byte, 8*n)
+	for i := range n {
+		binary.BigEndian.PutUint64(out[i*8:], math.Float64bits(sample(i)))
 	}
 	return out
 }

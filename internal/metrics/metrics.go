@@ -59,12 +59,6 @@ type Snapshot struct {
 	// Rebalances counts sessions proactively migrated off a hot shard by
 	// the control plane before any failure.
 	Rebalances uint64
-	// BatchedAdmissions counts coalesced admission batches; BatchedRequests
-	// counts the invocations they carried. Requests − Batches is the number
-	// of worker-pool acquisitions the batching layer amortized away.
-	BatchedAdmissions uint64
-	BatchedRequests   uint64
-
 	// Rejected counts arrivals refused at the admission-queue bound (the
 	// virtual 503s); DeadlineShed counts requests dropped at dequeue after
 	// outliving their admission deadline. Shed work runs nothing — no

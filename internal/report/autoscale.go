@@ -45,11 +45,9 @@ type AutoscaleResult struct {
 	// row's.
 	ShardSecondsVsMax float64 `json:"shard_seconds_vs_max"`
 	// Control-plane activity for the row.
-	ScaleUps          uint64 `json:"scale_ups"`
-	ScaleDowns        uint64 `json:"scale_downs"`
-	Rebalances        uint64 `json:"rebalances"`
-	BatchedAdmissions uint64 `json:"batched_admissions"`
-	BatchedRequests   uint64 `json:"batched_requests"`
+	ScaleUps   uint64 `json:"scale_ups"`
+	ScaleDowns uint64 `json:"scale_downs"`
+	Rebalances uint64 `json:"rebalances"`
 	// ControlEvents is the length of the controller's replayable decision
 	// log (0 for fixed pools).
 	ControlEvents int `json:"control_events"`
@@ -103,33 +101,29 @@ func MeasureAutoscale(min, max, base, burst, steps int) ([]AutoscaleResult, erro
 		}
 		var ctl *sched.Controller
 		var ticker apps.Ticker
-		var batcher apps.AdmissionBatcher
 		if rn.control {
 			ctl = sched.New(ex, sched.DefaultPolicy(rn.min, rn.max), rn.placer)
 			ticker = ctl
-			batcher = ctl.Batch()
 		}
-		results := srv.ServeRamp(streams, ticker, batcher)
+		results := srv.ServeRamp(streams, ticker, nil)
 		crit := ex.CriticalPath()
 		m := ex.Metrics().Snapshot()
 		row := AutoscaleResult{
-			Scenario:          rn.scenario,
-			MinShards:         rn.min,
-			MaxShards:         rn.max,
-			PeakShards:        ex.Shards(),
-			Streams:           len(streams),
-			Served:            servedStreams(results),
-			Steps:             servedSteps(results),
-			P50:               ex.Latencies().P50(),
-			P95:               ex.Latencies().P95(),
-			P99:               ex.Latencies().P99(),
-			CriticalPath:      crit,
-			ShardSeconds:      ex.ShardSeconds(crit),
-			ScaleUps:          m.ScaleUps,
-			ScaleDowns:        m.ScaleDowns,
-			Rebalances:        m.Rebalances,
-			BatchedAdmissions: m.BatchedAdmissions,
-			BatchedRequests:   m.BatchedRequests,
+			Scenario:     rn.scenario,
+			MinShards:    rn.min,
+			MaxShards:    rn.max,
+			PeakShards:   ex.Shards(),
+			Streams:      len(streams),
+			Served:       servedStreams(results),
+			Steps:        servedSteps(results),
+			P50:          ex.Latencies().P50(),
+			P95:          ex.Latencies().P95(),
+			P99:          ex.Latencies().P99(),
+			CriticalPath: crit,
+			ShardSeconds: ex.ShardSeconds(crit),
+			ScaleUps:     m.ScaleUps,
+			ScaleDowns:   m.ScaleDowns,
+			Rebalances:   m.Rebalances,
 		}
 		if ctl != nil {
 			row.PeakShards = ctl.PeakShards()
@@ -186,14 +180,13 @@ func TableAutoscale(jsonPath string) (string, error) {
 func RenderAutoscale(results []AutoscaleResult) *Table {
 	t := &Table{
 		Title:  "Autoscaling: stateful tracking under a load ramp (burst joins mid-run, leaves early; virtual time)",
-		Header: []string{"Scenario", "Peak", "Served", "p50", "p95", "p99", "p99/max", "Shard-sec", "Cost/max", "Up/Down/Rebal", "Batches"},
+		Header: []string{"Scenario", "Peak", "Served", "p50", "p95", "p99", "p99/max", "Shard-sec", "Cost/max", "Up/Down/Rebal"},
 	}
 	for _, r := range results {
 		t.Add(r.Scenario, d(r.PeakShards), fmt.Sprintf("%d/%d", r.Served, r.Streams),
 			r.P50.String(), r.P95.String(), r.P99.String(), f2(r.P99VsMax),
 			r.ShardSeconds.String(), f2(r.ShardSecondsVsMax),
-			fmt.Sprintf("%d/%d/%d", r.ScaleUps, r.ScaleDowns, r.Rebalances),
-			d(int(r.BatchedAdmissions)))
+			fmt.Sprintf("%d/%d/%d", r.ScaleUps, r.ScaleDowns, r.Rebalances))
 	}
 	t.Notes = append(t.Notes,
 		"All rows serve byte-identical streams; fixed pools run with no controller attached (zero control-plane cost).",

@@ -115,7 +115,7 @@ func MeasureOverload(shards, heavy, light, steps int, factors []int) ([]Overload
 				ex.Shard(i).K.Clock.Reset()
 			}
 			ex.SetAdmission(pol)
-			opt := apps.RampOptions{TolerateShed: true}
+			var orderer apps.AdmissionOrderer
 			if policy == "wfq" {
 				// Quantum = 1.25 calibrated service times. The quantum sets
 				// how hard the finish clocks bend the arrival order: too
@@ -126,9 +126,9 @@ func MeasureOverload(shards, heavy, light, steps int, factors []int) ([]Overload
 				// 1x. 5/4 sits inside that window — at 1x the order is
 				// exactly the arrival order (zero cost), under overload the
 				// clocks dominate and the split converges on fair share.
-				opt.Orderer = &sched.WFQ{Quantum: 5 * stepCost / 4}
+				orderer = &sched.WFQ{Quantum: 5 * stepCost / 4}
 			}
-			results := srv.ServeRampOpts(streams, opt)
+			results := srv.ServeRamp(streams, nil, orderer)
 			m := ex.Metrics().Snapshot()
 
 			row := OverloadResult{

@@ -10,10 +10,10 @@ import (
 )
 
 // KeyedPlacer is the extension a placer implements to see session keys: the
-// controller installs PlaceKeyed as the executor's keyed placement hook, so
-// sessions opened with SessionKeyed are scored with their identity while
-// keyless opens keep flowing through Place. Return an out-of-range slot to
-// decline (the open falls back to the plain hook, then round-robin).
+// controller's placement hook calls PlaceKeyed for sessions opened with
+// SessionKeyed, so they are scored with their identity while keyless opens
+// keep flowing through Place. Return an out-of-range slot to decline (the
+// open falls back to Place, then round-robin).
 type KeyedPlacer interface {
 	Placer
 	PlaceKeyed(session int, key uint64, pool []core.PlacementInfo) int

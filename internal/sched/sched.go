@@ -1,8 +1,9 @@
 // Package sched is the deterministic autoscaling control plane of the
 // serving layer: a reconcile loop over core.Executor that grows and
 // shrinks the shard pool from queue-wait signals, proactively rebalances
-// sessions off hot shards through the portable checkpoint log, places
-// sessions with a pluggable cost model, and coalesces admission batches.
+// sessions off hot shards through the portable checkpoint log, and places
+// sessions with a pluggable cost model. It also holds the weighted-fair
+// admission order (WFQ) a serving loop applies to each shard's queue.
 //
 // The design rule — inherited from the paper's partitioning argument and
 // its successors (ERIM, hardware-capability compartmentalization): policy
@@ -73,8 +74,6 @@ type Policy struct {
 	// admission penalty paid when a target is let in slightly before its
 	// clock crosses the frontier. 0 disables the filter.
 	ReadyWindow vclock.Duration
-	// Batch is the admission-coalescing policy handed to serving loops.
-	Batch Batcher
 	// Cost prices cross-socket moves; zero value means no NUMA penalty.
 	Cost vclock.CostModel
 }
@@ -93,7 +92,6 @@ func DefaultPolicy(min, max int) Policy {
 		RebalanceRatio:  3,
 		MaxMovesPerTick: 2,
 		ReadyWindow:     40000, // 40µs: above inter-shard skew, far below a boot
-		Batch:           Batcher{Size: 4, Deadline: 200000},
 		Cost:            vclock.Default(),
 	}
 }
@@ -137,9 +135,11 @@ type histPoint struct {
 
 // New builds a controller over ex and takes over session placement: opens
 // route through placer (LeastLoaded when nil), always restricted to shards
-// that pass the readiness filter. Executors with no controller attached
-// keep the round-robin default and are untouched by any of this — the
-// zero-cost-when-off property the serving benchmarks pin down.
+// that pass the readiness filter. A keyed open goes to PlaceKeyed first
+// when the placer is a KeyedPlacer, and to Place when that declines.
+// Executors with no controller attached keep the round-robin default and
+// are untouched by any of this — the zero-cost-when-off property the
+// serving benchmarks pin down.
 func New(ex *core.Executor, pol Policy, placer Placer) *Controller {
 	if pol.MaxMovesPerTick <= 0 {
 		pol.MaxMovesPerTick = 1
@@ -149,14 +149,17 @@ func New(ex *core.Executor, pol Policy, placer Placer) *Controller {
 	if p == nil {
 		p = LeastLoaded{}
 	}
-	ex.SetPlacement(func(session int, pool []core.PlacementInfo) int {
-		return p.Place(session, c.readyPool(pool))
+	kp, _ := p.(KeyedPlacer)
+	ex.SetPlacement(func(session int, key uint64, keyed bool, pool []core.PlacementInfo) int {
+		slots := len(pool)
+		pool = c.readyPool(pool)
+		if keyed && kp != nil {
+			if slot := kp.PlaceKeyed(session, key, pool); slot >= 0 && slot < slots {
+				return slot
+			}
+		}
+		return p.Place(session, pool)
 	})
-	if kp, ok := p.(KeyedPlacer); ok {
-		ex.SetKeyedPlacement(func(session int, key uint64, pool []core.PlacementInfo) int {
-			return kp.PlaceKeyed(session, key, c.readyPool(pool))
-		})
-	}
 	return c
 }
 
@@ -184,9 +187,6 @@ func (c *Controller) readyPool(pool []core.PlacementInfo) []core.PlacementInfo {
 	}
 	return out
 }
-
-// Batch returns the admission-coalescing policy serving loops should use.
-func (c *Controller) Batch() Batcher { return c.pol.Batch }
 
 // Events returns a copy of the decision log.
 func (c *Controller) Events() metrics.Log {

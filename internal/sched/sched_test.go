@@ -11,47 +11,6 @@ import (
 	"freepart.dev/freepart/internal/vclock"
 )
 
-func TestBatcherSplit(t *testing.T) {
-	b := sched.Batcher{Size: 3, Deadline: 100}
-	entries := []core.BatchEntry{
-		{Arrival: 10}, {Arrival: 20}, {Arrival: 30}, // full batch
-		{Arrival: 40}, {Arrival: 200}, // deadline cut: 200-40 > 100
-		{Arrival: 210},
-	}
-	got := b.Split(entries)
-	want := [][]int{{0, 1, 2}, {3}, {4, 5}}
-	if len(got) != len(want) {
-		t.Fatalf("split into %d batches, want %d", len(got), len(want))
-	}
-	for i, batch := range got {
-		if len(batch) != len(want[i]) {
-			t.Fatalf("batch %d has %d entries, want %d", i, len(batch), len(want[i]))
-		}
-	}
-}
-
-func TestBatcherSizeOneIsSingletons(t *testing.T) {
-	b := sched.Batcher{Size: 1, Deadline: 1000}
-	got := b.Split([]core.BatchEntry{{Arrival: 1}, {Arrival: 2}, {Arrival: 3}})
-	if len(got) != 3 {
-		t.Fatalf("size-1 batcher coalesced: %d batches for 3 entries", len(got))
-	}
-}
-
-func TestBatcherNeverCoalescesClosedLoop(t *testing.T) {
-	// Negative arrivals mean "as soon as the previous call returned" —
-	// closed-loop requests with no admission stamp. Coalescing them would
-	// change their admission times, so each rides alone.
-	b := sched.Batcher{Size: 8, Deadline: 1 << 40}
-	got := b.Split([]core.BatchEntry{{Arrival: -1}, {Arrival: -1}, {Arrival: 5}, {Arrival: 6}})
-	if len(got) != 3 {
-		t.Fatalf("closed-loop entries coalesced: %d batches, want 3", len(got))
-	}
-	if len(got[2]) != 2 {
-		t.Fatalf("stamped entries after closed-loop ones did not coalesce: %v", got)
-	}
-}
-
 func TestRoundRobinPlace(t *testing.T) {
 	pool := []core.PlacementInfo{{ID: 0}, {ID: 1}, {ID: 2}}
 	rr := sched.RoundRobin{}

@@ -68,7 +68,7 @@ func (q *WFQ) quantum() vclock.Duration {
 }
 
 // tenantOf reads an entry's tenant identity (weight lifted to ≥1).
-func tenantOf(en core.BatchEntry) (tenant, weight int) {
+func tenantOf(en core.Admission) (tenant, weight int) {
 	tenant, weight = 0, 1
 	if en.Session != nil {
 		tenant = en.Session.Tenant
@@ -87,7 +87,7 @@ func tenantOf(en core.BatchEntry) (tenant, weight int) {
 // rather than banking idleness as priority — and stack quantum/weight per
 // queued entry within the wave. Nothing persists here; only Observe, fed
 // the wave's outcomes, advances the clocks.
-func (q *WFQ) Order(slot int, entries []core.BatchEntry) []int {
+func (q *WFQ) Order(slot int, entries []core.Admission) []int {
 	idx := make([]int, len(entries))
 	for i := range idx {
 		idx[i] = i
@@ -124,7 +124,7 @@ func (q *WFQ) Order(slot int, entries []core.BatchEntry) []int {
 // overload shed — charges its tenant quantum/weight, and finish clocks are
 // then clamped to the slowest active tenant's plus the lead cap. Shed
 // entries consumed no capacity and charge nothing.
-func (q *WFQ) Observe(slot int, entries []core.BatchEntry, errs []error) {
+func (q *WFQ) Observe(slot int, entries []core.Admission, errs []error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.finish == nil {

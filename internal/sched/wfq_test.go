@@ -10,11 +10,11 @@ import (
 )
 
 // entry builds a wave entry for a tenant (nil session = legacy tenant 0).
-func entry(tenant, weight int, arrival vclock.Duration) core.BatchEntry {
+func entry(tenant, weight int, arrival vclock.Duration) core.Admission {
 	if tenant == 0 && weight == 0 {
-		return core.BatchEntry{Arrival: arrival}
+		return core.Admission{Arrival: arrival}
 	}
-	return core.BatchEntry{Session: &core.Session{Tenant: tenant, Weight: weight}, Arrival: arrival}
+	return core.Admission{Session: &core.Session{Tenant: tenant, Weight: weight}, Arrival: arrival}
 }
 
 // TestWFQSingleTenantKeepsArrivalOrder pins the zero-cost property WFQ
@@ -22,7 +22,7 @@ func entry(tenant, weight int, arrival vclock.Duration) core.BatchEntry {
 // exactly its original order, with or without prior charging.
 func TestWFQSingleTenantKeepsArrivalOrder(t *testing.T) {
 	q := &sched.WFQ{Quantum: 10}
-	entries := []core.BatchEntry{
+	entries := []core.Admission{
 		entry(0, 0, 5), entry(0, 0, 10), entry(0, 0, 15), entry(0, 0, 20),
 	}
 	want := []int{0, 1, 2, 3}
@@ -41,12 +41,12 @@ func TestWFQSingleTenantKeepsArrivalOrder(t *testing.T) {
 // ahead of it at equal arrivals.
 func TestWFQFavorsUnderservedTenant(t *testing.T) {
 	q := &sched.WFQ{Quantum: 10}
-	heavyWave := []core.BatchEntry{
+	heavyWave := []core.Admission{
 		entry(1, 1, 0), entry(1, 1, 0), entry(1, 1, 0), entry(1, 1, 0),
 	}
 	q.Observe(0, heavyWave, make([]error, len(heavyWave)))
 
-	mixed := []core.BatchEntry{
+	mixed := []core.Admission{
 		entry(1, 1, 0), entry(1, 1, 0), entry(2, 1, 0),
 	}
 	got := q.Order(0, mixed)
@@ -67,12 +67,12 @@ func TestWFQFavorsUnderservedTenant(t *testing.T) {
 // requests still sort ahead of an equal-arrival weight-1 tenant's.
 func TestWFQWeightsScaleTheCharge(t *testing.T) {
 	q := &sched.WFQ{Quantum: 10}
-	wave := []core.BatchEntry{
+	wave := []core.Admission{
 		entry(1, 1, 0), entry(1, 1, 0), entry(2, 2, 0), entry(2, 2, 0),
 	}
 	q.Observe(0, wave, make([]error, len(wave)))
 	// Clocks now: tenant 1 at 20, tenant 2 at 10.
-	got := q.Order(0, []core.BatchEntry{entry(1, 1, 0), entry(2, 2, 0)})
+	got := q.Order(0, []core.Admission{entry(1, 1, 0), entry(2, 2, 0)})
 	if got[0] != 1 {
 		t.Fatalf("order = %v, want the weight-2 tenant first", got)
 	}
@@ -84,13 +84,13 @@ func TestWFQWeightsScaleTheCharge(t *testing.T) {
 // actually served.
 func TestWFQChargesServiceNotDemand(t *testing.T) {
 	q := &sched.WFQ{Quantum: 10}
-	wave := []core.BatchEntry{entry(1, 1, 0), entry(1, 1, 0), entry(2, 1, 0)}
+	wave := []core.Admission{entry(1, 1, 0), entry(1, 1, 0), entry(2, 1, 0)}
 	errs := []error{core.ErrOverloaded, core.ErrOverloaded, nil}
 	q.Observe(0, wave, errs)
 
 	// Tenant 1 was offered twice but served nothing; tenant 2 was served
 	// once. Tenant 1 must now sort first.
-	got := q.Order(0, []core.BatchEntry{entry(2, 1, 0), entry(1, 1, 0)})
+	got := q.Order(0, []core.Admission{entry(2, 1, 0), entry(1, 1, 0)})
 	if got[0] != 1 {
 		t.Fatalf("order = %v, want the shed (unserved) tenant first", got)
 	}
@@ -101,7 +101,7 @@ func TestWFQChargesServiceNotDemand(t *testing.T) {
 // service-rich history cannot bank an unbounded penalty.
 func TestWFQLeadCapBoundsHandicap(t *testing.T) {
 	q := &sched.WFQ{Quantum: 10, LeadCap: 2}
-	wave := make([]core.BatchEntry, 0, 11)
+	wave := make([]core.Admission, 0, 11)
 	for i := 0; i < 10; i++ {
 		wave = append(wave, entry(1, 1, 0))
 	}
@@ -113,7 +113,7 @@ func TestWFQLeadCapBoundsHandicap(t *testing.T) {
 	// 40; t1's single entry lands at 40 and the stable sort keeps it ahead
 	// of the third t2 entry — with the unbounded handicap it would sort
 	// dead last.
-	mixed := []core.BatchEntry{entry(1, 1, 0), entry(2, 1, 0), entry(2, 1, 0), entry(2, 1, 0)}
+	mixed := []core.Admission{entry(1, 1, 0), entry(2, 1, 0), entry(2, 1, 0), entry(2, 1, 0)}
 	got := q.Order(0, mixed)
 	if !reflect.DeepEqual(got, []int{1, 2, 0, 3}) {
 		t.Fatalf("order = %v, want [1 2 0 3] (lead clamped to 2 quanta)", got)

@@ -88,18 +88,10 @@ func (g *Gen) VideoFrames(cam *kernel.Camera, n, rows, cols, channels int) {
 	}
 }
 
-// Dataset produces n float64 samples in [-1, 1).
-func (g *Gen) Dataset(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = g.rng.Float64()*2 - 1
-	}
-	return out
-}
-
-// EncodedDataset produces a simflow dataset file.
+// EncodedDataset produces a simflow dataset file of n samples in [-1, 1),
+// encoding each sample as it draws it.
 func (g *Gen) EncodedDataset(n int) []byte {
-	return simflow.EncodeDataset(g.Dataset(n))
+	return simflow.BuildDataset(n, func(int) float64 { return g.rng.Float64()*2 - 1 })
 }
 
 // Model produces a torch model with the given layer sizes (weights in
@@ -131,7 +123,7 @@ func (g *Gen) Text(n int) []byte {
 // MNISTFile produces a dataset of n 8x8 samples in the simtorch MNIST
 // format (flat float64s).
 func (g *Gen) MNISTFile(n int) []byte {
-	return simflow.EncodeDataset(g.Dataset(n * 64))
+	return g.EncodedDataset(n * 64)
 }
 
 // FilePlan provisions a standard per-app input directory: count images

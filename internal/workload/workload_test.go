@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"freepart.dev/freepart/internal/framework/simcv"
@@ -90,13 +92,14 @@ func TestVideoFrames(t *testing.T) {
 }
 
 func TestDatasetRange(t *testing.T) {
-	for _, v := range New(3).Dataset(256) {
-		if v < -1 || v >= 1 {
+	enc := New(3).EncodedDataset(256)
+	if len(enc) != 256*8 {
+		t.Fatal("encoded dataset wrong size")
+	}
+	for i := 0; i < len(enc); i += 8 {
+		if v := math.Float64frombits(binary.BigEndian.Uint64(enc[i:])); v < -1 || v >= 1 {
 			t.Fatalf("sample %v out of [-1,1)", v)
 		}
-	}
-	if len(New(3).EncodedDataset(4)) != 32 {
-		t.Fatal("encoded dataset wrong size")
 	}
 }
 
